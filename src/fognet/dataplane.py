@@ -4,10 +4,17 @@ Holds the runtime overlay on an immutable topology: link/node health, the
 per-node flow tables, guaranteed-rate reservations and current fluid
 allocations, plus the fog-resident DHCP pool and LRU content cache.
 
-Fluid allocations: while no link is congested every flow gets its own
-rate (its guarantee, else its demand), and `allocated()` and
-`link_allocated()` derive it from the installed flows. `alloc` holds
-max-min solver output only while some link is congested.
+`NetworkState` keeps each load fact in one incremental ledger, updated by
+`install_flow`, `remove_flow` and the health setters in O(path): offered
+load and congestion per link, guaranteed-rate (GBR) use per link and per
+(slice, resource class), each link's capacity net of GBR, and an epoch
+for fog capacity caches (see its docstring for who updates what).
+
+Fluid allocations: a GBR flow always carries its guarantee. While no link
+is congested every best-effort flow carries its demand, and `allocated()`
+and `link_allocated()` derive rates from the installed flows. While some
+link is congested, `recompute()` hands the max-min solver the best-effort
+flows against the net-of-GBR capacities, and `alloc` holds its output.
 """
 
 from __future__ import annotations
@@ -18,8 +25,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from .engine import FlowDemand, recompute_fair_shares
-from .topology import Link, LinkClass, LinkState, Topology
+from .engine import GbrOvercommit, recompute_fair_shares
+from .topology import LINK_TO_RESOURCE, Link, LinkClass, LinkState, Topology
 from .util import ZERO
 
 
@@ -108,9 +115,9 @@ class FlowTables:
         for node, link in path.hops:
             self._tables.setdefault(node, {})[path.flow_id] = (link, slice_id)
 
-    def remove(self, flow_id: str) -> None:
-        for entries in self._tables.values():
-            entries.pop(flow_id, None)
+    def remove(self, path: FlowPath) -> None:
+        for node, _ in path.hops:
+            self._tables[node].pop(path.flow_id, None)
 
     def entries_at(self, node: str) -> Dict[str, Tuple[str, Optional[str]]]:
         return dict(self._tables.get(node, {}))
@@ -131,9 +138,28 @@ class FlowTables:
 class NetworkState:
     """Mutable runtime state over one topology; engine-loop use only.
 
-    `alloc` is the max-min solver's output from the last `recompute()`
-    and is filled only while some link is congested; otherwise it is
-    empty and rates come from the installed flows themselves.
+    Each fact below is kept in one place and updated where it changes,
+    never recounted:
+
+    - `flows`, `_on_link` (link -> flow ids), `tables`: `install_flow` and
+      `remove_flow`.
+    - `_offered` (per link: each flow's guarantee, else its demand, per
+      listing of the link) and `_congested` (links whose offered load
+      exceeds capacity): `install_flow` and `remove_flow`.
+    - Guaranteed-rate (GBR) ledger, in O(path) per `install_flow` and
+      `remove_flow` of a flow with `gbr > 0`: `_gbr` (per link, read by
+      `gbr_reserved`), `_be_capacity` (per link, capacity net of `_gbr`:
+      what the max-min solver shares among best-effort flows) and
+      `_slice_gbr` (per (slice, resource class), read by `slice_gbr`).
+    - `_best_effort` (installed flows with `gbr == 0`): `install_flow`
+      and `remove_flow`.
+    - `epoch`: bumped by `set_link_state`, `set_node_state` and the
+      install or removal of an unsliced GBR flow, the inputs of each
+      fog's sliceable capacity (`FogControl.physical_capacity`).
+    - `alloc`: the max-min solver's output for best-effort flows from the
+      last `recompute()`, filled only while some link is congested;
+      otherwise it is empty and rates come from the installed flows
+      themselves. A GBR flow's rate is always its own `gbr`.
     """
 
     def __init__(self, topology: Topology):
@@ -145,7 +171,14 @@ class NetworkState:
         self.tables = FlowTables()
         self.flows: Dict[str, InstalledFlow] = {}
         self.alloc: Dict[str, Fraction] = {}
+        self.epoch = 0
+        self._resource_of: Dict[str, Optional[str]] = {
+            lid: LINK_TO_RESOURCE.get(link.link_class) for lid, link in topology.links.items()
+        }
         self._gbr: Dict[str, Fraction] = {}
+        self._be_capacity: Dict[str, Fraction] = {lid: link.capacity for lid, link in topology.links.items()}
+        self._slice_gbr: Dict[Tuple[str, str], Fraction] = {}
+        self._best_effort: Dict[str, InstalledFlow] = {}
         self._on_link: Dict[str, Set[str]] = {}
         self._offered: Dict[str, Fraction] = {}
         self._congested: Set[str] = set()
@@ -158,9 +191,11 @@ class NetworkState:
 
     def set_link_state(self, link_id: str, up: bool) -> None:
         self.link_up[link_id] = up
+        self.epoch += 1
 
     def set_node_state(self, node_id: str, up: bool) -> None:
         self.node_up[node_id] = up
+        self.epoch += 1
 
     # -- reservations and load --------------------------------------------
 
@@ -168,18 +203,12 @@ class NetworkState:
         return self._gbr.get(link_id, ZERO)
 
     def admission_residual(self, link_id: str) -> Fraction:
-        return self.topology.links[link_id].capacity - self.gbr_reserved(link_id)
+        return self._be_capacity[link_id]
 
-    def be_demand(self, link_id: str) -> Fraction:
-        total = ZERO
-        for fid in self._on_link.get(link_id, ()):
-            flow = self.flows[fid]
-            if flow.gbr == 0:
-                total += flow.demand
-        return total
-
-    def offered_load(self, link_id: str) -> Fraction:
-        return self.gbr_reserved(link_id) + self.be_demand(link_id)
+    def slice_gbr(self, slice_id: str, resource_class: str) -> Fraction:
+        """GBR held by the slice's flows on links of the class, counted
+        once per flow per listed link."""
+        return self._slice_gbr.get((slice_id, resource_class), ZERO)
 
     def flows_on_link(self, link_id: str) -> List[str]:
         return sorted(self._on_link.get(link_id, ()))
@@ -194,12 +223,14 @@ class NetworkState:
                 raise LinkDown(f"link {lid} is down", lid)
         self.flows[flow.flow_id] = flow
         self.tables.install(flow.path, flow.slice_id)
-        guaranteed = flow.gbr > 0
-        want = flow.gbr if guaranteed else flow.demand
+        if flow.gbr > 0:
+            self._reserve(flow, flow.gbr)
+            want = flow.gbr
+        else:
+            self._best_effort[flow.flow_id] = flow
+            want = flow.demand
         for lid in flow.links:
             self._on_link.setdefault(lid, set()).add(flow.flow_id)
-            if guaranteed:
-                self._gbr[lid] = self._gbr.get(lid, ZERO) + flow.gbr
             load = self._offered.get(lid, ZERO) + want
             self._offered[lid] = load
             if load > self.topology.links[lid].capacity:
@@ -209,19 +240,34 @@ class NetworkState:
         flow = self.flows.pop(flow_id, None)
         if flow is None:
             raise UnknownFlow(f"flow {flow_id} not installed", flow_id)
-        self.tables.remove(flow_id)
+        self.tables.remove(flow.path)
         self.alloc.pop(flow_id, None)
-        guaranteed = flow.gbr > 0
-        want = flow.gbr if guaranteed else flow.demand
+        if flow.gbr > 0:
+            self._reserve(flow, -flow.gbr)
+            want = flow.gbr
+        else:
+            del self._best_effort[flow_id]
+            want = flow.demand
         for lid in flow.links:
-            self._on_link.get(lid, set()).discard(flow_id)
-            if guaranteed:
-                self._gbr[lid] -= flow.gbr
+            self._on_link[lid].discard(flow_id)
             load = self._offered[lid] - want
             self._offered[lid] = load
             if lid in self._congested and load <= self.topology.links[lid].capacity:
                 self._congested.discard(lid)
         return flow
+
+    def _reserve(self, flow: InstalledFlow, gbr: Fraction) -> None:
+        """Add `gbr` (negative to release) to the GBR ledger along the flow's path."""
+        slice_id = flow.slice_id
+        for lid in flow.links:
+            self._gbr[lid] = self._gbr.get(lid, ZERO) + gbr
+            self._be_capacity[lid] -= gbr
+            resource = self._resource_of[lid]
+            if slice_id is not None and resource is not None:
+                key = (slice_id, resource)
+                self._slice_gbr[key] = self._slice_gbr.get(key, ZERO) + gbr
+        if slice_id is None:
+            self.epoch += 1
 
     # -- allocation ---------------------------------------------------------
 
@@ -231,26 +277,30 @@ class NetworkState:
             # allocated() and link_allocated() read off the installed flows
             self.alloc = {}
             return
-        demands = [
-            FlowDemand(flow_id=f.flow_id, links=f.links, demand=f.demand, gbr=f.gbr)
-            for f in self.flows.values()
-        ]
-        capacity = {lid: link.capacity for lid, link in self.topology.links.items()}
-        self.alloc = recompute_fair_shares(demands, capacity)
+        overcommitted = [lid for lid in self._congested if self._be_capacity[lid] < 0]
+        if overcommitted:
+            lid = min(overcommitted)
+            raise GbrOvercommit(lid, self._gbr[lid], self.topology.links[lid].capacity)
+        self.alloc = recompute_fair_shares(list(self._best_effort.values()), self._be_capacity)
 
     def allocated(self, flow_id: str) -> Fraction:
+        flow = self.flows.get(flow_id)
+        if flow is None:
+            return ZERO
+        if flow.gbr > 0:
+            return flow.gbr
         if not self._congested:
-            flow = self.flows.get(flow_id)
-            if flow is None:
-                return ZERO
-            return flow.gbr if flow.gbr > 0 else max(flow.demand, ZERO)
+            return max(flow.demand, ZERO)
         return self.alloc.get(flow_id, ZERO)
 
     def link_allocated(self, link_id: str) -> Fraction:
         if not self._congested:
             # fast path: allocation equals offered load everywhere
             return self._offered.get(link_id, ZERO)
-        return sum((self.alloc.get(fid, ZERO) for fid in self._on_link.get(link_id, ())), ZERO)
+        # guarantees from the ledger; `alloc` holds best-effort flows only
+        alloc = self.alloc
+        on_link = self._on_link.get(link_id, ())
+        return sum((alloc[fid] for fid in on_link if fid in alloc), self.gbr_reserved(link_id))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ function of the scheduled inputs.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -106,82 +107,112 @@ class FlowDemand:
 def recompute_fair_shares(
     flows: Iterable[FlowDemand], capacity: Mapping[str, Fraction]
 ) -> Dict[str, Fraction]:
-    """Progressive-filling max-min allocation over residual capacities.
+    """Max-min allocation by a water-level solve over residual capacities.
 
-    Guaranteed-rate flows receive exactly their guarantee; the remaining
-    capacity is filled level by level across best-effort flows, freezing a
-    flow when it reaches its demand or saturates a link. Exact Fraction
-    arithmetic: conservation holds with no tolerance.
+    `flows` may be any objects with `flow_id`, `links`, `demand` and `gbr`
+    (`FlowDemand`, or the dataplane's `InstalledFlow`). A guaranteed-rate
+    flow (`gbr > 0`) receives exactly its guarantee, taken from every link
+    it lists, once per listing; `GbrOvercommit` is raised when the
+    guarantees on a link exceed its capacity. A best-effort flow with
+    demand <= 0 gets 0 and one with no links gets its demand.
+
+    Every other best-effort flow rises from 0 at one common level. With
+    `avail` the link's capacity left after guarantees and frozen flows and
+    `n` the rising flows on it, a link saturates at level `avail/n`. Each
+    round one pass over the links finds the lowest level at which a link
+    saturates or a rising flow meets its demand, and the links tight at
+    it. Their rising flows and the flows whose demand is met freeze at
+    that level; then each link they cross is updated once for the round
+    (`avail -= level*k`, `n -= k` for its k newly frozen flows). A flow
+    that lists a link twice counts once on it. This is progressive
+    filling (Bertsekas & Gallager, *Data Networks*, 6.5) taken one
+    saturation level at a time; exact Fraction arithmetic, so capacity
+    is conserved with no tolerance.
     """
-    ordered = sorted(flows, key=lambda f: f.flow_id)
-    residual: Dict[str, Fraction] = {}
     alloc: Dict[str, Fraction] = {}
-
-    for flow in ordered:
+    avail: Dict[str, Fraction] = {}
+    rising = []
+    for flow in flows:
         if flow.gbr > 0:
             alloc[flow.flow_id] = flow.gbr
             for lid in flow.links:
-                residual[lid] = residual.get(lid, capacity[lid]) - flow.gbr
-    for lid, left in residual.items():
+                avail[lid] = avail.get(lid, capacity[lid]) - flow.gbr
+        elif flow.demand <= 0:
+            alloc[flow.flow_id] = ZERO
+        elif not flow.links:
+            # unconstrained (e.g. zero-hop local path)
+            alloc[flow.flow_id] = flow.demand
+        else:
+            rising.append(flow)
+    for lid, left in avail.items():
         if left < 0:
             raise GbrOvercommit(lid, capacity[lid] - left, capacity[lid])
 
-    active: Dict[str, FlowDemand] = {}
-    for flow in ordered:
-        if flow.gbr > 0:
-            continue
-        if flow.demand <= 0:
-            alloc[flow.flow_id] = ZERO
-            continue
-        if not flow.links:
-            # unconstrained (e.g. zero-hop local path)
-            alloc[flow.flow_id] = flow.demand
-            continue
-        alloc[flow.flow_id] = ZERO
-        active[flow.flow_id] = flow
-        for lid in flow.links:
-            residual.setdefault(lid, capacity[lid])
+    users: Dict[str, List] = {}  # link -> best-effort flows crossing it
+    crossed: Dict[str, Tuple[str, ...]] = {}  # flow -> its distinct links
+    for flow in rising:
+        links = flow.links
+        if len(set(links)) != len(links):
+            links = tuple(dict.fromkeys(links))
+        crossed[flow.flow_id] = links
+        for lid in links:
+            users.setdefault(lid, []).append(flow)
+    # Levels are compared as integer pairs (numerator, positive
+    # denominator), avoiding a Fraction operation per link per round.
+    count: Dict[str, int] = {}  # link -> rising flows on it
+    saturates: Dict[str, Tuple[int, int]] = {}  # link with rising flows -> avail/n
+    for lid, on in users.items():
+        left = avail.setdefault(lid, capacity[lid])
+        count[lid] = len(on)
+        saturates[lid] = (left.numerator, left.denominator * len(on))
+    scale = math.lcm(*(f.demand.denominator for f in rising))
 
-    users: Dict[str, set] = {}
-    for fid, flow in active.items():
-        for lid in flow.links:
-            users.setdefault(lid, set()).add(fid)
+    def scaled_demand(flow) -> int:
+        return flow.demand.numerator * (scale // flow.demand.denominator)
 
-    def freeze(fid: str) -> None:
-        for lid in active[fid].links:
-            users[lid].discard(fid)
-        del active[fid]
+    rising.sort(key=scaled_demand)
+    wants = [scaled_demand(f) for f in rising]
+    next_met = 0  # every flow before rising[next_met] is frozen
 
-    # Flows pinned at zero by an already-saturated link freeze first.
-    for fid in sorted(active):
-        if any(residual[l] <= 0 for l in active[fid].links):
-            freeze(fid)
+    while saturates:
+        while rising[next_met].flow_id in alloc:
+            next_met += 1
+        num, den = wants[next_met], scale
+        tight: List[str] = []
+        for lid, (p, q) in saturates.items():
+            if p * den < num * q:
+                num, den = p, q
+                tight = [lid]
+            elif p * den == num * q:
+                tight.append(lid)
+        level = Fraction(num, den)
 
-    while active:
-        step = None
-        for fid, flow in active.items():
-            remaining = flow.demand - alloc[fid]
-            if step is None or remaining < step:
-                step = remaining
-        for lid, fids in users.items():
-            if fids:
-                share = residual[lid] / len(fids)
-                if share < step:
-                    step = share
-        saturated = []
-        for lid, fids in users.items():
-            if fids:
-                residual[lid] -= step * len(fids)
-                if residual[lid] <= 0:
-                    saturated.append(lid)
-        done = set()
-        for fid, flow in active.items():
-            alloc[fid] += step
-            if alloc[fid] >= flow.demand:
-                done.add(fid)
-        for lid in saturated:
-            done.update(users[lid])
-        for fid in sorted(done):
-            freeze(fid)
+        frozen = []
+        for lid in tight:
+            for flow in users[lid]:
+                if flow.flow_id not in alloc:
+                    alloc[flow.flow_id] = level
+                    frozen.append(flow)
+        met = next_met
+        while met < len(rising) and wants[met] * den == num * scale:
+            flow = rising[met]
+            if flow.flow_id not in alloc:
+                alloc[flow.flow_id] = level
+                frozen.append(flow)
+            met += 1
+
+        touched: Dict[str, int] = {}
+        for flow in frozen:
+            for lid in crossed[flow.flow_id]:
+                touched[lid] = touched.get(lid, 0) + 1
+        for lid, k in touched.items():
+            n = count[lid] - k
+            count[lid] = n
+            if n:
+                left = avail[lid] - level * k
+                avail[lid] = left
+                saturates[lid] = (left.numerator, left.denominator * n)
+            else:
+                del saturates[lid]
 
     return alloc

@@ -319,6 +319,16 @@ class FogControl:
         self._user_slice: Dict[str, str] = {}
         self.pop = net.topology.pop_of(fog_id)
         self.macro_bs = net.topology.macro_of(fog_id)
+        topo = net.topology
+        self._fog_links: Dict[Optional[str], List[Link]] = {None: []}
+        for lid in sorted(topo.links):
+            link = topo.links[lid]
+            resource = LINK_TO_RESOURCE.get(link.link_class)
+            if resource is not None and fog_id in (topo.fog_of(link.a), topo.fog_of(link.b)):
+                self._fog_links[None].append(link)
+                self._fog_links.setdefault(resource, []).append(link)
+        self._physical: Dict[str, Fraction] = {}
+        self._physical_epoch = -1  # NetworkState.epoch of `_physical`
         # Hooks wired by the harness.
         self.on_terminate: Optional[Callable[[InstalledFlow, RejectReason], None]] = None
         self.clock: Callable[[], int] = lambda: 0
@@ -491,13 +501,7 @@ class FogControl:
             if cls is not None:
                 new_per_class[cls] = new_per_class.get(cls, 0) + 1
         for cls, count in new_per_class.items():
-            used = ZERO
-            for flow in self.net.flows.values():
-                if flow.slice_id != slice_id or flow.gbr <= 0:
-                    continue
-                for flid in flow.path.links():
-                    if LINK_TO_RESOURCE.get(all_links[flid].link_class) == cls:
-                        used += flow.gbr
+            used = self.net.slice_gbr(slice_id, cls)
             if used + count * gbr > self.slice_manager.entitled(slice_id, cls):
                 return False
         return True
@@ -578,9 +582,7 @@ class FogControl:
     def scoring_utilization(self, link_id: str) -> Fraction:
         """Offered load over capacity; scale-free, so decisions survive a
         uniform rescaling of link capacities."""
-        link = self.net.topology.links[link_id]
-        offered = self.net.gbr_reserved(link_id) + self.net.be_demand(link_id)
-        return offered / link.capacity
+        return self.net._offered.get(link_id, ZERO) / self.net.topology.links[link_id].capacity
 
     def handle_flow_request(self, spec: FlowSpec, *, reroute: bool = False) -> FlowDecision:
         try:
@@ -727,17 +729,9 @@ class FogControl:
     # -- abstraction -----------------------------------------------------------
 
     def fog_links(self, cls: Optional[str] = None) -> List[Link]:
-        topo = self.net.topology
-        out = []
-        for link in topo.links.values():
-            resource = LINK_TO_RESOURCE.get(link.link_class)
-            if resource is None:
-                continue
-            if cls is not None and resource != cls:
-                continue
-            if topo.fog_of(link.a) == self.fog_id or topo.fog_of(link.b) == self.fog_id:
-                out.append(link)
-        return sorted(out, key=lambda l: l.id)
+        """The fog's metered links (of class `cls`, or all), by id. Built
+        once in `__init__` from the immutable topology; do not mutate."""
+        return self._fog_links.get(cls, [])
 
     def rat_abstract_view(self) -> AbstractResourceView:
         rats = {}
@@ -755,20 +749,27 @@ class FogControl:
         return AbstractResourceView(rats=rats)
 
     def physical_capacity(self) -> Dict[str, Fraction]:
-        """Per-class sliceable capacity: Up links net of unsliced reservations."""
-        out: Dict[str, Fraction] = {}
-        for cls in ResourceClass.ALL:
-            total = ZERO
-            for link in self.fog_links(cls):
-                if not self.net.effective_up(link.id):
-                    continue
-                total += link.capacity
-                for fid in self.net.flows_on_link(link.id):
-                    flow = self.net.flows[fid]
-                    if flow.slice_id is None and flow.gbr > 0:
-                        total -= flow.gbr
-            out[cls] = total
-        return out
+        """Per-class sliceable capacity: Up links net of unsliced reservations.
+
+        Computed once per `NetworkState.epoch`, which moves exactly when
+        link or node health or an unsliced GBR flow changes; the returned
+        dict is shared until then, so do not mutate it."""
+        if self._physical_epoch != self.net.epoch:
+            out: Dict[str, Fraction] = {}
+            for cls in ResourceClass.ALL:
+                total = ZERO
+                for link in self.fog_links(cls):
+                    if not self.net.effective_up(link.id):
+                        continue
+                    total += link.capacity
+                    for fid in self.net.flows_on_link(link.id):
+                        flow = self.net.flows[fid]
+                        if flow.slice_id is None and flow.gbr > 0:
+                            total -= flow.gbr
+                out[cls] = total
+            self._physical = out
+            self._physical_epoch = self.net.epoch
+        return self._physical
 
     # -- mobility ----------------------------------------------------------------
 

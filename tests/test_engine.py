@@ -141,6 +141,74 @@ class TestFairShares:
         assert alloc["z"] == 0 and alloc["e"] == 3
 
     @staticmethod
+    def _matches_oracle(flows, caps):
+        alloc = recompute_fair_shares(flows, caps)
+        assert alloc == maxmin_oracle([OracleFlow(f.flow_id, f.links, f.demand, f.gbr) for f in flows], caps)
+        return alloc
+
+    def test_best_effort_path_listing_a_link_twice_counts_once(self):
+        caps = {"l1": F(10), "l2": F(100)}
+        alloc = self._matches_oracle(
+            entries(("dup", ["l1", "l2", "l1"], 100, 0), ("other", ["l1"], 100, 0)), caps
+        )
+        assert alloc["dup"] == alloc["other"] == 5
+
+    def test_links_saturated_by_gbr_pin_flows_at_zero(self):
+        caps = {"l1": F(4), "l2": F(6), "l3": F(3)}
+        alloc = self._matches_oracle(
+            entries(
+                ("g1", ["l1"], 4, 4),
+                ("g2", ["l3"], 1, 1),
+                ("g3", ["l3"], 2, 2),
+                ("pinned", ["l2", "l1"], 10, 0),
+                ("pinned3", ["l3"], 10, 0),
+                ("free", ["l2"], 10, 0),
+            ),
+            caps,
+        )
+        assert alloc["pinned"] == alloc["pinned3"] == 0
+        assert alloc["free"] == 6
+
+    def test_links_and_a_demand_tie_at_one_level(self):
+        # l1 saturates at 6/2, l2 at 9/3, and "d" wants exactly 3
+        caps = {"l1": F(6), "l2": F(9), "l3": F(20)}
+        alloc = self._matches_oracle(
+            entries(
+                ("a", ["l1"], 10, 0),
+                ("b", ["l1", "l3"], 10, 0),
+                ("c", ["l2"], 10, 0),
+                ("d", ["l2", "l3"], 3, 0),
+                ("e", ["l2", "l3"], 10, 0),
+                ("f", ["l3"], 20, 0),
+            ),
+            caps,
+        )
+        assert [alloc[x] for x in "abcde"] == [3] * 5
+        assert alloc["f"] == 11
+
+    def test_zero_demand_and_linkless_flows_beside_congestion(self):
+        caps = {"l1": F(2)}
+        alloc = self._matches_oracle(
+            entries(("z", ["l1"], 0, 0), ("e", [], 3, 0), ("b", ["l1"], 5, 0), ("c", ["l1"], F(1, 3), 0)), caps
+        )
+        assert alloc == {"z": 0, "e": 3, "b": F(5, 3), "c": F(1, 3)}
+
+    def test_random_instances_with_repeated_links_match_oracle(self):
+        rng = random.Random(99)
+        for _ in range(200):
+            links = [f"l{i}" for i in range(rng.randint(1, 5))]
+            caps = {l: F(rng.randint(0, 30), rng.choice([1, 2, 3])) for l in links}
+            flows = [
+                FlowDemand(
+                    f"f{i}",
+                    tuple(rng.choice(links) for _ in range(rng.randint(0, 4))),
+                    F(rng.randint(0, 20), rng.choice([1, 2, 5])),
+                )
+                for i in range(rng.randint(1, 9))
+            ]
+            self._matches_oracle(flows, caps)
+
+    @staticmethod
     def _random_instance(rng):
         n_links = rng.randint(1, 6)
         links = [f"l{i}" for i in range(n_links)]

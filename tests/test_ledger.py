@@ -1,0 +1,175 @@
+"""Differential test of NetworkState's incremental guaranteed-rate ledger.
+
+Random sequences of sliced GBR, unsliced (control-overhead) GBR and
+best-effort installs and removals, interleaved with link and node
+up/down changes, over two fogs with two slices. After every step the
+ledger's readers are checked against from-scratch recounts and the
+independent oracles.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from fognet.dataplane import FlowPath, InstalledFlow, NetworkState, RouteKind
+from fognet.engine import GbrOvercommit
+from fognet.fogctrl import FogControl, FogProfile
+from fognet.resources import ResourceClass
+from fognet.slicing import SliceManager, SliceSpec
+from fognet.topology import LINK_TO_RESOURCE, build_from_config
+from helpers import two_fog_doc
+from oracles import OracleFlow, _slice_cap_ok, maxmin_oracle
+
+F = Fraction
+SLICES = (("s1", "op1", F(3, 5)), ("s2", "op2", F(2, 5)))
+
+
+def _paths():
+    """Hop lists inside each fog, plus inter-fog paths over the gateway."""
+    out = []
+    for f in ("f1", "f2"):
+        for u in ("u1", "u2"):
+            wlan = [(f"{f}-{u}", f"wl-{f}-{u}"), (f"wap-{f}", f"in-{f}-wap"), (f"mmc-{f}", f"mm-{f}"), (f"mmap-{f}", f"in-{f}-mmap")]
+            out.append(wlan + [(f"pop-{f}", f"bh-{f}")])
+            out.append(wlan)
+            out.append([(f"{f}-{u}", f"ma-{f}-{u}"), (f"macro-{f}", f"in-{f}-macro"), (f"pop-{f}", f"bh-{f}")])
+            out.append([(f"{f}-{u}", f"ma-{f}-{u}")])
+        out.append([(f"{f}-u1", f"wl-{f}-u1"), (f"wap-{f}", f"wl-{f}-u2")])
+    out.append([("f1-u1", "ma-f1-u1"), ("macro-f1", "in-f1-macro"), ("pop-f1", "bh-f1"), ("gw", "bh-f2")])
+    out.append([("pop-f2", "bh-f2"), ("gw", "bh-f1")])
+    return out
+
+
+def _build():
+    net = NetworkState(build_from_config(two_fog_doc()))
+    fogs = {}
+    for fog_id in net.topology.fogs():
+        fog = FogControl(fog_id, FogProfile(), net)
+        fog.slice_manager = SliceManager(physical=fog.physical_capacity)
+        fog.slice_manager.on_create = fog.create_racf
+        for slice_id, operator, share in SLICES:
+            fog.slice_manager.create_slice(
+                SliceSpec(slice_id, operator, {cls: share for cls in ResourceClass.ALL})
+            )
+        fogs[fog_id] = fog
+    return net, fogs
+
+
+def _flow(fid, hops, demand, gbr, slice_id):
+    path = FlowPath(flow_id=fid, src=hops[0][0], dst="x", hops=tuple(hops), rat_used=RouteKind.INTRA_FOG_LOCAL)
+    return InstalledFlow(
+        flow_id=fid, path=path, demand=demand, gbr=gbr, slice_id=slice_id, app_class="t", start_ms=0, latency_ms=0.0
+    )
+
+
+def _physical_recount(net, fog_id):
+    topo = net.topology
+    out = {cls: F(0) for cls in ResourceClass.ALL}
+    for lid, link in topo.links.items():
+        cls = LINK_TO_RESOURCE.get(link.link_class)
+        if cls is None or fog_id not in (topo.fog_of(link.a), topo.fog_of(link.b)):
+            continue
+        if not (net.link_up[lid] and net.node_up[link.a] and net.node_up[link.b]):
+            continue
+        out[cls] += link.capacity
+        for flow in net.flows.values():
+            if flow.slice_id is None and flow.gbr > 0 and lid in flow.path.links():
+                out[cls] -= flow.gbr
+    return out
+
+
+def _check(net, fogs, rng, paths, seen):
+    topo = net.topology
+    for lid, link in topo.links.items():
+        gbr = sum((f.gbr * f.path.links().count(lid) for f in net.flows.values() if f.gbr > 0), F(0))
+        assert net.gbr_reserved(lid) == gbr
+        assert net.admission_residual(lid) == link.capacity - gbr
+        assert net._be_capacity[lid] == link.capacity - gbr
+    for slice_id, _, _ in SLICES:
+        for cls in ResourceClass.ALL:
+            used = F(0)
+            for f in net.flows.values():
+                if f.slice_id == slice_id and f.gbr > 0:
+                    for lid in f.path.links():
+                        if LINK_TO_RESOURCE.get(topo.links[lid].link_class) == cls:
+                            used += f.gbr
+            assert net.slice_gbr(slice_id, cls) == used
+
+    for fog_id, fog in fogs.items():
+        physical = fog.physical_capacity()
+        assert physical == _physical_recount(net, fog_id)
+        seen.add(("physical", fog_id, tuple(physical[c] for c in ResourceClass.ALL)))
+        for _ in range(4):
+            hops = rng.choice(paths)
+            links = [lid for _, lid in hops]
+            slice_id = rng.choice(SLICES)[0]
+            gbr = F(rng.randint(1, 12), 4)
+            ok = fog.slice_gbr_ok(slice_id, links, gbr)
+            assert ok == _slice_cap_ok(fog, slice_id, links, gbr)
+            seen.add(("slice_gbr_ok", ok))
+
+    # a forced overcommit on an Up link still raises from recompute()
+    up = sorted(lid for lid in topo.links if net.effective_up(lid))
+    lid = rng.choice(up)
+    over = _flow("overcommit", [(topo.links[lid].a, lid)], F(0), net.admission_residual(lid) + 1, "s1")
+    net.install_flow(over)
+    with pytest.raises(GbrOvercommit) as raised:
+        net.recompute()
+    assert raised.value.link_id == lid
+    net.remove_flow("overcommit")
+
+    net.recompute()
+    capacity = {lid: link.capacity for lid, link in topo.links.items()}
+    oracle = maxmin_oracle(
+        [OracleFlow(f.flow_id, f.links, f.demand, f.gbr) for f in net.flows.values()], capacity
+    )
+    for fid in net.flows:
+        assert net.allocated(fid) == oracle[fid]
+    for lid in capacity:
+        assert net.link_allocated(lid) == sum(
+            (oracle[f.flow_id] for f in net.flows.values() if lid in f.links), F(0)
+        )
+    seen.add(("congested", bool(net._congested)))
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_ledger_matches_recounts_and_oracles(seed):
+    net, fogs = _build()
+    rng = random.Random(seed)
+    paths = _paths()
+    topo = net.topology
+    health_links = sorted(topo.links)
+    health_nodes = sorted(n for n in topo.nodes if not n.startswith(("f1-u", "f2-u")))
+    seen = set()
+    serial = 0
+    for _ in range(300):
+        roll = rng.random()
+        if roll < 0.1:
+            lid = rng.choice(health_links)
+            net.set_link_state(lid, not net.link_up[lid])
+        elif roll < 0.15:
+            node = rng.choice(health_nodes)
+            net.set_node_state(node, not net.node_up[node])
+        elif roll < 0.5 and net.flows:
+            net.remove_flow(rng.choice(sorted(net.flows)))
+        else:
+            hops = rng.choice(paths)
+            if all(net.effective_up(lid) for _, lid in hops):
+                serial += 1
+                kind = rng.choice(("sliced", "sliced", "unsliced", "best_effort", "best_effort"))
+                if kind == "best_effort":
+                    demand = F(rng.randint(1, 40), rng.choice([1, 2, 3]))
+                    net.install_flow(_flow(f"f{serial}", hops, demand, F(0), rng.choice(["s1", "s2", None])))
+                else:
+                    gbr = F(rng.randint(1, 8), 4)
+                    if all(net.admission_residual(lid) >= gbr for _, lid in hops):
+                        slice_id = rng.choice(["s1", "s2"]) if kind == "sliced" else None
+                        net.install_flow(_flow(f"f{serial}", hops, gbr, gbr, slice_id))
+        _check(net, fogs, rng, paths, seen)
+
+    # both admission outcomes, both allocation paths and several capacity
+    # states were exercised
+    assert ("slice_gbr_ok", True) in seen and ("slice_gbr_ok", False) in seen
+    assert ("congested", True) in seen and ("congested", False) in seen
+    assert len({key for key in seen if key[0] == "physical"}) > 4
