@@ -109,7 +109,8 @@ class CloudControl:
         return any(self.net.effective_up(l.id) for l in links)
 
     def is_connected(self, fog_id: str) -> bool:
-        return self._connected.get(fog_id, self._derive_connected(fog_id))
+        state = self._connected.get(fog_id)
+        return self._derive_connected(fog_id) if state is None else state
 
     def on_backhaul_change(self, fog_id: str, up: bool, now_ms: Optional[int] = None) -> None:
         """React to a backhaul link transition; `up` is the new link state."""
@@ -134,7 +135,7 @@ class CloudControl:
                 self.sync_fog_state(fog_id)
 
     def _terminate_cloud_flows(self, fog_id: str) -> None:
-        backhauls = {l.id for l in self.net.topology.backhaul_links(fog_id)}
+        backhauls = self.net.topology.fog_domain(fog_id).backhaul_ids
         for fid in sorted(self.net.flows):
             flow = self.net.flows[fid]
             if not backhauls.intersection(flow.path.links()):
@@ -240,7 +241,10 @@ class CloudControl:
                     fa, fb, src, dst, slink.id, dlink.id, gw, gbr, slice_a, slice_b
                 )
                 if built is None:
-                    if self._build_interfog(fa, fb, src, dst, slink.id, dlink.id, gw, ZERO, None, None):
+                    # with gbr == 0 the search without headroom just failed
+                    if gbr > 0 and self._build_interfog(
+                        fa, fb, src, dst, slink.id, dlink.id, gw, ZERO, None, None
+                    ):
                         structural = True
                     continue
                 structural = True
@@ -311,15 +315,11 @@ class CloudControl:
         return hops
 
     def _pick_backhaul(self, fog_id: str, gbr) -> Optional[str]:
-        best = None
+        """The fog's lowest-id Up backhaul with `gbr` of headroom, if any."""
         for link in self.net.topology.backhaul_links(fog_id):
-            if not self.net.effective_up(link.id):
-                continue
-            if self.net.admission_residual(link.id) < gbr:
-                continue
-            if best is None or link.id < best:
-                best = link.id
-        return best
+            if self.net.effective_up(link.id) and self.net.admission_residual(link.id) >= gbr:
+                return link.id
+        return None
 
     # -- export ---------------------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Forwarding state, mesh routing and the fog service functions.
 
 Holds the runtime overlay on an immutable topology: link/node health, the
-per-node flow tables, guaranteed-rate reservations and current fluid
-allocations, plus the fog-resident DHCP pool and LRU content cache.
+installed flows with their hop-by-hop paths, guaranteed-rate reservations
+and current fluid allocations, plus the fog-resident DHCP pool and LRU
+content cache.
 
 `NetworkState` keeps each load fact in one incremental ledger, updated by
 `install_flow`, `remove_flow` and the health setters in O(path): offered
@@ -15,6 +16,10 @@ is congested every best-effort flow carries its demand, and `allocated()`
 and `link_allocated()` derive rates from the installed flows. While some
 link is congested, `recompute()` hands the max-min solver the best-effort
 flows against the net-of-GBR capacities, and `alloc` holds its output.
+
+Routing is a minimum-hop search over a set of permitted link ids. Which
+links a fog may route over is a fact of the topology
+(`Topology.fog_domain`), so callers pass those sets, not predicates.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 from .engine import GbrOvercommit, recompute_fair_shares
-from .topology import LINK_TO_RESOURCE, Link, LinkClass, LinkState, Topology
+from .topology import LINK_TO_RESOURCE, LinkState, Topology
 from .util import ZERO
 
 
@@ -105,44 +110,14 @@ class InstalledFlow:
         self.links = self.path.links()
 
 
-class FlowTables:
-    """Per-node forwarding entries: node -> flow -> (next-hop link, slice)."""
-
-    def __init__(self):
-        self._tables: Dict[str, Dict[str, Tuple[str, Optional[str]]]] = {}
-
-    def install(self, path: FlowPath, slice_id: Optional[str]) -> None:
-        for node, link in path.hops:
-            self._tables.setdefault(node, {})[path.flow_id] = (link, slice_id)
-
-    def remove(self, path: FlowPath) -> None:
-        for node, _ in path.hops:
-            self._tables[node].pop(path.flow_id, None)
-
-    def entries_at(self, node: str) -> Dict[str, Tuple[str, Optional[str]]]:
-        return dict(self._tables.get(node, {}))
-
-    def snapshot(self) -> Dict[str, Dict[str, Tuple[str, Optional[str]]]]:
-        return {n: dict(e) for n, e in self._tables.items() if e}
-
-    def dump(self) -> str:
-        """Stable per-node listing for golden-file comparisons."""
-        rows = []
-        for node in sorted(self._tables):
-            for fid in sorted(self._tables[node]):
-                link, slice_id = self._tables[node][fid]
-                rows.append(f"{node}\t{fid}\t{link}\t{slice_id or '-'}")
-        return "\n".join(rows)
-
-
 class NetworkState:
     """Mutable runtime state over one topology; engine-loop use only.
 
     Each fact below is kept in one place and updated where it changes,
     never recounted:
 
-    - `flows`, `_on_link` (link -> flow ids), `tables`: `install_flow` and
-      `remove_flow`.
+    - `flows` (each with its hop-by-hop path) and `_on_link` (link -> flow
+      ids): `install_flow` and `remove_flow`.
     - `_offered` (per link: each flow's guarantee, else its demand, per
       listing of the link) and `_congested` (links whose offered load
       exceeds capacity): `install_flow` and `remove_flow`.
@@ -168,7 +143,6 @@ class NetworkState:
             lid: link.state == LinkState.UP for lid, link in topology.links.items()
         }
         self.node_up: Dict[str, bool] = {nid: True for nid in topology.nodes}
-        self.tables = FlowTables()
         self.flows: Dict[str, InstalledFlow] = {}
         self.alloc: Dict[str, Fraction] = {}
         self.epoch = 0
@@ -222,7 +196,6 @@ class NetworkState:
             if not self.effective_up(lid):
                 raise LinkDown(f"link {lid} is down", lid)
         self.flows[flow.flow_id] = flow
-        self.tables.install(flow.path, flow.slice_id)
         if flow.gbr > 0:
             self._reserve(flow, flow.gbr)
             want = flow.gbr
@@ -240,7 +213,6 @@ class NetworkState:
         flow = self.flows.pop(flow_id, None)
         if flow is None:
             raise UnknownFlow(f"flow {flow_id} not installed", flow_id)
-        self.tables.remove(flow.path)
         self.alloc.pop(flow_id, None)
         if flow.gbr > 0:
             self._reserve(flow, -flow.gbr)
@@ -311,10 +283,11 @@ def constrained_route(
     net: NetworkState,
     src: str,
     dst: str,
-    allow: Callable[[Link], bool],
+    allowed: AbstractSet[str],
     min_residual: Fraction = ZERO,
 ) -> List[Tuple[str, str]]:
-    """Minimum-hop route over permitted Up links with enough headroom.
+    """Minimum-hop route over the Up links whose ids are in `allowed` and
+    whose admission residual is at least `min_residual` (when > 0).
 
     Ties break toward the smallest lexicographic node-id sequence (then
     smallest link id between the same pair). Raises NoRoute when the
@@ -325,18 +298,9 @@ def constrained_route(
     adjacency = net.topology.adjacency()
     links = net.topology.links
     need_headroom = min_residual > 0
-    checked: Dict[str, bool] = {}  # link id -> usable, each link judged once per call
 
-    def usable(lid: str) -> bool:
-        ok = checked.get(lid)
-        if ok is None:
-            ok = (
-                allow(links[lid])
-                and net.effective_up(lid)
-                and (not need_headroom or net.admission_residual(lid) >= min_residual)
-            )
-            checked[lid] = ok
-        return ok
+    def usable(lid: str) -> bool:  # for a link in `allowed`
+        return net.effective_up(lid) and (not need_headroom or net.admission_residual(lid) >= min_residual)
 
     # Distance-to-destination by BFS, then a greedy lexicographic walk. The
     # walk only reads distances below src's, so the BFS stops at src's level.
@@ -346,10 +310,11 @@ def constrained_route(
         nxt = []
         for node in frontier:
             for lid in adjacency.get(node, ()):
-                peer = links[lid].other(node)
-                if peer not in dist and usable(lid):
-                    dist[peer] = dist[node] + 1
-                    nxt.append(peer)
+                if lid in allowed:
+                    peer = links[lid].other(node)
+                    if peer not in dist and usable(lid):
+                        dist[peer] = dist[node] + 1
+                        nxt.append(peer)
         frontier = nxt
     if src not in dist:
         raise NoRoute(f"no route {src} -> {dst}", src)
@@ -360,9 +325,10 @@ def constrained_route(
         remaining = dist[node]
         choices = []
         for lid in adjacency.get(node, ()):
-            peer = links[lid].other(node)
-            if dist.get(peer) == remaining - 1 and usable(lid):
-                choices.append((peer, lid))
+            if lid in allowed:
+                peer = links[lid].other(node)
+                if dist.get(peer) == remaining - 1 and usable(lid):
+                    choices.append((peer, lid))
         peer, lid = min(choices)
         hops.append((node, lid))
         node = peer
@@ -372,15 +338,9 @@ def constrained_route(
 def mesh_route(
     net: NetworkState, src: str, dst: str, min_residual: Fraction = ZERO
 ) -> List[Tuple[str, str]]:
-    """Route within one fog's middle-mile graph (MiddleMile + Internal links)."""
-    fog = net.topology.fog_of(src)
-
-    def allow(link: Link) -> bool:
-        if link.link_class not in (LinkClass.MIDDLE_MILE, LinkClass.INTERNAL):
-            return False
-        return net.topology.fog_of(link.a) == fog and net.topology.fog_of(link.b) == fog
-
-    return constrained_route(net, src, dst, allow, min_residual)
+    """Route within the middle-mile graph of the source's fog."""
+    mesh = net.topology.fog_domain(net.topology.fog_of(src)).mesh
+    return constrained_route(net, src, dst, mesh, min_residual)
 
 
 def reverse_hops(hops: List[Tuple[str, str]], end: str) -> List[Tuple[str, str]]:

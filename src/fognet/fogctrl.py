@@ -34,7 +34,7 @@ from .dataplane import (
     constrained_route,
 )
 from .resources import AbstractResourceView, RatView, ResourceClass
-from .topology import LINK_TO_RESOURCE, Link, LinkClass
+from .topology import LINK_TO_RESOURCE, Link
 from .util import ZERO
 
 
@@ -319,14 +319,7 @@ class FogControl:
         self._user_slice: Dict[str, str] = {}
         self.pop = net.topology.pop_of(fog_id)
         self.macro_bs = net.topology.macro_of(fog_id)
-        topo = net.topology
-        self._fog_links: Dict[Optional[str], List[Link]] = {None: []}
-        for lid in sorted(topo.links):
-            link = topo.links[lid]
-            resource = LINK_TO_RESOURCE.get(link.link_class)
-            if resource is not None and fog_id in (topo.fog_of(link.a), topo.fog_of(link.b)):
-                self._fog_links[None].append(link)
-                self._fog_links.setdefault(resource, []).append(link)
+        self.domain = net.topology.fog_domain(fog_id)
         self._physical: Dict[str, Fraction] = {}
         self._physical_epoch = -1  # NetworkState.epoch of `_physical`
         # Hooks wired by the harness.
@@ -476,18 +469,12 @@ class FogControl:
         gbr: Fraction,
         include_backhaul: bool,
     ) -> List[Tuple[str, str]]:
-        topo = self.net.topology
-
-        def allow(link: Link) -> bool:
-            if link.id in access_links:
-                return True
-            if link.link_class in (LinkClass.MIDDLE_MILE, LinkClass.INTERNAL):
-                return topo.fog_of(link.a) == self.fog_id and topo.fog_of(link.b) == self.fog_id
-            if include_backhaul and link.link_class == LinkClass.BACKHAUL:
-                return topo.fog_of(link.a) == self.fog_id or topo.fog_of(link.b) == self.fog_id
-            return False
-
-        return constrained_route(self.net, src, dst, allow, gbr)
+        """Route over the request's access links, the fog's mesh and, for
+        cloud-bound traffic, its backhaul."""
+        allowed = self.domain.mesh | access_links
+        if include_backhaul:
+            allowed |= self.domain.backhaul_ids
+        return constrained_route(self.net, src, dst, allowed, gbr)
 
     def slice_gbr_ok(self, slice_id: Optional[str], links: List[str], gbr: Fraction) -> bool:
         """Guaranteed admissions are capped at the slice's entitlement,
@@ -522,6 +509,8 @@ class FogControl:
         try:
             hops = self._route(src, end, access_links, gbr, include_backhaul)
         except NoRoute:
+            if gbr <= 0:
+                return None, False  # the search without headroom just failed
             try:
                 self._route(src, end, access_links, ZERO, include_backhaul)
                 return None, True
@@ -729,9 +718,9 @@ class FogControl:
     # -- abstraction -----------------------------------------------------------
 
     def fog_links(self, cls: Optional[str] = None) -> List[Link]:
-        """The fog's metered links (of class `cls`, or all), by id. Built
-        once in `__init__` from the immutable topology; do not mutate."""
-        return self._fog_links.get(cls, [])
+        """The fog's metered links (of class `cls`, or all), by id, from
+        `Topology.fog_domain`; do not mutate."""
+        return self.domain.metered.get(cls, [])
 
     def rat_abstract_view(self) -> AbstractResourceView:
         rats = {}

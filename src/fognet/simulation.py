@@ -60,7 +60,7 @@ DECISION_HEADER = (
 
 
 class Simulation:
-    def __init__(self, config: ScenarioConfig, *, keep_alloc_history: bool = False):
+    def __init__(self, config: ScenarioConfig):
         self.config = config
         self.engine = Engine()
         self.net = NetworkState(config.topology)
@@ -72,8 +72,6 @@ class Simulation:
         self.slice_rows: List[str] = ["time_ms\tfog\tslice\tresource\tentitled\tdemand\tgranted"]
         self.fogs: Dict[str, FogControl] = {}
         self.operator_of: Dict[str, str] = {}
-        self.keep_alloc_history = keep_alloc_history
-        self.alloc_history: List[Tuple[int, Dict[str, Fraction]]] = []
         self._departures: Dict[str, int] = {}
 
         topo = config.topology
@@ -312,12 +310,6 @@ class Simulation:
         self.metrics.advance(now_ms)
         self.net.recompute()
         self.metrics.set_backhaul_rate(self.net)
-        if self.keep_alloc_history:
-            rates = {
-                lid: self.net.link_allocated(lid)
-                for lid in self.metrics._backhaul_link_ids
-            }
-            self.alloc_history.append((now_ms, rates))
 
     def _emit_slice_rows(self, now_ms: int) -> None:
         """Slice report rows; written at ticks and capacity-change events.

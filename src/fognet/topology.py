@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import yaml
 
@@ -137,6 +137,26 @@ class Cluster:
     users: Tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class FogDomain:
+    """The links one fog routes over and meters, by role.
+
+    - `mesh`: ids of the MiddleMile and Internal links with both ends in
+      the fog, the middle-mile graph its routes run over;
+    - `backhaul`: Backhaul links with either end in the fog, by id, and
+      `backhaul_ids`, their ids, which cloud-bound routes add to `mesh`;
+    - `metered`: resource class -> links of that class with either end in
+      the fog, by id; the key None holds every metered link of the fog.
+
+    Shared by every caller; do not mutate the lists.
+    """
+
+    mesh: FrozenSet[str] = frozenset()
+    backhaul: List[Link] = field(default_factory=list)
+    backhaul_ids: FrozenSet[str] = frozenset()
+    metered: Dict[Optional[str], List[Link]] = field(default_factory=dict)
+
+
 @dataclass
 class Topology:
     """Immutable-by-convention container; do not mutate after construction."""
@@ -145,6 +165,7 @@ class Topology:
     links: Dict[str, Link]
     clusters: Dict[str, Cluster]
     _adj: Dict[str, List[str]] = field(default=None, compare=False, repr=False)
+    _domains: Dict[str, FogDomain] = field(default=None, compare=False, repr=False)
 
     # -- indexed lookups -------------------------------------------------
 
@@ -161,6 +182,30 @@ class Topology:
                 lids.sort()
             self._adj = adj
         return self._adj
+
+    def fog_domain(self, fog: Optional[str]) -> FogDomain:
+        """The fog's links by role (cached for every fog on first use); an
+        unknown fog, or None, has no links."""
+        if self._domains is None:
+            parts = {f: (set(), [], {None: []}) for f in self.fogs()}  # mesh, backhaul, metered
+            for lid in sorted(self.links):
+                link = self.links[lid]
+                fa, fb = self.nodes[link.a].fog, self.nodes[link.b].fog
+                resource = LINK_TO_RESOURCE.get(link.link_class)
+                for f in {fa, fb} - {None}:
+                    mesh, backhaul, metered = parts[f]
+                    if fa == fb and link.link_class in (LinkClass.MIDDLE_MILE, LinkClass.INTERNAL):
+                        mesh.add(lid)
+                    if link.link_class == LinkClass.BACKHAUL:
+                        backhaul.append(link)
+                    if resource is not None:
+                        metered[None].append(link)
+                        metered.setdefault(resource, []).append(link)
+            self._domains = {
+                f: FogDomain(frozenset(mesh), backhaul, frozenset(l.id for l in backhaul), metered)
+                for f, (mesh, backhaul, metered) in parts.items()
+            }
+        return self._domains.get(fog, _NO_DOMAIN)
 
     def links_at(self, node_id: str) -> List[Link]:
         return [self.links[lid] for lid in self.adjacency().get(node_id, [])]
@@ -237,13 +282,11 @@ class Topology:
         return None
 
     def backhaul_links(self, fog: str) -> List[Link]:
-        out = []
-        for link in self.links.values():
-            if link.link_class != LinkClass.BACKHAUL:
-                continue
-            if self.nodes[link.a].fog == fog or self.nodes[link.b].fog == fog:
-                out.append(link)
-        return sorted(out, key=lambda l: l.id)
+        """Backhaul links with either end in the fog, by id (shared; do not mutate)."""
+        return self.fog_domain(fog).backhaul
+
+
+_NO_DOMAIN = FogDomain()
 
 
 @dataclass(frozen=True)

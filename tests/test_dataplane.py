@@ -44,35 +44,49 @@ def flow(fid, hops, *, demand=F(1), gbr=F(0), rat=RouteKind.INTRA_FOG_LOCAL, sli
     )
 
 
+def forwarding_entries(net):
+    """node -> flow -> (outgoing link, slice), read off the installed paths."""
+    out = {}
+    for fid, f in net.flows.items():
+        for node, lid in f.path.hops:
+            out.setdefault(node, {})[fid] = (lid, f.slice_id)
+    return out
+
+
 class TestFlowTables:
+    """Per-node forwarding entries, as `net.flows[fid].path.hops` holds them."""
+
     def test_single_hop_macro_entry(self):
         net = make_net()
         net.install_flow(flow("f1", [("u5", "ma-u5")]))
-        assert net.tables.entries_at("u5") == {"f1": ("ma-u5", "s1")}
-        assert net.tables.entries_at("macro") == {}
+        assert net.flows["f1"].path.hops == (("u5", "ma-u5"),)
+        assert forwarding_entries(net) == {"u5": {"f1": ("ma-u5", "s1")}}
 
     def test_pop_to_user_chain_has_four_entries(self):
         net = make_net()
         hops = [("pop", "in-pop-mmap"), ("mmap", "mm-mmap-mmc1"), ("mmc1", "in-wap1-mmc1"), ("wap1", "wl-u1-wap1")]
         net.install_flow(flow("f1", hops))
+        entries = forwarding_entries(net)
         for node, lid in hops:
-            assert net.tables.entries_at(node)["f1"] == (lid, "s1")
-        assert len([1 for n, _ in hops]) == 4
+            assert entries[node]["f1"] == (lid, "s1")
+        assert len(net.flows["f1"].path.hops) == 4
 
     def test_install_remove_restores_snapshot(self):
         net = make_net()
-        before = net.tables.snapshot()
+        before = forwarding_entries(net)
         net.install_flow(flow("f1", [("u1", "wl-u1-wap1"), ("wap1", "wl-u2-wap1")]))
         net.remove_flow("f1")
-        assert net.tables.snapshot() == before
+        assert forwarding_entries(net) == before
+        assert net.flows_on_link("wl-u1-wap1") == []
 
     def test_remove_keeps_other_flow(self):
         net = make_net()
         net.install_flow(flow("a", [("u1", "wl-u1-wap1"), ("wap1", "wl-u2-wap1")]))
         net.install_flow(flow("b", [("u2", "wl-u2-wap1"), ("wap1", "wl-u1-wap1")]))
         net.remove_flow("a")
-        assert "b" in net.tables.entries_at("u2")
-        assert net.tables.entries_at("u1") == {}
+        entries = forwarding_entries(net)
+        assert "b" in entries["u2"]
+        assert "u1" not in entries
 
     def test_duplicate_and_unknown(self):
         net = make_net()
@@ -87,6 +101,7 @@ class TestFlowTables:
         net.set_link_state("ma-u5", False)
         with pytest.raises(LinkDown):
             net.install_flow(flow("a", [("u5", "ma-u5")]))
+        assert net.flows == {}
 
     def test_random_trace_matches_shadow_map(self):
         net = make_net()
@@ -104,30 +119,20 @@ class TestFlowTables:
                 hops = [("u1", "wl-u1-wap1"), ("wap1", "wl-u2-wap1")] if rng.random() < 0.5 else [("u5", "ma-u5")]
                 net.install_flow(flow(fid, hops))
                 shadow[fid] = hops
-            expected = {}
-            for fid, hops in shadow.items():
-                for node, lid in hops:
-                    expected.setdefault(node, {})[fid] = (lid, "s1")
-            assert net.tables.snapshot() == expected
-
-    def test_dump_stable_golden(self):
-        net = make_net()
-        net.install_flow(flow("f2", [("u5", "ma-u5")], slice_id=None))
-        net.install_flow(flow("f1", [("u1", "wl-u1-wap1"), ("wap1", "wl-u2-wap1")]))
-        assert net.tables.dump() == (
-            "u1\tf1\twl-u1-wap1\ts1\n"
-            "u5\tf2\tma-u5\t-\n"
-            "wap1\tf1\twl-u2-wap1\ts1"
-        )
+            assert {fid: list(f.path.hops) for fid, f in net.flows.items()} == shadow
+            for lid in ("wl-u1-wap1", "wl-u2-wap1", "ma-u5"):
+                expected = sorted(fid for fid, hops in shadow.items() if any(l == lid for _, l in hops))
+                assert net.flows_on_link(lid) == expected
 
     def test_installed_flow_walk_terminates(self):
         net = make_net()
         hops = [("u1", "wl-u1-wap1"), ("wap1", "in-wap1-mmc1"), ("mmc1", "mm-mmap-mmc1")]
         net.install_flow(flow("f1", hops))
-        # follow the flow-table entries hop by hop from the source
+        # follow the forwarding entries hop by hop from the source
+        entries = forwarding_entries(net)
         node, visited = "u1", ["u1"]
-        while "f1" in net.tables.entries_at(node):
-            lid, _ = net.tables.entries_at(node)["f1"]
+        while "f1" in entries.get(node, {}):
+            lid, _ = entries[node]["f1"]
             node = net.topology.links[lid].other(node)
             assert node not in visited, "forwarding loop"
             visited.append(node)

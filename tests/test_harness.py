@@ -112,11 +112,23 @@ class TestRunScenario:
 
     def test_accounting_closure_exact(self):
         config = parse_scenario(scenario_doc(seed=3))
-        sim = Simulation(config, keep_alloc_history=True)
+        sim = Simulation(config)
+
+        def backhaul_rates():
+            return {lid: sim.net.link_allocated(lid) for lid in sim.metrics._backhaul_link_ids}
+
+        # (time, backhaul link rates) after every rate change, from t = 0
+        history = [(0, backhaul_rates())]
+        after_change = sim._after_change
+
+        def recording_after_change(now_ms):
+            after_change(now_ms)
+            history.append((now_ms, backhaul_rates()))
+
+        sim._after_change = recording_after_change
         record = sim.run()
         # recompute the integral from the allocation history trace
         total = F(0)
-        history = sim.alloc_history
         for (t0, rates), (t1, _) in zip(history, history[1:] + [(config.duration_ms, None)]):
             total += sum(rates.values(), F(0)) * (t1 - t0) * BYTES_PER_MBPS_MS
         assert total == record.backhaul_bytes

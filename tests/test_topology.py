@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fognet.topology import (
+    LINK_TO_RESOURCE,
     DanglingLinkEndpoint,
     InfeasiblePlacement,
     InvalidCapacity,
@@ -23,7 +24,7 @@ from fognet.topology import (
     validate,
     with_link_profile,
 )
-from helpers import two_cluster_doc
+from helpers import two_cluster_doc, two_fog_doc
 from oracles import bfs_hops
 
 
@@ -219,3 +220,39 @@ class TestSerialization:
         assert scaled.links["wl-u1-wap1"].capacity == Fraction(40)
         assert scaled.links["wl-u1-wap1"].latency_ms == 3.0
         assert scaled.links["bh-pop-gw"].capacity == topo.links["bh-pop-gw"].capacity
+
+
+class TestFogDomain:
+    """`Topology.fog_domain` against the link predicates it replaces."""
+
+    @pytest.mark.parametrize("which", ["two_fog", "generated"])
+    def test_roles_match_predicates(self, which):
+        if which == "two_fog":
+            topo = build_from_config(two_fog_doc())
+        else:
+            topo = generate_clustered(gen_params(clusters=4, seed=8))
+        fogs_of = {lid: (topo.fog_of(l.a), topo.fog_of(l.b)) for lid, l in topo.links.items()}
+        cls_of = {lid: l.link_class for lid, l in topo.links.items()}
+        for fog in topo.fogs():
+            domain = topo.fog_domain(fog)
+            assert domain.mesh == {
+                lid
+                for lid, ends in fogs_of.items()
+                if cls_of[lid] in (LinkClass.MIDDLE_MILE, LinkClass.INTERNAL) and ends == (fog, fog)
+            }
+            backhaul = sorted(lid for lid, ends in fogs_of.items() if cls_of[lid] == LinkClass.BACKHAUL and fog in ends)
+            assert [l.id for l in topo.backhaul_links(fog)] == backhaul
+            assert domain.backhaul_ids == set(backhaul)
+            metered = sorted(lid for lid, ends in fogs_of.items() if cls_of[lid] != LinkClass.INTERNAL and fog in ends)
+            assert [l.id for l in domain.metered[None]] == metered
+            for cls in (LinkClass.MACRO_ACCESS, LinkClass.WLAN_ACCESS, LinkClass.MIDDLE_MILE, LinkClass.BACKHAUL):
+                resource = LINK_TO_RESOURCE[cls]
+                assert [l.id for l in domain.metered[resource]] == [lid for lid in metered if cls_of[lid] == cls]
+        assert topo.fog_domain(topo.fogs()[0]) is topo.fog_domain(topo.fogs()[0])
+
+    def test_unknown_fog_has_no_links(self):
+        topo = build_from_config(two_cluster_doc())
+        for fog in ("nope", None):
+            domain = topo.fog_domain(fog)
+            assert domain.mesh == set() and domain.backhaul == [] and domain.metered == {}
+        assert topo.backhaul_links("nope") == []
