@@ -51,16 +51,7 @@ class ContextDelta:
 @dataclass
 class SyncRecord:
     fog_id: str
-    last_sync_ms: int = 0
     pending: List[ContextDelta] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class InterFogRoute:
-    flow_id: str
-    src_fog: str
-    dst_fog: str
-    hops: Tuple[Tuple[str, str], ...]
 
 
 class CloudControl:
@@ -76,7 +67,6 @@ class CloudControl:
         self.transitions: List[Tuple[int, str, str]] = []
         self.sync_records: Dict[str, SyncRecord] = {}
         self.context_replica: Dict[str, Tuple[Attachment, int]] = {}
-        self.interfog_routes: Dict[str, InterFogRoute] = {}
         self._delta_order = 0
         self.on_flow_terminated: Optional[Callable[[InstalledFlow, RejectReason], None]] = None
         if engine is not None:
@@ -135,20 +125,13 @@ class CloudControl:
                 self.sync_fog_state(fog_id)
 
     def _terminate_cloud_flows(self, fog_id: str) -> None:
-        backhauls = self.net.topology.fog_domain(fog_id).backhaul_ids
-        for fid in sorted(self.net.flows):
-            flow = self.net.flows[fid]
-            if not backhauls.intersection(flow.path.links()):
-                continue
-            self.net.remove_flow(fid)
-            self.forget_flow(flow)
+        crossing = set()
+        for lid in self.net.topology.fog_domain(fog_id).backhaul_ids:
+            crossing.update(self.net.flows_on_link(lid))
+        for fid in sorted(crossing):
+            flow = self.net.remove_flow(fid)
             if self.on_flow_terminated is not None:
                 self.on_flow_terminated(flow, RejectReason.FOG_ISOLATED)
-
-    def forget_flow(self, flow: InstalledFlow) -> None:
-        for fog in self.fogs.values():
-            fog.forget_flow(flow)
-        self.interfog_routes.pop(flow.flow_id, None)
 
     # -- state synchronization --------------------------------------------------
 
@@ -183,7 +166,6 @@ class CloudControl:
         for delta in sorted(record.pending, key=lambda d: (d.time_ms, d.order)):
             self._apply_delta(delta)
         record.pending.clear()
-        record.last_sync_ms = self._now()
 
     def _handle_control_message(self, event) -> None:
         payload = event.payload or {}
@@ -270,12 +252,6 @@ class CloudControl:
         )
         latency = sum(self.net.topology.links[lid].latency_ms for lid in path.links())
         fa.install_flow(spec, path, qos, gbr, slice_a, latency, reroute=reroute)
-        if slice_b is not None:
-            fb.racfs[slice_b].flows.add(spec.flow_id)
-            fb.context_of(dst).flows.add(spec.flow_id)
-        self.interfog_routes[spec.flow_id] = InterFogRoute(
-            flow_id=spec.flow_id, src_fog=fa_id, dst_fog=fb_id, hops=tuple(chosen.hops)
-        )
         return FlowDecision(
             flow_id=spec.flow_id,
             accepted=True,

@@ -117,7 +117,11 @@ class NetworkState:
     never recounted:
 
     - `flows` (each with its hop-by-hop path) and `_on_link` (link -> flow
-      ids): `install_flow` and `remove_flow`.
+      ids): `install_flow` and `remove_flow`. They are the only record of
+      which flows are active and whose they are: `flows_on_link` and
+      `flows_at` answer "which flows touch this link or node", and a
+      user's flows are `flows_at(user)`, since controller paths have at
+      least one hop and never pass through a user node.
     - `_offered` (per link: each flow's guarantee, else its demand, per
       listing of the link) and `_congested` (links whose offered load
       exceeds capacity): `install_flow` and `remove_flow`.
@@ -186,6 +190,14 @@ class NetworkState:
 
     def flows_on_link(self, link_id: str) -> List[str]:
         return sorted(self._on_link.get(link_id, ()))
+
+    def flows_at(self, node_id: str) -> List[str]:
+        """Sorted ids of the flows whose path uses a link incident to the node."""
+        on_link = self._on_link
+        found: Set[str] = set()
+        for lid in self.topology.adjacency().get(node_id, ()):
+            found.update(on_link.get(lid, ()))
+        return sorted(found)
 
     # -- install / remove --------------------------------------------------
 

@@ -7,6 +7,10 @@ per-technology abstraction, and flexible placement via `FogProfile`.
 Functions absent from the profile fall back to the cloud: each use costs a
 configurable round trip and fails while the fog is isolated.
 
+Flows are not registered per slice or per user: the installed flows in
+`NetworkState` are the one record of them. A flow belongs to the slice
+in its `slice_id`, and a user's flows are `NetworkState.flows_at(user)`.
+
 Path selection is deliberately ordinal and deterministic:
 
 1. discard candidates that fail guaranteed-rate admission (per-hop
@@ -160,10 +164,12 @@ class Attachment:
 
 @dataclass
 class UserContext:
+    """A user's attachment and mobility; its flows are
+    `NetworkState.flows_at(user_id)`, not kept here."""
+
     user_id: str
     attachment: Attachment
     mobile: bool = False
-    flows: Set[str] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -184,7 +190,8 @@ class FogProfile:
 
 @dataclass
 class SliceRacf:
-    """Control state instantiated separately per slice."""
+    """Control state instantiated separately per slice. The slice's flows
+    are the installed flows with its `slice_id`, not registered here."""
 
     slice_id: str
     operator: str
@@ -192,7 +199,6 @@ class SliceRacf:
     sessions: Set[str] = field(default_factory=set)
     contexts: Dict[str, UserContext] = field(default_factory=dict)
     charging: Dict[str, int] = field(default_factory=dict)
-    flows: Set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -357,6 +363,15 @@ class FogControl:
 
     def context_of(self, user_id: str) -> UserContext:
         return self.racfs[self.slice_of_user(user_id)].contexts[user_id]
+
+    def owns_flow(self, flow: InstalledFlow) -> bool:
+        """Whether the flow counts toward this fog's slice `flow.slice_id`:
+        one of its path endpoints is a user registered here in that slice."""
+        path = flow.path
+        return flow.slice_id is not None and flow.slice_id in (
+            self._user_slice.get(path.src),
+            self._user_slice.get(path.dst),
+        )
 
     # -- connectivity and placement fallbacks --------------------------------
 
@@ -699,21 +714,9 @@ class FogControl:
             spec=spec,
         )
         self.net.install_flow(flow)
-        racf = self.racfs[slice_id]
-        racf.flows.add(spec.flow_id)
-        for end in (spec.src, spec.dst):
-            if end.kind == EndpointKind.USER and self.has_user(end.ident):
-                self.context_of(end.ident).flows.add(spec.flow_id)
         if not reroute:
             self.charge(slice_id, spec.app_class)
         return flow
-
-    def forget_flow(self, flow: InstalledFlow) -> None:
-        """Drop all control-plane references to a removed flow."""
-        for racf in self.racfs.values():
-            racf.flows.discard(flow.flow_id)
-            for ctx in racf.contexts.values():
-                ctx.flows.discard(flow.flow_id)
 
     # -- abstraction -----------------------------------------------------------
 
@@ -775,28 +778,16 @@ class FogControl:
         ctx.attachment = new_attachment
         if self.cloud is not None:
             self.cloud.push_context_update(self.fog_id, user_id, new_attachment, self.clock())
-        results: List[Tuple[str, FlowDecision]] = []
-        for fid in sorted(ctx.flows):
-            flow = self.net.flows.get(fid)
-            if flow is None:
-                ctx.flows.discard(fid)
-                continue
-            decision = self.redecide_flow(flow)
-            results.append((fid, decision))
-        return results
+        return [(fid, self.redecide_flow(self.net.flows[fid])) for fid in self.net.flows_at(user_id)]
 
     def redecide_flow(self, flow: InstalledFlow) -> FlowDecision:
         """Remove and freshly re-decide one installed flow (same id)."""
         self.net.remove_flow(flow.flow_id)
         spec: FlowSpec = flow.spec
-        self.forget_flow(flow)
-        if self.cloud is not None:
-            self.cloud.forget_flow(flow)
-        if (
-            spec.dst.kind == EndpointKind.USER
-            and not self.has_user(spec.dst.ident)
-            and self.cloud is not None
+        if self.cloud is not None and any(
+            end.kind == EndpointKind.USER and not self.has_user(end.ident) for end in (spec.src, spec.dst)
         ):
+            # an endpoint in another fog: the cloud decides from the source's fog
             decision = self.cloud.setup_interfog_path(spec, reroute=True)
         else:
             decision = self.handle_flow_request(spec, reroute=True)

@@ -15,7 +15,7 @@ from typing import Dict, List
 from .fogctrl import RejectReason
 from .resources import ResourceClass
 from .scenario import APP_CLASSES
-from .topology import LINK_TO_RESOURCE
+from .topology import LINK_TO_RESOURCE, Link
 from .util import ZERO, fmt6
 
 REJECT_ORDER = [r.value for r in RejectReason]
@@ -71,11 +71,13 @@ class MetricsCollector:
         self._backhaul_rate: Fraction = ZERO
         self._last_ms = 0
         self.rows: List[str] = []
-        self._backhaul_link_ids = [
-            lid
-            for lid, link in sorted(topology.links.items())
-            if LINK_TO_RESOURCE.get(link.link_class) == ResourceClass.BACKHAUL
-        ]
+        # resource class -> its links, by id; built once, read every tick
+        self._class_links: Dict[str, List[Link]] = {cls: [] for cls in ResourceClass.ALL}
+        for lid in sorted(topology.links):
+            link = topology.links[lid]
+            cls = LINK_TO_RESOURCE.get(link.link_class)
+            if cls is not None:
+                self._class_links[cls].append(link)
 
     # -- time integration ---------------------------------------------------
 
@@ -87,8 +89,8 @@ class MetricsCollector:
 
     def set_backhaul_rate(self, net) -> None:
         rate = ZERO
-        for lid in self._backhaul_link_ids:
-            rate += net.link_allocated(lid)
+        for link in self._class_links[ResourceClass.BACKHAUL]:
+            rate += net.link_allocated(link.id)
         self._backhaul_rate = rate
 
     # -- counters ---------------------------------------------------------
@@ -133,13 +135,10 @@ class MetricsCollector:
     def utilization(self, net, cls: str) -> float:
         total = ZERO
         used = ZERO
-        for lid, link in net.topology.links.items():
-            if LINK_TO_RESOURCE.get(link.link_class) != cls:
-                continue
-            if not net.effective_up(lid):
-                continue
-            total += link.capacity
-            used += net.link_allocated(lid)
+        for link in self._class_links[cls]:
+            if net.effective_up(link.id):
+                total += link.capacity
+                used += net.link_allocated(link.id)
         return float(used / total) if total else 0.0
 
     def tick_row(self, now_ms: int, net, cache_lookups: int, cache_hits: int) -> None:

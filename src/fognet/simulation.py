@@ -72,7 +72,6 @@ class Simulation:
         self.slice_rows: List[str] = ["time_ms\tfog\tslice\tresource\tentitled\tdemand\tgranted"]
         self.fogs: Dict[str, FogControl] = {}
         self.operator_of: Dict[str, str] = {}
-        self._departures: Dict[str, int] = {}
 
         topo = config.topology
         for index, fog_id in enumerate(topo.fogs()):
@@ -341,10 +340,8 @@ class Simulation:
     def _slice_demands(self, fog: FogControl) -> Dict[str, Dict[str, Fraction]]:
         demands: Dict[str, Dict[str, Fraction]] = {sid: {} for sid in fog.slice_manager.slice_ids()}
         links = self.net.topology.links
-        for fid in sorted(self.net.flows):
-            flow = self.net.flows[fid]
-            racf = fog.racfs.get(flow.slice_id) if flow.slice_id is not None else None
-            if racf is None or fid not in racf.flows:
+        for flow in self.net.flows.values():  # exact sums: order-free
+            if not fog.owns_flow(flow):
                 continue
             want = flow.gbr if flow.gbr > 0 else flow.demand
             per = demands[flow.slice_id]
@@ -371,7 +368,6 @@ class Simulation:
         self._log_decision(event.time, spec, decision, reroute=False)
         if decision.accepted:
             self.metrics.on_admit(spec.app_class, decision.latency_ms)
-            self._departures[spec.flow_id] = event.time + request.holding_ms
             self.engine.schedule(
                 event.time + request.holding_ms, EventKind.FLOW_DEPARTURE, subjects=(spec.flow_id,)
             )
@@ -381,22 +377,10 @@ class Simulation:
 
     def _on_flow_departure(self, event: Event) -> None:
         flow_id = event.subjects[0]
-        flow = self.net.flows.get(flow_id)
-        if flow is None:
+        if flow_id not in self.net.flows:
             return  # terminated earlier
         self.net.remove_flow(flow_id)
-        self.cloud.forget_flow(flow)
         self._after_change(event.time)
-
-    def _affected_flows(self, link_id: Optional[str] = None, node_id: Optional[str] = None) -> List[str]:
-        out = []
-        for fid in sorted(self.net.flows):
-            path = self.net.flows[fid].path
-            if link_id is not None and link_id in path.links():
-                out.append(fid)
-            elif node_id is not None and node_id in path.nodes():
-                out.append(fid)
-        return out
 
     def _redecide(self, flow_ids: List[str]) -> None:
         for fid in flow_ids:
@@ -425,7 +409,7 @@ class Simulation:
                 survivors = sum(1 for f in self.net.flows.values() if f.slice_id is not None)
                 self.metrics.on_isolation(survivors)
         if not fault.up:
-            self._redecide(self._affected_flows(link_id=fault.subject))
+            self._redecide(self.net.flows_on_link(fault.subject))
         self._rebuild_control_overhead()
         self._after_change(event.time)
         self._emit_slice_rows(event.time)
@@ -435,7 +419,7 @@ class Simulation:
         self.metrics.advance(event.time)
         self.net.set_node_state(fault.subject, fault.up)
         if not fault.up:
-            self._redecide(self._affected_flows(node_id=fault.subject))
+            self._redecide(self.net.flows_at(fault.subject))
         self._rebuild_control_overhead()
         self._after_change(event.time)
         self._emit_slice_rows(event.time)

@@ -278,6 +278,3 @@ class FakeCloud:
 
     def push_context_update(self, fog_id, user_id, attachment, time_ms):
         pass
-
-    def forget_flow(self, flow):
-        pass

@@ -205,9 +205,7 @@ def test_03_controller_matches_bruteforce_oracle():
                 # drain between sequences so congestion states vary
                 for fid in sorted(env.net.flows):
                     if rng.random() < 0.5:
-                        flow = env.net.flows[fid]
                         env.net.remove_flow(fid)
-                        env.fog.forget_flow(flow)
     elapsed = time.perf_counter() - t0
     verdict("03 controller optimality", elapsed < 300, f"{decisions} decisions, 100% match, {elapsed:.1f}s")
 
@@ -373,9 +371,7 @@ def test_08_gbr_protection():
         for _ in range(30):
             if env.net.flows and rng.random() < 0.35:
                 fid = rng.choice(sorted(env.net.flows))
-                flow = env.net.flows[fid]
                 env.net.remove_flow(fid)
-                env.fog.forget_flow(flow)
             else:
                 serial += 1
                 a, b = rng.sample(users, 2)

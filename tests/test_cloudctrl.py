@@ -86,9 +86,19 @@ class TestInterFogPath:
     def test_both_fog_contexts_track_the_flow(self):
         env = CloudEnv()
         env.cloud.setup_interfog_path(env.spec("x1", "f1-u1", "f2-u1", app_class=VOIP))
-        assert "x1" in env.fogs["f1"].context_of("f1-u1").flows
-        assert "x1" in env.fogs["f2"].context_of("f2-u1").flows
-        assert "x1" in env.cloud.interfog_routes
+        assert "x1" in env.net.flows_at("f1-u1")
+        assert "x1" in env.net.flows_at("f2-u1")
+
+    def test_destination_handover_redecides_through_gateway(self):
+        env = CloudEnv()
+        assert env.cloud.setup_interfog_path(env.spec("x1", "f1-u1", "f2-u1", app_class=VOIP)).accepted
+        results = env.fogs["f2"].handover("f2-u1", Attachment(macro=True))
+        assert [fid for fid, _ in results] == ["x1"]
+        decision = results[0][1]
+        assert decision.accepted
+        assert "gw" in decision.path.nodes()
+        assert decision.path.nodes()[0] == "f1-u1" and decision.path.nodes()[-1] == "f2-u1"
+        assert env.net.flows["x1"].path == decision.path
 
 
 class TestBackhaulChange:

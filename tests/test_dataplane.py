@@ -193,6 +193,64 @@ class TestAllocation:
         assert (False, True) in zip(states, states[1:])
 
 
+def _random_walk(topo, rng, max_hops=5):
+    """A loop-free walk of 1..max_hops links from a random node, as (hops, end)."""
+    adjacency = topo.adjacency()
+    node = rng.choice(sorted(topo.nodes))
+    visited, hops = {node}, []
+    for _ in range(rng.randint(1, max_hops)):
+        choices = [lid for lid in adjacency[node] if topo.links[lid].other(node) not in visited]
+        if not choices:
+            break
+        lid = rng.choice(choices)
+        hops.append((node, lid))
+        node = topo.links[lid].other(node)
+        visited.add(node)
+    return hops, node
+
+
+class TestFlowIndex:
+    def test_random_steps_match_path_scan(self):
+        """flows_on_link and flows_at equal a scan of every installed path
+        after each install, removal and link or node state change."""
+        net = make_net(mesh_cross_link=True)
+        topo = net.topology
+        rng = random.Random(23)
+        serial = 0
+        installs = faults = 0
+        for _ in range(400):
+            roll = rng.random()
+            if roll < 0.1:
+                net.set_link_state(rng.choice(sorted(topo.links)), rng.random() < 0.7)
+                faults += 1
+            elif roll < 0.15:
+                net.set_node_state(rng.choice(sorted(topo.nodes)), rng.random() < 0.7)
+                faults += 1
+            elif net.flows and roll < 0.4:
+                net.remove_flow(rng.choice(sorted(net.flows)))
+            else:
+                hops, end = _random_walk(topo, rng)
+                if not hops:
+                    continue
+                serial += 1
+                fid = f"f{serial}"
+                path = FlowPath(flow_id=fid, src=hops[0][0], dst=end, hops=tuple(hops), rat_used=RouteKind.INTRA_FOG_LOCAL)
+                new = InstalledFlow(
+                    flow_id=fid, path=path, demand=F(1), gbr=F(0), slice_id="s1", app_class="t", start_ms=0, latency_ms=0.0
+                )
+                try:
+                    net.install_flow(new)
+                    installs += 1
+                except LinkDown:
+                    assert fid not in net.flows
+            installed = sorted(net.flows)
+            for node in topo.nodes:
+                assert net.flows_at(node) == [fid for fid in installed if node in net.flows[fid].path.nodes()]
+            for lid in topo.links:
+                assert net.flows_on_link(lid) == [fid for fid in installed if lid in net.flows[fid].path.links()]
+        assert installs > 80 and faults > 40 and net.flows
+
+
 def _mesh_allow(net):
     def allow(link):
         return link.link_class in (LinkClass.MIDDLE_MILE, LinkClass.INTERNAL)

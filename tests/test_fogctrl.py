@@ -217,7 +217,6 @@ class TestHandleFlowRequest:
         assert miss.note == "cache_miss"
         assert miss.path.nodes()[-1] == "gw"
         env.net.remove_flow("c1")
-        env.fog.forget_flow(env.net.flows.get("c1") or type("x", (), {"flow_id": "c1"}))
         hit = env.fog.handle_flow_request(env.spec("c2", "u1", Endpoint.content("9"), app_class=CONTENT, demand=2))
         assert hit.accepted and hit.path.rat_used == RouteKind.INTRA_FOG_LOCAL
         assert hit.note == "cache_hit"

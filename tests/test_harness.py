@@ -8,6 +8,7 @@ from fognet.cli import main
 from fognet.metrics import BYTES_PER_MBPS_MS
 from fognet.scenario import ParseError, ValidationError, load_scenario, parse_scenario
 from fognet.simulation import OUTPUT_FILES, Simulation, run_scenario
+from fognet.topology import LinkClass
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -113,9 +114,10 @@ class TestRunScenario:
     def test_accounting_closure_exact(self):
         config = parse_scenario(scenario_doc(seed=3))
         sim = Simulation(config)
+        backhaul_ids = [lid for lid, link in config.topology.links.items() if link.link_class == LinkClass.BACKHAUL]
 
         def backhaul_rates():
-            return {lid: sim.net.link_allocated(lid) for lid in sim.metrics._backhaul_link_ids}
+            return {lid: sim.net.link_allocated(lid) for lid in backhaul_ids}
 
         # (time, backhaul link rates) after every rate change, from t = 0
         history = [(0, backhaul_rates())]

@@ -168,7 +168,7 @@ class TestControlStateIsolation:
 
         decision = env.fog.handle_flow_request(env.spec("f1", "u1", "u3", app_class=VOIP))
         assert decision.accepted and decision.slice_id == "a"
-        assert "f1" in racf_a.flows and "f1" not in racf_b.flows
+        assert env.net.flows["f1"].slice_id == "a"
         assert racf_a.charging.get(VOIP) == 1
         assert racf_b.charging == {}
         assert "u1" not in racf_b.contexts
