@@ -3,7 +3,7 @@
 
     python3 scripts/bench_ab.py --base HEAD --pairs 10 \
         --run congested_scale:16 --run congested_scale:1616 [--seconds 40] [--trace 0|1] \
-        [--out BENCH_3.json]
+        --out BENCH_n.json
 
 The parent's committed files are exported with `git archive` into a
 fresh directory (no worktree is registered in `.git`), and
@@ -109,7 +109,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--run", action="append", required=True, metavar="WORKLOAD:SEED")
     parser.add_argument("--seconds", type=float, default=40.0, help="perfbench/run.py budget per run")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--out", default="BENCH_3.json")
+    parser.add_argument("--out", required=True, help="result JSON; name a new file, as it is overwritten")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")

@@ -19,7 +19,11 @@ flows against the net-of-GBR capacities, and `alloc` holds its output.
 
 Routing is a minimum-hop search over a set of permitted link ids. Which
 links a fog may route over is a fact of the topology
-(`Topology.fog_domain`), so callers pass those sets, not predicates.
+(`Topology.fog_domain`), so callers pass those sets, not predicates. A
+route depends only on link and node health and, for a guaranteed rate,
+on headroom, so fog control searches its mesh once per `epoch` between
+two attachment points and adds the access hops itself
+(`FogControl._route`).
 """
 
 from __future__ import annotations
@@ -435,10 +439,6 @@ class AddressPool:
                 self._assigned[user_id] = index
                 return self._format(index)
         raise PoolExhausted(f"pool of fog {self.fog_id} exhausted ({self.size} addresses)", user_id)
-
-    def address_of(self, user_id: str) -> Optional[str]:
-        index = self._assigned.get(user_id)
-        return None if index is None else self._format(index)
 
     def assigned_count(self) -> int:
         return len(self._assigned)

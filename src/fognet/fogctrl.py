@@ -298,7 +298,15 @@ def select_candidate(
 
 
 class FogControl:
-    """Control plane of one fog element."""
+    """Control plane of one fog element.
+
+    A request's route is its access hop, the mesh segment from the
+    user's attachment point to the PoP, the gateway or the peer user's
+    attachment point, and the peer's access hop. Segments are memoized
+    per (start, end, via backhaul) for one `NetworkState.epoch`, which
+    moves on every link or node state change (`_segment`); a GBR request
+    reuses its segment when every hop of the route has headroom.
+    """
 
     def __init__(
         self,
@@ -328,6 +336,8 @@ class FogControl:
         self.domain = net.topology.fog_domain(fog_id)
         self._physical: Dict[str, Fraction] = {}
         self._physical_epoch = -1  # NetworkState.epoch of `_physical`
+        self._segments: Dict[Tuple[str, str, bool], Optional[Tuple[Tuple[str, str], ...]]] = {}
+        self._segments_epoch = -1  # NetworkState.epoch of `_segments`
         # Hooks wired by the harness.
         self.on_terminate: Optional[Callable[[InstalledFlow, RejectReason], None]] = None
         self.clock: Callable[[], int] = lambda: 0
@@ -484,12 +494,72 @@ class FogControl:
         gbr: Fraction,
         include_backhaul: bool,
     ) -> List[Tuple[str, str]]:
-        """Route over the request's access links, the fog's mesh and, for
-        cloud-bound traffic, its backhaul."""
-        allowed = self.domain.mesh | access_links
-        if include_backhaul:
-            allowed |= self.domain.backhaul_ids
-        return constrained_route(self.net, src, dst, allowed, gbr)
+        """`constrained_route` over the request's access links, the fog's
+        mesh and, for cloud-bound traffic, its backhaul: `access_links`
+        holds the user `src`'s access link, plus the destination user's
+        when `dst` is a user.
+
+        The route without headroom comes from `_structural_route`. A GBR
+        request reuses it when every hop has `gbr` of headroom: it is then
+        also the lexicographically first minimum-hop route over the links
+        with headroom. Otherwise it searches those links afresh.
+        """
+        hops = self._structural_route(src, dst, access_links, include_backhaul)
+        if hops is None:
+            raise NoRoute(f"no route {src} -> {dst}", src)
+        if gbr > 0:
+            residual = self.net.admission_residual
+            if any(residual(lid) < gbr for _, lid in hops):
+                allowed = self.domain.mesh | access_links
+                if include_backhaul:
+                    allowed |= self.domain.backhaul_ids
+                return constrained_route(self.net, src, dst, allowed, gbr)
+        return hops
+
+    def _structural_route(
+        self, src: str, dst: str, access_links: Set[str], via_backhaul: bool
+    ) -> Optional[List[Tuple[str, str]]]:
+        """`_route` without headroom, as a fresh list, or None for no route.
+
+        On a validated topology a user touches only access links, and
+        only this request's are allowed, so the route is the source's access hop, the mesh segment
+        between the attachment points (or to the PoP or gateway), and the
+        destination user's access hop."""
+        if src == dst:
+            return []
+        net = self.net
+        links = net.topology.links
+        start, stop = src, dst
+        head = tail = ()
+        for lid in access_links:
+            if not net.effective_up(lid):
+                return None
+            link = links[lid]
+            if src == link.a or src == link.b:
+                start = link.other(src)
+                head = ((src, lid),)
+            else:
+                stop = link.other(dst)
+                tail = ((stop, lid),)
+        segment = self._segment(start, stop, via_backhaul)
+        return None if segment is None else [*head, *segment, *tail]
+
+    def _segment(self, start: str, end: str, via_backhaul: bool) -> Optional[Tuple[Tuple[str, str], ...]]:
+        """Memoized minimum-hop route over the mesh (and backhaul), or None.
+
+        Kept for one `NetworkState.epoch`, which moves on every link or
+        node state change; the memo fills on first use of each key."""
+        if self._segments_epoch != self.net.epoch:
+            self._segments = {}
+            self._segments_epoch = self.net.epoch
+        key = (start, end, via_backhaul)
+        if key not in self._segments:
+            allowed = self.domain.mesh | self.domain.backhaul_ids if via_backhaul else self.domain.mesh
+            try:
+                self._segments[key] = tuple(constrained_route(self.net, start, end, allowed))
+            except NoRoute:
+                self._segments[key] = None
+        return self._segments[key]
 
     def slice_gbr_ok(self, slice_id: Optional[str], links: List[str], gbr: Fraction) -> bool:
         """Guaranteed admissions are capped at the slice's entitlement,
@@ -524,13 +594,8 @@ class FogControl:
         try:
             hops = self._route(src, end, access_links, gbr, include_backhaul)
         except NoRoute:
-            if gbr <= 0:
-                return None, False  # the search without headroom just failed
-            try:
-                self._route(src, end, access_links, ZERO, include_backhaul)
-                return None, True
-            except NoRoute:
-                return None, False
+            # a GBR request may fail on headroom alone; the memo knows
+            return None, self._structural_route(src, end, access_links, include_backhaul) is not None
         if not self.slice_gbr_ok(slice_id, [lid for _, lid in hops], gbr):
             return None, True
         return Candidate(label=label, hops=hops, end=end, rat=rat, access_used=access_used), True

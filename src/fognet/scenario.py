@@ -65,6 +65,13 @@ def _num(entry: dict, key: str, where: str, default=None, minimum=None):
     return value
 
 
+def _rate(value, where: str) -> Fraction:
+    try:
+        return to_rate(value)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ClassSpec:
     rate_per_s: float
@@ -320,9 +327,10 @@ def _parse_topology(doc: dict, base_dir: str, seed: int) -> Tuple[Topology, str]
                 cls = LinkClass(cls_name)
             except ValueError:
                 raise ValidationError(f"topology.link_defaults.{cls_name}", "unknown link class")
-            _strict(entry, {"capacity_mbps", "latency_ms"}, f"topology.link_defaults.{cls_name}")
-            cap = to_rate(_num(entry, "capacity_mbps", f"topology.link_defaults.{cls_name}"))
-            lat = float(_num(entry, "latency_ms", f"topology.link_defaults.{cls_name}", default=0.0, minimum=0))
+            where = f"topology.link_defaults.{cls_name}"
+            _strict(entry, {"capacity_mbps", "latency_ms"}, where)
+            cap = _rate(_num(entry, "capacity_mbps", where), f"{where}.capacity_mbps")
+            lat = float(_num(entry, "latency_ms", where, default=0.0, minimum=0))
             profile[cls] = (cap, lat)
         topo = with_link_profile(topo, profile)
     violations = validate(topo)
@@ -340,9 +348,10 @@ def _parse_slices(entries, where: str) -> List[SliceSpec]:
         shares_doc = entry.get("shares", 1)
         if isinstance(shares_doc, dict):
             _strict(shares_doc, set(ResourceClass.ALL), f"{w}.shares")
-            shares = {cls: to_rate(shares_doc.get(cls, 0)) for cls in ResourceClass.ALL}
+            shares = {cls: _rate(shares_doc.get(cls, 0), f"{w}.shares.{cls}") for cls in ResourceClass.ALL}
         else:
-            shares = {cls: to_rate(shares_doc) for cls in ResourceClass.ALL}
+            share = _rate(shares_doc, f"{w}.shares")
+            shares = {cls: share for cls in ResourceClass.ALL}
         for cls, share in shares.items():
             if share < 0 or share > 1:
                 raise ValidationError(f"{w}.shares.{cls}", "share must lie in [0, 1]")
@@ -368,7 +377,7 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
     duration_ms = int(_num(doc, "duration_ms", "scenario", minimum=1))
     tick = int(_num(doc, "metrics_tick_ms", "scenario", default=1000, minimum=1))
     rtt = int(_num(doc, "cloud_rtt_ms", "scenario", default=20, minimum=0))
-    overhead = to_rate(doc.get("wlan_control_overhead_mbps", 0))
+    overhead = _rate(doc.get("wlan_control_overhead_mbps", 0), "wlan_control_overhead_mbps")
     if overhead < 0:
         raise ValidationError("wlan_control_overhead_mbps", "must be >= 0")
 
@@ -392,7 +401,7 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
             raise ValidationError(f"{w}.qos", f"unknown QoS class {entry.get('qos')!r}")
         try:
             policy[str(app_class)] = PolicyRule(
-                app_class=str(app_class), qos=qos, gbr_rate=to_rate(entry.get("gbr_mbps", 0))
+                app_class=str(app_class), qos=qos, gbr_rate=_rate(entry.get("gbr_mbps", 0), f"{w}.gbr_mbps")
             )
         except ValueError as exc:
             raise ValidationError(w, str(exc))
@@ -446,12 +455,12 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
             SubscriberOverride(
                 user=user,
                 allowed_classes=tuple(entry["allowed_classes"]) if "allowed_classes" in entry else None,
-                max_gbr=to_rate(entry["max_gbr_mbps"]) if "max_gbr_mbps" in entry else None,
+                max_gbr=_rate(entry["max_gbr_mbps"], f"{w}.max_gbr_mbps") if "max_gbr_mbps" in entry else None,
                 operator=str(operator) if operator is not None else None,
             )
         )
     subscribers = SubscriberDefaults(
-        max_gbr=to_rate(subs_doc.get("max_gbr_mbps", 1)),
+        max_gbr=_rate(subs_doc.get("max_gbr_mbps", 1), "subscribers.max_gbr_mbps"),
         allowed_classes=allowed_default,
         overrides=tuple(overrides),
     )
@@ -465,7 +474,9 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
         _strict(entry, {"rate_per_s", "demand_mbps", "holding_mean_s"}, w)
         classes[app_class] = ClassSpec(
             rate_per_s=float(_num(entry, "rate_per_s", w, default=0.0, minimum=0)),
-            demand=to_rate(entry.get("demand_mbps", DEFAULT_WORKLOAD_DOC[app_class]["demand_mbps"])),
+            demand=_rate(
+                entry.get("demand_mbps", DEFAULT_WORKLOAD_DOC[app_class]["demand_mbps"]), f"{w}.demand_mbps"
+            ),
             holding_mean_s=float(
                 _num(entry, "holding_mean_s", w, default=DEFAULT_WORKLOAD_DOC[app_class]["holding_mean_s"])
             ),

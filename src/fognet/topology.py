@@ -253,12 +253,6 @@ class Topology:
                     return peer.id
         return None
 
-    def cluster_of_ap(self, ap_id: str) -> Optional[str]:
-        for cluster in self.clusters.values():
-            if ap_id in cluster.wlan_aps:
-                return cluster.id
-        return None
-
     def cluster_of_user(self, user_id: str) -> Optional[str]:
         for cluster in sorted(self.clusters.values(), key=lambda c: c.id):
             if user_id in cluster.users:

@@ -8,7 +8,7 @@ Config files may spell rates as ints, decimals, or "p/q" strings.
 from __future__ import annotations
 
 import hashlib
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -19,7 +19,10 @@ def to_rate(value) -> Fraction:
 
     Accepts int, float, Fraction, decimal strings ("2.5") and ratio
     strings ("5/2"). Floats go through their shortest repr, so a YAML
-    ``0.1`` becomes exactly 1/10.
+    ``0.1`` becomes exactly 1/10. Raises ValueError("not a rate: ...")
+    for a malformed or non-finite string or float, a ratio with a
+    non-integer part or a zero denominator, and TypeError for a
+    non-number.
     """
     if isinstance(value, Fraction):
         return value
@@ -28,17 +31,18 @@ def to_rate(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        return Fraction(Decimal(repr(value)))
-    if isinstance(value, str):
+        text = repr(value)
+    elif isinstance(value, str):
         text = value.strip()
+    else:
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    try:
         if "/" in text:
             num, _, den = text.partition("/")
             return Fraction(int(num), int(den))
-        try:
-            return Fraction(Decimal(text))
-        except InvalidOperation as exc:
-            raise ValueError(f"not a rate: {value!r}") from exc
-    raise TypeError(f"expected a number, got {type(value).__name__}")
+        return Fraction(Decimal(text))
+    except (ValueError, ArithmeticError) as exc:  # ArithmeticError: a zero denominator, inf
+        raise ValueError(f"not a rate: {value!r}") from exc
 
 
 def rate_str(x: Fraction) -> str:

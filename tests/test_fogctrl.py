@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from fognet.dataplane import FlowPath, InstalledFlow, RouteKind
+from fognet.dataplane import FlowPath, InstalledFlow, NetworkState, NoRoute, RouteKind, constrained_route
 from fognet.fogctrl import (
     Attachment,
     BadCredentials,
     CloudUnreachable,
     Endpoint,
+    FogControl,
     FogProfile,
     PolicyDenied,
     PolicyRule,
@@ -20,7 +21,8 @@ from fognet.fogctrl import (
 )
 from fognet.resources import ResourceClass
 from fognet.slicing import SliceSpec
-from helpers import CONTENT, VOIP, WEB, FakeCloud, FogEnv, two_cluster_doc
+from fognet.topology import NodeKind, TopologyGenParams, build_from_config, generate_clustered, to_doc
+from helpers import CONTENT, VOIP, WEB, FakeCloud, FogEnv, two_cluster_doc, two_fog_doc
 from oracles import controller_oracle
 
 F = Fraction
@@ -432,3 +434,113 @@ class TestHandover:
         env = FogEnv(profile=FogProfile(mlmf_in_fog=False), cloud=FakeCloud(connected=False))
         with pytest.raises(CloudUnreachable):
             env.fog.handover("u1", Attachment(macro=True))
+
+
+def generated_four_cluster_doc():
+    """A generated 4-cluster fog (users in WLAN range of several clusters),
+    plus one mesh cross link so that some routes have detours."""
+    params = TopologyGenParams(
+        clusters=4,
+        users_min=1,
+        users_max=3,
+        cluster_radius_m=300.0,
+        area_side_m=1600.0,
+        mesh_degree_bound=2,
+        macro_radius_m=700.0,
+        wlan_radius_m=700.0,
+        seed=0,
+    )
+    doc = to_doc(generate_clustered(params))
+    doc["links"].append(
+        {"id": "mm-mmc1-mmc2", "a": "mmc1", "b": "mmc2", "class": "MiddleMile", "capacity": 50, "latency_ms": 2}
+    )
+    return doc
+
+
+class TestRouteMemo:
+    """`FogControl._route` (access hops around a memoized mesh segment)
+    against a from-scratch `constrained_route`, under random link and node
+    flaps and guaranteed-rate installs that drain headroom."""
+
+    @staticmethod
+    def fresh_search(net, fog, src, end, access, gbr, via_backhaul):
+        allowed = fog.domain.mesh | access
+        if via_backhaul:
+            allowed |= fog.domain.backhaul_ids
+        try:
+            return constrained_route(net, src, end, allowed, gbr)
+        except NoRoute:
+            return None
+
+    def check_all_routes(self, topo, net, fogs, gbr, counts):
+        gateway = topo.gateway_id()
+        users = [n.id for n in topo.nodes_of_kind(NodeKind.USER)]
+        for fog in fogs:
+            for src in users:
+                if topo.fog_of(src) != fog.fog_id:
+                    continue
+                ends = [(fog.pop, set(), False), (gateway, set(), True)]
+                ends += [(u, {l.id}, False) for u in users if u != src for l in topo.access_links(u)]
+                for slink in topo.access_links(src):
+                    for end, end_access, via_backhaul in ends:
+                        access = {slink.id} | end_access
+                        structural = None
+                        for g in (F(0), gbr):
+                            expected = self.fresh_search(net, fog, src, end, access, g, via_backhaul)
+                            try:
+                                got = fog._route(src, end, access, g, via_backhaul)
+                            except NoRoute:
+                                got = None
+                            assert got == expected, (fog.fog_id, src, end, sorted(access), g, via_backhaul)
+                            if g == 0:
+                                structural = expected
+                            elif structural and expected != structural:
+                                counts["no_headroom" if expected is None else "detour"] += 1
+                            if got is not None:
+                                got.clear()  # a caller's list must not alias the memo
+                            counts["checked"] += 1
+
+    @pytest.mark.parametrize(
+        "doc, has_detours", [(generated_four_cluster_doc, True), (two_fog_doc, False)], ids=["generated4", "two_fog"]
+    )
+    def test_random_steps_match_fresh_search(self, doc, has_detours):
+        rng = random.Random(66)
+        topo = build_from_config(doc())
+        net = NetworkState(topo)
+        fogs = [FogControl(fog_id, FogProfile(), net) for fog_id in topo.fogs()]
+        users = [n.id for n in topo.nodes_of_kind(NodeKind.USER)]
+        sources = users + [n.id for n in topo.nodes.values() if n.kind in (NodeKind.WLAN_AP, NodeKind.MACRO_BS)]
+        link_ids = sorted(topo.links)
+        node_ids = sorted(topo.nodes)
+        installed = []
+        counts = {"checked": 0, "detour": 0, "no_headroom": 0}
+        for step in range(60):
+            r = rng.random()
+            down = [("link", l) for l in link_ids if not net.link_up[l]]
+            down += [("node", n) for n in node_ids if not net.node_up[n]]
+            if r < 0.15:
+                net.set_link_state(rng.choice(link_ids), False)
+            elif r < 0.25:
+                net.set_node_state(rng.choice(node_ids), False)
+            elif r < 0.45 and down:
+                kind, ident = rng.choice(down)
+                (net.set_link_state if kind == "link" else net.set_node_state)(ident, True)
+            elif r < 0.85:
+                # from a user over one access link, or from inside the mesh
+                src = rng.choice(sources)
+                fog = next(f for f in fogs if f.fog_id == topo.fog_of(src))
+                access = {rng.choice(topo.access_links(src)).id} if src in users else set()
+                gbr = F(rng.choice([2, 3, 5, 8]))
+                end, via_backhaul = rng.choice([(fog.pop, False), (topo.gateway_id(), True)])
+                hops = self.fresh_search(net, fog, src, end, access, gbr, via_backhaul)
+                if hops:
+                    path = FlowPath(f"g{step}", src, end, tuple(hops), RouteKind.WLAN_VIA_MIDDLE_MILE)
+                    # a sliced install leaves the epoch, and so the memo, in place
+                    slice_id = rng.choice([None, "s1"])
+                    net.install_flow(InstalledFlow(f"g{step}", path, gbr, gbr, slice_id, VOIP, 0, 0.0))
+                    installed.append(f"g{step}")
+            elif installed:
+                net.remove_flow(installed.pop(rng.randrange(len(installed))))
+            self.check_all_routes(topo, net, fogs, F(rng.choice([1, 4, 9])), counts)
+        # GBR requests must have met routes they could not reuse
+        assert counts["no_headroom"] > 0 and (counts["detour"] > 0) == has_detours, counts

@@ -189,6 +189,35 @@ class TestCli:
         report = capsys.readouterr().out
         assert "MISMATCH" not in report
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("shares: 1", 'shares: "1/0"', "slices[0].shares"),
+            ("shares: 1", 'shares: "1/x"', "slices[0].shares"),
+            ("shares: 1", 'shares: "abc"', "slices[0].shares"),
+            ("demand_mbps: 0.1", 'demand_mbps: "3/0"', "workload.local_voip.demand_mbps"),
+            ("demand_mbps: 0.1", 'demand_mbps: "abc"', "workload.local_voip.demand_mbps"),
+            ("demand_mbps: 0.1", "demand_mbps: .inf", "workload.local_voip.demand_mbps"),
+            ("cloud_rtt_ms: 20", 'cloud_rtt_ms: 20\nwlan_control_overhead_mbps: "x"', "wlan_control_overhead_mbps"),
+        ],
+        ids=["shares-1/0", "shares-1/x", "shares-abc", "demand-3/0", "demand-abc", "demand-inf", "overhead-x"],
+    )
+    def test_malformed_rate_is_one_line_error(self, tmp_path, capsys, command, old, new, field):
+        text = (SCENARIOS / "two_cluster.scn").read_text()
+        assert text.count(old) == 1
+        (tmp_path / "two_cluster.topo.yaml").write_text((SCENARIOS / "two_cluster.topo.yaml").read_text())
+        scn = tmp_path / "bad.scn"
+        scn.write_text(text.replace(old, new))
+        args = [command, str(scn)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert "Traceback" not in captured.err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert f"{field}: not a rate" in err
+        assert not (tmp_path / "out").exists()
+
     def test_report_missing_dir_exit_1(self, capsys):
         assert main(["report", "/no/such/dir"]) == 1
 
