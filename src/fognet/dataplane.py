@@ -15,7 +15,9 @@ Fluid allocations: a GBR flow always carries its guarantee. While no link
 is congested every best-effort flow carries its demand, and `allocated()`
 and `link_allocated()` derive rates from the installed flows. While some
 link is congested, `recompute()` hands the max-min solver the best-effort
-flows against the net-of-GBR capacities, and `alloc` holds its output.
+flows against the net-of-GBR capacities, as a `FairShareIndex` kept across
+solves. `alloc` holds the solve's output, and `link_allocated()` reads the
+link's best-effort total that the solve left in the index.
 
 Routing is a minimum-hop search over a set of permitted link ids. Which
 links a fog may route over is a fact of the topology
@@ -34,7 +36,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
-from .engine import GbrOvercommit, recompute_fair_shares
+from .engine import FairShareIndex, GbrOvercommit, recompute_fair_shares
 from .topology import LINK_TO_RESOURCE, LinkState, Topology
 from .util import ZERO
 
@@ -139,10 +141,20 @@ class NetworkState:
     - `epoch`: bumped by `set_link_state`, `set_node_state` and the
       install or removal of an unsliced GBR flow, the inputs of each
       fog's sliceable capacity (`FogControl.physical_capacity`).
+    - `_fair`: the max-min solver's index of the best-effort flows, which
+      exists only while some link is congested. The first `recompute()`
+      that finds `_congested` non-empty builds it from `_best_effort`;
+      `install_flow` and `remove_flow` add and remove best-effort flows
+      while it exists; the uncongested fast path of `recompute()` drops
+      it. So a run that never congests never builds one.
     - `alloc`: the max-min solver's output for best-effort flows from the
       last `recompute()`, filled only while some link is congested;
       otherwise it is empty and rates come from the installed flows
-      themselves. A GBR flow's rate is always its own `gbr`.
+      themselves. A GBR flow's rate is always its own `gbr`. While
+      congested, `link_allocated()` is the link's `_gbr` plus the
+      best-effort total of the same solve, read from `_fair`; like
+      `alloc`, it is current once `recompute()` has run after the last
+      install or removal.
     """
 
     def __init__(self, topology: Topology):
@@ -161,6 +173,7 @@ class NetworkState:
         self._be_capacity: Dict[str, Fraction] = {lid: link.capacity for lid, link in topology.links.items()}
         self._slice_gbr: Dict[Tuple[str, str], Fraction] = {}
         self._best_effort: Dict[str, InstalledFlow] = {}
+        self._fair: Optional[FairShareIndex] = None
         self._on_link: Dict[str, Set[str]] = {}
         self._offered: Dict[str, Fraction] = {}
         self._congested: Set[str] = set()
@@ -217,6 +230,8 @@ class NetworkState:
             want = flow.gbr
         else:
             self._best_effort[flow.flow_id] = flow
+            if self._fair is not None:
+                self._fair.add(flow)
             want = flow.demand
         for lid in flow.links:
             self._on_link.setdefault(lid, set()).add(flow.flow_id)
@@ -235,6 +250,8 @@ class NetworkState:
             want = flow.gbr
         else:
             del self._best_effort[flow_id]
+            if self._fair is not None:
+                self._fair.remove(flow)
             want = flow.demand
         for lid in flow.links:
             self._on_link[lid].discard(flow_id)
@@ -264,12 +281,15 @@ class NetworkState:
             # uncongested fast path: every flow carries its own rate, which
             # allocated() and link_allocated() read off the installed flows
             self.alloc = {}
+            self._fair = None
             return
         overcommitted = [lid for lid in self._congested if self._be_capacity[lid] < 0]
         if overcommitted:
             lid = min(overcommitted)
             raise GbrOvercommit(lid, self._gbr[lid], self.topology.links[lid].capacity)
-        self.alloc = recompute_fair_shares(list(self._best_effort.values()), self._be_capacity)
+        if self._fair is None:
+            self._fair = FairShareIndex(self._best_effort.values())
+        self.alloc = recompute_fair_shares(self._fair, self._be_capacity)
 
     def allocated(self, flow_id: str) -> Fraction:
         flow = self.flows.get(flow_id)
@@ -285,10 +305,11 @@ class NetworkState:
         if not self._congested:
             # fast path: allocation equals offered load everywhere
             return self._offered.get(link_id, ZERO)
-        # guarantees from the ledger; `alloc` holds best-effort flows only
-        alloc = self.alloc
-        on_link = self._on_link.get(link_id, ())
-        return sum((alloc[fid] for fid in on_link if fid in alloc), self.gbr_reserved(link_id))
+        # guarantees from the ledger, best-effort rates from the last solve
+        # (none yet when no recompute() has run since congestion began)
+        fair = self._fair
+        used = fair.best_effort_on(link_id) if fair is not None else ZERO
+        return self.gbr_reserved(link_id) + used
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,13 @@ function of the scheduled inputs.
 from __future__ import annotations
 
 import heapq
-import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import count
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple
+from itertools import chain, count
+from math import gcd
+from typing import Callable, Dict, Iterable, List, Mapping, Set, Tuple
 
 from .util import ZERO
 
@@ -104,80 +105,145 @@ class FlowDemand:
     gbr: Fraction = ZERO
 
 
-def recompute_fair_shares(
-    flows: Iterable[FlowDemand], capacity: Mapping[str, Fraction]
-) -> Dict[str, Fraction]:
+class FairShareIndex:
+    """The max-min solver's inputs, kept across solves.
+
+    `add` and `remove` take a flow (any object with `flow_id`, `links`,
+    `demand` and `gbr`) and cost O(path), so a caller whose flows change
+    one at a time keeps one index and hands it to every
+    `recompute_fair_shares` call instead of rebuilding the inputs per
+    solve. `len()` counts every flow added.
+
+    - `fixed`: the flows that do not rise, at their rate. A guaranteed-rate
+      flow (`gbr > 0`) gets its guarantee, which `reserved` also holds on
+      every link the flow lists, once per listing. A best-effort flow with
+      demand <= 0 gets 0, and one with no links gets its demand.
+    - `crossed`: each rising flow's distinct links. `users`: the rising
+      flows on each link, so a flow that lists a link twice counts once.
+    - `buckets`: the rising flows keyed by demand. Flows share a few
+      demands, so a solve walks the buckets in demand order instead of
+      sorting flows.
+    - `spent`: left by the last solve for each link that had rising flows,
+      `(start, a, b, level, k)`: the capacity the rising flows started
+      with, `a/b` left before the round that froze its last `k` of them,
+      and that round's level. `best_effort_on` turns it into the link's
+      best-effort total on demand, so a solve does no arithmetic for
+      totals nobody reads.
+    """
+
+    def __init__(self, flows: Iterable = ()):
+        self.fixed: Dict[str, Fraction] = {}
+        self.reserved: Dict[str, Fraction] = {}
+        self.crossed: Dict[str, Tuple[str, ...]] = {}
+        self.users: Dict[str, Set[str]] = {}
+        self.buckets: Dict[Fraction, Set[str]] = {}
+        self.spent: Dict[str, Tuple[Fraction, int, int, Fraction, int]] = {}
+        for flow in flows:
+            self.add(flow)
+
+    def __len__(self) -> int:
+        return len(self.fixed) + len(self.crossed)
+
+    def add(self, flow) -> None:
+        fid = flow.flow_id
+        if flow.gbr > 0:
+            self.fixed[fid] = flow.gbr
+            for lid in flow.links:
+                self.reserved[lid] = self.reserved.get(lid, ZERO) + flow.gbr
+        elif flow.demand <= 0:
+            self.fixed[fid] = ZERO
+        elif not flow.links:
+            # unconstrained (e.g. zero-hop local path)
+            self.fixed[fid] = flow.demand
+        else:
+            links = flow.links
+            if len(set(links)) != len(links):
+                links = tuple(dict.fromkeys(links))
+            self.crossed[fid] = links
+            for lid in links:
+                self.users.setdefault(lid, set()).add(fid)
+            self.buckets.setdefault(flow.demand, set()).add(fid)
+
+    def remove(self, flow) -> None:
+        fid = flow.flow_id
+        links = self.crossed.pop(fid, None)
+        if links is None:
+            del self.fixed[fid]
+            if flow.gbr > 0:
+                for lid in flow.links:
+                    self.reserved[lid] -= flow.gbr
+            return
+        for lid in links:
+            on = self.users[lid]
+            on.discard(fid)
+            if not on:
+                del self.users[lid]
+        bucket = self.buckets[flow.demand]
+        bucket.discard(fid)
+        if not bucket:
+            del self.buckets[flow.demand]
+
+    def best_effort_on(self, link_id: str) -> Fraction:
+        """Sum of the last solve's rates over the best-effort flows on the link."""
+        spent = self.spent.get(link_id)
+        if spent is None:
+            return ZERO
+        start, a, b, level, k = spent
+        return start - Fraction(a, b) + level * k
+
+
+def recompute_fair_shares(flows: FairShareIndex | Iterable, capacity: Mapping[str, Fraction]) -> Dict[str, Fraction]:
     """Max-min allocation by a water-level solve over residual capacities.
 
-    `flows` may be any objects with `flow_id`, `links`, `demand` and `gbr`
-    (`FlowDemand`, or the dataplane's `InstalledFlow`). A guaranteed-rate
-    flow (`gbr > 0`) receives exactly its guarantee, taken from every link
-    it lists, once per listing; `GbrOvercommit` is raised when the
-    guarantees on a link exceed its capacity. A best-effort flow with
-    demand <= 0 gets 0 and one with no links gets its demand.
+    `flows` is a `FairShareIndex`, or any iterable of flows (`FlowDemand`,
+    or the dataplane's `InstalledFlow`) from which a throwaway index is
+    built; given an index, the solve only runs its rounds. A
+    guaranteed-rate flow (`gbr > 0`) receives exactly its guarantee, taken
+    from every link it lists, once per listing; `GbrOvercommit` is raised
+    when the guarantees on a link exceed its capacity. A best-effort flow
+    with demand <= 0 gets 0 and one with no links gets its demand.
 
     Every other best-effort flow rises from 0 at one common level. With
     `avail` the link's capacity left after guarantees and frozen flows and
     `n` the rising flows on it, a link saturates at level `avail/n`. Each
     round one pass over the links finds the lowest level at which a link
-    saturates or a rising flow meets its demand, and the links tight at
-    it. Their rising flows and the flows whose demand is met freeze at
-    that level; then each link they cross is updated once for the round
-    (`avail -= level*k`, `n -= k` for its k newly frozen flows). A flow
-    that lists a link twice counts once on it. This is progressive
-    filling (Bertsekas & Gallager, *Data Networks*, 6.5) taken one
-    saturation level at a time; exact Fraction arithmetic, so capacity
-    is conserved with no tolerance.
+    saturates or the lowest demand bucket that still rises is met, and
+    the links tight at it. Their rising flows and the met bucket's freeze
+    at that level; then each link they cross is updated once for the
+    round (`avail -= level*k`, `n -= k` for its k newly frozen flows). A
+    link whose last rising flows freeze goes to the index's `spent`
+    instead, from which `FairShareIndex.best_effort_on` reads its total.
+    This is progressive filling (Bertsekas & Gallager, *Data Networks*,
+    6.5) taken one saturation level at a time. Levels and allocations are
+    exact Fractions, so capacity is conserved with no tolerance.
     """
-    alloc: Dict[str, Fraction] = {}
-    avail: Dict[str, Fraction] = {}
-    rising = []
-    for flow in flows:
-        if flow.gbr > 0:
-            alloc[flow.flow_id] = flow.gbr
-            for lid in flow.links:
-                avail[lid] = avail.get(lid, capacity[lid]) - flow.gbr
-        elif flow.demand <= 0:
-            alloc[flow.flow_id] = ZERO
-        elif not flow.links:
-            # unconstrained (e.g. zero-hop local path)
-            alloc[flow.flow_id] = flow.demand
-        else:
-            rising.append(flow)
-    for lid, left in avail.items():
+    index = flows if isinstance(flows, FairShareIndex) else FairShareIndex(flows)
+    alloc = dict(index.fixed)
+    net_of_gbr: Dict[str, Fraction] = {}
+    for lid, gbr in index.reserved.items():
+        left = capacity[lid] - gbr
         if left < 0:
-            raise GbrOvercommit(lid, capacity[lid] - left, capacity[lid])
+            raise GbrOvercommit(lid, gbr, capacity[lid])
+        net_of_gbr[lid] = left
 
-    users: Dict[str, List] = {}  # link -> best-effort flows crossing it
-    crossed: Dict[str, Tuple[str, ...]] = {}  # flow -> its distinct links
-    for flow in rising:
-        links = flow.links
-        if len(set(links)) != len(links):
-            links = tuple(dict.fromkeys(links))
-        crossed[flow.flow_id] = links
-        for lid in links:
-            users.setdefault(lid, []).append(flow)
-    # Levels are compared as integer pairs (numerator, positive
-    # denominator), avoiding a Fraction operation per link per round.
-    count: Dict[str, int] = {}  # link -> rising flows on it
-    saturates: Dict[str, Tuple[int, int]] = {}  # link with rising flows -> avail/n
-    for lid, on in users.items():
-        left = avail.setdefault(lid, capacity[lid])
-        count[lid] = len(on)
-        saturates[lid] = (left.numerator, left.denominator * len(on))
-    scale = math.lcm(*(f.demand.denominator for f in rising))
-
-    def scaled_demand(flow) -> int:
-        return flow.demand.numerator * (scale // flow.demand.denominator)
-
-    rising.sort(key=scaled_demand)
-    wants = [scaled_demand(f) for f in rising]
-    next_met = 0  # every flow before rising[next_met] is frozen
+    users = index.users
+    crossed = index.crossed
+    # `avail` is kept as a reduced integer pair and levels are compared as
+    # integer pairs (numerator, positive denominator), avoiding Fraction
+    # operations per link per round.
+    start = {lid: net_of_gbr.get(lid, capacity[lid]) for lid in users}  # link with rising flows -> capacity
+    avail = {lid: left.as_integer_ratio() for lid, left in start.items()}  # link -> a/b left
+    count = {lid: len(on) for lid, on in users.items()}  # link -> rising flows on it
+    saturates = {lid: (a, b * count[lid]) for lid, (a, b) in avail.items()}  # link with rising flows -> avail/n
+    spent = index.spent = {}
+    buckets = sorted(index.buckets.items())  # (demand, its rising flows)
+    next_met = 0  # every flow of a bucket before buckets[next_met] is frozen
 
     while saturates:
-        while rising[next_met].flow_id in alloc:
+        while all(fid in alloc for fid in buckets[next_met][1]):
             next_met += 1
-        num, den = wants[next_met], scale
+        demand, bucket = buckets[next_met]
+        num, den = demand.numerator, demand.denominator
         tight: List[str] = []
         for lid, (p, q) in saturates.items():
             if p * den < num * q:
@@ -189,30 +255,31 @@ def recompute_fair_shares(
 
         frozen = []
         for lid in tight:
-            for flow in users[lid]:
-                if flow.flow_id not in alloc:
-                    alloc[flow.flow_id] = level
-                    frozen.append(flow)
-        met = next_met
-        while met < len(rising) and wants[met] * den == num * scale:
-            flow = rising[met]
-            if flow.flow_id not in alloc:
-                alloc[flow.flow_id] = level
-                frozen.append(flow)
-            met += 1
+            for fid in users[lid]:
+                if fid not in alloc:
+                    alloc[fid] = level
+                    frozen.append(fid)
+        if level == demand:
+            for fid in bucket:
+                if fid not in alloc:
+                    alloc[fid] = level
+                    frozen.append(fid)
 
-        touched: Dict[str, int] = {}
-        for flow in frozen:
-            for lid in crossed[flow.flow_id]:
-                touched[lid] = touched.get(lid, 0) + 1
+        touched = Counter(chain.from_iterable(map(crossed.__getitem__, frozen)))
+        ln, ld = level.numerator, level.denominator
         for lid, k in touched.items():
             n = count[lid] - k
             count[lid] = n
+            a, b = avail[lid]
             if n:
-                left = avail[lid] - level * k
-                avail[lid] = left
-                saturates[lid] = (left.numerator, left.denominator * n)
+                a, b = a * ld - ln * k * b, b * ld
+                g = gcd(a, b)
+                a //= g
+                b //= g
+                avail[lid] = (a, b)
+                saturates[lid] = (a, b * n)
             else:
                 del saturates[lid]
+                spent[lid] = (start[lid], a, b, level, k)
 
     return alloc

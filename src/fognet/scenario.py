@@ -8,6 +8,7 @@ configuration it executed.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,6 +61,8 @@ def _num(entry: dict, key: str, where: str, default=None, minimum=None):
         raise ValidationError(f"{where}.{key}", "required")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where}.{key}", f"expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"{where}.{key}", "must be finite")
     if minimum is not None and value < minimum:
         raise ValidationError(f"{where}.{key}", f"must be >= {minimum}")
     return value

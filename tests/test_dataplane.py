@@ -21,7 +21,7 @@ from fognet.dataplane import (
 from fognet.engine import FlowDemand, recompute_fair_shares
 from fognet.topology import LinkClass, build_from_config
 from helpers import two_cluster_doc
-from oracles import ReferenceLru, best_path, enumerate_simple_paths
+from oracles import OracleFlow, ReferenceLru, best_path, enumerate_simple_paths, maxmin_oracle
 
 F = Fraction
 
@@ -191,6 +191,80 @@ class TestAllocation:
         # the sequence enters and leaves congestion, so both paths are checked
         assert (True, False) in zip(states, states[1:])
         assert (False, True) in zip(states, states[1:])
+
+
+class TestKeptFairShareIndex:
+    def test_random_steps_match_fresh_solve_and_oracle(self):
+        """The solver index that NetworkState keeps while a link is congested
+        gives the same answer as a from-scratch solve and the oracle after
+        every recompute(), through installs, removals and link flaps; it
+        exists exactly while some link is congested."""
+        net = make_net(backhaul_capacity=16, middle_mile_capacity=12, wlan_capacity=8, macro_capacity=6)
+        capacity = {lid: link.capacity for lid, link in net.topology.links.items()}
+        # the user's access link listed twice: out to the AP and back
+        twice = [("u1", "wl-u1-wap1"), ("wap1", "wl-u1-wap1")]
+        paths = _ALLOC_PATHS + [twice]
+        demands = [F(0), F(1, 2), F(1), F(2), F(3)]  # few values, so ties
+        rng = random.Random(41)
+        serial = 0
+        kept = transitions = 0
+        seen = set()
+        was_congested = False
+        fair = None
+        for _ in range(600):
+            roll = rng.random()
+            if roll < 0.08:
+                down = sorted(lid for lid, up in net.link_up.items() if not up)
+                if down and rng.random() < 0.7:
+                    net.set_link_state(rng.choice(down), True)
+                else:
+                    net.set_link_state(rng.choice(sorted(capacity)), False)
+            elif net.flows and roll < 0.5:
+                net.remove_flow(rng.choice(sorted(net.flows)))
+            else:
+                serial += 1
+                hops = rng.choice(paths)
+                demand = rng.choice(demands)
+                gbr = F(0)
+                if demand > 0 and hops is not twice and rng.random() < 0.25:
+                    if all(net.admission_residual(lid) >= demand for _, lid in hops):
+                        gbr = demand
+                new = flow(f"f{serial}", hops, demand=demand, gbr=gbr, slice_id=rng.choice(["s1", "s2"]))
+                try:
+                    net.install_flow(new)
+                except LinkDown:
+                    continue
+                seen.add("gbr" if gbr else "zero" if not demand else "twice" if hops is twice else "be")
+            net.recompute()
+
+            congested = bool(net._congested)
+            assert (net._fair is not None) == congested
+            if congested:
+                best_effort = [f for f in net.flows.values() if f.gbr == 0]
+                assert net.alloc == recompute_fair_shares(best_effort, net._be_capacity)
+                kept += net._fair is fair
+            else:
+                assert net.alloc == {}
+            transitions += congested != was_congested
+            was_congested, fair = congested, net._fair
+
+            oracle = maxmin_oracle(
+                [OracleFlow(f.flow_id, f.links, f.demand, f.gbr) for f in net.flows.values()], capacity
+            )
+            for fid in net.flows:
+                assert net.allocated(fid) == oracle[fid]
+            for lid in capacity:
+                # guarantees count once per listing of the link; a best-effort
+                # rate counts once while congested, per listing on the fast path
+                recount = F(0)
+                for f in net.flows.values():
+                    if f.gbr > 0 or not congested:
+                        recount += oracle[f.flow_id] * f.links.count(lid)
+                    elif lid in f.links:
+                        recount += oracle[f.flow_id]
+                assert net.link_allocated(lid) == recount
+        assert seen == {"gbr", "zero", "twice", "be"}
+        assert transitions > 10 and kept > 100
 
 
 def _random_walk(topo, rng, max_hops=5):

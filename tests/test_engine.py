@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fognet.engine import (
     Engine,
     EventKind,
+    FairShareIndex,
     FlowDemand,
     GbrOvercommit,
     SchedulingInPast,
@@ -302,3 +303,53 @@ class TestFairShares:
         first = recompute_fair_shares(flows, caps)
         second = recompute_fair_shares(list(reversed(flows)), caps)
         assert first == second
+
+
+class TestFairShareIndex:
+    def test_random_adds_and_removes_solve_as_a_fresh_index(self):
+        """An index kept through adds and removes solves exactly as one built
+        from the remaining flows, and as the oracle; its per-link totals
+        equal a recount of the allocation, and its length counts every flow
+        (zero-demand and linkless ones too)."""
+        rng = random.Random(31)
+        links = [f"l{i}" for i in range(5)]
+        caps = {l: F(rng.randint(4, 30), rng.choice([1, 2, 3])) for l in links}
+        demands = [F(0), F(1, 2), F(1), F(2), F(5, 2), F(7)]  # few values, so ties
+        index = FairShareIndex()
+        live = {}
+        reserved = {l: F(0) for l in links}
+        serial = 0
+        kinds = set()
+        for _ in range(300):
+            if live and rng.random() < 0.45:
+                gone = live.pop(rng.choice(sorted(live)))
+                index.remove(gone)
+                for lid in gone.links:
+                    reserved[lid] -= gone.gbr
+            else:
+                serial += 1
+                path = tuple(rng.choice(links) for _ in range(rng.randint(0, 4)))
+                demand = rng.choice(demands)
+                gbr = F(0)
+                # a guarantee is taken once per listing, the oracle's once per
+                # link, so guaranteed flows list each link once
+                distinct = len(set(path)) == len(path)
+                fits = all(reserved[l] + demand <= caps[l] for l in path)
+                if demand > 0 and distinct and rng.random() < 0.2 and fits:
+                    gbr = demand
+                    for lid in path:
+                        reserved[lid] += gbr
+                new = FlowDemand(f"f{serial}", path, demand, gbr)
+                kind = "gbr" if gbr else "zero" if not demand else "linkless" if not path else "be"
+                kinds.add("twice" if kind == "be" and not distinct else kind)
+                live[new.flow_id] = new
+                index.add(new)
+            flows = list(live.values())
+            alloc = recompute_fair_shares(index, caps)
+            assert alloc == recompute_fair_shares(flows, caps)
+            assert len(index) == len(flows)
+            assert alloc == maxmin_oracle([OracleFlow(f.flow_id, f.links, f.demand, f.gbr) for f in flows], caps)
+            for lid in links:
+                be = [f for f in flows if f.gbr == 0 and lid in f.links]
+                assert index.best_effort_on(lid) == sum((alloc[f.flow_id] for f in be), F(0))
+        assert kinds == {"gbr", "zero", "linkless", "twice", "be"} and live

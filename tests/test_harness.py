@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import fognet
 from fognet.cli import main
 from fognet.metrics import BYTES_PER_MBPS_MS
 from fognet.scenario import ParseError, ValidationError, load_scenario, parse_scenario
@@ -216,6 +219,42 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
         assert f"{field}: not a rate" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("value", [".inf", "-.inf", ".nan"])
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("duration_ms: 60000", "duration_ms: {}", "duration_ms"),
+            ("cache_capacity: 10", "cache_capacity: {}", "fogs.fog1.cache_capacity"),
+            ("seed: 42", "seed: {}", "seed"),
+            ("rate_per_s: 0.5", "rate_per_s: {}", "workload.local_voip.rate_per_s"),
+            (
+                "cloud_rtt_ms: 20",
+                "cloud_rtt_ms: 20\nfaults:\n  backhaul_random: {{mean_up_s: {}, mean_down_s: 5}}",
+                "faults.backhaul_random.mean_up_s",
+            ),
+        ],
+        ids=["duration_ms", "cache_capacity", "seed", "rate_per_s", "mean_up_s"],
+    )
+    def test_non_finite_number_is_one_line_error(self, tmp_path, command, value, old, new, field):
+        # A subprocess with a timeout, so a run that never ends fails the test.
+        text = (SCENARIOS / "two_cluster.scn").read_text()
+        assert text.count(old) == 1
+        (tmp_path / "two_cluster.topo.yaml").write_text((SCENARIOS / "two_cluster.topo.yaml").read_text())
+        scn = tmp_path / "bad.scn"
+        scn.write_text(text.replace(old, new.format(value)))
+        args = [command, str(scn)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+        env = dict(os.environ, PYTHONPATH=str(Path(fognet.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fognet.cli", *args], capture_output=True, text=True, timeout=30, env=env
+        )
+        assert proc.returncode == 1
+        err = proc.stderr.strip()
+        assert "Traceback" not in proc.stderr
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert f"{field}: must be finite" in err
         assert not (tmp_path / "out").exists()
 
     def test_report_missing_dir_exit_1(self, capsys):
