@@ -267,6 +267,73 @@ class TestKeptFairShareIndex:
         assert transitions > 10 and kept > 100
 
 
+class TestNonDecimalRates:
+    def test_getters_equal_recounts_through_a_rescale(self):
+        """Flows of 1/10 Mb/s, then flows of 4/3 Mb/s (a denominator that no
+        rate seen before has), then their removal: after each step every
+        public getter equals its recount in exact Mb/s, on the uncongested
+        fast path and while the 4/3 flows congest a link."""
+        from fognet.fogctrl import FogControl, FogProfile
+        from fognet.resources import ResourceClass
+        from fognet.topology import LINK_TO_RESOURCE
+
+        net = make_net(wlan_capacity=2, macro_capacity=F(3, 2))
+        fog = FogControl("fog1", FogProfile(), net)
+        topo = net.topology
+        capacity = {lid: link.capacity for lid, link in topo.links.items()}
+        wlan_path = _ALLOC_PATHS[0]
+        macro_path = _ALLOC_PATHS[2]
+        steps = [
+            ("install", flow("tenth-gbr", wlan_path, demand=F(1, 10), gbr=F(1, 10), slice_id="s1")),
+            ("install", flow("tenth-be", wlan_path, demand=F(1, 10))),
+            ("install", flow("tenth-unsliced", macro_path, demand=F(1, 10), gbr=F(1, 10), slice_id=None)),
+            ("install", flow("third-gbr", macro_path, demand=F(4, 3), gbr=F(4, 3), slice_id="s2")),
+            ("install", flow("third-be", wlan_path, demand=F(4, 3))),
+            ("install", flow("third-be-2", wlan_path, demand=F(4, 3))),
+        ]
+        steps += [("remove", fid) for fid in ("tenth-be", "third-gbr", "third-be", "tenth-unsliced", "third-be-2", "tenth-gbr")]
+        congested = []
+        for action, arg in steps:
+            if action == "install":
+                net.install_flow(arg)
+            else:
+                net.remove_flow(arg)
+            net.recompute()
+            flows = list(net.flows.values())
+            oracle = maxmin_oracle([OracleFlow(f.flow_id, f.links, f.demand, f.gbr) for f in flows], capacity)
+            for fid in net.flows:
+                assert net.allocated(fid) == oracle[fid]
+            for lid, cap in capacity.items():
+                gbr = sum((f.gbr * f.links.count(lid) for f in flows if f.gbr > 0), F(0))
+                assert net.gbr_reserved(lid) == gbr
+                assert net.admission_residual(lid) == cap - gbr
+                assert net.link_allocated(lid) == sum((oracle[f.flow_id] for f in flows if lid in f.links), F(0))
+                assert net.flows_on_link(lid) == sorted(f.flow_id for f in flows if lid in f.links)
+            for slice_id in ("s1", "s2"):
+                for cls in ResourceClass.ALL:
+                    used = sum(
+                        (
+                            f.gbr
+                            for f in flows
+                            if f.gbr > 0 and f.slice_id == slice_id
+                            for lid in f.links
+                            if LINK_TO_RESOURCE.get(topo.links[lid].link_class) == cls
+                        ),
+                        F(0),
+                    )
+                    assert net.slice_gbr(slice_id, cls) == used
+            physical = {cls: F(0) for cls in ResourceClass.ALL}
+            for link in topo.links.values():
+                cls = LINK_TO_RESOURCE.get(link.link_class)
+                if cls is not None:
+                    unsliced = sum((f.gbr for f in flows if f.slice_id is None and link.id in f.links), F(0))
+                    physical[cls] += link.capacity - unsliced
+            assert fog.physical_capacity() == physical
+            congested.append(any(net.link_allocated(lid) == capacity[lid] < sum(
+                (f.demand for f in flows if lid in f.links), F(0)) for lid in capacity))
+        assert any(congested) and not congested[-1]
+
+
 def _random_walk(topo, rng, max_hops=5):
     """A loop-free walk of 1..max_hops links from a random node, as (hops, end)."""
     adjacency = topo.adjacency()

@@ -1,11 +1,14 @@
 """Golden output digests: SHA-256 of the six OUTPUT_FILES per scenario.
 
 Every refactor must leave these bytes unchanged. Besides the three bundled
-scenarios, two built here reach paths that no bundled scenario does: a
+scenarios, three built here reach paths that no bundled scenario does: a
 two-fog network with user-to-user traffic across fogs (inter-fog paths
-through the cloud gateway, backhaul flaps while they are installed), and a
+through the cloud gateway, backhaul flaps while they are installed); a
 single fog with WLAN control overhead plus link and node faults (mesh
-routing of the unsliced overhead flows and their rebuild after each fault).
+routing of the unsliced overhead flows and their rebuild after each fault);
+and the two-cluster network with every capacity, demand, guarantee, share
+and the control overhead a ratio with denominator 3 or 7, none of them a
+finite decimal (exact rates that congest, with guaranteed-rate refusals).
 
 A digest may change only with a deliberate change of behaviour; re-record
 it then and say why in the change notes.
@@ -67,6 +70,14 @@ GOLDEN = {
         "connectivity.log": "a9ba7675421f454f1b87ca390f8940c762f18606828c6b21522e382bce32eb41",
         "slices.tsv": "584d0b9c5f102f01b1cb1e947be0656a660cf187943e95044fe9ded8deaf8008",
         "run.log": "c4438ec798bf6315e0d30bb69e20c9daa61ee33f1bca735ebfa7ec67307e33c6",
+    },
+    "non_decimal": {
+        "metrics.tsv": "24ee945b2a7477d4f83619e07be42550013037879f3855370f3591342fcb4c9c",
+        "decisions.log": "4380d8321f49885da3fb16003361d62d050ac66fb7256d29f13ec033cb343e6d",
+        "events.log": "d8eb98b70b9f39d89d1736cbe8d86692ab77bef2495c89bbc2c25d55d4de7b5c",
+        "connectivity.log": "5f7e8492cd53af5d3ae6cf53dc49936d4fe2170999d85859fb98086444c0b1df",
+        "slices.tsv": "cadee01580da991a153eea15a95ef2810b6709881839ac693d9955e666c68398",
+        "run.log": "633cc5c9f61939af7b3111ea6e04c1b80f4787066027e49290932cf1bd9d93fe",
     },
 }
 
@@ -155,6 +166,48 @@ def _overhead_faults_sim() -> Simulation:
     return Simulation(parse_scenario(doc, name="overhead_faults"))
 
 
+NON_DECIMAL_CAPACITY = {
+    "Backhaul": "100/3",
+    "MiddleMile": "50/7",
+    "WlanAccess": "25/3",
+    "MacroAccess": "10/7",
+    "Internal": "3000/7",
+}
+
+
+def _non_decimal_sim(tmp_path: Path) -> Simulation:
+    topo = yaml.safe_load((SCENARIOS / "two_cluster.topo.yaml").read_text())
+    for link in topo["links"]:
+        link["capacity"] = NON_DECIMAL_CAPACITY[link["class"]]
+    (tmp_path / "non_decimal.topo.yaml").write_text(yaml.safe_dump(topo))
+    doc = {
+        "name": "non-decimal rates golden",
+        "seed": 37,
+        "duration_ms": 60_000,
+        "metrics_tick_ms": 5_000,
+        "wlan_control_overhead_mbps": "1/21",
+        "topology": {"file": "non_decimal.topo.yaml"},
+        "slices": [
+            {"id": "op-a", "operator": "alpha", "shares": "2/3"},
+            {"id": "op-b", "operator": "beta", "shares": "1/3"},
+        ],
+        "policy": {
+            "local_voip": {"qos": "RealTimeGBR", "gbr_mbps": "3/7"},
+            "content_request": {"qos": "BestEffort"},
+            "external_web": {"qos": "BestEffort"},
+        },
+        "workload": {
+            "local_voip": {"rate_per_s": 1.0, "demand_mbps": "3/7", "holding_mean_s": 15},
+            "content_request": {"rate_per_s": 1.0, "demand_mbps": "4/3", "holding_mean_s": 8},
+            "external_web": {"rate_per_s": 0.6, "demand_mbps": "5/7", "holding_mean_s": 12},
+            "content": {"catalog_size": 30, "zipf_exponent": 1.0},
+            "mobility": {"mobile_fraction": 0.3, "relocation_rate_per_s": 0.05},
+        },
+        "faults": {"backhaul_random": {"mean_up_s": 12, "mean_down_s": 3}},
+    }
+    return Simulation(parse_scenario(doc, base_dir=str(tmp_path), name="non_decimal"))
+
+
 @pytest.mark.parametrize("name", ["two_cluster", "isolation", "two_operator"])
 def test_bundled_scenario_digests(name, tmp_path):
     sim = Simulation(load_scenario(SCENARIOS / f"{name}.scn"))
@@ -180,3 +233,13 @@ def test_overhead_and_faults_digests(tmp_path):
     # the unsliced control-overhead flows are installed at the end of the run
     assert any(f.slice_id is None for f in sim.net.flows.values())
     assert digests == GOLDEN["overhead_faults"]
+
+
+def test_non_decimal_rates_digests(tmp_path):
+    sim = _non_decimal_sim(tmp_path)
+    digests = _digests(sim, tmp_path / "out")
+    rows = [r.split("\t") for r in sim.decision_rows[1:]]
+    # guarantees were refused for headroom, and slice rows carry sevenths
+    assert any(r[5] == "rejected" and r[6] == "GbrAdmissionFail" for r in rows)
+    assert any("/7\t" in row or row.endswith("/7") for row in sim.slice_rows)
+    assert digests == GOLDEN["non_decimal"]

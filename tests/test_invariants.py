@@ -1,0 +1,45 @@
+"""Every kept ledger equals its recount after every event (`invariants.py`),
+over the golden scenarios and short builds of the benchmark workloads."""
+
+import copy
+import sys
+from pathlib import Path
+
+import pytest
+
+from fognet.scenario import load_scenario, parse_scenario
+from fognet.simulation import Simulation
+from invariants import check_after_every_event
+from test_golden import SCENARIOS, _non_decimal_sim, _overhead_faults_sim, _two_fog_sim
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+BUILDS = {
+    "two_cluster": lambda tmp: Simulation(load_scenario(SCENARIOS / "two_cluster.scn")),
+    "isolation": lambda tmp: Simulation(load_scenario(SCENARIOS / "isolation.scn")),
+    "two_operator": lambda tmp: Simulation(load_scenario(SCENARIOS / "two_operator.scn")),
+    "two_fog": _two_fog_sim,
+    "overhead_faults": lambda tmp: _overhead_faults_sim(),
+    "non_decimal": _non_decimal_sim,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_golden_scenario_keeps_invariants(name, tmp_path):
+    sim = BUILDS[name](tmp_path)
+    checked = check_after_every_event(sim)
+    sim.run()
+    assert checked[0] == len(sim.engine.trace) > 0
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_benchmark_workload_keeps_invariants(workload):
+    """The first 20 s of each benchmark workload at its default seed."""
+    spec = workloads.WORKLOADS[workload]
+    doc = copy.deepcopy(workloads.build(workload, spec.default_seed))
+    doc["duration_ms"] = 20_000
+    sim = Simulation(parse_scenario(doc, base_dir=str(workloads.DATA_DIR), name=workload))
+    checked = check_after_every_event(sim)
+    sim.run()
+    assert checked[0] == len(sim.engine.trace) > 0
