@@ -292,8 +292,9 @@ class CloudControl:
 
     def _pick_backhaul(self, fog_id: str, gbr) -> Optional[str]:
         """The fog's lowest-id Up backhaul with `gbr` of headroom, if any."""
+        need = self.net.units(gbr)
         for link in self.net.topology.backhaul_links(fog_id):
-            if self.net.effective_up(link.id) and self.net.admission_residual(link.id) >= gbr:
+            if self.net.effective_up(link.id) and self.net.residual_units(link.id) >= need:
                 return link.id
         return None
 

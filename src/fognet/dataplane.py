@@ -34,11 +34,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import AbstractSet, Dict, List, Optional, Set, Tuple
+from math import lcm
+from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .engine import FairShareIndex, GbrOvercommit, recompute_fair_shares
 from .topology import LINK_TO_RESOURCE, LinkState, Topology
-from .util import ZERO
+from .util import ZERO, in_units
 
 
 class RouteKind(str, Enum):
@@ -119,6 +120,15 @@ class InstalledFlow:
 class NetworkState:
     """Mutable runtime state over one topology; engine-loop use only.
 
+    Every rate ledger below holds plain ints in units of `1/unit` Mb/s.
+    `unit` starts as the least common multiple of the link capacities'
+    denominators; `cover` widens it to cover the rates a scenario
+    configures, and `units` to cover any later rate, by rescaling every
+    ledger once (only tests meet such a rate). The public getters
+    (`gbr_reserved`, `admission_residual`, `slice_gbr`, `allocated`,
+    `link_allocated`) return exact `Fraction`s in Mb/s; the `*_units`
+    readers return the ledger ints for the controllers and metrics.
+
     Each fact below is kept in one place and updated where it changes,
     never recounted:
 
@@ -128,25 +138,30 @@ class NetworkState:
       `flows_at` answer "which flows touch this link or node", and a
       user's flows are `flows_at(user)`, since controller paths have at
       least one hop and never pass through a user node.
-    - `_offered` (per link: each flow's guarantee, else its demand, per
-      listing of the link) and `_congested` (links whose offered load
-      exceeds capacity): `install_flow` and `remove_flow`.
+    - `_capacity` (per link), `_offered` (per link: each flow's guarantee,
+      else its demand, per listing of the link) and `_congested` (links
+      whose offered load exceeds capacity): `install_flow` and
+      `remove_flow`.
     - Guaranteed-rate (GBR) ledger, in O(path) per `install_flow` and
       `remove_flow` of a flow with `gbr > 0`: `_gbr` (per link, read by
       `gbr_reserved`), `_be_capacity` (per link, capacity net of `_gbr`:
-      what the max-min solver shares among best-effort flows) and
-      `_slice_gbr` (per (slice, resource class), read by `slice_gbr`).
+      what the max-min solver shares among best-effort flows),
+      `_unsliced_gbr` (per link, the guarantees of flows without a slice,
+      read by `sliceable_units`) and `_slice_gbr` (per (slice, resource
+      class), read by `slice_gbr`).
     - `_best_effort` (installed flows with `gbr == 0`): `install_flow`
       and `remove_flow`.
     - `epoch`: bumped by `set_link_state`, `set_node_state` and the
       install or removal of an unsliced GBR flow, the inputs of each
       fog's sliceable capacity (`FogControl.physical_capacity`).
+      `set_link_state` and `set_node_state` also tell each callback given
+      to `watch_health`.
     - `_fair`: the max-min solver's index of the best-effort flows, which
       exists only while some link is congested. The first `recompute()`
       that finds `_congested` non-empty builds it from `_best_effort`;
       `install_flow` and `remove_flow` add and remove best-effort flows
-      while it exists; the uncongested fast path of `recompute()` drops
-      it. So a run that never congests never builds one.
+      while it exists; the uncongested fast path of `recompute()` and a
+      rescale drop it. So a run that never congests never builds one.
     - `alloc`: the max-min solver's output for best-effort flows from the
       last `recompute()`, filled only while some link is congested;
       otherwise it is empty and rates come from the installed flows
@@ -166,17 +181,46 @@ class NetworkState:
         self.flows: Dict[str, InstalledFlow] = {}
         self.alloc: Dict[str, Fraction] = {}
         self.epoch = 0
+        self._health_watchers: List[Callable[[str, bool], None]] = []
         self._resource_of: Dict[str, Optional[str]] = {
             lid: LINK_TO_RESOURCE.get(link.link_class) for lid, link in topology.links.items()
         }
-        self._gbr: Dict[str, Fraction] = {}
-        self._be_capacity: Dict[str, Fraction] = {lid: link.capacity for lid, link in topology.links.items()}
-        self._slice_gbr: Dict[Tuple[str, str], Fraction] = {}
+        self.unit = lcm(*(link.capacity.denominator for link in topology.links.values()))
+        self._capacity: Dict[str, int] = {
+            lid: in_units(link.capacity, self.unit) for lid, link in topology.links.items()
+        }
+        self._gbr: Dict[str, int] = {}
+        self._be_capacity: Dict[str, int] = dict(self._capacity)
+        self._unsliced_gbr: Dict[str, int] = {}
+        self._slice_gbr: Dict[Tuple[str, str], int] = {}
         self._best_effort: Dict[str, InstalledFlow] = {}
         self._fair: Optional[FairShareIndex] = None
         self._on_link: Dict[str, Set[str]] = {}
-        self._offered: Dict[str, Fraction] = {}
+        self._offered: Dict[str, int] = {}
         self._congested: Set[str] = set()
+
+    # -- the rate unit -----------------------------------------------------
+
+    def cover(self, rates: Iterable[Fraction]) -> None:
+        """Widen `unit` so that each of `rates` (Mb/s) is a whole number of it."""
+        unit = lcm(self.unit, *(rate.denominator for rate in rates))
+        if unit != self.unit:
+            self._rescale(unit)
+
+    def units(self, rate: Fraction) -> int:
+        """`rate` (Mb/s) in units, widening `unit` first if it must."""
+        den = rate.denominator
+        if self.unit % den:
+            self._rescale(lcm(self.unit, den))
+        return rate.numerator * (self.unit // den)
+
+    def _rescale(self, unit: int) -> None:
+        factor = unit // self.unit
+        for ledger in (self._capacity, self._offered, self._gbr, self._be_capacity, self._unsliced_gbr, self._slice_gbr):
+            for key in ledger:
+                ledger[key] *= factor
+        self.unit = unit
+        self._fair = None  # the next recompute() rebuilds it in the new unit
 
     # -- health ----------------------------------------------------------
 
@@ -184,26 +228,51 @@ class NetworkState:
         link = self.topology.links[link_id]
         return self.link_up[link_id] and self.node_up[link.a] and self.node_up[link.b]
 
+    def watch_health(self, callback: Callable[[str, bool], None]) -> None:
+        """Call `callback(element, up)` on every link or node state change."""
+        self._health_watchers.append(callback)
+
     def set_link_state(self, link_id: str, up: bool) -> None:
         self.link_up[link_id] = up
         self.epoch += 1
+        for callback in self._health_watchers:
+            callback(link_id, up)
 
     def set_node_state(self, node_id: str, up: bool) -> None:
         self.node_up[node_id] = up
         self.epoch += 1
+        for callback in self._health_watchers:
+            callback(node_id, up)
 
     # -- reservations and load --------------------------------------------
 
     def gbr_reserved(self, link_id: str) -> Fraction:
-        return self._gbr.get(link_id, ZERO)
+        return Fraction(self._gbr.get(link_id, 0), self.unit)
 
     def admission_residual(self, link_id: str) -> Fraction:
-        return self._be_capacity[link_id]
+        return Fraction(self._be_capacity[link_id], self.unit)
 
     def slice_gbr(self, slice_id: str, resource_class: str) -> Fraction:
         """GBR held by the slice's flows on links of the class, counted
         once per flow per listed link."""
-        return self._slice_gbr.get((slice_id, resource_class), ZERO)
+        return Fraction(self._slice_gbr.get((slice_id, resource_class), 0), self.unit)
+
+    def capacity_units(self, link_id: str) -> int:
+        return self._capacity[link_id]
+
+    def residual_units(self, link_id: str) -> int:
+        """`admission_residual` in units."""
+        return self._be_capacity[link_id]
+
+    def slice_gbr_units(self, slice_id: str, resource_class: str) -> int:
+        return self._slice_gbr.get((slice_id, resource_class), 0)
+
+    def sliceable_units(self, link_id: str) -> int:
+        """The link's capacity net of the guarantees of unsliced flows."""
+        return self._capacity[link_id] - self._unsliced_gbr.get(link_id, 0)
+
+    def offered_units(self, link_id: str) -> int:
+        return self._offered.get(link_id, 0)
 
     def flows_on_link(self, link_id: str) -> List[str]:
         return sorted(self._on_link.get(link_id, ()))
@@ -224,20 +293,21 @@ class NetworkState:
         for lid in flow.links:
             if not self.effective_up(lid):
                 raise LinkDown(f"link {lid} is down", lid)
+        gbr = self.units(flow.gbr)
+        want = gbr or self.units(flow.demand)
         self.flows[flow.flow_id] = flow
-        if flow.gbr > 0:
-            self._reserve(flow, flow.gbr)
-            want = flow.gbr
+        if gbr > 0:
+            self._reserve(flow, gbr)
         else:
             self._best_effort[flow.flow_id] = flow
             if self._fair is not None:
                 self._fair.add(flow)
-            want = flow.demand
+        capacity = self._capacity
         for lid in flow.links:
             self._on_link.setdefault(lid, set()).add(flow.flow_id)
-            load = self._offered.get(lid, ZERO) + want
+            load = self._offered.get(lid, 0) + want
             self._offered[lid] = load
-            if load > self.topology.links[lid].capacity:
+            if load > capacity[lid]:
                 self._congested.add(lid)
 
     def remove_flow(self, flow_id: str) -> InstalledFlow:
@@ -245,32 +315,36 @@ class NetworkState:
         if flow is None:
             raise UnknownFlow(f"flow {flow_id} not installed", flow_id)
         self.alloc.pop(flow_id, None)
-        if flow.gbr > 0:
-            self._reserve(flow, -flow.gbr)
-            want = flow.gbr
+        gbr = self.units(flow.gbr)
+        want = gbr or self.units(flow.demand)
+        if gbr > 0:
+            self._reserve(flow, -gbr)
         else:
             del self._best_effort[flow_id]
             if self._fair is not None:
                 self._fair.remove(flow)
-            want = flow.demand
+        capacity = self._capacity
         for lid in flow.links:
             self._on_link[lid].discard(flow_id)
             load = self._offered[lid] - want
             self._offered[lid] = load
-            if lid in self._congested and load <= self.topology.links[lid].capacity:
+            if lid in self._congested and load <= capacity[lid]:
                 self._congested.discard(lid)
         return flow
 
-    def _reserve(self, flow: InstalledFlow, gbr: Fraction) -> None:
-        """Add `gbr` (negative to release) to the GBR ledger along the flow's path."""
+    def _reserve(self, flow: InstalledFlow, gbr: int) -> None:
+        """Add `gbr` units (negative to release) to the GBR ledger along the flow's path."""
         slice_id = flow.slice_id
         for lid in flow.links:
-            self._gbr[lid] = self._gbr.get(lid, ZERO) + gbr
+            self._gbr[lid] = self._gbr.get(lid, 0) + gbr
             self._be_capacity[lid] -= gbr
-            resource = self._resource_of[lid]
-            if slice_id is not None and resource is not None:
-                key = (slice_id, resource)
-                self._slice_gbr[key] = self._slice_gbr.get(key, ZERO) + gbr
+            if slice_id is None:
+                self._unsliced_gbr[lid] = self._unsliced_gbr.get(lid, 0) + gbr
+            else:
+                resource = self._resource_of[lid]
+                if resource is not None:
+                    key = (slice_id, resource)
+                    self._slice_gbr[key] = self._slice_gbr.get(key, 0) + gbr
         if slice_id is None:
             self.epoch += 1
 
@@ -286,9 +360,9 @@ class NetworkState:
         overcommitted = [lid for lid in self._congested if self._be_capacity[lid] < 0]
         if overcommitted:
             lid = min(overcommitted)
-            raise GbrOvercommit(lid, self._gbr[lid], self.topology.links[lid].capacity)
+            raise GbrOvercommit(lid, self.gbr_reserved(lid), self.topology.links[lid].capacity)
         if self._fair is None:
-            self._fair = FairShareIndex(self._best_effort.values())
+            self._fair = FairShareIndex(self._best_effort.values(), self.unit)
         self.alloc = recompute_fair_shares(self._fair, self._be_capacity)
 
     def allocated(self, flow_id: str) -> Fraction:
@@ -301,15 +375,20 @@ class NetworkState:
             return max(flow.demand, ZERO)
         return self.alloc.get(flow_id, ZERO)
 
-    def link_allocated(self, link_id: str) -> Fraction:
+    def load_units(self, link_id: str) -> int | Fraction:
+        """`link_allocated` in units: an int, or while congested a
+        `Fraction` when the solve's levels are not whole units."""
         if not self._congested:
             # fast path: allocation equals offered load everywhere
-            return self._offered.get(link_id, ZERO)
+            return self._offered.get(link_id, 0)
         # guarantees from the ledger, best-effort rates from the last solve
         # (none yet when no recompute() has run since congestion began)
         fair = self._fair
-        used = fair.best_effort_on(link_id) if fair is not None else ZERO
-        return self.gbr_reserved(link_id) + used
+        used = fair.best_effort_on(link_id) if fair is not None else 0
+        return self._gbr.get(link_id, 0) + used
+
+    def link_allocated(self, link_id: str) -> Fraction:
+        return Fraction(self.load_units(link_id), self.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +413,11 @@ def constrained_route(
         return []
     adjacency = net.topology.adjacency()
     links = net.topology.links
-    need_headroom = min_residual > 0
+    need = net.units(min_residual)
+    residual = net._be_capacity
 
     def usable(lid: str) -> bool:  # for a link in `allowed`
-        return net.effective_up(lid) and (not need_headroom or net.admission_residual(lid) >= min_residual)
+        return net.effective_up(lid) and (need <= 0 or residual[lid] >= need)
 
     # Distance-to-destination by BFS, then a greedy lexicographic walk. The
     # walk only reads distances below src's, so the BFS stops at src's level.

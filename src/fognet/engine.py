@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, count
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Dict, Iterable, List, Mapping, Set, Tuple
 
-from .util import ZERO
+from .util import ZERO, in_units
 
 
 class EventKind(str, Enum):
@@ -109,35 +109,42 @@ class FairShareIndex:
     """The max-min solver's inputs, kept across solves.
 
     `add` and `remove` take a flow (any object with `flow_id`, `links`,
-    `demand` and `gbr`) and cost O(path), so a caller whose flows change
-    one at a time keeps one index and hands it to every
+    `demand` and `gbr`, rates in Mb/s) and cost O(path), so a caller whose
+    flows change one at a time keeps one index and hands it to every
     `recompute_fair_shares` call instead of rebuilding the inputs per
     solve. `len()` counts every flow added.
 
-    - `fixed`: the flows that do not rise, at their rate. A guaranteed-rate
-      flow (`gbr > 0`) gets its guarantee, which `reserved` also holds on
-      every link the flow lists, once per listing. A best-effort flow with
-      demand <= 0 gets 0, and one with no links gets its demand.
+    Inside the index rates are ints in units of `1/unit` Mb/s
+    (`util.in_units`), so every flow's rates must be whole numbers of the
+    unit; the capacities handed to a solve with the index are in that unit
+    too. Only the allocations are `Fraction`s in Mb/s.
+
+    - `fixed`: the flows that do not rise, at their rate in Mb/s. A
+      guaranteed-rate flow (`gbr > 0`) gets its guarantee, which `reserved`
+      (units) also holds on every link the flow lists, once per listing. A
+      best-effort flow with demand <= 0 gets 0, and one with no links gets
+      its demand.
     - `crossed`: each rising flow's distinct links. `users`: the rising
       flows on each link, so a flow that lists a link twice counts once.
-    - `buckets`: the rising flows keyed by demand. Flows share a few
-      demands, so a solve walks the buckets in demand order instead of
+    - `buckets`: the rising flows keyed by demand in units. Flows share a
+      few demands, so a solve walks the buckets in demand order instead of
       sorting flows.
     - `spent`: left by the last solve for each link that had rising flows,
-      `(start, a, b, level, k)`: the capacity the rising flows started
-      with, `a/b` left before the round that froze its last `k` of them,
-      and that round's level. `best_effort_on` turns it into the link's
-      best-effort total on demand, so a solve does no arithmetic for
-      totals nobody reads.
+      `(start, a, b, ln, ld, k)`, in units: the capacity the rising flows
+      started with, `a/b` left before the round that froze its last `k` of
+      them, and that round's level `ln/ld`. `best_effort_on` turns it into
+      the link's best-effort total on demand, so a solve does no arithmetic
+      for totals nobody reads.
     """
 
-    def __init__(self, flows: Iterable = ()):
+    def __init__(self, flows: Iterable = (), unit: int = 1):
+        self.unit = unit
         self.fixed: Dict[str, Fraction] = {}
-        self.reserved: Dict[str, Fraction] = {}
+        self.reserved: Dict[str, int] = {}
         self.crossed: Dict[str, Tuple[str, ...]] = {}
         self.users: Dict[str, Set[str]] = {}
-        self.buckets: Dict[Fraction, Set[str]] = {}
-        self.spent: Dict[str, Tuple[Fraction, int, int, Fraction, int]] = {}
+        self.buckets: Dict[int, Set[str]] = {}
+        self.spent: Dict[str, Tuple[int, int, int, int, int, int]] = {}
         for flow in flows:
             self.add(flow)
 
@@ -146,11 +153,13 @@ class FairShareIndex:
 
     def add(self, flow) -> None:
         fid = flow.flow_id
-        if flow.gbr > 0:
+        gbr = in_units(flow.gbr, self.unit)
+        demand = in_units(flow.demand, self.unit)
+        if gbr > 0:
             self.fixed[fid] = flow.gbr
             for lid in flow.links:
-                self.reserved[lid] = self.reserved.get(lid, ZERO) + flow.gbr
-        elif flow.demand <= 0:
+                self.reserved[lid] = self.reserved.get(lid, 0) + gbr
+        elif demand <= 0:
             self.fixed[fid] = ZERO
         elif not flow.links:
             # unconstrained (e.g. zero-hop local path)
@@ -162,46 +171,52 @@ class FairShareIndex:
             self.crossed[fid] = links
             for lid in links:
                 self.users.setdefault(lid, set()).add(fid)
-            self.buckets.setdefault(flow.demand, set()).add(fid)
+            self.buckets.setdefault(demand, set()).add(fid)
 
     def remove(self, flow) -> None:
         fid = flow.flow_id
         links = self.crossed.pop(fid, None)
         if links is None:
             del self.fixed[fid]
-            if flow.gbr > 0:
+            gbr = in_units(flow.gbr, self.unit)
+            if gbr > 0:
                 for lid in flow.links:
-                    self.reserved[lid] -= flow.gbr
+                    self.reserved[lid] -= gbr
             return
         for lid in links:
             on = self.users[lid]
             on.discard(fid)
             if not on:
                 del self.users[lid]
-        bucket = self.buckets[flow.demand]
+        demand = in_units(flow.demand, self.unit)
+        bucket = self.buckets[demand]
         bucket.discard(fid)
         if not bucket:
-            del self.buckets[flow.demand]
+            del self.buckets[demand]
 
     def best_effort_on(self, link_id: str) -> Fraction:
-        """Sum of the last solve's rates over the best-effort flows on the link."""
+        """Sum of the last solve's rates over the best-effort flows on the
+        link, in units (levels need not add up to whole units)."""
         spent = self.spent.get(link_id)
         if spent is None:
             return ZERO
-        start, a, b, level, k = spent
-        return start - Fraction(a, b) + level * k
+        start, a, b, ln, ld, k = spent
+        return Fraction(start * b * ld - a * ld + ln * k * b, b * ld)
 
 
-def recompute_fair_shares(flows: FairShareIndex | Iterable, capacity: Mapping[str, Fraction]) -> Dict[str, Fraction]:
+def recompute_fair_shares(flows: FairShareIndex | Iterable, capacity: Mapping) -> Dict[str, Fraction]:
     """Max-min allocation by a water-level solve over residual capacities.
 
-    `flows` is a `FairShareIndex`, or any iterable of flows (`FlowDemand`,
-    or the dataplane's `InstalledFlow`) from which a throwaway index is
-    built; given an index, the solve only runs its rounds. A
-    guaranteed-rate flow (`gbr > 0`) receives exactly its guarantee, taken
-    from every link it lists, once per listing; `GbrOvercommit` is raised
-    when the guarantees on a link exceed its capacity. A best-effort flow
-    with demand <= 0 gets 0 and one with no links gets its demand.
+    `flows` is a `FairShareIndex` with `capacity` in its unit (ints), or
+    any iterable of flows (`FlowDemand`, or the dataplane's
+    `InstalledFlow`) with `capacity` in Mb/s, from which a throwaway index
+    is built in the least unit that holds every rate. Given an index, the
+    solve only runs its rounds. Allocations are exact `Fraction`s in Mb/s.
+    A guaranteed-rate flow (`gbr > 0`) receives exactly its guarantee,
+    taken from every link it lists, once per listing; `GbrOvercommit` is
+    raised when the guarantees on a link exceed its capacity. A
+    best-effort flow with demand <= 0 gets 0 and one with no links gets its
+    demand.
 
     Every other best-effort flow rises from 0 at one common level. With
     `avail` the link's capacity left after guarantees and frozen flows and
@@ -214,25 +229,34 @@ def recompute_fair_shares(flows: FairShareIndex | Iterable, capacity: Mapping[st
     link whose last rising flows freeze goes to the index's `spent`
     instead, from which `FairShareIndex.best_effort_on` reads its total.
     This is progressive filling (Bertsekas & Gallager, *Data Networks*,
-    6.5) taken one saturation level at a time. Levels and allocations are
-    exact Fractions, so capacity is conserved with no tolerance.
+    6.5) taken one saturation level at a time. Capacities and demands are
+    whole units, `avail` and levels integer pairs, and each round makes
+    one `Fraction`, its level in Mb/s, so capacity is conserved with no
+    tolerance.
     """
-    index = flows if isinstance(flows, FairShareIndex) else FairShareIndex(flows)
+    if isinstance(flows, FairShareIndex):
+        index = flows
+    else:
+        flows = list(flows)
+        rates = chain.from_iterable((f.demand, f.gbr) for f in flows)
+        unit = lcm(*(r.denominator for r in chain(rates, capacity.values())))
+        index = FairShareIndex(flows, unit)
+        capacity = {lid: in_units(cap, unit) for lid, cap in capacity.items()}
+    unit = index.unit
     alloc = dict(index.fixed)
-    net_of_gbr: Dict[str, Fraction] = {}
+    net_of_gbr: Dict[str, int] = {}
     for lid, gbr in index.reserved.items():
         left = capacity[lid] - gbr
         if left < 0:
-            raise GbrOvercommit(lid, gbr, capacity[lid])
+            raise GbrOvercommit(lid, Fraction(gbr, unit), Fraction(capacity[lid], unit))
         net_of_gbr[lid] = left
 
     users = index.users
     crossed = index.crossed
     # `avail` is kept as a reduced integer pair and levels are compared as
-    # integer pairs (numerator, positive denominator), avoiding Fraction
-    # operations per link per round.
+    # integer pairs (numerator, positive denominator), all in units.
     start = {lid: net_of_gbr.get(lid, capacity[lid]) for lid in users}  # link with rising flows -> capacity
-    avail = {lid: left.as_integer_ratio() for lid, left in start.items()}  # link -> a/b left
+    avail = {lid: (left, 1) for lid, left in start.items()}  # link -> a/b left
     count = {lid: len(on) for lid, on in users.items()}  # link -> rising flows on it
     saturates = {lid: (a, b * count[lid]) for lid, (a, b) in avail.items()}  # link with rising flows -> avail/n
     spent = index.spent = {}
@@ -243,7 +267,7 @@ def recompute_fair_shares(flows: FairShareIndex | Iterable, capacity: Mapping[st
         while all(fid in alloc for fid in buckets[next_met][1]):
             next_met += 1
         demand, bucket = buckets[next_met]
-        num, den = demand.numerator, demand.denominator
+        num, den = demand, 1
         tight: List[str] = []
         for lid, (p, q) in saturates.items():
             if p * den < num * q:
@@ -251,7 +275,9 @@ def recompute_fair_shares(flows: FairShareIndex | Iterable, capacity: Mapping[st
                 tight = [lid]
             elif p * den == num * q:
                 tight.append(lid)
-        level = Fraction(num, den)
+        g = gcd(num, den)
+        ln, ld = num // g, den // g
+        level = Fraction(ln, ld * unit)
 
         frozen = []
         for lid in tight:
@@ -259,14 +285,13 @@ def recompute_fair_shares(flows: FairShareIndex | Iterable, capacity: Mapping[st
                 if fid not in alloc:
                     alloc[fid] = level
                     frozen.append(fid)
-        if level == demand:
+        if ln == demand * ld:
             for fid in bucket:
                 if fid not in alloc:
                     alloc[fid] = level
                     frozen.append(fid)
 
         touched = Counter(chain.from_iterable(map(crossed.__getitem__, frozen)))
-        ln, ld = level.numerator, level.denominator
         for lid, k in touched.items():
             n = count[lid] - k
             count[lid] = n
@@ -280,6 +305,6 @@ def recompute_fair_shares(flows: FairShareIndex | Iterable, capacity: Mapping[st
                 saturates[lid] = (a, b * n)
             else:
                 del saturates[lid]
-                spent[lid] = (start[lid], a, b, level, k)
+                spent[lid] = (start[lid], a, b, ln, ld, k)
 
     return alloc

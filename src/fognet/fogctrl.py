@@ -303,9 +303,10 @@ class FogControl:
     A request's route is its access hop, the mesh segment from the
     user's attachment point to the PoP, the gateway or the peer user's
     attachment point, and the peer's access hop. Segments are memoized
-    per (start, end, via backhaul) for one `NetworkState.epoch`, which
-    moves on every link or node state change (`_segment`); a GBR request
-    reuses its segment when every hop of the route has headroom.
+    per (start, end, via backhaul) (`_segment`): a link or node going
+    Down drops the segments through it, and one coming Up clears the memo
+    (`_prune_segments`). A GBR request reuses its segment when every hop
+    of the route has headroom.
     """
 
     def __init__(
@@ -337,7 +338,7 @@ class FogControl:
         self._physical: Dict[str, Fraction] = {}
         self._physical_epoch = -1  # NetworkState.epoch of `_physical`
         self._segments: Dict[Tuple[str, str, bool], Optional[Tuple[Tuple[str, str], ...]]] = {}
-        self._segments_epoch = -1  # NetworkState.epoch of `_segments`
+        net.watch_health(self._prune_segments)
         # Hooks wired by the harness.
         self.on_terminate: Optional[Callable[[InstalledFlow, RejectReason], None]] = None
         self.clock: Callable[[], int] = lambda: 0
@@ -507,9 +508,10 @@ class FogControl:
         hops = self._structural_route(src, dst, access_links, include_backhaul)
         if hops is None:
             raise NoRoute(f"no route {src} -> {dst}", src)
-        if gbr > 0:
-            residual = self.net.admission_residual
-            if any(residual(lid) < gbr for _, lid in hops):
+        need = self.net.units(gbr)
+        if need > 0:
+            residual = self.net.residual_units
+            if any(residual(lid) < need for _, lid in hops):
                 allowed = self.domain.mesh | access_links
                 if include_backhaul:
                     allowed |= self.domain.backhaul_ids
@@ -547,11 +549,8 @@ class FogControl:
     def _segment(self, start: str, end: str, via_backhaul: bool) -> Optional[Tuple[Tuple[str, str], ...]]:
         """Memoized minimum-hop route over the mesh (and backhaul), or None.
 
-        Kept for one `NetworkState.epoch`, which moves on every link or
-        node state change; the memo fills on first use of each key."""
-        if self._segments_epoch != self.net.epoch:
-            self._segments = {}
-            self._segments_epoch = self.net.epoch
+        The memo fills on first use of each key and is kept exact across
+        link and node state changes by `_prune_segments`."""
         key = (start, end, via_backhaul)
         if key not in self._segments:
             allowed = self.domain.mesh | self.domain.backhaul_ids if via_backhaul else self.domain.mesh
@@ -561,20 +560,41 @@ class FogControl:
                 self._segments[key] = None
         return self._segments[key]
 
+    def _prune_segments(self, element: str, up: bool) -> None:
+        """Keep the segment memo exact across one link or node state change.
+
+        An element coming Up can shorten any segment, so the memo is
+        cleared. One going Down only removes routes: a memoized segment
+        that does not pass through it is still usable, still minimum-hop
+        and still the lexicographically first such route, and a missing
+        route stays missing. So only the segments through it are dropped."""
+        if up:
+            self._segments = {}
+            return
+        self._segments = {
+            key: segment
+            for key, segment in self._segments.items()
+            if not segment or (element != key[1] and all(element not in hop for hop in segment))
+        }
+
     def slice_gbr_ok(self, slice_id: Optional[str], links: List[str], gbr: Fraction) -> bool:
         """Guaranteed admissions are capped at the slice's entitlement,
         never at borrowed capacity."""
-        if gbr <= 0 or slice_id is None or self.slice_manager is None:
+        net = self.net
+        need = net.units(gbr)
+        if need <= 0 or slice_id is None or self.slice_manager is None:
             return True
-        all_links = self.net.topology.links
+        all_links = net.topology.links
         new_per_class: Dict[str, int] = {}
         for lid in links:
             cls = LINK_TO_RESOURCE.get(all_links[lid].link_class)
             if cls is not None:
                 new_per_class[cls] = new_per_class.get(cls, 0) + 1
         for cls, count in new_per_class.items():
-            used = self.net.slice_gbr(slice_id, cls)
-            if used + count * gbr > self.slice_manager.entitled(slice_id, cls):
+            # units against share x capacity (Mb/s), cross-multiplied
+            entitled = self.slice_manager.entitled(slice_id, cls)
+            used = net.slice_gbr_units(slice_id, cls) + count * need
+            if used * entitled.denominator > entitled.numerator * net.unit:
                 return False
         return True
 
@@ -651,7 +671,7 @@ class FogControl:
     def scoring_utilization(self, link_id: str) -> Fraction:
         """Offered load over capacity; scale-free, so decisions survive a
         uniform rescaling of link capacities."""
-        return self.net._offered.get(link_id, ZERO) / self.net.topology.links[link_id].capacity
+        return Fraction(self.net.offered_units(link_id), self.net.capacity_units(link_id))
 
     def handle_flow_request(self, spec: FlowSpec, *, reroute: bool = False) -> FlowDecision:
         try:
@@ -806,26 +826,22 @@ class FogControl:
         return AbstractResourceView(rats=rats)
 
     def physical_capacity(self) -> Dict[str, Fraction]:
-        """Per-class sliceable capacity: Up links net of unsliced reservations.
+        """Per-class sliceable capacity: Up links net of unsliced reservations
+        (`NetworkState.sliceable_units`, a per-link ledger).
 
         Computed once per `NetworkState.epoch`, which moves exactly when
         link or node health or an unsliced GBR flow changes; the returned
         dict is shared until then, so do not mutate it."""
-        if self._physical_epoch != self.net.epoch:
-            out: Dict[str, Fraction] = {}
-            for cls in ResourceClass.ALL:
-                total = ZERO
-                for link in self.fog_links(cls):
-                    if not self.net.effective_up(link.id):
-                        continue
-                    total += link.capacity
-                    for fid in self.net.flows_on_link(link.id):
-                        flow = self.net.flows[fid]
-                        if flow.slice_id is None and flow.gbr > 0:
-                            total -= flow.gbr
-                out[cls] = total
-            self._physical = out
-            self._physical_epoch = self.net.epoch
+        net = self.net
+        if self._physical_epoch != net.epoch:
+            self._physical = {
+                cls: Fraction(
+                    sum(net.sliceable_units(link.id) for link in self.fog_links(cls) if net.effective_up(link.id)),
+                    net.unit,
+                )
+                for cls in ResourceClass.ALL
+            }
+            self._physical_epoch = net.epoch
         return self._physical
 
     # -- mobility ----------------------------------------------------------------

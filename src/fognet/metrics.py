@@ -1,9 +1,10 @@
 """Measurement collection and the metrics table.
 
-Backhaul volume is an exact rate-time integral maintained in Fraction
-arithmetic and advanced on every allocation change, so the accounting
-closure (bytes == sum of per-flow integrals over backhaul links) holds
-with no tolerance.
+Backhaul volume is an exact rate-time integral, kept in the network
+state's rate units (`NetworkState.unit`) and advanced on every allocation
+change, so the accounting closure (bytes == sum of per-flow integrals over
+backhaul links) holds with no tolerance. Utilization divides two sums of
+units. Both become exact Mb/s values only for output.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ TERMINATE_ORDER = [
 ]
 
 # 1 Mb/s for 1 ms = 125 bytes.
-BYTES_PER_MBPS_MS = Fraction(125)
+BYTES_PER_MBPS_MS = 125
 
 
 @dataclass
@@ -67,8 +68,12 @@ class MetricsCollector:
         self.latency_sum: Dict[str, float] = {c: 0.0 for c in APP_CLASSES}
         self.latency_count: Dict[str, int] = {c: 0 for c in APP_CLASSES}
         self.isolation_survivors = 0
-        self.backhaul_bytes: Fraction = ZERO
-        self._backhaul_rate: Fraction = ZERO
+        # the backhaul rate and its integral over time, in units of
+        # 1/`_unit` Mb/s (and Mb/s x ms); a rate from a max-min solve may be
+        # a Fraction of a unit
+        self._unit = 1
+        self._backhaul_rate: int | Fraction = 0
+        self._backhaul_volume: int | Fraction = 0
         self._last_ms = 0
         self.rows: List[str] = []
         # resource class -> its links, by id; built once, read every tick
@@ -81,16 +86,23 @@ class MetricsCollector:
 
     # -- time integration ---------------------------------------------------
 
+    @property
+    def backhaul_bytes(self) -> Fraction:
+        return Fraction(self._backhaul_volume * BYTES_PER_MBPS_MS, self._unit)
+
     def advance(self, now_ms: int) -> None:
         """Integrate the backhaul rate up to `now_ms` (call before changes)."""
         if now_ms > self._last_ms:
-            self.backhaul_bytes += self._backhaul_rate * (now_ms - self._last_ms) * BYTES_PER_MBPS_MS
+            self._backhaul_volume += self._backhaul_rate * (now_ms - self._last_ms)
             self._last_ms = now_ms
 
     def set_backhaul_rate(self, net) -> None:
-        rate = ZERO
+        if net.unit != self._unit:
+            self._backhaul_volume *= net.unit // self._unit  # a new unit divides the old one
+            self._unit = net.unit
+        rate = 0
         for link in self._class_links[ResourceClass.BACKHAUL]:
-            rate += net.link_allocated(link.id)
+            rate += net.load_units(link.id)
         self._backhaul_rate = rate
 
     # -- counters ---------------------------------------------------------
@@ -133,12 +145,12 @@ class MetricsCollector:
         return "\t".join(cols)
 
     def utilization(self, net, cls: str) -> float:
-        total = ZERO
-        used = ZERO
+        total = used = 0
         for link in self._class_links[cls]:
             if net.effective_up(link.id):
-                total += link.capacity
-                used += net.link_allocated(link.id)
+                total += net.capacity_units(link.id)
+                used += net.load_units(link.id)
+        # int / int and float(Fraction) both round the exact quotient once
         return float(used / total) if total else 0.0
 
     def tick_row(self, now_ms: int, net, cache_lookups: int, cache_hits: int) -> None:

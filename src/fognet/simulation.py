@@ -40,7 +40,7 @@ from .metrics import MetricsCollector, MetricsRecord
 from .scenario import ScenarioConfig
 from .slicing import SliceManager
 from .topology import LINK_TO_RESOURCE, LinkClass, NodeKind
-from .util import ZERO, fmt6, rate_str
+from .util import fmt6, rate_str
 from .workload import (
     FaultEvent,
     FlowRequest,
@@ -64,6 +64,12 @@ class Simulation:
         self.config = config
         self.engine = Engine()
         self.net = NetworkState(config.topology)
+        # every rate a flow of this scenario can hold, so no run rescales
+        self.net.cover(
+            [spec.demand for spec in config.workload.classes.values()]
+            + [rule.gbr_rate for rule in config.policy.values()]
+            + [config.wlan_control_overhead]
+        )
         self.metrics = MetricsCollector(config.topology)
         self.cloud = CloudControl(self.net, self.engine, rtt_ms=config.cloud_rtt_ms)
         self.cloud.on_flow_terminated = self._on_terminated
@@ -338,17 +344,18 @@ class Simulation:
                     )
 
     def _slice_demands(self, fog: FogControl) -> Dict[str, Dict[str, Fraction]]:
-        demands: Dict[str, Dict[str, Fraction]] = {sid: {} for sid in fog.slice_manager.slice_ids()}
-        links = self.net.topology.links
-        for flow in self.net.flows.values():  # exact sums: order-free
+        net = self.net
+        demands: Dict[str, Dict[str, int]] = {sid: {} for sid in fog.slice_manager.slice_ids()}
+        links = net.topology.links
+        for flow in net.flows.values():  # exact sums in units: order-free
             if not fog.owns_flow(flow):
                 continue
-            want = flow.gbr if flow.gbr > 0 else flow.demand
+            want = net.units(flow.gbr) or net.units(flow.demand)
             per = demands[flow.slice_id]
             for cls in {LINK_TO_RESOURCE.get(links[lid].link_class) for lid in flow.links}:
                 if cls is not None:
-                    per[cls] = per.get(cls, ZERO) + want
-        return demands
+                    per[cls] = per.get(cls, 0) + want
+        return {sid: {cls: Fraction(total, net.unit) for cls, total in per.items()} for sid, per in demands.items()}
 
     # -- handlers ----------------------------------------------------------------
 

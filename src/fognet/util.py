@@ -1,8 +1,17 @@
 """Exact-rate arithmetic and deterministic seed derivation.
 
-All capacities and traffic rates in the simulator are `fractions.Fraction`
-values so that conservation checks hold exactly, with no float tolerance.
-Config files may spell rates as ints, decimals, or "p/q" strings.
+Every rate is exact, so conservation checks hold with no float tolerance.
+Config files may spell rates as ints, decimals, or "p/q" strings, which
+`to_rate` parses into a `fractions.Fraction` in Mb/s; configs, flows and
+every public getter and output carry rates in that form.
+
+Ledgers and the max-min solver hold rates as plain `int` multiples of one
+exact unit instead, `1/unit` Mb/s, where `unit` is a common multiple of
+the denominators of every rate they hold (`in_units`). Adding and
+comparing such ints costs a fraction of the same `Fraction` operation. A
+`Fraction` is made only where a division happens (a max-min level, a
+slice share times a capacity, a utilization) and where a rate leaves a
+ledger for a getter or an output.
 """
 
 from __future__ import annotations
@@ -43,6 +52,17 @@ def to_rate(value) -> Fraction:
         return Fraction(Decimal(text))
     except (ValueError, ArithmeticError) as exc:  # ArithmeticError: a zero denominator, inf
         raise ValueError(f"not a rate: {value!r}") from exc
+
+
+def in_units(rate, unit: int) -> int:
+    """`rate` (Mb/s, a Fraction or int) as a whole number of `1/unit` Mb/s.
+
+    Raises ValueError when `unit` is not a multiple of the rate's
+    denominator."""
+    whole, rest = divmod(unit, rate.denominator)
+    if rest:
+        raise ValueError(f"rate {rate} is not a whole number of 1/{unit} Mb/s")
+    return rate.numerator * whole
 
 
 def rate_str(x: Fraction) -> str:

@@ -9,9 +9,10 @@ recount:
 
 - `NetworkState._offered` (per link: each flow's guarantee, else its
   demand, once per listing of the link), `_gbr` (guarantees per link, per
-  listing), `_be_capacity` (capacity net of `_gbr`), `_slice_gbr`
-  (guarantees per (slice, resource class), per listing) and `_congested`
-  (links whose offered load exceeds capacity);
+  listing), `_be_capacity` (capacity net of `_gbr`) and `_slice_gbr`
+  (guarantees per (slice, resource class), per listing), each an `int` in
+  the network state's units of `1/net.unit` Mb/s; and `_congested` (links
+  whose offered load exceeds capacity);
 - `flows_on_link` for every link;
 - `FogControl.physical_capacity()` for every fog: its Up metered links of
   each class, net of the unsliced guarantees on them;
@@ -32,8 +33,6 @@ from typing import Dict, List, Set, Tuple
 from fognet.engine import EventKind
 from fognet.resources import ResourceClass
 from fognet.topology import LINK_TO_RESOURCE
-
-ZERO = Fraction(0)
 
 
 class _Layout:
@@ -69,8 +68,9 @@ def check_state(sim, layout: _Layout) -> None:
     def scaled(rate: Fraction) -> int:
         return rate.numerator * (den // rate.denominator)
 
-    def same(ledger: Fraction, total: int) -> bool:
-        return ledger == Fraction(total, den)
+    def same(ledger: int, total: int) -> bool:
+        """A ledger entry in `net.unit` against a recount in `den`."""
+        return type(ledger) is int and ledger * den == total * net.unit
 
     offered: Dict[str, int] = defaultdict(int)
     gbr: Dict[str, int] = defaultdict(int)
@@ -105,8 +105,8 @@ def check_state(sim, layout: _Layout) -> None:
     physical = {fog_id: {cls: 0 for cls in ResourceClass.ALL} for fog_id in sim.fogs}
     for lid, link in links.items():
         capacity = scaled(link.capacity)
-        assert same(net._offered.get(lid, ZERO), offered.get(lid, 0)), ("offered", lid)
-        assert same(net._gbr.get(lid, ZERO), gbr.get(lid, 0)), ("gbr", lid)
+        assert same(net._offered.get(lid, 0), offered.get(lid, 0)), ("offered", lid)
+        assert same(net._gbr.get(lid, 0), gbr.get(lid, 0)), ("gbr", lid)
         assert same(net._be_capacity[lid], capacity - gbr.get(lid, 0)), ("be_capacity", lid)
         assert net.flows_on_link(lid) == sorted(on_link.get(lid, ())), ("flows_on_link", lid)
         if offered.get(lid, 0) > capacity:
@@ -116,7 +116,7 @@ def check_state(sim, layout: _Layout) -> None:
                 physical[fog_id][resource[lid]] += capacity - unsliced.get(lid, 0)
     assert net._congested == congested
     for key in set(slice_gbr) | set(net._slice_gbr):
-        assert same(net._slice_gbr.get(key, ZERO), slice_gbr.get(key, 0)), ("slice_gbr", key)
+        assert same(net._slice_gbr.get(key, 0), slice_gbr.get(key, 0)), ("slice_gbr", key)
 
     for fog_id, fog in sim.fogs.items():
         expected = {cls: Fraction(total, den) for cls, total in physical[fog_id].items()}

@@ -241,7 +241,8 @@ class TestKeptFairShareIndex:
             assert (net._fair is not None) == congested
             if congested:
                 best_effort = [f for f in net.flows.values() if f.gbr == 0]
-                assert net.alloc == recompute_fair_shares(best_effort, net._be_capacity)
+                residual = {lid: net.admission_residual(lid) for lid in capacity}
+                assert net.alloc == recompute_fair_shares(best_effort, residual)
                 kept += net._fair is fair
             else:
                 assert net.alloc == {}

@@ -315,7 +315,8 @@ class TestFairShareIndex:
         links = [f"l{i}" for i in range(5)]
         caps = {l: F(rng.randint(4, 30), rng.choice([1, 2, 3])) for l in links}
         demands = [F(0), F(1, 2), F(1), F(2), F(5, 2), F(7)]  # few values, so ties
-        index = FairShareIndex()
+        unit = 6  # every rate below is a whole number of 1/6
+        index = FairShareIndex(unit=unit)
         live = {}
         reserved = {l: F(0) for l in links}
         serial = 0
@@ -345,11 +346,11 @@ class TestFairShareIndex:
                 live[new.flow_id] = new
                 index.add(new)
             flows = list(live.values())
-            alloc = recompute_fair_shares(index, caps)
+            alloc = recompute_fair_shares(index, {lid: int(cap * unit) for lid, cap in caps.items()})
             assert alloc == recompute_fair_shares(flows, caps)
             assert len(index) == len(flows)
             assert alloc == maxmin_oracle([OracleFlow(f.flow_id, f.links, f.demand, f.gbr) for f in flows], caps)
             for lid in links:
                 be = [f for f in flows if f.gbr == 0 and lid in f.links]
-                assert index.best_effort_on(lid) == sum((alloc[f.flow_id] for f in be), F(0))
+                assert index.best_effort_on(lid) == sum((alloc[f.flow_id] for f in be), F(0)) * unit
         assert kinds == {"gbr", "zero", "linkless", "twice", "be"} and live

@@ -544,3 +544,38 @@ class TestRouteMemo:
             self.check_all_routes(topo, net, fogs, F(rng.choice([1, 4, 9])), counts)
         # GBR requests must have met routes they could not reuse
         assert counts["no_headroom"] > 0 and (counts["detour"] > 0) == has_detours, counts
+
+    def test_down_drops_only_the_segments_through_it(self):
+        """Random link and node faults on the two-cluster topology (with a
+        redundant mesh link): a Down drops exactly the memoized segments
+        that pass through the downed link or node, an Up clears the memo,
+        and after every fault each memo answer equals a fresh search."""
+        rng = random.Random(8)
+        topo = build_from_config(two_cluster_doc(mesh_cross_link=True))
+        net = NetworkState(topo)
+        fog = FogControl("fog1", FogProfile(), net)
+        elements = [("link", lid) for lid in sorted(topo.links)]
+        elements += [("node", n.id) for n in topo.nodes.values() if n.kind != NodeKind.USER]
+        counts = {"checked": 0, "detour": 0, "no_headroom": 0}
+        kept = dropped = 0
+        for _ in range(80):
+            self.check_all_routes(topo, net, [fog], F(1), counts)
+            before = dict(fog._segments)
+            down = [(k, e) for k, e in elements if not (net.link_up if k == "link" else net.node_up)[e]]
+            if down and rng.random() < 0.3:
+                kind, element = rng.choice(down)
+                up = True
+            else:
+                kind, element = rng.choice(elements)
+                up = False
+            (net.set_link_state if kind == "link" else net.set_node_state)(element, up)
+            if up:
+                assert fog._segments == {}
+                continue
+            for key, segment in before.items():
+                through = bool(segment) and (element == key[1] or any(element in hop for hop in segment))
+                assert (key in fog._segments) == (not through), (element, key, segment)
+                kept += not through
+                dropped += through
+        self.check_all_routes(topo, net, [fog], F(1), counts)
+        assert kept > 0 and dropped > 0, (kept, dropped)

@@ -85,7 +85,7 @@ def _check(net, fogs, rng, paths, seen):
         gbr = sum((f.gbr * f.path.links().count(lid) for f in net.flows.values() if f.gbr > 0), F(0))
         assert net.gbr_reserved(lid) == gbr
         assert net.admission_residual(lid) == link.capacity - gbr
-        assert net._be_capacity[lid] == link.capacity - gbr
+        assert net.admission_residual(lid) == link.capacity - net.gbr_reserved(lid)
     for slice_id, _, _ in SLICES:
         for cls in ResourceClass.ALL:
             used = F(0)
