@@ -2,13 +2,14 @@
 """Paired A/B benchmark: a parent ref against the working tree.
 
     python3 scripts/bench_ab.py --base HEAD --pairs 10 \
-        --run congested_scale:16 --run congested_scale:1616 [--seconds 40] [--trace 0|1] \
-        --out BENCH_n.json
+        --run congested_scale:16 --run congested_scale:1616 [--run cache_churn:606:5] \
+        [--seconds 40] [--trace 0|1] --out BENCH_n.json
 
 The parent's committed files are exported with `git archive` into a
 fresh directory (no worktree is registered in `.git`), and
 `perfbench/run.py` runs alternately there and in the working tree,
-`--pairs` times per `--run` workload:seed, swapping which side goes
+`--pairs` times per `--run` workload:seed (or the pairs a run names in a
+third field), swapping which side goes
 first on every pair so that host drift falls on both alike. Each run is
 a fresh `perfbench/run.py` process with the same `--seconds` budget.
 
@@ -106,7 +107,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="parent git ref (default HEAD)")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--run", action="append", required=True, metavar="WORKLOAD:SEED")
+    parser.add_argument("--run", action="append", required=True, metavar="WORKLOAD:SEED[:PAIRS]")
     parser.add_argument("--seconds", type=float, default=40.0, help="perfbench/run.py budget per run")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", required=True, help="result JSON; name a new file, as it is overwritten")
@@ -115,10 +116,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--pairs must be at least 1")
     runs = []
     for item in args.run:
-        workload, sep, seed = item.partition(":")
-        if not sep or not seed.isdigit():
-            parser.error(f"--run {item!r}: expected WORKLOAD:SEED")
-        runs.append((workload, int(seed)))
+        workload, sep, rest = item.partition(":")
+        seed, _, pairs = rest.partition(":")
+        if not sep or not seed.isdigit() or not (pairs or "1").isdigit() or pairs == "0":
+            parser.error(f"--run {item!r}: expected WORKLOAD:SEED or WORKLOAD:SEED:PAIRS")
+        runs.append((workload, int(seed), int(pairs) if pairs else args.pairs))
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
@@ -137,9 +139,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
         base_tree = Path(tmp) / "base"
         report["base"]["commit"] = export_ref(args.base, base_tree)
-        for workload, seed in runs:
+        for workload, seed, count in runs:
             pairs: List[Dict[str, dict]] = []
-            for i in range(args.pairs):
+            for i in range(count):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair = {"first": order[0]}
                 for side in order:
@@ -147,7 +149,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     pair[side] = run_bench(tree, workload, seed, args.seconds, args.trace)
                 pairs.append(pair)
                 rates = {side: pair[side]["metrics"].get("events_per_s", {}).get("value") for side in order}
-                print(f"{workload}:{seed} pair {i + 1}/{args.pairs}: events_per_s {rates}", flush=True)
+                print(f"{workload}:{seed} pair {i + 1}/{count}: events_per_s {rates}", flush=True)
             report["runs"][f"{workload}:{seed}"] = {
                 "failed": {side: sum(1 for p in pairs if not p[side].get("correct")) for side in ("base", "change")},
                 "metrics": summarize(pairs, better),

@@ -7,9 +7,21 @@ content cache.
 
 `NetworkState` keeps each load fact in one incremental ledger, updated by
 `install_flow`, `remove_flow` and the health setters in O(path): offered
-load and congestion per link, guaranteed-rate (GBR) use per link and per
-(slice, resource class), each link's capacity net of GBR, and an epoch
-for fog capacity caches (see its docstring for who updates what).
+load and congestion per link, guaranteed-rate (GBR) use per link, per
+(slice, resource class) and of unsliced flows per link, each link's
+capacity net of GBR, and an epoch for fog capacity caches (see its
+docstring for who updates what).
+
+Rates: flows (`InstalledFlow.demand`, `.gbr`), the public getters
+(`gbr_reserved`, `admission_residual`, `slice_gbr`, `allocated`,
+`link_allocated`, `alloc`) and `constrained_route`'s `min_residual` are
+exact `Fraction`s in Mb/s. Every ledger is a plain `int` in units of
+`1/NetworkState.unit` Mb/s (`util.in_units`), and so is what the
+`*_units` readers return to the controllers and metrics; the one
+exception is a link's best-effort total while congested, a `Fraction` of
+units, since max-min levels need not be whole units. Installs, removals,
+congestion and headroom tests add and compare ints; a rate becomes a
+`Fraction` again only in a getter.
 
 Fluid allocations: a GBR flow always carries its guarantee. While no link
 is congested every best-effort flow carries its demand, and `allocated()`
@@ -23,9 +35,9 @@ Routing is a minimum-hop search over a set of permitted link ids. Which
 links a fog may route over is a fact of the topology
 (`Topology.fog_domain`), so callers pass those sets, not predicates. A
 route depends only on link and node health and, for a guaranteed rate,
-on headroom, so fog control searches its mesh once per `epoch` between
-two attachment points and adds the access hops itself
-(`FogControl._route`).
+on headroom, so fog control memoizes its mesh segments between two
+attachment points, prunes them on each health change it hears of through
+`watch_health`, and adds the access hops itself (`FogControl._route`).
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 `check_after_every_event(sim)` registers one handler for every `EventKind`
 through `sim.engine.on`. It is registered after the simulator's own
 handlers, so it runs last for each event and sees the state that event
-left. The handler recounts from the installed flows (`net.flows`) and the
-link and node health alone, and asserts that each of these equals its
+left. The handler recounts from the installed flows (`net.flows`, each
+with the links of its path) and the link and node health alone, and asserts that each of these equals its
 recount:
 
 - `NetworkState._offered` (per link: each flow's guarantee, else its
@@ -81,8 +81,7 @@ def check_state(sim, layout: _Layout) -> None:
     for flow in flows:
         guarantee = scaled(flow.gbr)
         want = guarantee if guarantee > 0 else scaled(flow.demand)
-        path_links = flow.path.links()
-        for lid in path_links:
+        for lid in flow.links:
             offered[lid] += want
             on_link[lid].add(flow.flow_id)
             if guarantee > 0:
@@ -98,7 +97,7 @@ def check_state(sim, layout: _Layout) -> None:
             if slice_id == flow.slice_id
         }
         for fog_id in owners:
-            for cls in {resource[lid] for lid in path_links} - {None}:
+            for cls in {resource[lid] for lid in flow.links} - {None}:
                 demands[fog_id, flow.slice_id, cls] += want
 
     congested = set()
