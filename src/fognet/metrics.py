@@ -68,9 +68,9 @@ class MetricsCollector:
         self.latency_sum: Dict[str, float] = {c: 0.0 for c in APP_CLASSES}
         self.latency_count: Dict[str, int] = {c: 0 for c in APP_CLASSES}
         self.isolation_survivors = 0
-        # the backhaul rate and its integral over time, in units of
-        # 1/`_unit` Mb/s (and Mb/s x ms); a rate from a max-min solve may be
-        # a Fraction of a unit
+        # the backhaul rate in units of 1/`_unit` Mb/s and its integral over
+        # time in those units x ms; a rate from a max-min solve may be a
+        # Fraction of a unit
         self._unit = 1
         self._backhaul_rate: int | Fraction = 0
         self._backhaul_volume: int | Fraction = 0
@@ -98,7 +98,7 @@ class MetricsCollector:
 
     def set_backhaul_rate(self, net) -> None:
         if net.unit != self._unit:
-            self._backhaul_volume *= net.unit // self._unit  # a new unit divides the old one
+            self._backhaul_volume *= net.unit // self._unit  # the new unit is a multiple of the old
             self._unit = net.unit
         rate = 0
         for link in self._class_links[ResourceClass.BACKHAUL]:
