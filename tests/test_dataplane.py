@@ -19,7 +19,9 @@ from fognet.dataplane import (
     mesh_route,
 )
 from fognet.engine import FlowDemand, recompute_fair_shares
-from fognet.topology import LinkClass, build_from_config
+from fognet.fogctrl import FogControl, FogProfile
+from fognet.resources import ResourceClass
+from fognet.topology import LINK_TO_RESOURCE, LinkClass, build_from_config
 from helpers import two_cluster_doc
 from oracles import OracleFlow, ReferenceLru, best_path, enumerate_simple_paths, maxmin_oracle
 
@@ -271,13 +273,10 @@ class TestKeptFairShareIndex:
 class TestNonDecimalRates:
     def test_getters_equal_recounts_through_a_rescale(self):
         """Flows of 1/10 Mb/s, then flows of 4/3 Mb/s (a denominator that no
-        rate seen before has), then their removal: after each step every
-        public getter equals its recount in exact Mb/s, on the uncongested
-        fast path and while the 4/3 flows congest a link."""
-        from fognet.fogctrl import FogControl, FogProfile
-        from fognet.resources import ResourceClass
-        from fognet.topology import LINK_TO_RESOURCE
-
+        rate seen before has), then one of 2/7 Mb/s while the 4/3 flows
+        congest a link, then their removal: after each step every public
+        getter equals its recount in exact Mb/s. The unit widens at each new
+        denominator, the last time while the solver index exists."""
         net = make_net(wlan_capacity=2, macro_capacity=F(3, 2))
         fog = FogControl("fog1", FogProfile(), net)
         topo = net.topology
@@ -291,12 +290,20 @@ class TestNonDecimalRates:
             ("install", flow("third-gbr", macro_path, demand=F(4, 3), gbr=F(4, 3), slice_id="s2")),
             ("install", flow("third-be", wlan_path, demand=F(4, 3))),
             ("install", flow("third-be-2", wlan_path, demand=F(4, 3))),
+            ("install", flow("seventh-be", wlan_path, demand=F(2, 7))),
         ]
-        steps += [("remove", fid) for fid in ("tenth-be", "third-gbr", "third-be", "tenth-unsliced", "third-be-2", "tenth-gbr")]
+        removals = ("tenth-be", "third-gbr", "seventh-be", "third-be", "tenth-unsliced", "third-be-2", "tenth-gbr")
+        steps += [("remove", fid) for fid in removals]
         congested = []
+        units = [net.unit]
         for action, arg in steps:
             if action == "install":
+                indexed = net._fair is not None
                 net.install_flow(arg)
+                if net.unit != units[-1]:
+                    units.append(net.unit)
+                    assert net._fair is None  # a rescale drops the index
+                    assert arg.flow_id != "seventh-be" or indexed
             else:
                 net.remove_flow(arg)
             net.recompute()
@@ -330,8 +337,9 @@ class TestNonDecimalRates:
                     unsliced = sum((f.gbr for f in flows if f.slice_id is None and link.id in f.links), F(0))
                     physical[cls] += link.capacity - unsliced
             assert fog.physical_capacity() == physical
-            congested.append(any(net.link_allocated(lid) == capacity[lid] < sum(
-                (f.demand for f in flows if lid in f.links), F(0)) for lid in capacity))
+            offered = {lid: sum((f.gbr or f.demand for f in flows if lid in f.links), F(0)) for lid in capacity}
+            congested.append(any(offered[lid] > capacity[lid] for lid in capacity))
+        assert units == [2, 10, 30, 210]
         assert any(congested) and not congested[-1]
 
 
