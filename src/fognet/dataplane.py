@@ -228,7 +228,8 @@ class NetworkState:
 
     def _rescale(self, unit: int) -> None:
         factor = unit // self.unit
-        for ledger in (self._capacity, self._offered, self._gbr, self._be_capacity, self._unsliced_gbr, self._slice_gbr):
+        ledgers = (self._capacity, self._offered, self._gbr, self._be_capacity, self._unsliced_gbr, self._slice_gbr)
+        for ledger in ledgers:
             for key in ledger:
                 ledger[key] *= factor
         self.unit = unit
