@@ -12,8 +12,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fognet.resources import ResourceClass
 from fognet.slicing import SliceManager, SliceSpec
+from fognet.topology import ResourceClass
 
 
 def main() -> int:

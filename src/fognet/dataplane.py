@@ -19,7 +19,9 @@ exact `Fraction`s in Mb/s. Every ledger is a plain `int` in units of
 `1/NetworkState.unit` Mb/s (`util.in_units`), and so is what the
 `*_units` readers return to the controllers and metrics; the one
 exception is a link's best-effort total while congested, a `Fraction` of
-units, since max-min levels need not be whole units. Installs, removals,
+units, since max-min levels need not be whole units. The unit is fixed
+when the state is built, from every rate a flow can hold; a rate that is
+not a whole number of it raises ValueError. Installs, removals,
 congestion and headroom tests add and compare ints; a rate becomes a
 `Fraction` again only in a getter.
 
@@ -83,10 +85,6 @@ class NoRoute(DataplaneError):
     pass
 
 
-class CacheNotInstantiated(DataplaneError):
-    pass
-
-
 class PoolExhausted(DataplaneError):
     pass
 
@@ -133,10 +131,10 @@ class NetworkState:
     """Mutable runtime state over one topology; engine-loop use only.
 
     Every rate ledger below holds plain ints in units of `1/unit` Mb/s.
-    `unit` starts as the least common multiple of the link capacities'
-    denominators; `cover` widens it to cover the rates a scenario
-    configures, and `units` to cover any later rate, by rescaling every
-    ledger once (only tests meet such a rate). The public getters
+    `unit` is fixed at build: the least common multiple of the
+    denominators of the link capacities and of `rates`, every rate a flow
+    may hold. `install_flow` refuses any other rate with a ValueError
+    before it changes a ledger. The public getters
     (`gbr_reserved`, `admission_residual`, `slice_gbr`, `allocated`,
     `link_allocated`) return exact `Fraction`s in Mb/s; the `*_units`
     readers return the ledger ints for the controllers and metrics.
@@ -172,8 +170,8 @@ class NetworkState:
       exists only while some link is congested. The first `recompute()`
       that finds `_congested` non-empty builds it from `_best_effort`;
       `install_flow` and `remove_flow` add and remove best-effort flows
-      while it exists; the uncongested fast path of `recompute()` and a
-      rescale drop it. So a run that never congests never builds one.
+      while it exists; the uncongested fast path of `recompute()` drops
+      it. So a run that never congests never builds one.
     - `alloc`: the max-min solver's output for best-effort flows from the
       last `recompute()`, filled only while some link is congested;
       otherwise it is empty and rates come from the installed flows
@@ -184,7 +182,7 @@ class NetworkState:
       install or removal.
     """
 
-    def __init__(self, topology: Topology):
+    def __init__(self, topology: Topology, rates: Iterable[Fraction]):
         self.topology = topology
         self.link_up: Dict[str, bool] = {
             lid: link.state == LinkState.UP for lid, link in topology.links.items()
@@ -197,7 +195,10 @@ class NetworkState:
         self._resource_of: Dict[str, Optional[str]] = {
             lid: LINK_TO_RESOURCE.get(link.link_class) for lid, link in topology.links.items()
         }
-        self.unit = lcm(*(link.capacity.denominator for link in topology.links.values()))
+        self.unit = lcm(
+            *(link.capacity.denominator for link in topology.links.values()),
+            *(rate.denominator for rate in rates),
+        )
         self._capacity: Dict[str, int] = {
             lid: in_units(link.capacity, self.unit) for lid, link in topology.links.items()
         }
@@ -211,29 +212,9 @@ class NetworkState:
         self._offered: Dict[str, int] = {}
         self._congested: Set[str] = set()
 
-    # -- the rate unit -----------------------------------------------------
-
-    def cover(self, rates: Iterable[Fraction]) -> None:
-        """Widen `unit` so that each of `rates` (Mb/s) is a whole number of it."""
-        unit = lcm(self.unit, *(rate.denominator for rate in rates))
-        if unit != self.unit:
-            self._rescale(unit)
-
     def units(self, rate: Fraction) -> int:
-        """`rate` (Mb/s) in units, widening `unit` first if it must."""
-        den = rate.denominator
-        if self.unit % den:
-            self._rescale(lcm(self.unit, den))
-        return rate.numerator * (self.unit // den)
-
-    def _rescale(self, unit: int) -> None:
-        factor = unit // self.unit
-        ledgers = (self._capacity, self._offered, self._gbr, self._be_capacity, self._unsliced_gbr, self._slice_gbr)
-        for ledger in ledgers:
-            for key in ledger:
-                ledger[key] *= factor
-        self.unit = unit
-        self._fair = None  # the next recompute() rebuilds it in the new unit
+        """`rate` (Mb/s) in units; raises ValueError unless it is a whole number of them."""
+        return in_units(rate, self.unit)
 
     # -- health ----------------------------------------------------------
 

@@ -3,7 +3,8 @@
 One `FogControl` instance runs the control functions of a single fog
 element: per-slice control state (flow controller, mobility/load tracking,
 policy and charging, subscriber records with a session gate in front), the
-per-technology abstraction, and flexible placement via `FogProfile`.
+per-technology abstraction (each resource class's links and its sliceable
+capacity, `physical_capacity`), and flexible placement via `FogProfile`.
 Functions absent from the profile fall back to the cloud: each use costs a
 configurable round trip and fails while the fog is isolated.
 
@@ -29,7 +30,6 @@ from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .dataplane import (
-    CacheNotInstantiated,
     FlowPath,
     InstalledFlow,
     NetworkState,
@@ -37,8 +37,7 @@ from .dataplane import (
     RouteKind,
     constrained_route,
 )
-from .resources import AbstractResourceView, RatView, ResourceClass
-from .topology import LINK_TO_RESOURCE, Link
+from .topology import LINK_TO_RESOURCE, Link, ResourceClass
 from .util import ZERO
 
 
@@ -153,14 +152,6 @@ class Attachment:
     wlan_cluster: Optional[str] = None
     macro: bool = False
 
-    def rats(self) -> Tuple[str, ...]:
-        out = []
-        if self.wlan_cluster is not None:
-            out.append("wlan")
-        if self.macro:
-            out.append("macro")
-        return tuple(out)
-
 
 @dataclass
 class UserContext:
@@ -181,11 +172,6 @@ class FogProfile:
     dhcp_in_fog: bool = True
     # Inert placeholder: configurable but without behavior.
     tcp_opt_in_fog: bool = False
-    cniwf_in_fog: bool = True
-
-    def __post_init__(self):
-        if not self.cniwf_in_fog:
-            raise ValueError("the core-network interworking function is present in every profile")
 
 
 @dataclass
@@ -434,19 +420,6 @@ class FogControl:
     def charge(self, slice_id: str, app_class: str) -> None:
         charging = self.racfs[slice_id].charging
         charging[app_class] = charging.get(app_class, 0) + 1
-
-    # -- content cache ----------------------------------------------------------
-
-    def _cache(self):
-        if not (self.profile.cache_in_fog and self.cache):
-            raise CacheNotInstantiated(f"no cache instantiated in fog {self.fog_id}", self.fog_id)
-        return self.cache
-
-    def cache_lookup(self, content_id: str) -> bool:
-        return self._cache().lookup(content_id, self.clock())
-
-    def cache_insert(self, content_id: str) -> Optional[str]:
-        return self._cache().insert(content_id, self.clock())
 
     # -- locality ----------------------------------------------------------------
 
@@ -809,21 +782,6 @@ class FogControl:
         """The fog's metered links (of class `cls`, or all), by id, from
         `Topology.fog_domain`; do not mutate."""
         return self.domain.metered.get(cls, [])
-
-    def rat_abstract_view(self) -> AbstractResourceView:
-        rats = {}
-        for cls in ResourceClass.ALL:
-            total = reserved = load = ZERO
-            up = False
-            for link in self.fog_links(cls):
-                if not self.net.effective_up(link.id):
-                    continue
-                up = True
-                total += link.capacity
-                reserved += self.net.gbr_reserved(link.id)
-                load += self.net.link_allocated(link.id) - self.net.gbr_reserved(link.id)
-            rats[cls] = RatView(total_capacity=total, reserved_gbr=reserved, best_effort_load=load, up=up)
-        return AbstractResourceView(rats=rats)
 
     def physical_capacity(self) -> Dict[str, Fraction]:
         """Per-class sliceable capacity: Up links net of unsliced reservations

@@ -14,9 +14,8 @@ from fractions import Fraction
 from typing import Dict, List
 
 from .fogctrl import RejectReason
-from .resources import ResourceClass
 from .scenario import APP_CLASSES
-from .topology import LINK_TO_RESOURCE, Link
+from .topology import LINK_TO_RESOURCE, Link, ResourceClass
 from .util import ZERO, fmt6
 
 REJECT_ORDER = [r.value for r in RejectReason]
@@ -59,8 +58,8 @@ class MetricsRecord:
 
 
 class MetricsCollector:
-    def __init__(self, topology):
-        self.topology = topology
+    def __init__(self, net):
+        topology = net.topology
         self.requests = 0
         self.admitted = 0
         self.rejected: Dict[str, int] = {r: 0 for r in REJECT_ORDER}
@@ -71,7 +70,7 @@ class MetricsCollector:
         # the backhaul rate in units of 1/`_unit` Mb/s and its integral over
         # time in those units x ms; a rate from a max-min solve may be a
         # Fraction of a unit
-        self._unit = 1
+        self._unit = net.unit
         self._backhaul_rate: int | Fraction = 0
         self._backhaul_volume: int | Fraction = 0
         self._last_ms = 0
@@ -97,9 +96,6 @@ class MetricsCollector:
             self._last_ms = now_ms
 
     def set_backhaul_rate(self, net) -> None:
-        if net.unit != self._unit:
-            self._backhaul_volume *= net.unit // self._unit  # the new unit is a multiple of the old
-            self._unit = net.unit
         rate = 0
         for link in self._class_links[ResourceClass.BACKHAUL]:
             rate += net.load_units(link.id)

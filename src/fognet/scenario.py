@@ -18,10 +18,10 @@ import yaml
 
 from .fogctrl import FogProfile, PolicyRule, QosClass
 from .slicing import SliceSpec
-from .resources import ResourceClass
 from .topology import (
     LinkClass,
     NodeKind,
+    ResourceClass,
     Topology,
     TopologyGenParams,
     generate_clustered,

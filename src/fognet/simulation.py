@@ -63,14 +63,14 @@ class Simulation:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.engine = Engine()
-        self.net = NetworkState(config.topology)
-        # every rate a flow of this scenario can hold, so no run rescales
-        self.net.cover(
+        # the unit covers every rate a flow of this scenario can hold
+        self.net = NetworkState(
+            config.topology,
             [spec.demand for spec in config.workload.classes.values()]
             + [rule.gbr_rate for rule in config.policy.values()]
-            + [config.wlan_control_overhead]
+            + [config.wlan_control_overhead],
         )
-        self.metrics = MetricsCollector(config.topology)
+        self.metrics = MetricsCollector(self.net)
         self.cloud = CloudControl(self.net, self.engine, rtt_ms=config.cloud_rtt_ms)
         self.cloud.on_flow_terminated = self._on_terminated
         self.decision_rows: List[str] = [DECISION_HEADER]

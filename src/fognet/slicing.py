@@ -1,6 +1,8 @@
-"""Per-operator network slices over the abstract resource view.
+"""Per-operator network slices over a fog's resource classes.
 
-Each slice owns a share of every resource class. Idle entitlement is
+Each slice owns a share of every resource class (`topology.ResourceClass`)
+of its fog's live sliceable capacity, which `FogControl.physical_capacity`
+sums from the network state's per-link ledgers. Idle entitlement is
 diverted to overloaded slices by entitlement-weighted progressive filling
 and reclaimed the moment the entitled operator's own demand returns.
 """
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional
 
-from .resources import AbstractResourceView, RatView, ResourceClass
+from .topology import ResourceClass
 from .util import ZERO
 
 
@@ -148,31 +150,3 @@ class SliceManager:
                 if not capped:
                     break  # everything offered was taken; one pass suffices
         return runtimes
-
-    def per_slice_view(
-        self,
-        slice_id: str,
-        runtimes: Mapping[str, SliceRuntime],
-        usage: Optional[Mapping[str, Dict[str, Fraction]]] = None,
-        health: Optional[Mapping[str, bool]] = None,
-    ) -> AbstractResourceView:
-        """The capacity view this slice's control functions operate on.
-
-        Totals are the granted capacities from the latest allocation pass,
-        not the physical ones.
-        """
-        runtime = runtimes.get(slice_id)
-        if runtime is None:
-            raise UnknownSlice(f"no runtime for slice {slice_id}", slice_id)
-        rats = {}
-        for cls in ResourceClass.ALL:
-            entry = runtime.per_class.get(cls)
-            total = entry.granted if entry else ZERO
-            use = (usage or {}).get(cls, {})
-            rats[cls] = RatView(
-                total_capacity=total,
-                reserved_gbr=use.get("gbr", ZERO),
-                best_effort_load=use.get("be", ZERO),
-                up=(health or {}).get(cls, True),
-            )
-        return AbstractResourceView(rats=rats)

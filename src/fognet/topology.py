@@ -21,7 +21,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import yaml
 
-from .resources import ResourceClass
 from .util import rate_str, to_rate
 
 
@@ -46,6 +45,18 @@ class LinkClass(str, Enum):
 class LinkState(str, Enum):
     UP = "Up"
     DOWN = "Down"
+
+
+class ResourceClass:
+    """The resource classes that slices share and metrics report: one per
+    metered link class."""
+
+    MACRO = "Macro"
+    WLAN = "Wlan"
+    MIDDLE_MILE = "MiddleMile"
+    BACKHAUL = "Backhaul"
+
+    ALL = (MACRO, WLAN, MIDDLE_MILE, BACKHAUL)
 
 
 LINK_TO_RESOURCE = {

@@ -6,9 +6,9 @@ Config files may spell rates as ints, decimals, or "p/q" strings, which
 every public getter and output carry rates in that form.
 
 Ledgers and the max-min solver hold rates as plain `int` multiples of one
-exact unit instead, `1/unit` Mb/s, where `unit` is a common multiple of
-the denominators of every rate they hold (`in_units`). Adding and
-comparing such ints costs a fraction of the same `Fraction` operation. A
+exact unit instead, `1/unit` Mb/s, fixed when the network state is built;
+`in_units` raises ValueError for a rate that is not a whole number of it.
+Adding and comparing ints costs a fraction of the same `Fraction` work. A
 `Fraction` is made only where a division happens (a max-min level, a
 slice share times a capacity, a utilization) and where a rate leaves a
 ledger for a getter or an output.
@@ -59,10 +59,10 @@ def in_units(rate, unit: int) -> int:
 
     Raises ValueError when `unit` is not a multiple of the rate's
     denominator."""
-    whole, rest = divmod(unit, rate.denominator)
-    if rest:
+    den = rate.denominator
+    if unit % den:
         raise ValueError(f"rate {rate} is not a whole number of 1/{unit} Mb/s")
-    return rate.numerator * whole
+    return rate.numerator * (unit // den)
 
 
 def rate_str(x: Fraction) -> str:

@@ -15,8 +15,7 @@ from fognet.fogctrl import (
     UserRecord,
 )
 from fognet.slicing import SliceManager, SliceSpec
-from fognet.topology import NodeKind, build_from_config
-from fognet.resources import ResourceClass
+from fognet.topology import NodeKind, ResourceClass, build_from_config
 
 VOIP = "local_voip"
 CONTENT = "content_request"
@@ -35,6 +34,12 @@ def full_share_slice(slice_id="s1", operator="op1"):
         operator=operator,
         shares={cls: Fraction(1) for cls in ResourceClass.ALL},
     )
+
+
+def configured_rates(policy, demands):
+    """Every rate a test network's flows may hold: the policy's guarantees
+    and the demands its tests request."""
+    return [rule.gbr_rate for rule in policy.values()] + [Fraction(d) for d in demands]
 
 
 def two_cluster_doc(
@@ -104,11 +109,12 @@ class FogEnv:
         pool_size=16,
         cloud=None,
         max_gbr=Fraction(10),
+        demands=(Fraction(1, 2),),
     ):
         self.topo = build_from_config(doc or two_cluster_doc())
-        self.net = NetworkState(self.topo)
-        self.profile = profile or FogProfile()
         self.policy = policy or dict(DEFAULT_POLICY)
+        self.net = NetworkState(self.topo, configured_rates(self.policy, demands))
+        self.profile = profile or FogProfile()
         cache = LruCache(cache_capacity) if self.profile.cache_in_fog else None
         dhcp = AddressPool("fog1", pool_size) if self.profile.dhcp_in_fog else None
         self.fog = FogControl(
@@ -197,13 +203,13 @@ def two_fog_doc():
 class CloudEnv:
     """Full multi-fog wiring: one network, a cloud controller, fog controls."""
 
-    def __init__(self, doc=None, engine=None, profiles=None, policy=None, rtt_ms=20):
+    def __init__(self, doc=None, engine=None, profiles=None, policy=None, rtt_ms=20, demands=(Fraction(1, 2),)):
         from fognet.cloudctrl import CloudControl
 
         self.topo = build_from_config(doc or two_fog_doc())
-        self.net = NetworkState(self.topo)
-        self.engine = engine
         self.policy = policy or dict(DEFAULT_POLICY)
+        self.net = NetworkState(self.topo, configured_rates(self.policy, demands))
+        self.engine = engine
         self.cloud = CloudControl(self.net, engine, rtt_ms=rtt_ms)
         self.fogs = {}
         self.operator_of = {}

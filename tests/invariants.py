@@ -31,8 +31,7 @@ from math import lcm
 from typing import Dict, List, Set, Tuple
 
 from fognet.engine import EventKind
-from fognet.resources import ResourceClass
-from fognet.topology import LINK_TO_RESOURCE
+from fognet.topology import LINK_TO_RESOURCE, ResourceClass
 
 
 class _Layout:

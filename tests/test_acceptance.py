@@ -13,11 +13,10 @@ import pytest
 from fognet.dataplane import RouteKind
 from fognet.engine import FlowDemand, recompute_fair_shares
 from fognet.fogctrl import Endpoint, RejectReason
-from fognet.resources import ResourceClass
 from fognet.scenario import load_scenario, parse_scenario
 from fognet.simulation import OUTPUT_FILES, Simulation
 from fognet.slicing import SliceManager, SliceSpec
-from fognet.topology import LinkClass
+from fognet.topology import LinkClass, ResourceClass
 from helpers import CONTENT, VOIP, WEB, CloudEnv, FogEnv, two_cluster_doc
 from oracles import OracleFlow, ReferenceLru, controller_oracle, maxmin_oracle
 

@@ -26,7 +26,7 @@ class TestExternalPath:
 
     def test_gbr_admission_threshold_is_backhaul_residual(self):
         # backhaul capacity 100; make voip guarantee large enough to matter
-        env = CloudEnv(policy=None)
+        env = CloudEnv(policy=None, demands=[F(1, 2), F(498, 5), F(2, 5)])
         env.policy[VOIP] = env.policy[VOIP]
         big = env.spec("g1", "f1-u1", Endpoint.external(), app_class=VOIP, demand=F(1, 2))
         # reserve 99.6 of the backhaul by hand: threshold left = 0.4 < 0.5

@@ -20,16 +20,16 @@ from fognet.dataplane import (
 )
 from fognet.engine import FlowDemand, recompute_fair_shares
 from fognet.fogctrl import FogControl, FogProfile
-from fognet.resources import ResourceClass
-from fognet.topology import LINK_TO_RESOURCE, LinkClass, build_from_config
+from fognet.topology import LINK_TO_RESOURCE, LinkClass, ResourceClass, build_from_config
 from helpers import two_cluster_doc
 from oracles import OracleFlow, ReferenceLru, best_path, enumerate_simple_paths, maxmin_oracle
 
 F = Fraction
 
 
-def make_net(**kw):
-    return NetworkState(build_from_config(two_cluster_doc(**kw)))
+def make_net(rates=(), **kw):
+    """The two-cluster network, its unit covering `rates` (Mb/s)."""
+    return NetworkState(build_from_config(two_cluster_doc(**kw)), rates)
 
 
 def flow(fid, hops, *, demand=F(1), gbr=F(0), rat=RouteKind.INTRA_FOG_LOCAL, slice_id="s1"):
@@ -156,7 +156,14 @@ class TestAllocation:
     def test_random_sequences_match_fair_share_solver(self):
         """allocated()/link_allocated() equal the max-min solver's answer
         after every recompute(), on and off the uncongested fast path."""
-        net = make_net(backhaul_capacity=20, middle_mile_capacity=15, wlan_capacity=10, macro_capacity=8)
+        demands = [F(n, d) for n in range(9) for d in (1, 2, 3)]  # and half of each as a guarantee
+        net = make_net(
+            demands + [demand / 2 for demand in demands],
+            backhaul_capacity=20,
+            middle_mile_capacity=15,
+            wlan_capacity=10,
+            macro_capacity=8,
+        )
         capacity = {lid: link.capacity for lid, link in net.topology.links.items()}
         rng = random.Random(5)
         states = []
@@ -201,12 +208,12 @@ class TestKeptFairShareIndex:
         gives the same answer as a from-scratch solve and the oracle after
         every recompute(), through installs, removals and link flaps; it
         exists exactly while some link is congested."""
-        net = make_net(backhaul_capacity=16, middle_mile_capacity=12, wlan_capacity=8, macro_capacity=6)
+        demands = [F(0), F(1, 2), F(1), F(2), F(3)]  # few values, so ties
+        net = make_net(demands, backhaul_capacity=16, middle_mile_capacity=12, wlan_capacity=8, macro_capacity=6)
         capacity = {lid: link.capacity for lid, link in net.topology.links.items()}
         # the user's access link listed twice: out to the AP and back
         twice = [("u1", "wl-u1-wap1"), ("wap1", "wl-u1-wap1")]
         paths = _ALLOC_PATHS + [twice]
-        demands = [F(0), F(1, 2), F(1), F(2), F(3)]  # few values, so ties
         rng = random.Random(41)
         serial = 0
         kept = transitions = 0
@@ -271,13 +278,12 @@ class TestKeptFairShareIndex:
 
 
 class TestNonDecimalRates:
-    def test_getters_equal_recounts_through_a_rescale(self):
-        """Flows of 1/10 Mb/s, then flows of 4/3 Mb/s (a denominator that no
-        rate seen before has), then one of 2/7 Mb/s while the 4/3 flows
-        congest a link, then their removal: after each step every public
-        getter equals its recount in exact Mb/s. The unit widens at each new
-        denominator, the last time while the solver index exists."""
-        net = make_net(wlan_capacity=2, macro_capacity=F(3, 2))
+    def test_getters_equal_recounts_at_mixed_denominators(self):
+        """Flows of 1/10 Mb/s, then flows of 4/3 Mb/s, then one of 2/7 Mb/s
+        while the 4/3 flows congest a link, then their removal: after each
+        step every public getter equals its recount in exact Mb/s. The unit
+        covers all three rates from the start."""
+        net = make_net([F(1, 10), F(4, 3), F(2, 7)], wlan_capacity=2, macro_capacity=F(3, 2))
         fog = FogControl("fog1", FogProfile(), net)
         topo = net.topology
         capacity = {lid: link.capacity for lid, link in topo.links.items()}
@@ -295,15 +301,10 @@ class TestNonDecimalRates:
         removals = ("tenth-be", "third-gbr", "seventh-be", "third-be", "tenth-unsliced", "third-be-2", "tenth-gbr")
         steps += [("remove", fid) for fid in removals]
         congested = []
-        units = [net.unit]
         for action, arg in steps:
             if action == "install":
-                indexed = net._fair is not None
+                assert arg.flow_id != "seventh-be" or net._fair is not None  # into a live solver index
                 net.install_flow(arg)
-                if net.unit != units[-1]:
-                    units.append(net.unit)
-                    assert net._fair is None  # a rescale drops the index
-                    assert arg.flow_id != "seventh-be" or indexed
             else:
                 net.remove_flow(arg)
             net.recompute()
@@ -339,8 +340,22 @@ class TestNonDecimalRates:
             assert fog.physical_capacity() == physical
             offered = {lid: sum((f.gbr or f.demand for f in flows if lid in f.links), F(0)) for lid in capacity}
             congested.append(any(offered[lid] > capacity[lid] for lid in capacity))
-        assert units == [2, 10, 30, 210]
         assert any(congested) and not congested[-1]
+
+    def test_rate_outside_the_unit_raises_before_any_ledger_changes(self):
+        """A flow whose demand or guarantee is not a whole number of
+        `1/net.unit` Mb/s raises ValueError and leaves the flows and ledgers
+        as they were."""
+        net = make_net([F(1, 10)])
+        assert net.unit == 10
+        path = _ALLOC_PATHS[0]
+        net.install_flow(flow("tenth", path, demand=F(1, 10), gbr=F(1, 10)))
+        net.install_flow(flow("tenth-be", path, demand=F(1, 10)))
+        before = (dict(net.flows), dict(net._offered), dict(net._gbr), dict(net._best_effort))
+        for bad in (flow("third-be", path, demand=F(1, 3)), flow("third-gbr", path, demand=F(1, 3), gbr=F(1, 3))):
+            with pytest.raises(ValueError):
+                net.install_flow(bad)
+            assert (net.flows, net._offered, net._gbr, net._best_effort) == before
 
 
 def _random_walk(topo, rng, max_hops=5):
@@ -466,7 +481,7 @@ class TestMeshRoute:
                 if not any(l["id"] == lid for l in links):
                     links.append({"id": lid, "a": a, "b": b, "class": "MiddleMile",
                                   "capacity": rng.choice([5, 20, 50]), "latency_ms": 2})
-            net = NetworkState(build_from_config({"nodes": nodes, "links": links, "clusters": clusters}))
+            net = NetworkState(build_from_config({"nodes": nodes, "links": links, "clusters": clusters}), ())
             src, dst = rng.sample(clients + ["mmap", "pop"], 2)
             need = F(rng.choice([0, 10, 30]))
             expected = best_path(

@@ -15,9 +15,8 @@ import pytest
 from fognet.dataplane import FlowPath, InstalledFlow, NetworkState, RouteKind
 from fognet.engine import GbrOvercommit
 from fognet.fogctrl import FogControl, FogProfile
-from fognet.resources import ResourceClass
 from fognet.slicing import SliceManager, SliceSpec
-from fognet.topology import LINK_TO_RESOURCE, build_from_config
+from fognet.topology import LINK_TO_RESOURCE, ResourceClass, build_from_config
 from helpers import two_fog_doc
 from oracles import OracleFlow, _slice_cap_ok, maxmin_oracle
 
@@ -42,7 +41,8 @@ def _paths():
 
 
 def _build():
-    net = NetworkState(build_from_config(two_fog_doc()))
+    # the denominators of the random demands and guarantees below
+    net = NetworkState(build_from_config(two_fog_doc()), [F(1, 2), F(1, 3), F(1, 4)])
     fogs = {}
     for fog_id in net.topology.fogs():
         fog = FogControl(fog_id, FogProfile(), net)

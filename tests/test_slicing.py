@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fognet.resources import ResourceClass
 from fognet.slicing import (
     DuplicateOperator,
     ShareOvercommit,
     SliceManager,
     SliceSpec,
-    UnknownSlice,
 )
+from fognet.topology import ResourceClass
 from helpers import VOIP, FogEnv
 
 F = Fraction
@@ -118,42 +117,6 @@ class TestComputeAllocations:
         assert sm.entitled("a", ResourceClass.MACRO) == 60
         caps[ResourceClass.MACRO] = F(50)
         assert sm.entitled("a", ResourceClass.MACRO) == 30
-
-
-class TestPerSliceView:
-    def test_full_share_view_equals_physical(self):
-        sm = SliceManager(physical=fixed_physical(100))
-        sm.create_slice(spec("s1", "op1", 1))
-        runtimes = sm.compute_slice_allocations({"s1": {cls: F(100) for cls in ResourceClass.ALL}})
-        view = sm.per_slice_view("s1", runtimes)
-        for cls in ResourceClass.ALL:
-            assert view.total(cls) == 100
-
-    def test_idle_fractional_slice_view(self):
-        sm = SliceManager(physical=fixed_physical(100))
-        sm.create_slice(decimal_spec("a", "op1", 4, 10))
-        demands = {"a": {cls: F(40) for cls in ResourceClass.ALL}}
-        view = sm.per_slice_view("a", sm.compute_slice_allocations(demands))
-        for cls in ResourceClass.ALL:
-            assert view.total(cls) == 40
-
-    def test_view_after_diversion_equals_allocation_output(self):
-        sm = SliceManager(physical=fixed_physical(100))
-        sm.create_slice(decimal_spec("a", "op1", 6, 10))
-        sm.create_slice(decimal_spec("b", "op2", 4, 10))
-        demands = {
-            "a": {cls: F(90) for cls in ResourceClass.ALL},
-            "b": {cls: F(0) for cls in ResourceClass.ALL},
-        }
-        runtimes = sm.compute_slice_allocations(demands)
-        view = sm.per_slice_view("a", runtimes)
-        for cls in ResourceClass.ALL:
-            assert view.total(cls) == runtimes["a"].per_class[cls].granted == 90
-
-    def test_unknown_slice(self):
-        sm = SliceManager(physical=fixed_physical())
-        with pytest.raises(UnknownSlice):
-            sm.per_slice_view("ghost", {})
 
 
 class TestControlStateIsolation:
