@@ -13,22 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .dataplane import FlowPath, InstalledFlow, NoRoute, RouteKind, reverse_hops
+from .dataplane import InstalledFlow, NoRoute, RouteKind, reverse_hops
 from .engine import Engine, EventKind
-from .fogctrl import (
-    Attachment,
-    Candidate,
-    CloudUnreachable,
-    EndpointKind,
-    FlowDecision,
-    FlowSpec,
-    PolicyDenied,
-    RejectReason,
-    SessionRequired,
-    UnknownUser,
-    select_candidate,
-)
-from .util import ZERO
+from .fogctrl import REFUSALS, Attachment, Candidate, EndpointKind, FlowDecision, FlowSpec, RejectReason, refusal
 
 
 class FogIsolated(Exception):
@@ -202,12 +189,9 @@ class CloudControl:
 
         try:
             qos, gbr, slice_a = fa.classify_flow(spec)
-        except (SessionRequired, UnknownUser):
-            return FlowDecision.rejected(spec.flow_id, RejectReason.NOT_AUTHENTICATED)
-        except PolicyDenied as exc:
-            return FlowDecision.rejected(spec.flow_id, RejectReason.POLICY_DENIED, note=str(exc))
-        except CloudUnreachable:
-            return FlowDecision.rejected(spec.flow_id, RejectReason.CLOUD_UNREACHABLE)
+        except REFUSALS as exc:
+            return refusal(spec.flow_id, exc)
+        need = self.net.units(gbr)
         setup_ms = fa.control_latency_ms() + fb.control_latency_ms()
         slice_b = fb.slice_of_user(dst) if fb.has_user(dst) else None
 
@@ -220,12 +204,12 @@ class CloudControl:
         for skind, slink in fa.access_options(src):
             for dkind, dlink in fb.access_options(dst):
                 built = self._build_interfog(
-                    fa, fb, src, dst, slink.id, dlink.id, gw, gbr, slice_a, slice_b
+                    fa, fb, src, dst, slink.id, dlink.id, gw, need, slice_a, slice_b
                 )
                 if built is None:
-                    # with gbr == 0 the search without headroom just failed
-                    if gbr > 0 and self._build_interfog(
-                        fa, fb, src, dst, slink.id, dlink.id, gw, ZERO, None, None
+                    # with need == 0 the search without headroom just failed
+                    if need > 0 and self._build_interfog(
+                        fa, fb, src, dst, slink.id, dlink.id, gw, 0, None, None
                     ):
                         structural = True
                     continue
@@ -239,50 +223,33 @@ class CloudControl:
                         access_used={src: skind, dst: dkind},
                     )
                 )
-        if not candidates:
-            reason = RejectReason.GBR_ADMISSION_FAIL if structural else RejectReason.NO_ROUTE
-            return FlowDecision.rejected(spec.flow_id, reason, setup_ms=setup_ms)
-
         mobile_of = {src: fa.context_of(src).mobile, dst: fb.context_of(dst).mobile}
-        chosen, discriminator = select_candidate(
-            candidates, prefer_local=False, mobile_of=mobile_of, utilization=fa.scoring_utilization
-        )
-        path = FlowPath(
-            flow_id=spec.flow_id, src=src, dst=dst, hops=tuple(chosen.hops), rat_used=RouteKind.CLOUD_BOUND
-        )
-        latency = sum(self.net.topology.links[lid].latency_ms for lid in path.links())
-        fa.install_flow(spec, path, qos, gbr, slice_a, latency, reroute=reroute)
-        return FlowDecision(
-            flow_id=spec.flow_id,
-            accepted=True,
-            path=path,
-            qos=qos,
-            slice_id=slice_a,
-            discriminator=discriminator,
-            candidates=tuple(c.label for c in candidates),
-            setup_ms=setup_ms,
-            latency_ms=latency,
+        return fa.conclude(
+            spec, candidates, structural, (qos, gbr, slice_a), setup_ms,
+            prefer_local=False, mobile_of=mobile_of, reroute=reroute,
         )
 
     def _build_interfog(
-        self, fa, fb, src, dst, src_access, dst_access, gw, gbr, slice_a, slice_b
+        self, fa, fb, src, dst, src_access, dst_access, gw, need, slice_a, slice_b
     ) -> Optional[List[Tuple[str, str]]]:
+        """The hops through the gateway over links with `need` units of
+        headroom, within each fog's slice entitlement, or None."""
         try:
-            seg_a = fa._route(src, fa.pop, {src_access}, gbr, include_backhaul=False)
-            seg_b = fb._route(dst, fb.pop, {dst_access}, gbr, include_backhaul=False)
+            seg_a = fa._route(src, fa.pop, {src_access}, need, include_backhaul=False)
+            seg_b = fb._route(dst, fb.pop, {dst_access}, need, include_backhaul=False)
         except NoRoute:
             return None
-        bh_a = self._pick_backhaul(fa.fog_id, gbr)
-        bh_b = self._pick_backhaul(fb.fog_id, gbr)
+        bh_a = self._pick_backhaul(fa.fog_id, need)
+        bh_b = self._pick_backhaul(fb.fog_id, need)
         if bh_a is None or bh_b is None:
             return None
         hops = list(seg_a) + [(fa.pop, bh_a), (gw, bh_b)] + reverse_hops(seg_b, fb.pop)
         # each fog's slice cap covers its own segment plus its backhaul
         links_a = [lid for _, lid in seg_a] + [bh_a]
         links_b = [lid for _, lid in seg_b] + [bh_b]
-        if slice_a is not None and not fa.slice_gbr_ok(slice_a, links_a, gbr):
+        if slice_a is not None and not fa.slice_gbr_ok(slice_a, links_a, need):
             return None
-        if slice_b is not None and not fb.slice_gbr_ok(slice_b, links_b, gbr):
+        if slice_b is not None and not fb.slice_gbr_ok(slice_b, links_b, need):
             return None
         # guard against degenerate same-fog calls producing node repeats
         nodes = [n for n, _ in hops] + [dst]
@@ -290,9 +257,8 @@ class CloudControl:
             return None
         return hops
 
-    def _pick_backhaul(self, fog_id: str, gbr) -> Optional[str]:
-        """The fog's lowest-id Up backhaul with `gbr` of headroom, if any."""
-        need = self.net.units(gbr)
+    def _pick_backhaul(self, fog_id: str, need: int) -> Optional[str]:
+        """The fog's lowest-id Up backhaul with `need` units of headroom, if any."""
         for link in self.net.topology.backhaul_links(fog_id):
             if self.net.effective_up(link.id) and self.net.residual_units(link.id) >= need:
                 return link.id

@@ -12,25 +12,25 @@ load and congestion per link, guaranteed-rate (GBR) use per link, per
 capacity net of GBR, and an epoch for fog capacity caches (see its
 docstring for who updates what).
 
-Rates: flows (`InstalledFlow.demand`, `.gbr`), the public getters
-(`gbr_reserved`, `admission_residual`, `slice_gbr`, `allocated`,
-`link_allocated`, `alloc`) and `constrained_route`'s `min_residual` are
-exact `Fraction`s in Mb/s. Every ledger is a plain `int` in units of
+Rates: flows (`InstalledFlow.demand`, `.gbr`), `allocated()` and `alloc`
+are exact `Fraction`s in Mb/s. Every ledger is a plain `int` in units of
 `1/NetworkState.unit` Mb/s (`util.in_units`), and so is what the
-`*_units` readers return to the controllers and metrics; the one
-exception is a link's best-effort total while congested, a `Fraction` of
-units, since max-min levels need not be whole units. The unit is fixed
-when the state is built, from every rate a flow can hold; a rate that is
-not a whole number of it raises ValueError. Installs, removals,
-congestion and headroom tests add and compare ints; a rate becomes a
-`Fraction` again only in a getter.
+`*_units` readers return and what `constrained_route` takes as `need`;
+the one exception is a link's best-effort total while congested, a
+`Fraction` of units, since max-min levels need not be whole units. The
+unit is fixed when the state is built, from every rate a flow can hold; a
+rate that is not a whole number of it raises ValueError. `install_flow`
+and `remove_flow` convert a flow's rates, and the controllers convert a
+request's guarantee once (`FogControl.handle_flow_request`,
+`CloudControl.setup_interfog_path`); installs, removals, congestion and
+headroom tests then add and compare ints.
 
 Fluid allocations: a GBR flow always carries its guarantee. While no link
 is congested every best-effort flow carries its demand, and `allocated()`
-and `link_allocated()` derive rates from the installed flows. While some
+and `load_units()` derive rates from the installed flows. While some
 link is congested, `recompute()` hands the max-min solver the best-effort
 flows against the net-of-GBR capacities, as a `FairShareIndex` kept across
-solves. `alloc` holds the solve's output, and `link_allocated()` reads the
+solves. `alloc` holds the solve's output, and `load_units()` reads the
 link's best-effort total that the solve left in the index.
 
 Routing is a minimum-hop search over a set of permitted link ids. Which
@@ -134,10 +134,11 @@ class NetworkState:
     `unit` is fixed at build: the least common multiple of the
     denominators of the link capacities and of `rates`, every rate a flow
     may hold. `install_flow` refuses any other rate with a ValueError
-    before it changes a ledger. The public getters
-    (`gbr_reserved`, `admission_residual`, `slice_gbr`, `allocated`,
-    `link_allocated`) return exact `Fraction`s in Mb/s; the `*_units`
-    readers return the ledger ints for the controllers and metrics.
+    before it changes a ledger. The `*_units` readers (`capacity_units`,
+    `residual_units`, `slice_gbr_units`, `sliceable_units`,
+    `offered_units`, `load_units`) return the ledgers in units to the
+    controllers and metrics; only `allocated()` returns a `Fraction` in
+    Mb/s, a flow's own rate or its max-min share.
 
     Each fact below is kept in one place and updated where it changes,
     never recounted:
@@ -154,11 +155,11 @@ class NetworkState:
       `remove_flow`.
     - Guaranteed-rate (GBR) ledger, in O(path) per `install_flow` and
       `remove_flow` of a flow with `gbr > 0`: `_gbr` (per link, read by
-      `gbr_reserved`), `_be_capacity` (per link, capacity net of `_gbr`:
-      what the max-min solver shares among best-effort flows),
-      `_unsliced_gbr` (per link, the guarantees of flows without a slice,
-      read by `sliceable_units`) and `_slice_gbr` (per (slice, resource
-      class), read by `slice_gbr`).
+      `load_units`), `_be_capacity` (per link, capacity net of `_gbr`:
+      what the max-min solver shares among best-effort flows, read by
+      `residual_units`), `_unsliced_gbr` (per link, the guarantees of
+      flows without a slice, read by `sliceable_units`) and `_slice_gbr`
+      (per (slice, resource class), read by `slice_gbr_units`).
     - `_best_effort` (installed flows with `gbr == 0`): `install_flow`
       and `remove_flow`.
     - `epoch`: bumped by `set_link_state`, `set_node_state` and the
@@ -176,7 +177,7 @@ class NetworkState:
       last `recompute()`, filled only while some link is congested;
       otherwise it is empty and rates come from the installed flows
       themselves. A GBR flow's rate is always its own `gbr`. While
-      congested, `link_allocated()` is the link's `_gbr` plus the
+      congested, `load_units()` is the link's `_gbr` plus the
       best-effort total of the same solve, read from `_fair`; like
       `alloc`, it is current once `recompute()` has run after the last
       install or removal.
@@ -240,25 +241,16 @@ class NetworkState:
 
     # -- reservations and load --------------------------------------------
 
-    def gbr_reserved(self, link_id: str) -> Fraction:
-        return Fraction(self._gbr.get(link_id, 0), self.unit)
-
-    def admission_residual(self, link_id: str) -> Fraction:
-        return Fraction(self._be_capacity[link_id], self.unit)
-
-    def slice_gbr(self, slice_id: str, resource_class: str) -> Fraction:
-        """GBR held by the slice's flows on links of the class, counted
-        once per flow per listed link."""
-        return Fraction(self._slice_gbr.get((slice_id, resource_class), 0), self.unit)
-
     def capacity_units(self, link_id: str) -> int:
         return self._capacity[link_id]
 
     def residual_units(self, link_id: str) -> int:
-        """`admission_residual` in units."""
+        """Admission headroom: capacity net of the guarantees held."""
         return self._be_capacity[link_id]
 
     def slice_gbr_units(self, slice_id: str, resource_class: str) -> int:
+        """GBR held by the slice's flows on links of the class, counted
+        once per flow per listed link."""
         return self._slice_gbr.get((slice_id, resource_class), 0)
 
     def sliceable_units(self, link_id: str) -> int:
@@ -347,14 +339,14 @@ class NetworkState:
     def recompute(self) -> None:
         if not self._congested:
             # uncongested fast path: every flow carries its own rate, which
-            # allocated() and link_allocated() read off the installed flows
+            # allocated() and load_units() read off the installed flows
             self.alloc = {}
             self._fair = None
             return
         overcommitted = [lid for lid in self._congested if self._be_capacity[lid] < 0]
         if overcommitted:
             lid = min(overcommitted)
-            raise GbrOvercommit(lid, self.gbr_reserved(lid), self.topology.links[lid].capacity)
+            raise GbrOvercommit(lid, Fraction(self._gbr[lid], self.unit), self.topology.links[lid].capacity)
         if self._fair is None:
             self._fair = FairShareIndex(self._best_effort.values(), self.unit)
         self.alloc = recompute_fair_shares(self._fair, self._be_capacity)
@@ -370,8 +362,8 @@ class NetworkState:
         return self.alloc.get(flow_id, ZERO)
 
     def load_units(self, link_id: str) -> int | Fraction:
-        """`link_allocated` in units: an int, or while congested a
-        `Fraction` when the solve's levels are not whole units."""
+        """The link's allocated rate in units: an int, or while congested
+        a `Fraction` when the solve's levels are not whole units."""
         if not self._congested:
             # fast path: allocation equals offered load everywhere
             return self._offered.get(link_id, 0)
@@ -380,9 +372,6 @@ class NetworkState:
         fair = self._fair
         used = fair.best_effort_on(link_id) if fair is not None else 0
         return self._gbr.get(link_id, 0) + used
-
-    def link_allocated(self, link_id: str) -> Fraction:
-        return Fraction(self.load_units(link_id), self.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +383,11 @@ def constrained_route(
     src: str,
     dst: str,
     allowed: AbstractSet[str],
-    min_residual: Fraction = ZERO,
+    need: int = 0,
 ) -> List[Tuple[str, str]]:
     """Minimum-hop route over the Up links whose ids are in `allowed` and
-    whose admission residual is at least `min_residual` (when > 0).
+    whose admission headroom (`residual_units`) is at least `need` units
+    (when > 0).
 
     Ties break toward the smallest lexicographic node-id sequence (then
     smallest link id between the same pair). Raises NoRoute when the
@@ -407,7 +397,6 @@ def constrained_route(
         return []
     adjacency = net.topology.adjacency()
     links = net.topology.links
-    need = net.units(min_residual)
     residual = net._be_capacity
 
     def usable(lid: str) -> bool:  # for a link in `allowed`
@@ -446,12 +435,11 @@ def constrained_route(
     return hops
 
 
-def mesh_route(
-    net: NetworkState, src: str, dst: str, min_residual: Fraction = ZERO
-) -> List[Tuple[str, str]]:
-    """Route within the middle-mile graph of the source's fog."""
+def mesh_route(net: NetworkState, src: str, dst: str, need: int = 0) -> List[Tuple[str, str]]:
+    """Route within the middle-mile graph of the source's fog, over links
+    with `need` units of headroom."""
     mesh = net.topology.fog_domain(net.topology.fog_of(src)).mesh
-    return constrained_route(net, src, dst, mesh, min_residual)
+    return constrained_route(net, src, dst, mesh, need)
 
 
 def reverse_hops(hops: List[Tuple[str, str]], end: str) -> List[Tuple[str, str]]:
@@ -472,7 +460,7 @@ class LruCache:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        self._store: "OrderedDict[str, int]" = OrderedDict()
+        self._store: "OrderedDict[str, None]" = OrderedDict()  # keys in LRU -> MRU order
         self.hits = 0
         self.misses = 0
 
@@ -484,24 +472,22 @@ class LruCache:
         """Residency check without touching counters or recency."""
         return content_id in self._store
 
-    def lookup(self, content_id: str, now_ms: int = 0) -> bool:
+    def lookup(self, content_id: str) -> bool:
         if content_id in self._store:
             self._store.move_to_end(content_id)
-            self._store[content_id] = now_ms
             self.hits += 1
             return True
         self.misses += 1
         return False
 
-    def insert(self, content_id: str, now_ms: int = 0) -> Optional[str]:
+    def insert(self, content_id: str) -> Optional[str]:
         evicted = None
         if content_id in self._store:
             self._store.move_to_end(content_id)
-            self._store[content_id] = now_ms
             return None
         if len(self._store) >= self.capacity:
             evicted, _ = self._store.popitem(last=False)
-        self._store[content_id] = now_ms
+        self._store[content_id] = None
         return evicted
 
     def resident(self) -> List[str]:

@@ -194,12 +194,13 @@ class FairShareIndex:
         if not bucket:
             del self.buckets[demand]
 
-    def best_effort_on(self, link_id: str) -> Fraction:
+    def best_effort_on(self, link_id: str) -> int | Fraction:
         """Sum of the last solve's rates over the best-effort flows on the
-        link, in units (levels need not add up to whole units)."""
+        link, in units (levels need not add up to whole units); 0 on a
+        link that none of them crosses."""
         spent = self.spent.get(link_id)
         if spent is None:
-            return ZERO
+            return 0
         start, a, b, ln, ld, k = spent
         return Fraction(start * b * ld - a * ld + ln * k * b, b * ld)
 

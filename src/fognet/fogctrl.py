@@ -232,6 +232,18 @@ class FlowDecision:
         )
 
 
+REFUSALS = (SessionRequired, UnknownUser, PolicyDenied, CloudUnreachable)
+
+
+def refusal(flow_id: str, exc: ControlError) -> FlowDecision:
+    """The rejection for a `classify_flow` refusal, one of `REFUSALS`."""
+    if isinstance(exc, PolicyDenied):
+        return FlowDecision.rejected(flow_id, RejectReason.POLICY_DENIED, note=str(exc))
+    if isinstance(exc, CloudUnreachable):
+        return FlowDecision.rejected(flow_id, RejectReason.CLOUD_UNREACHABLE)
+    return FlowDecision.rejected(flow_id, RejectReason.NOT_AUTHENTICATED)
+
+
 def select_candidate(
     candidates: List[Candidate],
     *,
@@ -321,7 +333,7 @@ class FogControl:
         self.pop = net.topology.pop_of(fog_id)
         self.macro_bs = net.topology.macro_of(fog_id)
         self.domain = net.topology.fog_domain(fog_id)
-        self._physical: Dict[str, Fraction] = {}
+        self._physical: Dict[str, int] = {}
         self._physical_epoch = -1  # NetworkState.epoch of `_physical`
         self._segments: Dict[Tuple[str, str, bool], Optional[Tuple[Tuple[str, str], ...]]] = {}
         net.watch_health(self._prune_segments)
@@ -465,7 +477,7 @@ class FogControl:
         src: str,
         dst: str,
         access_links: Set[str],
-        gbr: Fraction,
+        need: int,
         include_backhaul: bool,
     ) -> List[Tuple[str, str]]:
         """`constrained_route` over the request's access links, the fog's
@@ -474,21 +486,20 @@ class FogControl:
         when `dst` is a user.
 
         The route without headroom comes from `_structural_route`. A GBR
-        request reuses it when every hop has `gbr` of headroom: it is then
+        request reuses it when every hop has `need` units of headroom: it is then
         also the lexicographically first minimum-hop route over the links
         with headroom. Otherwise it searches those links afresh.
         """
         hops = self._structural_route(src, dst, access_links, include_backhaul)
         if hops is None:
             raise NoRoute(f"no route {src} -> {dst}", src)
-        need = self.net.units(gbr)
         if need > 0:
             residual = self.net.residual_units
             if any(residual(lid) < need for _, lid in hops):
                 allowed = self.domain.mesh | access_links
                 if include_backhaul:
                     allowed |= self.domain.backhaul_ids
-                return constrained_route(self.net, src, dst, allowed, gbr)
+                return constrained_route(self.net, src, dst, allowed, need)
         return hops
 
     def _structural_route(
@@ -550,11 +561,10 @@ class FogControl:
             if not segment or (element != key[1] and all(element not in hop for hop in segment))
         }
 
-    def slice_gbr_ok(self, slice_id: Optional[str], links: List[str], gbr: Fraction) -> bool:
+    def slice_gbr_ok(self, slice_id: Optional[str], links: List[str], need: int) -> bool:
         """Guaranteed admissions are capped at the slice's entitlement,
-        never at borrowed capacity."""
+        never at borrowed capacity; `need` is the guarantee in units."""
         net = self.net
-        need = net.units(gbr)
         if need <= 0 or slice_id is None or self.slice_manager is None:
             return True
         all_links = net.topology.links
@@ -564,10 +574,7 @@ class FogControl:
             if cls is not None:
                 new_per_class[cls] = new_per_class.get(cls, 0) + 1
         for cls, count in new_per_class.items():
-            # units against share x capacity (Mb/s), cross-multiplied
-            entitled = self.slice_manager.entitled(slice_id, cls)
-            used = net.slice_gbr_units(slice_id, cls) + count * need
-            if used * entitled.denominator > entitled.numerator * net.unit:
+            if net.slice_gbr_units(slice_id, cls) + count * need > self.slice_manager.entitled(slice_id, cls):
                 return False
         return True
 
@@ -577,7 +584,7 @@ class FogControl:
         src: str,
         end: str,
         access_links: Set[str],
-        gbr: Fraction,
+        need: int,
         slice_id: Optional[str],
         rat: RouteKind,
         access_used: Dict[str, str],
@@ -585,16 +592,16 @@ class FogControl:
         """Returns (candidate or None, structurally-routable?)."""
         include_backhaul = rat == RouteKind.CLOUD_BOUND
         try:
-            hops = self._route(src, end, access_links, gbr, include_backhaul)
+            hops = self._route(src, end, access_links, need, include_backhaul)
         except NoRoute:
             # a GBR request may fail on headroom alone; the memo knows
             return None, self._structural_route(src, end, access_links, include_backhaul) is not None
-        if not self.slice_gbr_ok(slice_id, [lid for _, lid in hops], gbr):
+        if not self.slice_gbr_ok(slice_id, [lid for _, lid in hops], need):
             return None, True
         return Candidate(label=label, hops=hops, end=end, rat=rat, access_used=access_used), True
 
     def _user_candidates(
-        self, spec: FlowSpec, gbr: Fraction, slice_id: str
+        self, spec: FlowSpec, need: int, slice_id: str
     ) -> Tuple[List[Candidate], bool]:
         src, dst = spec.src.ident, spec.dst.ident
         out: List[Candidate] = []
@@ -606,7 +613,7 @@ class FogControl:
                     src=src,
                     end=dst,
                     access_links={slink.id, dlink.id},
-                    gbr=gbr,
+                    need=need,
                     slice_id=slice_id,
                     rat=RouteKind.INTRA_FOG_LOCAL,
                     access_used={src: skind, dst: dkind},
@@ -617,7 +624,7 @@ class FogControl:
         return out, structural
 
     def _tail_candidates(
-        self, spec: FlowSpec, gbr: Fraction, slice_id: str, target: str, rat: RouteKind, tag: str
+        self, spec: FlowSpec, need: int, slice_id: str, target: str, rat: RouteKind, tag: str
     ) -> Tuple[List[Candidate], bool]:
         """Candidates from the source user to a fixed node (PoP or gateway)."""
         src = spec.src.ident
@@ -629,7 +636,7 @@ class FogControl:
                 src=src,
                 end=target,
                 access_links={slink.id},
-                gbr=gbr,
+                need=need,
                 slice_id=slice_id,
                 rat=rat,
                 access_used={src: skind},
@@ -649,14 +656,9 @@ class FogControl:
     def handle_flow_request(self, spec: FlowSpec, *, reroute: bool = False) -> FlowDecision:
         try:
             qos, gbr, slice_id = self.classify_flow(spec)
-        except SessionRequired:
-            return FlowDecision.rejected(spec.flow_id, RejectReason.NOT_AUTHENTICATED)
-        except UnknownUser:
-            return FlowDecision.rejected(spec.flow_id, RejectReason.NOT_AUTHENTICATED)
-        except PolicyDenied as exc:
-            return FlowDecision.rejected(spec.flow_id, RejectReason.POLICY_DENIED, note=str(exc))
-        except CloudUnreachable:
-            return FlowDecision.rejected(spec.flow_id, RejectReason.CLOUD_UNREACHABLE)
+        except REFUSALS as exc:
+            return refusal(spec.flow_id, exc)
+        need = self.net.units(gbr)
         setup_ms = self.control_latency_ms()
 
         try:
@@ -679,26 +681,26 @@ class FogControl:
                 )
             if not self.access_options(spec.dst.ident):
                 return FlowDecision.rejected(spec.flow_id, RejectReason.NO_COVERAGE, setup_ms=setup_ms)
-            candidates, structural = self._user_candidates(spec, gbr, slice_id)
+            candidates, structural = self._user_candidates(spec, need, slice_id)
         elif spec.dst.kind == EndpointKind.CONTENT:
             if not (self.profile.cache_in_fog and self.cache) and not self.connected():
                 return FlowDecision.rejected(spec.flow_id, RejectReason.FOG_ISOLATED, setup_ms=setup_ms)
             hit = False
             if self.profile.cache_in_fog and self.cache:
-                hit = self.cache.lookup(spec.dst.ident, self.clock())
+                hit = self.cache.lookup(spec.dst.ident)
                 note = "cache_hit" if hit else "cache_miss"
                 if not hit:
                     # fetch-through fill happens as part of request handling
-                    self.cache.insert(spec.dst.ident, self.clock())
+                    self.cache.insert(spec.dst.ident)
             if hit:
                 cands, ok = self._tail_candidates(
-                    spec, gbr, slice_id, self.pop, RouteKind.INTRA_FOG_LOCAL, "cache"
+                    spec, need, slice_id, self.pop, RouteKind.INTRA_FOG_LOCAL, "cache"
                 )
                 candidates.extend(cands)
                 structural = structural or ok
             if self.connected():
                 cands, ok = self._tail_candidates(
-                    spec, gbr, slice_id, self.net.topology.gateway_id(), RouteKind.CLOUD_BOUND, "fetch"
+                    spec, need, slice_id, self.net.topology.gateway_id(), RouteKind.CLOUD_BOUND, "fetch"
                 )
                 candidates.extend(cands)
                 structural = structural or ok
@@ -710,20 +712,42 @@ class FogControl:
             if not self.connected():
                 return FlowDecision.rejected(spec.flow_id, RejectReason.FOG_ISOLATED, setup_ms=setup_ms)
             candidates, structural = self._tail_candidates(
-                spec, gbr, slice_id, self.net.topology.gateway_id(), RouteKind.CLOUD_BOUND, "egress"
+                spec, need, slice_id, self.net.topology.gateway_id(), RouteKind.CLOUD_BOUND, "egress"
             )
         else:  # pragma: no cover - enum is closed
             raise UnknownEndpoint(str(spec.dst))
 
-        labels = tuple(c.label for c in candidates)
+        mobile_of = {uid: self.context_of(uid).mobile for c in candidates for uid in c.access_used}
+        return self.conclude(
+            spec, candidates, structural, (qos, gbr, slice_id), setup_ms,
+            prefer_local=local, mobile_of=mobile_of, note=note, reroute=reroute,
+        )
+
+    def conclude(
+        self,
+        spec: FlowSpec,
+        candidates: List[Candidate],
+        structural: bool,
+        classified: Tuple[QosClass, Fraction, str],
+        setup_ms: int,
+        *,
+        prefer_local: bool,
+        mobile_of: Dict[str, bool],
+        note: str = "",
+        reroute: bool = False,
+    ) -> FlowDecision:
+        """The end of every flow decision, fog-local or inter-fog.
+
+        With no admissible candidate the request fails admission when some
+        candidate was routable without headroom (`structural`), else it has
+        no route. Otherwise rules 2..4 pick the candidate, and the flow is
+        installed along it with the classification (qos, guarantee, slice)."""
         if not candidates:
             reason = RejectReason.GBR_ADMISSION_FAIL if structural else RejectReason.NO_ROUTE
             return FlowDecision.rejected(spec.flow_id, reason, note=note, setup_ms=setup_ms)
-
-        mobile_of = {uid: self.context_of(uid).mobile for c in candidates for uid in c.access_used}
         chosen, discriminator = select_candidate(
             candidates,
-            prefer_local=local,
+            prefer_local=prefer_local,
             mobile_of=mobile_of,
             utilization=self.scoring_utilization,
         )
@@ -735,6 +759,7 @@ class FogControl:
             rat_used=chosen.rat,
         )
         latency = sum(self.net.topology.links[lid].latency_ms for lid in path.links())
+        qos, gbr, slice_id = classified
         self.install_flow(spec, path, qos, gbr, slice_id, latency, reroute=reroute)
         return FlowDecision(
             flow_id=spec.flow_id,
@@ -743,7 +768,7 @@ class FogControl:
             qos=qos,
             slice_id=slice_id,
             discriminator=discriminator,
-            candidates=labels,
+            candidates=tuple(c.label for c in candidates),
             setup_ms=setup_ms,
             latency_ms=latency,
             note=note,
@@ -783,9 +808,9 @@ class FogControl:
         `Topology.fog_domain`; do not mutate."""
         return self.domain.metered.get(cls, [])
 
-    def physical_capacity(self) -> Dict[str, Fraction]:
-        """Per-class sliceable capacity: Up links net of unsliced reservations
-        (`NetworkState.sliceable_units`, a per-link ledger).
+    def physical_capacity(self) -> Dict[str, int]:
+        """Per-class sliceable capacity in units: Up links net of unsliced
+        reservations (`NetworkState.sliceable_units`, a per-link ledger).
 
         Computed once per `NetworkState.epoch`, which moves exactly when
         link or node health or an unsliced GBR flow changes; the returned
@@ -793,10 +818,7 @@ class FogControl:
         net = self.net
         if self._physical_epoch != net.epoch:
             self._physical = {
-                cls: Fraction(
-                    sum(net.sliceable_units(link.id) for link in self.fog_links(cls) if net.effective_up(link.id)),
-                    net.unit,
-                )
+                cls: sum(net.sliceable_units(link.id) for link in self.fog_links(cls) if net.effective_up(link.id))
                 for cls in ResourceClass.ALL
             }
             self._physical_epoch = net.epoch

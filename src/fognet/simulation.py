@@ -320,7 +320,9 @@ class Simulation:
         """Slice report rows; written at ticks and capacity-change events.
 
         Admission uses live entitlements, so reporting granularity does not
-        affect behavior."""
+        affect behavior. Entitlements, demands and grants are in the
+        network state's units until they are written."""
+        unit = self.net.unit
         for fog_id in sorted(self.fogs):
             fog = self.fogs[fog_id]
             manager = fog.slice_manager
@@ -329,21 +331,15 @@ class Simulation:
             for sid in manager.slice_ids():
                 runtime = runtimes[sid]
                 for cls, alloc in runtime.per_class.items():
-                    self.slice_rows.append(
-                        "\t".join(
-                            [
-                                str(now_ms),
-                                fog_id,
-                                sid,
-                                cls,
-                                rate_str(alloc.entitled),
-                                rate_str(alloc.demand),
-                                rate_str(alloc.granted),
-                            ]
-                        )
-                    )
+                    # each rate x in units as exact Mb/s, x / unit, built without a division
+                    rates = (alloc.entitled, alloc.demand, alloc.granted)
+                    mbps = (rate_str(Fraction(x.numerator, x.denominator * unit)) for x in rates)
+                    self.slice_rows.append("\t".join([str(now_ms), fog_id, sid, cls, *mbps]))
 
-    def _slice_demands(self, fog: FogControl) -> Dict[str, Dict[str, Fraction]]:
+    def _slice_demands(self, fog: FogControl) -> Dict[str, Dict[str, int]]:
+        """Per slice and resource class, in units: the rate (guarantee, else
+        demand) of each flow the fog's slice owns, once per class its path
+        touches."""
         net = self.net
         demands: Dict[str, Dict[str, int]] = {sid: {} for sid in fog.slice_manager.slice_ids()}
         links = net.topology.links
@@ -355,7 +351,7 @@ class Simulation:
             for cls in {LINK_TO_RESOURCE.get(links[lid].link_class) for lid in flow.links}:
                 if cls is not None:
                     per[cls] = per.get(cls, 0) + want
-        return {sid: {cls: Fraction(total, net.unit) for cls, total in per.items()} for sid, per in demands.items()}
+        return demands
 
     # -- handlers ----------------------------------------------------------------
 

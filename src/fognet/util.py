@@ -2,16 +2,18 @@
 
 Every rate is exact, so conservation checks hold with no float tolerance.
 Config files may spell rates as ints, decimals, or "p/q" strings, which
-`to_rate` parses into a `fractions.Fraction` in Mb/s; configs, flows and
-every public getter and output carry rates in that form.
+`to_rate` parses into a `fractions.Fraction` in Mb/s; configs, flows,
+a flow's allocated rate and every output carry rates in that form.
 
-Ledgers and the max-min solver hold rates as plain `int` multiples of one
-exact unit instead, `1/unit` Mb/s, fixed when the network state is built;
-`in_units` raises ValueError for a rate that is not a whole number of it.
-Adding and comparing ints costs a fraction of the same `Fraction` work. A
-`Fraction` is made only where a division happens (a max-min level, a
-slice share times a capacity, a utilization) and where a rate leaves a
-ledger for a getter or an output.
+Ledgers, the controllers' admission tests and the max-min solver hold
+rates as plain `int` multiples of one exact unit instead, `1/unit` Mb/s,
+fixed when the network state is built; `in_units` raises ValueError for a
+rate that is not a whole number of it. A rate is converted once where it
+enters (a flow at install and removal, a request's guarantee when a
+controller takes it). Adding and comparing ints costs a fraction of the
+same `Fraction` work. A `Fraction` is made only where a division happens
+(a max-min level, a slice share times a capacity, a utilization) and
+where a rate leaves for an output (`rate_str`, `fmt6`).
 """
 
 from __future__ import annotations

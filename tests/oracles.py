@@ -207,7 +207,8 @@ def _slice_cap_ok(fog, slice_id: str, links: Sequence[str], gbr: Fraction) -> bo
             for lid in flow.path.links():
                 if LINK_TO_RESOURCE.get(all_links[lid].link_class) == cls:
                     used += flow.gbr
-        if used + count * gbr > fog.slice_manager.entitled(slice_id, cls):
+        # the fog's entitlements are in its network state's units
+        if used + count * gbr > fog.slice_manager.entitled(slice_id, cls) / fog.net.unit:
             return False
     return True
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fognet.cloudctrl import FogIsolated
+from fognet.dataplane import FlowPath, InstalledFlow, RouteKind
 from fognet.engine import Engine
 from fognet.fogctrl import Attachment, Endpoint, RejectReason
 from helpers import CONTENT, VOIP, WEB, CloudEnv
@@ -66,6 +67,18 @@ class TestInterFogPath:
         assert backhauls == ["bh-f1", "bh-f2"]
         assert "gw" in decision.path.nodes()
         assert decision.path.nodes()[0] == "f1-u1" and decision.path.nodes()[-1] == "f2-u1"
+
+    def test_gbr_needs_headroom_on_the_remote_backhaul(self):
+        # bh-f2 (capacity 100) keeps 0.4 of headroom, below the 0.5 guarantee;
+        # the filler holds another slice's guarantee, so slice s1's
+        # entitlement alone would admit the request
+        env = CloudEnv(demands=[F(1, 2), F(498, 5)])
+        fill = FlowPath(flow_id="fill", src="pop-f2", dst="gw", hops=(("pop-f2", "bh-f2"),), rat_used=RouteKind.CLOUD_BOUND)
+        env.net.install_flow(InstalledFlow("fill", fill, F(498, 5), F(498, 5), "other", VOIP, 0, 10.0))
+        decision = env.cloud.setup_interfog_path(env.spec("x1", "f1-u1", "f2-u1", app_class=VOIP))
+        assert not decision.accepted and decision.reason == RejectReason.GBR_ADMISSION_FAIL
+        env.net.remove_flow("fill")
+        assert env.cloud.setup_interfog_path(env.spec("x1", "f1-u1", "f2-u1", app_class=VOIP)).accepted
 
     def test_remote_fog_isolated(self):
         env = CloudEnv()

@@ -154,7 +154,7 @@ _ALLOC_PATHS = [
 
 class TestAllocation:
     def test_random_sequences_match_fair_share_solver(self):
-        """allocated()/link_allocated() equal the max-min solver's answer
+        """allocated()/load_units() equal the max-min solver's answer
         after every recompute(), on and off the uncongested fast path."""
         demands = [F(n, d) for n in range(9) for d in (1, 2, 3)]  # and half of each as a guarantee
         net = make_net(
@@ -177,7 +177,7 @@ class TestAllocation:
                 demand = F(rng.randint(0, 8), rng.choice([1, 2, 3]))
                 gbr = F(0)
                 if demand > 0 and rng.random() < 0.25:
-                    if all(net.admission_residual(lid) >= demand / 2 for _, lid in hops):
+                    if all(net.residual_units(lid) >= net.units(demand / 2) for _, lid in hops):
                         gbr = demand / 2
                 net.install_flow(flow(f"f{serial}", hops, demand=demand, gbr=gbr))
             net.recompute()
@@ -190,7 +190,7 @@ class TestAllocation:
             assert net.allocated("not-installed") == F(0)
             for lid in capacity:
                 on_link = sum((expected[f.flow_id] for f in net.flows.values() if lid in f.links), F(0))
-                assert net.link_allocated(lid) == on_link
+                assert net.load_units(lid) == on_link * net.unit
 
             offered = {}
             for f in net.flows.values():
@@ -236,7 +236,7 @@ class TestKeptFairShareIndex:
                 demand = rng.choice(demands)
                 gbr = F(0)
                 if demand > 0 and hops is not twice and rng.random() < 0.25:
-                    if all(net.admission_residual(lid) >= demand for _, lid in hops):
+                    if all(net.residual_units(lid) >= net.units(demand) for _, lid in hops):
                         gbr = demand
                 new = flow(f"f{serial}", hops, demand=demand, gbr=gbr, slice_id=rng.choice(["s1", "s2"]))
                 try:
@@ -250,7 +250,7 @@ class TestKeptFairShareIndex:
             assert (net._fair is not None) == congested
             if congested:
                 best_effort = [f for f in net.flows.values() if f.gbr == 0]
-                residual = {lid: net.admission_residual(lid) for lid in capacity}
+                residual = {lid: F(net.residual_units(lid), net.unit) for lid in capacity}
                 assert net.alloc == recompute_fair_shares(best_effort, residual)
                 kept += net._fair is fair
             else:
@@ -272,7 +272,7 @@ class TestKeptFairShareIndex:
                         recount += oracle[f.flow_id] * f.links.count(lid)
                     elif lid in f.links:
                         recount += oracle[f.flow_id]
-                assert net.link_allocated(lid) == recount
+                assert net.load_units(lid) == recount * net.unit
         assert seen == {"gbr", "zero", "twice", "be"}
         assert transitions > 10 and kept > 100
 
@@ -314,9 +314,9 @@ class TestNonDecimalRates:
                 assert net.allocated(fid) == oracle[fid]
             for lid, cap in capacity.items():
                 gbr = sum((f.gbr * f.links.count(lid) for f in flows if f.gbr > 0), F(0))
-                assert net.gbr_reserved(lid) == gbr
-                assert net.admission_residual(lid) == cap - gbr
-                assert net.link_allocated(lid) == sum((oracle[f.flow_id] for f in flows if lid in f.links), F(0))
+                assert net._gbr.get(lid, 0) == gbr * net.unit
+                assert net.residual_units(lid) == (cap - gbr) * net.unit
+                assert net.load_units(lid) == sum((oracle[f.flow_id] for f in flows if lid in f.links), F(0)) * net.unit
                 assert net.flows_on_link(lid) == sorted(f.flow_id for f in flows if lid in f.links)
             for slice_id in ("s1", "s2"):
                 for cls in ResourceClass.ALL:
@@ -330,14 +330,14 @@ class TestNonDecimalRates:
                         ),
                         F(0),
                     )
-                    assert net.slice_gbr(slice_id, cls) == used
+                    assert net.slice_gbr_units(slice_id, cls) == used * net.unit
             physical = {cls: F(0) for cls in ResourceClass.ALL}
             for link in topo.links.values():
                 cls = LINK_TO_RESOURCE.get(link.link_class)
                 if cls is not None:
                     unsliced = sum((f.gbr for f in flows if f.slice_id is None and link.id in f.links), F(0))
                     physical[cls] += link.capacity - unsliced
-            assert fog.physical_capacity() == physical
+            assert fog.physical_capacity() == {cls: total * net.unit for cls, total in physical.items()}
             offered = {lid: sum((f.gbr or f.demand for f in flows if lid in f.links), F(0)) for lid in capacity}
             congested.append(any(offered[lid] > capacity[lid] for lid in capacity))
         assert any(congested) and not congested[-1]
@@ -443,7 +443,7 @@ class TestMeshRoute:
         net = make_net(mesh_cross_link=True)
         # reserve most of the direct link mmap->mmc2
         net.install_flow(flow("g", [("mmap", "mm-mmap-mmc2")], demand=F(45), gbr=F(45)))
-        hops = mesh_route(net, "mmap", "mmc2", min_residual=F(10))
+        hops = mesh_route(net, "mmap", "mmc2", need=net.units(F(10)))
         assert [l for _, l in hops] == ["mm-mmap-mmc1", "mm-mmc1-mmc2"]
 
     def test_random_meshes_match_exhaustive_oracle(self):
@@ -489,9 +489,9 @@ class TestMeshRoute:
             )
             if expected is None:
                 with pytest.raises(NoRoute):
-                    mesh_route(net, src, dst, min_residual=need)
+                    mesh_route(net, src, dst, need=net.units(need))
             else:
-                assert mesh_route(net, src, dst, min_residual=need) == expected
+                assert mesh_route(net, src, dst, need=net.units(need)) == expected
 
 
 class TestLruCache:

@@ -92,6 +92,8 @@ class TestClassify:
         env = FogEnv(profile=FogProfile(pcrf_in_fog=False), cloud=FakeCloud(connected=False))
         with pytest.raises(CloudUnreachable):
             env.fog.classify_flow(env.spec("f", "u1", "u2"))
+        decision = env.fog.handle_flow_request(env.spec("f", "u1", "u2"))
+        assert not decision.accepted and decision.reason == RejectReason.CLOUD_UNREACHABLE
 
     def test_remote_pcrf_adds_setup_latency(self):
         env = FogEnv(profile=FogProfile(pcrf_in_fog=False), cloud=FakeCloud(connected=True))
@@ -322,7 +324,7 @@ class TestPhysicalCapacity:
         before = env.fog.physical_capacity()[ResourceClass.MIDDLE_MILE]
         env.net.set_link_state("mm-mmap-mmc1", False)
         after = env.fog.physical_capacity()[ResourceClass.MIDDLE_MILE]
-        assert after == before - F(50)
+        assert after == before - 50 * env.net.unit
 
 
 class TestHandover:
@@ -401,12 +403,12 @@ class TestRouteMemo:
     flaps and guaranteed-rate installs that drain headroom."""
 
     @staticmethod
-    def fresh_search(net, fog, src, end, access, gbr, via_backhaul):
+    def fresh_search(net, fog, src, end, access, need, via_backhaul):
         allowed = fog.domain.mesh | access
         if via_backhaul:
             allowed |= fog.domain.backhaul_ids
         try:
-            return constrained_route(net, src, end, allowed, gbr)
+            return constrained_route(net, src, end, allowed, need)
         except NoRoute:
             return None
 
@@ -423,14 +425,14 @@ class TestRouteMemo:
                     for end, end_access, via_backhaul in ends:
                         access = {slink.id} | end_access
                         structural = None
-                        for g in (F(0), gbr):
-                            expected = self.fresh_search(net, fog, src, end, access, g, via_backhaul)
+                        for need in (0, net.units(gbr)):
+                            expected = self.fresh_search(net, fog, src, end, access, need, via_backhaul)
                             try:
-                                got = fog._route(src, end, access, g, via_backhaul)
+                                got = fog._route(src, end, access, need, via_backhaul)
                             except NoRoute:
                                 got = None
-                            assert got == expected, (fog.fog_id, src, end, sorted(access), g, via_backhaul)
-                            if g == 0:
+                            assert got == expected, (fog.fog_id, src, end, sorted(access), need, via_backhaul)
+                            if need == 0:
                                 structural = expected
                             elif structural and expected != structural:
                                 counts["no_headroom" if expected is None else "detour"] += 1
@@ -471,7 +473,7 @@ class TestRouteMemo:
                 access = {rng.choice(topo.access_links(src)).id} if src in users else set()
                 gbr = rng.choice(gbrs)
                 end, via_backhaul = rng.choice([(fog.pop, False), (topo.gateway_id(), True)])
-                hops = self.fresh_search(net, fog, src, end, access, gbr, via_backhaul)
+                hops = self.fresh_search(net, fog, src, end, access, net.units(gbr), via_backhaul)
                 if hops:
                     path = FlowPath(f"g{step}", src, end, tuple(hops), RouteKind.WLAN_VIA_MIDDLE_MILE)
                     # a sliced install leaves the epoch, and so the memo, in place

@@ -120,7 +120,7 @@ class TestRunScenario:
         backhaul_ids = [lid for lid, link in config.topology.links.items() if link.link_class == LinkClass.BACKHAUL]
 
         def backhaul_rates():
-            return {lid: sim.net.link_allocated(lid) for lid in backhaul_ids}
+            return {lid: Fraction(sim.net.load_units(lid), sim.net.unit) for lid in backhaul_ids}
 
         # (time, backhaul link rates) after every rate change, from t = 0
         history = [(0, backhaul_rates())]

@@ -64,6 +64,7 @@ def _flow(fid, hops, demand, gbr, slice_id):
 
 
 def _physical_recount(net, fog_id):
+    """Each class's sliceable capacity in the network state's units."""
     topo = net.topology
     out = {cls: F(0) for cls in ResourceClass.ALL}
     for lid, link in topo.links.items():
@@ -76,16 +77,16 @@ def _physical_recount(net, fog_id):
         for flow in net.flows.values():
             if flow.slice_id is None and flow.gbr > 0 and lid in flow.path.links():
                 out[cls] -= flow.gbr
-    return out
+    return {cls: total * net.unit for cls, total in out.items()}
 
 
 def _check(net, fogs, rng, paths, seen):
     topo = net.topology
     for lid, link in topo.links.items():
         gbr = sum((f.gbr * f.path.links().count(lid) for f in net.flows.values() if f.gbr > 0), F(0))
-        assert net.gbr_reserved(lid) == gbr
-        assert net.admission_residual(lid) == link.capacity - gbr
-        assert net.admission_residual(lid) == link.capacity - net.gbr_reserved(lid)
+        assert net._gbr.get(lid, 0) == gbr * net.unit
+        assert net.residual_units(lid) == (link.capacity - gbr) * net.unit
+        assert net.residual_units(lid) == net.capacity_units(lid) - net._gbr.get(lid, 0)
     for slice_id, _, _ in SLICES:
         for cls in ResourceClass.ALL:
             used = F(0)
@@ -94,7 +95,7 @@ def _check(net, fogs, rng, paths, seen):
                     for lid in f.path.links():
                         if LINK_TO_RESOURCE.get(topo.links[lid].link_class) == cls:
                             used += f.gbr
-            assert net.slice_gbr(slice_id, cls) == used
+            assert net.slice_gbr_units(slice_id, cls) == used * net.unit
 
     for fog_id, fog in fogs.items():
         physical = fog.physical_capacity()
@@ -105,14 +106,14 @@ def _check(net, fogs, rng, paths, seen):
             links = [lid for _, lid in hops]
             slice_id = rng.choice(SLICES)[0]
             gbr = F(rng.randint(1, 12), 4)
-            ok = fog.slice_gbr_ok(slice_id, links, gbr)
+            ok = fog.slice_gbr_ok(slice_id, links, net.units(gbr))
             assert ok == _slice_cap_ok(fog, slice_id, links, gbr)
             seen.add(("slice_gbr_ok", ok))
 
     # a forced overcommit on an Up link still raises from recompute()
     up = sorted(lid for lid in topo.links if net.effective_up(lid))
     lid = rng.choice(up)
-    over = _flow("overcommit", [(topo.links[lid].a, lid)], F(0), net.admission_residual(lid) + 1, "s1")
+    over = _flow("overcommit", [(topo.links[lid].a, lid)], F(0), F(net.residual_units(lid), net.unit) + 1, "s1")
     net.install_flow(over)
     with pytest.raises(GbrOvercommit) as raised:
         net.recompute()
@@ -127,9 +128,9 @@ def _check(net, fogs, rng, paths, seen):
     for fid in net.flows:
         assert net.allocated(fid) == oracle[fid]
     for lid in capacity:
-        assert net.link_allocated(lid) == sum(
+        assert net.load_units(lid) == sum(
             (oracle[f.flow_id] for f in net.flows.values() if lid in f.links), F(0)
-        )
+        ) * net.unit
     seen.add(("congested", bool(net._congested)))
 
 
@@ -163,7 +164,7 @@ def test_ledger_matches_recounts_and_oracles(seed):
                     net.install_flow(_flow(f"f{serial}", hops, demand, F(0), rng.choice(["s1", "s2", None])))
                 else:
                     gbr = F(rng.randint(1, 8), 4)
-                    if all(net.admission_residual(lid) >= gbr for _, lid in hops):
+                    if all(net.residual_units(lid) >= net.units(gbr) for _, lid in hops):
                         slice_id = rng.choice(["s1", "s2"]) if kind == "sliced" else None
                         net.install_flow(_flow(f"f{serial}", hops, gbr, gbr, slice_id))
         _check(net, fogs, rng, paths, seen)
