@@ -177,6 +177,7 @@ class Topology:
     clusters: Dict[str, Cluster]
     _adj: Dict[str, List[str]] = field(default=None, compare=False, repr=False)
     _domains: Dict[str, FogDomain] = field(default=None, compare=False, repr=False)
+    _gateway: Optional[str] = field(default=None, compare=False, repr=False)
 
     # -- indexed lookups -------------------------------------------------
 
@@ -231,10 +232,13 @@ class Topology:
         return sorted(out, key=lambda n: n.id)
 
     def gateway_id(self) -> str:
-        gws = self.nodes_of_kind(NodeKind.CLOUD_GATEWAY)
-        if not gws:
-            raise InvalidTopology([Violation("MissingCloudGateway", "-", "no CloudGateway node")])
-        return gws[0].id
+        """The lowest-id CloudGateway node (cached once found)."""
+        if self._gateway is None:
+            gws = self.nodes_of_kind(NodeKind.CLOUD_GATEWAY)
+            if not gws:
+                raise InvalidTopology([Violation("MissingCloudGateway", "-", "no CloudGateway node")])
+            self._gateway = gws[0].id
+        return self._gateway
 
     def pop_of(self, fog: str) -> str:
         pops = self.nodes_of_kind(NodeKind.POP, fog)

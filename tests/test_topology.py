@@ -14,6 +14,7 @@ from fognet.topology import (
     LinkClass,
     LinkState,
     MissingPoP,
+    Node,
     NodeKind,
     Topology,
     TopologyGenParams,
@@ -256,3 +257,19 @@ class TestFogDomain:
             domain = topo.fog_domain(fog)
             assert domain.mesh == set() and domain.backhaul == [] and domain.metered == {}
         assert topo.backhaul_links("nope") == []
+
+
+class TestGateway:
+    def test_gateway_is_the_lowest_id_gateway_node(self):
+        topo = build_from_config(two_fog_doc())
+        assert topo.gateway_id() == topo.gateway_id() == "gw"
+        nodes = {**topo.nodes, "a-gw": Node(id="a-gw", kind=NodeKind.CLOUD_GATEWAY)}
+        assert Topology(nodes, topo.links, topo.clusters).gateway_id() == "a-gw"
+
+    def test_missing_gateway_raises_on_every_call(self):
+        topo = build_from_config(two_fog_doc())
+        nodes = {nid: node for nid, node in topo.nodes.items() if node.kind != NodeKind.CLOUD_GATEWAY}
+        bare = Topology(nodes, topo.links, topo.clusters)
+        for _ in range(2):
+            with pytest.raises(InvalidTopology, match="MissingCloudGateway"):
+                bare.gateway_id()
