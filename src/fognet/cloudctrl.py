@@ -193,7 +193,6 @@ class CloudControl:
             return refusal(spec.flow_id, exc)
         need = self.net.units(gbr)
         setup_ms = fa.control_latency_ms() + fb.control_latency_ms()
-        slice_b = fb.slice_of_user(dst) if fb.has_user(dst) else None
 
         if not fa.access_options(src) or not fb.access_options(dst):
             return FlowDecision.rejected(spec.flow_id, RejectReason.NO_COVERAGE, setup_ms=setup_ms)
@@ -203,14 +202,10 @@ class CloudControl:
         structural = False
         for skind, slink in fa.access_options(src):
             for dkind, dlink in fb.access_options(dst):
-                built = self._build_interfog(
-                    fa, fb, src, dst, slink.id, dlink.id, gw, need, slice_a, slice_b
-                )
+                built = self._build_interfog(fa, fb, src, dst, slink.id, dlink.id, gw, need, slice_a)
                 if built is None:
                     # with need == 0 the search without headroom just failed
-                    if need > 0 and self._build_interfog(
-                        fa, fb, src, dst, slink.id, dlink.id, gw, 0, None, None
-                    ):
+                    if need > 0 and self._build_interfog(fa, fb, src, dst, slink.id, dlink.id, gw, 0, None):
                         structural = True
                     continue
                 structural = True
@@ -230,10 +225,12 @@ class CloudControl:
         )
 
     def _build_interfog(
-        self, fa, fb, src, dst, src_access, dst_access, gw, need, slice_a, slice_b
+        self, fa, fb, src, dst, src_access, dst_access, gw, need, slice_id
     ) -> Optional[List[Tuple[str, str]]]:
         """The hops through the gateway over links with `need` units of
-        headroom, within each fog's slice entitlement, or None."""
+        headroom, within the entitlement of the source user's slice in
+        each fog, or None. The flow is that slice's in both fogs: each
+        fog checks it on the links of the path it meters."""
         try:
             seg_a = fa._route(src, fa.pop, {src_access}, need, include_backhaul=False)
             seg_b = fb._route(dst, fb.pop, {dst_access}, need, include_backhaul=False)
@@ -244,12 +241,8 @@ class CloudControl:
         if bh_a is None or bh_b is None:
             return None
         hops = list(seg_a) + [(fa.pop, bh_a), (gw, bh_b)] + reverse_hops(seg_b, fb.pop)
-        # each fog's slice cap covers its own segment plus its backhaul
-        links_a = [lid for _, lid in seg_a] + [bh_a]
-        links_b = [lid for _, lid in seg_b] + [bh_b]
-        if slice_a is not None and not fa.slice_gbr_ok(slice_a, links_a, need):
-            return None
-        if slice_b is not None and not fb.slice_gbr_ok(slice_b, links_b, need):
+        links = [lid for _, lid in hops]
+        if not (fa.slice_gbr_ok(slice_id, links, need) and fb.slice_gbr_ok(slice_id, links, need)):
             return None
         # guard against degenerate same-fog calls producing node repeats
         nodes = [n for n, _ in hops] + [dst]

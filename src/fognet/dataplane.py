@@ -7,9 +7,10 @@ content cache.
 
 `NetworkState` keeps each load fact in one incremental ledger, updated by
 `install_flow`, `remove_flow` and the health setters in O(path): offered
-load and congestion per link, guaranteed-rate (GBR) use per link, per
-(slice, resource class) and of unsliced flows per link, each link's
-capacity net of GBR, and an epoch for fog capacity caches (see its
+load and congestion per link, guaranteed-rate (GBR) use per link and of
+unsliced flows per link, each link's capacity net of GBR, the Down
+links, and per fog the slices' GBR use and demand and the sliceable
+capacity of each resource class, plus an epoch for fog caches (see its
 docstring for who updates what).
 
 Rates: flows (`InstalledFlow.demand`, `.gbr`), `allocated()` and `alloc`
@@ -52,7 +53,7 @@ from math import lcm
 from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .engine import FairShareIndex, GbrOvercommit, recompute_fair_shares
-from .topology import LINK_TO_RESOURCE, LinkState, Topology
+from .topology import LinkState, ResourceClass, Topology
 from .util import ZERO, in_units
 
 
@@ -135,8 +136,9 @@ class NetworkState:
     denominators of the link capacities and of `rates`, every rate a flow
     may hold. `install_flow` refuses any other rate with a ValueError
     before it changes a ledger. The `*_units` readers (`capacity_units`,
-    `residual_units`, `slice_gbr_units`, `sliceable_units`,
-    `offered_units`, `load_units`) return the ledgers in units to the
+    `residual_units`, `slice_gbr_units`, `slice_demand_units`,
+    `sliceable_units`, `fog_sliceable_units`, `offered_units`,
+    `load_units`) return the ledgers in units to the
     controllers and metrics; only `allocated()` returns a `Fraction` in
     Mb/s, a flow's own rate or its max-min share.
 
@@ -157,14 +159,30 @@ class NetworkState:
       `remove_flow` of a flow with `gbr > 0`: `_gbr` (per link, read by
       `load_units`), `_be_capacity` (per link, capacity net of `_gbr`:
       what the max-min solver shares among best-effort flows, read by
-      `residual_units`), `_unsliced_gbr` (per link, the guarantees of
-      flows without a slice, read by `sliceable_units`) and `_slice_gbr`
-      (per (slice, resource class), read by `slice_gbr_units`).
+      `residual_units`) and `_unsliced_gbr` (per link, the guarantees of
+      flows without a slice, read by `sliceable_units`).
+    - Per-fog slice ledgers. At build each metered link gets its
+      (fog, resource class) keys, `_meter_keys`: one per fog at either
+      end, as in `Topology.fog_domain(fog).metered`, so a link in two
+      fogs' domains counts in both. `_slice_gbr[(fog, slice, class)]`
+      holds the guarantees of the slice's flows on those links, once per
+      listing (`slice_gbr_units`). `_slice_demand[(fog, slice, class)]`
+      holds each sliced flow's guarantee, else its demand, once per
+      distinct key of its path (`slice_demand_units`); a path's keys are
+      memoized by its link tuple in `_path_keys`. Both change in O(path)
+      with `install_flow` and `remove_flow`.
+    - `_down` (the links that are Down or have a Down end node, read by
+      `effective_up`) and `_sliceable[(fog, class)]` (`sliceable_units`
+      summed over the Up links of the key, read by
+      `fog_sliceable_units`): `set_link_state`, and `set_node_state`
+      through the node's incident links. An unsliced reservation on an
+      Up link also moves `_sliceable`.
     - `_best_effort` (installed flows with `gbr == 0`): `install_flow`
       and `remove_flow`.
     - `epoch`: bumped by `set_link_state`, `set_node_state` and the
       install or removal of an unsliced GBR flow, the inputs of each
-      fog's sliceable capacity (`FogControl.physical_capacity`).
+      fog's sliceable capacity (`FogControl.physical_capacity`) and of
+      its slices' entitlements (`FogControl.entitlements`).
       `set_link_state` and `set_node_state` also tell each callback given
       to `watch_health`.
     - `_fair`: the max-min solver's index of the best-effort flows, which
@@ -193,9 +211,6 @@ class NetworkState:
         self.alloc: Dict[str, Fraction] = {}
         self.epoch = 0
         self._health_watchers: List[Callable[[str, bool], None]] = []
-        self._resource_of: Dict[str, Optional[str]] = {
-            lid: LINK_TO_RESOURCE.get(link.link_class) for lid, link in topology.links.items()
-        }
         self.unit = lcm(
             *(link.capacity.denominator for link in topology.links.values()),
             *(rate.denominator for rate in rates),
@@ -206,12 +221,32 @@ class NetworkState:
         self._gbr: Dict[str, int] = {}
         self._be_capacity: Dict[str, int] = dict(self._capacity)
         self._unsliced_gbr: Dict[str, int] = {}
-        self._slice_gbr: Dict[Tuple[str, str], int] = {}
         self._best_effort: Dict[str, InstalledFlow] = {}
         self._fair: Optional[FairShareIndex] = None
         self._on_link: Dict[str, Set[str]] = {}
         self._offered: Dict[str, int] = {}
         self._congested: Set[str] = set()
+        # (fog, resource class) of each metered link, one per fog metering it
+        meter_keys: Dict[str, List[Tuple[str, str]]] = {}
+        for fog in topology.fogs():
+            for cls, links in topology.fog_domain(fog).metered.items():
+                if cls is not None:
+                    for link in links:
+                        meter_keys.setdefault(link.id, []).append((fog, cls))
+        self._meter_keys: Dict[str, Tuple[Tuple[str, str], ...]] = {
+            lid: tuple(keys) for lid, keys in meter_keys.items()
+        }
+        self._path_keys: Dict[Tuple[str, ...], Tuple[Tuple[str, str], ...]] = {}
+        self._slice_gbr: Dict[Tuple[str, str, str], int] = {}
+        self._slice_demand: Dict[Tuple[str, str, str], int] = {}
+        self._down: Set[str] = {lid for lid, up in self.link_up.items() if not up}
+        self._sliceable: Dict[Tuple[str, str], int] = {
+            (fog, cls): 0 for fog in topology.fogs() for cls in ResourceClass.ALL
+        }
+        for lid, keys in self._meter_keys.items():
+            if lid not in self._down:
+                for key in keys:
+                    self._sliceable[key] += self._capacity[lid]
 
     def units(self, rate: Fraction) -> int:
         """`rate` (Mb/s) in units; raises ValueError unless it is a whole number of them."""
@@ -220,8 +255,8 @@ class NetworkState:
     # -- health ----------------------------------------------------------
 
     def effective_up(self, link_id: str) -> bool:
-        link = self.topology.links[link_id]
-        return self.link_up[link_id] and self.node_up[link.a] and self.node_up[link.b]
+        """The link and both its end nodes are Up."""
+        return link_id not in self._down
 
     def watch_health(self, callback: Callable[[str, bool], None]) -> None:
         """Call `callback(element, up)` on every link or node state change."""
@@ -229,15 +264,33 @@ class NetworkState:
 
     def set_link_state(self, link_id: str, up: bool) -> None:
         self.link_up[link_id] = up
+        self._update_effective(link_id)
         self.epoch += 1
         for callback in self._health_watchers:
             callback(link_id, up)
 
     def set_node_state(self, node_id: str, up: bool) -> None:
         self.node_up[node_id] = up
+        for lid in self.topology.adjacency().get(node_id, ()):
+            self._update_effective(lid)
         self.epoch += 1
         for callback in self._health_watchers:
             callback(node_id, up)
+
+    def _update_effective(self, link_id: str) -> None:
+        """Bring `_down` and `_sliceable` up to date with the link's health."""
+        link = self.topology.links[link_id]
+        up = self.link_up[link_id] and self.node_up[link.a] and self.node_up[link.b]
+        if up != (link_id in self._down):
+            return
+        if up:
+            self._down.discard(link_id)
+            change = self.sliceable_units(link_id)
+        else:
+            self._down.add(link_id)
+            change = -self.sliceable_units(link_id)
+        for key in self._meter_keys.get(link_id, ()):
+            self._sliceable[key] += change
 
     # -- reservations and load --------------------------------------------
 
@@ -248,14 +301,23 @@ class NetworkState:
         """Admission headroom: capacity net of the guarantees held."""
         return self._be_capacity[link_id]
 
-    def slice_gbr_units(self, slice_id: str, resource_class: str) -> int:
-        """GBR held by the slice's flows on links of the class, counted
-        once per flow per listed link."""
-        return self._slice_gbr.get((slice_id, resource_class), 0)
+    def slice_gbr_units(self, fog_id: str, slice_id: str, resource_class: str) -> int:
+        """GBR held by the slice's flows on the fog's metered links of the
+        class, counted once per flow per listed link."""
+        return self._slice_gbr.get((fog_id, slice_id, resource_class), 0)
+
+    def slice_demand_units(self, fog_id: str, slice_id: str, resource_class: str) -> int:
+        """The rate (guarantee, else demand) of the slice's flows that use
+        a metered link of the class in the fog, once per flow."""
+        return self._slice_demand.get((fog_id, slice_id, resource_class), 0)
 
     def sliceable_units(self, link_id: str) -> int:
         """The link's capacity net of the guarantees of unsliced flows."""
         return self._capacity[link_id] - self._unsliced_gbr.get(link_id, 0)
+
+    def fog_sliceable_units(self, fog_id: str, resource_class: str) -> int:
+        """`sliceable_units` summed over the fog's Up metered links of the class."""
+        return self._sliceable.get((fog_id, resource_class), 0)
 
     def offered_units(self, link_id: str) -> int:
         return self._offered.get(link_id, 0)
@@ -277,7 +339,7 @@ class NetworkState:
         if flow.flow_id in self.flows:
             raise DuplicateFlow(f"flow {flow.flow_id} already installed", flow.flow_id)
         for lid in flow.links:
-            if not self.effective_up(lid):
+            if lid in self._down:
                 raise LinkDown(f"link {lid} is down", lid)
         gbr = self.units(flow.gbr)
         want = gbr or self.units(flow.demand)
@@ -288,6 +350,8 @@ class NetworkState:
             self._best_effort[flow.flow_id] = flow
             if self._fair is not None:
                 self._fair.add(flow)
+        if flow.slice_id is not None:
+            self._add_demand(flow, want)
         capacity = self._capacity
         for lid in flow.links:
             self._on_link.setdefault(lid, set()).add(flow.flow_id)
@@ -309,6 +373,8 @@ class NetworkState:
             del self._best_effort[flow_id]
             if self._fair is not None:
                 self._fair.remove(flow)
+        if flow.slice_id is not None:
+            self._add_demand(flow, -want)
         capacity = self._capacity
         for lid in flow.links:
             self._on_link[lid].discard(flow_id)
@@ -321,18 +387,36 @@ class NetworkState:
     def _reserve(self, flow: InstalledFlow, gbr: int) -> None:
         """Add `gbr` units (negative to release) to the GBR ledger along the flow's path."""
         slice_id = flow.slice_id
+        meter_keys = self._meter_keys
         for lid in flow.links:
             self._gbr[lid] = self._gbr.get(lid, 0) + gbr
             self._be_capacity[lid] -= gbr
+            keys = meter_keys.get(lid, ())
             if slice_id is None:
                 self._unsliced_gbr[lid] = self._unsliced_gbr.get(lid, 0) + gbr
+                if lid not in self._down:
+                    for key in keys:
+                        self._sliceable[key] -= gbr
             else:
-                resource = self._resource_of[lid]
-                if resource is not None:
-                    key = (slice_id, resource)
+                for fog, cls in keys:
+                    key = (fog, slice_id, cls)
                     self._slice_gbr[key] = self._slice_gbr.get(key, 0) + gbr
         if slice_id is None:
             self.epoch += 1
+
+    def _add_demand(self, flow: InstalledFlow, want: int) -> None:
+        """Add `want` units (negative to release) to the slice's demand in
+        each (fog, resource class) that the flow's path meters."""
+        keys = self._path_keys.get(flow.links)
+        if keys is None:
+            meter_keys = self._meter_keys
+            keys = tuple(sorted({key for lid in flow.links for key in meter_keys.get(lid, ())}))
+            self._path_keys[flow.links] = keys
+        demand = self._slice_demand
+        slice_id = flow.slice_id
+        for fog, cls in keys:
+            key = (fog, slice_id, cls)
+            demand[key] = demand.get(key, 0) + want
 
     # -- allocation ---------------------------------------------------------
 
@@ -398,9 +482,10 @@ def constrained_route(
     adjacency = net.topology.adjacency()
     links = net.topology.links
     residual = net._be_capacity
+    down = net._down
 
     def usable(lid: str) -> bool:  # for a link in `allowed`
-        return net.effective_up(lid) and (need <= 0 or residual[lid] >= need)
+        return lid not in down and (need <= 0 or residual[lid] >= need)
 
     # Distance-to-destination by BFS, then a greedy lexicographic walk. The
     # walk only reads distances below src's, so the BFS stops at src's level.

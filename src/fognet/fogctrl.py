@@ -3,19 +3,23 @@
 One `FogControl` instance runs the control functions of a single fog
 element: per-slice control state (flow controller, mobility/load tracking,
 policy and charging, subscriber records with a session gate in front), the
-per-technology abstraction (each resource class's links and its sliceable
-capacity, `physical_capacity`), and flexible placement via `FogProfile`.
-Functions absent from the profile fall back to the cloud: each use costs a
-configurable round trip and fails while the fog is isolated.
+per-technology abstraction (each resource class's sliceable capacity,
+`physical_capacity`, and each slice's share of it, `entitlements`, both
+read from `NetworkState`'s per-fog ledgers once per epoch), and flexible
+placement via `FogProfile`. Functions absent from the profile fall back to
+the cloud: each use costs a configurable round trip and fails while the
+fog is isolated.
 
 Flows are not registered per slice or per user: the installed flows in
 `NetworkState` are the one record of them. A flow belongs to the slice
-in its `slice_id`, and a user's flows are `NetworkState.flows_at(user)`.
+in its `slice_id`, the source user's, in every fog whose metered links
+its path uses; a user's flows are `NetworkState.flows_at(user)`.
 
 Path selection is deliberately ordinal and deterministic:
 
 1. discard candidates that fail guaranteed-rate admission (per-hop
-   residual and the slice's per-class entitlement);
+   residual, and per class the slice's entitlement in this fog, on the
+   links this fog meters);
 2. prefer fog-local candidates over cloud-bound ones for local flows;
 3. prefer WLAN access for stationary users and macro for mobile ones;
 4. tie-break by lower bottleneck utilization (offered load over capacity),
@@ -27,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import floor
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .dataplane import (
@@ -333,8 +338,12 @@ class FogControl:
         self.pop = net.topology.pop_of(fog_id)
         self.macro_bs = net.topology.macro_of(fog_id)
         self.domain = net.topology.fog_domain(fog_id)
+        self._meters = {link.id: LINK_TO_RESOURCE[link.link_class] for link in self.domain.metered.get(None, ())}
         self._physical: Dict[str, int] = {}
         self._physical_epoch = -1  # NetworkState.epoch of `_physical`
+        self._entitled: Dict[Tuple[str, str], Fraction] = {}
+        self._ceiling: Dict[Tuple[str, str], int] = {}  # floors of `_entitled`
+        self._entitled_epoch = -1  # NetworkState.epoch of both
         self._segments: Dict[Tuple[str, str, bool], Optional[Tuple[Tuple[str, str], ...]]] = {}
         net.watch_health(self._prune_segments)
         # Hooks wired by the harness.
@@ -372,15 +381,6 @@ class FogControl:
 
     def context_of(self, user_id: str) -> UserContext:
         return self.racfs[self.slice_of_user(user_id)].contexts[user_id]
-
-    def owns_flow(self, flow: InstalledFlow) -> bool:
-        """Whether the flow counts toward this fog's slice `flow.slice_id`:
-        one of its path endpoints is a user registered here in that slice."""
-        path = flow.path
-        return flow.slice_id is not None and flow.slice_id in (
-            self._user_slice.get(path.src),
-            self._user_slice.get(path.dst),
-        )
 
     # -- connectivity and placement fallbacks --------------------------------
 
@@ -562,19 +562,28 @@ class FogControl:
         }
 
     def slice_gbr_ok(self, slice_id: Optional[str], links: List[str], need: int) -> bool:
-        """Guaranteed admissions are capped at the slice's entitlement,
-        never at borrowed capacity; `need` is the guarantee in units."""
-        net = self.net
+        """Guaranteed admissions are capped at the slice's entitlement in
+        this fog, never at borrowed capacity: on the links of `links` that
+        this fog meters, each class's guarantees stay within the slice's
+        share of it, and a slice this fog does not hold is entitled to
+        nothing here. `need` is the guarantee in units; since the ledger
+        holds ints, comparing with the entitlement's floor is exact."""
         if need <= 0 or slice_id is None or self.slice_manager is None:
             return True
-        all_links = net.topology.links
-        new_per_class: Dict[str, int] = {}
+        meters = self._meters
+        count: Dict[str, int] = {}
         for lid in links:
-            cls = LINK_TO_RESOURCE.get(all_links[lid].link_class)
+            cls = meters.get(lid)
             if cls is not None:
-                new_per_class[cls] = new_per_class.get(cls, 0) + 1
-        for cls, count in new_per_class.items():
-            if net.slice_gbr_units(slice_id, cls) + count * need > self.slice_manager.entitled(slice_id, cls):
+                count[cls] = count.get(cls, 0) + 1
+        if not count:
+            return True
+        self.entitlements()  # brings `_ceiling` to this epoch
+        ceiling = self._ceiling
+        used = self.net.slice_gbr_units
+        fog_id = self.fog_id
+        for cls, n in count.items():
+            if used(fog_id, slice_id, cls) + n * need > ceiling.get((slice_id, cls), 0):
                 return False
         return True
 
@@ -803,26 +812,29 @@ class FogControl:
 
     # -- abstraction -----------------------------------------------------------
 
-    def fog_links(self, cls: Optional[str] = None) -> List[Link]:
-        """The fog's metered links (of class `cls`, or all), by id, from
-        `Topology.fog_domain`; do not mutate."""
-        return self.domain.metered.get(cls, [])
-
     def physical_capacity(self) -> Dict[str, int]:
-        """Per-class sliceable capacity in units: Up links net of unsliced
-        reservations (`NetworkState.sliceable_units`, a per-link ledger).
+        """Per-class sliceable capacity in units: the fog's Up metered links
+        net of unsliced reservations (`NetworkState.fog_sliceable_units`).
 
-        Computed once per `NetworkState.epoch`, which moves exactly when
-        link or node health or an unsliced GBR flow changes; the returned
-        dict is shared until then, so do not mutate it."""
+        Kept once per `NetworkState.epoch`, which moves whenever link or
+        node health or an unsliced GBR flow changes; the returned dict is
+        shared until then, so do not mutate it."""
         net = self.net
         if self._physical_epoch != net.epoch:
-            self._physical = {
-                cls: sum(net.sliceable_units(link.id) for link in self.fog_links(cls) if net.effective_up(link.id))
-                for cls in ResourceClass.ALL
-            }
+            fog_id = self.fog_id
+            self._physical = {cls: net.fog_sliceable_units(fog_id, cls) for cls in ResourceClass.ALL}
             self._physical_epoch = net.epoch
         return self._physical
+
+    def entitlements(self) -> Dict[Tuple[str, str], Fraction]:
+        """(slice, class) -> the slice's entitlement in units, an exact
+        `Fraction` (`SliceManager.entitlements`). Kept once per
+        `NetworkState.epoch`, like `physical_capacity`; do not mutate."""
+        if self._entitled_epoch != self.net.epoch:
+            self._entitled = self.slice_manager.entitlements()
+            self._ceiling = {key: floor(entitled) for key, entitled in self._entitled.items()}
+            self._entitled_epoch = self.net.epoch
+        return self._entitled
 
     # -- mobility ----------------------------------------------------------------
 

@@ -39,7 +39,7 @@ from .fogctrl import (
 from .metrics import MetricsCollector, MetricsRecord
 from .scenario import ScenarioConfig
 from .slicing import SliceManager
-from .topology import LINK_TO_RESOURCE, LinkClass, NodeKind
+from .topology import LinkClass, NodeKind, ResourceClass
 from .util import fmt6, rate_str
 from .workload import (
     FaultEvent,
@@ -320,14 +320,18 @@ class Simulation:
         """Slice report rows; written at ticks and capacity-change events.
 
         Admission uses live entitlements, so reporting granularity does not
-        affect behavior. Entitlements, demands and grants are in the
-        network state's units until they are written."""
-        unit = self.net.unit
+        affect behavior. Entitlements, demands (`slice_demand_units`) and
+        grants are in the network state's units until they are written."""
+        net = self.net
+        unit = net.unit
         for fog_id in sorted(self.fogs):
             fog = self.fogs[fog_id]
             manager = fog.slice_manager
-            demands = self._slice_demands(fog)
-            runtimes = manager.compute_slice_allocations(demands)
+            demands = {
+                sid: {cls: net.slice_demand_units(fog_id, sid, cls) for cls in ResourceClass.ALL}
+                for sid in manager.slice_ids()
+            }
+            runtimes = manager.compute_slice_allocations(demands, fog.entitlements())
             for sid in manager.slice_ids():
                 runtime = runtimes[sid]
                 for cls, alloc in runtime.per_class.items():
@@ -335,23 +339,6 @@ class Simulation:
                     rates = (alloc.entitled, alloc.demand, alloc.granted)
                     mbps = (rate_str(Fraction(x.numerator, x.denominator * unit)) for x in rates)
                     self.slice_rows.append("\t".join([str(now_ms), fog_id, sid, cls, *mbps]))
-
-    def _slice_demands(self, fog: FogControl) -> Dict[str, Dict[str, int]]:
-        """Per slice and resource class, in units: the rate (guarantee, else
-        demand) of each flow the fog's slice owns, once per class its path
-        touches."""
-        net = self.net
-        demands: Dict[str, Dict[str, int]] = {sid: {} for sid in fog.slice_manager.slice_ids()}
-        links = net.topology.links
-        for flow in net.flows.values():  # exact sums in units: order-free
-            if not fog.owns_flow(flow):
-                continue
-            want = net.units(flow.gbr) or net.units(flow.demand)
-            per = demands[flow.slice_id]
-            for cls in {LINK_TO_RESOURCE.get(links[lid].link_class) for lid in flow.links}:
-                if cls is not None:
-                    per[cls] = per.get(cls, 0) + want
-        return demands
 
     # -- handlers ----------------------------------------------------------------
 

@@ -2,16 +2,17 @@
 
 Each slice owns a share of every resource class (`topology.ResourceClass`)
 of its fog's live sliceable capacity, which `FogControl.physical_capacity`
-sums from the network state's per-link ledgers. Idle entitlement is
-diverted to overloaded slices by entitlement-weighted progressive filling
-and reclaimed the moment the entitled operator's own demand returns.
+reads from the network state's per-fog ledger. Guaranteed rates are
+admitted only within that share. Idle entitlement is diverted to
+overloaded slices by entitlement-weighted progressive filling and
+reclaimed the moment the entitled operator's own demand returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .topology import ResourceClass
 from .util import ZERO
@@ -97,15 +98,24 @@ class SliceManager:
     def entitled(self, slice_id: str, cls: str) -> Fraction:
         return self.spec(slice_id).share(cls) * self._physical().get(cls, ZERO)
 
+    def entitlements(self) -> Dict[Tuple[str, str], Fraction]:
+        """(slice, class) -> `entitled`, for every slice and class."""
+        return {(sid, cls): self.entitled(sid, cls) for sid in self.slice_ids() for cls in ResourceClass.ALL}
+
     def compute_slice_allocations(
-        self, demands: Mapping[str, Mapping[str, Fraction]]
+        self,
+        demands: Mapping[str, Mapping[str, Fraction]],
+        entitlements: Optional[Mapping[Tuple[str, str], Fraction]] = None,
     ) -> Dict[str, SliceRuntime]:
         """Entitlement first, then leftover to unsatisfied slices.
 
         Per resource class every slice is granted min(demand, entitled);
         the leftover is spread over still-hungry slices proportionally to
         their entitlement shares, iterating until exhausted.
+        `entitlements` is `self.entitlements()` unless the caller keeps it.
         """
+        if entitlements is None:
+            entitlements = self.entitlements()
         physical = self._physical()
         runtimes = {
             sid: SliceRuntime(slice_id=sid, per_class={}) for sid in self.slice_ids()
@@ -114,9 +124,8 @@ class SliceManager:
             cap = physical.get(cls, ZERO)
             granted: Dict[str, Fraction] = {}
             for sid in self.slice_ids():
-                spec = self._specs[sid]
                 demand = demands.get(sid, {}).get(cls, ZERO)
-                entitled = spec.share(cls) * cap
+                entitled = entitlements[sid, cls]
                 granted[sid] = min(demand, entitled)
                 runtimes[sid].per_class[cls] = ClassAllocation(
                     entitled=entitled, demand=demand, granted=granted[sid]

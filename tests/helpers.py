@@ -201,9 +201,13 @@ def two_fog_doc():
 
 
 class CloudEnv:
-    """Full multi-fog wiring: one network, a cloud controller, fog controls."""
+    """Full multi-fog wiring: one network, a cloud controller, fog controls.
+    Every fog holds `slices` (one full-share slice by default), and users
+    take their operators in turn, by id."""
 
-    def __init__(self, doc=None, engine=None, profiles=None, policy=None, rtt_ms=20, demands=(Fraction(1, 2),)):
+    def __init__(
+        self, doc=None, engine=None, profiles=None, policy=None, rtt_ms=20, demands=(Fraction(1, 2),), slices=None
+    ):
         from fognet.cloudctrl import CloudControl
 
         self.topo = build_from_config(doc or two_fog_doc())
@@ -225,15 +229,18 @@ class CloudEnv:
             manager = SliceManager(physical=fog.physical_capacity)
             manager.on_create = fog.create_racf
             fog.slice_manager = manager
-            manager.create_slice(full_share_slice())
+            for spec in slices or [full_share_slice()]:
+                manager.create_slice(spec)
             self.cloud.register_fog(fog)
             self.fogs[fog_id] = fog
-        for node in self.topo.nodes_of_kind(NodeKind.USER):
+        operators = [spec.operator for spec in slices or [full_share_slice()]]
+        for i, node in enumerate(self.topo.nodes_of_kind(NodeKind.USER)):
             fog = self.fogs[node.fog]
+            operator = operators[i % len(operators)]
             record = UserRecord(
                 user_id=node.id,
                 token=f"tok-{node.id}",
-                operator="op1",
+                operator=operator,
                 allowed_classes=frozenset(self.policy),
                 max_gbr=Fraction(10),
             )
@@ -244,7 +251,7 @@ class CloudEnv:
             )
             fog.register_user(record, attachment)
             self.cloud.register_user(node.id, node.fog, attachment)
-            self.operator_of[node.id] = "op1"
+            self.operator_of[node.id] = operator
             try:
                 fog.authenticate_user(node.id, record.token)
             except Exception:
@@ -259,7 +266,7 @@ class CloudEnv:
             dst=dst,
             app_class=app_class,
             demand=Fraction(demand),
-            operator="op1",
+            operator=self.operator_of[src],
             start_ms=start_ms,
         )
 

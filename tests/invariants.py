@@ -4,30 +4,41 @@
 through `sim.engine.on`. It is registered after the simulator's own
 handlers, so it runs last for each event and sees the state that event
 left. The handler recounts from the installed flows (`net.flows`, each
-with the links of its path) and the link and node health alone, and asserts that each of these equals its
-recount:
+with the links of its path), the link and node health flags
+(`link_up`, `node_up`) and the topology alone, and asserts that each of
+these equals its recount:
 
 - `NetworkState._offered` (per link: each flow's guarantee, else its
   demand, once per listing of the link), `_gbr` (guarantees per link, per
-  listing), `_be_capacity` (capacity net of `_gbr`) and `_slice_gbr`
-  (guarantees per (slice, resource class), per listing), each an `int` in
+  listing) and `_be_capacity` (capacity net of `_gbr`), each an `int` in
   the network state's units of `1/net.unit` Mb/s; and `_congested` (links
   whose offered load exceeds capacity);
+- the per-fog slice ledgers, keyed by (fog, slice, resource class), where
+  a fog meters each link of a class with an end in it: `_slice_gbr`
+  (guarantees, per listing) and `_slice_demand` (each sliced flow's
+  guarantee, else its demand, once per key its path touches);
+- `_down` (the links that are Down or have a Down end node) and
+  `_sliceable` (per (fog, class): the Up metered links' capacity net of
+  the unsliced guarantees on them), and from them, for every fog,
+  `FogControl.physical_capacity()` and `FogControl.entitlements()` (each
+  slice's share of that capacity);
 - `flows_on_link` for every link, and `flows_at` for every node (the
-  flows on the links incident to it);
-- `FogControl.physical_capacity()` for every fog: its Up metered links of
-  each class, net of the unsliced guarantees on them;
-- `Simulation._slice_demands(fog)` for every fog: per slice and class, the
-  rate (guarantee, else demand) of each flow the fog's slice owns, once
-  per flow per class its path touches.
+  flows on the links incident to it).
 
-Both of the last two are in the network state's units. It also asserts,
-on every link, that no installed flow crosses it while it or one of its
-end nodes is Down, that its guarantees fit its capacity
-(`residual_units >= 0`) and that its allocated rate does too
-(`load_units <= capacity_units`).
+It also asserts that every installed path lists each link once; on every
+link, that no installed flow crosses it while it or one of its end nodes
+is Down, that its guarantees fit its capacity (`residual_units >= 0`) and
+that its allocated rate does too (`load_units <= capacity_units`).
 
-It returns a one-item list that counts the events checked.
+The slice entitlement holds after every admission: right after the
+install of each sliced flow with a guarantee, on every (fog, class) its
+path meters, the slice's guarantees there are at most its entitlement
+there. The check wraps `sim.net.install_flow`. It cannot be stated after
+every event: a link going Down lowers the entitlements of its fog and
+class while every guarantee on other links stays.
+
+It returns a two-item list: the events checked and the admissions
+checked.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from fognet.engine import EventKind
 from fognet.topology import LINK_TO_RESOURCE, ResourceClass
@@ -43,26 +54,24 @@ from fognet.topology import LINK_TO_RESOURCE, ResourceClass
 
 class _Layout:
     """What the recounts read of the network and fogs and never changes in
-    a run: each link's resource class and metering fogs, each user's
-    (fog, slice) registrations, and what follows from them (a flow's owner
-    fogs, the capacities at a common denominator), memoized."""
+    a run: each link's resource class, the fogs that meter it (those of
+    its end nodes) and its (fog, class) keys, and the capacities at a
+    common denominator, memoized."""
 
     def __init__(self, sim):
         topo = sim.net.topology
         self.resource = {lid: LINK_TO_RESOURCE.get(link.link_class) for lid, link in topo.links.items()}
         self.fogs_of = {
-            lid: {topo.nodes[link.a].fog, topo.nodes[link.b].fog} & set(sim.fogs)
+            lid: sorted({topo.nodes[link.a].fog, topo.nodes[link.b].fog} & set(sim.fogs))
             for lid, link in topo.links.items()
         }
-        self.slices_of: Dict[str, List[Tuple[str, str]]] = {}
-        for fog_id, fog in sim.fogs.items():
-            for user in topo.nodes:
-                if fog.has_user(user):
-                    self.slices_of.setdefault(user, []).append((fog_id, fog.slice_of_user(user)))
+        self.link_keys = {
+            lid: frozenset((fog, cls) for fog in self.fogs_of[lid]) if cls else frozenset()
+            for lid, cls in self.resource.items()
+        }
         self.capacity_den = lcm(*(link.capacity.denominator for link in topo.links.values()))
         self._links = topo.links
         self._capacities: Dict[int, Dict[str, int]] = {}
-        self._owners: Dict[Tuple[str, str, Optional[str]], Set[str]] = {}
 
     def capacities(self, den: int) -> Dict[str, int]:
         """Each link's capacity times `den`."""
@@ -72,17 +81,14 @@ class _Layout:
             }
         return self._capacities[den]
 
-    def owners(self, flow) -> Set[str]:
-        """The fogs whose slice `flow.slice_id` holds one of its path's end users."""
-        key = (flow.path.src, flow.path.dst, flow.slice_id)
-        if key not in self._owners:
-            self._owners[key] = {
-                fog_id
-                for end in key[:2]
-                for fog_id, slice_id in self.slices_of.get(end, ())
-                if slice_id == flow.slice_id
-            }
-        return self._owners[key]
+    def meter_keys(self, links) -> Set[Tuple[str, str]]:
+        """The (fog, class) keys that the links are metered under."""
+        return set().union(*(self.link_keys[lid] for lid in links))
+
+
+def _up(net, lid: str) -> bool:
+    link = net.topology.links[lid]
+    return net.link_up[lid] and net.node_up[link.a] and net.node_up[link.b]
 
 
 def check_state(sim, layout: _Layout) -> None:
@@ -92,6 +98,7 @@ def check_state(sim, layout: _Layout) -> None:
     net = sim.net
     links = net.topology.links
     resource = layout.resource
+    fogs_of = layout.fogs_of
     flows = list(net.flows.values())
     den = lcm(layout.capacity_den, *(rate.denominator for f in flows for rate in (f.demand, f.gbr)))
 
@@ -109,10 +116,11 @@ def check_state(sim, layout: _Layout) -> None:
     offered: Dict[str, int] = defaultdict(int)
     gbr: Dict[str, int] = defaultdict(int)
     unsliced: Dict[str, int] = defaultdict(int)
-    slice_gbr: Dict[Tuple[str, str], int] = defaultdict(int)
+    slice_gbr: Dict[Tuple[str, str, str], int] = defaultdict(int)  # (fog, slice, class)
     demands: Dict[Tuple[str, str, str], int] = defaultdict(int)  # (fog, slice, class)
     on_link: Dict[str, Set[str]] = defaultdict(set)
     for flow in flows:
+        assert len(set(flow.links)) == len(flow.links), ("link_listed_twice", flow.flow_id)
         guarantee = scaled(flow.gbr)
         want = guarantee if guarantee > 0 else scaled(flow.demand)
         for lid in flow.links:
@@ -123,13 +131,15 @@ def check_state(sim, layout: _Layout) -> None:
                 if flow.slice_id is None:
                     unsliced[lid] += guarantee
                 elif resource[lid] is not None:
-                    slice_gbr[flow.slice_id, resource[lid]] += guarantee
-        for fog_id in layout.owners(flow):
-            for cls in {resource[lid] for lid in flow.links} - {None}:
+                    for fog_id in fogs_of[lid]:
+                        slice_gbr[fog_id, flow.slice_id, resource[lid]] += guarantee
+        if flow.slice_id is not None:
+            for fog_id, cls in layout.meter_keys(flow.links):
                 demands[fog_id, flow.slice_id, cls] += want
 
     congested = set()
-    physical = {fog_id: {cls: 0 for cls in ResourceClass.ALL} for fog_id in sim.fogs}
+    down = set()
+    physical = {(fog_id, cls): 0 for fog_id in sim.fogs for cls in ResourceClass.ALL}
     at: Dict[str, Set[str]] = defaultdict(set)  # node -> flows on its incident links
     capacities = layout.capacities(den)
     for lid, link in links.items():
@@ -142,40 +152,86 @@ def check_state(sim, layout: _Layout) -> None:
         assert net.load_units(lid) <= net.capacity_units(lid), ("load_over_capacity", lid)
         if offered.get(lid, 0) > capacity:
             congested.add(lid)
-        up = net.link_up[lid] and net.node_up[link.a] and net.node_up[link.b]
+        up = _up(net, lid)
+        if not up:
+            down.add(lid)
         if lid in on_link:
             assert up, ("flow_on_down_link", lid)
             at[link.a] |= on_link[lid]
             at[link.b] |= on_link[lid]
         if resource[lid] is not None and up:
-            for fog_id in layout.fogs_of[lid]:
-                physical[fog_id][resource[lid]] += capacity - unsliced.get(lid, 0)
+            for fog_id in fogs_of[lid]:
+                physical[fog_id, resource[lid]] += capacity - unsliced.get(lid, 0)
     assert net._congested == congested
+    assert net._down == down
     flows_at = net.flows_at
     for node in net.topology.nodes:
         found = flows_at(node)
         assert found == (sorted(at[node]) if node in at else []), ("flows_at", node)
     for key in set(slice_gbr) | set(net._slice_gbr):
         assert same(net._slice_gbr.get(key, 0), slice_gbr.get(key, 0)), ("slice_gbr", key)
+    for key in set(demands) | set(net._slice_demand):
+        assert same(net._slice_demand.get(key, 0), demands.get(key, 0)), ("slice_demand", key)
+    for key in set(physical) | set(net._sliceable):
+        assert same(net._sliceable.get(key, 0), physical.get(key, 0)), ("sliceable", key)
 
     for fog_id, fog in sim.fogs.items():
-        expected = {cls: units(total) for cls, total in physical[fog_id].items()}
+        expected = {cls: units(physical[fog_id, cls]) for cls in ResourceClass.ALL}
         assert fog.physical_capacity() == expected, ("physical_capacity", fog_id)
-        per_slice: Dict[str, Dict[str, Fraction]] = {sid: {} for sid in fog.slice_manager.slice_ids()}
-        for (owner, slice_id, cls), total in demands.items():
-            if owner == fog_id:
-                per_slice[slice_id][cls] = units(total)
-        assert sim._slice_demands(fog) == per_slice, ("slice_demands", fog_id)
+        manager = fog.slice_manager
+        entitled = {
+            (sid, cls): manager.spec(sid).share(cls) * expected[cls]
+            for sid in manager.slice_ids()
+            for cls in ResourceClass.ALL
+        }
+        assert fog.entitlements() == entitled, ("entitlements", fog_id)
+
+
+def check_admission(sim, layout: _Layout, flow) -> None:
+    """Right after `flow`, a sliced flow with a guarantee, is installed:
+    on every (fog, class) its path meters, the slice's guarantees there (per
+    listing) are at most its share of the fog's Up capacity of the class,
+    net of unsliced guarantees. All in exact Mb/s."""
+    net = sim.net
+    keys = layout.meter_keys(flow.links)
+    used: Dict[Tuple[str, str], Fraction] = defaultdict(Fraction)
+    unsliced: Dict[str, Fraction] = defaultdict(Fraction)
+    for other in net.flows.values():
+        if other.gbr <= 0:
+            continue
+        for lid in other.links:
+            if other.slice_id is None:
+                unsliced[lid] += other.gbr
+            elif other.slice_id == flow.slice_id:
+                for key in layout.link_keys[lid] & keys:
+                    used[key] += other.gbr
+    capacity: Dict[Tuple[str, str], Fraction] = defaultdict(Fraction)
+    for lid, link in net.topology.links.items():
+        if _up(net, lid):
+            for key in layout.link_keys[lid] & keys:
+                capacity[key] += link.capacity - unsliced[lid]
+    for fog_id, cls in sorted(keys):
+        share = sim.fogs[fog_id].slice_manager.spec(flow.slice_id).share(cls)
+        assert used[fog_id, cls] <= share * capacity[fog_id, cls], ("over_entitlement", flow.flow_id, fog_id, cls)
 
 
 def check_after_every_event(sim) -> List[int]:
     layout = _Layout(sim)
-    checked = [0]
+    checked = [0, 0]
 
     def check(_event) -> None:
         check_state(sim, layout)
         checked[0] += 1
 
+    install = sim.net.install_flow
+
+    def install_and_check(flow) -> None:
+        install(flow)
+        if flow.gbr > 0 and flow.slice_id is not None:
+            check_admission(sim, layout, flow)
+            checked[1] += 1
+
+    sim.net.install_flow = install_and_check
     for kind in EventKind:
         sim.engine.on(kind, check)
     return checked

@@ -109,7 +109,7 @@ def enumerate_simple_paths(
         )
         return (
             allow(link)
-            and net.effective_up(link.id)
+            and _up(net, link.id)
             and (net.topology.links[link.id].capacity - reserved) >= min_residual
         )
 
@@ -190,25 +190,46 @@ def _link_be_demand(net, lid: str) -> Fraction:
     )
 
 
+def _up(net, lid: str) -> bool:
+    """The link and both its end nodes are Up, from the raw health flags."""
+    link = net.topology.links[lid]
+    return net.link_up[lid] and net.node_up[link.a] and net.node_up[link.b]
+
+
+def _metered_in(topo, fog_id: str, lid: str) -> Optional[str]:
+    """The link's resource class when it has an end in the fog, else None."""
+    link = topo.links[lid]
+    if fog_id not in (topo.nodes[link.a].fog, topo.nodes[link.b].fog):
+        return None
+    return LINK_TO_RESOURCE.get(link.link_class)
+
+
 def _slice_cap_ok(fog, slice_id: str, links: Sequence[str], gbr: Fraction) -> bool:
+    """Admission against the slice's entitlement in `fog`, in Mb/s: on the
+    links of `links` with an end in the fog, per class, the slice's
+    guarantees on such links (per listing) plus `gbr` per listing stay
+    within its share of the fog's Up links of the class, net of unsliced
+    guarantees. Recounted from the topology, health and flows."""
     if gbr <= 0:
         return True
-    all_links = fog.net.topology.links
+    net = fog.net
+    topo = net.topology
     per_class: Dict[str, int] = {}
     for lid in links:
-        cls = LINK_TO_RESOURCE.get(all_links[lid].link_class)
+        cls = _metered_in(topo, fog.fog_id, lid)
         if cls is not None:
             per_class[cls] = per_class.get(cls, 0) + 1
     for cls, count in per_class.items():
         used = ZERO
-        for flow in fog.net.flows.values():
-            if flow.slice_id != slice_id or flow.gbr <= 0:
-                continue
-            for lid in flow.path.links():
-                if LINK_TO_RESOURCE.get(all_links[lid].link_class) == cls:
-                    used += flow.gbr
-        # the fog's entitlements are in its network state's units
-        if used + count * gbr > fog.slice_manager.entitled(slice_id, cls) / fog.net.unit:
+        for flow in net.flows.values():
+            if flow.slice_id == slice_id and flow.gbr > 0:
+                used += flow.gbr * sum(1 for lid in flow.path.links() if _metered_in(topo, fog.fog_id, lid) == cls)
+        capacity = ZERO
+        for lid, link in topo.links.items():
+            if _metered_in(topo, fog.fog_id, lid) == cls and _up(net, lid):
+                unsliced = sum((f.gbr for f in net.flows.values() if f.slice_id is None for l in f.links if l == lid), ZERO)
+                capacity += link.capacity - unsliced
+        if used + count * gbr > fog.slice_manager.spec(slice_id).share(cls) * capacity:
             return False
     return True
 
@@ -259,11 +280,11 @@ def controller_oracle(env, spec) -> OracleDecision:
         found = []
         if ctx.attachment.wlan_cluster is not None:
             link = topo.wlan_link(user, ctx.attachment.wlan_cluster)
-            if link is not None and net.effective_up(link.id):
+            if link is not None and _up(net, link.id):
                 found.append(("wlan", link))
         if ctx.attachment.macro:
             link = topo.macro_link(user)
-            if link is not None and net.effective_up(link.id):
+            if link is not None and _up(net, link.id):
                 found.append(("macro", link))
         return found
 

@@ -5,7 +5,9 @@ import pytest
 from fognet.cloudctrl import FogIsolated
 from fognet.dataplane import FlowPath, InstalledFlow, RouteKind
 from fognet.engine import Engine
-from fognet.fogctrl import Attachment, Endpoint, RejectReason
+from fognet.fogctrl import Attachment, Endpoint, PolicyRule, QosClass, RejectReason
+from fognet.slicing import SliceSpec
+from fognet.topology import ResourceClass
 from helpers import CONTENT, VOIP, WEB, CloudEnv
 
 F = Fraction
@@ -112,6 +114,40 @@ class TestInterFogPath:
         assert "gw" in decision.path.nodes()
         assert decision.path.nodes()[0] == "f1-u1" and decision.path.nodes()[-1] == "f2-u1"
         assert env.net.flows["x1"].path == decision.path
+
+
+    def test_destination_fog_caps_the_source_slice(self):
+        """An inter-fog flow is charged to the source user's slice in both
+        fogs, and each fog admits it within that slice's entitlement there.
+        Slice s1 is entitled to 10 Mb/s of f2's Macro, and a local s1 flow
+        holds 8 of it. A 4 Mb/s flow from f1's s1 user to f2's s2 user,
+        whose only access is Macro, would bring s1 to 12 Mb/s in f2: it is
+        refused, though f1's s1 and f2's s2 have room."""
+        halves = {cls: F(1, 2) for cls in ResourceClass.ALL}
+        slices = [SliceSpec("s1", "op1", halves), SliceSpec("s2", "op2", halves)]
+        policy = {VOIP: PolicyRule(app_class=VOIP, qos=QosClass.REAL_TIME_GBR, gbr_rate=F(4))}
+        env = CloudEnv(policy=policy, demands=[F(4)], slices=slices)
+        net, f2, macro = env.net, env.fogs["f2"], ResourceClass.MACRO
+        assert [f2.slice_of_user(u) for u in ("f2-u1", "f2-u2")] == ["s1", "s2"]
+        for user in ("f2-u1", "f2-u2"):
+            f2.context_of(user).attachment = Attachment(macro=True)
+        local = f2.handle_flow_request(env.spec("local", "f2-u1", "f2-u2", demand=4))
+        assert local.accepted and local.path.nodes() == ("f2-u1", "macro-f2", "f2-u2")
+        assert net.slice_gbr_units("f2", "s1", macro) == 8 * net.unit
+        assert f2.entitlements()["s1", macro] == 10 * net.unit
+
+        refused = env.cloud.setup_interfog_path(env.spec("x1", "f1-u1", "f2-u2", demand=4))
+        assert not refused.accepted and refused.reason == RejectReason.GBR_ADMISSION_FAIL
+        assert "x1" not in net.flows
+
+        # over WLAN in f2 the same flow fits, and both fogs charge s1
+        f2.context_of("f2-u2").attachment = Attachment(wlan_cluster="c-f2", macro=True)
+        admitted = env.cloud.setup_interfog_path(env.spec("x2", "f1-u1", "f2-u2", demand=4))
+        assert admitted.accepted and "wl-f2-u2" in admitted.path.links()
+        wlan = ResourceClass.WLAN
+        assert net.slice_gbr_units("f1", "s1", wlan) == net.slice_gbr_units("f2", "s1", wlan) == 4 * net.unit
+        assert net.slice_gbr_units("f2", "s2", wlan) == 0
+        assert net.slice_gbr_units("f2", "s1", macro) == 8 * net.unit
 
 
 class TestBackhaulChange:

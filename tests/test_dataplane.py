@@ -330,7 +330,7 @@ class TestNonDecimalRates:
                         ),
                         F(0),
                     )
-                    assert net.slice_gbr_units(slice_id, cls) == used * net.unit
+                    assert net.slice_gbr_units("fog1", slice_id, cls) == used * net.unit
             physical = {cls: F(0) for cls in ResourceClass.ALL}
             for link in topo.links.values():
                 cls = LINK_TO_RESOURCE.get(link.link_class)

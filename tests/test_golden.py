@@ -56,12 +56,12 @@ GOLDEN = {
         "run.log": "e5664ef8aa8c376b257f222f683c19a3ba07662d6cf4b3e8551e2dc0463c676a",
     },
     "two_fog": {
-        "metrics.tsv": "a4b02322cfaaa25b3cc396c2a1da855e635981e16b8e0ab95e2c61fcd9d4d9ec",
-        "decisions.log": "16b8823d6c7befa509d81d4ebac33d227919eb39019f55e7fbbaa27ba5d05bf8",
-        "events.log": "d39bd78eceaf828ce0a768476dc3236fb6e7f1a4e2a69f96fba53f28cee12975",
+        "metrics.tsv": "0371a19c5722f80ab4fe39eff5bc4babf5ce19c44fb3c11c2c4a316278553e18",
+        "decisions.log": "af4a2c26cb82acda2fe4052d7b8c10d7495183a10cc8de16f18d25b81a9566e8",
+        "events.log": "4c8e2631d84bba675126395f076dcc772847bdff44568472d878e1e6c55a5c8d",
         "connectivity.log": "5a342e2b38f1de29ac85dc128fe0d9c50fb39c4c295ad88d0fa30e974c1ed29b",
-        "slices.tsv": "aedccde180a4ab062c923d5a3e3c597e5d1840b8e0bd9bfaebedfbc3db45e079",
-        "run.log": "2953445fe7d7b72d6e3876900c87b7852a4ccb81d43244706b3881de1adb40b3",
+        "slices.tsv": "1b6ff2399e76756f64913494a77282311baf37a13d3b66294c85964a97d19c7c",
+        "run.log": "4038a870f353721f8977c67197d785562ccd3db18f138942b02bb38db3f51817",
     },
     "overhead_faults": {
         "metrics.tsv": "d65ad5e5d32b540061d982e290305dfd6d1af036bc8d3b50e67daef76704cc92",

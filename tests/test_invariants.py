@@ -1,4 +1,5 @@
-"""Every kept ledger equals its recount after every event (`invariants.py`),
+"""Every kept ledger equals its recount after every event, and every
+slice admission keeps the slice within its entitlement (`invariants.py`),
 over the golden scenarios and short builds of the benchmark workloads."""
 
 import copy
@@ -31,6 +32,7 @@ def test_golden_scenario_keeps_invariants(name, tmp_path):
     checked = check_after_every_event(sim)
     sim.run()
     assert checked[0] == len(sim.engine.trace) > 0
+    assert checked[1] > 0  # sliced guarantees were admitted
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))

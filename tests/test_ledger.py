@@ -1,10 +1,14 @@
-"""Differential test of NetworkState's incremental guaranteed-rate ledger.
+"""Differential test of NetworkState's incremental ledgers.
 
 Random sequences of sliced GBR, unsliced (control-overhead) GBR and
 best-effort installs and removals, interleaved with link and node
-up/down changes, over two fogs with two slices. After every step the
-ledger's readers are checked against from-scratch recounts and the
-independent oracles.
+up/down changes, over two fogs with two slices; some paths cross both
+fogs through the gateway. After every step the guaranteed-rate ledger,
+the health ledger (`_down`), each fog's sliceable capacity
+(`_sliceable`, `physical_capacity()`), the per-(fog, slice, class)
+guarantee and demand ledgers and the fogs' entitlements are checked
+against from-scratch recounts, and admission against the independent
+oracles.
 """
 
 import random
@@ -16,9 +20,9 @@ from fognet.dataplane import FlowPath, InstalledFlow, NetworkState, RouteKind
 from fognet.engine import GbrOvercommit
 from fognet.fogctrl import FogControl, FogProfile
 from fognet.slicing import SliceManager, SliceSpec
-from fognet.topology import LINK_TO_RESOURCE, ResourceClass, build_from_config
+from fognet.topology import ResourceClass, build_from_config
 from helpers import two_fog_doc
-from oracles import OracleFlow, _slice_cap_ok, maxmin_oracle
+from oracles import OracleFlow, _metered_in, _slice_cap_ok, _up, maxmin_oracle
 
 F = Fraction
 SLICES = (("s1", "op1", F(3, 5)), ("s2", "op2", F(2, 5)))
@@ -68,10 +72,8 @@ def _physical_recount(net, fog_id):
     topo = net.topology
     out = {cls: F(0) for cls in ResourceClass.ALL}
     for lid, link in topo.links.items():
-        cls = LINK_TO_RESOURCE.get(link.link_class)
-        if cls is None or fog_id not in (topo.fog_of(link.a), topo.fog_of(link.b)):
-            continue
-        if not (net.link_up[lid] and net.node_up[link.a] and net.node_up[link.b]):
+        cls = _metered_in(topo, fog_id, lid)
+        if cls is None or not _up(net, lid):
             continue
         out[cls] += link.capacity
         for flow in net.flows.values():
@@ -87,19 +89,28 @@ def _check(net, fogs, rng, paths, seen):
         assert net._gbr.get(lid, 0) == gbr * net.unit
         assert net.residual_units(lid) == (link.capacity - gbr) * net.unit
         assert net.residual_units(lid) == net.capacity_units(lid) - net._gbr.get(lid, 0)
-    for slice_id, _, _ in SLICES:
-        for cls in ResourceClass.ALL:
-            used = F(0)
-            for f in net.flows.values():
-                if f.slice_id == slice_id and f.gbr > 0:
-                    for lid in f.path.links():
-                        if LINK_TO_RESOURCE.get(topo.links[lid].link_class) == cls:
-                            used += f.gbr
-            assert net.slice_gbr_units(slice_id, cls) == used * net.unit
+    assert net._down == {lid for lid in topo.links if not _up(net, lid)}
+    for fog_id in fogs:
+        for slice_id, _, _ in SLICES:
+            for cls in ResourceClass.ALL:
+                used = demand = F(0)
+                for f in net.flows.values():
+                    if f.slice_id != slice_id:
+                        continue
+                    listed = sum(1 for lid in f.path.links() if _metered_in(topo, fog_id, lid) == cls)
+                    used += f.gbr * listed
+                    if listed:
+                        demand += f.gbr or f.demand
+                assert net.slice_gbr_units(fog_id, slice_id, cls) == used * net.unit
+                assert net.slice_demand_units(fog_id, slice_id, cls) == demand * net.unit
 
     for fog_id, fog in fogs.items():
         physical = fog.physical_capacity()
         assert physical == _physical_recount(net, fog_id)
+        assert {cls: net.fog_sliceable_units(fog_id, cls) for cls in ResourceClass.ALL} == physical
+        assert fog.entitlements() == {
+            (slice_id, cls): share * physical[cls] for slice_id, _, share in SLICES for cls in ResourceClass.ALL
+        }
         seen.add(("physical", fog_id, tuple(physical[c] for c in ResourceClass.ALL)))
         for _ in range(4):
             hops = rng.choice(paths)
@@ -153,7 +164,9 @@ def test_ledger_matches_recounts_and_oracles(seed):
             node = rng.choice(health_nodes)
             net.set_node_state(node, not net.node_up[node])
         elif roll < 0.5 and net.flows:
-            net.remove_flow(rng.choice(sorted(net.flows)))
+            flow = net.remove_flow(rng.choice(sorted(net.flows)))
+            if flow.slice_id is None and flow.gbr > 0:
+                seen.add(("unsliced_removed", all(net.effective_up(lid) for lid in flow.links)))
         else:
             hops = rng.choice(paths)
             if all(net.effective_up(lid) for _, lid in hops):
@@ -174,3 +187,28 @@ def test_ledger_matches_recounts_and_oracles(seed):
     assert ("slice_gbr_ok", True) in seen and ("slice_gbr_ok", False) in seen
     assert ("congested", True) in seen and ("congested", False) in seen
     assert len({key for key in seen if key[0] == "physical"}) > 4
+    assert ("unsliced_removed", True) in seen  # an unsliced guarantee left Up links
+
+
+def test_unsliced_guarantee_released_while_its_link_is_down():
+    """A Down link's capacity leaves its fog's sliceable capacity whatever
+    it carries; an unsliced guarantee released meanwhile changes nothing
+    there, and the link's return brings back its whole capacity."""
+    net, fogs = _build()
+    unit = net.unit
+    mm = ResourceClass.MIDDLE_MILE
+    hops = _paths()[1]  # f1-u1 over WLAN to the PoP, through mm-f1
+    full = fogs["f1"].physical_capacity()[mm]
+    net.install_flow(_flow("ctl", hops, F(1, 2), F(1, 2), None))
+    assert net.fog_sliceable_units("f1", mm) == full - unit // 2
+    net.set_link_state("mm-f1", False)
+    assert net.fog_sliceable_units("f1", mm) == 0
+    net.remove_flow("ctl")
+    assert net.fog_sliceable_units("f1", mm) == 0
+    net.set_node_state("mmc-f1", False)  # the link is Down twice over
+    net.set_link_state("mm-f1", True)
+    assert net.fog_sliceable_units("f1", mm) == 0 and "mm-f1" in net._down
+    net.set_node_state("mmc-f1", True)
+    assert net.fog_sliceable_units("f1", mm) == full and not net._down
+    assert fogs["f1"].physical_capacity()[mm] == full
+    assert net.fog_sliceable_units("f2", mm) == full  # the other fog never moved
