@@ -28,7 +28,7 @@ def main() -> int:
     print(f"{'B demand':>9} {'A granted':>10} {'B granted':>10} {'A borrowed':>11}")
     for demand_b in range(0, 75, 10):
         runtimes = manager.compute_slice_allocations(
-            {"op-a": {cls: demand_a}, "op-b": {cls: Fraction(demand_b)}}
+            {"op-a": {cls: demand_a}, "op-b": {cls: Fraction(demand_b)}}, manager.entitlements()
         )
         a = runtimes["op-a"].per_class[cls]
         b = runtimes["op-b"].per_class[cls]

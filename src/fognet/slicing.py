@@ -105,17 +105,16 @@ class SliceManager:
     def compute_slice_allocations(
         self,
         demands: Mapping[str, Mapping[str, Fraction]],
-        entitlements: Optional[Mapping[Tuple[str, str], Fraction]] = None,
+        entitlements: Mapping[Tuple[str, str], Fraction],
     ) -> Dict[str, SliceRuntime]:
         """Entitlement first, then leftover to unsatisfied slices.
 
-        Per resource class every slice is granted min(demand, entitled);
-        the leftover is spread over still-hungry slices proportionally to
-        their entitlement shares, iterating until exhausted.
-        `entitlements` is `self.entitlements()` unless the caller keeps it.
+        `entitlements` is `self.entitlements()`, or a copy the caller
+        keeps. Per resource class every slice is granted min(demand,
+        entitled); the leftover is spread over still-hungry slices
+        proportionally to their entitlement shares, iterating until
+        exhausted.
         """
-        if entitlements is None:
-            entitlements = self.entitlements()
         physical = self._physical()
         runtimes = {
             sid: SliceRuntime(slice_id=sid, per_class={}) for sid in self.slice_ids()

@@ -219,6 +219,11 @@ def _slice_cap_ok(fog, slice_id: str, links: Sequence[str], gbr: Fraction) -> bo
         cls = _metered_in(topo, fog.fog_id, lid)
         if cls is not None:
             per_class[cls] = per_class.get(cls, 0) + 1
+    unsliced: Dict[str, Fraction] = {}
+    for flow in net.flows.values():
+        if flow.slice_id is None:
+            for lid in flow.path.links():
+                unsliced[lid] = unsliced.get(lid, ZERO) + flow.gbr
     for cls, count in per_class.items():
         used = ZERO
         for flow in net.flows.values():
@@ -227,8 +232,7 @@ def _slice_cap_ok(fog, slice_id: str, links: Sequence[str], gbr: Fraction) -> bo
         capacity = ZERO
         for lid, link in topo.links.items():
             if _metered_in(topo, fog.fog_id, lid) == cls and _up(net, lid):
-                unsliced = sum((f.gbr for f in net.flows.values() if f.slice_id is None for l in f.links if l == lid), ZERO)
-                capacity += link.capacity - unsliced
+                capacity += link.capacity - unsliced.get(lid, ZERO)
         if used + count * gbr > fog.slice_manager.spec(slice_id).share(cls) * capacity:
             return False
     return True

@@ -261,9 +261,9 @@ def test_05_slicing_conservation_and_diversion():
     cls = ResourceClass.MACRO
 
     hand_cases_ok = True
-    r = sm.compute_slice_allocations({"a": {cls: F(90)}, "b": {cls: F(0)}})
+    r = sm.compute_slice_allocations({"a": {cls: F(90)}, "b": {cls: F(0)}}, sm.entitlements())
     hand_cases_ok &= r["a"].per_class[cls].granted == 90 and r["b"].per_class[cls].granted == 0
-    r = sm.compute_slice_allocations({"a": {cls: F(90)}, "b": {cls: F(30)}})
+    r = sm.compute_slice_allocations({"a": {cls: F(90)}, "b": {cls: F(30)}}, sm.entitlements())
     hand_cases_ok &= r["a"].per_class[cls].granted == 70 and r["b"].per_class[cls].granted == 30
     hand_cases_ok &= r["a"].per_class[cls].granted + r["b"].per_class[cls].granted == 100
 
@@ -274,7 +274,7 @@ def test_05_slicing_conservation_and_diversion():
             "a": {c: F(rng.randint(0, 150)) for c in ResourceClass.ALL},
             "b": {c: F(rng.randint(0, 150)) for c in ResourceClass.ALL},
         }
-        runtimes = sm.compute_slice_allocations(demands)
+        runtimes = sm.compute_slice_allocations(demands, sm.entitlements())
         for c in ResourceClass.ALL:
             total = sum((runtimes[s].per_class[c].granted for s in ("a", "b")), F(0))
             if total > physical[c]:

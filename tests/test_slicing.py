@@ -70,7 +70,7 @@ class TestComputeAllocations:
 
     def _granted(self, da, db, cls=ResourceClass.MACRO):
         runtimes = self.sm.compute_slice_allocations(
-            {"a": {cls: F(da)}, "b": {cls: F(db)}}
+            {"a": {cls: F(da)}, "b": {cls: F(db)}}, self.sm.entitlements()
         )
         return runtimes["a"].per_class[cls].granted, runtimes["b"].per_class[cls].granted
 
@@ -101,7 +101,7 @@ class TestComputeAllocations:
         sm.create_slice(decimal_spec("z", "o3", 1, 10))
         cls = ResourceClass.WLAN
         runtimes = sm.compute_slice_allocations(
-            {"x": {cls: F(d1)}, "y": {cls: F(d2)}, "z": {cls: F(d3)}}
+            {"x": {cls: F(d1)}, "y": {cls: F(d2)}, "z": {cls: F(d3)}}, sm.entitlements()
         )
         grants = {sid: runtimes[sid].per_class[cls].granted for sid in ("x", "y", "z")}
         assert sum(grants.values()) <= 100
