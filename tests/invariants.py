@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from fognet.engine import EventKind
 from fognet.topology import LINK_TO_RESOURCE, ResourceClass
@@ -69,9 +69,14 @@ class _Layout:
             lid: frozenset((fog, cls) for fog in self.fogs_of[lid]) if cls else frozenset()
             for lid, cls in self.resource.items()
         }
+        self.links_of: Dict[Tuple[str, str], List[str]] = defaultdict(list)  # (fog, class) -> links
+        for lid, keys in self.link_keys.items():
+            for key in keys:
+                self.links_of[key].append(lid)
         self.capacity_den = lcm(*(link.capacity.denominator for link in topo.links.values()))
         self._links = topo.links
         self._capacities: Dict[int, Dict[str, int]] = {}
+        self._path_keys: Dict[Tuple[str, ...], FrozenSet[Tuple[str, str]]] = {}
 
     def capacities(self, den: int) -> Dict[str, int]:
         """Each link's capacity times `den`."""
@@ -81,9 +86,11 @@ class _Layout:
             }
         return self._capacities[den]
 
-    def meter_keys(self, links) -> Set[Tuple[str, str]]:
+    def meter_keys(self, links: Tuple[str, ...]) -> FrozenSet[Tuple[str, str]]:
         """The (fog, class) keys that the links are metered under."""
-        return set().union(*(self.link_keys[lid] for lid in links))
+        if links not in self._path_keys:
+            self._path_keys[links] = frozenset().union(*(self.link_keys[lid] for lid in links))
+        return self._path_keys[links]
 
 
 def _up(net, lid: str) -> bool:
@@ -191,28 +198,28 @@ def check_admission(sim, layout: _Layout, flow) -> None:
     """Right after `flow`, a sliced flow with a guarantee, is installed:
     on every (fog, class) its path meters, the slice's guarantees there (per
     listing) are at most its share of the fog's Up capacity of the class,
-    net of unsliced guarantees. All in exact Mb/s."""
+    net of unsliced guarantees. Exact, in integers: every rate times a
+    common denominator `den`, as in `check_state`."""
     net = sim.net
     keys = layout.meter_keys(flow.links)
-    used: Dict[Tuple[str, str], Fraction] = defaultdict(Fraction)
-    unsliced: Dict[str, Fraction] = defaultdict(Fraction)
-    for other in net.flows.values():
-        if other.gbr <= 0:
-            continue
+    held = [f for f in net.flows.values() if f.gbr > 0 and f.slice_id in (None, flow.slice_id)]
+    den = lcm(layout.capacity_den, *(f.gbr.denominator for f in held))
+    used: Dict[Tuple[str, str], int] = defaultdict(int)
+    unsliced: Dict[str, int] = defaultdict(int)
+    for other in held:
+        guarantee = other.gbr.numerator * (den // other.gbr.denominator)
         for lid in other.links:
             if other.slice_id is None:
-                unsliced[lid] += other.gbr
-            elif other.slice_id == flow.slice_id:
+                unsliced[lid] += guarantee
+            else:
                 for key in layout.link_keys[lid] & keys:
-                    used[key] += other.gbr
-    capacity: Dict[Tuple[str, str], Fraction] = defaultdict(Fraction)
-    for lid, link in net.topology.links.items():
-        if _up(net, lid):
-            for key in layout.link_keys[lid] & keys:
-                capacity[key] += link.capacity - unsliced[lid]
-    for fog_id, cls in sorted(keys):
+                    used[key] += guarantee
+    capacities = layout.capacities(den)
+    for key in sorted(keys):
+        fog_id, cls = key
+        capacity = sum(capacities[lid] - unsliced[lid] for lid in layout.links_of[key] if _up(net, lid))
         share = sim.fogs[fog_id].slice_manager.spec(flow.slice_id).share(cls)
-        assert used[fog_id, cls] <= share * capacity[fog_id, cls], ("over_entitlement", flow.flow_id, fog_id, cls)
+        assert used[key] * share.denominator <= share.numerator * capacity, ("over_entitlement", flow.flow_id, key)
 
 
 def check_after_every_event(sim) -> List[int]:

@@ -116,20 +116,22 @@ def _check(net, fogs, rng, paths, seen):
             hops = rng.choice(paths)
             links = [lid for _, lid in hops]
             slice_id = rng.choice(SLICES)[0]
-            gbr = F(rng.randint(1, 12), 4)
+            gbr = F(rng.randint(1, 160), 4)  # up to 40 Mb/s: often at an entitlement
             ok = fog.slice_gbr_ok(slice_id, links, net.units(gbr))
             assert ok == _slice_cap_ok(fog, slice_id, links, gbr)
             seen.add(("slice_gbr_ok", ok))
 
-    # a forced overcommit on an Up link still raises from recompute()
+    # a forced overcommit on an Up link, if one is left, still raises from recompute()
     up = sorted(lid for lid in topo.links if net.effective_up(lid))
-    lid = rng.choice(up)
-    over = _flow("overcommit", [(topo.links[lid].a, lid)], F(0), F(net.residual_units(lid), net.unit) + 1, "s1")
-    net.install_flow(over)
-    with pytest.raises(GbrOvercommit) as raised:
-        net.recompute()
-    assert raised.value.link_id == lid
-    net.remove_flow("overcommit")
+    if up:
+        lid = rng.choice(up)
+        over = _flow("overcommit", [(topo.links[lid].a, lid)], F(0), F(net.residual_units(lid), net.unit) + 1, "s1")
+        net.install_flow(over)
+        with pytest.raises(GbrOvercommit) as raised:
+            net.recompute()
+        assert raised.value.link_id == lid
+        net.remove_flow("overcommit")
+        seen.add(("overcommit", True))
 
     net.recompute()
     capacity = {lid: link.capacity for lid, link in topo.links.items()}
@@ -188,6 +190,7 @@ def test_ledger_matches_recounts_and_oracles(seed):
     assert ("congested", True) in seen and ("congested", False) in seen
     assert len({key for key in seen if key[0] == "physical"}) > 4
     assert ("unsliced_removed", True) in seen  # an unsliced guarantee left Up links
+    assert ("overcommit", True) in seen
 
 
 def test_unsliced_guarantee_released_while_its_link_is_down():
@@ -212,3 +215,17 @@ def test_unsliced_guarantee_released_while_its_link_is_down():
     assert net.fog_sliceable_units("f1", mm) == full and not net._down
     assert fogs["f1"].physical_capacity()[mm] == full
     assert net.fog_sliceable_units("f2", mm) == full  # the other fog never moved
+
+
+def test_capacity_drop_alone_can_leave_a_slice_over_its_entitlement():
+    """Why the entitlement invariant is checked at each admission, not
+    after every event: a Down link lowers its fog's entitlement and moves
+    no guarantee, so admitted guarantees can stand above it."""
+    net, fogs = _build()
+    wlan = ResourceClass.WLAN
+    assert fogs["f1"].entitlements()["s1", wlan] == 30 * net.unit  # 3/5 of 2 x 25
+    assert fogs["f1"].slice_gbr_ok("s1", ["wl-f1-u1"], net.units(F(20)))
+    net.install_flow(_flow("g", [("f1-u1", "wl-f1-u1")], F(20), F(20), "s1"))
+    net.set_link_state("wl-f1-u2", False)
+    assert fogs["f1"].entitlements()["s1", wlan] == 15 * net.unit
+    assert net.slice_gbr_units("f1", "s1", wlan) == 20 * net.unit
