@@ -12,6 +12,15 @@ run is cut to `--seconds` of simulated time. It times `Simulation.run()`
 that host drift falls on every size alike, and prints each size's median
 raw events/s (host time, not converted to nominal speed), and then the
 drop in events/s from each size to the next.
+
+It also separates the workload's share of that drop from the max-min
+solver's. Per size it prints the solves per event and the mean µs per
+solve (the median over repeats of each run's solve time over its solves,
+timed around each `recompute_fair_shares` call), and, from one more
+untimed run, the median per solve of the links with rising flows, of the
+contended links (capacity net of guarantees below the demand of their
+rising flows) and of the flow-link incidences (each rising flow's
+distinct links, summed).
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from fognet import dataplane  # noqa: E402
 from fognet.scenario import parse_scenario  # noqa: E402
 from fognet.simulation import Simulation  # noqa: E402
 
@@ -44,11 +54,52 @@ def sized_doc(clusters: int, seconds: float, seed: int) -> dict:
     return doc
 
 
-def events_per_s(doc: dict) -> float:
+def run_with(doc: dict, on_solve) -> tuple:
+    """Run the doc with `on_solve(solve, index, capacity)` standing in for
+    each solve; return its events and its host time in s."""
     sim = Simulation(parse_scenario(copy.deepcopy(doc), base_dir=str(workloads.DATA_DIR), name="congested_scale"))
-    start = time.perf_counter()
-    sim.run()
-    return len(sim.engine.trace) / (time.perf_counter() - start)
+    solve = dataplane.recompute_fair_shares
+    dataplane.recompute_fair_shares = lambda index, capacity: on_solve(solve, index, capacity)
+    try:
+        start = time.perf_counter()
+        sim.run()
+        return len(sim.engine.trace), time.perf_counter() - start
+    finally:
+        dataplane.recompute_fair_shares = solve
+
+
+def timed(doc: dict) -> tuple:
+    """(events/s, solves per event, mean µs per solve) of one run."""
+    spent = []
+
+    def on_solve(solve, index, capacity):
+        start = time.perf_counter()
+        alloc = solve(index, capacity)
+        spent.append(time.perf_counter() - start)
+        return alloc
+
+    events, seconds = run_with(doc, on_solve)
+    return events / seconds, len(spent) / events, 1e6 * sum(spent) / len(spent) if spent else 0.0
+
+
+def solve_sizes(doc: dict) -> tuple:
+    """Median per solve of (links with rising flows, contended links,
+    flow-link incidences), counted from the index each solve is handed."""
+    links, contended, incidences = [], [], []
+
+    def on_solve(solve, index, capacity):
+        demand = {fid: d for d, fids in index.buckets.items() for fid in fids}
+        load = {}
+        for fid, crossed in index.crossed.items():
+            for lid in crossed:
+                load[lid] = load.get(lid, 0) + demand[fid]
+        links.append(len(load))
+        contended.append(sum(capacity[lid] - index.reserved.get(lid, 0) < need for lid, need in load.items()))
+        incidences.append(sum(map(len, index.crossed.values())))
+        return solve(index, capacity)
+
+    run_with(doc, on_solve)
+    return tuple(statistics.median(counts) if counts else 0 for counts in (links, contended, incidences))
 
 
 def main(argv=None) -> int:
@@ -63,11 +114,20 @@ def main(argv=None) -> int:
     samples = [[] for _ in docs]
     for _ in range(args.repeats):
         for doc, runs in zip(docs, samples):
-            runs.append(events_per_s(doc))
-    rates = [statistics.median(runs) for runs in samples]
-    print(f"{'clusters':>8} {'events/s':>10}")
-    for clusters, rate in zip(args.clusters, rates):
-        print(f"{clusters:>8} {rate:>10.0f}")
+            runs.append(timed(doc))
+    print(
+        f"{'clusters':>8} {'events/s':>10} {'solves/event':>12} {'us/solve':>9}"
+        f" {'rising links':>12} {'contended':>9} {'incidences':>10}"
+    )
+    rates = []
+    for clusters, doc, runs in zip(args.clusters, docs, samples):
+        rate, per_event, us = (statistics.median(column) for column in zip(*runs))
+        rates.append(rate)
+        links, contended, incidences = solve_sizes(doc)
+        print(
+            f"{clusters:>8} {rate:>10.0f} {per_event:>12.2f} {us:>9.0f}"
+            f" {links:>12g} {contended:>9g} {incidences:>10g}"
+        )
     for (a, ra), (b, rb) in zip(zip(args.clusters, rates), zip(args.clusters[1:], rates[1:])):
         print(f"{a} -> {b} clusters: events/s fall x{ra / rb:.2f}")
     return 0

@@ -32,7 +32,8 @@ and `load_units()` derive rates from the installed flows. While some
 link is congested, `recompute()` hands the max-min solver the best-effort
 flows against the net-of-GBR capacities, as a `FairShareIndex` kept across
 solves. `alloc` holds the solve's output, and `load_units()` reads the
-link's best-effort total that the solve left in the index.
+best-effort total of the links it is given from the rounds that the solve
+left in the index.
 
 Routing is a minimum-hop search over a set of permitted link ids. Which
 links a fog may route over is a fact of the topology
@@ -190,15 +191,20 @@ class NetworkState:
       that finds `_congested` non-empty builds it from `_best_effort`;
       `install_flow` and `remove_flow` add and remove best-effort flows
       while it exists; the uncongested fast path of `recompute()` drops
-      it. So a run that never congests never builds one.
+      it. So a run that never congests never builds one. Each solve
+      leaves its rounds in it (`FairShareIndex.rounds`), from which the
+      best-effort total of any set of links is a sum over the rounds.
     - `alloc`: the max-min solver's output for best-effort flows from the
       last `recompute()`, filled only while some link is congested;
       otherwise it is empty and rates come from the installed flows
-      themselves. A GBR flow's rate is always its own `gbr`. While
-      congested, `load_units()` is the link's `_gbr` plus the
-      best-effort total of the same solve, read from `_fair`; like
-      `alloc`, it is current once `recompute()` has run after the last
-      install or removal.
+      themselves. A GBR flow's rate is always its own `gbr`.
+
+    `load_units(*link_ids)` is the one reader of allocated load, summed
+    over the links it is given, so a caller that wants a class total asks
+    once. While no link is congested it sums `_offered`; while congested,
+    `_gbr` plus the best-effort total of the last solve, read from
+    `_fair`. Like `alloc`, it is current once `recompute()` has run after
+    the last install or removal.
     """
 
     def __init__(self, topology: Topology, rates: Iterable[Fraction]):
@@ -445,17 +451,25 @@ class NetworkState:
             return max(flow.demand, ZERO)
         return self.alloc.get(flow_id, ZERO)
 
-    def load_units(self, link_id: str) -> int | Fraction:
-        """The link's allocated rate in units: an int, or while congested
-        a `Fraction` when the solve's levels are not whole units."""
+    def load_units(self, *link_ids: str) -> int | Fraction:
+        """The allocated rate summed over the links, in units: an int, or
+        while congested a `Fraction` when the solve's levels are not whole
+        units. A flow counts once per link it is summed on."""
         if not self._congested:
             # fast path: allocation equals offered load everywhere
-            return self._offered.get(link_id, 0)
+            offered = self._offered
+            used = 0
+            for lid in link_ids:
+                used += offered.get(lid, 0)
+            return used
         # guarantees from the ledger, best-effort rates from the last solve
         # (none yet when no recompute() has run since congestion began)
+        gbr = self._gbr
+        used = 0
+        for lid in link_ids:
+            used += gbr.get(lid, 0)
         fair = self._fair
-        used = fair.best_effort_on(link_id) if fair is not None else 0
-        return self._gbr.get(link_id, 0) + used
+        return used + fair.best_effort_on(*link_ids) if fair is not None else used
 
 
 # ---------------------------------------------------------------------------

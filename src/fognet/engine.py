@@ -126,15 +126,16 @@ class FairShareIndex:
       its demand.
     - `crossed`: each rising flow's distinct links. `users`: the rising
       flows on each link, so a flow that lists a link twice counts once.
+      `load`: the demand of those flows on each link, in units, so a solve
+      can tell the links that may saturate from the ones that cannot.
     - `buckets`: the rising flows keyed by demand in units. Flows share a
       few demands, so a solve walks the buckets in demand order instead of
       sorting flows.
-    - `spent`: left by the last solve for each link that had rising flows,
-      `(start, a, b, ln, ld, k)`, in units: the capacity the rising flows
-      started with, `a/b` left before the round that froze its last `k` of
-      them, and that round's level `ln/ld`. `best_effort_on` turns it into
-      the link's best-effort total on demand, so a solve does no arithmetic
-      for totals nobody reads.
+    - `rounds`: left by the last solve, one `(ln, ld, touched)` per round:
+      the round's level `ln/ld` in units and, per link, how many rising
+      flows froze at it (`touched`, a `Counter`). `best_effort_on` turns
+      them into the best-effort total of any set of links on demand, so a
+      solve does no arithmetic for totals nobody reads.
     """
 
     def __init__(self, flows: Iterable = (), unit: int = 1):
@@ -143,8 +144,9 @@ class FairShareIndex:
         self.reserved: Dict[str, int] = {}
         self.crossed: Dict[str, Tuple[str, ...]] = {}
         self.users: Dict[str, Set[str]] = {}
+        self.load: Dict[str, int] = {}
         self.buckets: Dict[int, Set[str]] = {}
-        self.spent: Dict[str, Tuple[int, int, int, int, int, int]] = {}
+        self.rounds: List[Tuple[int, int, Counter]] = []
         for flow in flows:
             self.add(flow)
 
@@ -169,8 +171,10 @@ class FairShareIndex:
             if len(set(links)) != len(links):
                 links = tuple(dict.fromkeys(links))
             self.crossed[fid] = links
+            load = self.load
             for lid in links:
                 self.users.setdefault(lid, set()).add(fid)
+                load[lid] = load.get(lid, 0) + demand
             self.buckets.setdefault(demand, set()).add(fid)
 
     def remove(self, flow) -> None:
@@ -183,26 +187,41 @@ class FairShareIndex:
                 for lid in flow.links:
                     self.reserved[lid] -= gbr
             return
+        demand = in_units(flow.demand, self.unit)
+        load = self.load
         for lid in links:
             on = self.users[lid]
             on.discard(fid)
-            if not on:
+            if on:
+                load[lid] -= demand
+            else:
                 del self.users[lid]
-        demand = in_units(flow.demand, self.unit)
+                del load[lid]
         bucket = self.buckets[demand]
         bucket.discard(fid)
         if not bucket:
             del self.buckets[demand]
 
-    def best_effort_on(self, link_id: str) -> int | Fraction:
-        """Sum of the last solve's rates over the best-effort flows on the
-        link, in units (levels need not add up to whole units); 0 on a
-        link that none of them crosses."""
-        spent = self.spent.get(link_id)
-        if spent is None:
-            return 0
-        start, a, b, ln, ld, k = spent
-        return Fraction(start * b * ld - a * ld + ln * k * b, b * ld)
+    def best_effort_on(self, *link_ids: str) -> int | Fraction:
+        """Sum over the links of the last solve's rates of the best-effort
+        flows on each, in units: an int, or a `Fraction` when levels are
+        not whole units; 0 when none of them crosses the links."""
+        whole = num = 0
+        den = 1
+        for ln, ld, touched in self.rounds:
+            k = 0
+            for lid in link_ids:
+                k += touched.get(lid, 0)
+            if not k:
+                continue
+            if ld == 1:
+                whole += ln * k
+            else:
+                num, den = num * ld + ln * k * den, den * ld
+                g = gcd(num, den)
+                num //= g
+                den //= g
+        return whole + num if den == 1 else Fraction(whole * den + num, den)
 
 
 def recompute_fair_shares(flows: FairShareIndex | Iterable, capacity: Mapping) -> Dict[str, Fraction]:
@@ -222,17 +241,30 @@ def recompute_fair_shares(flows: FairShareIndex | Iterable, capacity: Mapping) -
     Every other best-effort flow rises from 0 at one common level. With
     `avail` the link's capacity left after guarantees and frozen flows and
     `n` the rising flows on it, a link saturates at level `avail/n`. Each
-    round one pass over the links finds the lowest level at which a link
-    saturates or the lowest demand bucket that still rises is met, and
-    the links tight at it. Their rising flows and the met bucket's freeze
-    at that level; then each link they cross is updated once for the
-    round (`avail -= level*k`, `n -= k` for its k newly frozen flows). A
-    link whose last rising flows freeze goes to the index's `spent`
-    instead, from which `FairShareIndex.best_effort_on` reads its total.
-    This is progressive filling (Bertsekas & Gallager, *Data Networks*,
-    6.5) taken one saturation level at a time. Capacities and demands are
-    whole units, `avail` and levels integer pairs, and each round makes
-    one `Fraction`, its level in Mb/s, so capacity is conserved with no
+    round finds the lowest level at which a link saturates or the lowest
+    demand bucket that still rises is met, and the links tight at it.
+    Their rising flows and the met bucket's freeze at that level; then
+    each link they cross is updated once for the round (`avail -= level*k`,
+    `n -= k` for its k newly frozen flows). This is progressive filling
+    (Bertsekas & Gallager, *Data Networks*, 6.5) taken one saturation level
+    at a time, and the rounds run until every rising flow is frozen.
+
+    Only the contended links take part: those whose capacity net of
+    guarantees is below the index's `load`, the demand of their rising
+    flows. A slack link never binds. Frozen flows on it hold at most their
+    demand and each rising one wants at least the lowest unmet demand D,
+    so its level `avail/n` is never below D; and when it equals D, every
+    rising flow on it has demand D and freezes with the met bucket at that
+    same level. So the levels are those of a solve over every link, while
+    the rounds update only the links that can be bottlenecks (Ros-Giralt
+    et al., "On the Bottleneck Structure of Congestion-Controlled
+    Networks", SIGMETRICS 2020).
+
+    Each round is kept in the index's `rounds` as its level and a `Counter`
+    of the flows it froze per link, from which `FairShareIndex.best_effort_on`
+    reads the total of any set of links. Capacities and demands are whole
+    units, `avail` and levels integer pairs, and each round makes one
+    `Fraction`, its level in Mb/s, so capacity is conserved with no
     tolerance.
     """
     if isinstance(flows, FairShareIndex):
@@ -245,27 +277,29 @@ def recompute_fair_shares(flows: FairShareIndex | Iterable, capacity: Mapping) -
         capacity = {lid: in_units(cap, unit) for lid, cap in capacity.items()}
     unit = index.unit
     alloc = dict(index.fixed)
-    net_of_gbr: Dict[str, int] = {}
-    for lid, gbr in index.reserved.items():
-        left = capacity[lid] - gbr
-        if left < 0:
-            raise GbrOvercommit(lid, Fraction(gbr, unit), Fraction(capacity[lid], unit))
-        net_of_gbr[lid] = left
+    if index.reserved:
+        capacity = dict(capacity)
+        for lid, gbr in index.reserved.items():
+            left = capacity[lid] - gbr
+            if left < 0:
+                raise GbrOvercommit(lid, Fraction(gbr, unit), Fraction(capacity[lid], unit))
+            capacity[lid] = left
 
     users = index.users
     crossed = index.crossed
     # `avail` is kept as a reduced integer pair and levels are compared as
     # integer pairs (numerator, positive denominator), all in units.
-    start = {lid: net_of_gbr.get(lid, capacity[lid]) for lid in users}  # link with rising flows -> capacity
-    avail = {lid: (left, 1) for lid, left in start.items()}  # link -> a/b left
-    count = {lid: len(on) for lid, on in users.items()}  # link -> rising flows on it
-    saturates = {lid: (a, b * count[lid]) for lid, (a, b) in avail.items()}  # link with rising flows -> avail/n
-    spent = index.spent = {}
+    # contended link -> a/b left
+    avail = {lid: (capacity[lid], 1) for lid, need in index.load.items() if capacity[lid] < need}
+    count = {lid: len(users[lid]) for lid in avail}  # contended link -> rising flows on it
+    saturates = {lid: (a, count[lid]) for lid, (a, _) in avail.items()}  # contended link -> avail/n
+    rounds = index.rounds = []
     buckets = sorted(index.buckets.items())  # (demand, its rising flows)
     next_met = 0  # every flow of a bucket before buckets[next_met] is frozen
+    rising = len(crossed)
 
-    while saturates:
-        while all(fid in alloc for fid in buckets[next_met][1]):
+    while rising:
+        while buckets[next_met][1] <= alloc.keys():
             next_met += 1
         demand, bucket = buckets[next_met]
         num, den = demand, 1
@@ -282,22 +316,23 @@ def recompute_fair_shares(flows: FairShareIndex | Iterable, capacity: Mapping) -
 
         frozen = []
         for lid in tight:
-            for fid in users[lid]:
-                if fid not in alloc:
-                    alloc[fid] = level
-                    frozen.append(fid)
+            new = users[lid].difference(alloc)
+            alloc.update(dict.fromkeys(new, level))
+            frozen += new
         if ln == demand * ld:
-            for fid in bucket:
-                if fid not in alloc:
-                    alloc[fid] = level
-                    frozen.append(fid)
+            new = bucket.difference(alloc)
+            alloc.update(dict.fromkeys(new, level))
+            frozen += new
+        rising -= len(frozen)
 
         touched = Counter(chain.from_iterable(map(crossed.__getitem__, frozen)))
-        for lid, k in touched.items():
+        rounds.append((ln, ld, touched))
+        for lid in [lid for lid in count if lid in touched]:
+            k = touched[lid]
             n = count[lid] - k
-            count[lid] = n
-            a, b = avail[lid]
             if n:
+                count[lid] = n
+                a, b = avail[lid]
                 a, b = a * ld - ln * k * b, b * ld
                 g = gcd(a, b)
                 a //= g
@@ -305,7 +340,6 @@ def recompute_fair_shares(flows: FairShareIndex | Iterable, capacity: Mapping) -
                 avail[lid] = (a, b)
                 saturates[lid] = (a, b * n)
             else:
-                del saturates[lid]
-                spent[lid] = (start[lid], a, b, ln, ld, k)
+                del count[lid], saturates[lid]
 
     return alloc

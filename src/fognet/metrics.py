@@ -4,7 +4,10 @@ Backhaul volume is an exact rate-time integral, kept in the network
 state's rate units (`NetworkState.unit`) and advanced on every allocation
 change, so the accounting closure (bytes == sum of per-flow integrals over
 backhaul links) holds with no tolerance. Utilization divides two sums of
-units. Both become exact Mb/s values only for output.
+units. Both become exact Mb/s values only for output. Each reads the
+allocated load of a resource class with one `NetworkState.load_units`
+call over the class's links, not one call per link: ints summed in
+`NetworkState`, and while congested a `Fraction` per class, not per link.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Dict, List
 
 from .fogctrl import RejectReason
 from .scenario import APP_CLASSES
-from .topology import LINK_TO_RESOURCE, Link, ResourceClass
+from .topology import LINK_TO_RESOURCE, ResourceClass
 from .util import ZERO, fmt6
 
 REJECT_ORDER = [r.value for r in RejectReason]
@@ -75,13 +78,13 @@ class MetricsCollector:
         self._backhaul_volume: int | Fraction = 0
         self._last_ms = 0
         self.rows: List[str] = []
-        # resource class -> its links, by id; built once, read every tick
-        self._class_links: Dict[str, List[Link]] = {cls: [] for cls in ResourceClass.ALL}
+        # resource class -> the ids of its links, sorted; built once, read
+        # on every change and tick
+        self._class_links: Dict[str, List[str]] = {cls: [] for cls in ResourceClass.ALL}
         for lid in sorted(topology.links):
-            link = topology.links[lid]
-            cls = LINK_TO_RESOURCE.get(link.link_class)
+            cls = LINK_TO_RESOURCE.get(topology.links[lid].link_class)
             if cls is not None:
-                self._class_links[cls].append(link)
+                self._class_links[cls].append(lid)
 
     # -- time integration ---------------------------------------------------
 
@@ -96,10 +99,7 @@ class MetricsCollector:
             self._last_ms = now_ms
 
     def set_backhaul_rate(self, net) -> None:
-        rate = 0
-        for link in self._class_links[ResourceClass.BACKHAUL]:
-            rate += net.load_units(link.id)
-        self._backhaul_rate = rate
+        self._backhaul_rate = net.load_units(*self._class_links[ResourceClass.BACKHAUL])
 
     # -- counters ---------------------------------------------------------
 
@@ -141,13 +141,12 @@ class MetricsCollector:
         return "\t".join(cols)
 
     def utilization(self, net, cls: str) -> float:
-        total = used = 0
-        for link in self._class_links[cls]:
-            if net.effective_up(link.id):
-                total += net.capacity_units(link.id)
-                used += net.load_units(link.id)
+        up = [lid for lid in self._class_links[cls] if net.effective_up(lid)]
+        total = 0
+        for lid in up:
+            total += net.capacity_units(lid)
         # int / int and float(Fraction) both round the exact quotient once
-        return float(used / total) if total else 0.0
+        return float(net.load_units(*up) / total) if total else 0.0
 
     def tick_row(self, now_ms: int, net, cache_lookups: int, cache_hits: int) -> None:
         self.advance(now_ms)

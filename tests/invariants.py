@@ -28,7 +28,9 @@ these equals its recount:
 It also asserts that every installed path lists each link once; on every
 link, that no installed flow crosses it while it or one of its end nodes
 is Down, that its guarantees fit its capacity (`residual_units >= 0`) and
-that its allocated rate does too (`load_units <= capacity_units`).
+that its allocated rate does too (`load_units <= capacity_units`); and
+on the links of each resource class, that `load_units` over all of them
+at once equals the sum of its per-link values.
 
 The slice entitlement holds after every admission: right after the
 install of each sliced flow with a guarantee, on every (fog, class) its
@@ -55,8 +57,8 @@ from fognet.topology import LINK_TO_RESOURCE, ResourceClass
 class _Layout:
     """What the recounts read of the network and fogs and never changes in
     a run: each link's resource class, the fogs that meter it (those of
-    its end nodes) and its (fog, class) keys, and the capacities at a
-    common denominator, memoized."""
+    its end nodes) and its (fog, class) keys, the links of each class, and
+    the capacities at a common denominator, memoized."""
 
     def __init__(self, sim):
         topo = sim.net.topology
@@ -73,6 +75,9 @@ class _Layout:
         for lid, keys in self.link_keys.items():
             for key in keys:
                 self.links_of[key].append(lid)
+        self.class_links = [
+            [lid for lid in sorted(topo.links) if self.resource[lid] == cls] for cls in ResourceClass.ALL
+        ]
         self.capacity_den = lcm(*(link.capacity.denominator for link in topo.links.values()))
         self._links = topo.links
         self._capacities: Dict[int, Dict[str, int]] = {}
@@ -148,6 +153,7 @@ def check_state(sim, layout: _Layout) -> None:
     down = set()
     physical = {(fog_id, cls): 0 for fog_id in sim.fogs for cls in ResourceClass.ALL}
     at: Dict[str, Set[str]] = defaultdict(set)  # node -> flows on its incident links
+    load: Dict[str, int | Fraction] = {}  # link -> load_units(link)
     capacities = layout.capacities(den)
     for lid, link in links.items():
         capacity = capacities[lid]
@@ -156,7 +162,8 @@ def check_state(sim, layout: _Layout) -> None:
         assert same(net._be_capacity[lid], capacity - gbr.get(lid, 0)), ("be_capacity", lid)
         assert net.flows_on_link(lid) == sorted(on_link.get(lid, ())), ("flows_on_link", lid)
         assert net.residual_units(lid) >= 0, ("gbr_overcommit", lid)
-        assert net.load_units(lid) <= net.capacity_units(lid), ("load_over_capacity", lid)
+        load[lid] = net.load_units(lid)
+        assert load[lid] <= net.capacity_units(lid), ("load_over_capacity", lid)
         if offered.get(lid, 0) > capacity:
             congested.add(lid)
         up = _up(net, lid)
@@ -170,6 +177,8 @@ def check_state(sim, layout: _Layout) -> None:
             for fog_id in fogs_of[lid]:
                 physical[fog_id, resource[lid]] += capacity - unsliced.get(lid, 0)
     assert net._congested == congested
+    for ids in layout.class_links:
+        assert net.load_units(*ids) == sum(load[lid] for lid in ids), ("class_load", ids[:1])
     assert net._down == down
     flows_at = net.flows_at
     for node in net.topology.nodes:

@@ -155,7 +155,8 @@ _ALLOC_PATHS = [
 class TestAllocation:
     def test_random_sequences_match_fair_share_solver(self):
         """allocated()/load_units() equal the max-min solver's answer
-        after every recompute(), on and off the uncongested fast path."""
+        after every recompute(), on and off the uncongested fast path;
+        load_units() also summed over random sets of links."""
         demands = [F(n, d) for n in range(9) for d in (1, 2, 3)]  # and half of each as a guarantee
         net = make_net(
             demands + [demand / 2 for demand in demands],
@@ -166,6 +167,7 @@ class TestAllocation:
         )
         capacity = {lid: link.capacity for lid, link in net.topology.links.items()}
         rng = random.Random(5)
+        pick = random.Random(6)  # the link sets summed, apart from the walk
         states = []
         serial = 0
         for _ in range(400):
@@ -188,9 +190,13 @@ class TestAllocation:
             for fid in net.flows:
                 assert net.allocated(fid) == expected[fid]
             assert net.allocated("not-installed") == F(0)
+            per_link = {}
             for lid in capacity:
                 on_link = sum((expected[f.flow_id] for f in net.flows.values() if lid in f.links), F(0))
-                assert net.load_units(lid) == on_link * net.unit
+                per_link[lid] = on_link * net.unit
+                assert net.load_units(lid) == per_link[lid]
+            subset = pick.sample(sorted(capacity), pick.randint(0, len(capacity)))
+            assert net.load_units(*subset) == sum((per_link[lid] for lid in subset), F(0))
 
             offered = {}
             for f in net.flows.values():
@@ -206,8 +212,9 @@ class TestKeptFairShareIndex:
     def test_random_steps_match_fresh_solve_and_oracle(self):
         """The solver index that NetworkState keeps while a link is congested
         gives the same answer as a from-scratch solve and the oracle after
-        every recompute(), through installs, removals and link flaps; it
-        exists exactly while some link is congested."""
+        every recompute(), through installs, removals and link flaps, on
+        each link and summed over random sets of links; it exists exactly
+        while some link is congested."""
         demands = [F(0), F(1, 2), F(1), F(2), F(3)]  # few values, so ties
         net = make_net(demands, backhaul_capacity=16, middle_mile_capacity=12, wlan_capacity=8, macro_capacity=6)
         capacity = {lid: link.capacity for lid, link in net.topology.links.items()}
@@ -215,6 +222,7 @@ class TestKeptFairShareIndex:
         twice = [("u1", "wl-u1-wap1"), ("wap1", "wl-u1-wap1")]
         paths = _ALLOC_PATHS + [twice]
         rng = random.Random(41)
+        pick = random.Random(42)  # the link sets summed, apart from the walk
         serial = 0
         kept = transitions = 0
         seen = set()
@@ -263,6 +271,7 @@ class TestKeptFairShareIndex:
             )
             for fid in net.flows:
                 assert net.allocated(fid) == oracle[fid]
+            per_link = {}
             for lid in capacity:
                 # guarantees count once per listing of the link; a best-effort
                 # rate counts once while congested, per listing on the fast path
@@ -272,7 +281,11 @@ class TestKeptFairShareIndex:
                         recount += oracle[f.flow_id] * f.links.count(lid)
                     elif lid in f.links:
                         recount += oracle[f.flow_id]
-                assert net.load_units(lid) == recount * net.unit
+                per_link[lid] = recount * net.unit
+                assert net.load_units(lid) == per_link[lid]
+            # the summed reader over a random set of links
+            subset = pick.sample(sorted(capacity), pick.randint(0, len(capacity)))
+            assert net.load_units(*subset) == sum((per_link[lid] for lid in subset), F(0))
         assert seen == {"gbr", "zero", "twice", "be"}
         assert transitions > 10 and kept > 100
 

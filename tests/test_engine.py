@@ -308,10 +308,12 @@ class TestFairShares:
 class TestFairShareIndex:
     def test_random_adds_and_removes_solve_as_a_fresh_index(self):
         """An index kept through adds and removes solves exactly as one built
-        from the remaining flows, and as the oracle; its per-link totals
-        equal a recount of the allocation, and its length counts every flow
-        (zero-demand and linkless ones too)."""
+        from the remaining flows, and as the oracle; its per-link rising
+        demand equals a recount, its best-effort total over each link and
+        over random sets of links equals a recount of the allocation, and
+        its length counts every flow (zero-demand and linkless ones too)."""
         rng = random.Random(31)
+        pick = random.Random(32)  # the link sets summed, apart from the walk
         links = [f"l{i}" for i in range(5)]
         caps = {l: F(rng.randint(4, 30), rng.choice([1, 2, 3])) for l in links}
         demands = [F(0), F(1, 2), F(1), F(2), F(5, 2), F(7)]  # few values, so ties
@@ -350,7 +352,84 @@ class TestFairShareIndex:
             assert alloc == recompute_fair_shares(flows, caps)
             assert len(index) == len(flows)
             assert alloc == maxmin_oracle([OracleFlow(f.flow_id, f.links, f.demand, f.gbr) for f in flows], caps)
+            per_link = {}
             for lid in links:
                 be = [f for f in flows if f.gbr == 0 and lid in f.links]
-                assert index.best_effort_on(lid) == sum((alloc[f.flow_id] for f in be), F(0)) * unit
+                per_link[lid] = sum((alloc[f.flow_id] for f in be), F(0)) * unit
+                assert index.best_effort_on(lid) == per_link[lid]
+                rising = sum(f.demand for f in be if f.demand > 0) * unit
+                assert index.load.get(lid, 0) == rising and (lid in index.load) == (rising > 0)
+            for _ in range(3):
+                subset = pick.sample(links, pick.randint(0, len(links)))
+                assert index.best_effort_on(*subset) == sum((per_link[lid] for lid in subset), F(0))
         assert kinds == {"gbr", "zero", "linkless", "twice", "be"} and live
+
+
+class TestContendedBoundary:
+    """Only links whose capacity net of guarantees is below the demand of
+    their rising flows take part in a solve. These instances put links at
+    that boundary: net capacity equal to their best-effort demand, one
+    unit below it and one unit above it."""
+
+    UNIT = 3  # every rate below is a whole number of 1/3 Mb/s
+
+    @classmethod
+    def _instance(cls, rng):
+        """Flows, capacities in units, and each link's offset from its
+        best-effort demand (None for a link given a random capacity)."""
+        links = [f"l{i}" for i in range(rng.randint(2, 6))]
+        flows = []
+        for i in range(rng.randint(1, 10)):
+            path = tuple(rng.sample(links, rng.randint(1, len(links))))
+            demand = F(rng.choice([1, 2, 3, 5, 6, 9]), cls.UNIT)
+            if rng.random() < 0.2:
+                flows.append(FlowDemand(f"g{i}", path, demand, demand))
+            else:
+                if rng.random() < 0.2:
+                    path += (path[0],)  # a best-effort path may list a link twice
+                flows.append(FlowDemand(f"f{i}", path, demand))
+        gbr = {lid: 0 for lid in links}
+        load = {lid: 0 for lid in links}
+        for f in flows:
+            for lid in dict.fromkeys(f.links):
+                if f.gbr:
+                    gbr[lid] += int(f.gbr * cls.UNIT)
+                else:
+                    load[lid] += int(f.demand * cls.UNIT)
+        offsets = {lid: rng.choice([-1, 0, 1, None]) for lid in links}
+        caps = {}
+        for lid in links:
+            if offsets[lid] is None or load[lid] + offsets[lid] < 0:
+                offsets[lid] = None
+                caps[lid] = gbr[lid] + rng.randint(0, 3 * load[lid] + 3)
+            else:
+                caps[lid] = gbr[lid] + load[lid] + offsets[lid]
+        return flows, caps, offsets, load
+
+    def test_solves_at_the_boundary_match_oracle_and_recounts(self):
+        rng = random.Random(1212)
+        unit = self.UNIT
+        seen = set()
+        for _ in range(400):
+            flows, caps, offsets, load = self._instance(rng)
+            index = FairShareIndex(flows, unit)
+            alloc = recompute_fair_shares(index, caps)
+            oracle = maxmin_oracle(
+                [OracleFlow(f.flow_id, f.links, f.demand, f.gbr) for f in flows],
+                {lid: F(cap, unit) for lid, cap in caps.items()},
+            )
+            assert alloc == oracle, (flows, caps)
+            per_link = {
+                lid: sum((alloc[f.flow_id] for f in flows if f.gbr == 0 and lid in f.links), F(0)) * unit
+                for lid in caps
+            }
+            for lid, offset in offsets.items():
+                if load[lid]:
+                    seen.add(offset)
+                    if offset is not None:
+                        # within the net capacity, and within the demand
+                        assert per_link[lid] <= load[lid] + min(offset, 0)
+            for _ in range(4):
+                subset = rng.sample(sorted(caps), rng.randint(0, len(caps)))
+                assert index.best_effort_on(*subset) == sum((per_link[lid] for lid in subset), F(0))
+        assert seen == {-1, 0, 1, None}

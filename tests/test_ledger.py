@@ -2,8 +2,9 @@
 
 Random sequences of sliced GBR, unsliced (control-overhead) GBR and
 best-effort installs and removals, interleaved with link and node
-up/down changes, over two fogs with two slices; some paths cross both
-fogs through the gateway. After every step the guaranteed-rate ledger,
+up/down changes (at least as likely to bring an element Up as to take
+one Down, so installs keep landing), over two fogs with two slices; some
+paths cross both fogs through the gateway. After every step the guaranteed-rate ledger,
 the health ledger (`_down`), each fog's sliceable capacity
 (`_sliceable`, `physical_capacity()`), the per-(fog, slice, class)
 guarantee and demand ledgers and the fogs' entitlements are checked
@@ -147,6 +148,16 @@ def _check(net, fogs, rng, paths, seen):
     seen.add(("congested", bool(net._congested)))
 
 
+def _to_flip(rng, elements, up):
+    """A link or node to flip, chosen so that the walk does not drift Down:
+    half the time a Down one if any, else any one, so an Up flip is at
+    least as likely as a Down flip."""
+    down = [e for e in elements if not up[e]]
+    if down and rng.random() < 0.5:
+        return rng.choice(down)
+    return rng.choice(elements)
+
+
 @pytest.mark.parametrize("seed", [3, 17])
 def test_ledger_matches_recounts_and_oracles(seed):
     net, fogs = _build()
@@ -160,10 +171,10 @@ def test_ledger_matches_recounts_and_oracles(seed):
     for _ in range(300):
         roll = rng.random()
         if roll < 0.1:
-            lid = rng.choice(health_links)
+            lid = _to_flip(rng, health_links, net.link_up)
             net.set_link_state(lid, not net.link_up[lid])
         elif roll < 0.15:
-            node = rng.choice(health_nodes)
+            node = _to_flip(rng, health_nodes, net.node_up)
             net.set_node_state(node, not net.node_up[node])
         elif roll < 0.5 and net.flows:
             flow = net.remove_flow(rng.choice(sorted(net.flows)))
