@@ -28,16 +28,21 @@ def main() -> int:
         t, fog, state = row.split("\t")
         print(f"  t={int(t):>6} ms  {fog}: {state}")
 
+    # requests are the decision rows (decisions.log) that are neither
+    # re-decisions nor terminations
     outcomes = Counter()
     during_outage = Counter()
-    for time_ms, spec, decision, reroute in sim.decisions:
-        if reroute:
+    header = sim.decision_rows[0].split("\t")
+    for line in sim.decision_rows[1:]:
+        row = dict(zip(header, line.split("\t")))
+        if row["reroute"] == "1" or row["status"] == "terminated":
             continue
-        key = "accepted" if decision.accepted else f"rejected:{decision.reason.value}"
+        accepted = row["status"] == "accepted"
+        key = "accepted" if accepted else f"rejected:{row['reason']}"
         outcomes[key] += 1
-        if 10_000 <= time_ms < 20_000:
-            label = decision.path.rat_used.value if decision.accepted else f"rejected:{decision.reason.value}"
-            during_outage[f"{spec.app_class}/{label}"] += 1
+        if 10_000 <= int(row["time_ms"]) < 20_000:
+            label = row["rat"] if accepted else key
+            during_outage[f"{row['class']}/{label}"] += 1
 
     print("\nrequest outcomes over the whole run:")
     for key in sorted(outcomes):

@@ -20,7 +20,9 @@ timed around each `recompute_fair_shares` call), and, from one more
 untimed run, the median per solve of the links with rising flows, of the
 contended links (capacity net of guarantees below the demand of their
 rising flows) and of the flow-link incidences (each rising flow's
-distinct links, summed).
+distinct links, summed). A size that makes no solve (its network never
+congests within `--seconds`) prints `-` in place of the µs per solve
+and of the per-solve medians, since there is nothing to measure.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def run_with(doc: dict, on_solve) -> tuple:
 
 
 def timed(doc: dict) -> tuple:
-    """(events/s, solves per event, mean µs per solve) of one run."""
+    """(events/s, solves per event, mean µs per solve or None) of one run."""
     spent = []
 
     def on_solve(solve, index, capacity):
@@ -79,12 +81,13 @@ def timed(doc: dict) -> tuple:
         return alloc
 
     events, seconds = run_with(doc, on_solve)
-    return events / seconds, len(spent) / events, 1e6 * sum(spent) / len(spent) if spent else 0.0
+    return events / seconds, len(spent) / events, 1e6 * sum(spent) / len(spent) if spent else None
 
 
 def solve_sizes(doc: dict) -> tuple:
     """Median per solve of (links with rising flows, contended links,
-    flow-link incidences), counted from the index each solve is handed."""
+    flow-link incidences), counted from the index each solve is handed;
+    each None when the run makes no solve."""
     links, contended, incidences = [], [], []
 
     def on_solve(solve, index, capacity):
@@ -99,7 +102,12 @@ def solve_sizes(doc: dict) -> tuple:
         return solve(index, capacity)
 
     run_with(doc, on_solve)
-    return tuple(statistics.median(counts) if counts else 0 for counts in (links, contended, incidences))
+    return tuple(statistics.median(counts) if counts else None for counts in (links, contended, incidences))
+
+
+def cell(value, width: int, spec: str) -> str:
+    """`value` right-aligned in `width`, or `-` where there was no solve."""
+    return f"{'-' if value is None else format(value, spec):>{width}}"
 
 
 def main(argv=None) -> int:
@@ -121,12 +129,15 @@ def main(argv=None) -> int:
     )
     rates = []
     for clusters, doc, runs in zip(args.clusters, docs, samples):
-        rate, per_event, us = (statistics.median(column) for column in zip(*runs))
+        rate = statistics.median(r for r, _, _ in runs)
+        per_event = statistics.median(n for _, n, _ in runs)
+        solved = [us for _, _, us in runs if us is not None]
+        us = statistics.median(solved) if solved else None
         rates.append(rate)
         links, contended, incidences = solve_sizes(doc)
         print(
-            f"{clusters:>8} {rate:>10.0f} {per_event:>12.2f} {us:>9.0f}"
-            f" {links:>12g} {contended:>9g} {incidences:>10g}"
+            f"{clusters:>8} {rate:>10.0f} {per_event:>12.2f} {cell(us, 9, '.0f')}"
+            f" {cell(links, 12, 'g')} {cell(contended, 9, 'g')} {cell(incidences, 10, 'g')}"
         )
     for (a, ra), (b, rb) in zip(zip(args.clusters, rates), zip(args.clusters[1:], rates[1:])):
         print(f"{a} -> {b} clusters: events/s fall x{ra / rb:.2f}")

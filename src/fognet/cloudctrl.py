@@ -194,18 +194,18 @@ class CloudControl:
         need = self.net.units(gbr)
         setup_ms = fa.control_latency_ms() + fb.control_latency_ms()
 
-        if not fa.access_options(src) or not fb.access_options(dst):
+        src_options, dst_options = fa.access_options(src), fb.access_options(dst)
+        if not src_options or not dst_options:
             return FlowDecision.rejected(spec.flow_id, RejectReason.NO_COVERAGE, setup_ms=setup_ms)
 
-        gw = self.net.topology.gateway_id()
         candidates: List[Candidate] = []
         structural = False
-        for skind, slink in fa.access_options(src):
-            for dkind, dlink in fb.access_options(dst):
-                built = self._build_interfog(fa, fb, src, dst, slink.id, dlink.id, gw, need, slice_a)
+        for skind, slink in src_options:
+            for dkind, dlink in dst_options:
+                built = self._build_interfog(fa, fb, src, dst, slink.id, dlink.id, need, slice_a)
                 if built is None:
                     # with need == 0 the search without headroom just failed
-                    if need > 0 and self._build_interfog(fa, fb, src, dst, slink.id, dlink.id, gw, 0, None):
+                    if need > 0 and self._build_interfog(fa, fb, src, dst, slink.id, dlink.id, 0, None):
                         structural = True
                     continue
                 structural = True
@@ -225,7 +225,7 @@ class CloudControl:
         )
 
     def _build_interfog(
-        self, fa, fb, src, dst, src_access, dst_access, gw, need, slice_id
+        self, fa, fb, src, dst, src_access, dst_access, need, slice_id
     ) -> Optional[List[Tuple[str, str]]]:
         """The hops through the gateway over links with `need` units of
         headroom, within the entitlement of the source user's slice in
@@ -240,7 +240,7 @@ class CloudControl:
         bh_b = self._pick_backhaul(fb.fog_id, need)
         if bh_a is None or bh_b is None:
             return None
-        hops = list(seg_a) + [(fa.pop, bh_a), (gw, bh_b)] + reverse_hops(seg_b, fb.pop)
+        hops = seg_a + [(fa.pop, bh_a), (self.net.topology.gateway_id(), bh_b)] + reverse_hops(seg_b, fb.pop)
         links = [lid for _, lid in hops]
         if not (fa.slice_gbr_ok(slice_id, links, need) and fb.slice_gbr_ok(slice_id, links, need)):
             return None

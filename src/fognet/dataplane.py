@@ -7,11 +7,12 @@ content cache.
 
 `NetworkState` keeps each load fact in one incremental ledger, updated by
 `install_flow`, `remove_flow` and the health setters in O(path): offered
-load and congestion per link, guaranteed-rate (GBR) use per link and of
-unsliced flows per link, each link's capacity net of GBR, the Down
-links, and per fog the slices' GBR use and demand and the sliceable
-capacity of each resource class, plus an epoch for fog caches (see its
-docstring for who updates what).
+load and congestion per link, each link's capacity net of guaranteed-rate
+(GBR) use (its GBR use is its capacity less that), the GBR use of
+unsliced flows per link, the Down links, and per fog the slices' GBR use
+and demand and the sliceable capacity of each resource class, plus an
+epoch for the fogs' entitlement caches (see its docstring for who
+updates what).
 
 Rates: flows (`InstalledFlow.demand`, `.gbr`), `allocated()` and `alloc`
 are exact `Fraction`s in Mb/s. Every ledger is a plain `int` in units of
@@ -157,11 +158,12 @@ class NetworkState:
       whose offered load exceeds capacity): `install_flow` and
       `remove_flow`.
     - Guaranteed-rate (GBR) ledger, in O(path) per `install_flow` and
-      `remove_flow` of a flow with `gbr > 0`: `_gbr` (per link, read by
-      `load_units`), `_be_capacity` (per link, capacity net of `_gbr`:
-      what the max-min solver shares among best-effort flows, read by
-      `residual_units`) and `_unsliced_gbr` (per link, the guarantees of
-      flows without a slice, read by `sliceable_units`).
+      `remove_flow` of a flow with `gbr > 0`: `_be_capacity` (per link,
+      capacity net of the guarantees held: what the max-min solver
+      shares among best-effort flows, read by `residual_units`; the
+      guarantees held on a link are `_capacity` less it, as `load_units`
+      reads them) and `_unsliced_gbr` (per link, the guarantees of flows
+      without a slice, read by `sliceable_units`).
     - Per-fog slice ledgers. At build each metered link gets its
       (fog, resource class) keys, `_meter_keys`: one per fog at either
       end, as in `Topology.fog_domain(fog).metered`, so a link in two
@@ -182,8 +184,9 @@ class NetworkState:
       and `remove_flow`.
     - `epoch`: bumped by `set_link_state`, `set_node_state` and the
       install or removal of an unsliced GBR flow, the inputs of each
-      fog's sliceable capacity (`FogControl.physical_capacity`) and of
-      its slices' entitlements (`FogControl.entitlements`).
+      fog's sliceable capacity (`fog_sliceable_units`) and so of its
+      slices' entitlements, which `FogControl.entitlements` keeps per
+      epoch.
       `set_link_state` and `set_node_state` also tell each callback given
       to `watch_health`.
     - `_fair`: the max-min solver's index of the best-effort flows, which
@@ -202,9 +205,10 @@ class NetworkState:
     `load_units(*link_ids)` is the one reader of allocated load, summed
     over the links it is given, so a caller that wants a class total asks
     once. While no link is congested it sums `_offered`; while congested,
-    `_gbr` plus the best-effort total of the last solve, read from
-    `_fair`. Like `alloc`, it is current once `recompute()` has run after
-    the last install or removal.
+    the guarantees held (`_capacity` less `_be_capacity`) plus the
+    best-effort total of the last solve, read from `_fair`. Like `alloc`,
+    it is current once `recompute()` has run after the last install or
+    removal.
     """
 
     def __init__(self, topology: Topology, rates: Iterable[Fraction]):
@@ -224,7 +228,6 @@ class NetworkState:
         self._capacity: Dict[str, int] = {
             lid: in_units(link.capacity, self.unit) for lid, link in topology.links.items()
         }
-        self._gbr: Dict[str, int] = {}
         self._be_capacity: Dict[str, int] = dict(self._capacity)
         self._unsliced_gbr: Dict[str, int] = {}
         self._best_effort: Dict[str, InstalledFlow] = {}
@@ -395,7 +398,6 @@ class NetworkState:
         slice_id = flow.slice_id
         meter_keys = self._meter_keys
         for lid in flow.links:
-            self._gbr[lid] = self._gbr.get(lid, 0) + gbr
             self._be_capacity[lid] -= gbr
             keys = meter_keys.get(lid, ())
             if slice_id is None:
@@ -436,7 +438,8 @@ class NetworkState:
         overcommitted = [lid for lid in self._congested if self._be_capacity[lid] < 0]
         if overcommitted:
             lid = min(overcommitted)
-            raise GbrOvercommit(lid, Fraction(self._gbr[lid], self.unit), self.topology.links[lid].capacity)
+            held = self._capacity[lid] - self._be_capacity[lid]
+            raise GbrOvercommit(lid, Fraction(held, self.unit), self.topology.links[lid].capacity)
         if self._fair is None:
             self._fair = FairShareIndex(self._best_effort.values(), self.unit)
         self.alloc = recompute_fair_shares(self._fair, self._be_capacity)
@@ -462,12 +465,13 @@ class NetworkState:
             for lid in link_ids:
                 used += offered.get(lid, 0)
             return used
-        # guarantees from the ledger, best-effort rates from the last solve
-        # (none yet when no recompute() has run since congestion began)
-        gbr = self._gbr
+        # guarantees from the ledger (`_capacity` less `_be_capacity`),
+        # best-effort rates from the last solve (none yet when no
+        # recompute() has run since congestion began)
+        capacity, be_capacity = self._capacity, self._be_capacity
         used = 0
         for lid in link_ids:
-            used += gbr.get(lid, 0)
+            used += capacity[lid] - be_capacity[lid]
         fair = self._fair
         return used + fair.best_effort_on(*link_ids) if fair is not None else used
 

@@ -4,8 +4,8 @@ One `FogControl` instance runs the control functions of a single fog
 element: per-slice control state (flow controller, mobility/load tracking,
 policy and charging, subscriber records with a session gate in front), the
 per-technology abstraction (each resource class's sliceable capacity,
-`physical_capacity`, and each slice's share of it, `entitlements`, both
-read from `NetworkState`'s per-fog ledgers once per epoch), and flexible
+`physical_capacity`, read from `NetworkState`'s per-fog ledger, and each
+slice's share of it, `entitlements`, kept once per epoch), and flexible
 placement via `FogProfile`. Functions absent from the profile fall back to
 the cloud: each use costs a configurable round trip and fails while the
 fog is isolated.
@@ -14,6 +14,9 @@ Flows are not registered per slice or per user: the installed flows in
 `NetworkState` are the one record of them. A flow belongs to the slice
 in its `slice_id`, the source user's, in every fog whose metered links
 its path uses; a user's flows are `NetworkState.flows_at(user)`.
+
+A decision's candidates come from one enumerator, `_candidates`, handed
+each endpoint's access options, read once per decision.
 
 Path selection is deliberately ordinal and deterministic:
 
@@ -303,13 +306,15 @@ def select_candidate(
 class FogControl:
     """Control plane of one fog element.
 
-    A request's route is its access hop, the mesh segment from the
+    `_candidates` enumerates a request's candidates: per target, one for
+    each source access option times, for a user peer, each of the peer's.
+    A candidate's route is its access hop, the mesh segment from the
     user's attachment point to the PoP, the gateway or the peer user's
-    attachment point, and the peer's access hop. Segments are memoized
-    per (start, end, via backhaul) (`_segment`): a link or node going
-    Down drops the segments through it, and one coming Up clears the memo
-    (`_prune_segments`). A GBR request reuses its segment when every hop
-    of the route has headroom.
+    attachment point, and the peer's access hop (`_structural_route`).
+    Segments are memoized per (start, end, via backhaul) (`_segment`): a
+    link or node going Down drops the segments through it, and one coming
+    Up clears the memo (`_prune_segments`). A GBR request keeps that
+    route when every hop has headroom (`_with_headroom`).
     """
 
     def __init__(
@@ -339,8 +344,6 @@ class FogControl:
         self.macro_bs = net.topology.macro_of(fog_id)
         self.domain = net.topology.fog_domain(fog_id)
         self._meters = {link.id: LINK_TO_RESOURCE[link.link_class] for link in self.domain.metered.get(None, ())}
-        self._physical: Dict[str, int] = {}
-        self._physical_epoch = -1  # NetworkState.epoch of `_physical`
         self._entitled: Dict[Tuple[str, str], Fraction] = {}
         self._ceiling: Dict[Tuple[str, str], int] = {}  # floors of `_entitled`
         self._entitled_epoch = -1  # NetworkState.epoch of both
@@ -483,16 +486,25 @@ class FogControl:
         """`constrained_route` over the request's access links, the fog's
         mesh and, for cloud-bound traffic, its backhaul: `access_links`
         holds the user `src`'s access link, plus the destination user's
-        when `dst` is a user.
-
-        The route without headroom comes from `_structural_route`. A GBR
-        request reuses it when every hop has `need` units of headroom: it is then
-        also the lexicographically first minimum-hop route over the links
-        with headroom. Otherwise it searches those links afresh.
-        """
+        when `dst` is a user."""
         hops = self._structural_route(src, dst, access_links, include_backhaul)
         if hops is None:
             raise NoRoute(f"no route {src} -> {dst}", src)
+        return self._with_headroom(hops, src, dst, access_links, need, include_backhaul)
+
+    def _with_headroom(
+        self,
+        hops: List[Tuple[str, str]],
+        src: str,
+        dst: str,
+        access_links: Set[str],
+        need: int,
+        include_backhaul: bool,
+    ) -> List[Tuple[str, str]]:
+        """`_route` from the structural route `hops`: kept when every hop
+        has `need` units of headroom, as it is then also the first
+        minimum-hop route over the links with headroom; else searched
+        afresh over those links."""
         if need > 0:
             residual = self.net.residual_units
             if any(residual(lid) < need for _, lid in hops):
@@ -587,72 +599,44 @@ class FogControl:
                 return False
         return True
 
-    def _build_candidate(
+    def _candidates(
         self,
-        label: str,
         src: str,
-        end: str,
-        access_links: Set[str],
+        options: List[Tuple[str, Link]],
+        targets: List[Tuple[str, RouteKind, List[Tuple[str, Optional[Link]]]]],
         need: int,
         slice_id: Optional[str],
-        rat: RouteKind,
-        access_used: Dict[str, str],
-    ) -> Tuple[Optional[Candidate], bool]:
-        """Returns (candidate or None, structurally-routable?)."""
-        include_backhaul = rat == RouteKind.CLOUD_BOUND
-        try:
-            hops = self._route(src, end, access_links, need, include_backhaul)
-        except NoRoute:
-            # a GBR request may fail on headroom alone; the memo knows
-            return None, self._structural_route(src, end, access_links, include_backhaul) is not None
-        if not self.slice_gbr_ok(slice_id, [lid for _, lid in hops], need):
-            return None, True
-        return Candidate(label=label, hops=hops, end=end, rat=rat, access_used=access_used), True
-
-    def _user_candidates(
-        self, spec: FlowSpec, need: int, slice_id: str
     ) -> Tuple[List[Candidate], bool]:
-        src, dst = spec.src.ident, spec.dst.ident
+        """The admissible candidates from the user `src`, in order, and
+        whether any was routable without headroom. Each target is (end,
+        kind, peers): `peers` are the access options of a user `end`
+        (labels `wlan+macro`), or `[(tag, None)]` for the PoP or gateway
+        (labels `tag(wlan)`). There is one candidate per target, access
+        option of `src` (`options`) and peer, in that order; it is admitted
+        given headroom (`_with_headroom`) and entitlement (`slice_gbr_ok`)."""
         out: List[Candidate] = []
         structural = False
-        for skind, slink in self.access_options(src):
-            for dkind, dlink in self.access_options(dst):
-                cand, ok = self._build_candidate(
-                    label=f"{skind}+{dkind}",
-                    src=src,
-                    end=dst,
-                    access_links={slink.id, dlink.id},
-                    need=need,
-                    slice_id=slice_id,
-                    rat=RouteKind.INTRA_FOG_LOCAL,
-                    access_used={src: skind, dst: dkind},
-                )
-                structural = structural or ok
-                if cand is not None:
-                    out.append(cand)
-        return out, structural
-
-    def _tail_candidates(
-        self, spec: FlowSpec, need: int, slice_id: str, target: str, rat: RouteKind, tag: str
-    ) -> Tuple[List[Candidate], bool]:
-        """Candidates from the source user to a fixed node (PoP or gateway)."""
-        src = spec.src.ident
-        out: List[Candidate] = []
-        structural = False
-        for skind, slink in self.access_options(src):
-            cand, ok = self._build_candidate(
-                label=f"{tag}({skind})",
-                src=src,
-                end=target,
-                access_links={slink.id},
-                need=need,
-                slice_id=slice_id,
-                rat=rat,
-                access_used={src: skind},
-            )
-            structural = structural or ok
-            if cand is not None:
-                out.append(cand)
+        for end, rat, peers in targets:
+            via_backhaul = rat == RouteKind.CLOUD_BOUND
+            for skind, slink in options:
+                for dkind, dlink in peers:
+                    access, used = {slink.id}, {src: skind}
+                    if dlink is None:
+                        label = f"{dkind}({skind})"
+                    else:
+                        label = f"{skind}+{dkind}"
+                        access.add(dlink.id)
+                        used[end] = dkind
+                    hops = self._structural_route(src, end, access, via_backhaul)
+                    if hops is None:
+                        continue
+                    structural = True
+                    try:
+                        hops = self._with_headroom(hops, src, end, access, need, via_backhaul)
+                    except NoRoute:
+                        continue
+                    if self.slice_gbr_ok(slice_id, [lid for _, lid in hops], need):
+                        out.append(Candidate(label, hops, end, rat, used))
         return out, structural
 
     # -- the flow controller -------------------------------------------------
@@ -670,62 +654,50 @@ class FogControl:
         need = self.net.units(gbr)
         setup_ms = self.control_latency_ms()
 
+        def reject(reason: RejectReason, note: str = "") -> FlowDecision:
+            return FlowDecision.rejected(spec.flow_id, reason, note=note, setup_ms=setup_ms)
+
         try:
             local = self.is_local_flow(spec)
         except UnknownEndpoint as exc:
-            return FlowDecision.rejected(
-                spec.flow_id, RejectReason.NO_COVERAGE, note=str(exc), setup_ms=setup_ms
-            )
+            return reject(RejectReason.NO_COVERAGE, str(exc))
 
-        if not self.access_options(spec.src.ident):
-            return FlowDecision.rejected(spec.flow_id, RejectReason.NO_COVERAGE, setup_ms=setup_ms)
+        src, dst = spec.src.ident, spec.dst.ident
+        options = self.access_options(src)
+        if not options:
+            return reject(RejectReason.NO_COVERAGE)
 
         note = ""
-        candidates: List[Candidate] = []
-        structural = False
         if spec.dst.kind == EndpointKind.USER:
-            if not self.has_user(spec.dst.ident):
-                return FlowDecision.rejected(
-                    spec.flow_id, RejectReason.NO_COVERAGE, note="peer outside fog", setup_ms=setup_ms
-                )
-            if not self.access_options(spec.dst.ident):
-                return FlowDecision.rejected(spec.flow_id, RejectReason.NO_COVERAGE, setup_ms=setup_ms)
-            candidates, structural = self._user_candidates(spec, need, slice_id)
+            if not self.has_user(dst):
+                return reject(RejectReason.NO_COVERAGE, "peer outside fog")
+            peers = self.access_options(dst)
+            if not peers:
+                return reject(RejectReason.NO_COVERAGE)
+            targets = [(dst, RouteKind.INTRA_FOG_LOCAL, peers)]
         elif spec.dst.kind == EndpointKind.CONTENT:
             if not (self.profile.cache_in_fog and self.cache) and not self.connected():
-                return FlowDecision.rejected(spec.flow_id, RejectReason.FOG_ISOLATED, setup_ms=setup_ms)
+                return reject(RejectReason.FOG_ISOLATED)
             hit = False
             if self.profile.cache_in_fog and self.cache:
-                hit = self.cache.lookup(spec.dst.ident)
+                hit = self.cache.lookup(dst)
                 note = "cache_hit" if hit else "cache_miss"
                 if not hit:
                     # fetch-through fill happens as part of request handling
-                    self.cache.insert(spec.dst.ident)
-            if hit:
-                cands, ok = self._tail_candidates(
-                    spec, need, slice_id, self.pop, RouteKind.INTRA_FOG_LOCAL, "cache"
-                )
-                candidates.extend(cands)
-                structural = structural or ok
+                    self.cache.insert(dst)
+            targets = [(self.pop, RouteKind.INTRA_FOG_LOCAL, [("cache", None)])] if hit else []
             if self.connected():
-                cands, ok = self._tail_candidates(
-                    spec, need, slice_id, self.net.topology.gateway_id(), RouteKind.CLOUD_BOUND, "fetch"
-                )
-                candidates.extend(cands)
-                structural = structural or ok
+                targets.append((self.net.topology.gateway_id(), RouteKind.CLOUD_BOUND, [("fetch", None)]))
             elif not hit:
-                return FlowDecision.rejected(
-                    spec.flow_id, RejectReason.FOG_ISOLATED, note=note, setup_ms=setup_ms
-                )
+                return reject(RejectReason.FOG_ISOLATED, note)
         elif spec.dst.kind == EndpointKind.EXTERNAL:
             if not self.connected():
-                return FlowDecision.rejected(spec.flow_id, RejectReason.FOG_ISOLATED, setup_ms=setup_ms)
-            candidates, structural = self._tail_candidates(
-                spec, need, slice_id, self.net.topology.gateway_id(), RouteKind.CLOUD_BOUND, "egress"
-            )
+                return reject(RejectReason.FOG_ISOLATED)
+            targets = [(self.net.topology.gateway_id(), RouteKind.CLOUD_BOUND, [("egress", None)])]
         else:  # pragma: no cover - enum is closed
             raise UnknownEndpoint(str(spec.dst))
 
+        candidates, structural = self._candidates(src, options, targets, need, slice_id)
         mobile_of = {uid: self.context_of(uid).mobile for c in candidates for uid in c.access_used}
         return self.conclude(
             spec, candidates, structural, (qos, gbr, slice_id), setup_ms,
@@ -814,22 +786,16 @@ class FogControl:
 
     def physical_capacity(self) -> Dict[str, int]:
         """Per-class sliceable capacity in units: the fog's Up metered links
-        net of unsliced reservations (`NetworkState.fog_sliceable_units`).
-
-        Kept once per `NetworkState.epoch`, which moves whenever link or
-        node health or an unsliced GBR flow changes; the returned dict is
-        shared until then, so do not mutate it."""
-        net = self.net
-        if self._physical_epoch != net.epoch:
-            fog_id = self.fog_id
-            self._physical = {cls: net.fog_sliceable_units(fog_id, cls) for cls in ResourceClass.ALL}
-            self._physical_epoch = net.epoch
-        return self._physical
+        net of unsliced reservations, read from the ledger
+        `NetworkState.fog_sliceable_units`."""
+        return {cls: self.net.fog_sliceable_units(self.fog_id, cls) for cls in ResourceClass.ALL}
 
     def entitlements(self) -> Dict[Tuple[str, str], Fraction]:
         """(slice, class) -> the slice's entitlement in units, an exact
         `Fraction` (`SliceManager.entitlements`). Kept once per
-        `NetworkState.epoch`, like `physical_capacity`; do not mutate."""
+        `NetworkState.epoch`, which moves whenever link or node health or
+        an unsliced GBR flow changes; the dict is shared until then, so do
+        not mutate it."""
         if self._entitled_epoch != self.net.epoch:
             self._entitled = self.slice_manager.entitlements()
             self._ceiling = {key: floor(entitled) for key, entitled in self._entitled.items()}

@@ -23,6 +23,7 @@ from .topology import (
     NodeKind,
     ResourceClass,
     Topology,
+    TopologyError,
     TopologyGenParams,
     generate_clustered,
     load_topology,
@@ -316,7 +317,13 @@ def _parse_topology(doc: dict, base_dir: str, seed: int) -> Tuple[Topology, str]
         path = os.path.join(base_dir, str(doc["file"]))
         if not os.path.exists(path):
             raise ValidationError("topology.file", f"no such file: {path}")
-        topo = load_topology(path)
+        try:
+            topo = load_topology(path)
+        except KeyError as exc:
+            raise ValidationError("topology.file", f"{doc['file']}: missing key {exc}")
+        except (TopologyError, yaml.YAMLError, ValueError, TypeError, AttributeError) as exc:
+            # one line, though a YAML error spans several
+            raise ValidationError("topology.file", f"{doc['file']}: {' '.join(str(exc).split())}")
         source = f"file:{doc['file']}"
     else:
         params = parse_gen_params(doc["generate"] or {}, "topology.generate", derive_seed(seed, "topology"))

@@ -74,7 +74,6 @@ class Simulation:
         self.cloud = CloudControl(self.net, self.engine, rtt_ms=config.cloud_rtt_ms)
         self.cloud.on_flow_terminated = self._on_terminated
         self.decision_rows: List[str] = [DECISION_HEADER]
-        self.decisions: List[Tuple[int, FlowSpec, FlowDecision, bool]] = []
         self.slice_rows: List[str] = ["time_ms\tfog\tslice\tresource\tentitled\tdemand\tgranted"]
         self.fogs: Dict[str, FogControl] = {}
         self.operator_of: Dict[str, str] = {}
@@ -254,7 +253,6 @@ class Simulation:
         return self.fogs[src_fog].handle_flow_request(spec)
 
     def _log_decision(self, time_ms: int, spec: FlowSpec, decision: FlowDecision, reroute: bool) -> None:
-        self.decisions.append((time_ms, spec, decision, reroute))
         path = decision.path
         self.decision_rows.append(
             "\t".join(

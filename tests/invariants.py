@@ -9,8 +9,9 @@ with the links of its path), the link and node health flags
 these equals its recount:
 
 - `NetworkState._offered` (per link: each flow's guarantee, else its
-  demand, once per listing of the link), `_gbr` (guarantees per link, per
-  listing) and `_be_capacity` (capacity net of `_gbr`), each an `int` in
+  demand, once per listing of the link), the guarantees per link, per
+  listing (`capacity_units` less `_be_capacity`), and `_be_capacity`
+  (capacity net of those guarantees), each an `int` in
   the network state's units of `1/net.unit` Mb/s; and `_congested` (links
   whose offered load exceeds capacity);
 - the per-fog slice ledgers, keyed by (fog, slice, resource class), where
@@ -158,7 +159,7 @@ def check_state(sim, layout: _Layout) -> None:
     for lid, link in links.items():
         capacity = capacities[lid]
         assert same(net._offered.get(lid, 0), offered.get(lid, 0)), ("offered", lid)
-        assert same(net._gbr.get(lid, 0), gbr.get(lid, 0)), ("gbr", lid)
+        assert same(net.capacity_units(lid) - net._be_capacity[lid], gbr.get(lid, 0)), ("gbr", lid)
         assert same(net._be_capacity[lid], capacity - gbr.get(lid, 0)), ("be_capacity", lid)
         assert net.flows_on_link(lid) == sorted(on_link.get(lid, ())), ("flows_on_link", lid)
         assert net.residual_units(lid) >= 0, ("gbr_overcommit", lid)

@@ -55,10 +55,18 @@ def test_01_locality_over_1000_seeded_scenarios():
             },
         }
         sim = Simulation(parse_scenario(doc))
+        decisions = []
+        log_decision = sim._log_decision
+
+        def log_and_keep(time_ms, spec, decision, reroute):
+            log_decision(time_ms, spec, decision, reroute)
+            decisions.append(decision)
+
+        sim._log_decision = log_and_keep
         sim.run()
         topo = sim.config.topology
         gateway = topo.gateway_id()
-        for _, _, decision, _ in sim.decisions:
+        for decision in decisions:
             checked += 1
             if not decision.accepted or decision.path.rat_used != RouteKind.INTRA_FOG_LOCAL:
                 continue
@@ -319,9 +327,14 @@ def test_06_cache_effect():
 
     # replay the same request trace through an independent LRU
     ref = ReferenceLru(10)
-    for _, spec, _, reroute in sim_on.decisions:
-        if not reroute and spec.dst.kind.value == "content":
-            ref.access(spec.dst.ident)
+    # the requests are the decision rows that are not re-decisions or terminations
+    header = sim_on.decision_rows[0].split("\t")
+    dst, status, reroute = header.index("dst"), header.index("status"), header.index("reroute")
+    for row in sim_on.decision_rows[1:]:
+        cols = row.split("\t")
+        kind, _, ident = cols[dst].partition(":")
+        if cols[reroute] == "0" and cols[status] != "terminated" and kind == "content":
+            ref.access(ident)
     oracle_rate = ref.hits / (ref.hits + ref.misses)
     elapsed = time.perf_counter() - t0
     verdict(

@@ -327,7 +327,7 @@ class TestNonDecimalRates:
                 assert net.allocated(fid) == oracle[fid]
             for lid, cap in capacity.items():
                 gbr = sum((f.gbr * f.links.count(lid) for f in flows if f.gbr > 0), F(0))
-                assert net._gbr.get(lid, 0) == gbr * net.unit
+                assert net.capacity_units(lid) - net.residual_units(lid) == gbr * net.unit
                 assert net.residual_units(lid) == (cap - gbr) * net.unit
                 assert net.load_units(lid) == sum((oracle[f.flow_id] for f in flows if lid in f.links), F(0)) * net.unit
                 assert net.flows_on_link(lid) == sorted(f.flow_id for f in flows if lid in f.links)
@@ -364,11 +364,11 @@ class TestNonDecimalRates:
         path = _ALLOC_PATHS[0]
         net.install_flow(flow("tenth", path, demand=F(1, 10), gbr=F(1, 10)))
         net.install_flow(flow("tenth-be", path, demand=F(1, 10)))
-        before = (dict(net.flows), dict(net._offered), dict(net._gbr), dict(net._best_effort))
+        before = (dict(net.flows), dict(net._offered), dict(net._be_capacity), dict(net._best_effort))
         for bad in (flow("third-be", path, demand=F(1, 3)), flow("third-gbr", path, demand=F(1, 3), gbr=F(1, 3))):
             with pytest.raises(ValueError):
                 net.install_flow(bad)
-            assert (net.flows, net._offered, net._gbr, net._best_effort) == before
+            assert (net.flows, net._offered, net._be_capacity, net._best_effort) == before
 
 
 def _random_walk(topo, rng, max_hops=5):

@@ -5,13 +5,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import yaml
 
 import fognet
 from fognet.cli import main
 from fognet.metrics import BYTES_PER_MBPS_MS
 from fognet.scenario import ParseError, ValidationError, load_scenario, parse_scenario
 from fognet.simulation import OUTPUT_FILES, Simulation, run_scenario
-from fognet.topology import LinkClass
+from fognet.topology import InvalidTopology, LinkClass, MissingPoP, loads
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -219,6 +220,36 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
         assert f"{field}: not a rate" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "old, new, raised, detail",
+        [
+            ("{id: gw, kind: CloudGateway}", "{id: gw, kind: CloudGateway, colour: red}", InvalidTopology, "colour"),
+            ("{id: gw, kind: CloudGateway}", "{kind: CloudGateway}", KeyError, "missing key 'id'"),
+            ("{id: gw, kind: CloudGateway}", "{id: gw, kind: Blah}", ValueError, "Blah"),
+            ("{id: gw, kind: CloudGateway}", "{id: gw, kind: CloudGateway", yaml.YAMLError, "line 2"),
+            ("{id: pop, kind: PoP, fog: fog1}", "{id: pop, kind: User, fog: fog1}", MissingPoP, "MissingPoP"),
+        ],
+        ids=["unknown-key", "node-without-id", "unknown-kind", "yaml-syntax", "fog-without-pop"],
+    )
+    def test_malformed_topology_file_is_one_line_error(self, tmp_path, capsys, command, old, new, raised, detail):
+        text = (SCENARIOS / "two_cluster.topo.yaml").read_text()
+        assert text.count(old) == 1
+        bad = text.replace(old, new)
+        with pytest.raises(raised):  # library callers still get the loader's own error
+            loads(bad)
+        (tmp_path / "two_cluster.topo.yaml").write_text(bad)
+        scn = tmp_path / "bad.scn"
+        scn.write_text((SCENARIOS / "two_cluster.scn").read_text())
+        args = [command, str(scn)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert "Traceback" not in captured.err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert "topology.file: two_cluster.topo.yaml: " in err and detail in err, err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])

@@ -87,9 +87,9 @@ def _check(net, fogs, rng, paths, seen):
     topo = net.topology
     for lid, link in topo.links.items():
         gbr = sum((f.gbr * f.path.links().count(lid) for f in net.flows.values() if f.gbr > 0), F(0))
-        assert net._gbr.get(lid, 0) == gbr * net.unit
+        assert net.capacity_units(lid) - net.residual_units(lid) == gbr * net.unit
         assert net.residual_units(lid) == (link.capacity - gbr) * net.unit
-        assert net.residual_units(lid) == net.capacity_units(lid) - net._gbr.get(lid, 0)
+        assert net.capacity_units(lid) == link.capacity * net.unit
     assert net._down == {lid for lid in topo.links if not _up(net, lid)}
     for fog_id in fogs:
         for slice_id, _, _ in SLICES:
