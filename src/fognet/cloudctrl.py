@@ -194,31 +194,26 @@ class CloudControl:
         need = self.net.units(gbr)
         setup_ms = fa.control_latency_ms() + fb.control_latency_ms()
 
-        src_options, dst_options = fa.access_options(src), fb.access_options(dst)
+        src_ctx, dst_ctx = fa.context_of(src), fb.context_of(dst)
+        src_options = fa.user_template(src_ctx).options
+        dst_options = fb.user_template(dst_ctx).options
         if not src_options or not dst_options:
             return FlowDecision.rejected(spec.flow_id, RejectReason.NO_COVERAGE, setup_ms=setup_ms)
 
         candidates: List[Candidate] = []
         structural = False
-        for skind, slink in src_options:
-            for dkind, dlink in dst_options:
-                built = self._build_interfog(fa, fb, src, dst, slink.id, dlink.id, need, slice_a)
+        for s in src_options:
+            for d in dst_options:
+                built = self._build_interfog(fa, fb, src, dst, s.link_id, d.link_id, need, slice_a)
                 if built is None:
                     # with need == 0 the search without headroom just failed
-                    if need > 0 and self._build_interfog(fa, fb, src, dst, slink.id, dlink.id, 0, None):
+                    if need > 0 and self._build_interfog(fa, fb, src, dst, s.link_id, d.link_id, 0, None):
                         structural = True
                     continue
                 structural = True
-                candidates.append(
-                    Candidate(
-                        label=f"{skind}+{dkind}",
-                        hops=built,
-                        end=dst,
-                        rat=RouteKind.CLOUD_BOUND,
-                        access_used={src: skind, dst: dkind},
-                    )
-                )
-        mobile_of = {src: fa.context_of(src).mobile, dst: fb.context_of(dst).mobile}
+                used = ((src, s.kind), (dst, d.kind))
+                candidates.append(Candidate(f"{s.kind}+{d.kind}", tuple(built), dst, RouteKind.CLOUD_BOUND, used))
+        mobile_of = {src: src_ctx.mobile, dst: dst_ctx.mobile}
         return fa.conclude(
             spec, candidates, structural, (qos, gbr, slice_a), setup_ms,
             prefer_local=False, mobile_of=mobile_of, reroute=reroute,

@@ -22,7 +22,8 @@ the one exception is a link's best-effort total while congested, a
 `Fraction` of units, since max-min levels need not be whole units. The
 unit is fixed when the state is built, from every rate a flow can hold; a
 rate that is not a whole number of it raises ValueError. `install_flow`
-and `remove_flow` convert a flow's rates, and the controllers convert a
+converts a flow's rates once and keeps them on the flow (`gbr_units`,
+`rate_units`) for `remove_flow` to read back, and the controllers convert a
 request's guarantee once (`FogControl.handle_flow_request`,
 `CloudControl.setup_interfog_path`); installs, removals, congestion and
 headroom tests then add and compare ints.
@@ -48,10 +49,11 @@ attachment points, prunes them on each health change it hears of through
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .engine import FairShareIndex, GbrOvercommit, recompute_fair_shares
@@ -98,19 +100,32 @@ class NotAuthenticated(DataplaneError):
 
 @dataclass(frozen=True)
 class FlowPath:
-    """Installed hop sequence: hops[i] = (node, outgoing link)."""
+    """Installed hop sequence: hops[i] = (node, outgoing link).
+
+    Its link ids are derived from the hops once, when it is built, and its
+    node ids on each call of `nodes()`, unless the builder hands them in
+    (`link_ids`, `node_ids`), as fog control does from a candidate that
+    already holds them."""
 
     flow_id: str
     src: str
     dst: str
     hops: Tuple[Tuple[str, str], ...]
     rat_used: RouteKind
+    link_ids: Optional[Tuple[str, ...]] = field(default=None, compare=False, repr=False)
+    node_ids: Optional[Tuple[str, ...]] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.link_ids is None:
+            object.__setattr__(self, "link_ids", tuple(map(itemgetter(1), self.hops)))
 
     def links(self) -> Tuple[str, ...]:
-        return tuple(lid for _, lid in self.hops)
+        return self.link_ids
 
     def nodes(self) -> Tuple[str, ...]:
-        return tuple(n for n, _ in self.hops) + (self.dst,)
+        if self.node_ids is not None:
+            return self.node_ids
+        return (*map(itemgetter(0), self.hops), self.dst)
 
 
 @dataclass
@@ -124,7 +139,10 @@ class InstalledFlow:
     start_ms: int
     latency_ms: float
     spec: object = None  # originating FlowSpec, when controller-driven
-    links: Tuple[str, ...] = ()  # cached from path; hot in the allocator
+    links: Tuple[str, ...] = ()  # the path's; hot in the allocator
+    # guarantee and rate (guarantee, else demand) in units, set by `NetworkState.install_flow`
+    gbr_units: int = field(default=0, init=False, compare=False)
+    rate_units: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self):
         self.links = self.path.links()
@@ -352,6 +370,7 @@ class NetworkState:
                 raise LinkDown(f"link {lid} is down", lid)
         gbr = self.units(flow.gbr)
         want = gbr or self.units(flow.demand)
+        flow.gbr_units, flow.rate_units = gbr, want
         self.flows[flow.flow_id] = flow
         if gbr > 0:
             self._reserve(flow, gbr)
@@ -374,8 +393,7 @@ class NetworkState:
         if flow is None:
             raise UnknownFlow(f"flow {flow_id} not installed", flow_id)
         self.alloc.pop(flow_id, None)
-        gbr = self.units(flow.gbr)
-        want = gbr or self.units(flow.demand)
+        gbr, want = flow.gbr_units, flow.rate_units
         if gbr > 0:
             self._reserve(flow, -gbr)
         else:

@@ -16,7 +16,10 @@ in its `slice_id`, the source user's, in every fog whose metered links
 its path uses; a user's flows are `NetworkState.flows_at(user)`.
 
 A decision's candidates come from one enumerator, `_candidates`, handed
-each endpoint's access options, read once per decision.
+each user endpoint's template (`UserTemplate`): its access options and
+its finished candidates to the PoP and the gateway, kept per (user,
+attachment) until the next link or node state change, so a request
+re-derives none of them.
 
 Path selection is deliberately ordinal and deterministic:
 
@@ -34,8 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from math import floor
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from operator import attrgetter, itemgetter
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple, Union
 
 from .dataplane import (
     FlowPath,
@@ -195,16 +200,61 @@ class SliceRacf:
     charging: Dict[str, int] = field(default_factory=dict)
 
 
-@dataclass
-class Candidate:
+class Candidate(NamedTuple):
+    """One way to route a request. A tuple, so that the candidates a
+    template holds can be handed to every request that reads them.
+
+    `links`, `nodes` and `latency_ms` (the latency summed over `links`)
+    are derived from `hops`. A template's candidates hold them
+    (`finished`); one built for a single request holds None, and only
+    the chosen one's are derived (`FogControl.conclude`, and
+    `FlowPath.nodes` when read)."""
+
     label: str
-    hops: List[Tuple[str, str]]
+    hops: Tuple[Tuple[str, str], ...]
     end: str
     rat: RouteKind
-    access_used: Dict[str, str]  # user id -> "wlan" | "macro"
+    access_used: Tuple[Tuple[str, str], ...]  # (user id, "wlan" | "macro") per user endpoint
+    links: Optional[Tuple[str, ...]] = None
+    nodes: Optional[Tuple[str, ...]] = None
+    latency_ms: Optional[float] = None
 
-    def nodes(self) -> Tuple[str, ...]:
-        return tuple(n for n, _ in self.hops) + (self.end,)
+
+_first, _second, _latency = itemgetter(0), itemgetter(1), attrgetter("latency_ms")
+
+
+def finished(label, hops, end, rat, access_used, topology_links: Dict[str, Link]) -> Candidate:
+    """The candidate with its links, nodes and latency derived from `hops`."""
+    links = tuple(map(_second, hops))
+    nodes = (*map(_first, hops), end)
+    return Candidate(label, hops, end, rat, access_used, links, nodes, latency_sum(links, topology_links))
+
+
+def latency_sum(links: Tuple[str, ...], topology_links: Dict[str, Link]) -> float:
+    return sum(map(_latency, map(topology_links.__getitem__, links)))
+
+
+def route_nodes(c: Candidate) -> Tuple[str, ...]:
+    return c.nodes if c.nodes is not None else (*map(_first, c.hops), c.end)
+
+
+class AccessOption(NamedTuple):
+    """One usable access link of a user: its kind, its id, and the node at
+    its far end, where the user's routes join the mesh."""
+
+    kind: str  # "wlan" | "macro"
+    link_id: str
+    attach: str
+
+
+class UserTemplate(NamedTuple):
+    """What a user's requests share until the next link or node state
+    change, under one attachment: its access options, and per fixed
+    target, keyed (PoP or gateway, label tag), the finished candidates
+    to it, one per access option with a route."""
+
+    options: Tuple[AccessOption, ...]
+    fixed: Dict[Tuple[str, str], Tuple[Candidate, ...]]
 
 
 @dataclass(frozen=True)
@@ -274,15 +324,16 @@ def select_candidate(
 
     def violations(c: Candidate) -> int:
         count = 0
-        for user, kind in c.access_used.items():
+        for user, kind in c.access_used:
             wanted = "macro" if mobile_of.get(user, False) else "wlan"
             if kind != wanted:
                 count += 1
         return count
 
     if len(pool) > 1:
-        best = min(violations(c) for c in pool)
-        narrow([c for c in pool if violations(c) == best], "mobility")
+        counts = [violations(c) for c in pool]
+        best = min(counts)
+        narrow([c for c, n in zip(pool, counts) if n == best], "mobility")
 
     if len(pool) > 1:
 
@@ -297,7 +348,7 @@ def select_candidate(
         narrow([c for c in pool if len(c.hops) == best_h], "hop_count")
 
     if len(pool) > 1:
-        pool = [min(pool, key=lambda c: c.nodes())]
+        pool = [min(pool, key=route_nodes)]
         discriminator = "lex"
 
     return pool[0], discriminator
@@ -313,8 +364,18 @@ class FogControl:
     attachment point, and the peer's access hop (`_structural_route`).
     Segments are memoized per (start, end, via backhaul) (`_segment`): a
     link or node going Down drops the segments through it, and one coming
-    Up clears the memo (`_prune_segments`). A GBR request keeps that
-    route when every hop has headroom (`_with_headroom`).
+    Up clears the memo. A GBR request keeps that route when every hop has
+    headroom (`_with_headroom`).
+
+    What does not depend on load is kept per user in a `UserTemplate`,
+    keyed (user, attachment), so a handover needs no hook: the access
+    options, and per PoP or gateway target the finished candidates
+    (`_fill_target`). A candidate to a peer user is assembled per request
+    from the two users' options and the segment memo, never kept per
+    pair. Every template is dropped on any link or node state change
+    (`_on_health`). A request then does only what depends on live load:
+    the headroom and slice tests of a GBR request, `select_candidate` and
+    the install.
     """
 
     def __init__(
@@ -348,7 +409,8 @@ class FogControl:
         self._ceiling: Dict[Tuple[str, str], int] = {}  # floors of `_entitled`
         self._entitled_epoch = -1  # NetworkState.epoch of both
         self._segments: Dict[Tuple[str, str, bool], Optional[Tuple[Tuple[str, str], ...]]] = {}
-        net.watch_health(self._prune_segments)
+        self._templates: Dict[Tuple[str, Attachment], UserTemplate] = {}
+        net.watch_health(self._on_health)
         # Hooks wired by the harness.
         self.on_terminate: Optional[Callable[[InstalledFlow, RejectReason], None]] = None
         self.clock: Callable[[], int] = lambda: 0
@@ -490,25 +552,19 @@ class FogControl:
         hops = self._structural_route(src, dst, access_links, include_backhaul)
         if hops is None:
             raise NoRoute(f"no route {src} -> {dst}", src)
-        return self._with_headroom(hops, src, dst, access_links, need, include_backhaul)
+        return self._with_headroom(hops, src, dst, need, include_backhaul)
 
-    def _with_headroom(
-        self,
-        hops: List[Tuple[str, str]],
-        src: str,
-        dst: str,
-        access_links: Set[str],
-        need: int,
-        include_backhaul: bool,
-    ) -> List[Tuple[str, str]]:
-        """`_route` from the structural route `hops`: kept when every hop
-        has `need` units of headroom, as it is then also the first
-        minimum-hop route over the links with headroom; else searched
-        afresh over those links."""
+    def _with_headroom(self, hops, src: str, dst: str, need: int, include_backhaul: bool):
+        """`_route` from the structural route `hops`: kept (the same
+        object) when every hop has `need` units of headroom, as it is then
+        also the first minimum-hop route over the links with headroom;
+        else searched afresh over those links, as a new list. The
+        request's access links are the first and last hops of `hops`:
+        every other hop is a mesh or backhaul link."""
         if need > 0:
             residual = self.net.residual_units
             if any(residual(lid) < need for _, lid in hops):
-                allowed = self.domain.mesh | access_links
+                allowed = self.domain.mesh | {hops[0][1], hops[-1][1]}
                 if include_backhaul:
                     allowed |= self.domain.backhaul_ids
                 return constrained_route(self.net, src, dst, allowed, need)
@@ -556,22 +612,28 @@ class FogControl:
                 self._segments[key] = None
         return self._segments[key]
 
-    def _prune_segments(self, element: str, up: bool) -> None:
-        """Keep the segment memo exact across one link or node state change.
+    def _on_health(self, element: str, up: bool) -> None:
+        """Keep the templates and the segment memo exact across one link or
+        node state change.
 
+        Every template is dropped: it holds access options and routes.
         An element coming Up can shorten any segment, so the memo is
         cleared. One going Down only removes routes: a memoized segment
         that does not pass through it is still usable, still minimum-hop
         and still the lexicographically first such route, and a missing
         route stays missing. So only the segments through it are dropped."""
+        self._templates = {}
         if up:
             self._segments = {}
             return
-        self._segments = {
-            key: segment
-            for key, segment in self._segments.items()
-            if not segment or (element != key[1] and all(element not in hop for hop in segment))
-        }
+        segments = self._segments
+        through = [
+            key
+            for key, segment in segments.items()
+            if segment and (element == key[1] or element in chain.from_iterable(segment))
+        ]
+        for key in through:
+            del segments[key]
 
     def slice_gbr_ok(self, slice_id: Optional[str], links: List[str], need: int) -> bool:
         """Guaranteed admissions are capped at the slice's entitlement in
@@ -599,44 +661,87 @@ class FogControl:
                 return False
         return True
 
+    def user_template(self, ctx: UserContext) -> UserTemplate:
+        """The template of the user of `ctx` under its current attachment,
+        its access options filled on first use."""
+        key = (ctx.user_id, ctx.attachment)
+        template = self._templates.get(key)
+        if template is None:
+            user = ctx.user_id
+            options = tuple(AccessOption(kind, link.id, link.other(user)) for kind, link in self.access_options(user))
+            template = self._templates[key] = UserTemplate(options, {})
+        return template
+
+    def _fill_target(
+        self, src: str, options: Tuple[AccessOption, ...], end: str, rat: RouteKind, tag: str
+    ) -> Tuple[Candidate, ...]:
+        """The finished candidates from the user `src` with the access
+        `options` to the PoP or gateway `end`, one per option with a route,
+        labelled `tag(kind)`."""
+        via_backhaul = rat == RouteKind.CLOUD_BOUND
+        topology_links = self.net.topology.links
+        out = []
+        for kind, link_id, attach in options:
+            segment = self._segment(attach, end, via_backhaul)
+            if segment is not None:
+                hops = ((src, link_id), *segment)
+                out.append(finished(f"{tag}({kind})", hops, end, rat, ((src, kind),), topology_links))
+        return tuple(out)
+
     def _candidates(
         self,
         src: str,
-        options: List[Tuple[str, Link]],
-        targets: List[Tuple[str, RouteKind, List[Tuple[str, Optional[Link]]]]],
+        template: UserTemplate,
+        targets: List[Tuple[str, RouteKind, Union[str, UserTemplate]]],
         need: int,
         slice_id: Optional[str],
     ) -> Tuple[List[Candidate], bool]:
         """The admissible candidates from the user `src`, in order, and
         whether any was routable without headroom. Each target is (end,
-        kind, peers): `peers` are the access options of a user `end`
-        (labels `wlan+macro`), or `[(tag, None)]` for the PoP or gateway
-        (labels `tag(wlan)`). There is one candidate per target, access
-        option of `src` (`options`) and peer, in that order; it is admitted
-        given headroom (`_with_headroom`) and entitlement (`slice_gbr_ok`)."""
+        kind, peer): `peer` is the template of a user `end` (labels
+        `wlan+macro`), or a tag for the PoP or gateway (labels
+        `tag(wlan)`). There is one candidate per target, access option of
+        `src` and, for a user peer, access option of the peer, in that
+        order. Candidates to the PoP or gateway come from `src`'s
+        template, filled on first use (`_fill_target`); those to a user
+        are assembled here. Each is admitted given headroom
+        (`_with_headroom`) and entitlement (`slice_gbr_ok`)."""
         out: List[Candidate] = []
         structural = False
-        for end, rat, peers in targets:
+        for end, rat, peer in targets:
+            if isinstance(peer, str):
+                found = template.fixed.get((end, peer))
+                if found is None:
+                    found = template.fixed[(end, peer)] = self._fill_target(src, template.options, end, rat, peer)
+            else:
+                found = []
+                for skind, slink, sattach in template.options:
+                    for dkind, dlink, dattach in peer.options:
+                        if src == end:  # a flow to oneself takes no hop
+                            hops, used = (), ((end, dkind),)
+                        else:
+                            segment = self._segment(sattach, dattach, False)
+                            if segment is None:
+                                continue
+                            hops, used = ((src, slink), *segment, (dattach, dlink)), ((src, skind), (end, dkind))
+                        found.append(Candidate(f"{skind}+{dkind}", hops, end, rat, used))
+            if not found:
+                continue
+            structural = True
+            if need <= 0:
+                out.extend(found)
+                continue
             via_backhaul = rat == RouteKind.CLOUD_BOUND
-            for skind, slink in options:
-                for dkind, dlink in peers:
-                    access, used = {slink.id}, {src: skind}
-                    if dlink is None:
-                        label = f"{dkind}({skind})"
-                    else:
-                        label = f"{skind}+{dkind}"
-                        access.add(dlink.id)
-                        used[end] = dkind
-                    hops = self._structural_route(src, end, access, via_backhaul)
-                    if hops is None:
-                        continue
-                    structural = True
-                    try:
-                        hops = self._with_headroom(hops, src, end, access, need, via_backhaul)
-                    except NoRoute:
-                        continue
-                    if self.slice_gbr_ok(slice_id, [lid for _, lid in hops], need):
-                        out.append(Candidate(label, hops, end, rat, used))
+            for c in found:
+                try:
+                    hops = self._with_headroom(c.hops, src, end, need, via_backhaul)
+                except NoRoute:
+                    continue
+                if hops is not c.hops:
+                    c = Candidate(c.label, tuple(hops), end, rat, c.access_used)
+                links = c.links if c.links is not None else tuple(map(_second, c.hops))
+                if self.slice_gbr_ok(slice_id, links, need):
+                    out.append(c)
         return out, structural
 
     # -- the flow controller -------------------------------------------------
@@ -663,18 +768,22 @@ class FogControl:
             return reject(RejectReason.NO_COVERAGE, str(exc))
 
         src, dst = spec.src.ident, spec.dst.ident
-        options = self.access_options(src)
-        if not options:
+        ctx = self.context_of(src)
+        template = self.user_template(ctx)
+        if not template.options:
             return reject(RejectReason.NO_COVERAGE)
 
         note = ""
+        mobile_of = {src: ctx.mobile}
         if spec.dst.kind == EndpointKind.USER:
             if not self.has_user(dst):
                 return reject(RejectReason.NO_COVERAGE, "peer outside fog")
-            peers = self.access_options(dst)
-            if not peers:
+            peer_ctx = self.context_of(dst)
+            peer = self.user_template(peer_ctx)
+            if not peer.options:
                 return reject(RejectReason.NO_COVERAGE)
-            targets = [(dst, RouteKind.INTRA_FOG_LOCAL, peers)]
+            targets = [(dst, RouteKind.INTRA_FOG_LOCAL, peer)]
+            mobile_of[dst] = peer_ctx.mobile
         elif spec.dst.kind == EndpointKind.CONTENT:
             if not (self.profile.cache_in_fog and self.cache) and not self.connected():
                 return reject(RejectReason.FOG_ISOLATED)
@@ -685,20 +794,19 @@ class FogControl:
                 if not hit:
                     # fetch-through fill happens as part of request handling
                     self.cache.insert(dst)
-            targets = [(self.pop, RouteKind.INTRA_FOG_LOCAL, [("cache", None)])] if hit else []
+            targets = [(self.pop, RouteKind.INTRA_FOG_LOCAL, "cache")] if hit else []
             if self.connected():
-                targets.append((self.net.topology.gateway_id(), RouteKind.CLOUD_BOUND, [("fetch", None)]))
+                targets.append((self.net.topology.gateway_id(), RouteKind.CLOUD_BOUND, "fetch"))
             elif not hit:
                 return reject(RejectReason.FOG_ISOLATED, note)
         elif spec.dst.kind == EndpointKind.EXTERNAL:
             if not self.connected():
                 return reject(RejectReason.FOG_ISOLATED)
-            targets = [(self.net.topology.gateway_id(), RouteKind.CLOUD_BOUND, [("egress", None)])]
+            targets = [(self.net.topology.gateway_id(), RouteKind.CLOUD_BOUND, "egress")]
         else:  # pragma: no cover - enum is closed
             raise UnknownEndpoint(str(spec.dst))
 
-        candidates, structural = self._candidates(src, options, targets, need, slice_id)
-        mobile_of = {uid: self.context_of(uid).mobile for c in candidates for uid in c.access_used}
+        candidates, structural = self._candidates(src, template, targets, need, slice_id)
         return self.conclude(
             spec, candidates, structural, (qos, gbr, slice_id), setup_ms,
             prefer_local=local, mobile_of=mobile_of, note=note, reroute=reroute,
@@ -722,7 +830,9 @@ class FogControl:
         With no admissible candidate the request fails admission when some
         candidate was routable without headroom (`structural`), else it has
         no route. Otherwise rules 2..4 pick the candidate, and the flow is
-        installed along it with the classification (qos, guarantee, slice)."""
+        installed along it with the classification (qos, guarantee, slice).
+        The chosen candidate's links, nodes and latency are reused when it
+        holds them."""
         if not candidates:
             reason = RejectReason.GBR_ADMISSION_FAIL if structural else RejectReason.NO_ROUTE
             return FlowDecision.rejected(spec.flow_id, reason, note=note, setup_ms=setup_ms)
@@ -732,14 +842,11 @@ class FogControl:
             mobile_of=mobile_of,
             utilization=self.scoring_utilization,
         )
-        path = FlowPath(
-            flow_id=spec.flow_id,
-            src=spec.src.ident,
-            dst=chosen.end,
-            hops=tuple(chosen.hops),
-            rat_used=chosen.rat,
-        )
-        latency = sum(self.net.topology.links[lid].latency_ms for lid in path.links())
+        links, latency = chosen.links, chosen.latency_ms
+        if links is None:
+            links = tuple(map(_second, chosen.hops))
+            latency = latency_sum(links, self.net.topology.links)
+        path = FlowPath(spec.flow_id, spec.src.ident, chosen.end, chosen.hops, chosen.rat, links, chosen.nodes)
         qos, gbr, slice_id = classified
         self.install_flow(spec, path, qos, gbr, slice_id, latency, reroute=reroute)
         return FlowDecision(

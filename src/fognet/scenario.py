@@ -351,6 +351,8 @@ def _parse_topology(doc: dict, base_dir: str, seed: int) -> Tuple[Topology, str]
 
 
 def _parse_slices(entries, where: str) -> List[SliceSpec]:
+    if not isinstance(entries, list):
+        raise ValidationError(where, "expected a list")
     out: List[SliceSpec] = []
     for i, entry in enumerate(entries):
         w = f"{where}[{i}]"
@@ -566,16 +568,16 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
 def load_scenario(path, *, seed: Optional[int] = None, duration_ms: Optional[int] = None) -> ScenarioConfig:
     """Parse and validate a scenario file; overrides apply before resolution."""
     if not os.path.exists(path):
-        raise ParseError(f"no such scenario file: {path}")
+        raise ParseError("no such scenario file")
     with open(path) as fh:
         try:
             doc = yaml.safe_load(fh.read())
         except yaml.YAMLError as exc:
-            raise ParseError(f"{path}: {exc}")
+            raise ParseError(f"invalid YAML: {' '.join(str(exc).split())}")
     if doc is None:
-        raise ParseError(f"{path}: empty scenario")
+        raise ParseError("empty scenario")
     if not isinstance(doc, dict):
-        raise ParseError(f"{path}: scenario document must be a mapping")
+        raise ParseError("scenario document must be a mapping")
     if seed is not None:
         doc["seed"] = seed
     if duration_ms is not None:

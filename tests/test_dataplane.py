@@ -358,17 +358,24 @@ class TestNonDecimalRates:
     def test_rate_outside_the_unit_raises_before_any_ledger_changes(self):
         """A flow whose demand or guarantee is not a whole number of
         `1/net.unit` Mb/s raises ValueError and leaves the flows and ledgers
-        as they were."""
+        as they were. An installed flow keeps its guarantee and rate in
+        units, which its removal reads back."""
         net = make_net([F(1, 10)])
         assert net.unit == 10
         path = _ALLOC_PATHS[0]
         net.install_flow(flow("tenth", path, demand=F(1, 10), gbr=F(1, 10)))
-        net.install_flow(flow("tenth-be", path, demand=F(1, 10)))
+        net.install_flow(flow("tenth-be", path, demand=F(3, 10)))
+        assert [(f.gbr_units, f.rate_units) for f in net.flows.values()] == [(1, 1), (0, 3)]
         before = (dict(net.flows), dict(net._offered), dict(net._be_capacity), dict(net._best_effort))
         for bad in (flow("third-be", path, demand=F(1, 3)), flow("third-gbr", path, demand=F(1, 3), gbr=F(1, 3))):
             with pytest.raises(ValueError):
                 net.install_flow(bad)
             assert (net.flows, net._offered, net._be_capacity, net._best_effort) == before
+            assert (bad.gbr_units, bad.rate_units) == (0, 0)
+        net.remove_flow("tenth-be")
+        assert net._offered == {lid: 1 for _, lid in path}
+        net.remove_flow("tenth")
+        assert set(net._offered.values()) == {0} and net._be_capacity == net._capacity
 
 
 def _random_walk(topo, rng, max_hops=5):

@@ -1,5 +1,8 @@
+import copy
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,12 +22,15 @@ from fognet.fogctrl import (
     UnknownEndpoint,
     UnknownUser,
 )
+from fognet.scenario import parse_scenario
+from fognet.simulation import Simulation
 from fognet.slicing import SliceSpec
 from fognet.topology import NodeKind, ResourceClass, TopologyGenParams, build_from_config, generate_clustered, to_doc
-from helpers import CONTENT, VOIP, WEB, FakeCloud, FogEnv, two_cluster_doc, two_fog_doc
+from helpers import CONTENT, DEFAULT_POLICY, VOIP, WEB, CloudEnv, FakeCloud, FogEnv, two_cluster_doc, two_fog_doc
 from oracles import controller_oracle
 
 F = Fraction
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestAuthentication:
@@ -520,3 +526,266 @@ class TestRouteMemo:
                 dropped += through
         self.check_all_routes(topo, net, [fog], F(1), counts)
         assert kept > 0 and dropped > 0, (kept, dropped)
+
+
+class TestTemplates:
+    """Candidates built from the per-user templates (`FogControl._candidates`
+    over `user_template`) against a fresh enumeration: from-scratch routes,
+    read on a fog control that holds no template and no segment memo.
+    Random handovers, link and node flips, best-effort and GBR installs
+    (inter-fog ones too) and removals run between the checks."""
+
+    @staticmethod
+    def twin(fog):
+        """A fog control over the same network, users and slices, with no
+        template, no segment memo and a copy of the cache."""
+        twin = FogControl(
+            fog.fog_id, fog.profile, fog.net, slice_manager=fog.slice_manager, policy=fog.policy,
+            cache=copy.deepcopy(fog.cache), cloud=fog.cloud, cloud_rtt_ms=fog.cloud_rtt_ms,
+        )  # fmt: skip
+        twin.racfs, twin._user_slice = fog.racfs, fog._user_slice
+        fog.net._health_watchers.remove(twin._on_health)  # used within one step only
+        return twin
+
+    @staticmethod
+    def fresh_candidates(fog, users, src, targets, need, slice_id):
+        """(label, hops) of each admissible candidate, and whether any was
+        routable without headroom, by the enumeration's definition."""
+        out, structural = [], False
+        for end, rat, peer in targets:
+            via_backhaul = rat == RouteKind.CLOUD_BOUND
+            peers = [(k, {l.id}) for k, l in fog.access_options(peer)] if peer in users else [(peer, set())]
+            for skind, slink in fog.access_options(src):
+                for dkind, peer_access in peers:
+                    access = {slink.id} | peer_access
+                    if TestRouteMemo.fresh_search(fog.net, fog, src, end, access, 0, via_backhaul) is None:
+                        continue
+                    structural = True
+                    hops = TestRouteMemo.fresh_search(fog.net, fog, src, end, access, need, via_backhaul)
+                    if hops is not None and fog.slice_gbr_ok(slice_id, [lid for _, lid in hops], need):
+                        label = f"{skind}+{dkind}" if peer_access else f"{dkind}({skind})"
+                        out.append((label, tuple(hops)))
+        return out, structural
+
+    def check_candidates(self, topo, fogs, need, counts):
+        users = {n.id for n in topo.nodes_of_kind(NodeKind.USER)}
+        gateway = topo.gateway_id()
+        for fog in fogs.values():
+            fresh = self.twin(fog)
+            mine = sorted(u for u in users if fog.has_user(u))
+            for src in mine:
+                ctx = fog.context_of(src)
+                slice_id = fog.slice_of_user(src)
+                kinds = [[(u, RouteKind.INTRA_FOG_LOCAL, u)] for u in mine if u != src]
+                kinds.append([(fog.pop, RouteKind.INTRA_FOG_LOCAL, "cache"), (gateway, RouteKind.CLOUD_BOUND, "fetch")])
+                kinds.append([(gateway, RouteKind.CLOUD_BOUND, "egress")])
+                for targets in kinds:
+                    for units in (0, need):
+                        expected = self.fresh_candidates(fresh, users, src, targets, units, slice_id)
+                        if units:
+                            counts["refused"] += len(unrefused) - len(expected[0])
+                        else:
+                            unrefused = expected[0]
+                        built = [
+                            (end, rat, fog.user_template(fog.context_of(peer)) if peer in users else peer)
+                            for end, rat, peer in targets
+                        ]
+                        got, structural = fog._candidates(src, fog.user_template(ctx), built, units, slice_id)
+                        assert ([(c.label, c.hops) for c in got], structural) == expected, (src, targets, units)
+                        counts["checked"] += 1
+                        counts["candidates"] += len(got)
+        for fog in fogs.values():
+            for template in fog._templates.values():
+                assert isinstance(template.options, tuple)
+                for (end, _), found in template.fixed.items():
+                    assert end in (fog.pop, gateway)
+                    for c in found:
+                        assert isinstance(c, tuple) and isinstance(c.hops, tuple) and isinstance(c.access_used, tuple)
+                        assert all(isinstance(hop, tuple) for hop in c.hops)
+                        assert c.links == tuple(lid for _, lid in c.hops)
+                        assert c.nodes == tuple(n for n, _ in c.hops) + (c.end,)
+                        assert c.latency_ms == sum(topo.links[lid].latency_ms for lid in c.links)
+                        with pytest.raises(AttributeError):
+                            c.label = "changed"
+                        counts["templated"] += 1
+
+    def decide(self, env, fogs, spec):
+        src, dst = spec.src.ident, spec.dst.ident
+        fog = fogs[env.topo.fog_of(src)]
+        if spec.dst.kind.value == "user" and not fog.has_user(dst):
+            return env.cloud.setup_interfog_path(spec)
+        return fog.handle_flow_request(spec)
+
+    def request(self, env, fogs, spec, counts):
+        """Decide `spec` on fresh twins, take that flow out again, then
+        decide it for real: the two decisions must be equal."""
+        twins = {fog_id: self.twin(fog) for fog_id, fog in fogs.items()}
+        cloud = getattr(env, "cloud", None)
+        if cloud is not None:
+            cloud.fogs = twins
+        expected = self.decide(env, twins, spec)
+        if cloud is not None:
+            cloud.fogs = fogs
+        if expected.accepted:
+            env.net.remove_flow(spec.flow_id)
+        got = self.decide(env, fogs, spec)
+        assert got == expected, spec
+        if got.accepted:
+            assert (got.path.links(), got.path.nodes()) == (expected.path.links(), expected.path.nodes())
+            assert env.net.flows[spec.flow_id].latency_ms == got.latency_ms
+        counts["accepted" if got.accepted else got.reason.value] += 1
+
+    @pytest.mark.parametrize("case", ["one_fog", "two_fog"])
+    def test_random_steps_match_fresh_enumeration(self, case):
+        rng = random.Random(14)
+        gbrs = (F(1), F(4), F(9))
+        # a 9 Mb/s guarantee drains a 10 Mb/s macro link at once, and a middle-mile link in a few installs
+        policy = {**DEFAULT_POLICY, VOIP: PolicyRule(app_class=VOIP, qos=QosClass.REAL_TIME_GBR, gbr_rate=F(9))}
+        if case == "one_fog":
+            # uneven slices, so the entitlement test refuses some guarantees
+            slices = [
+                SliceSpec("s1", "op1", dict.fromkeys(ResourceClass.ALL, F(3, 5))),
+                SliceSpec("s2", "op2", dict.fromkeys(ResourceClass.ALL, F(2, 5))),
+            ]
+            env = FogEnv(doc=generated_four_cluster_doc(), slices=slices, policy=policy, demands=gbrs)
+            fogs = {"fog1": env.fog}
+        else:
+            env = CloudEnv(doc=two_fog_doc(), policy=policy, demands=gbrs)
+            fogs = env.fogs
+        topo, net = env.topo, env.net
+        users = [n.id for n in topo.nodes_of_kind(NodeKind.USER)]
+        clusters = sorted({topo.cluster_of_user(u) for u in users} - {None})
+        link_ids, node_ids = sorted(topo.links), sorted(topo.nodes)
+        counts = Counter()
+        for step in range(80):
+            r = rng.random()
+            down = [("link", l) for l in link_ids if not net.link_up[l]]
+            down += [("node", n) for n in node_ids if not net.node_up[n]]
+            if r < 0.1:
+                net.set_link_state(rng.choice(link_ids), False)
+            elif r < 0.15:
+                net.set_node_state(rng.choice(node_ids), False)
+            elif r < 0.3 and down:
+                kind, ident = rng.choice(down)
+                (net.set_link_state if kind == "link" else net.set_node_state)(ident, True)
+            elif r < 0.45:
+                user = rng.choice(users)
+                in_range = [c for c in clusters if topo.wlan_link(user, c) is not None]
+                attachment = Attachment(wlan_cluster=rng.choice(in_range + [None]), macro=rng.random() < 0.7)
+                fogs[topo.fog_of(user)].handover(user, attachment)
+                counts["handover"] += 1
+            elif r < 0.9:
+                src = rng.choice(users)
+                dst = rng.choice(
+                    [Endpoint.user(u) for u in users if u != src] + [Endpoint.content("c1"), Endpoint.external()]
+                )
+                app_class = VOIP if dst.kind.value == "user" else rng.choice([CONTENT, WEB])
+                spec = env.spec(f"f{step}", src, dst, app_class=app_class, demand=rng.choice(gbrs))
+                self.request(env, fogs, spec, counts)
+            elif net.flows:
+                net.remove_flow(rng.choice(sorted(net.flows)))
+            self.check_candidates(topo, fogs, net.units(rng.choice(gbrs)), counts)
+        assert min(counts[k] for k in ("handover", "accepted", "templated", "refused", "GbrAdmissionFail")) > 0, counts
+
+
+def cache_churn_doc(faults: bool) -> dict:
+    """Acceptance 06's cache-on shape, 20 s long: 200 content requests/s
+    over a cache of 10. With `faults`, backhaul outages, cluster power
+    failures and mobile users move link and node health and attachments."""
+    doc = {
+        "duration_ms": 20_000,
+        "seed": 606,
+        "metrics_tick_ms": 10_000,
+        "topology": {"file": str(SCENARIOS / "two_cluster.topo.yaml")},
+        "fogs": {"fog1": {"cache": True, "cache_capacity": 10}},
+        "workload": {
+            "local_voip": {"rate_per_s": 0.0, "demand_mbps": 0.1, "holding_mean_s": 1},
+            "content_request": {"rate_per_s": 200.0, "demand_mbps": 0.5, "holding_mean_s": 0.2},
+            "external_web": {"rate_per_s": 0.0, "demand_mbps": 1.0, "holding_mean_s": 1},
+            "content": {"catalog_size": 100, "zipf_exponent": 1.0},
+        },
+    }
+    if faults:
+        doc["faults"] = {
+            "backhaul_random": {"mean_up_s": 4, "mean_down_s": 1},
+            "cluster_power": {"mean_up_s": 6, "mean_down_s": 1},
+        }
+        doc["workload"]["mobility"] = {"mobile_fraction": 0.5, "relocation_rate_per_s": 0.5}
+    return doc
+
+
+def voip_doc() -> dict:
+    """Eight generated clusters of four to eight users, mostly VoIP between
+    users of the fog, no faults and no mobility."""
+    return {
+        "duration_ms": 20_000,
+        "seed": 16,
+        "metrics_tick_ms": 10_000,
+        "topology": {"generate": {"clusters": 8, "users_min": 4, "users_max": 8, "seed": 16}},
+        "workload": {
+            "local_voip": {"rate_per_s": 20.0, "demand_mbps": 0.1, "holding_mean_s": 2},
+            "content_request": {"rate_per_s": 2.0, "demand_mbps": 0.5, "holding_mean_s": 2},
+            "external_web": {"rate_per_s": 2.0, "demand_mbps": 1.0, "holding_mean_s": 2},
+            "content": {"catalog_size": 20, "zipf_exponent": 1.0},
+        },
+    }
+
+
+class TestTemplateReuse:
+    """The templates must keep hitting, and must not grow with user pairs.
+    Between two link or node state changes, `access_options` runs at most
+    once per (user, attachment) and `_fill_target` at most once per (user,
+    attachment, target). The live target entries stay within users x
+    targets, and each targets the PoP or the gateway, never a user."""
+
+    def run_counted(self, doc, monkeypatch):
+        calls = {"options": Counter(), "fills": Counter()}
+        worst = Counter()
+        live = {"most": 0, "users": 0}
+        access_options, fill_target = FogControl.access_options, FogControl._fill_target
+
+        def count(kind, key):
+            calls[kind][key] += 1
+            worst[kind] = max(worst[kind], calls[kind][key])
+
+        def counted_options(fog, user_id):
+            count("options", (fog.fog_id, user_id, fog.context_of(user_id).attachment))
+            return access_options(fog, user_id)
+
+        def counted_fill(fog, src, options, end, rat, tag):
+            count("fills", (fog.fog_id, src, fog.context_of(src).attachment, end, tag))
+            assert end in (fog.pop, fog.net.topology.gateway_id()), end
+            live["most"] = max(live["most"], 1 + sum(len(t.fixed) for t in fog._templates.values()))
+            live["users"] = max(live["users"], len(fog._user_slice))
+            return fill_target(fog, src, options, end, rat, tag)
+
+        monkeypatch.setattr(FogControl, "access_options", counted_options)
+        monkeypatch.setattr(FogControl, "_fill_target", counted_fill)
+        sim = Simulation(parse_scenario(doc))
+        health = Counter()
+
+        def on_health(element, up):  # a new interval: the templates are gone
+            health["changes"] += 1
+            for counter in calls.values():
+                counter.clear()
+
+        sim.net.watch_health(on_health)
+        sim.run()
+        return sim, worst, live, health["changes"]
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["steady", "faults"])
+    def test_cache_churn_fills_once_per_interval(self, faults, monkeypatch):
+        sim, worst, _, changes = self.run_counted(cache_churn_doc(faults), monkeypatch)
+        requests = sim.fogs["fog1"].cache.lookups
+        assert requests > 3000 and worst["options"] == 1 and worst["fills"] == 1, (requests, worst)
+        assert (changes > 0) == faults, changes
+
+    def test_voip_templates_stay_per_user(self, monkeypatch):
+        sim, worst, live, _ = self.run_counted(voip_doc(), monkeypatch)
+        targets = 3  # the PoP for a cache hit, the gateway to fetch and to egress
+        assert worst["options"] == 1 and worst["fills"] == 1, worst
+        assert 0 < live["most"] <= live["users"] * targets, live
+        fog = sim.fogs["fog1"]
+        assert len(fog._templates) <= live["users"], len(fog._templates)
+        ends = [end for t in fog._templates.values() for end, _ in t.fixed]
+        assert len(ends) <= live["users"] * targets and set(ends) <= {fog.pop, fog.net.topology.gateway_id()}

@@ -224,6 +224,30 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
+        "old, new, detail",
+        [
+            ("slices:\n  - id: s1\n    operator: op1\n    shares: 1", "slices: 5", "slices: expected a list"),
+            ("topology:\n  file: two_cluster.topo.yaml", "topology: {file: two_cluster.topo.yaml", "invalid YAML: "),
+        ],
+        ids=["slices-not-a-list", "yaml-unclosed-mapping"],
+    )
+    def test_malformed_scenario_is_one_line_error(self, tmp_path, capsys, command, old, new, detail):
+        text = (SCENARIOS / "two_cluster.scn").read_text()
+        assert text.count(old) == 1
+        (tmp_path / "two_cluster.topo.yaml").write_text((SCENARIOS / "two_cluster.topo.yaml").read_text())
+        scn = tmp_path / "bad.scn"
+        scn.write_text(text.replace(old, new))
+        args = [command, str(scn)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert "Traceback" not in captured.err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {scn}: {detail}"), err
+        assert err.count(str(scn)) == 1, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
         "old, new, raised, detail",
         [
             ("{id: gw, kind: CloudGateway}", "{id: gw, kind: CloudGateway, colour: red}", InvalidTopology, "colour"),
