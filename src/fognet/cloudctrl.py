@@ -177,7 +177,11 @@ class CloudControl:
         return self.fogs[fog_id].handle_flow_request(spec)
 
     def setup_interfog_path(self, spec: FlowSpec, *, reroute: bool = False) -> FlowDecision:
-        """User-to-user flow hairpinning through the cloud gateway."""
+        """User-to-user flow hairpinning through the cloud gateway: one
+        candidate per pair of halves, source major, a half being a user's
+        template candidate to its own fog's PoP (`fixed_candidates`). It is
+        routable without headroom when some pair, as it is, repeats no node
+        and both fogs have a backhaul Up."""
         src, dst = spec.src.ident, spec.dst.ident
         fa_id, fb_id = self.fog_of_user(src), self.fog_of_user(dst)
         if fa_id is None or fb_id is None or fa_id not in self.fogs or fb_id not in self.fogs:
@@ -195,24 +199,28 @@ class CloudControl:
         setup_ms = fa.control_latency_ms() + fb.control_latency_ms()
 
         src_ctx, dst_ctx = fa.context_of(src), fb.context_of(dst)
-        src_options = fa.user_template(src_ctx).options
-        dst_options = fb.user_template(dst_ctx).options
-        if not src_options or not dst_options:
+        src_template, dst_template = fa.user_template(src_ctx), fb.user_template(dst_ctx)
+        if not src_template.options or not dst_template.options:
             return FlowDecision.rejected(spec.flow_id, RejectReason.NO_COVERAGE, setup_ms=setup_ms)
+        src_halves = fa.fixed_candidates(src, src_template, fa.pop, RouteKind.INTRA_FOG_LOCAL, "cache")
+        dst_halves = fb.fixed_candidates(dst, dst_template, fb.pop, RouteKind.INTRA_FOG_LOCAL, "cache")
+        backhauls = (self._pick_backhaul(fa_id, need), self._pick_backhaul(fb_id, need))
+        open_at_zero = all(self._pick_backhaul(fog_id, 0) for fog_id in (fa_id, fb_id))
+        gateway = self.net.topology.gateway_id()
 
         candidates: List[Candidate] = []
         structural = False
-        for s in src_options:
-            for d in dst_options:
-                built = self._build_interfog(fa, fb, src, dst, s.link_id, d.link_id, need, slice_a)
-                if built is None:
-                    # with need == 0 the search without headroom just failed
-                    if need > 0 and self._build_interfog(fa, fb, src, dst, s.link_id, d.link_id, 0, None):
-                        structural = True
-                    continue
-                structural = True
-                used = ((src, s.kind), (dst, d.kind))
-                candidates.append(Candidate(f"{s.kind}+{d.kind}", tuple(built), dst, RouteKind.CLOUD_BOUND, used))
+        for a in src_halves:
+            for b in dst_halves:
+                hops = self._build_interfog(fa, fb, a, b, backhauls, need, slice_a)
+                if hops is not None:
+                    structural = True
+                    used = a.access_used + b.access_used
+                    label = f"{a.access_used[0][1]}+{b.access_used[0][1]}"
+                    candidates.append(Candidate(label, hops, dst, RouteKind.CLOUD_BOUND, used))
+                elif open_at_zero and not structural:
+                    nodes = (*a.nodes, gateway, *b.nodes)
+                    structural = len(set(nodes)) == len(nodes)
         mobile_of = {src: src_ctx.mobile, dst: dst_ctx.mobile}
         return fa.conclude(
             spec, candidates, structural, (qos, gbr, slice_a), setup_ms,
@@ -220,27 +228,27 @@ class CloudControl:
         )
 
     def _build_interfog(
-        self, fa, fb, src, dst, src_access, dst_access, need, slice_id
-    ) -> Optional[List[Tuple[str, str]]]:
-        """The hops through the gateway over links with `need` units of
-        headroom, within the entitlement of the source user's slice in
-        each fog, or None. The flow is that slice's in both fogs: each
-        fog checks it on the links of the path it meters."""
-        try:
-            seg_a = fa._route(src, fa.pop, {src_access}, need, include_backhaul=False)
-            seg_b = fb._route(dst, fb.pop, {dst_access}, need, include_backhaul=False)
-        except NoRoute:
-            return None
-        bh_a = self._pick_backhaul(fa.fog_id, need)
-        bh_b = self._pick_backhaul(fb.fog_id, need)
+        self, fa, fb, half_a, half_b, backhauls, need, slice_id
+    ) -> Optional[Tuple[Tuple[str, str], ...]]:
+        """The hops through the gateway over the halves, given `need` units
+        of headroom (`_with_headroom`, and `backhauls` have it), within
+        the entitlement of the source user's slice in each fog, or None.
+        The flow is that slice's in both fogs: each fog checks it on the
+        links of the path it meters."""
+        bh_a, bh_b = backhauls
         if bh_a is None or bh_b is None:
             return None
-        hops = seg_a + [(fa.pop, bh_a), (self.net.topology.gateway_id(), bh_b)] + reverse_hops(seg_b, fb.pop)
+        try:
+            seg_a = fa._with_headroom(half_a.hops, half_a.nodes[0], fa.pop, need, False)
+            seg_b = fb._with_headroom(half_b.hops, half_b.nodes[0], fb.pop, need, False)
+        except NoRoute:
+            return None
+        hops = (*seg_a, (fa.pop, bh_a), (self.net.topology.gateway_id(), bh_b), *reverse_hops(seg_b, fb.pop))
         links = [lid for _, lid in hops]
         if not (fa.slice_gbr_ok(slice_id, links, need) and fb.slice_gbr_ok(slice_id, links, need)):
             return None
         # guard against degenerate same-fog calls producing node repeats
-        nodes = [n for n, _ in hops] + [dst]
+        nodes = [n for n, _ in hops] + [half_b.nodes[0]]
         if len(set(nodes)) != len(nodes):
             return None
         return hops

@@ -43,7 +43,8 @@ links a fog may route over is a fact of the topology
 route depends only on link and node health and, for a guaranteed rate,
 on headroom, so fog control memoizes its mesh segments between two
 attachment points, prunes them on each health change it hears of through
-`watch_health`, and adds the access hops itself (`FogControl._route`).
+`watch_health`, and adds the access hops itself (`FogControl._segment`,
+`_fill_target` and `_candidates`).
 """
 
 from __future__ import annotations

@@ -15,11 +15,13 @@ Flows are not registered per slice or per user: the installed flows in
 in its `slice_id`, the source user's, in every fog whose metered links
 its path uses; a user's flows are `NetworkState.flows_at(user)`.
 
-A decision's candidates come from one enumerator, `_candidates`, handed
-each user endpoint's template (`UserTemplate`): its access options and
-its finished candidates to the PoP and the gateway, kept per (user,
-attachment) until the next link or node state change, so a request
-re-derives none of them.
+A decision's candidates come from the templates (`UserTemplate`) of its
+user endpoints: each user's access options and its finished candidates
+to the PoP and the gateway, kept per (user, attachment) until the next
+link or node state change, so a request re-derives none of them. A
+fog-local decision enumerates them in `_candidates`; an inter-fog one
+(`CloudControl.setup_interfog_path`) joins each user's candidates to its
+own fog's PoP through the cloud gateway.
 
 Path selection is deliberately ordinal and deterministic:
 
@@ -361,16 +363,17 @@ class FogControl:
     each source access option times, for a user peer, each of the peer's.
     A candidate's route is its access hop, the mesh segment from the
     user's attachment point to the PoP, the gateway or the peer user's
-    attachment point, and the peer's access hop (`_structural_route`).
-    Segments are memoized per (start, end, via backhaul) (`_segment`): a
-    link or node going Down drops the segments through it, and one coming
-    Up clears the memo. A GBR request keeps that route when every hop has
-    headroom (`_with_headroom`).
+    attachment point, and the peer's access hop. Segments are memoized
+    per (start, end, via backhaul) (`_segment`): a link or node going
+    Down drops the segments through it, and one coming Up clears the
+    memo. A GBR request keeps that route when every hop has headroom
+    (`_with_headroom`).
 
     What does not depend on load is kept per user in a `UserTemplate`,
     keyed (user, attachment), so a handover needs no hook: the access
     options, and per PoP or gateway target the finished candidates
-    (`_fill_target`). A candidate to a peer user is assembled per request
+    (`fixed_candidates`), which also serve as the halves of the user's
+    inter-fog paths. A candidate to a peer user is assembled per request
     from the two users' options and the segment memo, never kept per
     pair. Every template is dropped on any link or node state change
     (`_on_health`). A request then does only what depends on live load:
@@ -537,30 +540,13 @@ class FogControl:
                 out.append(("macro", link))
         return out
 
-    def _route(
-        self,
-        src: str,
-        dst: str,
-        access_links: Set[str],
-        need: int,
-        include_backhaul: bool,
-    ) -> List[Tuple[str, str]]:
-        """`constrained_route` over the request's access links, the fog's
-        mesh and, for cloud-bound traffic, its backhaul: `access_links`
-        holds the user `src`'s access link, plus the destination user's
-        when `dst` is a user."""
-        hops = self._structural_route(src, dst, access_links, include_backhaul)
-        if hops is None:
-            raise NoRoute(f"no route {src} -> {dst}", src)
-        return self._with_headroom(hops, src, dst, need, include_backhaul)
-
     def _with_headroom(self, hops, src: str, dst: str, need: int, include_backhaul: bool):
-        """`_route` from the structural route `hops`: kept (the same
-        object) when every hop has `need` units of headroom, as it is then
-        also the first minimum-hop route over the links with headroom;
-        else searched afresh over those links, as a new list. The
-        request's access links are the first and last hops of `hops`:
-        every other hop is a mesh or backhaul link."""
+        """The candidate route `hops` from `src` to `dst` given `need`
+        units of headroom: kept (the same object) when every hop has it, as
+        it is then also the first minimum-hop route over the links with
+        headroom; else searched afresh over those links, as a new list, or
+        NoRoute. The request's access links are the first and last hops of
+        `hops`: every other hop is a mesh or backhaul link."""
         if need > 0:
             residual = self.net.residual_units
             if any(residual(lid) < need for _, lid in hops):
@@ -570,39 +556,11 @@ class FogControl:
                 return constrained_route(self.net, src, dst, allowed, need)
         return hops
 
-    def _structural_route(
-        self, src: str, dst: str, access_links: Set[str], via_backhaul: bool
-    ) -> Optional[List[Tuple[str, str]]]:
-        """`_route` without headroom, as a fresh list, or None for no route.
-
-        On a validated topology a user touches only access links, and
-        only this request's are allowed, so the route is the source's access hop, the mesh segment
-        between the attachment points (or to the PoP or gateway), and the
-        destination user's access hop."""
-        if src == dst:
-            return []
-        net = self.net
-        links = net.topology.links
-        start, stop = src, dst
-        head = tail = ()
-        for lid in access_links:
-            if not net.effective_up(lid):
-                return None
-            link = links[lid]
-            if src == link.a or src == link.b:
-                start = link.other(src)
-                head = ((src, lid),)
-            else:
-                stop = link.other(dst)
-                tail = ((stop, lid),)
-        segment = self._segment(start, stop, via_backhaul)
-        return None if segment is None else [*head, *segment, *tail]
-
     def _segment(self, start: str, end: str, via_backhaul: bool) -> Optional[Tuple[Tuple[str, str], ...]]:
         """Memoized minimum-hop route over the mesh (and backhaul), or None.
 
         The memo fills on first use of each key and is kept exact across
-        link and node state changes by `_prune_segments`."""
+        link and node state changes by `_on_health`."""
         key = (start, end, via_backhaul)
         if key not in self._segments:
             allowed = self.domain.mesh | self.domain.backhaul_ids if via_backhaul else self.domain.mesh
@@ -688,6 +646,18 @@ class FogControl:
                 out.append(finished(f"{tag}({kind})", hops, end, rat, ((src, kind),), topology_links))
         return tuple(out)
 
+    def fixed_candidates(
+        self, user: str, template: UserTemplate, end: str, rat: RouteKind, tag: str
+    ) -> Tuple[Candidate, ...]:
+        """The finished candidates labelled `tag(kind)` from `user`, whose
+        template is `template`, to the PoP or gateway `end`, filled on first
+        use (`_fill_target`). A user's entry to its PoP serves both its
+        cache hits and the user's half of its inter-fog paths."""
+        found = template.fixed.get((end, tag))
+        if found is None:
+            found = template.fixed[(end, tag)] = self._fill_target(user, template.options, end, rat, tag)
+        return found
+
     def _candidates(
         self,
         src: str,
@@ -703,16 +673,14 @@ class FogControl:
         `tag(wlan)`). There is one candidate per target, access option of
         `src` and, for a user peer, access option of the peer, in that
         order. Candidates to the PoP or gateway come from `src`'s
-        template, filled on first use (`_fill_target`); those to a user
-        are assembled here. Each is admitted given headroom
-        (`_with_headroom`) and entitlement (`slice_gbr_ok`)."""
+        template (`fixed_candidates`); those to a user are assembled
+        here. Each is admitted given headroom (`_with_headroom`) and
+        entitlement (`slice_gbr_ok`)."""
         out: List[Candidate] = []
         structural = False
         for end, rat, peer in targets:
             if isinstance(peer, str):
-                found = template.fixed.get((end, peer))
-                if found is None:
-                    found = template.fixed[(end, peer)] = self._fill_target(src, template.options, end, rat, peer)
+                found = self.fixed_candidates(src, template, end, rat, peer)
             else:
                 found = []
                 for skind, slink, sattach in template.options:

@@ -56,6 +56,20 @@ def _strict(entry: dict, allowed, where: str) -> None:
         raise ValidationError(f"{where}.{unknown[0]}", "unknown key")
 
 
+def _of_type(value, kind: type, where: str):
+    """`value` when it is a `kind`, dict or list."""
+    if not isinstance(value, kind):
+        raise ValidationError(where, "expected a mapping" if kind is dict else "expected a list")
+    return value
+
+
+def _flag(entry: dict, key: str, where: str, default: bool) -> bool:
+    value = entry.get(key, default)
+    if not isinstance(value, bool):
+        raise ValidationError(f"{where}.{key}", "expected true or false")
+    return value
+
+
 def _num(entry: dict, key: str, where: str, default=None, minimum=None):
     value = entry.get(key, default)
     if value is None:
@@ -332,7 +346,7 @@ def _parse_topology(doc: dict, base_dir: str, seed: int) -> Tuple[Topology, str]
     defaults = doc.get("link_defaults")
     if defaults:
         profile = {}
-        for cls_name, entry in defaults.items():
+        for cls_name, entry in _of_type(defaults, dict, "topology.link_defaults").items():
             try:
                 cls = LinkClass(cls_name)
             except ValueError:
@@ -351,10 +365,8 @@ def _parse_topology(doc: dict, base_dir: str, seed: int) -> Tuple[Topology, str]
 
 
 def _parse_slices(entries, where: str) -> List[SliceSpec]:
-    if not isinstance(entries, list):
-        raise ValidationError(where, "expected a list")
     out: List[SliceSpec] = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(_of_type(entries, list, where)):
         w = f"{where}[{i}]"
         _strict(entry, {"id", "operator", "shares"}, w)
         shares_doc = entry.get("shares", 1)
@@ -403,7 +415,7 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
         raise ValidationError("slices", "duplicate operator")
 
     policy: Dict[str, PolicyRule] = {}
-    policy_doc = doc.get("policy") or DEFAULT_POLICY_DOC
+    policy_doc = _of_type(doc.get("policy") or DEFAULT_POLICY_DOC, dict, "policy")
     for app_class, entry in policy_doc.items():
         w = f"policy.{app_class}"
         _strict(entry, {"qos", "gbr_mbps"}, w)
@@ -420,7 +432,7 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
 
     fogs: Dict[str, FogConfig] = {}
     fog_ids = topo.fogs()
-    for fog_id, entry in (doc.get("fogs") or {}).items():
+    for fog_id, entry in _of_type(doc.get("fogs") or {}, dict, "fogs").items():
         if fog_id not in fog_ids:
             raise ValidationError(f"fogs.{fog_id}", "no such fog in topology")
         w = f"fogs.{fog_id}"
@@ -431,12 +443,12 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
         )
         entry = entry or {}
         profile = FogProfile(
-            udf_in_fog=bool(entry.get("udf", True)),
-            pcrf_in_fog=bool(entry.get("pcrf", True)),
-            mlmf_in_fog=bool(entry.get("mlmf", True)),
-            cache_in_fog=bool(entry.get("cache", True)),
-            dhcp_in_fog=bool(entry.get("dhcp", True)),
-            tcp_opt_in_fog=bool(entry.get("tcp_opt", False)),
+            udf_in_fog=_flag(entry, "udf", w, True),
+            pcrf_in_fog=_flag(entry, "pcrf", w, True),
+            mlmf_in_fog=_flag(entry, "mlmf", w, True),
+            cache_in_fog=_flag(entry, "cache", w, True),
+            dhcp_in_fog=_flag(entry, "dhcp", w, True),
+            tcp_opt_in_fog=_flag(entry, "tcp_opt", w, False),
         )
         fogs[fog_id] = FogConfig(
             profile=profile,
@@ -448,25 +460,31 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
 
     subs_doc = doc.get("subscribers") or {}
     _strict(subs_doc, {"max_gbr_mbps", "allowed_classes", "overrides"}, "subscribers")
-    allowed_default = tuple(subs_doc.get("allowed_classes") or sorted(policy))
+    allowed_default = tuple(
+        _of_type(subs_doc.get("allowed_classes") or sorted(policy), list, "subscribers.allowed_classes")
+    )
     for cls_name in allowed_default:
-        if cls_name not in policy:
+        if not isinstance(cls_name, str) or cls_name not in policy:
             raise ValidationError("subscribers.allowed_classes", f"unknown class {cls_name!r}")
     overrides: List[SubscriberOverride] = []
     user_ids = {n.id for n in topo.nodes_of_kind(NodeKind.USER)}
-    for i, entry in enumerate(subs_doc.get("overrides") or []):
+    for i, entry in enumerate(_of_type(subs_doc.get("overrides") or [], list, "subscribers.overrides")):
         w = f"subscribers.overrides[{i}]"
         _strict(entry, {"user", "allowed_classes", "max_gbr_mbps", "operator"}, w)
         user = str(entry.get("user", ""))
         if user not in user_ids:
             raise ValidationError(f"{w}.user", f"no such user {user!r} in topology")
         operator = entry.get("operator")
-        if operator is not None and operator not in operators:
+        if operator is not None and (not isinstance(operator, str) or operator not in operators):
             raise ValidationError(f"{w}.operator", f"unknown slice operator {operator!r}")
         overrides.append(
             SubscriberOverride(
                 user=user,
-                allowed_classes=tuple(entry["allowed_classes"]) if "allowed_classes" in entry else None,
+                allowed_classes=(
+                    tuple(_of_type(entry["allowed_classes"], list, f"{w}.allowed_classes"))
+                    if "allowed_classes" in entry
+                    else None
+                ),
                 max_gbr=_rate(entry["max_gbr_mbps"], f"{w}.max_gbr_mbps") if "max_gbr_mbps" in entry else None,
                 operator=str(operator) if operator is not None else None,
             )
@@ -517,7 +535,7 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
     faults_doc = doc.get("faults") or {}
     _strict(faults_doc, {"backhaul_schedule", "backhaul_random", "cluster_power"}, "faults")
     schedule: List[BackhaulOutage] = []
-    for i, entry in enumerate(faults_doc.get("backhaul_schedule") or []):
+    for i, entry in enumerate(_of_type(faults_doc.get("backhaul_schedule") or [], list, "faults.backhaul_schedule")):
         w = f"faults.backhaul_schedule[{i}]"
         _strict(entry, {"fog", "down_ms", "up_ms"}, w)
         fog = str(entry.get("fog", ""))

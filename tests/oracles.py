@@ -3,8 +3,9 @@
 Each oracle recomputes its answer from scratch with a different structure
 than the code under test: the allocator solves per-round saturation levels
 instead of stepping incrementally, routing enumerates every simple path,
-the LRU is a plain list, and the flow-controller oracle rebuilds candidates
-by exhaustive search before applying the same rule order.
+the LRU is a plain list, and the flow-controller and inter-fog oracles
+rebuild candidates by exhaustive search before applying the same rule
+order.
 """
 
 from dataclasses import dataclass
@@ -254,134 +255,54 @@ class OracleDecision:
     nodes: Optional[Tuple[str, ...]] = None
     links: Optional[Tuple[str, ...]] = None
     rat: Optional[str] = None
+    labels: Optional[Tuple[str, ...]] = None  # every admissible candidate's, in order
 
 
-def controller_oracle(env, spec) -> OracleDecision:
-    """Exhaustive-search replica of the fog flow controller.
+_REFUSED = {
+    "SessionRequired": "NotAuthenticated",
+    "UnknownUser": "NotAuthenticated",
+    "PolicyDenied": "PolicyDenied",
+    "CloudUnreachable": "CloudUnreachable",
+}
 
-    Rebuilds each access-combo candidate by enumerating all simple paths,
-    then applies the same rule order: admission, locality, mobility
-    preference, bottleneck utilization, hop count, lexicographic order.
-    """
-    fog = env.fog
-    net = env.net
+
+def _options(fog, user: str):
+    """(kind, link) of each healthy access link under the user's attachment."""
+    topo = fog.net.topology
+    ctx = fog.context_of(user)
+    found = []
+    if ctx.attachment.wlan_cluster is not None:
+        link = topo.wlan_link(user, ctx.attachment.wlan_cluster)
+        if link is not None and _up(fog.net, link.id):
+            found.append(("wlan", link))
+    if ctx.attachment.macro:
+        link = topo.macro_link(user)
+        if link is not None and _up(fog.net, link.id):
+            found.append(("macro", link))
+    return found
+
+
+def _allow_factory(topo, fog_id: str, access_ids, include_backhaul: bool):
+    """The links a fog routes a request over: its access links, the fog's
+    own mesh and, for cloud-bound traffic, the fog's backhaul."""
+
+    def allow(link):
+        if link.id in access_ids:
+            return True
+        if link.link_class in (LinkClass.MIDDLE_MILE, LinkClass.INTERNAL):
+            return topo.fog_of(link.a) == fog_id and topo.fog_of(link.b) == fog_id
+        if include_backhaul and link.link_class == LinkClass.BACKHAUL:
+            return topo.fog_of(link.a) == fog_id or topo.fog_of(link.b) == fog_id
+        return False
+
+    return allow
+
+
+def _choose(net, candidates: List[OracleCandidate], local: bool, mobile: Dict[str, bool]) -> OracleDecision:
+    """Rules 2..4 over the admissible candidates: locality (for a local
+    flow), mobility preference, bottleneck utilization, hop count,
+    lexicographic order."""
     topo = net.topology
-
-    try:
-        qos, gbr, slice_id = fog.classify_flow(spec)
-    except Exception as exc:  # mapped identically by the controller
-        name = type(exc).__name__
-        mapping = {
-            "SessionRequired": "NotAuthenticated",
-            "UnknownUser": "NotAuthenticated",
-            "PolicyDenied": "PolicyDenied",
-            "CloudUnreachable": "CloudUnreachable",
-        }
-        return OracleDecision(accepted=False, reason=mapping.get(name, name))
-
-    def options(user):
-        ctx = fog.context_of(user)
-        found = []
-        if ctx.attachment.wlan_cluster is not None:
-            link = topo.wlan_link(user, ctx.attachment.wlan_cluster)
-            if link is not None and _up(net, link.id):
-                found.append(("wlan", link))
-        if ctx.attachment.macro:
-            link = topo.macro_link(user)
-            if link is not None and _up(net, link.id):
-                found.append(("macro", link))
-        return found
-
-    def allow_factory(access_ids, include_backhaul):
-        def allow(link):
-            if link.id in access_ids:
-                return True
-            if link.link_class in (LinkClass.MIDDLE_MILE, LinkClass.INTERNAL):
-                return topo.fog_of(link.a) == fog.fog_id and topo.fog_of(link.b) == fog.fog_id
-            if include_backhaul and link.link_class == LinkClass.BACKHAUL:
-                return topo.fog_of(link.a) == fog.fog_id or topo.fog_of(link.b) == fog.fog_id
-            return False
-
-        return allow
-
-    src = spec.src.ident
-    if not options(src):
-        return OracleDecision(accepted=False, reason="NoCoverage")
-
-    connected = fog.connected()
-    targets: List[Tuple[str, str, RouteKind, Optional[str]]] = []
-    local = False
-    if spec.dst.kind.value == "user":
-        if not fog.has_user(spec.dst.ident) or not options(spec.dst.ident):
-            return OracleDecision(accepted=False, reason="NoCoverage")
-        local = True
-    elif spec.dst.kind.value == "content":
-        hit = bool(fog.profile.cache_in_fog and fog.cache and fog.cache.peek(spec.dst.ident))
-        local = hit
-        if hit:
-            targets.append(("cache", fog.pop, RouteKind.INTRA_FOG_LOCAL, None))
-        if connected:
-            targets.append(("fetch", topo.gateway_id(), RouteKind.CLOUD_BOUND, None))
-        elif not hit:
-            return OracleDecision(accepted=False, reason="FogIsolated")
-    else:
-        if not connected:
-            return OracleDecision(accepted=False, reason="FogIsolated")
-        targets.append(("egress", topo.gateway_id(), RouteKind.CLOUD_BOUND, None))
-
-    candidates: List[OracleCandidate] = []
-    structural = False
-    if spec.dst.kind.value == "user":
-        dst = spec.dst.ident
-        for skind, slink in options(src):
-            for dkind, dlink in options(dst):
-                allow = allow_factory({slink.id, dlink.id}, include_backhaul=False)
-                feasible = enumerate_simple_paths(net, src, dst, allow, min_residual=gbr)
-                if enumerate_simple_paths(net, src, dst, allow):
-                    structural = True
-                chosen = best_path(feasible, dst)
-                if chosen is None:
-                    continue
-                if not _slice_cap_ok(fog, slice_id, [l for _, l in chosen], gbr):
-                    structural = True
-                    continue
-                candidates.append(
-                    OracleCandidate(
-                        label=f"{skind}+{dkind}",
-                        hops=chosen,
-                        end=dst,
-                        rat=RouteKind.INTRA_FOG_LOCAL,
-                        access_used={src: skind, dst: dkind},
-                    )
-                )
-    else:
-        for tag, target, rat, _ in targets:
-            for skind, slink in options(src):
-                allow = allow_factory({slink.id}, include_backhaul=rat == RouteKind.CLOUD_BOUND)
-                feasible = enumerate_simple_paths(net, src, target, allow, min_residual=gbr)
-                if enumerate_simple_paths(net, src, target, allow):
-                    structural = True
-                chosen = best_path(feasible, target)
-                if chosen is None:
-                    continue
-                if not _slice_cap_ok(fog, slice_id, [l for _, l in chosen], gbr):
-                    structural = True
-                    continue
-                candidates.append(
-                    OracleCandidate(
-                        label=f"{tag}({skind})",
-                        hops=chosen,
-                        end=target,
-                        rat=rat,
-                        access_used={src: skind},
-                    )
-                )
-
-    if not candidates:
-        return OracleDecision(
-            accepted=False, reason="GbrAdmissionFail" if structural else "NoRoute"
-        )
-
     pool = list(candidates)
     if local:
         better = [c for c in pool if c.rat == RouteKind.INTRA_FOG_LOCAL]
@@ -391,7 +312,7 @@ def controller_oracle(env, spec) -> OracleDecision:
     def violations(c: OracleCandidate) -> int:
         total = 0
         for user, kind in c.access_used.items():
-            wanted = "macro" if fog.context_of(user).mobile else "wlan"
+            wanted = "macro" if mobile[user] else "wlan"
             if kind != wanted:
                 total += 1
         return total
@@ -426,4 +347,185 @@ def controller_oracle(env, spec) -> OracleDecision:
         nodes=tuple(n for n, _ in chosen.hops) + (chosen.end,),
         links=tuple(l for _, l in chosen.hops),
         rat=chosen.rat.value,
+        labels=tuple(c.label for c in candidates),
     )
+
+
+def controller_oracle(env, spec) -> OracleDecision:
+    """Exhaustive-search replica of the fog flow controller.
+
+    Rebuilds each access-combo candidate by enumerating all simple paths,
+    then applies the same rule order: admission, locality, mobility
+    preference, bottleneck utilization, hop count, lexicographic order.
+    """
+    fog = env.fog
+    net = env.net
+    topo = net.topology
+
+    try:
+        qos, gbr, slice_id = fog.classify_flow(spec)
+    except Exception as exc:  # mapped identically by the controller
+        name = type(exc).__name__
+        return OracleDecision(accepted=False, reason=_REFUSED.get(name, name))
+
+    src = spec.src.ident
+    if not _options(fog, src):
+        return OracleDecision(accepted=False, reason="NoCoverage")
+
+    connected = fog.connected()
+    targets: List[Tuple[str, str, RouteKind, Optional[str]]] = []
+    local = False
+    if spec.dst.kind.value == "user":
+        if not fog.has_user(spec.dst.ident) or not _options(fog, spec.dst.ident):
+            return OracleDecision(accepted=False, reason="NoCoverage")
+        local = True
+    elif spec.dst.kind.value == "content":
+        hit = bool(fog.profile.cache_in_fog and fog.cache and fog.cache.peek(spec.dst.ident))
+        local = hit
+        if hit:
+            targets.append(("cache", fog.pop, RouteKind.INTRA_FOG_LOCAL, None))
+        if connected:
+            targets.append(("fetch", topo.gateway_id(), RouteKind.CLOUD_BOUND, None))
+        elif not hit:
+            return OracleDecision(accepted=False, reason="FogIsolated")
+    else:
+        if not connected:
+            return OracleDecision(accepted=False, reason="FogIsolated")
+        targets.append(("egress", topo.gateway_id(), RouteKind.CLOUD_BOUND, None))
+
+    candidates: List[OracleCandidate] = []
+    structural = False
+    if spec.dst.kind.value == "user":
+        dst = spec.dst.ident
+        for skind, slink in _options(fog, src):
+            for dkind, dlink in _options(fog, dst):
+                allow = _allow_factory(topo, fog.fog_id, {slink.id, dlink.id}, include_backhaul=False)
+                feasible = enumerate_simple_paths(net, src, dst, allow, min_residual=gbr)
+                if enumerate_simple_paths(net, src, dst, allow):
+                    structural = True
+                chosen = best_path(feasible, dst)
+                if chosen is None:
+                    continue
+                if not _slice_cap_ok(fog, slice_id, [l for _, l in chosen], gbr):
+                    structural = True
+                    continue
+                candidates.append(
+                    OracleCandidate(
+                        label=f"{skind}+{dkind}",
+                        hops=chosen,
+                        end=dst,
+                        rat=RouteKind.INTRA_FOG_LOCAL,
+                        access_used={src: skind, dst: dkind},
+                    )
+                )
+    else:
+        for tag, target, rat, _ in targets:
+            for skind, slink in _options(fog, src):
+                allow = _allow_factory(topo, fog.fog_id, {slink.id}, include_backhaul=rat == RouteKind.CLOUD_BOUND)
+                feasible = enumerate_simple_paths(net, src, target, allow, min_residual=gbr)
+                if enumerate_simple_paths(net, src, target, allow):
+                    structural = True
+                chosen = best_path(feasible, target)
+                if chosen is None:
+                    continue
+                if not _slice_cap_ok(fog, slice_id, [l for _, l in chosen], gbr):
+                    structural = True
+                    continue
+                candidates.append(
+                    OracleCandidate(
+                        label=f"{tag}({skind})",
+                        hops=chosen,
+                        end=target,
+                        rat=rat,
+                        access_used={src: skind},
+                    )
+                )
+
+    if not candidates:
+        return OracleDecision(
+            accepted=False, reason="GbrAdmissionFail" if structural else "NoRoute"
+        )
+
+    mobile = {user: fog.context_of(user).mobile for c in candidates for user in c.access_used}
+    return _choose(net, candidates, local, mobile)
+
+
+def _backhauls(topo, fog_id: str) -> List[str]:
+    """The ids of the backhaul links with an end in the fog, in order."""
+    return [
+        lid
+        for lid, link in sorted(topo.links.items())
+        if link.link_class == LinkClass.BACKHAUL and fog_id in (topo.fog_of(link.a), topo.fog_of(link.b))
+    ]
+
+
+def _backhaul(net, fog_id: str, gbr: Fraction) -> Optional[str]:
+    """The fog's lowest-id Up backhaul with `gbr` of capacity left after
+    the guarantees it holds, if any."""
+    for lid in _backhauls(net.topology, fog_id):
+        if _up(net, lid) and net.topology.links[lid].capacity - _link_gbr(net, lid) >= gbr:
+            return lid
+    return None
+
+
+def interfog_oracle(env, spec) -> OracleDecision:
+    """Exhaustive-search replica of the cloud's inter-fog path setup.
+
+    Per pair of access links (source major), rebuilds each user's half to
+    its own fog's PoP by enumerating all simple paths over that link and
+    the fog's mesh, takes each fog's lowest-id Up backhaul with headroom,
+    and joins them through the gateway. A join is admissible when it
+    repeats no node and fits the source user's slice entitlement in both
+    fogs; the request is routable without headroom when some join is,
+    with no guarantee and no entitlement test. Then the rule order of
+    `controller_oracle`, without locality."""
+    net = env.net
+    topo = net.topology
+    src, dst = spec.src.ident, spec.dst.ident
+    fa, fb = env.fogs[topo.fog_of(src)], env.fogs[topo.fog_of(dst)]
+    for fog in (fa, fb):
+        if not any(_up(net, lid) for lid in _backhauls(topo, fog.fog_id)):
+            return OracleDecision(accepted=False, reason="FogIsolated")
+    try:
+        qos, gbr, slice_id = fa.classify_flow(spec)
+    except Exception as exc:  # mapped identically by the controller
+        name = type(exc).__name__
+        return OracleDecision(accepted=False, reason=_REFUSED.get(name, name))
+    if not _options(fa, src) or not _options(fb, dst):
+        return OracleDecision(accepted=False, reason="NoCoverage")
+
+    def half(fog, user, link, need):
+        allow = _allow_factory(topo, fog.fog_id, {link.id}, include_backhaul=False)
+        return best_path(enumerate_simple_paths(net, user, fog.pop, allow, min_residual=need), fog.pop)
+
+    def join(a, b, need):
+        """The hops src -> gateway -> dst over halves `a` and `b`, or None."""
+        bh_a, bh_b = _backhaul(net, fa.fog_id, need), _backhaul(net, fb.fog_id, need)
+        if a is None or b is None or bh_a is None or bh_b is None:
+            return None
+        b_nodes = [n for n, _ in b] + [fb.pop]
+        back = list(zip(b_nodes[:0:-1], [l for _, l in b][::-1]))
+        hops = a + [(fa.pop, bh_a), (topo.gateway_id(), bh_b)] + back
+        nodes = [n for n, _ in hops] + [dst]
+        return hops if len(set(nodes)) == len(nodes) else None
+
+    candidates: List[OracleCandidate] = []
+    structural = False
+    for skind, slink in _options(fa, src):
+        for dkind, dlink in _options(fb, dst):
+            if join(half(fa, src, slink, ZERO), half(fb, dst, dlink, ZERO), ZERO) is not None:
+                structural = True
+            hops = join(half(fa, src, slink, gbr), half(fb, dst, dlink, gbr), gbr)
+            if hops is None:
+                continue
+            links = [l for _, l in hops]
+            if not (_slice_cap_ok(fa, slice_id, links, gbr) and _slice_cap_ok(fb, slice_id, links, gbr)):
+                continue
+            structural = True
+            used = {src: skind, dst: dkind}
+            candidates.append(OracleCandidate(f"{skind}+{dkind}", hops, dst, RouteKind.CLOUD_BOUND, used))
+
+    if not candidates:
+        return OracleDecision(accepted=False, reason="GbrAdmissionFail" if structural else "NoRoute")
+    mobile = {src: fa.context_of(src).mobile, dst: fb.context_of(dst).mobile}
+    return _choose(net, candidates, False, mobile)

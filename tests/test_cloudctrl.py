@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,8 +9,9 @@ from fognet.dataplane import FlowPath, InstalledFlow, RouteKind
 from fognet.engine import Engine
 from fognet.fogctrl import Attachment, Endpoint, PolicyRule, QosClass, RejectReason
 from fognet.slicing import SliceSpec
-from fognet.topology import ResourceClass
-from helpers import CONTENT, VOIP, WEB, CloudEnv
+from fognet.topology import NodeKind, ResourceClass
+from helpers import CONTENT, VOIP, WEB, CloudEnv, two_fog_doc
+from oracles import interfog_oracle
 
 F = Fraction
 
@@ -148,6 +151,85 @@ class TestInterFogPath:
         assert net.slice_gbr_units("f1", "s1", wlan) == net.slice_gbr_units("f2", "s1", wlan) == 4 * net.unit
         assert net.slice_gbr_units("f2", "s2", wlan) == 0
         assert net.slice_gbr_units("f2", "s1", macro) == 8 * net.unit
+
+
+class TestInterFogOracle:
+    def test_random_steps_match_exhaustive_oracle(self):
+        """Inter-fog requests against `interfog_oracle` on the two-fog
+        network with 60/40 slices and more Macro in f2 than in f1, so that
+        either fog's entitlement test may refuse a guarantee the other
+        admits. Guarantees of a slice that neither fog holds drain the
+        40 Mb/s backhauls and the mesh, between random link and node
+        flips, handovers, mobility changes and removals. A few requests
+        join two users of one fog, which repeats the PoP."""
+        rng = random.Random(15)
+        gbrs = {f"voip{g}": F(g) for g in (1, 4, 9)}
+        policy = {name: PolicyRule(name, QosClass.REAL_TIME_GBR, g) for name, g in gbrs.items()}
+        policy[WEB] = PolicyRule(app_class=WEB, qos=QosClass.BEST_EFFORT)
+        slices = [
+            SliceSpec("s1", "op1", dict.fromkeys(ResourceClass.ALL, F(3, 5))),
+            SliceSpec("s2", "op2", dict.fromkeys(ResourceClass.ALL, F(2, 5))),
+        ]
+        doc = two_fog_doc()
+        for link in doc["links"]:
+            if link["class"] == "Backhaul":
+                link["capacity"] = 40
+            elif link["id"].startswith("ma-f2-"):
+                link["capacity"] = 12
+        env = CloudEnv(doc=doc, policy=policy, demands=[F(2), F(4), F(9)], slices=slices)
+        topo, net = env.topo, env.net
+        users = [n.id for n in topo.nodes_of_kind(NodeKind.USER)]
+        link_ids, node_ids = sorted(topo.links), sorted(topo.nodes)
+        core_ids = [l for l in link_ids if not set(users) & {topo.links[l].a, topo.links[l].b}]
+        counts = Counter()
+        for step in range(500):
+            r = rng.random()
+            down = [("link", l) for l in link_ids if not net.link_up[l]]
+            down += [("node", n) for n in node_ids if not net.node_up[n]]
+            if r < 0.05:
+                net.set_link_state(rng.choice(link_ids), False)
+            elif r < 0.07:
+                net.set_node_state(rng.choice(node_ids), False)
+            elif r < 0.2 and down:
+                kind, ident = rng.choice(down)
+                (net.set_link_state if kind == "link" else net.set_node_state)(ident, True)
+            elif r < 0.4:
+                user = rng.choice(users)
+                fog = env.fogs[topo.fog_of(user)]
+                fog.context_of(user).mobile = rng.random() < 0.4
+                cluster = topo.cluster_of_user(user)
+                wlan = cluster if rng.random() < 0.7 else None
+                fog.handover(user, Attachment(wlan_cluster=wlan, macro=rng.random() < 0.7))
+            elif r < 0.5:
+                lid = rng.choice(["bh-f1", "bh-f2"] if rng.random() < 0.5 else core_ids)
+                link, gbr = topo.links[lid], rng.choice([F(4), F(9)])
+                if net.effective_up(link.id) and net.residual_units(link.id) >= net.units(gbr):
+                    path = FlowPath(f"fill{step}", link.a, link.b, ((link.a, link.id),), RouteKind.CLOUD_BOUND)
+                    net.install_flow(InstalledFlow(f"fill{step}", path, gbr, gbr, "other", VOIP, 0, 10.0))
+            elif r < 0.9:
+                src = rng.choice(users)
+                far = [u for u in users if topo.fog_of(u) != topo.fog_of(src)]
+                dst = rng.choice(far if rng.random() < 0.95 else [u for u in users if u not in far + [src]])
+                app_class = rng.choice([*gbrs, WEB])
+                spec = env.spec(f"x{step}", src, dst, app_class=app_class, demand=gbrs.get(app_class, F(2)))
+                expected = interfog_oracle(env, spec)
+                decision = env.cloud.setup_interfog_path(spec)
+                assert decision.accepted == expected.accepted, (step, spec, expected)
+                if expected.accepted:
+                    assert decision.path.nodes() == expected.nodes, (step, spec)
+                    assert decision.path.links() == expected.links, (step, spec)
+                    assert decision.path.rat_used.value == expected.rat
+                    assert decision.candidates == expected.labels, (step, spec)
+                    counts["accepted"] += 1
+                    counts["several"] += len(expected.labels) > 1
+                else:
+                    assert decision.reason.value == expected.reason, (step, spec, decision)
+                    counts[expected.reason] += 1
+            elif net.flows:
+                net.remove_flow(rng.choice(sorted(net.flows)))
+            for fog_id in env.fogs:  # as the simulation does after a health change
+                env.cloud.on_backhaul_change(fog_id, True)
+        assert min(counts[k] for k in ("accepted", "several", "GbrAdmissionFail", "NoRoute")) > 0, counts
 
 
 class TestBackhaulChange:

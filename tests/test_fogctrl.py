@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fognet.cloudctrl import CloudControl
 from fognet.dataplane import FlowPath, InstalledFlow, NetworkState, NoRoute, RouteKind, constrained_route
 from fognet.fogctrl import (
     Attachment,
@@ -28,6 +29,7 @@ from fognet.slicing import SliceSpec
 from fognet.topology import NodeKind, ResourceClass, TopologyGenParams, build_from_config, generate_clustered, to_doc
 from helpers import CONTENT, DEFAULT_POLICY, VOIP, WEB, CloudEnv, FakeCloud, FogEnv, two_cluster_doc, two_fog_doc
 from oracles import controller_oracle
+from test_golden import _two_fog_sim
 
 F = Fraction
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -404,7 +406,8 @@ def generated_four_cluster_doc():
 
 
 class TestRouteMemo:
-    """`FogControl._route` (access hops around a memoized mesh segment)
+    """A route as the controller builds it (access hops around a memoized
+    mesh segment, `_segment`, kept or searched afresh by `_with_headroom`)
     against a from-scratch `constrained_route`, under random link and node
     flaps and guaranteed-rate installs that drain headroom."""
 
@@ -415,6 +418,29 @@ class TestRouteMemo:
             allowed |= fog.domain.backhaul_ids
         try:
             return constrained_route(net, src, end, allowed, need)
+        except NoRoute:
+            return None
+
+    @staticmethod
+    def memo_route(net, fog, src, end, access, need, via_backhaul):
+        """The route from the user `src` over its access link in `access`
+        to `end`, a PoP, the gateway or a user over its access link in
+        `access`, or None."""
+        if not all(net.effective_up(lid) for lid in access):
+            return None
+        start, stop, head, tail = src, end, (), ()
+        for lid in sorted(access):
+            link = net.topology.links[lid]
+            if src in (link.a, link.b):
+                start, head = link.other(src), ((src, lid),)
+            else:
+                stop = link.other(end)
+                tail = ((stop, lid),)
+        segment = fog._segment(start, stop, via_backhaul)
+        if segment is None:
+            return None
+        try:
+            return fog._with_headroom((*head, *segment, *tail), src, end, need, via_backhaul)
         except NoRoute:
             return None
 
@@ -433,17 +459,17 @@ class TestRouteMemo:
                         structural = None
                         for need in (0, net.units(gbr)):
                             expected = self.fresh_search(net, fog, src, end, access, need, via_backhaul)
-                            try:
-                                got = fog._route(src, end, access, need, via_backhaul)
-                            except NoRoute:
-                                got = None
-                            assert got == expected, (fog.fog_id, src, end, sorted(access), need, via_backhaul)
+                            got = self.memo_route(net, fog, src, end, access, need, via_backhaul)
+                            assert (None if got is None else list(got)) == expected, (
+                                fog.fog_id, src, end, sorted(access), need, via_backhaul
+                            )  # fmt: skip
                             if need == 0:
                                 structural = expected
                             elif structural and expected != structural:
                                 counts["no_headroom" if expected is None else "detour"] += 1
-                            if got is not None:
-                                got.clear()  # a caller's list must not alias the memo
+                            if isinstance(got, list):
+                                got.clear()  # a fresh search's list must not alias the memo
+                            assert all(isinstance(seg, (tuple, type(None))) for seg in fog._segments.values())
                             counts["checked"] += 1
 
     @pytest.mark.parametrize(
@@ -735,10 +761,11 @@ class TestTemplateReuse:
     """The templates must keep hitting, and must not grow with user pairs.
     Between two link or node state changes, `access_options` runs at most
     once per (user, attachment) and `_fill_target` at most once per (user,
-    attachment, target). The live target entries stay within users x
-    targets, and each targets the PoP or the gateway, never a user."""
+    attachment, target), inter-fog requests included. The live target
+    entries stay within users x targets, and each targets the PoP or the
+    gateway, never a user."""
 
-    def run_counted(self, doc, monkeypatch):
+    def run_counted(self, make_sim, monkeypatch):
         calls = {"options": Counter(), "fills": Counter()}
         worst = Counter()
         live = {"most": 0, "users": 0}
@@ -761,7 +788,7 @@ class TestTemplateReuse:
 
         monkeypatch.setattr(FogControl, "access_options", counted_options)
         monkeypatch.setattr(FogControl, "_fill_target", counted_fill)
-        sim = Simulation(parse_scenario(doc))
+        sim = make_sim()
         health = Counter()
 
         def on_health(element, up):  # a new interval: the templates are gone
@@ -775,13 +802,14 @@ class TestTemplateReuse:
 
     @pytest.mark.parametrize("faults", [False, True], ids=["steady", "faults"])
     def test_cache_churn_fills_once_per_interval(self, faults, monkeypatch):
-        sim, worst, _, changes = self.run_counted(cache_churn_doc(faults), monkeypatch)
+        doc = cache_churn_doc(faults)
+        sim, worst, _, changes = self.run_counted(lambda: Simulation(parse_scenario(doc)), monkeypatch)
         requests = sim.fogs["fog1"].cache.lookups
         assert requests > 3000 and worst["options"] == 1 and worst["fills"] == 1, (requests, worst)
         assert (changes > 0) == faults, changes
 
     def test_voip_templates_stay_per_user(self, monkeypatch):
-        sim, worst, live, _ = self.run_counted(voip_doc(), monkeypatch)
+        sim, worst, live, _ = self.run_counted(lambda: Simulation(parse_scenario(voip_doc())), monkeypatch)
         targets = 3  # the PoP for a cache hit, the gateway to fetch and to egress
         assert worst["options"] == 1 and worst["fills"] == 1, worst
         assert 0 < live["most"] <= live["users"] * targets, live
@@ -789,3 +817,32 @@ class TestTemplateReuse:
         assert len(fog._templates) <= live["users"], len(fog._templates)
         ends = [end for t in fog._templates.values() for end, _ in t.fixed]
         assert len(ends) <= live["users"] * targets and set(ends) <= {fog.pop, fog.net.topology.gateway_id()}
+
+    def test_interfog_halves_come_from_the_pop_entry(self, monkeypatch, tmp_path):
+        """An inter-fog request reads each user's half from the user's PoP
+        entry, the one its cache hits read, so it fills that entry at most
+        once between health changes too, and later requests reuse it."""
+        reads, inside = Counter(), []
+        setup, fixed = CloudControl.setup_interfog_path, FogControl.fixed_candidates
+
+        def counted_setup(cloud, spec, **kwargs):
+            reads["requests"] += 1
+            inside.append(spec.flow_id)
+            try:
+                return setup(cloud, spec, **kwargs)
+            finally:
+                inside.pop()
+
+        def counted_fixed(fog, user, template, end, rat, tag):
+            if inside:
+                assert (end, tag) == (fog.pop, "cache"), (end, tag)
+                reads["hit" if (end, tag) in template.fixed else "miss"] += 1
+            return fixed(fog, user, template, end, rat, tag)
+
+        monkeypatch.setattr(CloudControl, "setup_interfog_path", counted_setup)
+        monkeypatch.setattr(FogControl, "fixed_candidates", counted_fixed)
+        _, worst, _, changes = self.run_counted(lambda: _two_fog_sim(tmp_path), monkeypatch)
+        assert worst["options"] == 1 and worst["fills"] == 1, worst
+        assert changes > 0 and reads["requests"] > 100, (changes, reads)
+        # the halves of most requests find their entries filled
+        assert reads["hit"] > reads["miss"] > 0, reads

@@ -18,6 +18,21 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 F = Fraction
 
+RTT = "cloud_rtt_ms: 20"
+FOGS_BLOCK = """fogs:
+  fog1:
+    udf: true
+    pcrf: true
+    mlmf: true
+    cache: true
+    dhcp: true
+    cache_capacity: 10
+    address_pool: 32"""
+POLICY_BLOCK = """policy:
+  local_voip: {qos: RealTimeGBR, gbr_mbps: 0.1}
+  content_request: {qos: BestEffort}
+  external_web: {qos: BestEffort}"""
+
 
 def scenario_doc(**overrides):
     doc = {
@@ -65,6 +80,21 @@ class TestLoadScenario:
     def test_missing_file_is_parse_error(self):
         with pytest.raises(ParseError):
             load_scenario("/nonexistent/path.scn")
+
+    @pytest.mark.parametrize("key", ["udf", "pcrf", "mlmf", "cache", "dhcp", "tcp_opt"])
+    def test_fog_flags_must_be_booleans(self, key):
+        """A quoted "false" is a string, not false: it is refused, not read
+        as true. A YAML boolean is taken as written."""
+        fog_id = parse_scenario(scenario_doc()).topology.fogs()[0]
+        for value in ("false", "true", 0, 1, None):
+            with pytest.raises(ValidationError) as err:
+                parse_scenario(scenario_doc(fogs={fog_id: {key: value}}))
+            assert err.value.field == f"fogs.{fog_id}.{key}" and "expected true or false" in str(err.value)
+        attr = "tcp_opt_in_fog" if key == "tcp_opt" else f"{key}_in_fog"
+        for value in (False, True):
+            config = parse_scenario(scenario_doc(fogs={fog_id: {key: value}}))
+            assert getattr(config.fogs[fog_id].profile, attr) is value
+            assert config.to_doc()["fogs"][fog_id][key] is value
 
     def test_defaults_echoed(self):
         config = parse_scenario(scenario_doc())
@@ -228,8 +258,43 @@ class TestCli:
         [
             ("slices:\n  - id: s1\n    operator: op1\n    shares: 1", "slices: 5", "slices: expected a list"),
             ("topology:\n  file: two_cluster.topo.yaml", "topology: {file: two_cluster.topo.yaml", "invalid YAML: "),
+            (FOGS_BLOCK, "fogs: 5", "fogs: expected a mapping"),
+            (POLICY_BLOCK, "policy: 5", "policy: expected a mapping"),
+            (RTT, f"{RTT}\nsubscribers: {{overrides: 5}}", "subscribers.overrides: expected a list"),
+            (RTT, f"{RTT}\nsubscribers: {{allowed_classes: 5}}", "subscribers.allowed_classes: expected a list"),
+            ("cache: true", 'cache: "false"', "fogs.fog1.cache: expected true or false"),
+            (
+                "file: two_cluster.topo.yaml",
+                "file: two_cluster.topo.yaml\n  link_defaults: 5",
+                "topology.link_defaults: expected a mapping",
+            ),
+            (RTT, f"{RTT}\nfaults: {{backhaul_schedule: 5}}", "faults.backhaul_schedule: expected a list"),
+            (
+                RTT,
+                f"{RTT}\nsubscribers: {{overrides: [{{user: u1, allowed_classes: 5}}]}}",
+                "subscribers.overrides[0].allowed_classes: expected a list",
+            ),
+            (RTT, f"{RTT}\nsubscribers: {{allowed_classes: [[1]]}}", "subscribers.allowed_classes: unknown class [1]"),
+            (
+                RTT,
+                f"{RTT}\nsubscribers: {{overrides: [{{user: u1, operator: [1]}}]}}",
+                "subscribers.overrides[0].operator: unknown slice operator [1]",
+            ),
         ],
-        ids=["slices-not-a-list", "yaml-unclosed-mapping"],
+        ids=[
+            "slices-not-a-list",
+            "yaml-unclosed-mapping",
+            "fogs-not-a-mapping",
+            "policy-not-a-mapping",
+            "overrides-not-a-list",
+            "allowed-classes-not-a-list",
+            "quoted-flag",
+            "link-defaults-not-a-mapping",
+            "backhaul-schedule-not-a-list",
+            "override-classes-not-a-list",
+            "class-not-a-name",
+            "operator-not-a-name",
+        ],
     )
     def test_malformed_scenario_is_one_line_error(self, tmp_path, capsys, command, old, new, detail):
         text = (SCENARIOS / "two_cluster.scn").read_text()
