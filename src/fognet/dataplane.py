@@ -20,13 +20,15 @@ are exact `Fraction`s in Mb/s. Every ledger is a plain `int` in units of
 `*_units` readers return and what `constrained_route` takes as `need`;
 the one exception is a link's best-effort total while congested, a
 `Fraction` of units, since max-min levels need not be whole units. The
-unit is fixed when the state is built, from every rate a flow can hold; a
-rate that is not a whole number of it raises ValueError. `install_flow`
-converts a flow's rates once and keeps them on the flow (`gbr_units`,
-`rate_units`) for `remove_flow` to read back, and the controllers convert a
-request's guarantee once (`FogControl.handle_flow_request`,
-`CloudControl.setup_interfog_path`); installs, removals, congestion and
-headroom tests then add and compare ints.
+unit is fixed when the state is built, from every rate a flow can hold
+and the slice shares, so that each slice's entitlement is whole units
+too (`util.rate_unit`); a rate that is not a whole number of it raises
+ValueError. `install_flow` converts a flow's rates once and keeps them
+on the flow (`gbr_units`, `rate_units`) for `remove_flow` to read back,
+and the controllers convert a request's guarantee once
+(`FogControl.handle_flow_request`, `CloudControl.setup_interfog_path`);
+installs, removals, congestion and headroom tests then add and compare
+ints.
 
 Fluid allocations: a GBR flow always carries its guarantee. While no link
 is congested every best-effort flow carries its demand, and `allocated()`
@@ -53,13 +55,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter
 from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .engine import FairShareIndex, GbrOvercommit, recompute_fair_shares
 from .topology import LinkState, ResourceClass, Topology
-from .util import ZERO, in_units
+from .util import ZERO, in_units, rate_unit
 
 
 class RouteKind(str, Enum):
@@ -153,15 +154,17 @@ class NetworkState:
     """Mutable runtime state over one topology; engine-loop use only.
 
     Every rate ledger below holds plain ints in units of `1/unit` Mb/s.
-    `unit` is fixed at build: the least common multiple of the
-    denominators of the link capacities and of `rates`, every rate a flow
-    may hold. `install_flow` refuses any other rate with a ValueError
-    before it changes a ledger. The `*_units` readers (`capacity_units`,
-    `residual_units`, `slice_gbr_units`, `slice_demand_units`,
-    `sliceable_units`, `fog_sliceable_units`, `offered_units`,
-    `load_units`) return the ledgers in units to the
-    controllers and metrics; only `allocated()` returns a `Fraction` in
-    Mb/s, a flow's own rate or its max-min share.
+    `unit` is fixed at build by `util.rate_unit`: the least common
+    multiple of the denominators of the link capacities and of `rates`,
+    every rate a flow may hold, times that of `shares`, the slice shares
+    of the fogs' resource classes, so that every slice's entitlement
+    (`SliceManager.entitled`) is whole units as well. `install_flow`
+    refuses any other rate with a ValueError before it changes a ledger.
+    The `*_units` readers (`capacity_units`, `residual_units`,
+    `slice_gbr_units`, `slice_demand_units`, `sliceable_units`,
+    `fog_sliceable_units`, `offered_units`, `load_units`) return the
+    ledgers in units to the controllers and metrics; only `allocated()`
+    returns a `Fraction` in Mb/s, a flow's own rate or its max-min share.
 
     Each fact below is kept in one place and updated where it changes,
     never recounted:
@@ -230,7 +233,7 @@ class NetworkState:
     removal.
     """
 
-    def __init__(self, topology: Topology, rates: Iterable[Fraction]):
+    def __init__(self, topology: Topology, rates: Iterable[Fraction], shares: Iterable[Fraction] = ()):
         self.topology = topology
         self.link_up: Dict[str, bool] = {
             lid: link.state == LinkState.UP for lid, link in topology.links.items()
@@ -240,10 +243,7 @@ class NetworkState:
         self.alloc: Dict[str, Fraction] = {}
         self.epoch = 0
         self._health_watchers: List[Callable[[str, bool], None]] = []
-        self.unit = lcm(
-            *(link.capacity.denominator for link in topology.links.values()),
-            *(rate.denominator for rate in rates),
-        )
+        self.unit = rate_unit([link.capacity for link in topology.links.values()] + list(rates), shares)
         self._capacity: Dict[str, int] = {
             lid: in_units(link.capacity, self.unit) for lid, link in topology.links.items()
         }

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from math import floor
 from operator import attrgetter, itemgetter
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple, Union
 
@@ -408,9 +407,8 @@ class FogControl:
         self.macro_bs = net.topology.macro_of(fog_id)
         self.domain = net.topology.fog_domain(fog_id)
         self._meters = {link.id: LINK_TO_RESOURCE[link.link_class] for link in self.domain.metered.get(None, ())}
-        self._entitled: Dict[Tuple[str, str], Fraction] = {}
-        self._ceiling: Dict[Tuple[str, str], int] = {}  # floors of `_entitled`
-        self._entitled_epoch = -1  # NetworkState.epoch of both
+        self._entitled: Dict[Tuple[str, str], int] = {}
+        self._entitled_epoch = -1  # NetworkState.epoch of `_entitled`
         self._segments: Dict[Tuple[str, str, bool], Optional[Tuple[Tuple[str, str], ...]]] = {}
         self._templates: Dict[Tuple[str, Attachment], UserTemplate] = {}
         net.watch_health(self._on_health)
@@ -598,8 +596,8 @@ class FogControl:
         this fog, never at borrowed capacity: on the links of `links` that
         this fog meters, each class's guarantees stay within the slice's
         share of it, and a slice this fog does not hold is entitled to
-        nothing here. `need` is the guarantee in units; since the ledger
-        holds ints, comparing with the entitlement's floor is exact."""
+        nothing here. `need` is the guarantee in units, and the ledger and
+        each entitlement hold ints in the same units."""
         if need <= 0 or slice_id is None or self.slice_manager is None:
             return True
         meters = self._meters
@@ -610,12 +608,11 @@ class FogControl:
                 count[cls] = count.get(cls, 0) + 1
         if not count:
             return True
-        self.entitlements()  # brings `_ceiling` to this epoch
-        ceiling = self._ceiling
+        entitled = self.entitlements()
         used = self.net.slice_gbr_units
         fog_id = self.fog_id
         for cls, n in count.items():
-            if used(fog_id, slice_id, cls) + n * need > ceiling.get((slice_id, cls), 0):
+            if used(fog_id, slice_id, cls) + n * need > entitled.get((slice_id, cls), 0):
                 return False
         return True
 
@@ -865,15 +862,14 @@ class FogControl:
         `NetworkState.fog_sliceable_units`."""
         return {cls: self.net.fog_sliceable_units(self.fog_id, cls) for cls in ResourceClass.ALL}
 
-    def entitlements(self) -> Dict[Tuple[str, str], Fraction]:
-        """(slice, class) -> the slice's entitlement in units, an exact
-        `Fraction` (`SliceManager.entitlements`). Kept once per
+    def entitlements(self) -> Dict[Tuple[str, str], int]:
+        """(slice, class) -> the slice's entitlement, a whole number of
+        units (`SliceManager.entitlements`). Kept once per
         `NetworkState.epoch`, which moves whenever link or node health or
         an unsliced GBR flow changes; the dict is shared until then, so do
         not mutate it."""
         if self._entitled_epoch != self.net.epoch:
             self._entitled = self.slice_manager.entitlements()
-            self._ceiling = {key: floor(entitled) for key, entitled in self._entitled.items()}
             self._entitled_epoch = self.net.epoch
         return self._entitled
 

@@ -12,7 +12,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import yaml
 
@@ -61,6 +61,15 @@ def _of_type(value, kind: type, where: str):
     if not isinstance(value, kind):
         raise ValidationError(where, "expected a mapping" if kind is dict else "expected a list")
     return value
+
+
+def _classes(value, policy, where: str) -> Tuple[str, ...]:
+    """A list of application classes, each one that `policy` names."""
+    names = tuple(_of_type(value, list, where))
+    for cls_name in names:
+        if not isinstance(cls_name, str) or cls_name not in policy:
+            raise ValidationError(where, f"unknown class {cls_name!r}")
+    return names
 
 
 def _flag(entry: dict, key: str, where: str, default: bool) -> bool:
@@ -206,7 +215,7 @@ class ScenarioConfig:
                 "overrides": [
                     {
                         "user": o.user,
-                        **({"allowed_classes": list(o.allowed_classes)} if o.allowed_classes else {}),
+                        **({"allowed_classes": list(o.allowed_classes)} if o.allowed_classes is not None else {}),
                         **({"max_gbr_mbps": rate_str(o.max_gbr)} if o.max_gbr is not None else {}),
                         **({"operator": o.operator} if o.operator else {}),
                     }
@@ -460,20 +469,21 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
 
     subs_doc = doc.get("subscribers") or {}
     _strict(subs_doc, {"max_gbr_mbps", "allowed_classes", "overrides"}, "subscribers")
-    allowed_default = tuple(
-        _of_type(subs_doc.get("allowed_classes") or sorted(policy), list, "subscribers.allowed_classes")
+    allowed_default = _classes(
+        subs_doc.get("allowed_classes") or sorted(policy), policy, "subscribers.allowed_classes"
     )
-    for cls_name in allowed_default:
-        if not isinstance(cls_name, str) or cls_name not in policy:
-            raise ValidationError("subscribers.allowed_classes", f"unknown class {cls_name!r}")
     overrides: List[SubscriberOverride] = []
     user_ids = {n.id for n in topo.nodes_of_kind(NodeKind.USER)}
+    overridden: Set[str] = set()
     for i, entry in enumerate(_of_type(subs_doc.get("overrides") or [], list, "subscribers.overrides")):
         w = f"subscribers.overrides[{i}]"
         _strict(entry, {"user", "allowed_classes", "max_gbr_mbps", "operator"}, w)
         user = str(entry.get("user", ""))
         if user not in user_ids:
             raise ValidationError(f"{w}.user", f"no such user {user!r} in topology")
+        if user in overridden:
+            raise ValidationError(f"{w}.user", f"second override for user {user!r}")
+        overridden.add(user)
         operator = entry.get("operator")
         if operator is not None and (not isinstance(operator, str) or operator not in operators):
             raise ValidationError(f"{w}.operator", f"unknown slice operator {operator!r}")
@@ -481,7 +491,7 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
             SubscriberOverride(
                 user=user,
                 allowed_classes=(
-                    tuple(_of_type(entry["allowed_classes"], list, f"{w}.allowed_classes"))
+                    _classes(entry["allowed_classes"], policy, f"{w}.allowed_classes")
                     if "allowed_classes" in entry
                     else None
                 ),

@@ -7,7 +7,6 @@ instances. Every output byte is a function of (config, seed).
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import yaml
@@ -33,14 +32,15 @@ from .fogctrl import (
     FlowDecision,
     FlowSpec,
     FogControl,
+    QosClass,
     RejectReason,
     UserRecord,
 )
 from .metrics import MetricsCollector, MetricsRecord
 from .scenario import ScenarioConfig
-from .slicing import SliceManager
-from .topology import LinkClass, NodeKind, ResourceClass
-from .util import fmt6, rate_str
+from .slicing import SliceManager, SliceReport
+from .topology import LinkClass, NodeKind
+from .util import fmt6
 from .workload import (
     FaultEvent,
     FlowRequest,
@@ -53,6 +53,9 @@ from .workload import (
 
 OUTPUT_FILES = ("metrics.tsv", "decisions.log", "events.log", "connectivity.log", "slices.tsv", "run.log")
 
+# each decision row field's enum member as its text, and None as "-"
+VALUE_TEXT = {None: "-", **{member: member.value for kind in (RejectReason, RouteKind, QosClass) for member in kind}}
+
 DECISION_HEADER = (
     "time_ms\tflow\tclass\tsrc\tdst\tstatus\treason\trat\tslice\tqos\t"
     "discriminator\tcandidates\tsetup_ms\tlatency_ms\tnote\tpath\treroute"
@@ -63,12 +66,14 @@ class Simulation:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.engine = Engine()
-        # the unit covers every rate a flow of this scenario can hold
+        # the unit covers every rate a flow of this scenario can hold, and
+        # makes every share of a sum of them whole
         self.net = NetworkState(
             config.topology,
             [spec.demand for spec in config.workload.classes.values()]
             + [rule.gbr_rate for rule in config.policy.values()]
             + [config.wlan_control_overhead],
+            [share for spec in config.slices for share in spec.shares.values()],
         )
         self.metrics = MetricsCollector(self.net)
         self.cloud = CloudControl(self.net, self.engine, rtt_ms=config.cloud_rtt_ms)
@@ -77,6 +82,8 @@ class Simulation:
         self.slice_rows: List[str] = ["time_ms\tfog\tslice\tresource\tentitled\tdemand\tgranted"]
         self.fogs: Dict[str, FogControl] = {}
         self.operator_of: Dict[str, str] = {}
+        # the decision rows' endpoint texts, per kind and id (`_endpoint_text`)
+        self._end_text: Dict[EndpointKind, Dict[Optional[str], str]] = {kind: {} for kind in EndpointKind}
 
         topo = config.topology
         for index, fog_id in enumerate(topo.fogs()):
@@ -102,6 +109,9 @@ class Simulation:
             for spec in config.slices:
                 manager.create_slice(spec)
             self.fogs[fog_id] = fog
+        self._slice_reports = [
+            SliceReport(fog_id, self.fogs[fog_id].slice_manager, self.net.unit) for fog_id in sorted(self.fogs)
+        ]
 
         self._register_subscribers()
         self._install_control_overhead()
@@ -252,6 +262,15 @@ class Simulation:
                 return self.cloud.setup_interfog_path(spec)
         return self.fogs[src_fog].handle_flow_request(spec)
 
+    def _endpoint_text(self, end: Endpoint) -> str:
+        """`str(end)`, kept per kind and id: a dict keyed by the id is
+        several times faster than either rendering or hashing `end`."""
+        texts = self._end_text[end.kind]
+        text = texts.get(end.ident)
+        if text is None:
+            text = texts[end.ident] = str(end)
+        return text
+
     def _log_decision(self, time_ms: int, spec: FlowSpec, decision: FlowDecision, reroute: bool) -> None:
         path = decision.path
         self.decision_rows.append(
@@ -260,13 +279,13 @@ class Simulation:
                     str(time_ms),
                     spec.flow_id,
                     spec.app_class,
-                    str(spec.src),
-                    str(spec.dst),
+                    self._endpoint_text(spec.src),
+                    self._endpoint_text(spec.dst),
                     "accepted" if decision.accepted else "rejected",
-                    decision.reason.value if decision.reason else "-",
-                    path.rat_used.value if path else "-",
+                    VALUE_TEXT[decision.reason],
+                    VALUE_TEXT[path.rat_used] if path else "-",
                     decision.slice_id or "-",
-                    decision.qos.value if decision.qos else "-",
+                    VALUE_TEXT[decision.qos],
                     decision.discriminator or "-",
                     "|".join(decision.candidates) or "-",
                     str(decision.setup_ms),
@@ -286,11 +305,11 @@ class Simulation:
                     str(time_ms),
                     flow.flow_id,
                     flow.app_class,
-                    str(spec.src) if spec else flow.path.src,
-                    str(spec.dst) if spec else flow.path.dst,
+                    self._endpoint_text(spec.src) if spec else flow.path.src,
+                    self._endpoint_text(spec.dst) if spec else flow.path.dst,
                     "terminated",
-                    reason.value,
-                    flow.path.rat_used.value,
+                    VALUE_TEXT[reason],
+                    VALUE_TEXT[flow.path.rat_used],
                     flow.slice_id or "-",
                     "-",
                     "-",
@@ -315,28 +334,19 @@ class Simulation:
         self.metrics.set_backhaul_rate(self.net)
 
     def _emit_slice_rows(self, now_ms: int) -> None:
-        """Slice report rows; written at ticks and capacity-change events.
+        """Slice report rows, per fog (`SliceReport`); written at ticks and
+        capacity-change events.
 
         Admission uses live entitlements, so reporting granularity does not
-        affect behavior. Entitlements, demands (`slice_demand_units`) and
-        grants are in the network state's units until they are written."""
-        net = self.net
-        unit = net.unit
-        for fog_id in sorted(self.fogs):
-            fog = self.fogs[fog_id]
-            manager = fog.slice_manager
-            demands = {
-                sid: {cls: net.slice_demand_units(fog_id, sid, cls) for cls in ResourceClass.ALL}
-                for sid in manager.slice_ids()
-            }
-            runtimes = manager.compute_slice_allocations(demands, fog.entitlements())
-            for sid in manager.slice_ids():
-                runtime = runtimes[sid]
-                for cls, alloc in runtime.per_class.items():
-                    # each rate x in units as exact Mb/s, x / unit, built without a division
-                    rates = (alloc.entitled, alloc.demand, alloc.granted)
-                    mbps = (rate_str(Fraction(x.numerator, x.denominator * unit)) for x in rates)
-                    self.slice_rows.append("\t".join([str(now_ms), fog_id, sid, cls, *mbps]))
+        affect behavior. Entitlements (`FogControl.entitlements`), demands
+        (`slice_demand_units`) and grants are in the network state's units
+        until they are written."""
+        demand = self.net.slice_demand_units
+        for report in self._slice_reports:
+            fog_id = report.fog_id
+            entitled = self.fogs[fog_id].entitlements()
+            demands = {key: demand(fog_id, *key) for key in entitled}
+            self.slice_rows += report.rows(now_ms, entitled, demands)
 
     # -- handlers ----------------------------------------------------------------
 

@@ -6,16 +6,23 @@ reads from the network state's per-fog ledger. Guaranteed rates are
 admitted only within that share. Idle entitlement is diverted to
 overloaded slices by entitlement-weighted progressive filling and
 reclaimed the moment the entitled operator's own demand returns.
+
+Capacities, entitlements, demands and grants are ints in the network
+state's units (`NetworkState.unit`), whose unit makes every entitlement
+whole, so neither the admission test nor the slice report builds a
+`Fraction`: only the split of leftover capacity among slices whose demand
+exceeds their entitlement divides. `SliceReport` renders a fog's rows of
+the slice report from those ints and keeps the texts it renders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from .topology import ResourceClass
-from .util import ZERO
+from .util import ZERO, rate_str
 
 
 class SlicingError(Exception):
@@ -46,27 +53,14 @@ class SliceSpec:
         return self.shares.get(cls, ZERO)
 
 
-@dataclass
-class ClassAllocation:
-    entitled: Fraction
-    demand: Fraction
-    granted: Fraction
-
-
-@dataclass
-class SliceRuntime:
-    slice_id: str
-    per_class: Dict[str, ClassAllocation]
-
-
 class SliceManager:
     """Slice registry and allocator for one fog's resources.
 
-    `physical` yields the live per-class capacity (Up links only), so
-    entitlements track link failures automatically.
+    `physical` yields the live per-class capacity (Up links only) in
+    whole units, so entitlements track link failures automatically.
     """
 
-    def __init__(self, physical: Callable[[], Dict[str, Fraction]]):
+    def __init__(self, physical: Callable[[], Dict[str, int]]):
         self._physical = physical
         self._specs: Dict[str, SliceSpec] = {}
         self.on_create: Optional[Callable[[SliceSpec], None]] = None
@@ -95,66 +89,124 @@ class SliceManager:
             self.on_create(spec)
         return spec.slice_id
 
-    def entitled(self, slice_id: str, cls: str) -> Fraction:
-        return self.spec(slice_id).share(cls) * self._physical().get(cls, ZERO)
+    def entitled(self, slice_id: str, cls: str, physical: Optional[Mapping[str, int]] = None) -> int:
+        """The slice's share of the class's capacity, in the capacity's
+        units: of `physical` (per class) if given, else of the live
+        capacity. Raises ValueError unless it is a whole number of units;
+        `NetworkState` builds its unit from the slice shares so that it
+        always is (`util.rate_unit`)."""
+        share = self.spec(slice_id).share(cls)
+        capacity = (self._physical() if physical is None else physical).get(cls, 0)
+        entitled, rest = divmod(share.numerator * capacity, share.denominator)
+        if rest:
+            raise ValueError(f"slice {slice_id}: {cls} entitlement {share} x {capacity} is not a whole number of units")
+        return entitled
 
-    def entitlements(self) -> Dict[Tuple[str, str], Fraction]:
-        """(slice, class) -> `entitled`, for every slice and class."""
-        return {(sid, cls): self.entitled(sid, cls) for sid in self.slice_ids() for cls in ResourceClass.ALL}
+    def entitlements(self) -> Dict[Tuple[str, str], int]:
+        """(slice, class) -> `entitled`, for every slice and class, slices in
+        id order and classes in `ResourceClass.ALL` order (the order of the
+        slice report's rows), from one read of the live capacity."""
+        physical = self._physical()
+        entitled = self.entitled
+        return {(sid, cls): entitled(sid, cls, physical) for sid in self.slice_ids() for cls in ResourceClass.ALL}
 
     def compute_slice_allocations(
         self,
-        demands: Mapping[str, Mapping[str, Fraction]],
-        entitlements: Mapping[Tuple[str, str], Fraction],
-    ) -> Dict[str, SliceRuntime]:
-        """Entitlement first, then leftover to unsatisfied slices.
+        demands: Mapping[Tuple[str, str], int],
+        entitlements: Mapping[Tuple[str, str], int],
+    ) -> Mapping[Tuple[str, str], Union[int, Fraction]]:
+        """(slice, class) -> grant: entitlement first, then leftover to
+        unsatisfied slices.
 
-        `entitlements` is `self.entitlements()`, or a copy the caller
-        keeps. Per resource class every slice is granted min(demand,
+        `demands` and `entitlements` (`self.entitlements()`, or a copy the
+        caller keeps) hold ints in the live capacity's units, with the
+        same keys. Per resource class every slice is granted min(demand,
         entitled); the leftover is spread over still-hungry slices
         proportionally to their entitlement shares, iterating until
-        exhausted.
+        exhausted. When no demand exceeds its entitlement every grant is
+        its demand, and `demands` itself is returned, so do not mutate
+        the result. Only the leftover split divides: its grants may be
+        `Fraction`s of units.
         """
-        physical = self._physical()
-        runtimes = {
-            sid: SliceRuntime(slice_id=sid, per_class={}) for sid in self.slice_ids()
+        hungry = [key for key, demand in demands.items() if demand > entitlements[key]]
+        if not hungry:
+            return demands
+        granted: Dict[Tuple[str, str], Union[int, Fraction]] = {
+            key: min(demand, entitlements[key]) for key, demand in demands.items()
         }
+        physical = self._physical()
         for cls in ResourceClass.ALL:
-            cap = physical.get(cls, ZERO)
-            granted: Dict[str, Fraction] = {}
-            for sid in self.slice_ids():
-                demand = demands.get(sid, {}).get(cls, ZERO)
-                entitled = entitlements[sid, cls]
-                granted[sid] = min(demand, entitled)
-                runtimes[sid].per_class[cls] = ClassAllocation(
-                    entitled=entitled, demand=demand, granted=granted[sid]
-                )
-            leftover = cap - sum(granted.values(), ZERO)
-            hungry = [
-                sid
-                for sid in self.slice_ids()
-                if runtimes[sid].per_class[cls].demand > granted[sid]
-            ]
-            while leftover > 0 and hungry:
-                weights = {sid: self._specs[sid].share(cls) for sid in hungry}
-                wsum = sum(weights.values(), ZERO)
+            hungry_ids = [sid for sid, c in hungry if c == cls]
+            if not hungry_ids:
+                continue
+            keys = [key for key in granted if key[1] == cls]
+            leftover = physical.get(cls, 0) - sum(granted[key] for key in keys)
+            while leftover > 0 and hungry_ids:
+                weights = {sid: self._specs[sid].share(cls) for sid in hungry_ids}
+                wsum = sum(weights.values())
                 if wsum == 0:
-                    weights = {sid: Fraction(1) for sid in hungry}
-                    wsum = Fraction(len(hungry))
+                    weights = {sid: 1 for sid in hungry_ids}
+                    wsum = len(hungry_ids)
                 capped = False
-                new_hungry = []
-                for sid in hungry:
-                    need = runtimes[sid].per_class[cls].demand - granted[sid]
-                    offer = leftover * weights[sid] / wsum
-                    take = min(offer, need)
+                still_hungry = []
+                for sid in hungry_ids:
+                    demand = demands[sid, cls]
+                    offer = Fraction(leftover * weights[sid]) / wsum  # exact, even for int weights
+                    take = min(offer, demand - granted[sid, cls])
                     if take < offer:
                         capped = True
-                    granted[sid] += take
-                    runtimes[sid].per_class[cls].granted = granted[sid]
-                    if granted[sid] < runtimes[sid].per_class[cls].demand:
-                        new_hungry.append(sid)
-                leftover = cap - sum(granted.values(), ZERO)
-                hungry = new_hungry
+                    granted[sid, cls] += take
+                    if granted[sid, cls] < demand:
+                        still_hungry.append(sid)
+                leftover = physical.get(cls, 0) - sum(granted[key] for key in keys)
+                hungry_ids = still_hungry
                 if not capped:
                     break  # everything offered was taken; one pass suffices
-        return runtimes
+        return granted
+
+
+class RateTexts(dict):
+    """Rate in units -> its `rate_str` text at `unit`, rendered on first
+    use. Bounded: emptied when it holds `limit` texts. A run's slice
+    figures take few distinct values (143 over a 900 s run of the
+    `faults_slicing` benchmark workload), so nearly every read hits."""
+
+    def __init__(self, unit: int, limit: int = 4096):
+        super().__init__()
+        self.unit = unit
+        self.limit = limit
+
+    def __missing__(self, x: Union[int, Fraction]) -> str:
+        if len(self) >= self.limit:
+            self.clear()
+        text = self[x] = rate_str(x, self.unit)
+        return text
+
+
+class SliceReport:
+    """One fog's rows of the slice report (`slices.tsv`): per slice and
+    resource class, in `SliceManager.entitlements` order, the slice's
+    entitlement, demand and grant (`compute_slice_allocations`) in Mb/s,
+    each rendered from its value in units (`RateTexts`)."""
+
+    def __init__(self, fog_id: str, manager: SliceManager, unit: int):
+        self.fog_id = fog_id
+        self.manager = manager
+        self.texts = RateTexts(unit)
+        self._heads: Dict[Tuple[str, str], str] = {}  # (slice, class) -> "fog\tslice\tclass"
+
+    def rows(
+        self, now_ms: int, entitlements: Mapping[Tuple[str, str], int], demands: Mapping[Tuple[str, str], int]
+    ) -> List[str]:
+        """The rows at `now_ms` for these entitlements and demands, each an
+        int in units, keyed (slice, class) as `SliceManager.entitlements`."""
+        grants = self.manager.compute_slice_allocations(demands, entitlements)
+        texts = self.texts
+        heads = self._heads
+        rows = []
+        for key, entitled in entitlements.items():
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = f"{self.fog_id}\t{key[0]}\t{key[1]}"
+            rows.append(f"{now_ms}\t{head}\t{texts[entitled]}\t{texts[demands[key]]}\t{texts[grants[key]]}")
+        return rows

@@ -7,13 +7,17 @@ a flow's allocated rate and every output carry rates in that form.
 
 Ledgers, the controllers' admission tests and the max-min solver hold
 rates as plain `int` multiples of one exact unit instead, `1/unit` Mb/s,
-fixed when the network state is built; `in_units` raises ValueError for a
-rate that is not a whole number of it. A rate is converted once where it
+fixed when the network state is built (`rate_unit`); `in_units` raises
+ValueError for a rate that is not a whole number of it. The unit also
+makes every slice's entitlement, its share times a whole number of units
+of capacity, a whole number of units. A rate is converted once where it
 enters (a flow at install and removal, a request's guarantee when a
 controller takes it). Adding and comparing ints costs a fraction of the
 same `Fraction` work. A `Fraction` is made only where a division happens
-(a max-min level, a slice share times a capacity, a utilization) and
-where a rate leaves for an output (`rate_str`, `fmt6`).
+(a max-min level, the slice allocator's split of leftover capacity, a
+utilization) and where a config rate leaves for an output. A rate in
+units leaves as its int and the unit, which `rate_str` renders without
+building a `Fraction`.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from __future__ import annotations
 import hashlib
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd, lcm
+from typing import Iterable
 
 ZERO = Fraction(0)
 
@@ -67,9 +73,28 @@ def in_units(rate, unit: int) -> int:
     return rate.numerator * (unit // den)
 
 
-def rate_str(x: Fraction) -> str:
-    """Shortest exact rendering of a Fraction: decimal if finite, else p/q."""
-    num, den = x.numerator, x.denominator
+def rate_unit(rates: Iterable, shares: Iterable = ()) -> int:
+    """The unit of a network state, `1/unit` Mb/s: the least common
+    multiple of the denominators of `rates`, every rate a ledger may hold,
+    times that of the denominators of `shares`, the slice shares.
+
+    Every sum of rates is then a whole number of units and a multiple of
+    the shares' multiple, so each share of it is whole too. It must be the
+    product, not one least common multiple of all: a 2.2 Mb/s capacity
+    alone needs a unit of 5 and is 11 units, and its 0.6 share is 33/5 of
+    them at a unit of lcm(5, 5) = 5, but 33 at 5 x 5 = 25."""
+    return lcm(*(rate.denominator for rate in rates)) * lcm(*(share.denominator for share in shares))
+
+
+def rate_str(x, unit: int = 1) -> str:
+    """Shortest exact rendering of the rate `x / unit`, for `x` an int or a
+    Fraction (`x` in units of `1/unit` Mb/s, or in Mb/s at the default
+    unit): decimal if finite, else p/q in lowest terms."""
+    num, den = x.numerator, x.denominator * unit
+    divisor = gcd(num, den)
+    if divisor != 1:
+        num //= divisor
+        den //= divisor
     if den == 1:
         return str(num)
     rest = den

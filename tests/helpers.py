@@ -42,6 +42,12 @@ def configured_rates(policy, demands):
     return [rule.gbr_rate for rule in policy.values()] + [Fraction(d) for d in demands]
 
 
+def slice_shares(slices):
+    """Every share of `slices`, which a network state's unit must cover so
+    that each entitlement is whole units."""
+    return [share for spec in slices for share in spec.shares.values()]
+
+
 def two_cluster_doc(
     *,
     backhaul_capacity=100,
@@ -113,7 +119,8 @@ class FogEnv:
     ):
         self.topo = build_from_config(doc or two_cluster_doc())
         self.policy = policy or dict(DEFAULT_POLICY)
-        self.net = NetworkState(self.topo, configured_rates(self.policy, demands))
+        self.slices = slices or [full_share_slice()]
+        self.net = NetworkState(self.topo, configured_rates(self.policy, demands), slice_shares(self.slices))
         self.profile = profile or FogProfile()
         cache = LruCache(cache_capacity) if self.profile.cache_in_fog else None
         dhcp = AddressPool("fog1", pool_size) if self.profile.dhcp_in_fog else None
@@ -129,7 +136,6 @@ class FogEnv:
         manager = SliceManager(physical=self.fog.physical_capacity)
         manager.on_create = self.fog.create_racf
         self.fog.slice_manager = manager
-        self.slices = slices or [full_share_slice()]
         for spec in self.slices:
             manager.create_slice(spec)
         operators = [s.operator for s in self.slices]
@@ -212,7 +218,8 @@ class CloudEnv:
 
         self.topo = build_from_config(doc or two_fog_doc())
         self.policy = policy or dict(DEFAULT_POLICY)
-        self.net = NetworkState(self.topo, configured_rates(self.policy, demands))
+        slices = slices or [full_share_slice()]
+        self.net = NetworkState(self.topo, configured_rates(self.policy, demands), slice_shares(slices))
         self.engine = engine
         self.cloud = CloudControl(self.net, engine, rtt_ms=rtt_ms)
         self.fogs = {}
@@ -229,11 +236,11 @@ class CloudEnv:
             manager = SliceManager(physical=fog.physical_capacity)
             manager.on_create = fog.create_racf
             fog.slice_manager = manager
-            for spec in slices or [full_share_slice()]:
+            for spec in slices:
                 manager.create_slice(spec)
             self.cloud.register_fog(fog)
             self.fogs[fog_id] = fog
-        operators = [spec.operator for spec in slices or [full_share_slice()]]
+        operators = [spec.operator for spec in slices]
         for i, node in enumerate(self.topo.nodes_of_kind(NodeKind.USER)):
             fog = self.fogs[node.fog]
             operator = operators[i % len(operators)]

@@ -24,7 +24,11 @@ these equals its recount:
   `FogControl.physical_capacity()` and `FogControl.entitlements()` (each
   slice's share of that capacity);
 - `flows_on_link` for every link, and `flows_at` for every node (the
-  flows on the links incident to it).
+  flows on the links incident to it);
+- the rows the event appended to the slice report (`sim.slice_rows`),
+  string for string, against the rows `oracles.slice_rows_oracle`
+  rebuilds from the configured slices and the recounted capacity and
+  demands.
 
 It also asserts that every installed path lists each link once; on every
 link, that no installed flow crosses it while it or one of its end nodes
@@ -40,8 +44,8 @@ there. The check wraps `sim.net.install_flow`. It cannot be stated after
 every event: a link going Down lowers the entitlements of its fog and
 class while every guarantee on other links stays.
 
-It returns a two-item list: the events checked and the admissions
-checked.
+It returns a three-item list: the events checked, the admissions
+checked and the slice report rows checked.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 
 from fognet.engine import EventKind
 from fognet.topology import LINK_TO_RESOURCE, ResourceClass
+from oracles import slice_rows_oracle
 
 
 class _Layout:
@@ -104,10 +109,11 @@ def _up(net, lid: str) -> bool:
     return net.link_up[lid] and net.node_up[link.a] and net.node_up[link.b]
 
 
-def check_state(sim, layout: _Layout) -> None:
+def check_state(sim, layout: _Layout, now_ms: int = 0, slice_rows: List[str] = ()) -> None:
     """The recounts are exact integers: every rate times a common
     denominator `den` of this check's own (the LCM of the denominators of
-    every capacity and installed flow rate)."""
+    every capacity and installed flow rate). `slice_rows` are the slice
+    report rows written at `now_ms` since the last check."""
     net = sim.net
     links = net.topology.links
     resource = layout.resource
@@ -203,6 +209,18 @@ def check_state(sim, layout: _Layout) -> None:
         }
         assert fog.entitlements() == entitled, ("entitlements", fog_id)
 
+    if slice_rows:
+        expected = []
+        for fog_id in sorted(sim.fogs):
+            capacity = {cls: Fraction(physical[fog_id, cls], den) for cls in ResourceClass.ALL}
+            demand = {
+                (spec.slice_id, cls): Fraction(demands.get((fog_id, spec.slice_id, cls), 0), den)
+                for spec in sim.config.slices
+                for cls in ResourceClass.ALL
+            }
+            expected += slice_rows_oracle(now_ms, fog_id, sim.config.slices, capacity, demand)
+        assert list(slice_rows) == expected, "slice_rows"
+
 
 def check_admission(sim, layout: _Layout, flow) -> None:
     """Right after `flow`, a sliced flow with a guarantee, is installed:
@@ -234,10 +252,14 @@ def check_admission(sim, layout: _Layout, flow) -> None:
 
 def check_after_every_event(sim) -> List[int]:
     layout = _Layout(sim)
-    checked = [0, 0]
+    checked = [0, 0, 0]
+    reported = [len(sim.slice_rows)]  # the slice report rows already checked or written at build
 
-    def check(_event) -> None:
-        check_state(sim, layout)
+    def check(event) -> None:
+        rows = sim.slice_rows
+        check_state(sim, layout, event.time, rows[reported[0] :])
+        checked[2] += len(rows) - reported[0]
+        reported[0] = len(rows)
         checked[0] += 1
 
     install = sim.net.install_flow

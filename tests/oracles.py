@@ -3,9 +3,10 @@
 Each oracle recomputes its answer from scratch with a different structure
 than the code under test: the allocator solves per-round saturation levels
 instead of stepping incrementally, routing enumerates every simple path,
-the LRU is a plain list, and the flow-controller and inter-fog oracles
+the LRU is a plain list, the flow-controller and inter-fog oracles
 rebuild candidates by exhaustive search before applying the same rule
-order.
+order, and the slice report is rebuilt in `Fraction`s of Mb/s by the
+allocator's first design and rendered by scaling with powers of ten.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from fognet.dataplane import RouteKind
-from fognet.topology import LINK_TO_RESOURCE, LinkClass
+from fognet.topology import LINK_TO_RESOURCE, LinkClass, ResourceClass
 
 ZERO = Fraction(0)
 
@@ -175,6 +176,80 @@ class ReferenceLru:
             self.evictions.append(self.items.pop(0))
         self.items.append(content_id)
         return False
+
+
+# ---------------------------------------------------------------------------
+# slice allocation and report
+
+
+def slice_allocation_oracle(
+    shares: Dict[str, Fraction], capacity: Fraction, demands: Dict[str, Fraction]
+) -> Dict[str, Fraction]:
+    """One resource class's grant per slice, in Mb/s, by the allocator's
+    first design, all in `Fraction`s: every slice is granted min(demand,
+    share x capacity); the leftover is offered to the slices still short
+    of their demand in proportion to their shares (equally when those are
+    all 0), pass after pass, until no offer is capped or nothing is left."""
+    ids = sorted(shares)
+    granted = {sid: min(demands[sid], shares[sid] * capacity) for sid in ids}
+    leftover = capacity - sum(granted.values(), ZERO)
+    hungry = [sid for sid in ids if demands[sid] > granted[sid]]
+    while leftover > 0 and hungry:
+        weights = {sid: shares[sid] for sid in hungry}
+        wsum = sum(weights.values(), ZERO)
+        if wsum == 0:
+            weights = {sid: Fraction(1) for sid in hungry}
+            wsum = Fraction(len(hungry))
+        capped = False
+        still_hungry = []
+        for sid in hungry:
+            offer = leftover * weights[sid] / wsum
+            take = min(offer, demands[sid] - granted[sid])
+            if take < offer:
+                capped = True
+            granted[sid] += take
+            if granted[sid] < demands[sid]:
+                still_hungry.append(sid)
+        leftover = capacity - sum(granted.values(), ZERO)
+        hungry = still_hungry
+        if not capped:
+            break
+    return granted
+
+
+def rate_text(x: Fraction) -> str:
+    """`x` as the shortest exact decimal, found by scaling with powers of
+    ten, or as p/q when none makes it whole (a decimal's digits never
+    exceed the bit length of its denominator)."""
+    for digits in range(x.denominator.bit_length() + 1):
+        scaled = x * 10**digits
+        if scaled.denominator == 1:
+            if digits == 0:
+                return str(scaled.numerator)
+            whole, part = divmod(abs(scaled.numerator), 10**digits)
+            return f"{'-' if x < 0 else ''}{whole}.{part:0{digits}d}"
+    return f"{x.numerator}/{x.denominator}"
+
+
+def slice_rows_oracle(
+    now_ms: int, fog_id: str, specs, capacity: Dict[str, Fraction], demands: Dict[Tuple[str, str], Fraction]
+) -> List[str]:
+    """One fog's slice report rows at `now_ms`, per slice of `specs` (by
+    id) and resource class: entitlement, demand and grant, from the fog's
+    per-class capacity and each (slice, class) demand, all in Mb/s."""
+    specs = sorted(specs, key=lambda spec: spec.slice_id)
+    rows = []
+    grants = {}
+    for cls in ResourceClass.ALL:
+        shares = {spec.slice_id: spec.share(cls) for spec in specs}
+        per_slice = {sid: demands[sid, cls] for sid in shares}
+        for sid, grant in slice_allocation_oracle(shares, capacity[cls], per_slice).items():
+            grants[sid, cls] = grant
+    for spec in specs:
+        for cls in ResourceClass.ALL:
+            figures = (spec.share(cls) * capacity[cls], demands[spec.slice_id, cls], grants[spec.slice_id, cls])
+            rows.append("\t".join([str(now_ms), fog_id, spec.slice_id, cls, *map(rate_text, figures)]))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -262,34 +262,31 @@ def test_04_maxmin_500_instances():
 
 def test_05_slicing_conservation_and_diversion():
     t0 = time.perf_counter()
-    physical = {cls: F(100) for cls in ResourceClass.ALL}
+    physical = {cls: 100 for cls in ResourceClass.ALL}
     sm = SliceManager(physical=lambda: dict(physical))
     sm.create_slice(SliceSpec("a", "op-a", {cls: F(6, 10) for cls in ResourceClass.ALL}))
     sm.create_slice(SliceSpec("b", "op-b", {cls: F(4, 10) for cls in ResourceClass.ALL}))
     cls = ResourceClass.MACRO
+    idle = {key: 0 for key in sm.entitlements()}
 
     hand_cases_ok = True
-    r = sm.compute_slice_allocations({"a": {cls: F(90)}, "b": {cls: F(0)}}, sm.entitlements())
-    hand_cases_ok &= r["a"].per_class[cls].granted == 90 and r["b"].per_class[cls].granted == 0
-    r = sm.compute_slice_allocations({"a": {cls: F(90)}, "b": {cls: F(30)}}, sm.entitlements())
-    hand_cases_ok &= r["a"].per_class[cls].granted == 70 and r["b"].per_class[cls].granted == 30
-    hand_cases_ok &= r["a"].per_class[cls].granted + r["b"].per_class[cls].granted == 100
+    r = sm.compute_slice_allocations({**idle, ("a", cls): 90}, sm.entitlements())
+    hand_cases_ok &= r["a", cls] == 90 and r["b", cls] == 0
+    r = sm.compute_slice_allocations({**idle, ("a", cls): 90, ("b", cls): 30}, sm.entitlements())
+    hand_cases_ok &= r["a", cls] == 70 and r["b", cls] == 30
+    hand_cases_ok &= r["a", cls] + r["b", cls] == 100
 
     rng = random.Random(505)
     conserved = True
     for _ in range(1000):
-        demands = {
-            "a": {c: F(rng.randint(0, 150)) for c in ResourceClass.ALL},
-            "b": {c: F(rng.randint(0, 150)) for c in ResourceClass.ALL},
-        }
-        runtimes = sm.compute_slice_allocations(demands, sm.entitlements())
+        demands = {(s, c): rng.randint(0, 150) for s in ("a", "b") for c in ResourceClass.ALL}
+        granted = sm.compute_slice_allocations(demands, sm.entitlements())
         for c in ResourceClass.ALL:
-            total = sum((runtimes[s].per_class[c].granted for s in ("a", "b")), F(0))
+            total = sum(granted[s, c] for s in ("a", "b"))
             if total > physical[c]:
                 conserved = False
-            for sid, share in (("a", F(60)), ("b", F(40))):
-                entry = runtimes[sid].per_class[c]
-                if entry.granted < min(entry.demand, share):
+            for sid, share in (("a", 60), ("b", 40)):
+                if granted[sid, c] < min(demands[sid, c], share):
                     conserved = False
     elapsed = time.perf_counter() - t0
     verdict(

@@ -96,6 +96,26 @@ class TestLoadScenario:
             assert getattr(config.fogs[fog_id].profile, attr) is value
             assert config.to_doc()["fogs"][fog_id][key] is value
 
+    def test_resolved_config_round_trips(self):
+        """The run log's resolved configuration (`to_doc`, through YAML),
+        parsed again over the same topology, is the same configuration:
+        an override's empty class list, which allows no class, stays
+        empty rather than dropping out and allowing every class."""
+        doc = yaml.safe_load((SCENARIOS / "two_cluster.scn").read_text())
+        doc["subscribers"] = {
+            "overrides": [
+                {"user": "u1", "allowed_classes": []},
+                {"user": "u2", "allowed_classes": ["local_voip"], "max_gbr_mbps": 0.5, "operator": "op1"},
+            ]
+        }
+        config = parse_scenario(doc, base_dir=str(SCENARIOS), name="two_cluster")
+        resolved = yaml.safe_load(yaml.safe_dump(config.to_doc(), sort_keys=False))
+        assert resolved["subscribers"]["overrides"][0] == {"user": "u1", "allowed_classes": []}
+        del resolved["topology_source"]
+        again = parse_scenario({**resolved, "topology": doc["topology"]}, base_dir=str(SCENARIOS))
+        assert again.subscribers == config.subscribers
+        assert again.to_doc() == config.to_doc()
+
     def test_defaults_echoed(self):
         config = parse_scenario(scenario_doc())
         doc = config.to_doc()
@@ -280,6 +300,16 @@ class TestCli:
                 f"{RTT}\nsubscribers: {{overrides: [{{user: u1, operator: [1]}}]}}",
                 "subscribers.overrides[0].operator: unknown slice operator [1]",
             ),
+            (
+                RTT,
+                f"{RTT}\nsubscribers: {{overrides: [{{user: u1, allowed_classes: [bogus]}}]}}",
+                "subscribers.overrides[0].allowed_classes: unknown class 'bogus'",
+            ),
+            (
+                RTT,
+                f"{RTT}\nsubscribers: {{overrides: [{{user: u2}}, {{user: u1}}, {{user: u1, allowed_classes: []}}]}}",
+                "subscribers.overrides[2].user: second override for user 'u1'",
+            ),
         ],
         ids=[
             "slices-not-a-list",
@@ -294,6 +324,8 @@ class TestCli:
             "override-classes-not-a-list",
             "class-not-a-name",
             "operator-not-a-name",
+            "override-unknown-class",
+            "override-twice",
         ],
     )
     def test_malformed_scenario_is_one_line_error(self, tmp_path, capsys, command, old, new, detail):

@@ -1,6 +1,7 @@
-"""Every kept ledger equals its recount after every event, and every
-slice admission keeps the slice within its entitlement (`invariants.py`),
-over the golden scenarios and short builds of the benchmark workloads."""
+"""Every kept ledger equals its recount after every event, every slice
+report row equals the oracle's, and every slice admission keeps the slice
+within its entitlement (`invariants.py`), over the golden scenarios and
+short builds of the benchmark workloads."""
 
 import copy
 import sys
@@ -33,6 +34,8 @@ def test_golden_scenario_keeps_invariants(name, tmp_path):
     sim.run()
     assert checked[0] == len(sim.engine.trace) > 0
     assert checked[1] > 0  # sliced guarantees were admitted
+    # every slice report row but the header and those written at build
+    assert checked[2] == len(sim.slice_rows) - 1 - len(sim.fogs) * len(sim.config.slices) * 4 > 0
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))

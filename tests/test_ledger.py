@@ -46,8 +46,10 @@ def _paths():
 
 
 def _build():
-    # the denominators of the random demands and guarantees below
-    net = NetworkState(build_from_config(two_fog_doc()), [F(1, 2), F(1, 3), F(1, 4)])
+    # the denominators of the random demands and guarantees below, and the slice shares
+    net = NetworkState(
+        build_from_config(two_fog_doc()), [F(1, 2), F(1, 3), F(1, 4)], [share for _, _, share in SLICES]
+    )
     fogs = {}
     for fog_id in net.topology.fogs():
         fog = FogControl(fog_id, FogProfile(), net)

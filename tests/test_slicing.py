@@ -2,24 +2,34 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fognet.slicing import (
     DuplicateOperator,
+    RateTexts,
     ShareOvercommit,
     SliceManager,
+    SliceReport,
     SliceSpec,
 )
 from fognet.topology import ResourceClass
+from fognet.util import in_units, rate_str, rate_unit
 from helpers import VOIP, FogEnv
+from oracles import rate_text, slice_allocation_oracle, slice_rows_oracle
 
 F = Fraction
 
 
 def fixed_physical(amount=100):
-    caps = {cls: F(amount) for cls in ResourceClass.ALL}
+    caps = {cls: amount for cls in ResourceClass.ALL}
     return lambda: dict(caps)
+
+
+def demand_map(sm, demands):
+    """(slice, class) -> demand for every slice and class of `sm`, from
+    {slice: {class: demand}}, 0 where absent."""
+    return {(sid, cls): demands.get(sid, {}).get(cls, 0) for sid, cls in sm.entitlements()}
 
 
 def spec(sid, op, share):
@@ -69,10 +79,10 @@ class TestComputeAllocations:
         self.sm.create_slice(decimal_spec("b", "op2", 4, 10))
 
     def _granted(self, da, db, cls=ResourceClass.MACRO):
-        runtimes = self.sm.compute_slice_allocations(
-            {"a": {cls: F(da)}, "b": {cls: F(db)}}, self.sm.entitlements()
+        grants = self.sm.compute_slice_allocations(
+            demand_map(self.sm, {"a": {cls: da}, "b": {cls: db}}), self.sm.entitlements()
         )
-        return runtimes["a"].per_class[cls].granted, runtimes["b"].per_class[cls].granted
+        return grants["a", cls], grants["b", cls]
 
     def test_within_entitlement_granted_exactly(self):
         assert self._granted(50, 30) == (50, 30)
@@ -86,10 +96,10 @@ class TestComputeAllocations:
     def test_conservation_on_random_traces(self):
         rng = random.Random(42)
         for _ in range(300):
-            da, db = F(rng.randint(0, 200)), F(rng.randint(0, 200))
+            da, db = rng.randint(0, 200), rng.randint(0, 200)
             ga, gb = self._granted(da, db)
             assert ga + gb <= 100
-            assert ga >= min(da, F(60)) and gb >= min(db, F(40))
+            assert ga >= min(da, 60) and gb >= min(db, 40)
             assert ga <= da and gb <= db
 
     @given(st.integers(0, 300), st.integers(0, 300), st.integers(0, 300))
@@ -100,22 +110,21 @@ class TestComputeAllocations:
         sm.create_slice(decimal_spec("y", "o2", 3, 10))
         sm.create_slice(decimal_spec("z", "o3", 1, 10))
         cls = ResourceClass.WLAN
-        runtimes = sm.compute_slice_allocations(
-            {"x": {cls: F(d1)}, "y": {cls: F(d2)}, "z": {cls: F(d3)}}, sm.entitlements()
-        )
-        grants = {sid: runtimes[sid].per_class[cls].granted for sid in ("x", "y", "z")}
+        demands = demand_map(sm, {"x": {cls: d1}, "y": {cls: d2}, "z": {cls: d3}})
+        granted = sm.compute_slice_allocations(demands, sm.entitlements())
+        grants = {sid: granted[sid, cls] for sid in ("x", "y", "z")}
         assert sum(grants.values()) <= 100
-        for sid, share in (("x", F(50)), ("y", F(30)), ("z", F(10))):
-            demand = runtimes[sid].per_class[cls].demand
+        for sid, share in (("x", 50), ("y", 30), ("z", 10)):
+            demand = demands[sid, cls]
             assert grants[sid] >= min(demand, share)
             assert grants[sid] <= demand
 
     def test_entitlement_tracks_live_physical(self):
-        caps = {cls: F(100) for cls in ResourceClass.ALL}
+        caps = {cls: 100 for cls in ResourceClass.ALL}
         sm = SliceManager(physical=lambda: dict(caps))
         sm.create_slice(decimal_spec("a", "op1", 6, 10))
         assert sm.entitled("a", ResourceClass.MACRO) == 60
-        caps[ResourceClass.MACRO] = F(50)
+        caps[ResourceClass.MACRO] = 50
         assert sm.entitled("a", ResourceClass.MACRO) == 30
 
 
@@ -135,3 +144,119 @@ class TestControlStateIsolation:
         assert racf_a.charging.get(VOIP) == 1
         assert racf_b.charging == {}
         assert "u1" not in racf_b.contexts
+
+
+# Uneven and decimal slice shares, non-decimal capacities (2.2 Mb/s is the
+# case where a unit from one least common multiple leaves a 0.6 share
+# fractional), and demands whose denominators differ from both.
+SHARES = [F(1, 3), F(2, 7), F(3, 5), F(1, 2), F(1, 10), F(0), F(1)]
+CAPACITIES = [F(11, 5), F(7, 3), F(10, 7), F(25, 3), F(100), F(0)]
+DEMAND_STEPS = [F(1), F(1, 3), F(1, 10), F(2, 9)]
+
+
+@st.composite
+def slice_cases(draw):
+    """Slice specs, per-class capacities (Mb/s) and a few rounds of
+    (slice, class) demands (Mb/s) for one fog."""
+    count = draw(st.integers(1, 3))
+    shares = {sid: {} for sid in "abc"[:count]}
+    for cls in ResourceClass.ALL:
+        left = F(1)
+        for sid in shares:
+            shares[sid][cls] = draw(st.sampled_from([share for share in SHARES if share <= left]))
+            left -= shares[sid][cls]
+    specs = [SliceSpec(sid, f"op-{sid}", per_class) for sid, per_class in shares.items()]
+    capacity = {cls: draw(st.sampled_from(CAPACITIES)) * draw(st.integers(1, 3)) for cls in ResourceClass.ALL}
+    step = draw(st.sampled_from(DEMAND_STEPS))
+    keys = [(sid, cls) for sid in shares for cls in ResourceClass.ALL]
+    demands = st.fixed_dictionaries({key: st.integers(0, 120).map(step.__mul__) for key in keys})
+    rounds = draw(st.lists(demands, min_size=1, max_size=3))
+    return specs, capacity, rounds
+
+
+def integer_rows(specs, capacity, rounds):
+    """The slice report rounds as the simulator writes them: the state's
+    unit from every rate and share, capacities and demands as ints in it,
+    and one `SliceReport` across the rounds, so its kept texts are reused.
+    Also whether the leftover split ran."""
+    rates = list(capacity.values()) + [demand for demands in rounds for demand in demands.values()]
+    unit = rate_unit(rates, [share for spec in specs for share in spec.shares.values()])
+    physical = {cls: in_units(rate, unit) for cls, rate in capacity.items()}
+    manager = SliceManager(physical=lambda: dict(physical))
+    for spec in specs:
+        manager.create_slice(spec)
+    report = SliceReport("f1", manager, unit)
+    entitled = manager.entitlements()
+    rows, split = [], False
+    for now_ms, demands in enumerate(rounds):
+        in_unit = {key: in_units(demand, unit) for key, demand in demands.items()}
+        split |= manager.compute_slice_allocations(in_unit, entitled) is not in_unit
+        rows.append(report.rows(now_ms, entitled, in_unit))
+    return rows, split
+
+
+class TestIntegerSliceRows:
+    """The slice report built in integer units equals the one rebuilt in
+    `Fraction`s of Mb/s by the oracle allocator and renderer."""
+
+    @given(slice_cases())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @example(  # 0.6 of 2.2 Mb/s
+        (
+            [SliceSpec("a", "op-a", {cls: F(3, 5) for cls in ResourceClass.ALL})],
+            {cls: F(11, 5) for cls in ResourceClass.ALL},
+            [{("a", cls): F(1) for cls in ResourceClass.ALL}],
+        )
+    )
+    def test_rows_match_fraction_oracle(self, case):
+        specs, capacity, rounds = case
+        rows, _ = integer_rows(specs, capacity, rounds)
+        expected = [slice_rows_oracle(now_ms, "f1", specs, capacity, demands) for now_ms, demands in enumerate(rounds)]
+        assert rows == expected
+
+    def test_leftover_split_on_uneven_shares(self):
+        """Every demand above its entitlement: the split runs two passes
+        (b's offer is capped, and a takes the rest; c's share is 0), the
+        grants are non-whole units, and the rows still match."""
+        shares = {"a": F(1, 3), "b": F(2, 7), "c": F(0)}
+        specs = [
+            SliceSpec(sid, f"op-{sid}", {cls: share for cls in ResourceClass.ALL}) for sid, share in shares.items()
+        ]
+        capacity = {cls: F(7, 3) for cls in ResourceClass.ALL}
+        per_slice = {"a": F(3), "b": F(3, 4), "c": F(1)}
+        demands = {(sid, cls): demand for sid, demand in per_slice.items() for cls in ResourceClass.ALL}
+        rows, split = integer_rows(specs, capacity, [demands])
+        assert split
+        assert rows == [slice_rows_oracle(0, "f1", specs, capacity, demands)]
+        assert slice_allocation_oracle(shares, F(7, 3), per_slice) == {"a": F(19, 12), "b": F(3, 4), "c": 0}
+        assert rows[0][0].endswith("\t7/9\t3\t19/12")
+
+    def test_entitlement_needs_the_product_of_denominators(self):
+        """2.2 Mb/s is 11 units of 1/5 Mb/s, and its 0.6 share, 1.32 Mb/s,
+        is 33/5 of them: fractional, so refused, never floored. With the
+        shares' denominator multiplied in (5 x 5 = 25 units per Mb/s) it
+        is 33 whole units."""
+        capacity, share = F(11, 5), F(3, 5)
+        assert rate_unit([capacity]) == rate_unit([capacity, share]) == 5
+        physical = {cls: in_units(capacity, 5) for cls in ResourceClass.ALL}
+        manager = SliceManager(physical=lambda: dict(physical))
+        manager.create_slice(SliceSpec("a", "op-a", {cls: share for cls in ResourceClass.ALL}))
+        with pytest.raises(ValueError, match="not a whole number"):
+            manager.entitled("a", ResourceClass.WLAN)
+        unit = rate_unit([capacity], [share])
+        assert unit == 25
+        physical.update({cls: in_units(capacity, unit) for cls in ResourceClass.ALL})
+        assert manager.entitled("a", ResourceClass.WLAN) == 33
+        assert rate_str(33, unit) == "1.32"
+
+    @given(st.fractions(max_denominator=10**6), st.integers(1, 10**4))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_rate_str_of_units_matches_oracle_renderer(self, x, unit):
+        assert rate_str(x, unit) == rate_text(x / unit)
+        assert rate_str(x) == rate_text(x)
+        assert rate_str(x.numerator * unit, unit * x.denominator) == rate_text(x)
+
+    def test_rate_texts_stay_bounded(self):
+        texts = RateTexts(unit=4, limit=2)
+        assert [texts[x] for x in (1, 2, 3, 1, F(1, 3))] == ["0.25", "0.5", "0.75", "0.25", "1/12"]
+        assert len(texts) <= 2
