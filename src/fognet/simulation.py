@@ -38,7 +38,7 @@ from .fogctrl import (
 )
 from .metrics import MetricsCollector, MetricsRecord
 from .scenario import ScenarioConfig
-from .slicing import SliceManager, SliceReport
+from .slicing import RateTexts, SliceManager, slice_rows
 from .topology import LinkClass, NodeKind
 from .util import fmt6
 from .workload import (
@@ -109,9 +109,7 @@ class Simulation:
             for spec in config.slices:
                 manager.create_slice(spec)
             self.fogs[fog_id] = fog
-        self._slice_reports = [
-            SliceReport(fog_id, self.fogs[fog_id].slice_manager, self.net.unit) for fog_id in sorted(self.fogs)
-        ]
+        self._slice_texts = RateTexts(self.net.unit)
 
         self._register_subscribers()
         self._install_control_overhead()
@@ -334,19 +332,19 @@ class Simulation:
         self.metrics.set_backhaul_rate(self.net)
 
     def _emit_slice_rows(self, now_ms: int) -> None:
-        """Slice report rows, per fog (`SliceReport`); written at ticks and
-        capacity-change events.
+        """Slice report rows, per fog in id order (`slicing.slice_rows`);
+        written at ticks and capacity-change events.
 
         Admission uses live entitlements, so reporting granularity does not
         affect behavior. Entitlements (`FogControl.entitlements`), demands
         (`slice_demand_units`) and grants are in the network state's units
         until they are written."""
         demand = self.net.slice_demand_units
-        for report in self._slice_reports:
-            fog_id = report.fog_id
-            entitled = self.fogs[fog_id].entitlements()
+        for fog_id in sorted(self.fogs):
+            fog = self.fogs[fog_id]
+            entitled = fog.entitlements()
             demands = {key: demand(fog_id, *key) for key in entitled}
-            self.slice_rows += report.rows(now_ms, entitled, demands)
+            self.slice_rows += slice_rows(now_ms, fog_id, fog.slice_manager, self._slice_texts, entitled, demands)
 
     # -- handlers ----------------------------------------------------------------
 

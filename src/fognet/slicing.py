@@ -11,8 +11,9 @@ Capacities, entitlements, demands and grants are ints in the network
 state's units (`NetworkState.unit`), whose unit makes every entitlement
 whole, so neither the admission test nor the slice report builds a
 `Fraction`: only the split of leftover capacity among slices whose demand
-exceeds their entitlement divides. `SliceReport` renders a fog's rows of
-the slice report from those ints and keeps the texts it renders.
+exceeds their entitlement divides. `slice_rows` renders a fog's rows of
+the slice report from those ints through `RateTexts`, which keeps the
+texts it renders.
 """
 
 from __future__ import annotations
@@ -89,14 +90,13 @@ class SliceManager:
             self.on_create(spec)
         return spec.slice_id
 
-    def entitled(self, slice_id: str, cls: str, physical: Optional[Mapping[str, int]] = None) -> int:
-        """The slice's share of the class's capacity, in the capacity's
-        units: of `physical` (per class) if given, else of the live
-        capacity. Raises ValueError unless it is a whole number of units;
+    def entitled(self, slice_id: str, cls: str, physical: Mapping[str, int]) -> int:
+        """The slice's share of `physical[cls]`, the class's live capacity
+        in units. Raises ValueError unless it is a whole number of units;
         `NetworkState` builds its unit from the slice shares so that it
         always is (`util.rate_unit`)."""
         share = self.spec(slice_id).share(cls)
-        capacity = (self._physical() if physical is None else physical).get(cls, 0)
+        capacity = physical.get(cls, 0)
         entitled, rest = divmod(share.numerator * capacity, share.denominator)
         if rest:
             raise ValueError(f"slice {slice_id}: {cls} entitlement {share} x {capacity} is not a whole number of units")
@@ -167,46 +167,40 @@ class SliceManager:
 
 class RateTexts(dict):
     """Rate in units -> its `rate_str` text at `unit`, rendered on first
-    use. Bounded: emptied when it holds `limit` texts. A run's slice
+    use. Bounded: emptied when it holds `LIMIT` texts. A run's slice
     figures take few distinct values (143 over a 900 s run of the
     `faults_slicing` benchmark workload), so nearly every read hits."""
 
-    def __init__(self, unit: int, limit: int = 4096):
+    LIMIT = 4096
+
+    def __init__(self, unit: int):
         super().__init__()
         self.unit = unit
-        self.limit = limit
 
     def __missing__(self, x: Union[int, Fraction]) -> str:
-        if len(self) >= self.limit:
+        if len(self) >= self.LIMIT:
             self.clear()
         text = self[x] = rate_str(x, self.unit)
         return text
 
 
-class SliceReport:
-    """One fog's rows of the slice report (`slices.tsv`): per slice and
-    resource class, in `SliceManager.entitlements` order, the slice's
-    entitlement, demand and grant (`compute_slice_allocations`) in Mb/s,
-    each rendered from its value in units (`RateTexts`)."""
-
-    def __init__(self, fog_id: str, manager: SliceManager, unit: int):
-        self.fog_id = fog_id
-        self.manager = manager
-        self.texts = RateTexts(unit)
-        self._heads: Dict[Tuple[str, str], str] = {}  # (slice, class) -> "fog\tslice\tclass"
-
-    def rows(
-        self, now_ms: int, entitlements: Mapping[Tuple[str, str], int], demands: Mapping[Tuple[str, str], int]
-    ) -> List[str]:
-        """The rows at `now_ms` for these entitlements and demands, each an
-        int in units, keyed (slice, class) as `SliceManager.entitlements`."""
-        grants = self.manager.compute_slice_allocations(demands, entitlements)
-        texts = self.texts
-        heads = self._heads
-        rows = []
-        for key, entitled in entitlements.items():
-            head = heads.get(key)
-            if head is None:
-                head = heads[key] = f"{self.fog_id}\t{key[0]}\t{key[1]}"
-            rows.append(f"{now_ms}\t{head}\t{texts[entitled]}\t{texts[demands[key]]}\t{texts[grants[key]]}")
-        return rows
+def slice_rows(
+    now_ms: int,
+    fog_id: str,
+    manager: SliceManager,
+    texts: RateTexts,
+    entitlements: Mapping[Tuple[str, str], int],
+    demands: Mapping[Tuple[str, str], int],
+) -> List[str]:
+    """One fog's rows of the slice report (`slices.tsv`) at `now_ms`: per
+    (slice, class) key of `entitlements` (`SliceManager.entitlements`), in
+    its order, the slice's entitlement, demand and grant
+    (`compute_slice_allocations`) in Mb/s, each rendered from its value in
+    units through `texts`."""
+    grants = manager.compute_slice_allocations(demands, entitlements)
+    head = f"{now_ms}\t{fog_id}"
+    return [
+        f"{head}\t{sid}\t{cls}\t"
+        f"{texts[entitled]}\t{texts[demands[sid, cls]]}\t{texts[grants[sid, cls]]}"
+        for (sid, cls), entitled in entitlements.items()
+    ]

@@ -10,8 +10,8 @@ from fognet.slicing import (
     RateTexts,
     ShareOvercommit,
     SliceManager,
-    SliceReport,
     SliceSpec,
+    slice_rows,
 )
 from fognet.topology import ResourceClass
 from fognet.util import in_units, rate_str, rate_unit
@@ -45,7 +45,7 @@ class TestCreateSlice:
         sm = SliceManager(physical=fixed_physical(100))
         sm.create_slice(spec("s1", "op1", 1))
         for cls in ResourceClass.ALL:
-            assert sm.entitled("s1", cls) == 100
+            assert sm.entitlements()["s1", cls] == 100
 
     def test_overcommit_rejected(self):
         sm = SliceManager(physical=fixed_physical())
@@ -63,8 +63,8 @@ class TestCreateSlice:
         sm = SliceManager(physical=fixed_physical(100))
         sm.create_slice(decimal_spec("a", "op1", 6, 10))
         sm.create_slice(decimal_spec("b", "op2", 4, 10))
-        assert sm.entitled("a", ResourceClass.MACRO) == 60
-        assert sm.entitled("b", ResourceClass.MACRO) == 40
+        assert sm.entitlements()["a", ResourceClass.MACRO] == 60
+        assert sm.entitlements()["b", ResourceClass.MACRO] == 40
 
     def test_racf_instances_created_per_slice(self):
         env = FogEnv(slices=[decimal_spec("a", "op1", 6, 10), decimal_spec("b", "op2", 4, 10)])
@@ -123,9 +123,9 @@ class TestComputeAllocations:
         caps = {cls: 100 for cls in ResourceClass.ALL}
         sm = SliceManager(physical=lambda: dict(caps))
         sm.create_slice(decimal_spec("a", "op1", 6, 10))
-        assert sm.entitled("a", ResourceClass.MACRO) == 60
+        assert sm.entitlements()["a", ResourceClass.MACRO] == 60
         caps[ResourceClass.MACRO] = 50
-        assert sm.entitled("a", ResourceClass.MACRO) == 30
+        assert sm.entitlements()["a", ResourceClass.MACRO] == 30
 
 
 class TestControlStateIsolation:
@@ -177,7 +177,7 @@ def slice_cases(draw):
 def integer_rows(specs, capacity, rounds):
     """The slice report rounds as the simulator writes them: the state's
     unit from every rate and share, capacities and demands as ints in it,
-    and one `SliceReport` across the rounds, so its kept texts are reused.
+    and one `RateTexts` across the rounds, so its kept texts are reused.
     Also whether the leftover split ran."""
     rates = list(capacity.values()) + [demand for demands in rounds for demand in demands.values()]
     unit = rate_unit(rates, [share for spec in specs for share in spec.shares.values()])
@@ -185,13 +185,13 @@ def integer_rows(specs, capacity, rounds):
     manager = SliceManager(physical=lambda: dict(physical))
     for spec in specs:
         manager.create_slice(spec)
-    report = SliceReport("f1", manager, unit)
+    texts = RateTexts(unit)
     entitled = manager.entitlements()
     rows, split = [], False
     for now_ms, demands in enumerate(rounds):
         in_unit = {key: in_units(demand, unit) for key, demand in demands.items()}
         split |= manager.compute_slice_allocations(in_unit, entitled) is not in_unit
-        rows.append(report.rows(now_ms, entitled, in_unit))
+        rows.append(slice_rows(now_ms, "f1", manager, texts, entitled, in_unit))
     return rows, split
 
 
@@ -242,11 +242,11 @@ class TestIntegerSliceRows:
         manager = SliceManager(physical=lambda: dict(physical))
         manager.create_slice(SliceSpec("a", "op-a", {cls: share for cls in ResourceClass.ALL}))
         with pytest.raises(ValueError, match="not a whole number"):
-            manager.entitled("a", ResourceClass.WLAN)
+            manager.entitlements()["a", ResourceClass.WLAN]
         unit = rate_unit([capacity], [share])
         assert unit == 25
         physical.update({cls: in_units(capacity, unit) for cls in ResourceClass.ALL})
-        assert manager.entitled("a", ResourceClass.WLAN) == 33
+        assert manager.entitlements()["a", ResourceClass.WLAN] == 33
         assert rate_str(33, unit) == "1.32"
 
     @given(st.fractions(max_denominator=10**6), st.integers(1, 10**4))
@@ -256,7 +256,8 @@ class TestIntegerSliceRows:
         assert rate_str(x) == rate_text(x)
         assert rate_str(x.numerator * unit, unit * x.denominator) == rate_text(x)
 
-    def test_rate_texts_stay_bounded(self):
-        texts = RateTexts(unit=4, limit=2)
+    def test_rate_texts_stay_bounded(self, monkeypatch):
+        monkeypatch.setattr(RateTexts, "LIMIT", 2)
+        texts = RateTexts(unit=4)
         assert [texts[x] for x in (1, 2, 3, 1, F(1, 3))] == ["0.25", "0.5", "0.75", "0.25", "1/12"]
         assert len(texts) <= 2
