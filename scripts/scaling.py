@@ -18,11 +18,11 @@ solver's. Per size it prints the solves per event and the mean µs per
 solve (the median over repeats of each run's solve time over its solves,
 timed around each `recompute_fair_shares` call), and, from one more
 untimed run, the median per solve of the links with rising flows, of the
-contended links (capacity net of guarantees below the demand of their
-rising flows) and of the flow-link incidences (each rising flow's
-distinct links, summed). A size that makes no solve (its network never
-congests within `--seconds`) prints `-` in place of the µs per solve
-and of the per-solve medians, since there is nothing to measure.
+contended links (the congested links the solve is handed) and of the
+flow-link incidences (each rising flow's links, summed). A size that
+makes no solve (its network never congests within `--seconds`) prints
+`-` in place of the µs per solve and of the per-solve medians, since
+there is nothing to measure.
 """
 
 from __future__ import annotations
@@ -57,11 +57,11 @@ def sized_doc(clusters: int, seconds: float, seed: int) -> dict:
 
 
 def run_with(doc: dict, on_solve) -> tuple:
-    """Run the doc with `on_solve(solve, index, capacity)` standing in for
-    each solve; return its events and its host time in s."""
+    """Run the doc with `on_solve(solve, index, capacity, contended)`
+    standing in for each solve; return its events and its host time in s."""
     sim = Simulation(parse_scenario(copy.deepcopy(doc), base_dir=str(workloads.DATA_DIR), name="congested_scale"))
     solve = dataplane.recompute_fair_shares
-    dataplane.recompute_fair_shares = lambda index, capacity: on_solve(solve, index, capacity)
+    dataplane.recompute_fair_shares = lambda *args: on_solve(solve, *args)
     try:
         start = time.perf_counter()
         sim.run()
@@ -74,9 +74,9 @@ def timed(doc: dict) -> tuple:
     """(events/s, solves per event, mean µs per solve or None) of one run."""
     spent = []
 
-    def on_solve(solve, index, capacity):
+    def on_solve(solve, index, capacity, contended):
         start = time.perf_counter()
-        alloc = solve(index, capacity)
+        alloc = solve(index, capacity, contended)
         spent.append(time.perf_counter() - start)
         return alloc
 
@@ -86,23 +86,18 @@ def timed(doc: dict) -> tuple:
 
 def solve_sizes(doc: dict) -> tuple:
     """Median per solve of (links with rising flows, contended links,
-    flow-link incidences), counted from the index each solve is handed;
-    each None when the run makes no solve."""
-    links, contended, incidences = [], [], []
+    flow-link incidences), read from the index and the contended links
+    each solve is handed; each None when the run makes no solve."""
+    links, contended_links, incidences = [], [], []
 
-    def on_solve(solve, index, capacity):
-        demand = {fid: d for d, fids in index.buckets.items() for fid in fids}
-        load = {}
-        for fid, crossed in index.crossed.items():
-            for lid in crossed:
-                load[lid] = load.get(lid, 0) + demand[fid]
-        links.append(len(load))
-        contended.append(sum(capacity[lid] - index.reserved.get(lid, 0) < need for lid, need in load.items()))
+    def on_solve(solve, index, capacity, contended):
+        links.append(len(index.users))
+        contended_links.append(len(contended))
         incidences.append(sum(map(len, index.crossed.values())))
-        return solve(index, capacity)
+        return solve(index, capacity, contended)
 
     run_with(doc, on_solve)
-    return tuple(statistics.median(counts) if counts else None for counts in (links, contended, incidences))
+    return tuple(statistics.median(counts) if counts else None for counts in (links, contended_links, incidences))
 
 
 def cell(value, width: int, spec: str) -> str:

@@ -1,6 +1,6 @@
 """fognet: flow-level simulator of a rural fog-controlled access network."""
 
-from .engine import Engine, Event, EventKind, FairShareIndex, FlowDemand, recompute_fair_shares
+from .engine import Engine, Event, EventKind, FairShareIndex, recompute_fair_shares
 from .scenario import ScenarioConfig, load_scenario, parse_scenario
 from .simulation import Simulation, run_scenario
 from .topology import Topology, TopologyGenParams, build_from_config, generate_clustered, validate
@@ -12,7 +12,6 @@ __all__ = [
     "Event",
     "EventKind",
     "FairShareIndex",
-    "FlowDemand",
     "recompute_fair_shares",
     "ScenarioConfig",
     "load_scenario",

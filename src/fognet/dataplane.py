@@ -33,11 +33,16 @@ ints.
 Fluid allocations: a GBR flow always carries its guarantee. While no link
 is congested every best-effort flow carries its demand, and `allocated()`
 and `load_units()` derive rates from the installed flows. While some
-link is congested, `recompute()` hands the max-min solver the best-effort
-flows against the net-of-GBR capacities, as a `FairShareIndex` kept across
-solves. `alloc` holds the solve's output, and `load_units()` reads the
-best-effort total of the links it is given from the rounds that the solve
-left in the index.
+link is congested, `recompute()` is the one caller of the max-min solve
+(`engine.recompute_fair_shares`) and hands it only facts kept here: the
+rising flows (best-effort, demand > 0, at least one link) as a
+`FairShareIndex` kept across solves, the net-of-GBR capacities and the
+congested links, the only ones that can bind. It alone raises
+`GbrOvercommit`. `alloc` holds the solve's output, and `load_units()`
+reads the best-effort total of the links it is given from the rounds that
+the solve left in the index. A path never lists a link twice
+(`install_flow` refuses one that does), so every ledger counts a flow
+once per link it crosses.
 
 Routing is a minimum-hop search over a set of permitted link ids. Which
 links a fog may route over is a fact of the topology
@@ -58,7 +63,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .engine import FairShareIndex, GbrOvercommit, recompute_fair_shares
+from .engine import FairShareIndex, recompute_fair_shares
 from .topology import LinkState, ResourceClass, Topology
 from .util import ZERO, in_units, rate_unit
 
@@ -100,6 +105,12 @@ class NotAuthenticated(DataplaneError):
     pass
 
 
+class GbrOvercommit(Exception):
+    def __init__(self, link_id: str, held: Fraction, capacity: Fraction):
+        super().__init__(f"link {link_id}: guaranteed rates {held} exceed capacity {capacity}")
+        self.link_id = link_id
+
+
 @dataclass(frozen=True)
 class FlowPath:
     """Installed hop sequence: hops[i] = (node, outgoing link).
@@ -138,7 +149,6 @@ class InstalledFlow:
     gbr: Fraction
     slice_id: Optional[str]
     app_class: str
-    start_ms: int
     latency_ms: float
     spec: object = None  # originating FlowSpec, when controller-driven
     links: Tuple[str, ...] = ()  # the path's; hot in the allocator
@@ -159,7 +169,8 @@ class NetworkState:
     every rate a flow may hold, times that of `shares`, the slice shares
     of the fogs' resource classes, so that every slice's entitlement
     (`SliceManager.entitled`) is whole units as well. `install_flow`
-    refuses any other rate with a ValueError before it changes a ledger.
+    refuses any other rate, and a path that lists a link twice, with a
+    ValueError before it changes a ledger.
     The `*_units` readers (`capacity_units`, `residual_units`,
     `slice_gbr_units`, `slice_demand_units`, `sliceable_units`,
     `fog_sliceable_units`, `offered_units`, `load_units`) return the
@@ -176,9 +187,9 @@ class NetworkState:
       user's flows are `flows_at(user)`, since controller paths have at
       least one hop and never pass through a user node.
     - `_capacity` (per link), `_offered` (per link: each flow's guarantee,
-      else its demand, per listing of the link) and `_congested` (links
-      whose offered load exceeds capacity): `install_flow` and
-      `remove_flow`.
+      else its demand) and `_congested` (links whose offered load exceeds
+      capacity, so whose rising flows want more than `_be_capacity`: the
+      links a solve lets bind): `install_flow` and `remove_flow`.
     - Guaranteed-rate (GBR) ledger, in O(path) per `install_flow` and
       `remove_flow` of a flow with `gbr > 0`: `_be_capacity` (per link,
       capacity net of the guarantees held: what the max-min solver
@@ -190,8 +201,8 @@ class NetworkState:
       (fog, resource class) keys, `_meter_keys`: one per fog at either
       end, as in `Topology.fog_domain(fog).metered`, so a link in two
       fogs' domains counts in both. `_slice_gbr[(fog, slice, class)]`
-      holds the guarantees of the slice's flows on those links, once per
-      listing (`slice_gbr_units`). `_slice_demand[(fog, slice, class)]`
+      holds the guarantees of the slice's flows on those links
+      (`slice_gbr_units`). `_slice_demand[(fog, slice, class)]`
       holds each sliced flow's guarantee, else its demand, once per
       distinct key of its path (`slice_demand_units`); a path's keys are
       memoized by its link tuple in `_path_keys`. Both change in O(path)
@@ -202,7 +213,8 @@ class NetworkState:
       `fog_sliceable_units`): `set_link_state`, and `set_node_state`
       through the node's incident links. An unsliced reservation on an
       Up link also moves `_sliceable`.
-    - `_best_effort` (installed flows with `gbr == 0`): `install_flow`
+    - `_rising` (installed best-effort flows with demand > 0 and at least
+      one link, the flows a solve shares capacity among): `install_flow`
       and `remove_flow`.
     - `epoch`: bumped by `set_link_state`, `set_node_state` and the
       install or removal of an unsliced GBR flow, the inputs of each
@@ -211,18 +223,20 @@ class NetworkState:
       epoch.
       `set_link_state` and `set_node_state` also tell each callback given
       to `watch_health`.
-    - `_fair`: the max-min solver's index of the best-effort flows, which
+    - `_fair`: the max-min solver's index of the rising flows, which
       exists only while some link is congested. The first `recompute()`
-      that finds `_congested` non-empty builds it from `_best_effort`;
-      `install_flow` and `remove_flow` add and remove best-effort flows
-      while it exists; the uncongested fast path of `recompute()` drops
+      that finds `_congested` non-empty builds it from `_rising`;
+      `install_flow` and `remove_flow` add and remove rising flows while
+      it exists; the uncongested fast path of `recompute()` drops
       it. So a run that never congests never builds one. Each solve
       leaves its rounds in it (`FairShareIndex.rounds`), from which the
       best-effort total of any set of links is a sum over the rounds.
-    - `alloc`: the max-min solver's output for best-effort flows from the
+    - `alloc`: the max-min solver's output for the rising flows from the
       last `recompute()`, filled only while some link is congested;
       otherwise it is empty and rates come from the installed flows
-      themselves. A GBR flow's rate is always its own `gbr`.
+      themselves. A GBR flow's rate is always its own `gbr`, and a
+      best-effort flow that does not rise carries its demand (0 when it
+      has none).
 
     `load_units(*link_ids)` is the one reader of allocated load, summed
     over the links it is given, so a caller that wants a class total asks
@@ -249,7 +263,7 @@ class NetworkState:
         }
         self._be_capacity: Dict[str, int] = dict(self._capacity)
         self._unsliced_gbr: Dict[str, int] = {}
-        self._best_effort: Dict[str, InstalledFlow] = {}
+        self._rising: Dict[str, InstalledFlow] = {}
         self._fair: Optional[FairShareIndex] = None
         self._on_link: Dict[str, Set[str]] = {}
         self._offered: Dict[str, int] = {}
@@ -331,7 +345,7 @@ class NetworkState:
 
     def slice_gbr_units(self, fog_id: str, slice_id: str, resource_class: str) -> int:
         """GBR held by the slice's flows on the fog's metered links of the
-        class, counted once per flow per listed link."""
+        class, counted once per flow per link."""
         return self._slice_gbr.get((fog_id, slice_id, resource_class), 0)
 
     def slice_demand_units(self, fog_id: str, slice_id: str, resource_class: str) -> int:
@@ -366,6 +380,8 @@ class NetworkState:
     def install_flow(self, flow: InstalledFlow) -> None:
         if flow.flow_id in self.flows:
             raise DuplicateFlow(f"flow {flow.flow_id} already installed", flow.flow_id)
+        if len(set(flow.links)) != len(flow.links):
+            raise ValueError(f"flow {flow.flow_id}: path lists a link twice: {flow.links}")
         for lid in flow.links:
             if lid in self._down:
                 raise LinkDown(f"link {lid} is down", lid)
@@ -375,8 +391,8 @@ class NetworkState:
         self.flows[flow.flow_id] = flow
         if gbr > 0:
             self._reserve(flow, gbr)
-        else:
-            self._best_effort[flow.flow_id] = flow
+        elif want > 0 and flow.links:
+            self._rising[flow.flow_id] = flow
             if self._fair is not None:
                 self._fair.add(flow)
         if flow.slice_id is not None:
@@ -397,10 +413,8 @@ class NetworkState:
         gbr, want = flow.gbr_units, flow.rate_units
         if gbr > 0:
             self._reserve(flow, -gbr)
-        else:
-            del self._best_effort[flow_id]
-            if self._fair is not None:
-                self._fair.remove(flow)
+        elif self._rising.pop(flow_id, None) is not None and self._fair is not None:
+            self._fair.remove(flow)
         if flow.slice_id is not None:
             self._add_demand(flow, -want)
         capacity = self._capacity
@@ -460,8 +474,8 @@ class NetworkState:
             held = self._capacity[lid] - self._be_capacity[lid]
             raise GbrOvercommit(lid, Fraction(held, self.unit), self.topology.links[lid].capacity)
         if self._fair is None:
-            self._fair = FairShareIndex(self._best_effort.values(), self.unit)
-        self.alloc = recompute_fair_shares(self._fair, self._be_capacity)
+            self._fair = FairShareIndex(self._rising.values(), self.unit)
+        self.alloc = recompute_fair_shares(self._fair, self._be_capacity, self._congested)
 
     def allocated(self, flow_id: str) -> Fraction:
         flow = self.flows.get(flow_id)
@@ -469,7 +483,7 @@ class NetworkState:
             return ZERO
         if flow.gbr > 0:
             return flow.gbr
-        if not self._congested:
+        if not self._congested or not flow.links:
             return max(flow.demand, ZERO)
         return self.alloc.get(flow_id, ZERO)
 

@@ -1,8 +1,14 @@
-"""Deterministic discrete-event core and the fluid-rate bandwidth allocator.
+"""Deterministic discrete-event core and the max-min solve behind fluid rates.
 
 Time is integer milliseconds. Events at equal times dequeue in schedule
 order via a monotonically increasing sequence counter, so a run is a pure
 function of the scheduled inputs.
+
+The max-min solve (`FairShareIndex`, `recompute_fair_shares`) has one
+caller, `dataplane.NetworkState.recompute`, which owns every fact it
+reads: the rising flows, each link's capacity net of guarantees and the
+congested links. Guarantees, their overcommit check and the rates of
+flows that do not rise stay with `NetworkState`.
 """
 
 from __future__ import annotations
@@ -13,10 +19,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, count
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Dict, Iterable, List, Mapping, Set, Tuple
-
-from .util import ZERO, in_units
 
 
 class EventKind(str, Enum):
@@ -45,12 +49,6 @@ class Event:
 
 class SchedulingInPast(Exception):
     pass
-
-
-class GbrOvercommit(Exception):
-    def __init__(self, link_id: str, reserved: Fraction, capacity: Fraction):
-        super().__init__(f"link {link_id}: guaranteed rates {reserved} exceed capacity {capacity}")
-        self.link_id = link_id
 
 
 class Engine:
@@ -95,39 +93,19 @@ class Engine:
 # fluid link sharing
 
 
-@dataclass(frozen=True)
-class FlowDemand:
-    """One flow's view for the allocator: its links, demand, and guarantee."""
-
-    flow_id: str
-    links: Tuple[str, ...]
-    demand: Fraction
-    gbr: Fraction = ZERO
-
-
 class FairShareIndex:
-    """The max-min solver's inputs, kept across solves.
+    """The max-min solver's rising flows, kept across solves.
 
-    `add` and `remove` take a flow (any object with `flow_id`, `links`,
-    `demand` and `gbr`, rates in Mb/s) and cost O(path), so a caller whose
-    flows change one at a time keeps one index and hands it to every
-    `recompute_fair_shares` call instead of rebuilding the inputs per
-    solve. `len()` counts every flow added.
+    A flow rises when it is best-effort with demand > 0 and lists at least
+    one link; `NetworkState` adds exactly those and removes them again,
+    each in O(path), so it keeps one index while some link is congested and
+    hands it to every `recompute_fair_shares` call instead of rebuilding
+    the inputs per solve. A flow is an `InstalledFlow`: `flow_id`, `links`
+    (never one twice) and `rate_units`, its demand in units of `1/unit`
+    Mb/s. `len()` counts the rising flows.
 
-    Inside the index rates are ints in units of `1/unit` Mb/s
-    (`util.in_units`), so every flow's rates must be whole numbers of the
-    unit; the capacities handed to a solve with the index are in that unit
-    too. Only the allocations are `Fraction`s in Mb/s.
-
-    - `fixed`: the flows that do not rise, at their rate in Mb/s. A
-      guaranteed-rate flow (`gbr > 0`) gets its guarantee, which `reserved`
-      (units) also holds on every link the flow lists, once per listing. A
-      best-effort flow with demand <= 0 gets 0, and one with no links gets
-      its demand.
-    - `crossed`: each rising flow's distinct links. `users`: the rising
-      flows on each link, so a flow that lists a link twice counts once.
-      `load`: the demand of those flows on each link, in units, so a solve
-      can tell the links that may saturate from the ones that cannot.
+    - `crossed`: each rising flow's links. `users`: the rising flows on
+      each link, for the links that have any.
     - `buckets`: the rising flows keyed by demand in units. Flows share a
       few demands, so a solve walks the buckets in demand order instead of
       sorting flows.
@@ -140,67 +118,36 @@ class FairShareIndex:
 
     def __init__(self, flows: Iterable = (), unit: int = 1):
         self.unit = unit
-        self.fixed: Dict[str, Fraction] = {}
-        self.reserved: Dict[str, int] = {}
         self.crossed: Dict[str, Tuple[str, ...]] = {}
         self.users: Dict[str, Set[str]] = {}
-        self.load: Dict[str, int] = {}
         self.buckets: Dict[int, Set[str]] = {}
         self.rounds: List[Tuple[int, int, Counter]] = []
         for flow in flows:
             self.add(flow)
 
     def __len__(self) -> int:
-        return len(self.fixed) + len(self.crossed)
+        return len(self.crossed)
 
     def add(self, flow) -> None:
         fid = flow.flow_id
-        gbr = in_units(flow.gbr, self.unit)
-        demand = in_units(flow.demand, self.unit)
-        if gbr > 0:
-            self.fixed[fid] = flow.gbr
-            for lid in flow.links:
-                self.reserved[lid] = self.reserved.get(lid, 0) + gbr
-        elif demand <= 0:
-            self.fixed[fid] = ZERO
-        elif not flow.links:
-            # unconstrained (e.g. zero-hop local path)
-            self.fixed[fid] = flow.demand
-        else:
-            links = flow.links
-            if len(set(links)) != len(links):
-                links = tuple(dict.fromkeys(links))
-            self.crossed[fid] = links
-            load = self.load
-            for lid in links:
-                self.users.setdefault(lid, set()).add(fid)
-                load[lid] = load.get(lid, 0) + demand
-            self.buckets.setdefault(demand, set()).add(fid)
+        self.crossed[fid] = flow.links
+        for lid in flow.links:
+            self.users.setdefault(lid, set()).add(fid)
+        self.buckets.setdefault(flow.rate_units, set()).add(fid)
 
     def remove(self, flow) -> None:
         fid = flow.flow_id
-        links = self.crossed.pop(fid, None)
-        if links is None:
-            del self.fixed[fid]
-            gbr = in_units(flow.gbr, self.unit)
-            if gbr > 0:
-                for lid in flow.links:
-                    self.reserved[lid] -= gbr
-            return
-        demand = in_units(flow.demand, self.unit)
-        load = self.load
-        for lid in links:
-            on = self.users[lid]
+        del self.crossed[fid]
+        users = self.users
+        for lid in flow.links:
+            on = users[lid]
             on.discard(fid)
-            if on:
-                load[lid] -= demand
-            else:
-                del self.users[lid]
-                del load[lid]
-        bucket = self.buckets[demand]
+            if not on:
+                del users[lid]
+        bucket = self.buckets[flow.rate_units]
         bucket.discard(fid)
         if not bucket:
-            del self.buckets[demand]
+            del self.buckets[flow.rate_units]
 
     def best_effort_on(self, *link_ids: str) -> int | Fraction:
         """Sum over the links of the last solve's rates of the best-effort
@@ -224,41 +171,36 @@ class FairShareIndex:
         return whole + num if den == 1 else Fraction(whole * den + num, den)
 
 
-def recompute_fair_shares(flows: FairShareIndex | Iterable, capacity: Mapping) -> Dict[str, Fraction]:
-    """Max-min allocation by a water-level solve over residual capacities.
+def recompute_fair_shares(
+    index: FairShareIndex, capacity: Mapping[str, int], contended: Iterable[str]
+) -> Dict[str, Fraction]:
+    """Max-min shares of the index's rising flows, by a water-level solve
+    over residual capacities; exact `Fraction`s in Mb/s, keyed by flow id.
 
-    `flows` is a `FairShareIndex` with `capacity` in its unit (ints), or
-    any iterable of flows (`FlowDemand`, or the dataplane's
-    `InstalledFlow`) with `capacity` in Mb/s, from which a throwaway index
-    is built in the least unit that holds every rate. Given an index, the
-    solve only runs its rounds. Allocations are exact `Fraction`s in Mb/s.
-    A guaranteed-rate flow (`gbr > 0`) receives exactly its guarantee,
-    taken from every link it lists, once per listing; `GbrOvercommit` is
-    raised when the guarantees on a link exceed its capacity. A
-    best-effort flow with demand <= 0 gets 0 and one with no links gets its
-    demand.
+    `capacity` is each link's capacity for the rising flows, in the index's
+    unit: `NetworkState` passes its capacity net of guarantees. `contended`
+    are the links whose rising flows' demand exceeds it (`NetworkState`
+    passes `_congested`), and each has at least one rising flow.
 
-    Every other best-effort flow rises from 0 at one common level. With
-    `avail` the link's capacity left after guarantees and frozen flows and
-    `n` the rising flows on it, a link saturates at level `avail/n`. Each
-    round finds the lowest level at which a link saturates or the lowest
-    demand bucket that still rises is met, and the links tight at it.
-    Their rising flows and the met bucket's freeze at that level; then
-    each link they cross is updated once for the round (`avail -= level*k`,
-    `n -= k` for its k newly frozen flows). This is progressive filling
-    (Bertsekas & Gallager, *Data Networks*, 6.5) taken one saturation level
-    at a time, and the rounds run until every rising flow is frozen.
+    Every rising flow rises from 0 at one common level. With `avail` the
+    link's capacity left after frozen flows and `n` the rising flows on it,
+    a link saturates at level `avail/n`. Each round finds the lowest level
+    at which a link saturates or the lowest demand bucket that still rises
+    is met, and the links tight at it. Their rising flows and the met
+    bucket's freeze at that level; then each link they cross is updated
+    once for the round (`avail -= level*k`, `n -= k` for its k newly frozen
+    flows). This is progressive filling (Bertsekas & Gallager, *Data
+    Networks*, 6.5) taken one saturation level at a time, and the rounds
+    run until every rising flow is frozen.
 
-    Only the contended links take part: those whose capacity net of
-    guarantees is below the index's `load`, the demand of their rising
-    flows. A slack link never binds. Frozen flows on it hold at most their
-    demand and each rising one wants at least the lowest unmet demand D,
-    so its level `avail/n` is never below D; and when it equals D, every
-    rising flow on it has demand D and freezes with the met bucket at that
-    same level. So the levels are those of a solve over every link, while
-    the rounds update only the links that can be bottlenecks (Ros-Giralt
-    et al., "On the Bottleneck Structure of Congestion-Controlled
-    Networks", SIGMETRICS 2020).
+    Only the contended links take part. A slack link never binds. Frozen
+    flows on it hold at most their demand and each rising one wants at
+    least the lowest unmet demand D, so its level `avail/n` is never below
+    D; and when it equals D, every rising flow on it has demand D and
+    freezes with the met bucket at that same level. So the levels are those
+    of a solve over every link, while the rounds update only the links that
+    can be bottlenecks (Ros-Giralt et al., "On the Bottleneck Structure of
+    Congestion-Controlled Networks", SIGMETRICS 2020).
 
     Each round is kept in the index's `rounds` as its level and a `Counter`
     of the flows it froze per link, from which `FairShareIndex.best_effort_on`
@@ -267,30 +209,13 @@ def recompute_fair_shares(flows: FairShareIndex | Iterable, capacity: Mapping) -
     `Fraction`, its level in Mb/s, so capacity is conserved with no
     tolerance.
     """
-    if isinstance(flows, FairShareIndex):
-        index = flows
-    else:
-        flows = list(flows)
-        rates = chain.from_iterable((f.demand, f.gbr) for f in flows)
-        unit = lcm(*(r.denominator for r in chain(rates, capacity.values())))
-        index = FairShareIndex(flows, unit)
-        capacity = {lid: in_units(cap, unit) for lid, cap in capacity.items()}
     unit = index.unit
-    alloc = dict(index.fixed)
-    if index.reserved:
-        capacity = dict(capacity)
-        for lid, gbr in index.reserved.items():
-            left = capacity[lid] - gbr
-            if left < 0:
-                raise GbrOvercommit(lid, Fraction(gbr, unit), Fraction(capacity[lid], unit))
-            capacity[lid] = left
-
     users = index.users
     crossed = index.crossed
+    alloc: Dict[str, Fraction] = {}
     # `avail` is kept as a reduced integer pair and levels are compared as
     # integer pairs (numerator, positive denominator), all in units.
-    # contended link -> a/b left
-    avail = {lid: (capacity[lid], 1) for lid, need in index.load.items() if capacity[lid] < need}
+    avail = {lid: (capacity[lid], 1) for lid in contended}  # contended link -> a/b left
     count = {lid: len(users[lid]) for lid in avail}  # contended link -> rising flows on it
     saturates = {lid: (a, count[lid]) for lid, (a, _) in avail.items()}  # contended link -> avail/n
     rounds = index.rounds = []

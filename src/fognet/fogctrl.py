@@ -135,8 +135,6 @@ class FlowSpec:
     dst: Endpoint
     app_class: str
     demand: Fraction
-    operator: str
-    start_ms: int = 0
 
 
 @dataclass(frozen=True)
@@ -845,7 +843,6 @@ class FogControl:
             gbr=gbr,
             slice_id=slice_id,
             app_class=spec.app_class,
-            start_ms=spec.start_ms,
             latency_ms=latency_ms,
             spec=spec,
         )

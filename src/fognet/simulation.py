@@ -81,7 +81,6 @@ class Simulation:
         self.decision_rows: List[str] = [DECISION_HEADER]
         self.slice_rows: List[str] = ["time_ms\tfog\tslice\tresource\tentitled\tdemand\tgranted"]
         self.fogs: Dict[str, FogControl] = {}
-        self.operator_of: Dict[str, str] = {}
         # the decision rows' endpoint texts, per kind and id (`_endpoint_text`)
         self._end_text: Dict[EndpointKind, Dict[Optional[str], str]] = {kind: {} for kind in EndpointKind}
 
@@ -184,7 +183,6 @@ class Simulation:
                 allowed_classes=frozenset(allowed),
                 max_gbr=max_gbr,
             )
-            self.operator_of[user] = operator
             fog_id = topo.fog_of(user)
             fog = self.fogs[fog_id]
             cluster = topo.cluster_of_user(user)
@@ -232,7 +230,6 @@ class Simulation:
                     gbr=rate,
                     slice_id=None,
                     app_class="control",
-                    start_ms=0,
                     latency_ms=sum(topo.links[lid].latency_ms for lid in path.links()),
                 )
             )
@@ -357,8 +354,6 @@ class Simulation:
             dst=request.dst,
             app_class=request.app_class,
             demand=self.config.workload.classes[request.app_class].demand,
-            operator=self.operator_of.get(request.src_user, "-"),
-            start_ms=event.time,
         )
         decision = self._decide(spec)
         self._log_decision(event.time, spec, decision, reroute=False)

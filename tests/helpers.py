@@ -1,9 +1,10 @@
-"""Shared builders for unit tests: a hand-made two-cluster deployment and a
-single-fog control-plane environment."""
+"""Shared builders for unit tests: a hand-made two-cluster deployment, a
+single-fog control-plane environment, and a bare network of independent
+links for allocation tests."""
 
 from fractions import Fraction
 
-from fognet.dataplane import AddressPool, LruCache, NetworkState
+from fognet.dataplane import AddressPool, FlowPath, InstalledFlow, LruCache, NetworkState, RouteKind
 from fognet.fogctrl import (
     Attachment,
     Endpoint,
@@ -15,7 +16,7 @@ from fognet.fogctrl import (
     UserRecord,
 )
 from fognet.slicing import SliceManager, SliceSpec
-from fognet.topology import NodeKind, ResourceClass, build_from_config
+from fognet.topology import Link, LinkClass, NodeKind, ResourceClass, Topology, build_from_config
 
 VOIP = "local_voip"
 CONTENT = "content_request"
@@ -162,7 +163,7 @@ class FogEnv:
             except Exception:
                 pass  # e.g. isolated fog with a cloud-resident subscriber DB
 
-    def spec(self, flow_id, src, dst, app_class=VOIP, demand=Fraction(1, 2), start_ms=0):
+    def spec(self, flow_id, src, dst, app_class=VOIP, demand=Fraction(1, 2)):
         if isinstance(dst, str):
             dst = Endpoint.user(dst)
         return FlowSpec(
@@ -171,8 +172,6 @@ class FogEnv:
             dst=dst,
             app_class=app_class,
             demand=Fraction(demand),
-            operator=self.operator_of[src],
-            start_ms=start_ms,
         )
 
 
@@ -264,7 +263,7 @@ class CloudEnv:
             except Exception:
                 pass
 
-    def spec(self, flow_id, src, dst, app_class=VOIP, demand=Fraction(1, 2), start_ms=0):
+    def spec(self, flow_id, src, dst, app_class=VOIP, demand=Fraction(1, 2)):
         if isinstance(dst, str):
             dst = Endpoint.user(dst)
         return FlowSpec(
@@ -273,14 +272,32 @@ class CloudEnv:
             dst=dst,
             app_class=app_class,
             demand=Fraction(demand),
-            operator=self.operator_of[src],
-            start_ms=start_ms,
         )
 
     def set_backhaul(self, fog_id, up, now_ms=0):
         for link in self.topo.backhaul_links(fog_id):
             self.net.set_link_state(link.id, up)
         self.cloud.on_backhaul_change(fog_id, up, now_ms)
+
+
+def bare_net(capacity, rates=()):
+    """A network state over a bare topology: one Internal link per id of
+    `capacity` (id -> Mb/s), with no nodes, fogs or validation. Its unit
+    covers the capacities and `rates`, every rate a flow will hold."""
+    links = {
+        lid: Link(lid, f"{lid}-a", f"{lid}-b", LinkClass.INTERNAL, Fraction(cap), 0.0) for lid, cap in capacity.items()
+    }
+    return NetworkState(Topology(nodes={}, links=links, clusters={}), [Fraction(r) for r in rates])
+
+
+def install(net, fid, links, demand, gbr=0):
+    """Install an unsliced flow over `links` (ids, in order) at `demand`
+    with guarantee `gbr` (Mb/s); return it."""
+    hops = tuple((net.topology.links[lid].a, lid) for lid in links)
+    path = FlowPath(fid, hops[0][0] if hops else "-", "-", hops, RouteKind.INTRA_FOG_LOCAL)
+    flow = InstalledFlow(fid, path, Fraction(demand), Fraction(gbr), None, "t", 0.0)
+    net.install_flow(flow)
+    return flow
 
 
 class FakeCloud:

@@ -11,13 +11,12 @@ from pathlib import Path
 import pytest
 
 from fognet.dataplane import RouteKind
-from fognet.engine import FlowDemand, recompute_fair_shares
 from fognet.fogctrl import Endpoint, RejectReason
 from fognet.scenario import load_scenario, parse_scenario
 from fognet.simulation import OUTPUT_FILES, Simulation
 from fognet.slicing import SliceManager, SliceSpec
 from fognet.topology import LinkClass, ResourceClass
-from helpers import CONTENT, VOIP, WEB, CloudEnv, FogEnv, two_cluster_doc
+from helpers import CONTENT, VOIP, WEB, CloudEnv, FogEnv, bare_net, install, two_cluster_doc
 from oracles import OracleFlow, ReferenceLru, controller_oracle, maxmin_oracle
 
 F = Fraction
@@ -239,13 +238,18 @@ def test_04_maxmin_500_instances():
                     continue
                 for l in path:
                     reserved[l] += g
-                flows.append(FlowDemand(f"f{i}", path, g, g))
+                flows.append(OracleFlow(f"f{i}", path, g, g))
             else:
-                flows.append(FlowDemand(f"f{i}", path, F(rng.randint(1, 50)), F(0)))
+                flows.append(OracleFlow(f"f{i}", path, F(rng.randint(1, 50))))
         if not flows:
             continue
-        alloc = recompute_fair_shares(flows, caps)
-        oracle = maxmin_oracle([OracleFlow(f.flow_id, f.links, f.demand, f.gbr) for f in flows], caps)
+        # the simulator's own path: install on a network, recompute(), read allocated()
+        net = bare_net(caps, [rate for f in flows for rate in (f.demand, f.gbr)])
+        for f in flows:
+            install(net, f.fid, f.links, f.demand, f.gbr)
+        net.recompute()
+        alloc = {f.fid: net.allocated(f.fid) for f in flows}
+        oracle = maxmin_oracle(flows, caps)
         for fid in alloc:
             a, b = alloc[fid], oracle[fid]
             if a != b:  # 1e-9 relative would pass; exact equality is stronger

@@ -48,7 +48,6 @@ class TestExternalPath:
                 gbr=F(498, 5),
                 slice_id="s1",
                 app_class=VOIP,
-                start_ms=0,
                 latency_ms=10.0,
             )
         )
@@ -79,7 +78,7 @@ class TestInterFogPath:
         # entitlement alone would admit the request
         env = CloudEnv(demands=[F(1, 2), F(498, 5)])
         fill = FlowPath(flow_id="fill", src="pop-f2", dst="gw", hops=(("pop-f2", "bh-f2"),), rat_used=RouteKind.CLOUD_BOUND)
-        env.net.install_flow(InstalledFlow("fill", fill, F(498, 5), F(498, 5), "other", VOIP, 0, 10.0))
+        env.net.install_flow(InstalledFlow("fill", fill, F(498, 5), F(498, 5), "other", VOIP, 10.0))
         decision = env.cloud.setup_interfog_path(env.spec("x1", "f1-u1", "f2-u1", app_class=VOIP))
         assert not decision.accepted and decision.reason == RejectReason.GBR_ADMISSION_FAIL
         env.net.remove_flow("fill")
@@ -205,7 +204,7 @@ class TestInterFogOracle:
                 link, gbr = topo.links[lid], rng.choice([F(4), F(9)])
                 if net.effective_up(link.id) and net.residual_units(link.id) >= net.units(gbr):
                     path = FlowPath(f"fill{step}", link.a, link.b, ((link.a, link.id),), RouteKind.CLOUD_BOUND)
-                    net.install_flow(InstalledFlow(f"fill{step}", path, gbr, gbr, "other", VOIP, 0, 10.0))
+                    net.install_flow(InstalledFlow(f"fill{step}", path, gbr, gbr, "other", VOIP, 10.0))
             elif r < 0.9:
                 src = rng.choice(users)
                 far = [u for u in users if topo.fog_of(u) != topo.fog_of(src)]

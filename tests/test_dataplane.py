@@ -18,7 +18,7 @@ from fognet.dataplane import (
     UnknownFlow,
     mesh_route,
 )
-from fognet.engine import FlowDemand, recompute_fair_shares
+from fognet.engine import FairShareIndex, recompute_fair_shares
 from fognet.fogctrl import FogControl, FogProfile
 from fognet.topology import LINK_TO_RESOURCE, LinkClass, ResourceClass, build_from_config
 from helpers import two_cluster_doc
@@ -41,7 +41,6 @@ def flow(fid, hops, *, demand=F(1), gbr=F(0), rat=RouteKind.INTRA_FOG_LOCAL, sli
         gbr=gbr,
         slice_id=slice_id,
         app_class="t",
-        start_ms=0,
         latency_ms=0.0,
     )
 
@@ -154,7 +153,7 @@ _ALLOC_PATHS = [
 
 class TestAllocation:
     def test_random_sequences_match_fair_share_solver(self):
-        """allocated()/load_units() equal the max-min solver's answer
+        """allocated()/load_units() equal the max-min oracle's answer
         after every recompute(), on and off the uncongested fast path;
         load_units() also summed over random sets of links."""
         demands = [F(n, d) for n in range(9) for d in (1, 2, 3)]  # and half of each as a guarantee
@@ -184,8 +183,8 @@ class TestAllocation:
                 net.install_flow(flow(f"f{serial}", hops, demand=demand, gbr=gbr))
             net.recompute()
 
-            expected = recompute_fair_shares(
-                [FlowDemand(f.flow_id, f.links, f.demand, f.gbr) for f in net.flows.values()], capacity
+            expected = maxmin_oracle(
+                [OracleFlow(f.flow_id, f.links, f.demand, f.gbr) for f in net.flows.values()], capacity
             )
             for fid in net.flows:
                 assert net.allocated(fid) == expected[fid]
@@ -211,16 +210,14 @@ class TestAllocation:
 class TestKeptFairShareIndex:
     def test_random_steps_match_fresh_solve_and_oracle(self):
         """The solver index that NetworkState keeps while a link is congested
-        gives the same answer as a from-scratch solve and the oracle after
-        every recompute(), through installs, removals and link flaps, on
-        each link and summed over random sets of links; it exists exactly
-        while some link is congested."""
+        equals one built fresh from its rising flows and gives the same
+        answer as it and as the oracle after every recompute(), through
+        installs, removals and link flaps, on each link and summed over
+        random sets of links; it exists exactly while some link is
+        congested."""
         demands = [F(0), F(1, 2), F(1), F(2), F(3)]  # few values, so ties
         net = make_net(demands, backhaul_capacity=16, middle_mile_capacity=12, wlan_capacity=8, macro_capacity=6)
         capacity = {lid: link.capacity for lid, link in net.topology.links.items()}
-        # the user's access link listed twice: out to the AP and back
-        twice = [("u1", "wl-u1-wap1"), ("wap1", "wl-u1-wap1")]
-        paths = _ALLOC_PATHS + [twice]
         rng = random.Random(41)
         pick = random.Random(42)  # the link sets summed, apart from the walk
         serial = 0
@@ -240,10 +237,10 @@ class TestKeptFairShareIndex:
                 net.remove_flow(rng.choice(sorted(net.flows)))
             else:
                 serial += 1
-                hops = rng.choice(paths)
+                hops = rng.choice(_ALLOC_PATHS)
                 demand = rng.choice(demands)
                 gbr = F(0)
-                if demand > 0 and hops is not twice and rng.random() < 0.25:
+                if demand > 0 and rng.random() < 0.25:
                     if all(net.residual_units(lid) >= net.units(demand) for _, lid in hops):
                         gbr = demand
                 new = flow(f"f{serial}", hops, demand=demand, gbr=gbr, slice_id=rng.choice(["s1", "s2"]))
@@ -251,15 +248,19 @@ class TestKeptFairShareIndex:
                     net.install_flow(new)
                 except LinkDown:
                     continue
-                seen.add("gbr" if gbr else "zero" if not demand else "twice" if hops is twice else "be")
+                seen.add("gbr" if gbr else "zero" if not demand else "be")
             net.recompute()
 
             congested = bool(net._congested)
             assert (net._fair is not None) == congested
             if congested:
-                best_effort = [f for f in net.flows.values() if f.gbr == 0]
-                residual = {lid: F(net.residual_units(lid), net.unit) for lid in capacity}
-                assert net.alloc == recompute_fair_shares(best_effort, residual)
+                fresh = FairShareIndex(net._rising.values(), net.unit)
+                assert (net._fair.crossed, net._fair.users, net._fair.buckets) == (
+                    fresh.crossed,
+                    fresh.users,
+                    fresh.buckets,
+                )
+                assert net.alloc == recompute_fair_shares(fresh, net._be_capacity, net._congested)
                 kept += net._fair is fair
             else:
                 assert net.alloc == {}
@@ -273,20 +274,13 @@ class TestKeptFairShareIndex:
                 assert net.allocated(fid) == oracle[fid]
             per_link = {}
             for lid in capacity:
-                # guarantees count once per listing of the link; a best-effort
-                # rate counts once while congested, per listing on the fast path
-                recount = F(0)
-                for f in net.flows.values():
-                    if f.gbr > 0 or not congested:
-                        recount += oracle[f.flow_id] * f.links.count(lid)
-                    elif lid in f.links:
-                        recount += oracle[f.flow_id]
+                recount = sum((oracle[f.flow_id] for f in net.flows.values() if lid in f.links), F(0))
                 per_link[lid] = recount * net.unit
                 assert net.load_units(lid) == per_link[lid]
             # the summed reader over a random set of links
             subset = pick.sample(sorted(capacity), pick.randint(0, len(capacity)))
             assert net.load_units(*subset) == sum((per_link[lid] for lid in subset), F(0))
-        assert seen == {"gbr", "zero", "twice", "be"}
+        assert seen == {"gbr", "zero", "be"}
         assert transitions > 10 and kept > 100
 
 
@@ -366,11 +360,11 @@ class TestNonDecimalRates:
         net.install_flow(flow("tenth", path, demand=F(1, 10), gbr=F(1, 10)))
         net.install_flow(flow("tenth-be", path, demand=F(3, 10)))
         assert [(f.gbr_units, f.rate_units) for f in net.flows.values()] == [(1, 1), (0, 3)]
-        before = (dict(net.flows), dict(net._offered), dict(net._be_capacity), dict(net._best_effort))
+        before = (dict(net.flows), dict(net._offered), dict(net._be_capacity), dict(net._rising))
         for bad in (flow("third-be", path, demand=F(1, 3)), flow("third-gbr", path, demand=F(1, 3), gbr=F(1, 3))):
             with pytest.raises(ValueError):
                 net.install_flow(bad)
-            assert (net.flows, net._offered, net._be_capacity, net._best_effort) == before
+            assert (net.flows, net._offered, net._be_capacity, net._rising) == before
             assert (bad.gbr_units, bad.rate_units) == (0, 0)
         net.remove_flow("tenth-be")
         assert net._offered == {lid: 1 for _, lid in path}
@@ -421,7 +415,7 @@ class TestFlowIndex:
                 fid = f"f{serial}"
                 path = FlowPath(flow_id=fid, src=hops[0][0], dst=end, hops=tuple(hops), rat_used=RouteKind.INTRA_FOG_LOCAL)
                 new = InstalledFlow(
-                    flow_id=fid, path=path, demand=F(1), gbr=F(0), slice_id="s1", app_class="t", start_ms=0, latency_ms=0.0
+                    flow_id=fid, path=path, demand=F(1), gbr=F(0), slice_id="s1", app_class="t", latency_ms=0.0
                 )
                 try:
                     net.install_flow(new)

@@ -5,15 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fognet.engine import (
-    Engine,
-    EventKind,
-    FairShareIndex,
-    FlowDemand,
-    GbrOvercommit,
-    SchedulingInPast,
-    recompute_fair_shares,
-)
+from fognet.engine import Engine, EventKind, FairShareIndex, SchedulingInPast, recompute_fair_shares
+from helpers import bare_net, install
 from oracles import OracleFlow, maxmin_oracle
 
 F = Fraction
@@ -93,18 +86,29 @@ class TestEventQueue:
 
 
 def entries(*specs):
-    return [FlowDemand(flow_id=fid, links=tuple(links), demand=F(d), gbr=F(g)) for fid, links, d, g in specs]
+    return [OracleFlow(fid, tuple(links), F(d), F(g)) for fid, links, d, g in specs]
+
+
+def solve(flows, caps):
+    """Each flow's rate after installing `flows` (`OracleFlow`s) on a bare
+    network of `caps` (Mb/s) and one `recompute()`."""
+    net = bare_net(caps, [rate for f in flows for rate in (f.demand, f.gbr)])
+    for f in flows:
+        install(net, f.fid, f.links, f.demand, f.gbr)
+    net.recompute()
+    return {f.fid: net.allocated(f.fid) for f in flows}
 
 
 class TestFairShares:
+    """Max-min shares as `NetworkState` computes them: flows installed on a
+    bare network, one `recompute()`, rates read through `allocated()`."""
+
     def test_single_flow_unconstrained(self):
-        alloc = recompute_fair_shares(entries(("f1", ["l1"], 5, 0)), {"l1": F(10)})
+        alloc = solve(entries(("f1", ["l1"], 5, 0)), {"l1": F(10)})
         assert alloc["f1"] == 5
 
     def test_two_identical_flows_split_evenly(self):
-        alloc = recompute_fair_shares(
-            entries(("f1", ["l1"], 10, 0), ("f2", ["l1"], 10, 0)), {"l1": F(10)}
-        )
+        alloc = solve(entries(("f1", ["l1"], 10, 0), ("f2", ["l1"], 10, 0)), {"l1": F(10)})
         assert alloc["f1"] == alloc["f2"] == 5
 
     def test_classic_two_link_instance_matches_oracle(self):
@@ -115,44 +119,60 @@ class TestFairShares:
             ("s1", ["l1"], 100, 0),
             ("s2", ["l2"], 100, 0),
         )
-        alloc = recompute_fair_shares(flows, caps)
-        oracle = maxmin_oracle(
-            [OracleFlow(f.flow_id, f.links, f.demand, f.gbr) for f in flows], caps
-        )
-        assert alloc == oracle
+        alloc = solve(flows, caps)
+        assert alloc == maxmin_oracle(flows, caps)
         assert alloc["long"] == 3 and alloc["s2"] == 3 and alloc["s1"] == 7
 
     def test_gbr_exact_and_reserved_first(self):
         caps = {"l1": F(10)}
         flows = entries(("g", ["l1"], 4, 4), ("b", ["l1"], 100, 0))
-        alloc = recompute_fair_shares(flows, caps)
+        alloc = solve(flows, caps)
         assert alloc["g"] == 4
         assert alloc["b"] == 6
 
-    def test_gbr_overcommit_raises(self):
-        with pytest.raises(GbrOvercommit):
-            recompute_fair_shares(
-                entries(("g1", ["l1"], 6, 6), ("g2", ["l1"], 6, 6)), {"l1": F(10)}
-            )
-
     def test_zero_demand_and_empty_path(self):
-        alloc = recompute_fair_shares(
-            entries(("z", ["l1"], 0, 0), ("e", [], 3, 0)), {"l1": F(1)}
-        )
+        alloc = solve(entries(("z", ["l1"], 0, 0), ("e", [], 3, 0)), {"l1": F(1)})
         assert alloc["z"] == 0 and alloc["e"] == 3
 
     @staticmethod
     def _matches_oracle(flows, caps):
-        alloc = recompute_fair_shares(flows, caps)
-        assert alloc == maxmin_oracle([OracleFlow(f.flow_id, f.links, f.demand, f.gbr) for f in flows], caps)
+        alloc = solve(flows, caps)
+        assert alloc == maxmin_oracle(flows, caps)
         return alloc
 
-    def test_best_effort_path_listing_a_link_twice_counts_once(self):
-        caps = {"l1": F(10), "l2": F(100)}
-        alloc = self._matches_oracle(
-            entries(("dup", ["l1", "l2", "l1"], 100, 0), ("other", ["l1"], 100, 0)), caps
-        )
-        assert alloc["dup"] == alloc["other"] == 5
+    def test_path_listing_a_link_twice_is_refused(self):
+        """`install_flow` refuses a path that lists a link twice, best-effort
+        or guaranteed, with a ValueError before any ledger or the kept
+        solver index changes; the flows installed before still solve."""
+        net = bare_net({"l1": 10, "l2": 100})
+        install(net, "a", ["l1"], 8)
+        install(net, "b", ["l1", "l2"], 8)
+        net.recompute()
+        assert net._fair is not None
+
+        def ledgers():
+            fair = net._fair
+            return (
+                dict(net.flows),
+                {lid: set(fids) for lid, fids in net._on_link.items()},
+                dict(net._offered),
+                set(net._congested),
+                dict(net._be_capacity),
+                dict(net._unsliced_gbr),
+                dict(net._rising),
+                net.epoch,
+                dict(fair.crossed),
+                {lid: set(fids) for lid, fids in fair.users.items()},
+                {demand: set(fids) for demand, fids in fair.buckets.items()},
+            )
+
+        before = ledgers()
+        for fid, gbr in (("twice", 0), ("twice-gbr", 1)):
+            with pytest.raises(ValueError, match="lists a link twice"):
+                install(net, fid, ["l1", "l2", "l1"], 1, gbr)
+            assert ledgers() == before
+        net.recompute()
+        assert net.allocated("a") == net.allocated("b") == 5
 
     def test_links_saturated_by_gbr_pin_flows_at_zero(self):
         caps = {"l1": F(4), "l2": F(6), "l3": F(3)}
@@ -195,19 +215,35 @@ class TestFairShares:
         assert alloc == {"z": 0, "e": 3, "b": F(5, 3), "c": F(1, 3)}
 
     def test_random_instances_with_repeated_links_match_oracle(self):
+        """Random paths, some listing a link more than once: `install_flow`
+        refuses those, and the flows it keeps solve as the oracle says."""
         rng = random.Random(99)
+        refused = 0
         for _ in range(200):
             links = [f"l{i}" for i in range(rng.randint(1, 5))]
             caps = {l: F(rng.randint(0, 30), rng.choice([1, 2, 3])) for l in links}
             flows = [
-                FlowDemand(
+                OracleFlow(
                     f"f{i}",
                     tuple(rng.choice(links) for _ in range(rng.randint(0, 4))),
                     F(rng.randint(0, 20), rng.choice([1, 2, 5])),
                 )
                 for i in range(rng.randint(1, 9))
             ]
-            self._matches_oracle(flows, caps)
+            net = bare_net(caps, [f.demand for f in flows])
+            kept = []
+            for f in flows:
+                if len(set(f.links)) < len(f.links):
+                    with pytest.raises(ValueError):
+                        install(net, f.fid, f.links, f.demand)
+                    refused += 1
+                else:
+                    install(net, f.fid, f.links, f.demand)
+                    kept.append(f)
+            net.recompute()
+            assert sorted(net.flows) == sorted(f.fid for f in kept)
+            assert {f.fid: net.allocated(f.fid) for f in kept} == maxmin_oracle(kept, caps)
+        assert refused > 100
 
     @staticmethod
     def _random_instance(rng):
@@ -219,9 +255,9 @@ class TestFairShares:
             path = tuple(sorted(rng.sample(links, rng.randint(1, n_links))))
             if rng.random() < 0.25:
                 g = F(rng.randint(1, 3))
-                flows.append(FlowDemand(f"f{i}", path, g, g))
+                flows.append(OracleFlow(f"f{i}", path, g, g))
             else:
-                flows.append(FlowDemand(f"f{i}", path, F(rng.randint(1, 40)), F(0)))
+                flows.append(OracleFlow(f"f{i}", path, F(rng.randint(1, 40))))
         total = {l: F(0) for l in links}
         for f in flows:
             if f.gbr > 0:
@@ -239,12 +275,11 @@ class TestFairShares:
             if instance is None:
                 continue
             flows, caps = instance
-            alloc = recompute_fair_shares(flows, caps)
-            oracle = maxmin_oracle([OracleFlow(f.flow_id, f.links, f.demand, f.gbr) for f in flows], caps)
-            assert alloc == oracle, (flows, caps)
+            alloc = solve(flows, caps)
+            assert alloc == maxmin_oracle(flows, caps), (flows, caps)
             # conservation is exact, no tolerance
             for lid, cap in caps.items():
-                used = sum((alloc[f.flow_id] for f in flows if lid in f.links), F(0))
+                used = sum((alloc[f.fid] for f in flows if lid in f.links), F(0))
                 assert used <= cap
             checked += 1
 
@@ -255,24 +290,24 @@ class TestFairShares:
             if instance is None:
                 continue
             flows, caps = instance
-            alloc = recompute_fair_shares(flows, caps)
+            alloc = solve(flows, caps)
             be = [f for f in flows if f.gbr == 0]
             # no flow can gain without hurting an equal-or-poorer flow:
             # every unsatisfied flow crosses a saturated link where it is
             # among the largest allocations
             for f in be:
-                if not f.links or alloc[f.flow_id] >= f.demand:
+                if not f.links or alloc[f.fid] >= f.demand:
                     continue
                 bottlenecks = [
                     lid
                     for lid in f.links
-                    if sum((alloc[g.flow_id] for g in flows if lid in g.links), F(0)) == caps[lid]
+                    if sum((alloc[g.fid] for g in flows if lid in g.links), F(0)) == caps[lid]
                 ]
                 assert bottlenecks, f
                 ok = False
                 for lid in bottlenecks:
-                    rivals = [alloc[g.flow_id] for g in be if lid in g.links]
-                    if all(alloc[f.flow_id] >= r or r == 0 for r in rivals):
+                    rivals = [alloc[g.fid] for g in be if lid in g.links]
+                    if all(alloc[f.fid] >= r or r == 0 for r in rivals):
                         ok = True
                 assert ok, (f, alloc)
 
@@ -284,15 +319,15 @@ class TestFairShares:
         if instance is None:
             return
         flows, caps = instance
-        alloc = recompute_fair_shares(flows, caps)
+        alloc = solve(flows, caps)
         for lid, cap in caps.items():
-            used = sum((alloc[f.flow_id] for f in flows if lid in f.links), F(0))
+            used = sum((alloc[f.fid] for f in flows if lid in f.links), F(0))
             assert used <= cap
         for f in flows:
             if f.gbr > 0:
-                assert alloc[f.flow_id] == f.gbr
+                assert alloc[f.fid] == f.gbr
             else:
-                assert alloc[f.flow_id] <= f.demand
+                assert alloc[f.fid] <= f.demand
 
     def test_determinism(self):
         rng = random.Random(5)
@@ -300,98 +335,103 @@ class TestFairShares:
         while instance is None:
             instance = self._random_instance(rng)
         flows, caps = instance
-        first = recompute_fair_shares(flows, caps)
-        second = recompute_fair_shares(list(reversed(flows)), caps)
+        first = solve(flows, caps)
+        second = solve(list(reversed(flows)), caps)
         assert first == second
 
 
 class TestFairShareIndex:
     def test_random_adds_and_removes_solve_as_a_fresh_index(self):
-        """An index kept through adds and removes solves exactly as one built
-        from the remaining flows, and as the oracle; its per-link rising
-        demand equals a recount, its best-effort total over each link and
-        over random sets of links equals a recount of the allocation, and
-        its length counts every flow (zero-demand and linkless ones too)."""
+        """Through installs and removals on a bare network, the solver index
+        that `NetworkState` keeps holds exactly the rising flows and solves
+        as one built fresh from `_rising`, and every rate equals the
+        oracle's. `_congested`, the links a solve lets bind, equals a
+        recount of the links whose rising flows want more than the capacity
+        net of guarantees, and `load_units()` over each link and over random
+        sets of links equals a recount of the rates. Zero-demand and
+        linkless flows are installed too, and paths that list a link twice
+        are refused."""
         rng = random.Random(31)
         pick = random.Random(32)  # the link sets summed, apart from the walk
         links = [f"l{i}" for i in range(5)]
         caps = {l: F(rng.randint(4, 30), rng.choice([1, 2, 3])) for l in links}
         demands = [F(0), F(1, 2), F(1), F(2), F(5, 2), F(7)]  # few values, so ties
-        unit = 6  # every rate below is a whole number of 1/6
-        index = FairShareIndex(unit=unit)
+        net = bare_net(caps, demands)
         live = {}
-        reserved = {l: F(0) for l in links}
         serial = 0
         kinds = set()
         for _ in range(300):
             if live and rng.random() < 0.45:
-                gone = live.pop(rng.choice(sorted(live)))
-                index.remove(gone)
-                for lid in gone.links:
-                    reserved[lid] -= gone.gbr
+                net.remove_flow(live.pop(rng.choice(sorted(live))).fid)
             else:
                 serial += 1
                 path = tuple(rng.choice(links) for _ in range(rng.randint(0, 4)))
                 demand = rng.choice(demands)
-                gbr = F(0)
-                # a guarantee is taken once per listing, the oracle's once per
-                # link, so guaranteed flows list each link once
-                distinct = len(set(path)) == len(path)
-                fits = all(reserved[l] + demand <= caps[l] for l in path)
-                if demand > 0 and distinct and rng.random() < 0.2 and fits:
-                    gbr = demand
-                    for lid in path:
-                        reserved[lid] += gbr
-                new = FlowDemand(f"f{serial}", path, demand, gbr)
-                kind = "gbr" if gbr else "zero" if not demand else "linkless" if not path else "be"
-                kinds.add("twice" if kind == "be" and not distinct else kind)
-                live[new.flow_id] = new
-                index.add(new)
+                if len(set(path)) < len(path):
+                    with pytest.raises(ValueError):
+                        install(net, f"f{serial}", path, demand)
+                    kinds.add("refused")
+                else:
+                    gbr = F(0)
+                    if demand > 0 and rng.random() < 0.2:
+                        if all(net.residual_units(l) >= net.units(demand) for l in path):
+                            gbr = demand
+                    new = OracleFlow(f"f{serial}", path, demand, gbr)
+                    install(net, new.fid, new.links, new.demand, new.gbr)
+                    kinds.add("gbr" if gbr else "zero" if not demand else "linkless" if not path else "be")
+                    live[new.fid] = new
+            net.recompute()
             flows = list(live.values())
-            alloc = recompute_fair_shares(index, {lid: int(cap * unit) for lid, cap in caps.items()})
-            assert alloc == recompute_fair_shares(flows, caps)
-            assert len(index) == len(flows)
-            assert alloc == maxmin_oracle([OracleFlow(f.flow_id, f.links, f.demand, f.gbr) for f in flows], caps)
+            oracle = maxmin_oracle(flows, caps)
+            assert {fid: net.allocated(fid) for fid in live} == oracle
+            rising = [f for f in flows if f.gbr == 0 and f.demand > 0 and f.links]
+            net_capacity = {l: caps[l] - sum((f.gbr for f in flows if l in f.links), F(0)) for l in links}
+            wanted = {l: sum((f.demand for f in rising if l in f.links), F(0)) for l in links}
+            assert net._congested == {l for l in links if wanted[l] > net_capacity[l]}
+            if net._congested:
+                kinds.add("congested")
+                fresh = FairShareIndex(net._rising.values(), net.unit)
+                fair = net._fair
+                assert len(fair) == len(fresh) == len(rising)
+                assert (fair.crossed, fair.users, fair.buckets) == (fresh.crossed, fresh.users, fresh.buckets)
+                assert net.alloc == recompute_fair_shares(fresh, net._be_capacity, net._congested)
             per_link = {}
             for lid in links:
-                be = [f for f in flows if f.gbr == 0 and lid in f.links]
-                per_link[lid] = sum((alloc[f.flow_id] for f in be), F(0)) * unit
-                assert index.best_effort_on(lid) == per_link[lid]
-                rising = sum(f.demand for f in be if f.demand > 0) * unit
-                assert index.load.get(lid, 0) == rising and (lid in index.load) == (rising > 0)
+                per_link[lid] = sum((oracle[f.fid] for f in flows if lid in f.links), F(0)) * net.unit
+                assert net.load_units(lid) == per_link[lid]
             for _ in range(3):
                 subset = pick.sample(links, pick.randint(0, len(links)))
-                assert index.best_effort_on(*subset) == sum((per_link[lid] for lid in subset), F(0))
-        assert kinds == {"gbr", "zero", "linkless", "twice", "be"} and live
+                assert net.load_units(*subset) == sum((per_link[lid] for lid in subset), F(0))
+        assert kinds == {"gbr", "zero", "linkless", "refused", "be", "congested"} and live
 
 
 class TestContendedBoundary:
-    """Only links whose capacity net of guarantees is below the demand of
-    their rising flows take part in a solve. These instances put links at
-    that boundary: net capacity equal to their best-effort demand, one
-    unit below it and one unit above it."""
+    """A solve lets only `NetworkState._congested` bind: the links whose
+    offered load exceeds their capacity, so whose rising flows want more
+    than the capacity net of guarantees. These instances put links at that
+    boundary: net capacity equal to their best-effort demand, one unit
+    below it and one unit above it."""
 
     UNIT = 3  # every rate below is a whole number of 1/3 Mb/s
 
     @classmethod
     def _instance(cls, rng):
-        """Flows, capacities in units, and each link's offset from its
-        best-effort demand (None for a link given a random capacity)."""
+        """Flows, capacities in units, each link's offset from its
+        best-effort demand (None for a link given a random capacity), and
+        that demand in units."""
         links = [f"l{i}" for i in range(rng.randint(2, 6))]
         flows = []
         for i in range(rng.randint(1, 10)):
             path = tuple(rng.sample(links, rng.randint(1, len(links))))
             demand = F(rng.choice([1, 2, 3, 5, 6, 9]), cls.UNIT)
             if rng.random() < 0.2:
-                flows.append(FlowDemand(f"g{i}", path, demand, demand))
+                flows.append(OracleFlow(f"g{i}", path, demand, demand))
             else:
-                if rng.random() < 0.2:
-                    path += (path[0],)  # a best-effort path may list a link twice
-                flows.append(FlowDemand(f"f{i}", path, demand))
+                flows.append(OracleFlow(f"f{i}", path, demand))
         gbr = {lid: 0 for lid in links}
         load = {lid: 0 for lid in links}
         for f in flows:
-            for lid in dict.fromkeys(f.links):
+            for lid in f.links:
                 if f.gbr:
                     gbr[lid] += int(f.gbr * cls.UNIT)
                 else:
@@ -410,26 +450,32 @@ class TestContendedBoundary:
         rng = random.Random(1212)
         unit = self.UNIT
         seen = set()
+        slack_beside_solve = 0
         for _ in range(400):
             flows, caps, offsets, load = self._instance(rng)
-            index = FairShareIndex(flows, unit)
-            alloc = recompute_fair_shares(index, caps)
-            oracle = maxmin_oracle(
-                [OracleFlow(f.flow_id, f.links, f.demand, f.gbr) for f in flows],
-                {lid: F(cap, unit) for lid, cap in caps.items()},
-            )
-            assert alloc == oracle, (flows, caps)
-            per_link = {
-                lid: sum((alloc[f.flow_id] for f in flows if f.gbr == 0 and lid in f.links), F(0)) * unit
-                for lid in caps
-            }
-            for lid, offset in offsets.items():
+            mbps = {lid: F(cap, unit) for lid, cap in caps.items()}
+            net = bare_net(mbps, [F(1, unit)])
+            for f in flows:
+                install(net, f.fid, f.links, f.demand, f.gbr)
+            net.recompute()
+            alloc = {f.fid: net.allocated(f.fid) for f in flows}
+            assert alloc == maxmin_oracle(flows, mbps), (flows, caps)
+            per_link = {}
+            for lid in caps:
+                on_link = [f for f in flows if lid in f.links]
+                best_effort = sum((alloc[f.fid] for f in on_link if f.gbr == 0), F(0)) * unit
+                per_link[lid] = sum((alloc[f.fid] for f in on_link), F(0)) * unit
+                offset = offsets[lid]
                 if load[lid]:
                     seen.add(offset)
                     if offset is not None:
+                        # congested exactly when the demand is a unit above the net capacity
+                        assert (lid in net._congested) == (offset == -1)
+                        slack_beside_solve += offset >= 0 and bool(net._congested)
                         # within the net capacity, and within the demand
-                        assert per_link[lid] <= load[lid] + min(offset, 0)
+                        assert best_effort <= load[lid] + min(offset, 0)
             for _ in range(4):
                 subset = rng.sample(sorted(caps), rng.randint(0, len(caps)))
-                assert index.best_effort_on(*subset) == sum((per_link[lid] for lid in subset), F(0))
+                assert net.load_units(*subset) == sum((per_link[lid] for lid in subset), F(0))
         assert seen == {-1, 0, 1, None}
+        assert slack_beside_solve > 100

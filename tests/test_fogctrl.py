@@ -192,7 +192,6 @@ class TestHandleFlowRequest:
                 gbr=F(97, 10),
                 slice_id="s1",
                 app_class=VOIP,
-                start_ms=0,
                 latency_ms=0.0,
             )
         )
@@ -510,7 +509,7 @@ class TestRouteMemo:
                     path = FlowPath(f"g{step}", src, end, tuple(hops), RouteKind.WLAN_VIA_MIDDLE_MILE)
                     # a sliced install leaves the epoch, and so the memo, in place
                     slice_id = rng.choice([None, "s1"])
-                    net.install_flow(InstalledFlow(f"g{step}", path, gbr, gbr, slice_id, VOIP, 0, 0.0))
+                    net.install_flow(InstalledFlow(f"g{step}", path, gbr, gbr, slice_id, VOIP, 0.0))
                     installed.append(f"g{step}")
             elif installed:
                 net.remove_flow(installed.pop(rng.randrange(len(installed))))

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from fognet.scenario import load_scenario, parse_scenario
 from fognet.simulation import Simulation
@@ -17,6 +18,22 @@ from test_golden import SCENARIOS, _non_decimal_sim, _overhead_faults_sim, _two_
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
+def _capped_split_sim(tmp_path):
+    """`two_operator` with shares of 1/2 and 3/10, so a fifth of each class
+    is left over, and web traffic heavy enough that both slices often want
+    more than their entitlement. Where one slice wants less than its offer
+    of the leftover, `SliceManager.compute_slice_allocations` caps it and
+    makes a second pass for the other: at 18 of the 61 slice report emits
+    of this run."""
+    doc = yaml.safe_load((SCENARIOS / "two_operator.scn").read_text())
+    doc["slices"][0]["shares"] = "1/2"
+    doc["slices"][1]["shares"] = "3/10"
+    doc["metrics_tick_ms"] = 1_000
+    doc["duration_ms"] = 60_000
+    doc["workload"]["external_web"].update(rate_per_s=2.0, demand_mbps=5.0)
+    return Simulation(parse_scenario(doc, base_dir=str(SCENARIOS), name="capped_split"))
+
+
 BUILDS = {
     "two_cluster": lambda tmp: Simulation(load_scenario(SCENARIOS / "two_cluster.scn")),
     "isolation": lambda tmp: Simulation(load_scenario(SCENARIOS / "isolation.scn")),
@@ -24,6 +41,7 @@ BUILDS = {
     "two_fog": _two_fog_sim,
     "overhead_faults": lambda tmp: _overhead_faults_sim(),
     "non_decimal": _non_decimal_sim,
+    "capped_split": _capped_split_sim,
 }
 
 

@@ -17,8 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from fognet.dataplane import FlowPath, InstalledFlow, NetworkState, RouteKind
-from fognet.engine import GbrOvercommit
+from fognet.dataplane import FlowPath, GbrOvercommit, InstalledFlow, NetworkState, RouteKind
 from fognet.fogctrl import FogControl, FogProfile
 from fognet.slicing import SliceManager, SliceSpec
 from fognet.topology import ResourceClass, build_from_config
@@ -66,7 +65,7 @@ def _build():
 def _flow(fid, hops, demand, gbr, slice_id):
     path = FlowPath(flow_id=fid, src=hops[0][0], dst="x", hops=tuple(hops), rat_used=RouteKind.INTRA_FOG_LOCAL)
     return InstalledFlow(
-        flow_id=fid, path=path, demand=demand, gbr=gbr, slice_id=slice_id, app_class="t", start_ms=0, latency_ms=0.0
+        flow_id=fid, path=path, demand=demand, gbr=gbr, slice_id=slice_id, app_class="t", latency_ms=0.0
     )
 
 
