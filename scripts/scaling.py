@@ -10,8 +10,16 @@ rate is scaled by clusters / 16, as the workload itself scales them. The
 run is cut to `--seconds` of simulated time. It times `Simulation.run()`
 `--repeats` times per size, taking the sizes in turn on each repeat so
 that host drift falls on every size alike, and prints each size's median
-raw events/s (host time, not converted to nominal speed), and then the
-drop in events/s from each size to the next.
+events/s, and then the drop in events/s from each size to the next.
+
+Every time is at nominal speed, so that two trees or two sessions can be
+compared: `perfbench/calib.py`'s `Calibrator` (imported unchanged) times
+its reference chunk five times before and five times after each run, and
+between events at most every 100 ms, and the run's host time (less the
+chunks) and its solves' host times are scaled by its `factor()`, the
+nominal chunk time over the median of those chunk times. A run of about
+0.1 s sees only a few chunks between its events, and one chunk time can
+be 10% off the next, so the median over at least ten is used.
 
 It also separates the workload's share of that drop from the max-min
 solver's. Per size it prints the solves per event and the mean µs per
@@ -31,18 +39,20 @@ import argparse
 import copy
 import statistics
 import sys
-import time
 from pathlib import Path
+from time import perf_counter_ns
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from fognet import dataplane  # noqa: E402
+from fognet.engine import EventKind  # noqa: E402
 from fognet.scenario import parse_scenario  # noqa: E402
 from fognet.simulation import Simulation  # noqa: E402
 
 import workloads  # noqa: E402
+from calib import Calibrator  # noqa: E402
 
 
 def sized_doc(clusters: int, seconds: float, seed: int) -> dict:
@@ -58,30 +68,52 @@ def sized_doc(clusters: int, seconds: float, seed: int) -> dict:
 
 def run_with(doc: dict, on_solve) -> tuple:
     """Run the doc with `on_solve(solve, index, capacity, contended)`
-    standing in for each solve; return its events and its host time in s."""
+    standing in for each solve. Returns its events, its host ns less the
+    reference chunks timed between its events, and its nominal ns per
+    host ns."""
     sim = Simulation(parse_scenario(copy.deepcopy(doc), base_dir=str(workloads.DATA_DIR), name="congested_scale"))
+    cal = Calibrator()
+    paused = [0]  # host ns spent on chunks during the run
+
+    def stamp(_event) -> None:  # registered last, so it runs after each event's handlers
+        now = perf_counter_ns()
+        if cal.due(now):
+            paused[0] += cal.sample() - now
+
+    for kind in EventKind:
+        sim.engine.on(kind, stamp)
     solve = dataplane.recompute_fair_shares
     dataplane.recompute_fair_shares = lambda *args: on_solve(solve, *args)
     try:
-        start = time.perf_counter()
+        for _ in range(5):
+            cal.sample()
+        start = perf_counter_ns()
         sim.run()
-        return len(sim.engine.trace), time.perf_counter() - start
+        host_ns = perf_counter_ns() - start - paused[0]
+        for _ in range(5):
+            cal.sample()
     finally:
         dataplane.recompute_fair_shares = solve
+    return len(sim.engine.trace), host_ns, cal.factor()
 
 
 def timed(doc: dict) -> tuple:
-    """(events/s, solves per event, mean µs per solve or None) of one run."""
-    spent = []
+    """(events/s, solves per event, mean µs per solve or None) of one run,
+    at nominal speed."""
+    spent = []  # host ns of each solve
 
     def on_solve(solve, index, capacity, contended):
-        start = time.perf_counter()
+        start = perf_counter_ns()
         alloc = solve(index, capacity, contended)
-        spent.append(time.perf_counter() - start)
+        spent.append(perf_counter_ns() - start)
         return alloc
 
-    events, seconds = run_with(doc, on_solve)
-    return events / seconds, len(spent) / events, 1e6 * sum(spent) / len(spent) if spent else None
+    events, host_ns, factor = run_with(doc, on_solve)
+    return (
+        events * 1e9 / (host_ns * factor),
+        len(spent) / events,
+        sum(spent) * factor / 1e3 / len(spent) if spent else None,
+    )
 
 
 def solve_sizes(doc: dict) -> tuple:

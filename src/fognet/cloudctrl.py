@@ -86,16 +86,16 @@ class CloudControl:
         return any(self.net.effective_up(l.id) for l in links)
 
     def is_connected(self, fog_id: str) -> bool:
-        state = self._connected.get(fog_id)
-        return self._derive_connected(fog_id) if state is None else state
+        return self._connected[fog_id]
 
-    def on_backhaul_change(self, fog_id: str, up: bool, now_ms: Optional[int] = None) -> None:
-        """React to a backhaul link transition; `up` is the new link state."""
-        del up  # isolation depends on the set of all backhaul links
+    def on_backhaul_change(self, fog_id: str, now_ms: Optional[int] = None) -> bool:
+        """React to a transition of one of the fog's backhaul links, which
+        isolates the fog when it leaves none of them Up; returns whether
+        this isolated the fog."""
         now = self._now() if now_ms is None else now_ms
         state = self._derive_connected(fog_id)
-        if state == self._connected.get(fog_id):
-            return
+        if state == self._connected[fog_id]:
+            return False
         self._connected[fog_id] = state
         self.transitions.append((now, fog_id, "Connected" if state else "Isolated"))
         if not state:
@@ -110,6 +110,7 @@ class CloudControl:
                 )
             else:
                 self.sync_fog_state(fog_id)
+        return not state
 
     def _terminate_cloud_flows(self, fog_id: str) -> None:
         crossing = set()

@@ -44,14 +44,16 @@ the solve left in the index. A path never lists a link twice
 (`install_flow` refuses one that does), so every ledger counts a flow
 once per link it crosses.
 
-Routing is a minimum-hop search over a set of permitted link ids. Which
-links a fog may route over is a fact of the topology
-(`Topology.fog_domain`), so callers pass those sets, not predicates. A
-route depends only on link and node health and, for a guaranteed rate,
-on headroom, so fog control memoizes its mesh segments between two
-attachment points, prunes them on each health change it hears of through
-`watch_health`, and adds the access hops itself (`FogControl._segment`,
-`_fill_target` and `_candidates`).
+Routing is one minimum-hop search, `constrained_route`, over a set of
+permitted link ids. Which links a fog may route over is a fact of the
+topology (`Topology.fog_domain`), so callers pass those sets, not
+predicates. A route depends only on link and node health and, for a
+guaranteed rate, on headroom, so fog control memoizes its mesh segments
+between two attachment points, prunes them on each health change it
+hears of through `watch_health`, and adds the access hops itself
+(`FogControl.segment`, `_fill_target` and `_candidates`). The WLAN
+control-overhead flows ride the same memo: each AP's flow is its fog's
+segment from the AP to the PoP (`Simulation._route_control_overhead`).
 """
 
 from __future__ import annotations
@@ -569,13 +571,6 @@ def constrained_route(
         hops.append((node, lid))
         node = peer
     return hops
-
-
-def mesh_route(net: NetworkState, src: str, dst: str, need: int = 0) -> List[Tuple[str, str]]:
-    """Route within the middle-mile graph of the source's fog, over links
-    with `need` units of headroom."""
-    mesh = net.topology.fog_domain(net.topology.fog_of(src)).mesh
-    return constrained_route(net, src, dst, mesh, need)
 
 
 def reverse_hops(hops: List[Tuple[str, str]], end: str) -> List[Tuple[str, str]]:

@@ -361,7 +361,8 @@ class FogControl:
     A candidate's route is its access hop, the mesh segment from the
     user's attachment point to the PoP, the gateway or the peer user's
     attachment point, and the peer's access hop. Segments are memoized
-    per (start, end, via backhaul) (`_segment`): a link or node going
+    per (start, end, via backhaul) (`segment`, which the simulator also
+    reads for each WLAN AP's control-overhead flow): a link or node going
     Down drops the segments through it, and one coming Up clears the
     memo. A GBR request keeps that route when every hop has headroom
     (`_with_headroom`).
@@ -552,7 +553,7 @@ class FogControl:
                 return constrained_route(self.net, src, dst, allowed, need)
         return hops
 
-    def _segment(self, start: str, end: str, via_backhaul: bool) -> Optional[Tuple[Tuple[str, str], ...]]:
+    def segment(self, start: str, end: str, via_backhaul: bool) -> Optional[Tuple[Tuple[str, str], ...]]:
         """Memoized minimum-hop route over the mesh (and backhaul), or None.
 
         The memo fills on first use of each key and is kept exact across
@@ -635,7 +636,7 @@ class FogControl:
         topology_links = self.net.topology.links
         out = []
         for kind, link_id, attach in options:
-            segment = self._segment(attach, end, via_backhaul)
+            segment = self.segment(attach, end, via_backhaul)
             if segment is not None:
                 hops = ((src, link_id), *segment)
                 out.append(finished(f"{tag}({kind})", hops, end, rat, ((src, kind),), topology_links))
@@ -683,7 +684,7 @@ class FogControl:
                         if src == end:  # a flow to oneself takes no hop
                             hops, used = (), ((end, dkind),)
                         else:
-                            segment = self._segment(sattach, dattach, False)
+                            segment = self.segment(sattach, dattach, False)
                             if segment is None:
                                 continue
                             hops, used = ((src, slink), *segment, (dattach, dlink)), ((src, skind), (end, dkind))

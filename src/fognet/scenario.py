@@ -92,11 +92,14 @@ def _num(entry: dict, key: str, where: str, default=None, minimum=None):
     return value
 
 
-def _rate(value, where: str) -> Fraction:
+def _rate(value, where: str, minimum=None) -> Fraction:
     try:
-        return to_rate(value)
+        rate = to_rate(value)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
+    if minimum is not None and rate < minimum:
+        raise ValidationError(where, f"must be >= {minimum}")
+    return rate
 
 
 @dataclass(frozen=True)
@@ -323,7 +326,7 @@ def parse_gen_params(doc: dict, where: str, default_seed: int) -> TopologyGenPar
         mesh_degree_bound=int(_num(doc, "mesh_degree_bound", where, default=3, minimum=1)),
         macro_radius_m=float(_num(doc, "macro_radius_m", where, default=10000.0)),
         wlan_radius_m=float(_num(doc, "wlan_radius_m", where, default=300.0)),
-        seed=int(doc.get("seed", default_seed)),
+        seed=int(_num(doc, "seed", where, default=default_seed)),
     )
     try:
         params.check()
@@ -378,6 +381,9 @@ def _parse_slices(entries, where: str) -> List[SliceSpec]:
     for i, entry in enumerate(_of_type(entries, list, where)):
         w = f"{where}[{i}]"
         _strict(entry, {"id", "operator", "shares"}, w)
+        for key in ("id", "operator"):
+            if entry.get(key) is None:
+                raise ValidationError(f"{w}.{key}", "required")
         shares_doc = entry.get("shares", 1)
         if isinstance(shares_doc, dict):
             _strict(shares_doc, set(ResourceClass.ALL), f"{w}.shares")
@@ -410,9 +416,7 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
     duration_ms = int(_num(doc, "duration_ms", "scenario", minimum=1))
     tick = int(_num(doc, "metrics_tick_ms", "scenario", default=1000, minimum=1))
     rtt = int(_num(doc, "cloud_rtt_ms", "scenario", default=20, minimum=0))
-    overhead = _rate(doc.get("wlan_control_overhead_mbps", 0), "wlan_control_overhead_mbps")
-    if overhead < 0:
-        raise ValidationError("wlan_control_overhead_mbps", "must be >= 0")
+    overhead = _rate(doc.get("wlan_control_overhead_mbps", 0), "wlan_control_overhead_mbps", minimum=0)
 
     if "topology" not in doc:
         raise ValidationError("topology", "required")
@@ -495,12 +499,14 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
                     if "allowed_classes" in entry
                     else None
                 ),
-                max_gbr=_rate(entry["max_gbr_mbps"], f"{w}.max_gbr_mbps") if "max_gbr_mbps" in entry else None,
+                max_gbr=(
+                    _rate(entry["max_gbr_mbps"], f"{w}.max_gbr_mbps", minimum=0) if "max_gbr_mbps" in entry else None
+                ),
                 operator=str(operator) if operator is not None else None,
             )
         )
     subscribers = SubscriberDefaults(
-        max_gbr=_rate(subs_doc.get("max_gbr_mbps", 1), "subscribers.max_gbr_mbps"),
+        max_gbr=_rate(subs_doc.get("max_gbr_mbps", 1), "subscribers.max_gbr_mbps", minimum=0),
         allowed_classes=allowed_default,
         overrides=tuple(overrides),
     )
@@ -515,7 +521,9 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
         classes[app_class] = ClassSpec(
             rate_per_s=float(_num(entry, "rate_per_s", w, default=0.0, minimum=0)),
             demand=_rate(
-                entry.get("demand_mbps", DEFAULT_WORKLOAD_DOC[app_class]["demand_mbps"]), f"{w}.demand_mbps"
+                entry.get("demand_mbps", DEFAULT_WORKLOAD_DOC[app_class]["demand_mbps"]),
+                f"{w}.demand_mbps",
+                minimum=0,
             ),
             holding_mean_s=float(
                 _num(entry, "holding_mean_s", w, default=DEFAULT_WORKLOAD_DOC[app_class]["holding_mean_s"])

@@ -2,6 +2,11 @@
 
 One `Simulation` owns one engine instance; replicas run as separate
 instances. Every output byte is a function of (config, seed).
+
+Link and node faults share one handler (`_on_fault`). Each WLAN AP's
+control-overhead flow lies on its fog's memoized mesh segment to the PoP
+(`FogControl.segment`), which the fog keeps exact across health changes,
+so a fault moves only the control flows whose segment it changed.
 """
 
 from __future__ import annotations
@@ -18,10 +23,8 @@ from .dataplane import (
     InstalledFlow,
     LruCache,
     NetworkState,
-    NoRoute,
     PoolExhausted,
     RouteKind,
-    mesh_route,
 )
 from .engine import Engine, Event, EventKind
 from .fogctrl import (
@@ -35,6 +38,7 @@ from .fogctrl import (
     QosClass,
     RejectReason,
     UserRecord,
+    latency_sum,
 )
 from .metrics import MetricsCollector, MetricsRecord
 from .scenario import ScenarioConfig
@@ -111,7 +115,7 @@ class Simulation:
         self._slice_texts = RateTexts(self.net.unit)
 
         self._register_subscribers()
-        self._install_control_overhead()
+        self._route_control_overhead()
 
         self.mobile_flags = assign_mobility(config.workload, topo, config.seed)
         for user, mobile in self.mobile_flags.items():
@@ -143,8 +147,8 @@ class Simulation:
 
         self.engine.on(EventKind.FLOW_ARRIVAL, self._on_flow_arrival)
         self.engine.on(EventKind.FLOW_DEPARTURE, self._on_flow_departure)
-        self.engine.on(EventKind.LINK_STATE_CHANGE, self._on_link_change)
-        self.engine.on(EventKind.NODE_STATE_CHANGE, self._on_node_change)
+        self.engine.on(EventKind.LINK_STATE_CHANGE, self._on_fault)
+        self.engine.on(EventKind.NODE_STATE_CHANGE, self._on_fault)
         self.engine.on(EventKind.HANDOVER_TRIGGER, self._on_handover)
         self.engine.on(EventKind.METRICS_TICK, self._on_tick)
 
@@ -203,45 +207,29 @@ class Simulation:
                 except PoolExhausted:
                     pass
 
-    def _install_control_overhead(self) -> None:
-        """WLAN controller <-> AP keepalive load riding the middle mile."""
+    def _route_control_overhead(self) -> None:
+        """WLAN controller <-> AP keepalive load riding the middle mile: per
+        AP an unsliced flow `ctl-<ap>` guaranteed the overhead rate on the
+        AP's segment to the PoP. A flow whose segment is unchanged stays; one
+        whose AP has no route is removed; any other moves to its segment."""
         rate = self.config.wlan_control_overhead
         if rate <= 0:
             return
-        topo = self.config.topology
-        for ap in topo.nodes_of_kind(NodeKind.WLAN_AP):
+        net = self.net
+        for ap in net.topology.nodes_of_kind(NodeKind.WLAN_AP):
             fog = self.fogs[ap.fog]
-            try:
-                hops = mesh_route(self.net, ap.id, fog.pop)
-            except NoRoute:
+            hops = fog.segment(ap.id, fog.pop, False)
+            flow_id = f"ctl-{ap.id}"
+            flow = net.flows.get(flow_id)
+            if flow is not None:
+                if flow.path.hops == hops:
+                    continue
+                net.remove_flow(flow_id)
+            if hops is None:
                 continue
-            path = FlowPath(
-                flow_id=f"ctl-{ap.id}",
-                src=ap.id,
-                dst=fog.pop,
-                hops=tuple(hops),
-                rat_used=RouteKind.WLAN_VIA_MIDDLE_MILE,
-            )
-            self.net.install_flow(
-                InstalledFlow(
-                    flow_id=path.flow_id,
-                    path=path,
-                    demand=rate,
-                    gbr=rate,
-                    slice_id=None,
-                    app_class="control",
-                    latency_ms=sum(topo.links[lid].latency_ms for lid in path.links()),
-                )
-            )
-
-    def _rebuild_control_overhead(self) -> None:
-        """Re-route AP keepalive flows after link or node state changes."""
-        if self.config.wlan_control_overhead <= 0:
-            return
-        for fid in sorted(self.net.flows):
-            if self.net.flows[fid].slice_id is None:
-                self.net.remove_flow(fid)
-        self._install_control_overhead()
+            path = FlowPath(flow_id, ap.id, fog.pop, hops, RouteKind.WLAN_VIA_MIDDLE_MILE)
+            latency = latency_sum(path.links(), net.topology.links)
+            net.install_flow(InstalledFlow(flow_id, path, rate, rate, None, "control", latency))
 
     # -- decision plumbing ---------------------------------------------------
 
@@ -379,7 +367,7 @@ class Simulation:
             if flow is None:
                 continue
             if flow.slice_id is None:
-                continue  # control overhead rebuilt separately
+                continue  # control overhead, moved by `_route_control_overhead`
             fog_id = self.cloud.fog_of_user(flow.path.src)
             if fog_id is None:
                 fog_id = self.net.topology.fog_of(flow.path.src)
@@ -387,31 +375,25 @@ class Simulation:
             decision = fog.redecide_flow(flow)
             self._log_decision(self.engine.now(), flow.spec, decision, reroute=True)
 
-    def _on_link_change(self, event: Event) -> None:
+    def _on_fault(self, event: Event) -> None:
+        """A link or node going Down or Up."""
         fault: FaultEvent = event.payload
+        net = self.net
         self.metrics.advance(event.time)
-        link = self.net.topology.links[fault.subject]
-        was_connected = {fog: self.cloud.is_connected(fog) for fog in self.fogs}
-        self.net.set_link_state(fault.subject, fault.up)
-        if link.link_class == LinkClass.BACKHAUL:
-            fog_id = self.net.topology.fog_of(link.a) or self.net.topology.fog_of(link.b)
-            self.cloud.on_backhaul_change(fog_id, fault.up, event.time)
-            if was_connected.get(fog_id) and not self.cloud.is_connected(fog_id):
-                survivors = sum(1 for f in self.net.flows.values() if f.slice_id is not None)
-                self.metrics.on_isolation(survivors)
+        if fault.kind == "link":
+            net.set_link_state(fault.subject, fault.up)
+            link = net.topology.links[fault.subject]
+            if link.link_class == LinkClass.BACKHAUL:
+                fog_id = net.topology.fog_of(link.a) or net.topology.fog_of(link.b)
+                if self.cloud.on_backhaul_change(fog_id, event.time):
+                    self.metrics.on_isolation(sum(1 for f in net.flows.values() if f.slice_id is not None))
+            through = net.flows_on_link
+        else:
+            net.set_node_state(fault.subject, fault.up)
+            through = net.flows_at
         if not fault.up:
-            self._redecide(self.net.flows_on_link(fault.subject))
-        self._rebuild_control_overhead()
-        self._after_change(event.time)
-        self._emit_slice_rows(event.time)
-
-    def _on_node_change(self, event: Event) -> None:
-        fault: FaultEvent = event.payload
-        self.metrics.advance(event.time)
-        self.net.set_node_state(fault.subject, fault.up)
-        if not fault.up:
-            self._redecide(self.net.flows_at(fault.subject))
-        self._rebuild_control_overhead()
+            self._redecide(through(fault.subject))
+        self._route_control_overhead()
         self._after_change(event.time)
         self._emit_slice_rows(event.time)
 

@@ -277,7 +277,7 @@ class CloudEnv:
     def set_backhaul(self, fog_id, up, now_ms=0):
         for link in self.topo.backhaul_links(fog_id):
             self.net.set_link_state(link.id, up)
-        self.cloud.on_backhaul_change(fog_id, up, now_ms)
+        return self.cloud.on_backhaul_change(fog_id, now_ms)
 
 
 def bare_net(capacity, rates=()):

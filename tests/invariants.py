@@ -25,6 +25,10 @@ these equals its recount:
   slice's share of that capacity);
 - `flows_on_link` for every link, and `flows_at` for every node (the
   flows on the links incident to it);
+- each WLAN AP's control-overhead flow `ctl-<ap>`: installed exactly
+  when the scenario has control overhead and a fresh `constrained_route`
+  from the AP to its fog's PoP over the fog's mesh links exists, and then
+  on that route's hops, at the overhead rate as demand and guarantee;
 - the rows the event appended to the slice report (`sim.slice_rows`),
   string for string, against the rows `oracles.slice_rows_oracle`
   rebuilds from the configured slices and the recounted capacity and
@@ -55,8 +59,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, FrozenSet, List, Set, Tuple
 
+from fognet.dataplane import NoRoute, constrained_route
 from fognet.engine import EventKind
-from fognet.topology import LINK_TO_RESOURCE, ResourceClass
+from fognet.topology import LINK_TO_RESOURCE, NodeKind, ResourceClass
 from oracles import slice_rows_oracle
 
 
@@ -85,6 +90,10 @@ class _Layout:
             [lid for lid in sorted(topo.links) if self.resource[lid] == cls] for cls in ResourceClass.ALL
         ]
         self.capacity_den = lcm(*(link.capacity.denominator for link in topo.links.values()))
+        # (AP, its fog's PoP, the fog's mesh links) per WLAN AP
+        self.control_routes = [
+            (ap.id, topo.pop_of(ap.fog), topo.fog_domain(ap.fog).mesh) for ap in topo.nodes_of_kind(NodeKind.WLAN_AP)
+        ]
         self._links = topo.links
         self._capacities: Dict[int, Dict[str, int]] = {}
         self._path_keys: Dict[Tuple[str, ...], FrozenSet[Tuple[str, str]]] = {}
@@ -197,6 +206,16 @@ def check_state(sim, layout: _Layout, now_ms: int = 0, slice_rows: List[str] = (
         assert same(net._slice_demand.get(key, 0), demands.get(key, 0)), ("slice_demand", key)
     for key in set(physical) | set(net._sliceable):
         assert same(net._sliceable.get(key, 0), physical.get(key, 0)), ("sliceable", key)
+
+    overhead = sim.config.wlan_control_overhead
+    for ap, pop, mesh in layout.control_routes:
+        flow = net.flows.get(f"ctl-{ap}")
+        try:
+            route = tuple(constrained_route(net, ap, pop, mesh)) if overhead > 0 else None
+        except NoRoute:
+            route = None
+        assert (flow.path.hops if flow else None) == route, ("control_route", ap)
+        assert flow is None or flow.demand == flow.gbr == overhead, ("control_rate", ap)
 
     for fog_id, fog in sim.fogs.items():
         expected = {cls: units(physical[fog_id, cls]) for cls in ResourceClass.ALL}

@@ -227,7 +227,7 @@ class TestInterFogOracle:
             elif net.flows:
                 net.remove_flow(rng.choice(sorted(net.flows)))
             for fog_id in env.fogs:  # as the simulation does after a health change
-                env.cloud.on_backhaul_change(fog_id, True)
+                env.cloud.on_backhaul_change(fog_id)
         assert min(counts[k] for k in ("accepted", "several", "GbrAdmissionFail", "NoRoute")) > 0, counts
 
 
@@ -263,11 +263,12 @@ class TestBackhaulChange:
         env.fogs["f1"].handle_flow_request(env.spec("l1", "f1-u1", "f1-u2", app_class=VOIP))
         env.cloud.setup_external_path(env.spec("e1", "f1-u1", Endpoint.external(), app_class=WEB, demand=1))
         env.cloud.setup_interfog_path(env.spec("x1", "f1-u2", "f2-u1", app_class=VOIP))
-        env.set_backhaul("f1", False, now_ms=10)   # kills e1 and x1, l1 survives
-        env.set_backhaul("f1", True, now_ms=20)
+        assert env.set_backhaul("f1", False, now_ms=10)   # isolates; kills e1 and x1, l1 survives
+        assert not env.set_backhaul("f1", True, now_ms=20)
         d = env.cloud.setup_external_path(env.spec("e2", "f1-u1", Endpoint.external(), app_class=WEB, demand=1))
         assert d.accepted
-        env.set_backhaul("f1", False, now_ms=30)   # kills e2
+        assert env.set_backhaul("f1", False, now_ms=30)   # kills e2
+        assert not env.set_backhaul("f1", False, now_ms=40)  # already isolated: no transition
         assert log == ["e1", "x1", "e2"]
         assert sorted(env.net.flows) == ["l1"]
         assert env.cloud.transitions[-3:] == [

@@ -16,7 +16,7 @@ from fognet.dataplane import (
     PoolExhausted,
     RouteKind,
     UnknownFlow,
-    mesh_route,
+    constrained_route,
 )
 from fognet.engine import FairShareIndex, recompute_fair_shares
 from fognet.fogctrl import FogControl, FogProfile
@@ -437,27 +437,33 @@ def _mesh_allow(net):
     return allow
 
 
+def _mesh(net, fog="fog1"):
+    return net.topology.fog_domain(fog).mesh
+
+
 class TestMeshRoute:
+    """`constrained_route` over a fog's mesh links (`FogDomain.mesh`)."""
+
     def test_src_equals_dst(self):
         net = make_net()
-        assert mesh_route(net, "mmc1", "mmc1") == []
+        assert constrained_route(net, "mmc1", "mmc1", _mesh(net)) == []
 
     def test_linear_chain(self):
         net = make_net()
-        hops = mesh_route(net, "mmap", "wap2")
+        hops = constrained_route(net, "mmap", "wap2", _mesh(net))
         assert hops == [("mmap", "mm-mmap-mmc2"), ("mmc2", "in-wap2-mmc2")]
 
     def test_no_route_when_link_down(self):
         net = make_net()
         net.set_link_state("mm-mmap-mmc1", False)
         with pytest.raises(NoRoute):
-            mesh_route(net, "mmap", "wap1")
+            constrained_route(net, "mmap", "wap1", _mesh(net))
 
     def test_residual_filter_diverts(self):
         net = make_net(mesh_cross_link=True)
         # reserve most of the direct link mmap->mmc2
         net.install_flow(flow("g", [("mmap", "mm-mmap-mmc2")], demand=F(45), gbr=F(45)))
-        hops = mesh_route(net, "mmap", "mmc2", need=net.units(F(10)))
+        hops = constrained_route(net, "mmap", "mmc2", _mesh(net), need=net.units(F(10)))
         assert [l for _, l in hops] == ["mm-mmap-mmc1", "mm-mmc1-mmc2"]
 
     def test_random_meshes_match_exhaustive_oracle(self):
@@ -501,11 +507,12 @@ class TestMeshRoute:
             expected = best_path(
                 enumerate_simple_paths(net, src, dst, _mesh_allow(net), min_residual=need), dst
             )
+            mesh = _mesh(net, "f")
             if expected is None:
                 with pytest.raises(NoRoute):
-                    mesh_route(net, src, dst, need=net.units(need))
+                    constrained_route(net, src, dst, mesh, need=net.units(need))
             else:
-                assert mesh_route(net, src, dst, need=net.units(need)) == expected
+                assert constrained_route(net, src, dst, mesh, need=net.units(need)) == expected
 
 
 class TestLruCache:

@@ -406,7 +406,7 @@ def generated_four_cluster_doc():
 
 class TestRouteMemo:
     """A route as the controller builds it (access hops around a memoized
-    mesh segment, `_segment`, kept or searched afresh by `_with_headroom`)
+    mesh segment, `segment`, kept or searched afresh by `_with_headroom`)
     against a from-scratch `constrained_route`, under random link and node
     flaps and guaranteed-rate installs that drain headroom."""
 
@@ -435,7 +435,7 @@ class TestRouteMemo:
             else:
                 stop = link.other(end)
                 tail = ((stop, lid),)
-        segment = fog._segment(start, stop, via_backhaul)
+        segment = fog.segment(start, stop, via_backhaul)
         if segment is None:
             return None
         try:

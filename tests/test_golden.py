@@ -4,8 +4,9 @@ Every refactor must leave these bytes unchanged. Besides the three bundled
 scenarios, three built here reach paths that no bundled scenario does: a
 two-fog network with user-to-user traffic across fogs (inter-fog paths
 through the cloud gateway, backhaul flaps while they are installed); a
-single fog with WLAN control overhead plus link and node faults (mesh
-routing of the unsliced overhead flows and their rebuild after each fault);
+single fog with WLAN control overhead plus link and node faults (the
+unsliced overhead flows on the fog's mesh segments, moved when a fault
+changes a segment);
 and the two-cluster network with every capacity, demand, guarantee, share
 and the control overhead a ratio with denominator 3 or 7, none of them a
 finite decimal (exact rates that congest, with guaranteed-rate refusals).

@@ -310,6 +310,24 @@ class TestCli:
                 f"{RTT}\nsubscribers: {{overrides: [{{user: u2}}, {{user: u1}}, {{user: u1, allowed_classes: []}}]}}",
                 "subscribers.overrides[2].user: second override for user 'u1'",
             ),
+            (
+                "demand_mbps: 2.0",
+                "demand_mbps: -1",
+                "workload.content_request.demand_mbps: must be >= 0",
+            ),
+            (RTT, f"{RTT}\nsubscribers: {{max_gbr_mbps: -1}}", "subscribers.max_gbr_mbps: must be >= 0"),
+            (
+                RTT,
+                f"{RTT}\nsubscribers: {{overrides: [{{user: u1, max_gbr_mbps: -1/2}}]}}",
+                "subscribers.overrides[0].max_gbr_mbps: must be >= 0",
+            ),
+            ("  - id: s1\n    operator: op1\n", "  - operator: op1\n", "slices[0].id: required"),
+            ("  - id: s1\n    operator: op1\n", "  - id: s1\n", "slices[0].operator: required"),
+            (
+                "topology:\n  file: two_cluster.topo.yaml",
+                'topology:\n  generate: {clusters: 2, seed: "x"}',
+                "topology.generate.seed: expected a number, got 'x'",
+            ),
         ],
         ids=[
             "slices-not-a-list",
@@ -326,6 +344,12 @@ class TestCli:
             "operator-not-a-name",
             "override-unknown-class",
             "override-twice",
+            "negative-demand",
+            "negative-max-gbr",
+            "negative-override-max-gbr",
+            "slice-without-id",
+            "slice-without-operator",
+            "generate-seed-not-a-number",
         ],
     )
     def test_malformed_scenario_is_one_line_error(self, tmp_path, capsys, command, old, new, detail):
