@@ -18,19 +18,22 @@ from fognet.topology import ResourceClass
 
 def main() -> int:
     physical = {cls: 100 for cls in ResourceClass.ALL}
-    manager = SliceManager(physical=lambda: dict(physical))
-    manager.create_slice(SliceSpec("op-a", "alpha", {cls: Fraction(6, 10) for cls in ResourceClass.ALL}))
-    manager.create_slice(SliceSpec("op-b", "beta", {cls: Fraction(4, 10) for cls in ResourceClass.ALL}))
+    manager = SliceManager(
+        [
+            SliceSpec("op-a", "alpha", {cls: Fraction(6, 10) for cls in ResourceClass.ALL}),
+            SliceSpec("op-b", "beta", {cls: Fraction(4, 10) for cls in ResourceClass.ALL}),
+        ]
+    )
 
     cls = ResourceClass.WLAN
     demand_a = 90
     print(f"physical {cls} capacity: 100 Mb/s, shares 60/40, A demands {demand_a} throughout")
     print(f"{'B demand':>9} {'A granted':>10} {'B granted':>10} {'A borrowed':>11}")
-    entitled = manager.entitlements()
+    entitled = manager.entitlements(physical)
     for demand_b in range(0, 75, 10):
         demands = {key: 0 for key in entitled}
         demands["op-a", cls], demands["op-b", cls] = demand_a, demand_b
-        granted = manager.compute_slice_allocations(demands, entitled)
+        granted = manager.compute_slice_allocations(demands, entitled, physical)
         a, b = granted["op-a", cls], granted["op-b", cls]
         borrowed = max(a - entitled["op-a", cls], 0)
         print(f"{demand_b:>9} {str(a):>10} {str(b):>10} {str(borrowed):>11}")

@@ -6,6 +6,10 @@ isolated, its cloud-crossing flows are torn down, local flows continue
 untouched, and control-state updates queue as deltas; on reconnect a sync
 round drains the queue into the cloud replicas, last writer (by event
 time) winning.
+
+The cloud runs on the simulation's engine: it stamps transitions and
+updates with `engine.now()`, and a connected fog's update, like the sync
+round after a reconnect, lands as a control message one round trip later.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class SyncRecord:
 class CloudControl:
     """Core-network control plane over all fogs of a scenario."""
 
-    def __init__(self, net, engine: Optional[Engine] = None, rtt_ms: int = 20):
+    def __init__(self, net, engine: Engine, rtt_ms: int = 20):
         self.net = net
         self.engine = engine
         self.rtt_ms = rtt_ms
@@ -56,8 +60,7 @@ class CloudControl:
         self.context_replica: Dict[str, Tuple[Attachment, int]] = {}
         self._delta_order = 0
         self.on_flow_terminated: Optional[Callable[[InstalledFlow, RejectReason], None]] = None
-        if engine is not None:
-            engine.on(EventKind.CONTROL_MESSAGE, self._handle_control_message)
+        engine.on(EventKind.CONTROL_MESSAGE, self._handle_control_message)
 
     # -- registration -------------------------------------------------------
 
@@ -67,17 +70,14 @@ class CloudControl:
         self.sync_records[fog.fog_id] = SyncRecord(fog_id=fog.fog_id)
         state = self._derive_connected(fog.fog_id)
         self._connected[fog.fog_id] = state
-        self.transitions.append((self._now(), fog.fog_id, "Connected" if state else "Isolated"))
+        self.transitions.append((self.engine.now(), fog.fog_id, "Connected" if state else "Isolated"))
 
     def register_user(self, user_id: str, fog_id: str, attachment: Attachment) -> None:
         self.user_fog[user_id] = fog_id
-        self.context_replica[user_id] = (attachment, self._now())
+        self.context_replica[user_id] = (attachment, self.engine.now())
 
     def fog_of_user(self, user_id: str) -> Optional[str]:
         return self.user_fog.get(user_id)
-
-    def _now(self) -> int:
-        return self.engine.now() if self.engine is not None else 0
 
     # -- connectivity ---------------------------------------------------------
 
@@ -88,11 +88,12 @@ class CloudControl:
     def is_connected(self, fog_id: str) -> bool:
         return self._connected[fog_id]
 
-    def on_backhaul_change(self, fog_id: str, now_ms: Optional[int] = None) -> bool:
+    def on_backhaul_change(self, fog_id: str) -> bool:
         """React to a transition of one of the fog's backhaul links, which
         isolates the fog when it leaves none of them Up; returns whether
-        this isolated the fog."""
-        now = self._now() if now_ms is None else now_ms
+        this isolated the fog. A reconnect schedules the sync round one
+        round trip later."""
+        now = self.engine.now()
         state = self._derive_connected(fog_id)
         if state == self._connected[fog_id]:
             return False
@@ -101,15 +102,9 @@ class CloudControl:
         if not state:
             self._terminate_cloud_flows(fog_id)
         else:
-            if self.engine is not None:
-                self.engine.schedule(
-                    now + self.rtt_ms,
-                    EventKind.CONTROL_MESSAGE,
-                    subjects=(fog_id,),
-                    payload={"op": "sync", "fog": fog_id},
-                )
-            else:
-                self.sync_fog_state(fog_id)
+            self.engine.schedule(
+                now + self.rtt_ms, EventKind.CONTROL_MESSAGE, subjects=(fog_id,), payload={"op": "sync", "fog": fog_id}
+            )
         return not state
 
     def _terminate_cloud_flows(self, fog_id: str) -> None:
@@ -123,21 +118,20 @@ class CloudControl:
 
     # -- state synchronization --------------------------------------------------
 
-    def push_context_update(self, fog_id: str, user_id: str, attachment: Attachment, time_ms: int) -> None:
-        delta = ContextDelta(
-            order=self._delta_order, time_ms=time_ms, fog_id=fog_id, user_id=user_id, attachment=attachment
-        )
+    def push_context_update(self, fog_id: str, user_id: str, attachment: Attachment) -> None:
+        """Send the user's new attachment, stamped now, to the cloud
+        replica: it lands one round trip later, or queues while the fog is
+        isolated."""
+        now = self.engine.now()
+        delta = ContextDelta(self._delta_order, now, fog_id, user_id, attachment)
         self._delta_order += 1
         if self.is_connected(fog_id):
-            if self.engine is not None:
-                self.engine.schedule(
-                    max(self._now(), time_ms) + self.rtt_ms,
-                    EventKind.CONTROL_MESSAGE,
-                    subjects=(fog_id, user_id),
-                    payload={"op": "delta", "delta": delta},
-                )
-            else:
-                self._apply_delta(delta)
+            self.engine.schedule(
+                now + self.rtt_ms,
+                EventKind.CONTROL_MESSAGE,
+                subjects=(fog_id, user_id),
+                payload={"op": "delta", "delta": delta},
+            )
         else:
             self.sync_records[fog_id].pending.append(delta)
 
@@ -177,7 +171,7 @@ class CloudControl:
             return FlowDecision.rejected(spec.flow_id, RejectReason.FOG_ISOLATED)
         return self.fogs[fog_id].handle_flow_request(spec)
 
-    def setup_interfog_path(self, spec: FlowSpec, *, reroute: bool = False) -> FlowDecision:
+    def setup_interfog_path(self, spec: FlowSpec) -> FlowDecision:
         """User-to-user flow hairpinning through the cloud gateway: one
         candidate per pair of halves, source major, a half being a user's
         template candidate to its own fog's PoP (`fixed_candidates`). It is
@@ -225,7 +219,7 @@ class CloudControl:
         mobile_of = {src: src_ctx.mobile, dst: dst_ctx.mobile}
         return fa.conclude(
             spec, candidates, structural, (qos, gbr, slice_a), setup_ms,
-            prefer_local=False, mobile_of=mobile_of, reroute=reroute,
+            prefer_local=False, mobile_of=mobile_of,
         )
 
     def _build_interfog(

@@ -2,13 +2,16 @@
 
 One `FogControl` instance runs the control functions of a single fog
 element: per-slice control state (flow controller, mobility/load tracking,
-policy and charging, subscriber records with a session gate in front), the
+policy, subscriber records with a session gate in front), the
 per-technology abstraction (each resource class's sliceable capacity,
 `physical_capacity`, read from `NetworkState`'s per-fog ledger, and each
 slice's share of it, `entitlements`, kept once per epoch), and flexible
 placement via `FogProfile`. Functions absent from the profile fall back to
 the cloud: each use costs a configurable round trip and fails while the
 fog is isolated.
+
+A fog is complete once constructed: from its slice specs it builds its
+`SliceManager`, which validates them, and one `SliceRacf` per slice.
 
 Flows are not registered per slice or per user: the installed flows in
 `NetworkState` are the one record of them. A flow belongs to the slice
@@ -41,7 +44,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .dataplane import (
     FlowPath,
@@ -51,6 +54,7 @@ from .dataplane import (
     RouteKind,
     constrained_route,
 )
+from .slicing import SliceManager, SliceSpec
 from .topology import LINK_TO_RESOURCE, Link, ResourceClass
 from .util import ZERO
 
@@ -196,7 +200,6 @@ class SliceRacf:
     user_records: Dict[str, UserRecord] = field(default_factory=dict)
     sessions: Set[str] = field(default_factory=set)
     contexts: Dict[str, UserContext] = field(default_factory=dict)
-    charging: Dict[str, int] = field(default_factory=dict)
 
 
 class Candidate(NamedTuple):
@@ -384,7 +387,7 @@ class FogControl:
         fog_id: str,
         profile: FogProfile,
         net: NetworkState,
-        slice_manager=None,
+        slices: Sequence[SliceSpec],
         policy: Optional[Dict[str, PolicyRule]] = None,
         cache=None,
         dhcp=None,
@@ -394,16 +397,15 @@ class FogControl:
         self.fog_id = fog_id
         self.profile = profile
         self.net = net
-        self.slice_manager = slice_manager
+        self.slice_manager = SliceManager(slices)
+        self.racfs: Dict[str, SliceRacf] = {spec.slice_id: SliceRacf(spec.slice_id, spec.operator) for spec in slices}
         self.policy = dict(policy or {})
         self.cache = cache
         self.dhcp = dhcp
         self.cloud = cloud
         self.cloud_rtt_ms = cloud_rtt_ms
-        self.racfs: Dict[str, SliceRacf] = {}
         self._user_slice: Dict[str, str] = {}
         self.pop = net.topology.pop_of(fog_id)
-        self.macro_bs = net.topology.macro_of(fog_id)
         self.domain = net.topology.fog_domain(fog_id)
         self._meters = {link.id: LINK_TO_RESOURCE[link.link_class] for link in self.domain.metered.get(None, ())}
         self._entitled: Dict[Tuple[str, str], int] = {}
@@ -411,16 +413,10 @@ class FogControl:
         self._segments: Dict[Tuple[str, str, bool], Optional[Tuple[Tuple[str, str], ...]]] = {}
         self._templates: Dict[Tuple[str, Attachment], UserTemplate] = {}
         net.watch_health(self._on_health)
-        # Hooks wired by the harness.
+        # Hook wired by the harness.
         self.on_terminate: Optional[Callable[[InstalledFlow, RejectReason], None]] = None
-        self.clock: Callable[[], int] = lambda: 0
 
     # -- slice control instances ------------------------------------------
-
-    def create_racf(self, spec) -> SliceRacf:
-        racf = SliceRacf(slice_id=spec.slice_id, operator=spec.operator)
-        self.racfs[spec.slice_id] = racf
-        return racf
 
     def racf_of_operator(self, operator: str) -> SliceRacf:
         for racf in self.racfs.values():
@@ -493,10 +489,6 @@ class FogControl:
         if gbr > record.max_gbr:
             raise PolicyDenied(f"guaranteed rate {gbr} above subscription cap for {user}", user)
         return rule.qos, gbr, slice_id
-
-    def charge(self, slice_id: str, app_class: str) -> None:
-        charging = self.racfs[slice_id].charging
-        charging[app_class] = charging.get(app_class, 0) + 1
 
     # -- locality ----------------------------------------------------------------
 
@@ -597,7 +589,7 @@ class FogControl:
         share of it, and a slice this fog does not hold is entitled to
         nothing here. `need` is the guarantee in units, and the ledger and
         each entitlement hold ints in the same units."""
-        if need <= 0 or slice_id is None or self.slice_manager is None:
+        if need <= 0 or slice_id is None:
             return True
         meters = self._meters
         count: Dict[str, int] = {}
@@ -715,7 +707,7 @@ class FogControl:
         uniform rescaling of link capacities."""
         return Fraction(self.net.offered_units(link_id), self.net.capacity_units(link_id))
 
-    def handle_flow_request(self, spec: FlowSpec, *, reroute: bool = False) -> FlowDecision:
+    def handle_flow_request(self, spec: FlowSpec) -> FlowDecision:
         try:
             qos, gbr, slice_id = self.classify_flow(spec)
         except REFUSALS as exc:
@@ -773,7 +765,7 @@ class FogControl:
         candidates, structural = self._candidates(src, template, targets, need, slice_id)
         return self.conclude(
             spec, candidates, structural, (qos, gbr, slice_id), setup_ms,
-            prefer_local=local, mobile_of=mobile_of, note=note, reroute=reroute,
+            prefer_local=local, mobile_of=mobile_of, note=note,
         )
 
     def conclude(
@@ -787,7 +779,6 @@ class FogControl:
         prefer_local: bool,
         mobile_of: Dict[str, bool],
         note: str = "",
-        reroute: bool = False,
     ) -> FlowDecision:
         """The end of every flow decision, fog-local or inter-fog.
 
@@ -812,7 +803,9 @@ class FogControl:
             latency = latency_sum(links, self.net.topology.links)
         path = FlowPath(spec.flow_id, spec.src.ident, chosen.end, chosen.hops, chosen.rat, links, chosen.nodes)
         qos, gbr, slice_id = classified
-        self.install_flow(spec, path, qos, gbr, slice_id, latency, reroute=reroute)
+        self.net.install_flow(
+            InstalledFlow(spec.flow_id, path, spec.demand, gbr, slice_id, spec.app_class, latency, spec)
+        )
         return FlowDecision(
             flow_id=spec.flow_id,
             accepted=True,
@@ -825,32 +818,6 @@ class FogControl:
             latency_ms=latency,
             note=note,
         )
-
-    def install_flow(
-        self,
-        spec: FlowSpec,
-        path: FlowPath,
-        qos: QosClass,
-        gbr: Fraction,
-        slice_id: str,
-        latency_ms: float,
-        *,
-        reroute: bool = False,
-    ) -> InstalledFlow:
-        flow = InstalledFlow(
-            flow_id=spec.flow_id,
-            path=path,
-            demand=spec.demand,
-            gbr=gbr,
-            slice_id=slice_id,
-            app_class=spec.app_class,
-            latency_ms=latency_ms,
-            spec=spec,
-        )
-        self.net.install_flow(flow)
-        if not reroute:
-            self.charge(slice_id, spec.app_class)
-        return flow
 
     # -- abstraction -----------------------------------------------------------
 
@@ -867,7 +834,7 @@ class FogControl:
         an unsliced GBR flow changes; the dict is shared until then, so do
         not mutate it."""
         if self._entitled_epoch != self.net.epoch:
-            self._entitled = self.slice_manager.entitlements()
+            self._entitled = self.slice_manager.entitlements(self.physical_capacity())
             self._entitled_epoch = self.net.epoch
         return self._entitled
 
@@ -885,7 +852,7 @@ class FogControl:
         ctx = self.racfs[slice_id].contexts[user_id]
         ctx.attachment = new_attachment
         if self.cloud is not None:
-            self.cloud.push_context_update(self.fog_id, user_id, new_attachment, self.clock())
+            self.cloud.push_context_update(self.fog_id, user_id, new_attachment)
         return [(fid, self.redecide_flow(self.net.flows[fid])) for fid in self.net.flows_at(user_id)]
 
     def redecide_flow(self, flow: InstalledFlow) -> FlowDecision:
@@ -896,9 +863,9 @@ class FogControl:
             end.kind == EndpointKind.USER and not self.has_user(end.ident) for end in (spec.src, spec.dst)
         ):
             # an endpoint in another fog: the cloud decides from the source's fog
-            decision = self.cloud.setup_interfog_path(spec, reroute=True)
+            decision = self.cloud.setup_interfog_path(spec)
         else:
-            decision = self.handle_flow_request(spec, reroute=True)
+            decision = self.handle_flow_request(spec)
         if not decision.accepted and self.on_terminate is not None:
             self.on_terminate(flow, decision.reason)
         return decision

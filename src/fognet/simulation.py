@@ -42,7 +42,7 @@ from .fogctrl import (
 )
 from .metrics import MetricsCollector, MetricsRecord
 from .scenario import ScenarioConfig
-from .slicing import RateTexts, SliceManager, slice_rows
+from .slicing import RateTexts, slice_rows
 from .topology import LinkClass, NodeKind
 from .util import fmt6
 from .workload import (
@@ -98,19 +98,14 @@ class Simulation:
                 fog_id=fog_id,
                 profile=profile,
                 net=self.net,
+                slices=config.slices,
                 policy=config.policy,
                 cache=cache,
                 dhcp=dhcp,
                 cloud_rtt_ms=config.cloud_rtt_ms,
             )
-            fog.clock = self.engine.now
             fog.on_terminate = self._on_terminated
-            manager = SliceManager(physical=fog.physical_capacity)
-            manager.on_create = fog.create_racf
-            fog.slice_manager = manager
             self.cloud.register_fog(fog)
-            for spec in config.slices:
-                manager.create_slice(spec)
             self.fogs[fog_id] = fog
         self._slice_texts = RateTexts(self.net.unit)
 
@@ -329,7 +324,9 @@ class Simulation:
             fog = self.fogs[fog_id]
             entitled = fog.entitlements()
             demands = {key: demand(fog_id, *key) for key in entitled}
-            self.slice_rows += slice_rows(now_ms, fog_id, fog.slice_manager, self._slice_texts, entitled, demands)
+            self.slice_rows += slice_rows(
+                now_ms, fog_id, fog.slice_manager, self._slice_texts, fog.physical_capacity(), entitled, demands
+            )
 
     # -- handlers ----------------------------------------------------------------
 
@@ -368,11 +365,8 @@ class Simulation:
                 continue
             if flow.slice_id is None:
                 continue  # control overhead, moved by `_route_control_overhead`
-            fog_id = self.cloud.fog_of_user(flow.path.src)
-            if fog_id is None:
-                fog_id = self.net.topology.fog_of(flow.path.src)
-            fog = self.fogs[fog_id]
-            decision = fog.redecide_flow(flow)
+            # a sliced flow's source is a registered user (`_decide`)
+            decision = self.fogs[self.cloud.fog_of_user(flow.path.src)].redecide_flow(flow)
             self._log_decision(self.engine.now(), flow.spec, decision, reroute=True)
 
     def _on_fault(self, event: Event) -> None:
@@ -385,7 +379,7 @@ class Simulation:
             link = net.topology.links[fault.subject]
             if link.link_class == LinkClass.BACKHAUL:
                 fog_id = net.topology.fog_of(link.a) or net.topology.fog_of(link.b)
-                if self.cloud.on_backhaul_change(fog_id, event.time):
+                if self.cloud.on_backhaul_change(fog_id):
                     self.metrics.on_isolation(sum(1 for f in net.flows.values() if f.slice_id is not None))
             through = net.flows_on_link
         else:

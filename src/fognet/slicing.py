@@ -2,7 +2,8 @@
 
 Each slice owns a share of every resource class (`topology.ResourceClass`)
 of its fog's live sliceable capacity, which `FogControl.physical_capacity`
-reads from the network state's per-fog ledger. Guaranteed rates are
+reads from the network state's per-fog ledger and passes to its
+`SliceManager`, built from the fog's slice specs. Guaranteed rates are
 admitted only within that share. Idle entitlement is diverted to
 overloaded slices by entitlement-weighted progressive filling and
 reclaimed the moment the entitled operator's own demand returns.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from .topology import ResourceClass
 from .util import ZERO, rate_str
@@ -57,14 +58,27 @@ class SliceSpec:
 class SliceManager:
     """Slice registry and allocator for one fog's resources.
 
-    `physical` yields the live per-class capacity (Up links only) in
-    whole units, so entitlements track link failures automatically.
+    Built from the fog's slice specs, which it validates: unique slice ids
+    and operators, and per class non-negative shares that sum to at most 1.
+    Entitlements and grants are computed from a per-class capacity in
+    whole units that the caller passes in (`FogControl.physical_capacity`,
+    the live capacity of Up links only), so they track link failures.
     """
 
-    def __init__(self, physical: Callable[[], Dict[str, int]]):
-        self._physical = physical
+    def __init__(self, specs: Iterable[SliceSpec]):
         self._specs: Dict[str, SliceSpec] = {}
-        self.on_create: Optional[Callable[[SliceSpec], None]] = None
+        for spec in specs:
+            if spec.slice_id in self._specs:
+                raise SlicingError(f"slice {spec.slice_id} already exists", spec.slice_id)
+            if any(s.operator == spec.operator for s in self._specs.values()):
+                raise DuplicateOperator(f"operator {spec.operator} already holds a slice", spec.operator)
+            for cls in ResourceClass.ALL:
+                total = spec.share(cls) + sum(s.share(cls) for s in self._specs.values())
+                if total > 1:
+                    raise ShareOvercommit(f"{cls}: shares would sum to {total}", cls)
+                if spec.share(cls) < 0:
+                    raise ShareOvercommit(f"{cls}: negative share", cls)
+            self._specs[spec.slice_id] = spec
 
     def slice_ids(self) -> List[str]:
         return sorted(self._specs)
@@ -73,22 +87,6 @@ class SliceManager:
         if slice_id not in self._specs:
             raise UnknownSlice(f"no slice {slice_id}", slice_id)
         return self._specs[slice_id]
-
-    def create_slice(self, spec: SliceSpec) -> str:
-        if spec.slice_id in self._specs:
-            raise SlicingError(f"slice {spec.slice_id} already exists", spec.slice_id)
-        if any(s.operator == spec.operator for s in self._specs.values()):
-            raise DuplicateOperator(f"operator {spec.operator} already holds a slice", spec.operator)
-        for cls in ResourceClass.ALL:
-            total = spec.share(cls) + sum(s.share(cls) for s in self._specs.values())
-            if total > 1:
-                raise ShareOvercommit(f"{cls}: shares would sum to {total}", cls)
-            if spec.share(cls) < 0:
-                raise ShareOvercommit(f"{cls}: negative share", cls)
-        self._specs[spec.slice_id] = spec
-        if self.on_create is not None:
-            self.on_create(spec)
-        return spec.slice_id
 
     def entitled(self, slice_id: str, cls: str, physical: Mapping[str, int]) -> int:
         """The slice's share of `physical[cls]`, the class's live capacity
@@ -102,11 +100,10 @@ class SliceManager:
             raise ValueError(f"slice {slice_id}: {cls} entitlement {share} x {capacity} is not a whole number of units")
         return entitled
 
-    def entitlements(self) -> Dict[Tuple[str, str], int]:
-        """(slice, class) -> `entitled`, for every slice and class, slices in
-        id order and classes in `ResourceClass.ALL` order (the order of the
-        slice report's rows), from one read of the live capacity."""
-        physical = self._physical()
+    def entitlements(self, physical: Mapping[str, int]) -> Dict[Tuple[str, str], int]:
+        """(slice, class) -> `entitled` of `physical`, for every slice and
+        class, slices in id order and classes in `ResourceClass.ALL` order
+        (the order of the slice report's rows)."""
         entitled = self.entitled
         return {(sid, cls): entitled(sid, cls, physical) for sid in self.slice_ids() for cls in ResourceClass.ALL}
 
@@ -114,12 +111,13 @@ class SliceManager:
         self,
         demands: Mapping[Tuple[str, str], int],
         entitlements: Mapping[Tuple[str, str], int],
+        physical: Mapping[str, int],
     ) -> Mapping[Tuple[str, str], Union[int, Fraction]]:
-        """(slice, class) -> grant: entitlement first, then leftover to
-        unsatisfied slices.
+        """(slice, class) -> grant: entitlement first, then leftover of
+        `physical`, the per-class capacity, to unsatisfied slices.
 
-        `demands` and `entitlements` (`self.entitlements()`, or a copy the
-        caller keeps) hold ints in the live capacity's units, with the
+        `demands` and `entitlements` (`self.entitlements(physical)`, or a
+        copy the caller keeps) hold ints in the capacity's units, with the
         same keys. Per resource class every slice is granted min(demand,
         entitled); the leftover is spread over still-hungry slices
         proportionally to their entitlement shares, iterating until
@@ -134,7 +132,6 @@ class SliceManager:
         granted: Dict[Tuple[str, str], Union[int, Fraction]] = {
             key: min(demand, entitlements[key]) for key, demand in demands.items()
         }
-        physical = self._physical()
         for cls in ResourceClass.ALL:
             hungry_ids = [sid for sid, c in hungry if c == cls]
             if not hungry_ids:
@@ -189,15 +186,16 @@ def slice_rows(
     fog_id: str,
     manager: SliceManager,
     texts: RateTexts,
+    physical: Mapping[str, int],
     entitlements: Mapping[Tuple[str, str], int],
     demands: Mapping[Tuple[str, str], int],
 ) -> List[str]:
     """One fog's rows of the slice report (`slices.tsv`) at `now_ms`: per
-    (slice, class) key of `entitlements` (`SliceManager.entitlements`), in
-    its order, the slice's entitlement, demand and grant
+    (slice, class) key of `entitlements` (`SliceManager.entitlements` of
+    `physical`), in its order, the slice's entitlement, demand and grant
     (`compute_slice_allocations`) in Mb/s, each rendered from its value in
     units through `texts`."""
-    grants = manager.compute_slice_allocations(demands, entitlements)
+    grants = manager.compute_slice_allocations(demands, entitlements, physical)
     head = f"{now_ms}\t{fog_id}"
     return [
         f"{head}\t{sid}\t{cls}\t"

@@ -246,10 +246,6 @@ class Topology:
             raise MissingPoP(f"fog {fog} has no PoP", fog)
         return pops[0].id
 
-    def macro_of(self, fog: str) -> Optional[str]:
-        macros = self.nodes_of_kind(NodeKind.MACRO_BS, fog)
-        return macros[0].id if macros else None
-
     def fog_of(self, node_id: str) -> Optional[str]:
         return self.nodes[node_id].fog
 

@@ -5,6 +5,7 @@ links for allocation tests."""
 from fractions import Fraction
 
 from fognet.dataplane import AddressPool, FlowPath, InstalledFlow, LruCache, NetworkState, RouteKind
+from fognet.engine import Engine
 from fognet.fogctrl import (
     Attachment,
     Endpoint,
@@ -15,7 +16,7 @@ from fognet.fogctrl import (
     QosClass,
     UserRecord,
 )
-from fognet.slicing import SliceManager, SliceSpec
+from fognet.slicing import SliceSpec
 from fognet.topology import Link, LinkClass, NodeKind, ResourceClass, Topology, build_from_config
 
 VOIP = "local_voip"
@@ -129,16 +130,12 @@ class FogEnv:
             "fog1",
             self.profile,
             self.net,
+            self.slices,
             policy=self.policy,
             cache=cache,
             dhcp=dhcp,
             cloud=cloud,
         )
-        manager = SliceManager(physical=self.fog.physical_capacity)
-        manager.on_create = self.fog.create_racf
-        self.fog.slice_manager = manager
-        for spec in self.slices:
-            manager.create_slice(spec)
         operators = [s.operator for s in self.slices]
         self.operator_of = {}
         users = [n.id for n in self.topo.nodes_of_kind(NodeKind.USER)]
@@ -206,21 +203,21 @@ def two_fog_doc():
 
 
 class CloudEnv:
-    """Full multi-fog wiring: one network, a cloud controller, fog controls.
-    Every fog holds `slices` (one full-share slice by default), and users
-    take their operators in turn, by id."""
+    """Full multi-fog wiring: one network, an engine, a cloud controller,
+    fog controls. Every fog holds `slices` (one full-share slice by
+    default), and users take their operators in turn, by id. Tests move
+    time with `engine.run_until`, which also delivers the cloud's control
+    messages."""
 
-    def __init__(
-        self, doc=None, engine=None, profiles=None, policy=None, rtt_ms=20, demands=(Fraction(1, 2),), slices=None
-    ):
+    def __init__(self, doc=None, profiles=None, policy=None, rtt_ms=20, demands=(Fraction(1, 2),), slices=None):
         from fognet.cloudctrl import CloudControl
 
         self.topo = build_from_config(doc or two_fog_doc())
         self.policy = policy or dict(DEFAULT_POLICY)
         slices = slices or [full_share_slice()]
         self.net = NetworkState(self.topo, configured_rates(self.policy, demands), slice_shares(slices))
-        self.engine = engine
-        self.cloud = CloudControl(self.net, engine, rtt_ms=rtt_ms)
+        self.engine = Engine()
+        self.cloud = CloudControl(self.net, self.engine, rtt_ms=rtt_ms)
         self.fogs = {}
         self.operator_of = {}
         for fog_id in self.topo.fogs():
@@ -229,14 +226,10 @@ class CloudEnv:
                 fog_id,
                 profile,
                 self.net,
+                slices,
                 policy=self.policy,
                 cache=LruCache(8) if profile.cache_in_fog else None,
             )
-            manager = SliceManager(physical=fog.physical_capacity)
-            manager.on_create = fog.create_racf
-            fog.slice_manager = manager
-            for spec in slices:
-                manager.create_slice(spec)
             self.cloud.register_fog(fog)
             self.fogs[fog_id] = fog
         operators = [spec.operator for spec in slices]
@@ -274,10 +267,12 @@ class CloudEnv:
             demand=Fraction(demand),
         )
 
-    def set_backhaul(self, fog_id, up, now_ms=0):
+    def set_backhaul(self, fog_id, up):
+        """Set every backhaul of the fog Up or Down now; returns whether
+        that isolated the fog."""
         for link in self.topo.backhaul_links(fog_id):
             self.net.set_link_state(link.id, up)
-        return self.cloud.on_backhaul_change(fog_id, now_ms)
+        return self.cloud.on_backhaul_change(fog_id)
 
 
 def bare_net(capacity, rates=()):
@@ -313,5 +308,5 @@ class FakeCloud:
     def fog_of_user(self, user_id):
         return self.known.get(user_id)
 
-    def push_context_update(self, fog_id, user_id, attachment, time_ms):
+    def push_context_update(self, fog_id, user_id, attachment):
         pass

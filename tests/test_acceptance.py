@@ -107,7 +107,8 @@ def test_02_isolation_survival():
     before = {fid: env.net.allocated(fid) for fid in ("local1", "local2", "local3")}
     assert before["local1"] == F(1, 2)  # guaranteed rate, exact
 
-    env.set_backhaul("fog1", False, now_ms=1000)  # scripted outage at t=T
+    env.engine.run_until(1000)
+    env.set_backhaul("fog1", False)  # scripted outage at t=T
     env.net.recompute()
 
     cloud_bound_killed = sorted(fid for fid, _ in terminated)
@@ -267,16 +268,20 @@ def test_04_maxmin_500_instances():
 def test_05_slicing_conservation_and_diversion():
     t0 = time.perf_counter()
     physical = {cls: 100 for cls in ResourceClass.ALL}
-    sm = SliceManager(physical=lambda: dict(physical))
-    sm.create_slice(SliceSpec("a", "op-a", {cls: F(6, 10) for cls in ResourceClass.ALL}))
-    sm.create_slice(SliceSpec("b", "op-b", {cls: F(4, 10) for cls in ResourceClass.ALL}))
+    sm = SliceManager(
+        [
+            SliceSpec("a", "op-a", {cls: F(6, 10) for cls in ResourceClass.ALL}),
+            SliceSpec("b", "op-b", {cls: F(4, 10) for cls in ResourceClass.ALL}),
+        ]
+    )
     cls = ResourceClass.MACRO
-    idle = {key: 0 for key in sm.entitlements()}
+    entitled = sm.entitlements(physical)
+    idle = {key: 0 for key in entitled}
 
     hand_cases_ok = True
-    r = sm.compute_slice_allocations({**idle, ("a", cls): 90}, sm.entitlements())
+    r = sm.compute_slice_allocations({**idle, ("a", cls): 90}, entitled, physical)
     hand_cases_ok &= r["a", cls] == 90 and r["b", cls] == 0
-    r = sm.compute_slice_allocations({**idle, ("a", cls): 90, ("b", cls): 30}, sm.entitlements())
+    r = sm.compute_slice_allocations({**idle, ("a", cls): 90, ("b", cls): 30}, entitled, physical)
     hand_cases_ok &= r["a", cls] == 70 and r["b", cls] == 30
     hand_cases_ok &= r["a", cls] + r["b", cls] == 100
 
@@ -284,7 +289,7 @@ def test_05_slicing_conservation_and_diversion():
     conserved = True
     for _ in range(1000):
         demands = {(s, c): rng.randint(0, 150) for s in ("a", "b") for c in ResourceClass.ALL}
-        granted = sm.compute_slice_allocations(demands, sm.entitlements())
+        granted = sm.compute_slice_allocations(demands, entitled, physical)
         for c in ResourceClass.ALL:
             total = sum(granted[s, c] for s in ("a", "b"))
             if total > physical[c]:

@@ -6,7 +6,6 @@ import pytest
 
 from fognet.cloudctrl import FogIsolated
 from fognet.dataplane import FlowPath, InstalledFlow, RouteKind
-from fognet.engine import Engine
 from fognet.fogctrl import Attachment, Endpoint, PolicyRule, QosClass, RejectReason
 from fognet.slicing import SliceSpec
 from fognet.topology import NodeKind, ResourceClass
@@ -119,7 +118,7 @@ class TestInterFogPath:
 
 
     def test_destination_fog_caps_the_source_slice(self):
-        """An inter-fog flow is charged to the source user's slice in both
+        """An inter-fog flow counts against the source user's slice in both
         fogs, and each fog admits it within that slice's entitlement there.
         Slice s1 is entitled to 10 Mb/s of f2's Macro, and a local s1 flow
         holds 8 of it. A 4 Mb/s flow from f1's s1 user to f2's s2 user,
@@ -142,7 +141,7 @@ class TestInterFogPath:
         assert not refused.accepted and refused.reason == RejectReason.GBR_ADMISSION_FAIL
         assert "x1" not in net.flows
 
-        # over WLAN in f2 the same flow fits, and both fogs charge s1
+        # over WLAN in f2 the same flow fits, and both fogs count it against s1
         f2.context_of("f2-u2").attachment = Attachment(wlan_cluster="c-f2", macro=True)
         admitted = env.cloud.setup_interfog_path(env.spec("x2", "f1-u1", "f2-u2", demand=4))
         assert admitted.accepted and "wl-f2-u2" in admitted.path.links()
@@ -263,12 +262,17 @@ class TestBackhaulChange:
         env.fogs["f1"].handle_flow_request(env.spec("l1", "f1-u1", "f1-u2", app_class=VOIP))
         env.cloud.setup_external_path(env.spec("e1", "f1-u1", Endpoint.external(), app_class=WEB, demand=1))
         env.cloud.setup_interfog_path(env.spec("x1", "f1-u2", "f2-u1", app_class=VOIP))
-        assert env.set_backhaul("f1", False, now_ms=10)   # isolates; kills e1 and x1, l1 survives
-        assert not env.set_backhaul("f1", True, now_ms=20)
+        run_until = env.engine.run_until
+        run_until(10)
+        assert env.set_backhaul("f1", False)  # isolates; kills e1 and x1, l1 survives
+        run_until(20)
+        assert not env.set_backhaul("f1", True)
         d = env.cloud.setup_external_path(env.spec("e2", "f1-u1", Endpoint.external(), app_class=WEB, demand=1))
         assert d.accepted
-        assert env.set_backhaul("f1", False, now_ms=30)   # kills e2
-        assert not env.set_backhaul("f1", False, now_ms=40)  # already isolated: no transition
+        run_until(30)
+        assert env.set_backhaul("f1", False)  # kills e2
+        run_until(40)
+        assert not env.set_backhaul("f1", False)  # already isolated: no transition
         assert log == ["e1", "x1", "e2"]
         assert sorted(env.net.flows) == ["l1"]
         assert env.cloud.transitions[-3:] == [
@@ -323,10 +327,15 @@ class TestSync:
             Attachment(wlan_cluster=None, macro=True),
         ]
         for i, att in enumerate(moves):
-            env.fogs["f1"].clock = lambda t=i: 100 + t
+            env.engine.run_until(100 + i)
             env.fogs["f1"].handover("f1-u1", att)
         assert len(env.cloud.sync_records["f1"].pending) == 3
-        env.set_backhaul("f1", True, now_ms=500)  # no engine: sync runs inline
+        env.engine.run_until(500)
+        env.set_backhaul("f1", True)
+        # the sync round lands one round trip after the reconnect
+        env.engine.run_until(519)
+        assert len(env.cloud.sync_records["f1"].pending) == 3
+        env.engine.run_until(520)
         assert env.cloud.sync_records["f1"].pending == []
         assert env.cloud.context_replica["f1-u1"][0] == moves[-1]
 
@@ -341,21 +350,24 @@ class TestSync:
             (11, "f2", "f2-u1", Attachment(wlan_cluster="c-f2", macro=True)),
         ]
         for t, fog_id, user, att in updates:
-            env.fogs[fog_id].clock = lambda t=t: t
+            env.engine.run_until(t)
             env.fogs[fog_id].handover(user, att)
-        env.set_backhaul("f2", True, now_ms=50)
-        env.set_backhaul("f1", True, now_ms=60)
-        # replay oracle: apply all updates in event-time order
+        env.engine.run_until(50)
+        env.set_backhaul("f2", True)
+        env.engine.run_until(60)
+        env.set_backhaul("f1", True)
+        env.engine.run_until(100)  # both sync rounds land
+        # replay oracle: apply all updates in event-time order; each is
+        # stamped with the engine time of its handover
         replica = {}
         for t, fog_id, user, att in sorted(updates, key=lambda u: u[0]):
-            replica[user] = att
-        for user, att in replica.items():
-            assert env.cloud.context_replica[user][0] == att
+            replica[user] = (att, t)
+        for user, entry in replica.items():
+            assert env.cloud.context_replica[user] == entry
 
     def test_connected_updates_flow_through_scheduled_messages(self):
-        engine = Engine()
-        env = CloudEnv(engine=engine, rtt_ms=5)
-        env.fogs["f1"].clock = engine.now
+        env = CloudEnv(rtt_ms=5)
+        engine = env.engine
         env.fogs["f1"].handover("f1-u1", Attachment(wlan_cluster=None, macro=True))
         # not yet applied: the update rides a control message
         assert env.cloud.context_replica["f1-u1"][0].wlan_cluster == "c-f1"
@@ -363,10 +375,9 @@ class TestSync:
         assert env.cloud.context_replica["f1-u1"][0].wlan_cluster is None
 
     def test_eventual_consistency_at_quiescence(self):
-        engine = Engine()
-        env = CloudEnv(engine=engine, rtt_ms=5)
+        env = CloudEnv(rtt_ms=5)
+        engine = env.engine
         fog = env.fogs["f1"]
-        fog.clock = engine.now
         fog.handover("f1-u1", Attachment(wlan_cluster=None, macro=True))
         fog.handover("f1-u2", Attachment(wlan_cluster=None, macro=True))
         engine.run_until(100)

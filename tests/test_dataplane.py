@@ -291,7 +291,7 @@ class TestNonDecimalRates:
         step every public getter equals its recount in exact Mb/s. The unit
         covers all three rates from the start."""
         net = make_net([F(1, 10), F(4, 3), F(2, 7)], wlan_capacity=2, macro_capacity=F(3, 2))
-        fog = FogControl("fog1", FogProfile(), net)
+        fog = FogControl("fog1", FogProfile(), net, [])
         topo = net.topology
         capacity = {lid: link.capacity for lid, link in topo.links.items()}
         wlan_path = _ALLOC_PATHS[0]

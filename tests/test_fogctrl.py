@@ -244,21 +244,6 @@ class TestHandleFlowRequest:
             assert decision.path.rat_used == RouteKind.CLOUD_BOUND
             env.net.remove_flow(f"c{i}")
 
-    def test_charging_increments_once_per_accepted(self):
-        env = FogEnv()
-        racf = env.fog.racfs["s1"]
-        assert racf.charging == {}
-        d1 = env.fog.handle_flow_request(env.spec("f1", "u1", "u2", app_class=VOIP))
-        assert d1.accepted and racf.charging[VOIP] == 1
-        # rejected requests never charge
-        env.fog.context_of("u5").attachment = Attachment()
-        d2 = env.fog.handle_flow_request(env.spec("f2", "u5", "u1", app_class=VOIP))
-        assert not d2.accepted and racf.charging[VOIP] == 1
-        # re-decisions of the same flow never charge again
-        flow = env.net.flows["f1"]
-        env.fog.redecide_flow(flow)
-        assert racf.charging[VOIP] == 1
-
     def test_gbr_flow_allocation_equals_guarantee(self):
         env = FogEnv()
         env.fog.handle_flow_request(env.spec("f1", "u1", "u2", app_class=VOIP))
@@ -479,7 +464,7 @@ class TestRouteMemo:
         topo = build_from_config(doc())
         gbrs = [F(2), F(3), F(5), F(8)]
         net = NetworkState(topo, gbrs)
-        fogs = [FogControl(fog_id, FogProfile(), net) for fog_id in topo.fogs()]
+        fogs = [FogControl(fog_id, FogProfile(), net, []) for fog_id in topo.fogs()]
         users = [n.id for n in topo.nodes_of_kind(NodeKind.USER)]
         sources = users + [n.id for n in topo.nodes.values() if n.kind in (NodeKind.WLAN_AP, NodeKind.MACRO_BS)]
         link_ids = sorted(topo.links)
@@ -525,7 +510,7 @@ class TestRouteMemo:
         rng = random.Random(8)
         topo = build_from_config(two_cluster_doc(mesh_cross_link=True))
         net = NetworkState(topo, [F(1)])
-        fog = FogControl("fog1", FogProfile(), net)
+        fog = FogControl("fog1", FogProfile(), net, [])
         elements = [("link", lid) for lid in sorted(topo.links)]
         elements += [("node", n.id) for n in topo.nodes.values() if n.kind != NodeKind.USER]
         counts = {"checked": 0, "detour": 0, "no_headroom": 0}
@@ -564,8 +549,9 @@ class TestTemplates:
     def twin(fog):
         """A fog control over the same network, users and slices, with no
         template, no segment memo and a copy of the cache."""
+        manager = fog.slice_manager
         twin = FogControl(
-            fog.fog_id, fog.profile, fog.net, slice_manager=fog.slice_manager, policy=fog.policy,
+            fog.fog_id, fog.profile, fog.net, [manager.spec(sid) for sid in manager.slice_ids()], policy=fog.policy,
             cache=copy.deepcopy(fog.cache), cloud=fog.cloud, cloud_rtt_ms=fog.cloud_rtt_ms,
         )  # fmt: skip
         twin.racfs, twin._user_slice = fog.racfs, fog._user_slice

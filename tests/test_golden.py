@@ -7,9 +7,12 @@ through the cloud gateway, backhaul flaps while they are installed); a
 single fog with WLAN control overhead plus link and node faults (the
 unsliced overhead flows on the fog's mesh segments, moved when a fault
 changes a segment);
-and the two-cluster network with every capacity, demand, guarantee, share
+the two-cluster network with every capacity, demand, guarantee, share
 and the control overhead a ratio with denominator 3 or 7, none of them a
-finite decimal (exact rates that congest, with guaranteed-rate refusals).
+finite decimal (exact rates that congest, with guaranteed-rate refusals);
+and the two-cluster network with scarce Macro access and frequent
+relocations, where handover re-decisions terminate flows (the order of
+the termination and re-decision rows at a handover).
 
 A digest may change only with a deliberate change of behaviour; re-record
 it then and say why in the change notes.
@@ -79,6 +82,14 @@ GOLDEN = {
         "connectivity.log": "5f7e8492cd53af5d3ae6cf53dc49936d4fe2170999d85859fb98086444c0b1df",
         "slices.tsv": "cadee01580da991a153eea15a95ef2810b6709881839ac693d9955e666c68398",
         "run.log": "633cc5c9f61939af7b3111ea6e04c1b80f4787066027e49290932cf1bd9d93fe",
+    },
+    "handover_terminations": {
+        "metrics.tsv": "9a08f41474e4420c4cbf0b1c0cfadd0f87d473af1532b8776e45798685a35a72",
+        "decisions.log": "61d3d0ed6e6e5c83beabbaf39a0fc029bfd08d5593aad877bfd318cc5c4f51c1",
+        "events.log": "1ecd2c46229eb5592750ed70bad8e5658ad3fc1aefe83b584ce0ab6553f20e9b",
+        "connectivity.log": "4edaba907a4a0e7ec50427d6e7086586561be0ac514907662c8393744f236cc2",
+        "slices.tsv": "9d398f9098983f0820cc7dcbec539341affb9e8156af95a3447d9b7928b26db2",
+        "run.log": "9856bab6e242d4bb51c3666632c8c6e47e3e3899ad80a8e322961d761aa50fce",
     },
 }
 
@@ -176,6 +187,38 @@ NON_DECIMAL_CAPACITY = {
 }
 
 
+def _handover_terminations_sim(tmp_path: Path) -> Simulation:
+    topo = yaml.safe_load((SCENARIOS / "two_cluster.topo.yaml").read_text())
+    for link in topo["links"]:
+        if link["class"] == "MacroAccess":
+            link["capacity"] = 1.5
+    (tmp_path / "handover.topo.yaml").write_text(yaml.safe_dump(topo))
+    doc = {
+        "name": "handover terminations golden",
+        "seed": 41,
+        "duration_ms": 60_000,
+        "metrics_tick_ms": 5_000,
+        "topology": {"file": "handover.topo.yaml"},
+        "slices": [
+            {"id": "op-a", "operator": "alpha", "shares": 0.6},
+            {"id": "op-b", "operator": "beta", "shares": 0.4},
+        ],
+        "policy": {
+            "local_voip": {"qos": "RealTimeGBR", "gbr_mbps": 0.5},
+            "content_request": {"qos": "BestEffort"},
+            "external_web": {"qos": "BestEffort"},
+        },
+        "workload": {
+            "local_voip": {"rate_per_s": 1.5, "demand_mbps": 0.5, "holding_mean_s": 15},
+            "content_request": {"rate_per_s": 0.5, "demand_mbps": 2.0, "holding_mean_s": 8},
+            "external_web": {"rate_per_s": 0.3, "demand_mbps": 1.5, "holding_mean_s": 10},
+            "content": {"catalog_size": 20, "zipf_exponent": 1.0},
+            "mobility": {"mobile_fraction": 0.6, "relocation_rate_per_s": 0.5},
+        },
+    }
+    return Simulation(parse_scenario(doc, base_dir=str(tmp_path), name="handover_terminations"))
+
+
 def _non_decimal_sim(tmp_path: Path) -> Simulation:
     topo = yaml.safe_load((SCENARIOS / "two_cluster.topo.yaml").read_text())
     for link in topo["links"]:
@@ -244,3 +287,16 @@ def test_non_decimal_rates_digests(tmp_path):
     assert any(r[5] == "rejected" and r[6] == "GbrAdmissionFail" for r in rows)
     assert any("/7\t" in row or row.endswith("/7") for row in sim.slice_rows)
     assert digests == GOLDEN["non_decimal"]
+
+
+def test_handover_terminations_digests(tmp_path):
+    sim = _handover_terminations_sim(tmp_path)
+    digests = _digests(sim, tmp_path / "out")
+    handovers = {event.time for event in sim.engine.trace if event.kind == EventKind.HANDOVER_TRIGGER}
+    rows = [r.split("\t") for r in sim.decision_rows[1:]]
+    terminated = [r for r in rows if r[5] == "terminated"]
+    # the run has no faults: every termination is a handover re-decision
+    # that found no admissible path, and some handovers also moved flows
+    assert terminated and all(int(r[0]) in handovers and r[6] == "GbrAdmissionFail" for r in terminated)
+    assert any(r[16] == "1" and r[5] == "accepted" for r in rows)
+    assert digests == GOLDEN["handover_terminations"]

@@ -14,7 +14,7 @@ from fognet.engine import EventKind
 from fognet.scenario import load_scenario, parse_scenario
 from fognet.simulation import Simulation
 from invariants import check_after_every_event
-from test_golden import SCENARIOS, _non_decimal_sim, _overhead_faults_sim, _two_fog_sim
+from test_golden import SCENARIOS, _handover_terminations_sim, _non_decimal_sim, _overhead_faults_sim, _two_fog_sim
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -109,6 +109,7 @@ BUILDS = {
     "two_fog": _two_fog_sim,
     "overhead_faults": lambda tmp: _overhead_faults_sim(),
     "non_decimal": _non_decimal_sim,
+    "handover_terminations": _handover_terminations_sim,
     "capped_split": _capped_split_sim,
     "mesh_cycle": _mesh_cycle_sim,
 }

@@ -19,7 +19,7 @@ import pytest
 
 from fognet.dataplane import FlowPath, GbrOvercommit, InstalledFlow, NetworkState, RouteKind
 from fognet.fogctrl import FogControl, FogProfile
-from fognet.slicing import SliceManager, SliceSpec
+from fognet.slicing import SliceSpec
 from fognet.topology import ResourceClass, build_from_config
 from helpers import two_fog_doc
 from oracles import OracleFlow, _metered_in, _slice_cap_ok, _up, maxmin_oracle
@@ -49,17 +49,8 @@ def _build():
     net = NetworkState(
         build_from_config(two_fog_doc()), [F(1, 2), F(1, 3), F(1, 4)], [share for _, _, share in SLICES]
     )
-    fogs = {}
-    for fog_id in net.topology.fogs():
-        fog = FogControl(fog_id, FogProfile(), net)
-        fog.slice_manager = SliceManager(physical=fog.physical_capacity)
-        fog.slice_manager.on_create = fog.create_racf
-        for slice_id, operator, share in SLICES:
-            fog.slice_manager.create_slice(
-                SliceSpec(slice_id, operator, {cls: share for cls in ResourceClass.ALL})
-            )
-        fogs[fog_id] = fog
-    return net, fogs
+    specs = [SliceSpec(sid, operator, dict.fromkeys(ResourceClass.ALL, share)) for sid, operator, share in SLICES]
+    return net, {fog_id: FogControl(fog_id, FogProfile(), net, specs) for fog_id in net.topology.fogs()}
 
 
 def _flow(fid, hops, demand, gbr, slice_id):

@@ -22,14 +22,13 @@ F = Fraction
 
 
 def fixed_physical(amount=100):
-    caps = {cls: amount for cls in ResourceClass.ALL}
-    return lambda: dict(caps)
+    return dict.fromkeys(ResourceClass.ALL, amount)
 
 
 def demand_map(sm, demands):
     """(slice, class) -> demand for every slice and class of `sm`, from
     {slice: {class: demand}}, 0 where absent."""
-    return {(sid, cls): demands.get(sid, {}).get(cls, 0) for sid, cls in sm.entitlements()}
+    return {(sid, cls): demands.get(sid, {}).get(cls, 0) for sid in sm.slice_ids() for cls in ResourceClass.ALL}
 
 
 def spec(sid, op, share):
@@ -41,30 +40,28 @@ def decimal_spec(sid, op, num, den):
 
 
 class TestCreateSlice:
+    """A fog's slices are created with its `SliceManager`, which validates
+    them in its constructor."""
+
     def test_full_share_entitlement_equals_physical(self):
-        sm = SliceManager(physical=fixed_physical(100))
-        sm.create_slice(spec("s1", "op1", 1))
+        sm = SliceManager([spec("s1", "op1", 1)])
         for cls in ResourceClass.ALL:
-            assert sm.entitlements()["s1", cls] == 100
+            assert sm.entitlements(fixed_physical(100))["s1", cls] == 100
 
     def test_overcommit_rejected(self):
-        sm = SliceManager(physical=fixed_physical())
-        sm.create_slice(decimal_spec("s1", "op1", 6, 10))
+        SliceManager([decimal_spec("s1", "op1", 6, 10)])
         with pytest.raises(ShareOvercommit):
-            sm.create_slice(decimal_spec("s2", "op2", 5, 10))
+            SliceManager([decimal_spec("s1", "op1", 6, 10), decimal_spec("s2", "op2", 5, 10)])
 
     def test_duplicate_operator_rejected(self):
-        sm = SliceManager(physical=fixed_physical())
-        sm.create_slice(decimal_spec("s1", "op1", 3, 10))
+        SliceManager([decimal_spec("s1", "op1", 3, 10)])
         with pytest.raises(DuplicateOperator):
-            sm.create_slice(decimal_spec("s2", "op1", 3, 10))
+            SliceManager([decimal_spec("s1", "op1", 3, 10), decimal_spec("s2", "op1", 3, 10)])
 
     def test_entitlement_split(self):
-        sm = SliceManager(physical=fixed_physical(100))
-        sm.create_slice(decimal_spec("a", "op1", 6, 10))
-        sm.create_slice(decimal_spec("b", "op2", 4, 10))
-        assert sm.entitlements()["a", ResourceClass.MACRO] == 60
-        assert sm.entitlements()["b", ResourceClass.MACRO] == 40
+        sm = SliceManager([decimal_spec("a", "op1", 6, 10), decimal_spec("b", "op2", 4, 10)])
+        assert sm.entitlements(fixed_physical(100))["a", ResourceClass.MACRO] == 60
+        assert sm.entitlements(fixed_physical(100))["b", ResourceClass.MACRO] == 40
 
     def test_racf_instances_created_per_slice(self):
         env = FogEnv(slices=[decimal_spec("a", "op1", 6, 10), decimal_spec("b", "op2", 4, 10)])
@@ -74,13 +71,12 @@ class TestCreateSlice:
 
 class TestComputeAllocations:
     def setup_method(self):
-        self.sm = SliceManager(physical=fixed_physical(100))
-        self.sm.create_slice(decimal_spec("a", "op1", 6, 10))
-        self.sm.create_slice(decimal_spec("b", "op2", 4, 10))
+        self.sm = SliceManager([decimal_spec("a", "op1", 6, 10), decimal_spec("b", "op2", 4, 10)])
+        self.physical = fixed_physical(100)
 
     def _granted(self, da, db, cls=ResourceClass.MACRO):
         grants = self.sm.compute_slice_allocations(
-            demand_map(self.sm, {"a": {cls: da}, "b": {cls: db}}), self.sm.entitlements()
+            demand_map(self.sm, {"a": {cls: da}, "b": {cls: db}}), self.sm.entitlements(self.physical), self.physical
         )
         return grants["a", cls], grants["b", cls]
 
@@ -105,13 +101,13 @@ class TestComputeAllocations:
     @given(st.integers(0, 300), st.integers(0, 300), st.integers(0, 300))
     @settings(max_examples=60, deadline=None)
     def test_three_slice_conservation_property(self, d1, d2, d3):
-        sm = SliceManager(physical=fixed_physical(100))
-        sm.create_slice(decimal_spec("x", "o1", 5, 10))
-        sm.create_slice(decimal_spec("y", "o2", 3, 10))
-        sm.create_slice(decimal_spec("z", "o3", 1, 10))
+        sm = SliceManager(
+            [decimal_spec("x", "o1", 5, 10), decimal_spec("y", "o2", 3, 10), decimal_spec("z", "o3", 1, 10)]
+        )
+        physical = fixed_physical(100)
         cls = ResourceClass.WLAN
         demands = demand_map(sm, {"x": {cls: d1}, "y": {cls: d2}, "z": {cls: d3}})
-        granted = sm.compute_slice_allocations(demands, sm.entitlements())
+        granted = sm.compute_slice_allocations(demands, sm.entitlements(physical), physical)
         grants = {sid: granted[sid, cls] for sid in ("x", "y", "z")}
         assert sum(grants.values()) <= 100
         for sid, share in (("x", 50), ("y", 30), ("z", 10)):
@@ -121,11 +117,10 @@ class TestComputeAllocations:
 
     def test_entitlement_tracks_live_physical(self):
         caps = {cls: 100 for cls in ResourceClass.ALL}
-        sm = SliceManager(physical=lambda: dict(caps))
-        sm.create_slice(decimal_spec("a", "op1", 6, 10))
-        assert sm.entitlements()["a", ResourceClass.MACRO] == 60
+        sm = SliceManager([decimal_spec("a", "op1", 6, 10)])
+        assert sm.entitlements(caps)["a", ResourceClass.MACRO] == 60
         caps[ResourceClass.MACRO] = 50
-        assert sm.entitlements()["a", ResourceClass.MACRO] == 30
+        assert sm.entitlements(caps)["a", ResourceClass.MACRO] == 30
 
 
 class TestControlStateIsolation:
@@ -141,8 +136,6 @@ class TestControlStateIsolation:
         decision = env.fog.handle_flow_request(env.spec("f1", "u1", "u3", app_class=VOIP))
         assert decision.accepted and decision.slice_id == "a"
         assert env.net.flows["f1"].slice_id == "a"
-        assert racf_a.charging.get(VOIP) == 1
-        assert racf_b.charging == {}
         assert "u1" not in racf_b.contexts
 
 
@@ -182,16 +175,14 @@ def integer_rows(specs, capacity, rounds):
     rates = list(capacity.values()) + [demand for demands in rounds for demand in demands.values()]
     unit = rate_unit(rates, [share for spec in specs for share in spec.shares.values()])
     physical = {cls: in_units(rate, unit) for cls, rate in capacity.items()}
-    manager = SliceManager(physical=lambda: dict(physical))
-    for spec in specs:
-        manager.create_slice(spec)
+    manager = SliceManager(specs)
     texts = RateTexts(unit)
-    entitled = manager.entitlements()
+    entitled = manager.entitlements(physical)
     rows, split = [], False
     for now_ms, demands in enumerate(rounds):
         in_unit = {key: in_units(demand, unit) for key, demand in demands.items()}
-        split |= manager.compute_slice_allocations(in_unit, entitled) is not in_unit
-        rows.append(slice_rows(now_ms, "f1", manager, texts, entitled, in_unit))
+        split |= manager.compute_slice_allocations(in_unit, entitled, physical) is not in_unit
+        rows.append(slice_rows(now_ms, "f1", manager, texts, physical, entitled, in_unit))
     return rows, split
 
 
@@ -239,14 +230,13 @@ class TestIntegerSliceRows:
         capacity, share = F(11, 5), F(3, 5)
         assert rate_unit([capacity]) == rate_unit([capacity, share]) == 5
         physical = {cls: in_units(capacity, 5) for cls in ResourceClass.ALL}
-        manager = SliceManager(physical=lambda: dict(physical))
-        manager.create_slice(SliceSpec("a", "op-a", {cls: share for cls in ResourceClass.ALL}))
+        manager = SliceManager([SliceSpec("a", "op-a", {cls: share for cls in ResourceClass.ALL})])
         with pytest.raises(ValueError, match="not a whole number"):
-            manager.entitlements()["a", ResourceClass.WLAN]
+            manager.entitlements(physical)["a", ResourceClass.WLAN]
         unit = rate_unit([capacity], [share])
         assert unit == 25
         physical.update({cls: in_units(capacity, unit) for cls in ResourceClass.ALL})
-        assert manager.entitlements()["a", ResourceClass.WLAN] == 33
+        assert manager.entitlements(physical)["a", ResourceClass.WLAN] == 33
         assert rate_str(33, unit) == "1.32"
 
     @given(st.fractions(max_denominator=10**6), st.integers(1, 10**4))
