@@ -14,8 +14,8 @@ and demand and the sliceable capacity of each resource class, plus an
 epoch for the fogs' entitlement caches (see its docstring for who
 updates what).
 
-Rates: flows (`InstalledFlow.demand`, `.gbr`), `allocated()` and `alloc`
-are exact `Fraction`s in Mb/s. Every ledger is a plain `int` in units of
+Rates: flows (`InstalledFlow.demand`, `.gbr`) and `allocated()` are
+exact `Fraction`s in Mb/s. Every ledger is a plain `int` in units of
 `1/NetworkState.unit` Mb/s (`util.in_units`), and so is what the
 `*_units` readers return and what `constrained_route` takes as `need`;
 the one exception is a link's best-effort total while congested, a
@@ -38,11 +38,11 @@ link is congested, `recompute()` is the one caller of the max-min solve
 rising flows (best-effort, demand > 0, at least one link) as a
 `FairShareIndex` kept across solves, the net-of-GBR capacities and the
 congested links, the only ones that can bind. It alone raises
-`GbrOvercommit`. `alloc` holds the solve's output, and `load_units()`
-reads the best-effort total of the links it is given from the rounds that
-the solve left in the index. A path never lists a link twice
-(`install_flow` refuses one that does), so every ledger counts a flow
-once per link it crosses.
+`GbrOvercommit`. `allocated()` and `load_units()` read a flow's rate
+and the best-effort total of the links they are given from the levels
+and freeze rounds that the solve left in the index. A path never lists
+a link twice (`install_flow` refuses one that does), so every ledger
+counts a flow once per link it crosses.
 
 Routing is one minimum-hop search, `constrained_route`, over a set of
 permitted link ids. Which links a fog may route over is a fact of the
@@ -231,22 +231,21 @@ class NetworkState:
       `install_flow` and `remove_flow` add and remove rising flows while
       it exists; the uncongested fast path of `recompute()` drops
       it. So a run that never congests never builds one. Each solve
-      leaves its rounds in it (`FairShareIndex.rounds`), from which the
-      best-effort total of any set of links is a sum over the rounds.
-    - `alloc`: the max-min solver's output for the rising flows from the
-      last `recompute()`, filled only while some link is congested;
-      otherwise it is empty and rates come from the installed flows
-      themselves. A GBR flow's rate is always its own `gbr`, and a
-      best-effort flow that does not rise carries its demand (0 when it
-      has none).
+      leaves in it each round's level (`FairShareIndex.rounds`) and the
+      round each rising flow froze in (`froze`): that level is the
+      flow's rate, made a `Fraction` only when `allocated()` asks, and a
+      flow installed since reads 0 and counts in no total. While no link
+      is congested rates come from the installed flows themselves. A
+      GBR flow's rate is always its own `gbr`, and a best-effort flow
+      that does not rise carries its demand (0 when it has none).
 
     `load_units(*link_ids)` is the one reader of allocated load, summed
     over the links it is given, so a caller that wants a class total asks
     once. While no link is congested it sums `_offered`; while congested,
     the guarantees held (`_capacity` less `_be_capacity`) plus the
-    best-effort total of the last solve, read from `_fair`. Like `alloc`,
-    it is current once `recompute()` has run after the last install or
-    removal.
+    best-effort total of the last solve, read from `_fair`. Like
+    `allocated()`, it is current once `recompute()` has run after the
+    last install or removal.
     """
 
     def __init__(self, topology: Topology, rates: Iterable[Fraction], shares: Iterable[Fraction] = ()):
@@ -256,7 +255,6 @@ class NetworkState:
         }
         self.node_up: Dict[str, bool] = {nid: True for nid in topology.nodes}
         self.flows: Dict[str, InstalledFlow] = {}
-        self.alloc: Dict[str, Fraction] = {}
         self.epoch = 0
         self._health_watchers: List[Callable[[str, bool], None]] = []
         self.unit = rate_unit([link.capacity for link in topology.links.values()] + list(rates), shares)
@@ -411,7 +409,6 @@ class NetworkState:
         flow = self.flows.pop(flow_id, None)
         if flow is None:
             raise UnknownFlow(f"flow {flow_id} not installed", flow_id)
-        self.alloc.pop(flow_id, None)
         gbr, want = flow.gbr_units, flow.rate_units
         if gbr > 0:
             self._reserve(flow, -gbr)
@@ -467,7 +464,6 @@ class NetworkState:
         if not self._congested:
             # uncongested fast path: every flow carries its own rate, which
             # allocated() and load_units() read off the installed flows
-            self.alloc = {}
             self._fair = None
             return
         overcommitted = [lid for lid in self._congested if self._be_capacity[lid] < 0]
@@ -476,8 +472,8 @@ class NetworkState:
             held = self._capacity[lid] - self._be_capacity[lid]
             raise GbrOvercommit(lid, Fraction(held, self.unit), self.topology.links[lid].capacity)
         if self._fair is None:
-            self._fair = FairShareIndex(self._rising.values(), self.unit)
-        self.alloc = recompute_fair_shares(self._fair, self._be_capacity, self._congested)
+            self._fair = FairShareIndex(self._rising.values())
+        recompute_fair_shares(self._fair, self._be_capacity, self._congested)
 
     def allocated(self, flow_id: str) -> Fraction:
         flow = self.flows.get(flow_id)
@@ -487,7 +483,11 @@ class NetworkState:
             return flow.gbr
         if not self._congested or not flow.links:
             return max(flow.demand, ZERO)
-        return self.alloc.get(flow_id, ZERO)
+        fair = self._fair
+        if fair is None or flow_id not in fair.froze:
+            return ZERO  # no solve since it was installed
+        ln, ld = fair.rounds[fair.froze[flow_id]]
+        return Fraction(ln, ld * self.unit)
 
     def load_units(self, *link_ids: str) -> int | Fraction:
         """The allocated rate summed over the links, in units: an int, or

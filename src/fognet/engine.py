@@ -6,19 +6,19 @@ function of the scheduled inputs.
 
 The max-min solve (`FairShareIndex`, `recompute_fair_shares`) has one
 caller, `dataplane.NetworkState.recompute`, which owns every fact it
-reads: the rising flows, each link's capacity net of guarantees and the
-congested links. Guarantees, their overcommit check and the rates of
-flows that do not rise stay with `NetworkState`.
+reads (the rising flows, each link's capacity net of guarantees and the
+congested links) and derives every rate and total when asked from the
+levels and freeze rounds the solve leaves. Guarantees, their overcommit
+check and the rates of flows that do not rise stay with `NetworkState`.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, count
+from itertools import count
 from math import gcd
 from typing import Callable, Dict, Iterable, List, Mapping, Set, Tuple
 
@@ -101,27 +101,27 @@ class FairShareIndex:
     each in O(path), so it keeps one index while some link is congested and
     hands it to every `recompute_fair_shares` call instead of rebuilding
     the inputs per solve. A flow is an `InstalledFlow`: `flow_id`, `links`
-    (never one twice) and `rate_units`, its demand in units of `1/unit`
-    Mb/s. `len()` counts the rising flows.
+    (never one twice) and `rate_units`, its demand in the owner's units
+    (`NetworkState.unit`). `len()` counts the rising flows.
 
     - `crossed`: each rising flow's links. `users`: the rising flows on
       each link, for the links that have any.
     - `buckets`: the rising flows keyed by demand in units. Flows share a
       few demands, so a solve walks the buckets in demand order instead of
       sorting flows.
-    - `rounds`: left by the last solve, one `(ln, ld, touched)` per round:
-      the round's level `ln/ld` in units and, per link, how many rising
-      flows froze at it (`touched`, a `Counter`). `best_effort_on` turns
-      them into the best-effort total of any set of links on demand, so a
-      solve does no arithmetic for totals nobody reads.
+    - `rounds` and `froze`, left by the last solve: each round's level
+      `(ln, ld)`, `ln/ld` in units, and the round each flow it solved
+      froze in, whose level is the flow's rate; a flow added since is in
+      none. `best_effort_on` sums any set of links from them on demand,
+      so a solve does no arithmetic for rates or totals nobody reads.
     """
 
-    def __init__(self, flows: Iterable = (), unit: int = 1):
-        self.unit = unit
+    def __init__(self, flows: Iterable = ()):
         self.crossed: Dict[str, Tuple[str, ...]] = {}
         self.users: Dict[str, Set[str]] = {}
         self.buckets: Dict[int, Set[str]] = {}
-        self.rounds: List[Tuple[int, int, Counter]] = []
+        self.rounds: List[Tuple[int, int]] = []
+        self.froze: Dict[str, int] = {}
         for flow in flows:
             self.add(flow)
 
@@ -138,6 +138,7 @@ class FairShareIndex:
     def remove(self, flow) -> None:
         fid = flow.flow_id
         del self.crossed[fid]
+        self.froze.pop(fid, None)
         users = self.users
         for lid in flow.links:
             on = users[lid]
@@ -150,44 +151,47 @@ class FairShareIndex:
             del self.buckets[flow.rate_units]
 
     def best_effort_on(self, *link_ids: str) -> int | Fraction:
-        """Sum over the links of the last solve's rates of the best-effort
-        flows on each, in units: an int, or a `Fraction` when levels are
-        not whole units; 0 when none of them crosses the links."""
-        whole = num = 0
-        den = 1
-        for ln, ld, touched in self.rounds:
-            k = 0
-            for lid in link_ids:
-                k += touched.get(lid, 0)
-            if not k:
-                continue
-            if ld == 1:
-                whole += ln * k
+        """Sum over the links of the last solve's rates of the rising flows
+        on each, in units: an int, or a `Fraction` when levels are not
+        whole units; 0 when none of them crosses the links. A flow added
+        since the solve counts 0."""
+        froze = self.froze.get
+        per_round: Dict[int | None, int] = {}  # freeze round (None: added since) -> flows on the links
+        for lid in link_ids:
+            for r in map(froze, self.users.get(lid, ())):
+                per_round[r] = per_round.get(r, 0) + 1
+        per_round.pop(None, None)
+        rounds = self.rounds
+        num, den = 0, 1
+        for r, k in per_round.items():
+            ln, ld = rounds[r]
+            if ld == den:
+                num += ln * k
             else:
                 num, den = num * ld + ln * k * den, den * ld
-                g = gcd(num, den)
-                num //= g
-                den //= g
-        return whole + num if den == 1 else Fraction(whole * den + num, den)
+        if den == 1:
+            return num
+        g = gcd(num, den)
+        return num // g if g == den else Fraction(num // g, den // g)
 
 
-def recompute_fair_shares(
-    index: FairShareIndex, capacity: Mapping[str, int], contended: Iterable[str]
-) -> Dict[str, Fraction]:
+def recompute_fair_shares(index: FairShareIndex, capacity: Mapping[str, int], contended: Iterable[str]) -> None:
     """Max-min shares of the index's rising flows, by a water-level solve
-    over residual capacities; exact `Fraction`s in Mb/s, keyed by flow id.
+    over residual capacities, left in the index: the level of each round
+    (`rounds`) and the round each flow froze in (`froze`), all in units.
 
-    `capacity` is each link's capacity for the rising flows, in the index's
-    unit: `NetworkState` passes its capacity net of guarantees. `contended`
-    are the links whose rising flows' demand exceeds it (`NetworkState`
-    passes `_congested`), and each has at least one rising flow.
+    `capacity` is each link's capacity for the rising flows, in the units
+    of their demands: `NetworkState` passes its capacity net of
+    guarantees. `contended` are the links whose rising flows' demand
+    exceeds it (`NetworkState` passes `_congested`), and each has at least
+    one rising flow.
 
     Every rising flow rises from 0 at one common level. With `avail` the
     link's capacity left after frozen flows and `n` the rising flows on it,
     a link saturates at level `avail/n`. Each round finds the lowest level
     at which a link saturates or the lowest demand bucket that still rises
     is met, and the links tight at it. Their rising flows and the met
-    bucket's freeze at that level; then each link they cross is updated
+    bucket's freeze at that level; then each contended link is updated
     once for the round (`avail -= level*k`, `n -= k` for its k newly frozen
     flows). This is progressive filling (Bertsekas & Gallager, *Data
     Networks*, 6.5) taken one saturation level at a time, and the rounds
@@ -198,33 +202,29 @@ def recompute_fair_shares(
     least the lowest unmet demand D, so its level `avail/n` is never below
     D; and when it equals D, every rising flow on it has demand D and
     freezes with the met bucket at that same level. So the levels are those
-    of a solve over every link, while the rounds update only the links that
-    can be bottlenecks (Ros-Giralt et al., "On the Bottleneck Structure of
-    Congestion-Controlled Networks", SIGMETRICS 2020).
+    of a solve over every link, while the rounds count frozen flows only on
+    the links that can be bottlenecks (Ros-Giralt et al., "On the
+    Bottleneck Structure of Congestion-Controlled Networks", SIGMETRICS
+    2020).
 
-    Each round is kept in the index's `rounds` as its level and a `Counter`
-    of the flows it froze per link, from which `FairShareIndex.best_effort_on`
-    reads the total of any set of links. Capacities and demands are whole
-    units, `avail` and levels integer pairs, and each round makes one
-    `Fraction`, its level in Mb/s, so capacity is conserved with no
-    tolerance.
+    Capacities and demands are whole units, and `avail` and levels integer
+    pairs, so capacity is conserved with no tolerance and a solve makes no
+    `Fraction`: `NetworkState.allocated` makes one per rate it is asked.
     """
-    unit = index.unit
     users = index.users
-    crossed = index.crossed
-    alloc: Dict[str, Fraction] = {}
     # `avail` is kept as a reduced integer pair and levels are compared as
     # integer pairs (numerator, positive denominator), all in units.
     avail = {lid: (capacity[lid], 1) for lid in contended}  # contended link -> a/b left
     count = {lid: len(users[lid]) for lid in avail}  # contended link -> rising flows on it
     saturates = {lid: (a, count[lid]) for lid, (a, _) in avail.items()}  # contended link -> avail/n
     rounds = index.rounds = []
+    froze = index.froze = {}
     buckets = sorted(index.buckets.items())  # (demand, its rising flows)
     next_met = 0  # every flow of a bucket before buckets[next_met] is frozen
-    rising = len(crossed)
+    rising = len(index)
 
     while rising:
-        while buckets[next_met][1] <= alloc.keys():
+        while buckets[next_met][1] <= froze.keys():
             next_met += 1
         demand, bucket = buckets[next_met]
         num, den = demand, 1
@@ -237,23 +237,19 @@ def recompute_fair_shares(
                 tight.append(lid)
         g = gcd(num, den)
         ln, ld = num // g, den // g
-        level = Fraction(ln, ld * unit)
 
-        frozen = []
-        for lid in tight:
-            new = users[lid].difference(alloc)
-            alloc.update(dict.fromkeys(new, level))
-            frozen += new
+        frozen = set().union(*map(users.__getitem__, tight))
         if ln == demand * ld:
-            new = bucket.difference(alloc)
-            alloc.update(dict.fromkeys(new, level))
-            frozen += new
+            frozen |= bucket
+        frozen = frozen.difference(froze)
+        froze.update(dict.fromkeys(frozen, len(rounds)))
+        rounds.append((ln, ld))
         rising -= len(frozen)
 
-        touched = Counter(chain.from_iterable(map(crossed.__getitem__, frozen)))
-        rounds.append((ln, ld, touched))
-        for lid in [lid for lid in count if lid in touched]:
-            k = touched[lid]
+        for lid in list(count):
+            k = len(frozen & users[lid])
+            if not k:
+                continue
             n = count[lid] - k
             if n:
                 count[lid] = n
@@ -266,5 +262,3 @@ def recompute_fair_shares(
                 saturates[lid] = (a, b * n)
             else:
                 del count[lid], saturates[lid]
-
-    return alloc

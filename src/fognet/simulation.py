@@ -367,7 +367,8 @@ class Simulation:
                 continue  # control overhead, moved by `_route_control_overhead`
             # a sliced flow's source is a registered user (`_decide`)
             decision = self.fogs[self.cloud.fog_of_user(flow.path.src)].redecide_flow(flow)
-            self._log_decision(self.engine.now(), flow.spec, decision, reroute=True)
+            if decision.accepted:  # a refused one was written as its termination (`on_terminate`)
+                self._log_decision(self.engine.now(), flow.spec, decision, reroute=True)
 
     def _on_fault(self, event: Event) -> None:
         """A link or node going Down or Up."""

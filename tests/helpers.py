@@ -295,6 +295,12 @@ def install(net, fid, links, demand, gbr=0):
     return flow
 
 
+def solved_rates(index, unit):
+    """Each flow's rate (Mb/s) in the index's last solve, whose levels are
+    in units of `1/unit` Mb/s: the level of the round it froze in."""
+    return {fid: Fraction(*index.rounds[r]) / unit for fid, r in index.froze.items()}
+
+
 class FakeCloud:
     """Minimal cloud stand-in for profile fallback tests."""
 

@@ -21,7 +21,7 @@ from fognet.dataplane import (
 from fognet.engine import FairShareIndex, recompute_fair_shares
 from fognet.fogctrl import FogControl, FogProfile
 from fognet.topology import LINK_TO_RESOURCE, LinkClass, ResourceClass, build_from_config
-from helpers import two_cluster_doc
+from helpers import solved_rates, two_cluster_doc
 from oracles import OracleFlow, ReferenceLru, best_path, enumerate_simple_paths, maxmin_oracle
 
 F = Fraction
@@ -211,10 +211,12 @@ class TestKeptFairShareIndex:
     def test_random_steps_match_fresh_solve_and_oracle(self):
         """The solver index that NetworkState keeps while a link is congested
         equals one built fresh from its rising flows and gives the same
-        answer as it and as the oracle after every recompute(), through
-        installs, removals and link flaps, on each link and summed over
-        random sets of links; it exists exactly while some link is
-        congested."""
+        answer as it (every rising flow's exact rate) and as the oracle
+        after every recompute(), through installs, removals and link flaps,
+        on each link and summed over random sets of links; it exists
+        exactly while some link is congested. A rising flow installed into
+        a solved index reads 0 until the next solve and counts in no
+        total."""
         demands = [F(0), F(1, 2), F(1), F(2), F(3)]  # few values, so ties
         net = make_net(demands, backhaul_capacity=16, middle_mile_capacity=12, wlan_capacity=8, macro_capacity=6)
         capacity = {lid: link.capacity for lid, link in net.topology.links.items()}
@@ -225,6 +227,7 @@ class TestKeptFairShareIndex:
         seen = set()
         was_congested = False
         fair = None
+        per_link = {}
         for _ in range(600):
             roll = rng.random()
             if roll < 0.08:
@@ -249,21 +252,29 @@ class TestKeptFairShareIndex:
                 except LinkDown:
                     continue
                 seen.add("gbr" if gbr else "zero" if not demand else "be")
+                if fair is not None and not gbr and demand:
+                    # read before the solve: the new flow is in the index but in no round
+                    seen.add("unsolved")
+                    assert new.flow_id in net._rising and new.flow_id not in fair.froze
+                    assert net.allocated(new.flow_id) == 0
+                    for lid in capacity:
+                        assert net.load_units(lid) == per_link[lid]
             net.recompute()
 
             congested = bool(net._congested)
             assert (net._fair is not None) == congested
             if congested:
-                fresh = FairShareIndex(net._rising.values(), net.unit)
+                fresh = FairShareIndex(net._rising.values())
                 assert (net._fair.crossed, net._fair.users, net._fair.buckets) == (
                     fresh.crossed,
                     fresh.users,
                     fresh.buckets,
                 )
-                assert net.alloc == recompute_fair_shares(fresh, net._be_capacity, net._congested)
+                recompute_fair_shares(fresh, net._be_capacity, net._congested)
+                rates = solved_rates(net._fair, net.unit)
+                assert rates.keys() == net._rising.keys()
+                assert rates == solved_rates(fresh, net.unit) == {fid: net.allocated(fid) for fid in rates}
                 kept += net._fair is fair
-            else:
-                assert net.alloc == {}
             transitions += congested != was_congested
             was_congested, fair = congested, net._fair
 
@@ -272,7 +283,6 @@ class TestKeptFairShareIndex:
             )
             for fid in net.flows:
                 assert net.allocated(fid) == oracle[fid]
-            per_link = {}
             for lid in capacity:
                 recount = sum((oracle[f.flow_id] for f in net.flows.values() if lid in f.links), F(0))
                 per_link[lid] = recount * net.unit
@@ -280,7 +290,7 @@ class TestKeptFairShareIndex:
             # the summed reader over a random set of links
             subset = pick.sample(sorted(capacity), pick.randint(0, len(capacity)))
             assert net.load_units(*subset) == sum((per_link[lid] for lid in subset), F(0))
-        assert seen == {"gbr", "zero", "be"}
+        assert seen == {"gbr", "zero", "be", "unsolved"}
         assert transitions > 10 and kept > 100
 
 

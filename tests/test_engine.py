@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fognet.engine import Engine, EventKind, FairShareIndex, SchedulingInPast, recompute_fair_shares
-from helpers import bare_net, install
+from helpers import bare_net, install, solved_rates
 from oracles import OracleFlow, maxmin_oracle
 
 F = Fraction
@@ -344,13 +344,15 @@ class TestFairShareIndex:
     def test_random_adds_and_removes_solve_as_a_fresh_index(self):
         """Through installs and removals on a bare network, the solver index
         that `NetworkState` keeps holds exactly the rising flows and solves
-        as one built fresh from `_rising`, and every rate equals the
+        as one built fresh from `_rising`: every rising flow's exact rate
+        and every link's best-effort total agree. Every rate equals the
         oracle's. `_congested`, the links a solve lets bind, equals a
         recount of the links whose rising flows want more than the capacity
         net of guarantees, and `load_units()` over each link and over random
-        sets of links equals a recount of the rates. Zero-demand and
-        linkless flows are installed too, and paths that list a link twice
-        are refused."""
+        sets of links equals a recount of the rates. A rising flow
+        installed into a solved index reads 0 until the next solve and
+        counts in no total. Zero-demand and linkless flows are installed
+        too, and paths that list a link twice are refused."""
         rng = random.Random(31)
         pick = random.Random(32)  # the link sets summed, apart from the walk
         links = [f"l{i}" for i in range(5)]
@@ -360,6 +362,7 @@ class TestFairShareIndex:
         live = {}
         serial = 0
         kinds = set()
+        per_link = {}
         for _ in range(300):
             if live and rng.random() < 0.45:
                 net.remove_flow(live.pop(rng.choice(sorted(live))).fid)
@@ -380,6 +383,14 @@ class TestFairShareIndex:
                     install(net, new.fid, new.links, new.demand, new.gbr)
                     kinds.add("gbr" if gbr else "zero" if not demand else "linkless" if not path else "be")
                     live[new.fid] = new
+                    if net._fair is not None and not gbr and demand and path:
+                        # read before the solve: the new flow is in the index but in no round
+                        kinds.add("unsolved")
+                        assert new.fid in net._fair.users[path[0]] and new.fid not in net._fair.froze
+                        assert net.allocated(new.fid) == 0
+                        for lid in links:
+                            assert net.load_units(lid) == per_link[lid]
+                        assert net.load_units(*path) == sum((per_link[lid] for lid in path), F(0))
             net.recompute()
             flows = list(live.values())
             oracle = maxmin_oracle(flows, caps)
@@ -390,19 +401,41 @@ class TestFairShareIndex:
             assert net._congested == {l for l in links if wanted[l] > net_capacity[l]}
             if net._congested:
                 kinds.add("congested")
-                fresh = FairShareIndex(net._rising.values(), net.unit)
+                fresh = FairShareIndex(net._rising.values())
                 fair = net._fair
                 assert len(fair) == len(fresh) == len(rising)
                 assert (fair.crossed, fair.users, fair.buckets) == (fresh.crossed, fresh.users, fresh.buckets)
-                assert net.alloc == recompute_fair_shares(fresh, net._be_capacity, net._congested)
-            per_link = {}
+                recompute_fair_shares(fresh, net._be_capacity, net._congested)
+                rates = solved_rates(fair, net.unit)
+                assert rates.keys() == net._rising.keys()
+                assert rates == solved_rates(fresh, net.unit) == {fid: net.allocated(fid) for fid in rates}
+                for lid in links:
+                    assert fair.best_effort_on(lid) == fresh.best_effort_on(lid)
             for lid in links:
                 per_link[lid] = sum((oracle[f.fid] for f in flows if lid in f.links), F(0)) * net.unit
                 assert net.load_units(lid) == per_link[lid]
             for _ in range(3):
                 subset = pick.sample(links, pick.randint(0, len(links)))
                 assert net.load_units(*subset) == sum((per_link[lid] for lid in subset), F(0))
-        assert kinds == {"gbr", "zero", "linkless", "refused", "be", "congested"} and live
+        assert kinds == {"gbr", "zero", "linkless", "refused", "be", "congested", "unsolved"} and live
+
+
+    def test_a_flow_reinstalled_before_the_solve_reads_zero(self):
+        """A flow removed and installed again under its id, as a
+        re-decision does, has no rate until the next solve: it reads 0 and
+        counts in no link's total, while the flow it shares a link with
+        keeps its solved rate."""
+        net = bare_net({"a": 4, "b": 10}, [3])
+        install(net, "x", ("a",), 3)
+        install(net, "y", ("a", "b"), 3)
+        net.recompute()
+        assert net.allocated("y") == 2 and net.load_units("a", "b") == 6
+        net.install_flow(net.remove_flow("y"))
+        assert net._fair is not None and net._congested == {"a"}
+        assert net.allocated("y") == 0 and net.allocated("x") == 2
+        assert (net.load_units("a"), net.load_units("b")) == (2, 0)
+        net.recompute()
+        assert net.allocated("y") == 2 and net.load_units("a", "b") == 6
 
 
 class TestContendedBoundary:

@@ -10,9 +10,12 @@ changes a segment);
 the two-cluster network with every capacity, demand, guarantee, share
 and the control overhead a ratio with denominator 3 or 7, none of them a
 finite decimal (exact rates that congest, with guaranteed-rate refusals);
-and the two-cluster network with scarce Macro access and frequent
+the two-cluster network with scarce Macro access and frequent
 relocations, where handover re-decisions terminate flows (the order of
-the termination and re-decision rows at a handover).
+the termination and re-decision rows at a handover); and the same scarce
+network with cluster power failures and no mobility, where the
+re-decisions at a fault terminate flows too (a refused re-decision is
+written only as its termination, as at a handover).
 
 A digest may change only with a deliberate change of behaviour; re-record
 it then and say why in the change notes.
@@ -90,6 +93,14 @@ GOLDEN = {
         "connectivity.log": "4edaba907a4a0e7ec50427d6e7086586561be0ac514907662c8393744f236cc2",
         "slices.tsv": "9d398f9098983f0820cc7dcbec539341affb9e8156af95a3447d9b7928b26db2",
         "run.log": "9856bab6e242d4bb51c3666632c8c6e47e3e3899ad80a8e322961d761aa50fce",
+    },
+    "fault_redecisions": {
+        "metrics.tsv": "43783a37c5ba06213f85eaa34b9a8a103ec087cc1142efc80b2280f8f9c441c7",
+        "decisions.log": "cc599c3880d422104caa4121b1449b0f29f1c641aa041bcad08c1ceee89453a0",
+        "events.log": "6e0a638539f6fa94b1a9c0fc839ff72e14e28ee373bbd7f432b15b5b4f6fc6ac",
+        "connectivity.log": "4edaba907a4a0e7ec50427d6e7086586561be0ac514907662c8393744f236cc2",
+        "slices.tsv": "0bb29e88c12189c5460ed09310059d795282ada43ab80cff64ddf2560a470c34",
+        "run.log": "2b655b324ad21e01d2aa139ad984e2579376e24c62e0c69645676050c5a2d8a6",
     },
 }
 
@@ -187,18 +198,19 @@ NON_DECIMAL_CAPACITY = {
 }
 
 
-def _handover_terminations_sim(tmp_path: Path) -> Simulation:
+def _scarce_macro_doc(tmp_path: Path, name: str) -> dict:
+    """The two-cluster network with 1.5 Mb/s Macro access, where a
+    re-decided guarantee often finds no admissible path, and its slices,
+    policy and workload; the caller adds seed, duration, mobility and
+    faults."""
     topo = yaml.safe_load((SCENARIOS / "two_cluster.topo.yaml").read_text())
     for link in topo["links"]:
         if link["class"] == "MacroAccess":
             link["capacity"] = 1.5
-    (tmp_path / "handover.topo.yaml").write_text(yaml.safe_dump(topo))
-    doc = {
-        "name": "handover terminations golden",
-        "seed": 41,
-        "duration_ms": 60_000,
+    (tmp_path / f"{name}.topo.yaml").write_text(yaml.safe_dump(topo))
+    return {
         "metrics_tick_ms": 5_000,
-        "topology": {"file": "handover.topo.yaml"},
+        "topology": {"file": f"{name}.topo.yaml"},
         "slices": [
             {"id": "op-a", "operator": "alpha", "shares": 0.6},
             {"id": "op-b", "operator": "beta", "shares": 0.4},
@@ -213,10 +225,22 @@ def _handover_terminations_sim(tmp_path: Path) -> Simulation:
             "content_request": {"rate_per_s": 0.5, "demand_mbps": 2.0, "holding_mean_s": 8},
             "external_web": {"rate_per_s": 0.3, "demand_mbps": 1.5, "holding_mean_s": 10},
             "content": {"catalog_size": 20, "zipf_exponent": 1.0},
-            "mobility": {"mobile_fraction": 0.6, "relocation_rate_per_s": 0.5},
         },
     }
+
+
+def _handover_terminations_sim(tmp_path: Path) -> Simulation:
+    doc = _scarce_macro_doc(tmp_path, "handover")
+    doc.update(name="handover terminations golden", seed=41, duration_ms=60_000)
+    doc["workload"]["mobility"] = {"mobile_fraction": 0.6, "relocation_rate_per_s": 0.5}
     return Simulation(parse_scenario(doc, base_dir=str(tmp_path), name="handover_terminations"))
+
+
+def _fault_redecisions_sim(tmp_path: Path) -> Simulation:
+    doc = _scarce_macro_doc(tmp_path, "fault_redecisions")
+    doc.update(name="fault re-decisions golden", seed=41, duration_ms=30_000)
+    doc["faults"] = {"cluster_power": {"mean_up_s": 15, "mean_down_s": 5}}
+    return Simulation(parse_scenario(doc, base_dir=str(tmp_path), name="fault_redecisions"))
 
 
 def _non_decimal_sim(tmp_path: Path) -> Simulation:
@@ -300,3 +324,18 @@ def test_handover_terminations_digests(tmp_path):
     assert terminated and all(int(r[0]) in handovers and r[6] == "GbrAdmissionFail" for r in terminated)
     assert any(r[16] == "1" and r[5] == "accepted" for r in rows)
     assert digests == GOLDEN["handover_terminations"]
+
+
+def test_fault_redecisions_digests(tmp_path):
+    sim = _fault_redecisions_sim(tmp_path)
+    digests = _digests(sim, tmp_path / "out")
+    faults = {e.time for e in sim.engine.trace if e.kind in (EventKind.LINK_STATE_CHANGE, EventKind.NODE_STATE_CHANGE)}
+    rows = [r.split("\t") for r in sim.decision_rows[1:]]
+    terminated = [r for r in rows if r[5] == "terminated"]
+    # the run has no mobility: every termination is a fault re-decision that
+    # found no admissible path, written once, with no rejected re-decision row
+    assert terminated and all(int(r[0]) in faults and r[6] == "GbrAdmissionFail" for r in terminated)
+    assert not any(r[16] == "1" and r[5] == "rejected" for r in rows)
+    assert any(r[16] == "1" and r[5] == "accepted" and int(r[0]) in faults for r in rows)
+    assert sum(sim.metrics.rejected.values()) == sum(r[5] == "rejected" for r in rows)
+    assert digests == GOLDEN["fault_redecisions"]
