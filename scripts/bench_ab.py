@@ -5,9 +5,12 @@
         --run congested_scale:16 --run congested_scale:1616 [--run cache_churn:606:5] \
         [--seconds 40] [--trace 0|1] --out BENCH_n.json
 
-The parent's committed files are exported with `git archive` into a
-fresh directory (no worktree is registered in `.git`), and
-`perfbench/run.py` runs alternately there and in the working tree,
+Both sides run from fresh copies in one temporary directory, so neither
+carries the other's build or run leftovers: the parent's committed files
+are exported with `git archive` (no worktree is registered in `.git`),
+and the working tree's files as they are on disk, tracked or untracked
+but not ignored (`git ls-files -co --exclude-standard`).
+`perfbench/run.py` runs alternately in the two copies,
 `--pairs` times per `--run` workload:seed (or the pairs a run names in a
 third field), swapping which side goes
 first on every pair so that host drift falls on both alike. Each run is
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -47,6 +51,25 @@ def export_ref(ref: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return sha
+
+
+def export_worktree(root: Path, dest: Path) -> int:
+    """Copy the files of the working tree at `root` into `dest` as they are
+    on disk: tracked ones and untracked ones that are not ignored. A tracked
+    file deleted on disk is left out. Returns the number copied."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "-co", "--exclude-standard"], cwd=root, check=True, capture_output=True
+    ).stdout.decode()
+    copied = 0
+    for name in set(filter(None, listed.split("\0"))):  # a conflicted file is listed per stage
+        source = root / name
+        if not source.is_file():
+            continue
+        target = dest / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target)
+        copied += 1
+    return copied
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -129,7 +152,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     report = {
         "base": {"ref": args.base},
-        "change": {"tree": "working tree", "head": head, "uncommitted_changes": dirty},
+        "change": {
+            "tree": "working tree, copied: git ls-files -co --exclude-standard",
+            "head": head,
+            "uncommitted_changes": dirty,
+        },
         "pairs": args.pairs,
         "seconds": args.seconds,
         "trace": args.trace,
@@ -137,15 +164,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "runs": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
-        base_tree = Path(tmp) / "base"
+        base_tree, change_tree = Path(tmp) / "base", Path(tmp) / "change"
         report["base"]["commit"] = export_ref(args.base, base_tree)
+        report["change"]["files"] = export_worktree(ROOT, change_tree)
         for workload, seed, count in runs:
             pairs: List[Dict[str, dict]] = []
             for i in range(count):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair = {"first": order[0]}
                 for side in order:
-                    tree = base_tree if side == "base" else ROOT
+                    tree = base_tree if side == "base" else change_tree
                     pair[side] = run_bench(tree, workload, seed, args.seconds, args.trace)
                 pairs.append(pair)
                 rates = {side: pair[side]["metrics"].get("events_per_s", {}).get("value") for side in order}

@@ -1,9 +1,11 @@
 """Forwarding state, mesh routing and the fog service functions.
 
 Holds the runtime overlay on an immutable topology: link/node health, the
-installed flows with their hop-by-hop paths, guaranteed-rate reservations
-and current fluid allocations, plus the fog-resident DHCP pool and LRU
-content cache.
+installed flows (`InstalledFlow`, slotted, mutable) with their hop-by-hop
+paths (`FlowPath`, immutable tuples that derive their link and node ids
+from the hops when read, unless handed them), guaranteed-rate
+reservations and current fluid allocations, plus the fog-resident DHCP
+pool and LRU content cache.
 
 `NetworkState` keeps each load fact in one incremental ledger, updated by
 `install_flow`, `remove_flow` and the health setters in O(path): offered
@@ -63,7 +65,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
-from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .engine import FairShareIndex, recompute_fair_shares
 from .topology import LinkState, ResourceClass, Topology
@@ -113,29 +115,26 @@ class GbrOvercommit(Exception):
         self.link_id = link_id
 
 
-@dataclass(frozen=True)
-class FlowPath:
+class FlowPath(NamedTuple):
     """Installed hop sequence: hops[i] = (node, outgoing link).
 
-    Its link ids are derived from the hops once, when it is built, and its
-    node ids on each call of `nodes()`, unless the builder hands them in
-    (`link_ids`, `node_ids`), as fog control does from a candidate that
-    already holds them."""
+    Its link ids and node ids are derived from the hops on each call of
+    `links()` and `nodes()`, unless the builder hands them in (`link_ids`,
+    `node_ids`), as fog control does from a candidate that already holds
+    them."""
 
     flow_id: str
     src: str
     dst: str
     hops: Tuple[Tuple[str, str], ...]
     rat_used: RouteKind
-    link_ids: Optional[Tuple[str, ...]] = field(default=None, compare=False, repr=False)
-    node_ids: Optional[Tuple[str, ...]] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.link_ids is None:
-            object.__setattr__(self, "link_ids", tuple(map(itemgetter(1), self.hops)))
+    link_ids: Optional[Tuple[str, ...]] = None
+    node_ids: Optional[Tuple[str, ...]] = None
 
     def links(self) -> Tuple[str, ...]:
-        return self.link_ids
+        if self.link_ids is not None:
+            return self.link_ids
+        return tuple(map(itemgetter(1), self.hops))
 
     def nodes(self) -> Tuple[str, ...]:
         if self.node_ids is not None:
@@ -143,7 +142,7 @@ class FlowPath:
         return (*map(itemgetter(0), self.hops), self.dst)
 
 
-@dataclass
+@dataclass(slots=True)
 class InstalledFlow:
     flow_id: str
     path: FlowPath

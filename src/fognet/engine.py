@@ -15,12 +15,11 @@ check and the rates of flows that do not rise stay with `NetworkState`.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import count
 from math import gcd
-from typing import Callable, Dict, Iterable, List, Mapping, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Set, Tuple
 
 
 class EventKind(str, Enum):
@@ -35,16 +34,14 @@ class EventKind(str, Enum):
     CONTROL_MESSAGE = "ControlMessage"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """Orders by (time, seq), and seq is unique: the queue holds events."""
+
     time: int
     seq: int
     kind: EventKind
     subjects: Tuple[str, ...] = ()
-    payload: object = field(default=None, compare=False)
-
-    def trace_row(self) -> str:
-        return f"{self.time}\t{self.seq}\t{self.kind.value}\t{';'.join(self.subjects) or '-'}"
+    payload: object = None
 
 
 class SchedulingInPast(Exception):
@@ -56,7 +53,7 @@ class Engine:
 
     def __init__(self):
         self._now = 0
-        self._heap: List[Tuple[int, int, Event]] = []
+        self._heap: List[Event] = []
         self._seq = count()
         self._handlers: Dict[EventKind, List[Callable[[Event], None]]] = {}
         self.trace: List[Event] = []
@@ -70,8 +67,8 @@ class Engine:
     def schedule(self, time: int, kind: EventKind, subjects: Tuple[str, ...] = (), payload=None) -> Event:
         if time < self._now:
             raise SchedulingInPast(f"cannot schedule {kind.value} at {time}, now is {self._now}")
-        event = Event(time=int(time), seq=next(self._seq), kind=kind, subjects=tuple(subjects), payload=payload)
-        heapq.heappush(self._heap, (event.time, event.seq, event))
+        event = Event(int(time), next(self._seq), kind, tuple(subjects), payload)
+        heapq.heappush(self._heap, event)
         return event
 
     def on(self, kind: EventKind, handler: Callable[[Event], None]) -> None:
@@ -81,7 +78,7 @@ class Engine:
         if t < self._now:
             raise SchedulingInPast(f"cannot run backwards to {t}, now is {self._now}")
         while self._heap and self._heap[0][0] <= t:
-            _, _, event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)
             self._now = event.time
             self.trace.append(event)
             for handler in self._handlers.get(event.kind, ()):

@@ -111,8 +111,7 @@ class EndpointKind(str, Enum):
     EXTERNAL = "external"
 
 
-@dataclass(frozen=True)
-class Endpoint:
+class Endpoint(NamedTuple):
     kind: EndpointKind
     ident: Optional[str] = None
 
@@ -132,8 +131,7 @@ class Endpoint:
         return self.kind.value if self.ident is None else f"{self.kind.value}:{self.ident}"
 
 
-@dataclass(frozen=True)
-class FlowSpec:
+class FlowSpec(NamedTuple):
     flow_id: str
     src: Endpoint
     dst: Endpoint
@@ -161,8 +159,7 @@ class UserRecord:
     max_gbr: Fraction
 
 
-@dataclass(frozen=True)
-class Attachment:
+class Attachment(NamedTuple):
     """Which of the user's provisioned access links are currently usable."""
 
     wlan_cluster: Optional[str] = None
@@ -205,6 +202,9 @@ class SliceRacf:
 class Candidate(NamedTuple):
     """One way to route a request. A tuple, so that the candidates a
     template holds can be handed to every request that reads them.
+    So are the records built per request: `Endpoint`, `FlowSpec`,
+    `FlowDecision`, `Attachment`, `FlowPath`, `Event` and `FlowRequest`,
+    immutable like frozen dataclasses but built with no `__setattr__`.
 
     `links`, `nodes` and `latency_ms` (the latency summed over `links`)
     are derived from `hops`. A template's candidates hold them
@@ -259,8 +259,7 @@ class UserTemplate(NamedTuple):
     fixed: Dict[Tuple[str, str], Tuple[Candidate, ...]]
 
 
-@dataclass(frozen=True)
-class FlowDecision:
+class FlowDecision(NamedTuple):
     flow_id: str
     accepted: bool
     path: Optional[FlowPath] = None

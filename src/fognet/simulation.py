@@ -57,8 +57,8 @@ from .workload import (
 
 OUTPUT_FILES = ("metrics.tsv", "decisions.log", "events.log", "connectivity.log", "slices.tsv", "run.log")
 
-# each decision row field's enum member as its text, and None as "-"
-VALUE_TEXT = {None: "-", **{member: member.value for kind in (RejectReason, RouteKind, QosClass) for member in kind}}
+# each decision row field's and event kind's enum member as its text, and None as "-"
+VALUE_TEXT = {None: "-", **{m: m.value for kind in (RejectReason, RouteKind, QosClass, EventKind) for m in kind}}
 
 DECISION_HEADER = (
     "time_ms\tflow\tclass\tsrc\tdst\tstatus\treason\trat\tslice\tqos\t"
@@ -442,8 +442,10 @@ class Simulation:
             fh.write("\n".join(self.decision_rows) + "\n")
         with open(os.path.join(out_dir, "events.log"), "w") as fh:
             fh.write("time_ms\tseq\tkind\tsubjects\n")
-            for event in self.engine.trace:
-                fh.write(event.trace_row() + "\n")
+            fh.writelines(
+                f"{time}\t{seq}\t{VALUE_TEXT[kind]}\t{';'.join(subjects) or '-'}\n"
+                for time, seq, kind, subjects, _ in self.engine.trace
+            )
         with open(os.path.join(out_dir, "connectivity.log"), "w") as fh:
             fh.write("time_ms\tfog\tstate\n")
             fh.write("\n".join(self.cloud.connectivity_rows()) + "\n")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .fogctrl import Attachment, Endpoint
 from .scenario import CONTENT_REQUEST, EXTERNAL_WEB, LOCAL_VOIP, FaultSpec, WorkloadSpec
@@ -22,8 +22,7 @@ from .util import derive_seed
 _PREFIX = {LOCAL_VOIP: "voip", CONTENT_REQUEST: "cont", EXTERNAL_WEB: "web"}
 
 
-@dataclass(frozen=True)
-class FlowRequest:
+class FlowRequest(NamedTuple):
     time_ms: int
     flow_id: str
     app_class: str

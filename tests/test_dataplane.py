@@ -19,8 +19,9 @@ from fognet.dataplane import (
     constrained_route,
 )
 from fognet.engine import FairShareIndex, recompute_fair_shares
-from fognet.fogctrl import FogControl, FogProfile
+from fognet.fogctrl import Attachment, Endpoint, FlowDecision, FlowSpec, FogControl, FogProfile
 from fognet.topology import LINK_TO_RESOURCE, LinkClass, ResourceClass, build_from_config
+from fognet.workload import FlowRequest
 from helpers import solved_rates, two_cluster_doc
 from oracles import OracleFlow, ReferenceLru, best_path, enumerate_simple_paths, maxmin_oracle
 
@@ -611,3 +612,54 @@ class TestAddressPool:
         pool = AddressPool("fog1", 3)
         with pytest.raises(NotAuthenticated):
             pool.assign("u1", authenticated=False)
+
+
+HOPS = (("u1", "wl-u1"), ("wap1", "mm-1"), ("pop1", "bh-1"))
+
+
+def records():
+    """One of each immutable record built per request, by name."""
+    spec = FlowSpec("f1", Endpoint.user("u1"), Endpoint.content("7"), "content", F(1, 2))
+    path = FlowPath("f1", "u1", "gw", HOPS, RouteKind.CLOUD_BOUND)
+    return {
+        "Endpoint": spec.src,
+        "FlowSpec": spec,
+        "FlowDecision": FlowDecision("f1", True, path, discriminator="lex"),
+        "FlowPath": path,
+        "FlowRequest": FlowRequest(0, "f1", "content", "u1", spec.dst, 1000),
+        "Attachment": Attachment("c1", True),
+    }
+
+
+class TestRecords:
+    """The per-request records stay immutable, hashable where they are
+    keys, and free of an instance `__dict__`."""
+
+    @pytest.mark.parametrize("name", sorted(records()))
+    def test_fields_cannot_be_assigned(self, name):
+        record = records()[name]
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    @pytest.mark.parametrize("name", ["Attachment", "Endpoint", "FlowSpec"])
+    def test_hashes_by_value(self, name):
+        assert {records()[name]: 1}[records()[name]] == 1
+
+    @pytest.mark.parametrize("name", sorted(records()))
+    def test_no_instance_dict(self, name):
+        assert not hasattr(records()[name], "__dict__")
+
+    def test_installed_flow_no_instance_dict(self):
+        installed = flow("f1", HOPS)
+        installed.rate_units = 2  # mutable by design: `install_flow` sets its units
+        assert not hasattr(installed, "__dict__")
+        with pytest.raises(AttributeError):
+            installed.extra = 1
+
+    def test_links_and_nodes_same_whether_supplied_or_derived(self):
+        derived = FlowPath("f1", "u1", "gw", HOPS, RouteKind.CLOUD_BOUND)
+        links, nodes = ("wl-u1", "mm-1", "bh-1"), ("u1", "wap1", "pop1", "gw")
+        supplied = derived._replace(link_ids=links, node_ids=nodes)
+        assert derived.links() == supplied.links() == links
+        assert derived.nodes() == supplied.nodes() == nodes

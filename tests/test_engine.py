@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fognet.engine import Engine, EventKind, FairShareIndex, SchedulingInPast, recompute_fair_shares
+from fognet.engine import Engine, Event, EventKind, FairShareIndex, SchedulingInPast, recompute_fair_shares
 from helpers import bare_net, install, solved_rates
 from oracles import OracleFlow, maxmin_oracle
 
@@ -83,6 +83,21 @@ class TestEventQueue:
         eng.run_until(100)
         assert log == sorted(log, key=lambda p: (p[0], p[1]))
         assert [t for t, _ in log] == [2, 2, 4, 4, 9, 9, 9, 11, 16]
+
+
+class TestEventRecord:
+    """An `Event` stays immutable and hashable, with no instance `__dict__`."""
+
+    def test_fields_cannot_be_assigned(self):
+        event = Engine().schedule(5, EventKind.FLOW_DEPARTURE, subjects=("f1",))
+        for field in Event._fields:
+            with pytest.raises(AttributeError):
+                setattr(event, field, None)
+
+    def test_hashes_and_has_no_instance_dict(self):
+        event = Engine().schedule(5, EventKind.FLOW_DEPARTURE, subjects=("f1",))
+        assert {event: 1}[Event(5, 0, EventKind.FLOW_DEPARTURE, ("f1",))] == 1
+        assert not hasattr(event, "__dict__")
 
 
 def entries(*specs):
