@@ -1,5 +1,6 @@
-"""Cloud-side control: external and inter-fog paths, fog state sync,
-isolation detection.
+"""Cloud-side control: the dispatch of every flow request, arrival or
+re-decision (`CloudControl.decide`), external and inter-fog paths, fog
+state sync, isolation detection.
 
 A fog is isolated exactly when all of its backhaul links are down. While
 isolated, its cloud-crossing flows are torn down, local flows continue
@@ -14,7 +15,7 @@ round after a reconnect, lands as a control message one round trip later.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .dataplane import InstalledFlow, NoRoute, RouteKind, reverse_hops
@@ -39,12 +40,6 @@ class ContextDelta:
     attachment: Attachment
 
 
-@dataclass
-class SyncRecord:
-    fog_id: str
-    pending: List[ContextDelta] = field(default_factory=list)
-
-
 class CloudControl:
     """Core-network control plane over all fogs of a scenario."""
 
@@ -56,7 +51,8 @@ class CloudControl:
         self.user_fog: Dict[str, str] = {}
         self._connected: Dict[str, bool] = {}
         self.transitions: List[Tuple[int, str, str]] = []
-        self.sync_records: Dict[str, SyncRecord] = {}
+        # per fog, the updates queued while it is isolated
+        self.pending: Dict[str, List[ContextDelta]] = {}
         self.context_replica: Dict[str, Tuple[Attachment, int]] = {}
         self._delta_order = 0
         self.on_flow_terminated: Optional[Callable[[InstalledFlow, RejectReason], None]] = None
@@ -66,8 +62,7 @@ class CloudControl:
 
     def register_fog(self, fog) -> None:
         self.fogs[fog.fog_id] = fog
-        fog.cloud = self
-        self.sync_records[fog.fog_id] = SyncRecord(fog_id=fog.fog_id)
+        self.pending[fog.fog_id] = []
         state = self._derive_connected(fog.fog_id)
         self._connected[fog.fog_id] = state
         self.transitions.append((self.engine.now(), fog.fog_id, "Connected" if state else "Isolated"))
@@ -112,9 +107,12 @@ class CloudControl:
         for lid in self.net.topology.fog_domain(fog_id).backhaul_ids:
             crossing.update(self.net.flows_on_link(lid))
         for fid in sorted(crossing):
-            flow = self.net.remove_flow(fid)
-            if self.on_flow_terminated is not None:
-                self.on_flow_terminated(flow, RejectReason.FOG_ISOLATED)
+            self.report_termination(self.net.remove_flow(fid), RejectReason.FOG_ISOLATED)
+
+    def report_termination(self, flow: InstalledFlow, reason: RejectReason) -> None:
+        """Pass a flow torn down by isolation or re-decision to the hook."""
+        if self.on_flow_terminated is not None:
+            self.on_flow_terminated(flow, reason)
 
     # -- state synchronization --------------------------------------------------
 
@@ -133,7 +131,7 @@ class CloudControl:
                 payload={"op": "delta", "delta": delta},
             )
         else:
-            self.sync_records[fog_id].pending.append(delta)
+            self.pending[fog_id].append(delta)
 
     def _apply_delta(self, delta: ContextDelta) -> None:
         current = self.context_replica.get(delta.user_id)
@@ -142,12 +140,12 @@ class CloudControl:
             self.user_fog[delta.user_id] = delta.fog_id
 
     def sync_fog_state(self, fog_id: str) -> None:
-        record = self.sync_records[fog_id]
+        pending = self.pending[fog_id]
         if not self.is_connected(fog_id):
             raise FogIsolated(fog_id)
-        for delta in sorted(record.pending, key=lambda d: (d.time_ms, d.order)):
+        for delta in sorted(pending, key=lambda d: (d.time_ms, d.order)):
             self._apply_delta(delta)
-        record.pending.clear()
+        pending.clear()
 
     def _handle_control_message(self, event) -> None:
         payload = event.payload or {}
@@ -162,25 +160,38 @@ class CloudControl:
 
     # -- path setup ----------------------------------------------------------------
 
+    def decide(self, spec: FlowSpec) -> FlowDecision:
+        """Decide a request, or re-decide an installed flow: an external
+        flow, or one between users of two fogs, takes a cloud path; any
+        other flow is decided by its source user's fog. A source user no
+        fog holds is refused."""
+        src_fog = self.fog_of_user(spec.src.ident) if spec.src.kind == EndpointKind.USER else None
+        if src_fog is None:
+            return FlowDecision.rejected(spec.flow_id, RejectReason.NO_COVERAGE, note="unknown source")
+        if spec.dst.kind == EndpointKind.EXTERNAL:
+            return self.setup_external_path(spec)
+        if spec.dst.kind == EndpointKind.USER:
+            dst_fog = self.fog_of_user(spec.dst.ident)
+            if dst_fog is not None and dst_fog != src_fog:
+                return self.setup_interfog_path(spec)
+        return self.fogs[src_fog].handle_flow_request(spec)
+
     def setup_external_path(self, spec: FlowSpec) -> FlowDecision:
-        """External-network flow: fog access segment plus backhaul egress."""
-        fog_id = self.fog_of_user(spec.src.ident) if spec.src.kind == EndpointKind.USER else None
-        if fog_id is None or fog_id not in self.fogs:
-            return FlowDecision.rejected(spec.flow_id, RejectReason.NO_COVERAGE, note="unknown source fog")
+        """External-network flow from a located user (`decide`): fog access
+        segment plus backhaul egress."""
+        fog_id = self.user_fog[spec.src.ident]
         if not self.is_connected(fog_id):
             return FlowDecision.rejected(spec.flow_id, RejectReason.FOG_ISOLATED)
         return self.fogs[fog_id].handle_flow_request(spec)
 
     def setup_interfog_path(self, spec: FlowSpec) -> FlowDecision:
-        """User-to-user flow hairpinning through the cloud gateway: one
-        candidate per pair of halves, source major, a half being a user's
-        template candidate to its own fog's PoP (`fixed_candidates`). It is
-        routable without headroom when some pair, as it is, repeats no node
-        and both fogs have a backhaul Up."""
+        """Flow between located users of two fogs (`decide`) hairpinning
+        through the cloud gateway: one candidate per pair of halves, source
+        major, a half being a user's template candidate to its own fog's
+        PoP (`fixed_candidates`). It is routable without headroom when some
+        pair, as it is, repeats no node and both fogs have a backhaul Up."""
         src, dst = spec.src.ident, spec.dst.ident
-        fa_id, fb_id = self.fog_of_user(src), self.fog_of_user(dst)
-        if fa_id is None or fb_id is None or fa_id not in self.fogs or fb_id not in self.fogs:
-            return FlowDecision.rejected(spec.flow_id, RejectReason.NO_COVERAGE, note="unknown endpoint fog")
+        fa_id, fb_id = self.user_fog[src], self.user_fog[dst]
         fa, fb = self.fogs[fa_id], self.fogs[fb_id]
         for fog_id in (fa_id, fb_id):
             if not self.is_connected(fog_id):

@@ -7,11 +7,13 @@ per-technology abstraction (each resource class's sliceable capacity,
 `physical_capacity`, read from `NetworkState`'s per-fog ledger, and each
 slice's share of it, `entitlements`, kept once per epoch), and flexible
 placement via `FogProfile`. Functions absent from the profile fall back to
-the cloud: each use costs a configurable round trip and fails while the
-fog is isolated.
+the cloud: each use costs the cloud's round trip (`CloudControl.rtt_ms`)
+and fails while the fog is isolated.
 
-A fog is complete once constructed: from its slice specs it builds its
-`SliceManager`, which validates them, and one `SliceRacf` per slice.
+A fog is complete once constructed: it is built with its cloud, which
+dispatches every request and re-decision (`CloudControl.decide`), and
+from its slice specs it builds its `SliceManager`, which validates them,
+and one `SliceRacf` per slice.
 
 Flows are not registered per slice or per user: the installed flows in
 `NetworkState` are the one record of them. A flow belongs to the slice
@@ -356,7 +358,7 @@ def select_candidate(
 
 
 class FogControl:
-    """Control plane of one fog element.
+    """Control plane of one fog element, beneath its `CloudControl`.
 
     `_candidates` enumerates a request's candidates: per target, one for
     each source access option times, for a user peer, each of the peer's.
@@ -387,11 +389,10 @@ class FogControl:
         profile: FogProfile,
         net: NetworkState,
         slices: Sequence[SliceSpec],
+        cloud,
         policy: Optional[Dict[str, PolicyRule]] = None,
         cache=None,
         dhcp=None,
-        cloud=None,
-        cloud_rtt_ms: int = 20,
     ):
         self.fog_id = fog_id
         self.profile = profile
@@ -402,7 +403,6 @@ class FogControl:
         self.cache = cache
         self.dhcp = dhcp
         self.cloud = cloud
-        self.cloud_rtt_ms = cloud_rtt_ms
         self._user_slice: Dict[str, str] = {}
         self.pop = net.topology.pop_of(fog_id)
         self.domain = net.topology.fog_domain(fog_id)
@@ -412,8 +412,6 @@ class FogControl:
         self._segments: Dict[Tuple[str, str, bool], Optional[Tuple[Tuple[str, str], ...]]] = {}
         self._templates: Dict[Tuple[str, Attachment], UserTemplate] = {}
         net.watch_health(self._on_health)
-        # Hook wired by the harness.
-        self.on_terminate: Optional[Callable[[InstalledFlow, RejectReason], None]] = None
 
     # -- slice control instances ------------------------------------------
 
@@ -445,12 +443,12 @@ class FogControl:
     # -- connectivity and placement fallbacks --------------------------------
 
     def connected(self) -> bool:
-        return True if self.cloud is None else self.cloud.is_connected(self.fog_id)
+        return self.cloud.is_connected(self.fog_id)
 
     def control_latency_ms(self) -> int:
         """Extra setup latency when any control function lives in the cloud."""
         remote = not (self.profile.udf_in_fog and self.profile.pcrf_in_fog)
-        return self.cloud_rtt_ms if remote else 0
+        return self.cloud.rtt_ms if remote else 0
 
     # -- security / subscriber functions --------------------------------------
 
@@ -465,10 +463,6 @@ class FogControl:
         if record is None or record.token != token:
             raise BadCredentials(f"bad credentials for {user_id}", user_id)
         racf.sessions.add(user_id)
-
-    def session_alive(self, user_id: str) -> bool:
-        slice_id = self._user_slice.get(user_id)
-        return slice_id is not None and user_id in self.racfs[slice_id].sessions
 
     # -- policy ----------------------------------------------------------------
 
@@ -502,7 +496,7 @@ class FogControl:
             if end.kind == EndpointKind.USER:
                 if self.has_user(end.ident):
                     return True
-                if self.cloud is not None and self.cloud.fog_of_user(end.ident) is not None:
+                if self.cloud.fog_of_user(end.ident) is not None:
                     return False
                 raise UnknownEndpoint(f"no location known for user {end.ident}", end.ident)
             if end.kind == EndpointKind.CONTENT:
@@ -843,28 +837,23 @@ class FogControl:
         """Update the user's attachment and re-decide every active flow.
 
         Old and new paths swap within one event; flows without a feasible
-        path afterwards are terminated with the rejection reason.
+        path afterwards are terminated with the rejection reason
+        (`redecide_flow`).
         """
         slice_id = self.slice_of_user(user_id)
         if not self.profile.mlmf_in_fog and not self.connected():
             raise CloudUnreachable(f"mobility state unreachable for {user_id}", user_id)
         ctx = self.racfs[slice_id].contexts[user_id]
         ctx.attachment = new_attachment
-        if self.cloud is not None:
-            self.cloud.push_context_update(self.fog_id, user_id, new_attachment)
+        self.cloud.push_context_update(self.fog_id, user_id, new_attachment)
         return [(fid, self.redecide_flow(self.net.flows[fid])) for fid in self.net.flows_at(user_id)]
 
     def redecide_flow(self, flow: InstalledFlow) -> FlowDecision:
-        """Remove and freshly re-decide one installed flow (same id)."""
+        """Remove one installed flow and decide it afresh, under the same
+        id, as the cloud decides an arrival (`CloudControl.decide`); a
+        refused flow is reported terminated with the refusal's reason."""
         self.net.remove_flow(flow.flow_id)
-        spec: FlowSpec = flow.spec
-        if self.cloud is not None and any(
-            end.kind == EndpointKind.USER and not self.has_user(end.ident) for end in (spec.src, spec.dst)
-        ):
-            # an endpoint in another fog: the cloud decides from the source's fog
-            decision = self.cloud.setup_interfog_path(spec)
-        else:
-            decision = self.handle_flow_request(spec)
-        if not decision.accepted and self.on_terminate is not None:
-            self.on_terminate(flow, decision.reason)
+        decision = self.cloud.decide(flow.spec)
+        if not decision.accepted:
+            self.cloud.report_termination(flow, decision.reason)
         return decision

@@ -99,12 +99,11 @@ class Simulation:
                 profile=profile,
                 net=self.net,
                 slices=config.slices,
+                cloud=self.cloud,
                 policy=config.policy,
                 cache=cache,
                 dhcp=dhcp,
-                cloud_rtt_ms=config.cloud_rtt_ms,
             )
-            fog.on_terminate = self._on_terminated
             self.cloud.register_fog(fog)
             self.fogs[fog_id] = fog
         self._slice_texts = RateTexts(self.net.unit)
@@ -228,18 +227,6 @@ class Simulation:
 
     # -- decision plumbing ---------------------------------------------------
 
-    def _decide(self, spec: FlowSpec) -> FlowDecision:
-        src_fog = self.cloud.fog_of_user(spec.src.ident) if spec.src.kind == EndpointKind.USER else None
-        if src_fog is None:
-            return FlowDecision.rejected(spec.flow_id, RejectReason.NO_COVERAGE, note="unknown source")
-        if spec.dst.kind == EndpointKind.EXTERNAL:
-            return self.cloud.setup_external_path(spec)
-        if spec.dst.kind == EndpointKind.USER:
-            dst_fog = self.cloud.fog_of_user(spec.dst.ident)
-            if dst_fog is not None and dst_fog != src_fog:
-                return self.cloud.setup_interfog_path(spec)
-        return self.fogs[src_fog].handle_flow_request(spec)
-
     def _endpoint_text(self, end: Endpoint) -> str:
         """`str(end)`, kept per kind and id: a dict keyed by the id is
         several times faster than either rendering or hashing `end`."""
@@ -340,7 +327,7 @@ class Simulation:
             app_class=request.app_class,
             demand=self.config.workload.classes[request.app_class].demand,
         )
-        decision = self._decide(spec)
+        decision = self.cloud.decide(spec)
         self._log_decision(event.time, spec, decision, reroute=False)
         if decision.accepted:
             self.metrics.on_admit(spec.app_class, decision.latency_ms)
@@ -365,9 +352,9 @@ class Simulation:
                 continue
             if flow.slice_id is None:
                 continue  # control overhead, moved by `_route_control_overhead`
-            # a sliced flow's source is a registered user (`_decide`)
+            # a sliced flow's source is a registered user (`CloudControl.decide`)
             decision = self.fogs[self.cloud.fog_of_user(flow.path.src)].redecide_flow(flow)
-            if decision.accepted:  # a refused one was written as its termination (`on_terminate`)
+            if decision.accepted:  # a refused one was written as its termination (`on_flow_terminated`)
                 self._log_decision(self.engine.now(), flow.spec, decision, reroute=True)
 
     def _on_fault(self, event: Event) -> None:

@@ -1,10 +1,12 @@
-"""Shared builders for unit tests: a hand-made two-cluster deployment, a
-single-fog control-plane environment, and a bare network of independent
-links for allocation tests."""
+"""Shared builders for unit tests: hand-made one- and two-fog deployments,
+their control planes wired under a cloud controller (`CloudEnv`, and
+`FogEnv` for one fog), and a bare network of independent links for
+allocation tests."""
 
 from fractions import Fraction
 
-from fognet.dataplane import AddressPool, FlowPath, InstalledFlow, LruCache, NetworkState, RouteKind
+from fognet.cloudctrl import CloudControl
+from fognet.dataplane import FlowPath, InstalledFlow, LruCache, NetworkState, RouteKind
 from fognet.engine import Engine
 from fognet.fogctrl import (
     Attachment,
@@ -104,74 +106,6 @@ def two_cluster_doc(
     return {"nodes": nodes, "links": links, "clusters": clusters}
 
 
-class FogEnv:
-    """One fog plus registered, authenticated subscribers."""
-
-    def __init__(
-        self,
-        doc=None,
-        profile=None,
-        slices=None,
-        policy=None,
-        cache_capacity=4,
-        pool_size=16,
-        cloud=None,
-        max_gbr=Fraction(10),
-        demands=(Fraction(1, 2),),
-    ):
-        self.topo = build_from_config(doc or two_cluster_doc())
-        self.policy = policy or dict(DEFAULT_POLICY)
-        self.slices = slices or [full_share_slice()]
-        self.net = NetworkState(self.topo, configured_rates(self.policy, demands), slice_shares(self.slices))
-        self.profile = profile or FogProfile()
-        cache = LruCache(cache_capacity) if self.profile.cache_in_fog else None
-        dhcp = AddressPool("fog1", pool_size) if self.profile.dhcp_in_fog else None
-        self.fog = FogControl(
-            "fog1",
-            self.profile,
-            self.net,
-            self.slices,
-            policy=self.policy,
-            cache=cache,
-            dhcp=dhcp,
-            cloud=cloud,
-        )
-        operators = [s.operator for s in self.slices]
-        self.operator_of = {}
-        users = [n.id for n in self.topo.nodes_of_kind(NodeKind.USER)]
-        for i, user in enumerate(users):
-            operator = operators[i % len(operators)]
-            self.operator_of[user] = operator
-            record = UserRecord(
-                user_id=user,
-                token=f"tok-{user}",
-                operator=operator,
-                allowed_classes=frozenset(self.policy),
-                max_gbr=max_gbr,
-            )
-            cluster = self.topo.cluster_of_user(user)
-            attachment = Attachment(
-                wlan_cluster=cluster if cluster and self.topo.wlan_link(user, cluster) else None,
-                macro=self.topo.macro_link(user) is not None,
-            )
-            self.fog.register_user(record, attachment)
-            try:
-                self.fog.authenticate_user(user, record.token)
-            except Exception:
-                pass  # e.g. isolated fog with a cloud-resident subscriber DB
-
-    def spec(self, flow_id, src, dst, app_class=VOIP, demand=Fraction(1, 2)):
-        if isinstance(dst, str):
-            dst = Endpoint.user(dst)
-        return FlowSpec(
-            flow_id=flow_id,
-            src=Endpoint.user(src),
-            dst=dst,
-            app_class=app_class,
-            demand=Fraction(demand),
-        )
-
-
 def two_fog_doc():
     """Two fog elements under one cloud gateway, one cluster each."""
     nodes = [{"id": "gw", "kind": "CloudGateway"}]
@@ -203,21 +137,33 @@ def two_fog_doc():
 
 
 class CloudEnv:
-    """Full multi-fog wiring: one network, an engine, a cloud controller,
-    fog controls. Every fog holds `slices` (one full-share slice by
-    default), and users take their operators in turn, by id. Tests move
-    time with `engine.run_until`, which also delivers the cloud's control
-    messages."""
+    """Full multi-fog wiring, as `Simulation` wires a scenario: one
+    network, an engine, a cloud controller, and per fog a fog control
+    built with that cloud and registered to it. Every fog holds `slices`
+    (one full-share slice by default), and users take their operators in
+    turn, by id, and are registered with their fog and the cloud and
+    authenticated. Tests move time with `engine.run_until`, which also
+    delivers the cloud's control messages. A `FakeCloud` passed as
+    `cloud` stands in for the cloud controller."""
 
-    def __init__(self, doc=None, profiles=None, policy=None, rtt_ms=20, demands=(Fraction(1, 2),), slices=None):
-        from fognet.cloudctrl import CloudControl
-
+    def __init__(
+        self,
+        doc=None,
+        profiles=None,
+        policy=None,
+        rtt_ms=20,
+        demands=(Fraction(1, 2),),
+        slices=None,
+        cache_capacity=8,
+        max_gbr=Fraction(10),
+        cloud=None,
+    ):
         self.topo = build_from_config(doc or two_fog_doc())
         self.policy = policy or dict(DEFAULT_POLICY)
         slices = slices or [full_share_slice()]
         self.net = NetworkState(self.topo, configured_rates(self.policy, demands), slice_shares(slices))
         self.engine = Engine()
-        self.cloud = CloudControl(self.net, self.engine, rtt_ms=rtt_ms)
+        self.cloud = cloud or CloudControl(self.net, self.engine, rtt_ms=rtt_ms)
         self.fogs = {}
         self.operator_of = {}
         for fog_id in self.topo.fogs():
@@ -227,8 +173,9 @@ class CloudEnv:
                 profile,
                 self.net,
                 slices,
+                self.cloud,
                 policy=self.policy,
-                cache=LruCache(8) if profile.cache_in_fog else None,
+                cache=LruCache(cache_capacity) if profile.cache_in_fog else None,
             )
             self.cloud.register_fog(fog)
             self.fogs[fog_id] = fog
@@ -241,7 +188,7 @@ class CloudEnv:
                 token=f"tok-{node.id}",
                 operator=operator,
                 allowed_classes=frozenset(self.policy),
-                max_gbr=Fraction(10),
+                max_gbr=max_gbr,
             )
             cluster = self.topo.cluster_of_user(node.id)
             attachment = Attachment(
@@ -254,7 +201,7 @@ class CloudEnv:
             try:
                 fog.authenticate_user(node.id, record.token)
             except Exception:
-                pass
+                pass  # e.g. isolated fog with a cloud-resident subscriber DB
 
     def spec(self, flow_id, src, dst, app_class=VOIP, demand=Fraction(1, 2)):
         if isinstance(dst, str):
@@ -273,6 +220,26 @@ class CloudEnv:
         for link in self.topo.backhaul_links(fog_id):
             self.net.set_link_state(link.id, up)
         return self.cloud.on_backhaul_change(fog_id)
+
+
+class FogEnv(CloudEnv):
+    """The one fog `fog1` of a single-fog topology (`two_cluster_doc` by
+    default) under its cloud, wired as `CloudEnv` wires every fog."""
+
+    def __init__(self, doc=None, profile=None, cache_capacity=4, **kw):
+        profiles = {"fog1": profile or FogProfile()}
+        super().__init__(doc or two_cluster_doc(), profiles, cache_capacity=cache_capacity, **kw)
+        self.fog = self.fogs["fog1"]
+
+
+def wired_fogs(net, slices=()):
+    """Per fog of `net`'s topology a fog control with no users, policy or
+    cache, built with one cloud on a fresh engine and registered to it."""
+    cloud = CloudControl(net, Engine())
+    fogs = {fog_id: FogControl(fog_id, FogProfile(), net, slices, cloud) for fog_id in net.topology.fogs()}
+    for fog in fogs.values():
+        cloud.register_fog(fog)
+    return fogs
 
 
 def bare_net(capacity, rates=()):
@@ -302,17 +269,20 @@ def solved_rates(index, unit):
 
 
 class FakeCloud:
-    """Minimal cloud stand-in for profile fallback tests."""
+    """A cloud whose connectivity a test forces, for the profile fallback
+    tests: it holds a round trip and answers `is_connected`, and takes the
+    registrations of `CloudEnv` without keeping them."""
 
-    def __init__(self, connected=True, known_users=()):
+    rtt_ms = 20
+
+    def __init__(self, connected):
         self.connected = connected
-        self.known = dict(known_users)
 
     def is_connected(self, fog_id):
         return self.connected
 
-    def fog_of_user(self, user_id):
-        return self.known.get(user_id)
+    def register_fog(self, fog):
+        pass
 
-    def push_context_update(self, fog_id, user_id, attachment):
+    def register_user(self, user_id, fog_id, attachment):
         pass

@@ -4,15 +4,80 @@ from fractions import Fraction
 
 import pytest
 
-from fognet.cloudctrl import FogIsolated
+from fognet.cloudctrl import CloudControl, FogIsolated
 from fognet.dataplane import FlowPath, InstalledFlow, RouteKind
-from fognet.fogctrl import Attachment, Endpoint, PolicyRule, QosClass, RejectReason
+from fognet.fogctrl import Attachment, Endpoint, FogControl, PolicyRule, QosClass, RejectReason
 from fognet.slicing import SliceSpec
 from fognet.topology import NodeKind, ResourceClass
 from helpers import CONTENT, VOIP, WEB, CloudEnv, two_fog_doc
 from oracles import interfog_oracle
 
 F = Fraction
+
+
+class TestDecide:
+    """`CloudControl.decide`, the one dispatch of arrivals and
+    re-decisions."""
+
+    def test_each_request_reaches_one_controller(self, monkeypatch):
+        """A flow between users of two fogs takes the inter-fog path, an
+        external flow the external path (which hands it to its fog), and
+        any other flow its source user's fog; a source no fog holds is
+        refused before any controller is asked."""
+        env = CloudEnv()
+        calls = []
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(self, spec):
+                calls.append((name, getattr(self, "fog_id", "cloud"), spec.flow_id))
+                return original(self, spec)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in (
+            (CloudControl, "setup_external_path"),
+            (CloudControl, "setup_interfog_path"),
+            (FogControl, "handle_flow_request"),
+        ):
+            spy(owner, name)
+        specs = [
+            env.spec("l", "f2-u1", "f2-u2"),
+            env.spec("c", "f1-u1", Endpoint.content("7"), app_class=CONTENT),
+            env.spec("x", "f1-u1", "f2-u1"),
+            env.spec("e", "f1-u2", Endpoint.external(), app_class=WEB, demand=1),
+        ]
+        assert all(env.cloud.decide(spec).accepted for spec in specs)
+        refused = env.cloud.decide(env.spec("g", "ghost", Endpoint.external(), app_class=WEB, demand=1))
+        assert (refused.accepted, refused.reason, refused.note) == (False, RejectReason.NO_COVERAGE, "unknown source")
+        assert calls == [
+            ("handle_flow_request", "f2", "l"),
+            ("handle_flow_request", "f1", "c"),
+            ("setup_interfog_path", "cloud", "x"),
+            ("setup_external_path", "cloud", "e"),
+            ("handle_flow_request", "f1", "e"),
+        ]
+
+    def test_handover_redecides_an_external_flow_as_an_arrival(self):
+        """A handover re-decides the user's web flow as the cloud decides
+        an arrival: each re-decision, the move to Macro and then the
+        refusal once no access is left, equals the decision of a fresh
+        arrival of the same spec, and the refused flow is reported
+        terminated through the cloud's hook."""
+        env = CloudEnv()
+        terminated = []
+        env.cloud.on_flow_terminated = lambda flow, reason: terminated.append((flow.flow_id, reason))
+        spec = env.spec("e", "f1-u1", Endpoint.external(), app_class=WEB, demand=1)
+        assert env.cloud.decide(spec).path.links()[0] == "wl-f1-u1"
+        for attachment, first_link in ((Attachment(macro=True), "ma-f1-u1"), (Attachment(), None)):
+            [(fid, redo)] = env.fogs["f1"].handover("f1-u1", attachment)
+            assert fid == "e" and (redo.path.links()[0] if redo.accepted else None) == first_link
+            if redo.accepted:
+                env.net.remove_flow("e")
+            assert env.cloud.decide(spec) == redo
+        assert redo.reason == RejectReason.NO_COVERAGE
+        assert terminated == [("e", RejectReason.NO_COVERAGE)]
 
 
 class TestExternalPath:
@@ -307,16 +372,16 @@ class TestSync:
     def test_noop_sync_when_no_deltas(self):
         env = CloudEnv()
         env.cloud.sync_fog_state("f1")
-        assert env.cloud.sync_records["f1"].pending == []
+        assert env.cloud.pending["f1"] == []
 
     def test_sync_while_isolated_raises_and_retains(self):
         env = CloudEnv()
         env.set_backhaul("f1", False)
         env.fogs["f1"].handover("f1-u1", Attachment(wlan_cluster=None, macro=True))
-        assert len(env.cloud.sync_records["f1"].pending) == 1
+        assert len(env.cloud.pending["f1"]) == 1
         with pytest.raises(FogIsolated):
             env.cloud.sync_fog_state("f1")
-        assert len(env.cloud.sync_records["f1"].pending) == 1
+        assert len(env.cloud.pending["f1"]) == 1
 
     def test_queued_updates_drain_after_reconnect(self):
         env = CloudEnv()
@@ -329,14 +394,14 @@ class TestSync:
         for i, att in enumerate(moves):
             env.engine.run_until(100 + i)
             env.fogs["f1"].handover("f1-u1", att)
-        assert len(env.cloud.sync_records["f1"].pending) == 3
+        assert len(env.cloud.pending["f1"]) == 3
         env.engine.run_until(500)
         env.set_backhaul("f1", True)
         # the sync round lands one round trip after the reconnect
         env.engine.run_until(519)
-        assert len(env.cloud.sync_records["f1"].pending) == 3
+        assert len(env.cloud.pending["f1"]) == 3
         env.engine.run_until(520)
-        assert env.cloud.sync_records["f1"].pending == []
+        assert env.cloud.pending["f1"] == []
         assert env.cloud.context_replica["f1-u1"][0] == moves[-1]
 
     def test_interleaved_two_fog_updates_replay_in_event_time(self):

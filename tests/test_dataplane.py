@@ -19,10 +19,10 @@ from fognet.dataplane import (
     constrained_route,
 )
 from fognet.engine import FairShareIndex, recompute_fair_shares
-from fognet.fogctrl import Attachment, Endpoint, FlowDecision, FlowSpec, FogControl, FogProfile
+from fognet.fogctrl import Attachment, Endpoint, FlowDecision, FlowSpec
 from fognet.topology import LINK_TO_RESOURCE, LinkClass, ResourceClass, build_from_config
 from fognet.workload import FlowRequest
-from helpers import solved_rates, two_cluster_doc
+from helpers import solved_rates, two_cluster_doc, wired_fogs
 from oracles import OracleFlow, ReferenceLru, best_path, enumerate_simple_paths, maxmin_oracle
 
 F = Fraction
@@ -302,7 +302,7 @@ class TestNonDecimalRates:
         step every public getter equals its recount in exact Mb/s. The unit
         covers all three rates from the start."""
         net = make_net([F(1, 10), F(4, 3), F(2, 7)], wlan_capacity=2, macro_capacity=F(3, 2))
-        fog = FogControl("fog1", FogProfile(), net, [])
+        fog = wired_fogs(net)["fog1"]
         topo = net.topology
         capacity = {lid: link.capacity for lid, link in topo.links.items()}
         wlan_path = _ALLOC_PATHS[0]

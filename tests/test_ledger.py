@@ -18,10 +18,9 @@ from fractions import Fraction
 import pytest
 
 from fognet.dataplane import FlowPath, GbrOvercommit, InstalledFlow, NetworkState, RouteKind
-from fognet.fogctrl import FogControl, FogProfile
 from fognet.slicing import SliceSpec
 from fognet.topology import ResourceClass, build_from_config
-from helpers import two_fog_doc
+from helpers import two_fog_doc, wired_fogs
 from oracles import OracleFlow, _metered_in, _slice_cap_ok, _up, maxmin_oracle
 
 F = Fraction
@@ -50,7 +49,7 @@ def _build():
         build_from_config(two_fog_doc()), [F(1, 2), F(1, 3), F(1, 4)], [share for _, _, share in SLICES]
     )
     specs = [SliceSpec(sid, operator, dict.fromkeys(ResourceClass.ALL, share)) for sid, operator, share in SLICES]
-    return net, {fog_id: FogControl(fog_id, FogProfile(), net, specs) for fog_id in net.topology.fogs()}
+    return net, wired_fogs(net, specs)
 
 
 def _flow(fid, hops, demand, gbr, slice_id):
