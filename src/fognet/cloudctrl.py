@@ -198,10 +198,10 @@ class CloudControl:
                 return FlowDecision.rejected(spec.flow_id, RejectReason.FOG_ISOLATED, note=fog_id)
 
         try:
-            qos, gbr, slice_a = fa.classify_flow(spec)
+            grant, slice_a = fa.classify_flow(spec)
         except REFUSALS as exc:
             return refusal(spec.flow_id, exc)
-        need = self.net.units(gbr)
+        need = grant.units
         setup_ms = fa.control_latency_ms() + fb.control_latency_ms()
 
         src_ctx, dst_ctx = fa.context_of(src), fb.context_of(dst)
@@ -229,7 +229,7 @@ class CloudControl:
                     structural = len(set(nodes)) == len(nodes)
         mobile_of = {src: src_ctx.mobile, dst: dst_ctx.mobile}
         return fa.conclude(
-            spec, candidates, structural, (qos, gbr, slice_a), setup_ms,
+            spec, candidates, structural, (grant, slice_a), setup_ms,
             prefer_local=False, mobile_of=mobile_of,
         )
 

@@ -24,13 +24,14 @@ the one exception is a link's best-effort total while congested, a
 `Fraction` of units, since max-min levels need not be whole units. The
 unit is fixed when the state is built, from every rate a flow can hold
 and the slice shares, so that each slice's entitlement is whole units
-too (`util.rate_unit`); a rate that is not a whole number of it raises
-ValueError. `install_flow` converts a flow's rates once and keeps them
-on the flow (`gbr_units`, `rate_units`) for `remove_flow` to read back,
-and the controllers convert a request's guarantee once
-(`FogControl.handle_flow_request`, `CloudControl.setup_interfog_path`);
-installs, removals, congestion and headroom tests then add and compare
-ints.
+too (`util.rate_unit`); converting a rate that is not a whole number of
+it (`NetworkState.units`) raises ValueError. Each configured rate is
+converted once, when the simulation and its fog controls are built: a
+policy rule's guarantee (`FogControl.grants`), a workload class's demand
+(`FlowSpec.demand_units`) and the WLAN control overhead. So a flow
+reaches `install_flow` with its guarantee and rate in units already
+(`InstalledFlow.gbr_units`, `.rate_units`), and installs, removals,
+congestion and headroom tests add and compare ints, converting nothing.
 
 Fluid allocations: a GBR flow always carries its guarantee. While no link
 is congested every best-effort flow carries its demand, and `allocated()`
@@ -61,7 +62,7 @@ segment from the AP to the PoP (`Simulation._route_control_overhead`).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
@@ -151,11 +152,12 @@ class InstalledFlow:
     slice_id: Optional[str]
     app_class: str
     latency_ms: float
+    # guarantee and rate (guarantee, else demand) in the network state's
+    # units, which the builder converted once (`NetworkState.units`)
+    gbr_units: int
+    rate_units: int
     spec: object = None  # originating FlowSpec, when controller-driven
     links: Tuple[str, ...] = ()  # the path's; hot in the allocator
-    # guarantee and rate (guarantee, else demand) in units, set by `NetworkState.install_flow`
-    gbr_units: int = field(default=0, init=False, compare=False)
-    rate_units: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self):
         self.links = self.path.links()
@@ -169,8 +171,10 @@ class NetworkState:
     multiple of the denominators of the link capacities and of `rates`,
     every rate a flow may hold, times that of `shares`, the slice shares
     of the fogs' resource classes, so that every slice's entitlement
-    (`SliceManager.entitled`) is whole units as well. `install_flow`
-    refuses any other rate, and a path that lists a link twice, with a
+    (`SliceManager.entitled`) is whole units as well; `units` refuses
+    any other rate with a ValueError. A flow arrives at `install_flow`
+    with its rates in units (`InstalledFlow.gbr_units`, `.rate_units`),
+    and `install_flow` refuses a path that lists a link twice with a
     ValueError before it changes a ledger.
     The `*_units` readers (`capacity_units`, `residual_units`,
     `slice_gbr_units`, `slice_demand_units`, `sliceable_units`,
@@ -384,9 +388,7 @@ class NetworkState:
         for lid in flow.links:
             if lid in self._down:
                 raise LinkDown(f"link {lid} is down", lid)
-        gbr = self.units(flow.gbr)
-        want = gbr or self.units(flow.demand)
-        flow.gbr_units, flow.rate_units = gbr, want
+        gbr, want = flow.gbr_units, flow.rate_units
         self.flows[flow.flow_id] = flow
         if gbr > 0:
             self._reserve(flow, gbr)

@@ -13,7 +13,16 @@ and fails while the fog is isolated.
 A fog is complete once constructed: it is built with its cloud, which
 dispatches every request and re-decision (`CloudControl.decide`), and
 from its slice specs it builds its `SliceManager`, which validates them,
-and one `SliceRacf` per slice.
+and one `SliceRacf` per slice. The dispatch settles locality: a fog is
+asked only about requests whose source is one of its users, and whose
+user peer, if any, is one of its users too or has no known location.
+
+Rates are converted to the network state's units once, at
+construction: each policy rule's guarantee is kept as a `Grant` in Mb/s
+and in units (`grants`), and each subscriber's cap in units, floored
+(`SliceRacf.gbr_caps`). A request's demand arrives in units too
+(`FlowSpec.demand_units`). So classification, admission and the install
+(`conclude`) compare and hand on ints, and convert no rate.
 
 Flows are not registered per slice or per user: the installed flows in
 `NetworkState` are the one record of them. A flow belongs to the slice
@@ -139,6 +148,7 @@ class FlowSpec(NamedTuple):
     dst: Endpoint
     app_class: str
     demand: Fraction
+    demand_units: int  # `demand` in the network state's units, converted at build (`Simulation`)
 
 
 @dataclass(frozen=True)
@@ -150,6 +160,17 @@ class PolicyRule:
     def __post_init__(self):
         if (self.qos == QosClass.REAL_TIME_GBR) != (self.gbr_rate > 0):
             raise ValueError(f"rule {self.app_class}: gbr_rate must be > 0 exactly for RealTimeGBR")
+
+
+class Grant(NamedTuple):
+    """A policy rule as the flow controller applies it, kept per app class
+    from construction: the QoS class and the guarantee (0 for best
+    effort), in Mb/s for the flow's record and a refusal's note, and in
+    units for the subscription cap, admission and the ledger."""
+
+    qos: QosClass
+    gbr: Fraction
+    units: int
 
 
 @dataclass(frozen=True)
@@ -197,6 +218,9 @@ class SliceRacf:
     slice_id: str
     operator: str
     user_records: Dict[str, UserRecord] = field(default_factory=dict)
+    # each user's `max_gbr` in units, floored: for a guarantee of `g` units,
+    # `g > floor(cap * unit)` exactly when `g / unit > cap`
+    gbr_caps: Dict[str, int] = field(default_factory=dict)
     sessions: Set[str] = field(default_factory=set)
     contexts: Dict[str, UserContext] = field(default_factory=dict)
 
@@ -399,7 +423,10 @@ class FogControl:
         self.net = net
         self.slice_manager = SliceManager(slices)
         self.racfs: Dict[str, SliceRacf] = {spec.slice_id: SliceRacf(spec.slice_id, spec.operator) for spec in slices}
-        self.policy = dict(policy or {})
+        self.grants: Dict[str, Grant] = {}
+        for app_class, rule in (policy or {}).items():
+            gbr = rule.gbr_rate if rule.qos == QosClass.REAL_TIME_GBR else ZERO
+            self.grants[app_class] = Grant(rule.qos, gbr, net.units(gbr))
         self.cache = cache
         self.dhcp = dhcp
         self.cloud = cloud
@@ -424,6 +451,8 @@ class FogControl:
     def register_user(self, record: UserRecord, attachment: Attachment, mobile: bool = False) -> None:
         racf = self.racf_of_operator(record.operator)
         racf.user_records[record.user_id] = record
+        cap = record.max_gbr
+        racf.gbr_caps[record.user_id] = cap.numerator * self.net.unit // cap.denominator
         racf.contexts[record.user_id] = UserContext(
             user_id=record.user_id, attachment=attachment, mobile=mobile
         )
@@ -466,38 +495,36 @@ class FogControl:
 
     # -- policy ----------------------------------------------------------------
 
-    def classify_flow(self, spec: FlowSpec) -> Tuple[QosClass, Fraction, str]:
-        user = self._primary_user(spec)
+    def classify_flow(self, spec: FlowSpec) -> Tuple[Grant, str]:
+        """The grant of the request's class to its source user, a user of
+        this fog (`CloudControl.decide`), and the user's slice. Raises one
+        of `REFUSALS`; the guarantee is compared with the user's cap in
+        units (`SliceRacf.gbr_caps`)."""
+        user = spec.src.ident
         slice_id = self.slice_of_user(user)
         racf = self.racfs[slice_id]
         if user not in racf.sessions:
             raise SessionRequired(f"user {user} has no session", user)
         if not (self.profile.pcrf_in_fog and self.profile.udf_in_fog) and not self.connected():
             raise CloudUnreachable("policy/subscriber functions unreachable", user)
-        rule = self.policy.get(spec.app_class)
-        record = racf.user_records[user]
-        if rule is None or spec.app_class not in record.allowed_classes:
+        grant = self.grants.get(spec.app_class)
+        if grant is None or spec.app_class not in racf.user_records[user].allowed_classes:
             raise PolicyDenied(f"class {spec.app_class} not allowed for {user}", user)
-        gbr = rule.gbr_rate if rule.qos == QosClass.REAL_TIME_GBR else ZERO
-        if gbr > record.max_gbr:
-            raise PolicyDenied(f"guaranteed rate {gbr} above subscription cap for {user}", user)
-        return rule.qos, gbr, slice_id
+        if grant.units > racf.gbr_caps[user]:
+            raise PolicyDenied(f"guaranteed rate {grant.gbr} above subscription cap for {user}", user)
+        return grant, slice_id
 
     # -- locality ----------------------------------------------------------------
 
-    def _primary_user(self, spec: FlowSpec) -> str:
-        for end in (spec.src, spec.dst):
-            if end.kind == EndpointKind.USER and self.has_user(end.ident):
-                return end.ident
-        raise UnknownEndpoint(f"flow {spec.flow_id} has no user endpoint in fog {self.fog_id}", spec.flow_id)
-
     def is_local_flow(self, spec: FlowSpec) -> bool:
+        """Whether both ends are in this fog. `CloudControl.decide` sends a
+        request between users of two fogs to the cloud, so a user end that
+        this fog does not hold has no known location."""
+
         def in_fog(end: Endpoint) -> bool:
             if end.kind == EndpointKind.USER:
                 if self.has_user(end.ident):
                     return True
-                if self.cloud.fog_of_user(end.ident) is not None:
-                    return False
                 raise UnknownEndpoint(f"no location known for user {end.ident}", end.ident)
             if end.kind == EndpointKind.CONTENT:
                 return bool(self.profile.cache_in_fog and self.cache and self.cache.peek(end.ident))
@@ -702,10 +729,9 @@ class FogControl:
 
     def handle_flow_request(self, spec: FlowSpec) -> FlowDecision:
         try:
-            qos, gbr, slice_id = self.classify_flow(spec)
+            grant, slice_id = self.classify_flow(spec)
         except REFUSALS as exc:
             return refusal(spec.flow_id, exc)
-        need = self.net.units(gbr)
         setup_ms = self.control_latency_ms()
 
         def reject(reason: RejectReason, note: str = "") -> FlowDecision:
@@ -724,9 +750,7 @@ class FogControl:
 
         note = ""
         mobile_of = {src: ctx.mobile}
-        if spec.dst.kind == EndpointKind.USER:
-            if not self.has_user(dst):
-                return reject(RejectReason.NO_COVERAGE, "peer outside fog")
+        if spec.dst.kind == EndpointKind.USER:  # this fog's user, as `is_local_flow` found
             peer_ctx = self.context_of(dst)
             peer = self.user_template(peer_ctx)
             if not peer.options:
@@ -755,9 +779,9 @@ class FogControl:
         else:  # pragma: no cover - enum is closed
             raise UnknownEndpoint(str(spec.dst))
 
-        candidates, structural = self._candidates(src, template, targets, need, slice_id)
+        candidates, structural = self._candidates(src, template, targets, grant.units, slice_id)
         return self.conclude(
-            spec, candidates, structural, (qos, gbr, slice_id), setup_ms,
+            spec, candidates, structural, (grant, slice_id), setup_ms,
             prefer_local=local, mobile_of=mobile_of, note=note,
         )
 
@@ -766,7 +790,7 @@ class FogControl:
         spec: FlowSpec,
         candidates: List[Candidate],
         structural: bool,
-        classified: Tuple[QosClass, Fraction, str],
+        classified: Tuple[Grant, str],
         setup_ms: int,
         *,
         prefer_local: bool,
@@ -778,9 +802,9 @@ class FogControl:
         With no admissible candidate the request fails admission when some
         candidate was routable without headroom (`structural`), else it has
         no route. Otherwise rules 2..4 pick the candidate, and the flow is
-        installed along it with the classification (qos, guarantee, slice).
-        The chosen candidate's links, nodes and latency are reused when it
-        holds them."""
+        installed along it with the classification (grant, slice), its rates
+        already in units. The chosen candidate's links, nodes and latency
+        are reused when it holds them."""
         if not candidates:
             reason = RejectReason.GBR_ADMISSION_FAIL if structural else RejectReason.NO_ROUTE
             return FlowDecision.rejected(spec.flow_id, reason, note=note, setup_ms=setup_ms)
@@ -795,15 +819,19 @@ class FogControl:
             links = tuple(map(_second, chosen.hops))
             latency = latency_sum(links, self.net.topology.links)
         path = FlowPath(spec.flow_id, spec.src.ident, chosen.end, chosen.hops, chosen.rat, links, chosen.nodes)
-        qos, gbr, slice_id = classified
+        grant, slice_id = classified
+        gbr = grant.units
         self.net.install_flow(
-            InstalledFlow(spec.flow_id, path, spec.demand, gbr, slice_id, spec.app_class, latency, spec)
+            InstalledFlow(
+                spec.flow_id, path, spec.demand, grant.gbr, slice_id, spec.app_class, latency, gbr,
+                gbr or spec.demand_units, spec,
+            )
         )
         return FlowDecision(
             flow_id=spec.flow_id,
             accepted=True,
             path=path,
-            qos=qos,
+            qos=grant.qos,
             slice_id=slice_id,
             discriminator=discriminator,
             candidates=tuple(c.label for c in candidates),

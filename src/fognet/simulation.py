@@ -12,6 +12,7 @@ so a fault moves only the control flows whose segment it changed.
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import yaml
@@ -60,6 +61,8 @@ OUTPUT_FILES = ("metrics.tsv", "decisions.log", "events.log", "connectivity.log"
 # each decision row field's and event kind's enum member as its text, and None as "-"
 VALUE_TEXT = {None: "-", **{m: m.value for kind in (RejectReason, RouteKind, QosClass, EventKind) for m in kind}}
 
+ROW_CHUNK = 1024  # rows joined per write by `write_rows`
+
 DECISION_HEADER = (
     "time_ms\tflow\tclass\tsrc\tdst\tstatus\treason\trat\tslice\tqos\t"
     "discriminator\tcandidates\tsetup_ms\tlatency_ms\tnote\tpath\treroute"
@@ -79,6 +82,12 @@ class Simulation:
             + [config.wlan_control_overhead],
             [share for spec in config.slices for share in spec.shares.values()],
         )
+        # each workload class's demand and the control overhead, with each
+        # in units, converted once here, so no request converts a rate
+        self._demands: Dict[str, Tuple[Fraction, int]] = {
+            name: (spec.demand, self.net.units(spec.demand)) for name, spec in config.workload.classes.items()
+        }
+        self._overhead = (config.wlan_control_overhead, self.net.units(config.wlan_control_overhead))
         self.metrics = MetricsCollector(self.net)
         self.cloud = CloudControl(self.net, self.engine, rtt_ms=config.cloud_rtt_ms)
         self.cloud.on_flow_terminated = self._on_terminated
@@ -206,8 +215,8 @@ class Simulation:
         AP an unsliced flow `ctl-<ap>` guaranteed the overhead rate on the
         AP's segment to the PoP. A flow whose segment is unchanged stays; one
         whose AP has no route is removed; any other moves to its segment."""
-        rate = self.config.wlan_control_overhead
-        if rate <= 0:
+        rate, units = self._overhead
+        if units <= 0:
             return
         net = self.net
         for ap in net.topology.nodes_of_kind(NodeKind.WLAN_AP):
@@ -223,7 +232,7 @@ class Simulation:
                 continue
             path = FlowPath(flow_id, ap.id, fog.pop, hops, RouteKind.WLAN_VIA_MIDDLE_MILE)
             latency = latency_sum(path.links(), net.topology.links)
-            net.install_flow(InstalledFlow(flow_id, path, rate, rate, None, "control", latency))
+            net.install_flow(InstalledFlow(flow_id, path, rate, rate, None, "control", latency, units, units))
 
     # -- decision plumbing ---------------------------------------------------
 
@@ -320,12 +329,9 @@ class Simulation:
     def _on_flow_arrival(self, event: Event) -> None:
         request: FlowRequest = event.payload
         self.metrics.on_request()
+        demand, demand_units = self._demands[request.app_class]
         spec = FlowSpec(
-            flow_id=request.flow_id,
-            src=Endpoint.user(request.src_user),
-            dst=request.dst,
-            app_class=request.app_class,
-            demand=self.config.workload.classes[request.app_class].demand,
+            request.flow_id, Endpoint.user(request.src_user), request.dst, request.app_class, demand, demand_units
         )
         decision = self.cloud.decide(spec)
         self._log_decision(event.time, spec, decision, reroute=False)
@@ -426,7 +432,7 @@ class Simulation:
         with open(os.path.join(out_dir, "metrics.tsv"), "w") as fh:
             fh.write(self.metrics.render())
         with open(os.path.join(out_dir, "decisions.log"), "w") as fh:
-            fh.write("\n".join(self.decision_rows) + "\n")
+            write_rows(fh, self.decision_rows)
         with open(os.path.join(out_dir, "events.log"), "w") as fh:
             fh.write("time_ms\tseq\tkind\tsubjects\n")
             fh.writelines(
@@ -437,7 +443,7 @@ class Simulation:
             fh.write("time_ms\tfog\tstate\n")
             fh.write("\n".join(self.cloud.connectivity_rows()) + "\n")
         with open(os.path.join(out_dir, "slices.tsv"), "w") as fh:
-            fh.write("\n".join(self.slice_rows) + "\n")
+            write_rows(fh, self.slice_rows)
         with open(os.path.join(out_dir, "run.log"), "w") as fh:
             fh.write("# resolved configuration\n")
             fh.write(yaml.safe_dump(self.config.to_doc(), sort_keys=False))
@@ -447,6 +453,15 @@ class Simulation:
             fh.write(f"rejected\t{record.rejected_total}\n")
             fh.write(f"backhaul_mbytes\t{fmt6(record.backhaul_bytes / 1_000_000)}\n")
             fh.write(f"cache_hit_rate\t{fmt6(record.cache_hit_rate)}\n")
+
+
+def write_rows(fh, rows: List[str]) -> None:
+    """Write each row and a newline, `ROW_CHUNK` rows at a time: the text
+    of the whole file at once would be another copy of every row, and one
+    write per row is slower than a join of a few hundred."""
+    for start in range(0, len(rows), ROW_CHUNK):
+        fh.write("\n".join(rows[start : start + ROW_CHUNK]))
+        fh.write("\n")
 
 
 def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> MetricsRecord:

@@ -10,10 +10,11 @@ rates as plain `int` multiples of one exact unit instead, `1/unit` Mb/s,
 fixed when the network state is built (`rate_unit`); `in_units` raises
 ValueError for a rate that is not a whole number of it. The unit also
 makes every slice's entitlement, its share times a whole number of units
-of capacity, a whole number of units. A rate is converted once where it
-enters (a flow at install and removal, a request's guarantee when a
-controller takes it). Adding and comparing ints costs a fraction of the
-same `Fraction` work. A `Fraction` is made only where a division happens
+of capacity, a whole number of units. Each configured rate is converted
+once, when a simulation is built (a policy rule's guarantee, a workload
+class's demand, the control overhead; a subscriber's cap is floored), so
+no request converts one. Adding and comparing ints costs a fraction of
+the same `Fraction` work. A `Fraction` is made only where a division happens
 (a max-min level, the slice allocator's split of leftover capacity, a
 utilization) and where a config rate leaves for an output. A rate in
 units leaves as its int and the unit, which `rate_str` renders without

@@ -204,14 +204,18 @@ class CloudEnv:
                 pass  # e.g. isolated fog with a cloud-resident subscriber DB
 
     def spec(self, flow_id, src, dst, app_class=VOIP, demand=Fraction(1, 2)):
+        """A request at `demand` Mb/s, converted to units here as
+        `Simulation` converts each workload class's demand at build."""
         if isinstance(dst, str):
             dst = Endpoint.user(dst)
+        demand = Fraction(demand)
         return FlowSpec(
             flow_id=flow_id,
             src=Endpoint.user(src),
             dst=dst,
             app_class=app_class,
-            demand=Fraction(demand),
+            demand=demand,
+            demand_units=self.net.units(demand),
         )
 
     def set_backhaul(self, fog_id, up):
@@ -252,12 +256,20 @@ def bare_net(capacity, rates=()):
     return NetworkState(Topology(nodes={}, links=links, clusters={}), [Fraction(r) for r in rates])
 
 
+def flow_units(net, demand, gbr):
+    """A flow's guarantee and rate (the guarantee, else the demand) in
+    `net`'s units, the `InstalledFlow.gbr_units` and `.rate_units` that
+    the controllers take from the rates `Simulation` converts at build."""
+    gbr_units = net.units(Fraction(gbr))
+    return gbr_units, gbr_units or net.units(Fraction(demand))
+
+
 def install(net, fid, links, demand, gbr=0):
     """Install an unsliced flow over `links` (ids, in order) at `demand`
     with guarantee `gbr` (Mb/s); return it."""
     hops = tuple((net.topology.links[lid].a, lid) for lid in links)
     path = FlowPath(fid, hops[0][0] if hops else "-", "-", hops, RouteKind.INTRA_FOG_LOCAL)
-    flow = InstalledFlow(fid, path, Fraction(demand), Fraction(gbr), None, "t", 0.0)
+    flow = InstalledFlow(fid, path, Fraction(demand), Fraction(gbr), None, "t", 0.0, *flow_units(net, demand, gbr))
     net.install_flow(flow)
     return flow
 

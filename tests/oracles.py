@@ -438,10 +438,11 @@ def controller_oracle(env, spec) -> OracleDecision:
     topo = net.topology
 
     try:
-        qos, gbr, slice_id = fog.classify_flow(spec)
+        grant, slice_id = fog.classify_flow(spec)
     except Exception as exc:  # mapped identically by the controller
         name = type(exc).__name__
         return OracleDecision(accepted=False, reason=_REFUSED.get(name, name))
+    gbr = grant.gbr
 
     src = spec.src.ident
     if not _options(fog, src):
@@ -562,10 +563,11 @@ def interfog_oracle(env, spec) -> OracleDecision:
         if not any(_up(net, lid) for lid in _backhauls(topo, fog.fog_id)):
             return OracleDecision(accepted=False, reason="FogIsolated")
     try:
-        qos, gbr, slice_id = fa.classify_flow(spec)
+        grant, slice_id = fa.classify_flow(spec)
     except Exception as exc:  # mapped identically by the controller
         name = type(exc).__name__
         return OracleDecision(accepted=False, reason=_REFUSED.get(name, name))
+    gbr = grant.gbr
     if not _options(fa, src) or not _options(fb, dst):
         return OracleDecision(accepted=False, reason="NoCoverage")
 

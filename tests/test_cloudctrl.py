@@ -6,10 +6,10 @@ import pytest
 
 from fognet.cloudctrl import CloudControl, FogIsolated
 from fognet.dataplane import FlowPath, InstalledFlow, RouteKind
-from fognet.fogctrl import Attachment, Endpoint, FogControl, PolicyRule, QosClass, RejectReason
+from fognet.fogctrl import Attachment, Endpoint, FogControl, Grant, PolicyRule, QosClass, RejectReason
 from fognet.slicing import SliceSpec
 from fognet.topology import NodeKind, ResourceClass
-from helpers import CONTENT, VOIP, WEB, CloudEnv, two_fog_doc
+from helpers import CONTENT, VOIP, WEB, CloudEnv, flow_units, two_fog_doc
 from oracles import interfog_oracle
 
 F = Fraction
@@ -113,14 +113,15 @@ class TestExternalPath:
                 slice_id="s1",
                 app_class=VOIP,
                 latency_ms=10.0,
+                gbr_units=env.net.units(F(498, 5)),
+                rate_units=env.net.units(F(498, 5)),
             )
         )
         decision = env.cloud.setup_external_path(big)
         assert not decision.accepted and decision.reason == RejectReason.GBR_ADMISSION_FAIL
         # a guarantee that fits the remaining 0.4 still passes
-        env.policy[VOIP] = type(env.policy[VOIP])(app_class=VOIP, qos=env.policy[VOIP].qos, gbr_rate=F(2, 5))
         for fog in env.fogs.values():
-            fog.policy[VOIP] = env.policy[VOIP]
+            fog.grants[VOIP] = Grant(env.policy[VOIP].qos, F(2, 5), env.net.units(F(2, 5)))
         small = env.spec("g2", "f1-u1", Endpoint.external(), app_class=VOIP, demand=F(2, 5))
         decision = env.cloud.setup_external_path(small)
         assert decision.accepted
@@ -142,7 +143,8 @@ class TestInterFogPath:
         # entitlement alone would admit the request
         env = CloudEnv(demands=[F(1, 2), F(498, 5)])
         fill = FlowPath(flow_id="fill", src="pop-f2", dst="gw", hops=(("pop-f2", "bh-f2"),), rat_used=RouteKind.CLOUD_BOUND)
-        env.net.install_flow(InstalledFlow("fill", fill, F(498, 5), F(498, 5), "other", VOIP, 10.0))
+        units = flow_units(env.net, F(498, 5), F(498, 5))
+        env.net.install_flow(InstalledFlow("fill", fill, F(498, 5), F(498, 5), "other", VOIP, 10.0, *units))
         decision = env.cloud.setup_interfog_path(env.spec("x1", "f1-u1", "f2-u1", app_class=VOIP))
         assert not decision.accepted and decision.reason == RejectReason.GBR_ADMISSION_FAIL
         env.net.remove_flow("fill")
@@ -268,7 +270,8 @@ class TestInterFogOracle:
                 link, gbr = topo.links[lid], rng.choice([F(4), F(9)])
                 if net.effective_up(link.id) and net.residual_units(link.id) >= net.units(gbr):
                     path = FlowPath(f"fill{step}", link.a, link.b, ((link.a, link.id),), RouteKind.CLOUD_BOUND)
-                    net.install_flow(InstalledFlow(f"fill{step}", path, gbr, gbr, "other", VOIP, 10.0))
+                    units = flow_units(net, gbr, gbr)
+                    net.install_flow(InstalledFlow(f"fill{step}", path, gbr, gbr, "other", VOIP, 10.0, *units))
             elif r < 0.9:
                 src = rng.choice(users)
                 far = [u for u in users if topo.fog_of(u) != topo.fog_of(src)]

@@ -22,7 +22,7 @@ from fognet.engine import FairShareIndex, recompute_fair_shares
 from fognet.fogctrl import Attachment, Endpoint, FlowDecision, FlowSpec
 from fognet.topology import LINK_TO_RESOURCE, LinkClass, ResourceClass, build_from_config
 from fognet.workload import FlowRequest
-from helpers import solved_rates, two_cluster_doc, wired_fogs
+from helpers import flow_units, solved_rates, two_cluster_doc, wired_fogs
 from oracles import OracleFlow, ReferenceLru, best_path, enumerate_simple_paths, maxmin_oracle
 
 F = Fraction
@@ -33,8 +33,10 @@ def make_net(rates=(), **kw):
     return NetworkState(build_from_config(two_cluster_doc(**kw)), rates)
 
 
-def flow(fid, hops, *, demand=F(1), gbr=F(0), rat=RouteKind.INTRA_FOG_LOCAL, slice_id="s1"):
+def flow(net, fid, hops, *, demand=F(1), gbr=F(0), rat=RouteKind.INTRA_FOG_LOCAL, slice_id="s1"):
+    """A flow over `hops`, its rates in `net`'s units (`flow_units`)."""
     path = FlowPath(flow_id=fid, src=hops[0][0], dst="x", hops=tuple(hops), rat_used=rat)
+    gbr_units, rate_units = flow_units(net, demand, gbr)
     return InstalledFlow(
         flow_id=fid,
         path=path,
@@ -43,6 +45,8 @@ def flow(fid, hops, *, demand=F(1), gbr=F(0), rat=RouteKind.INTRA_FOG_LOCAL, sli
         slice_id=slice_id,
         app_class="t",
         latency_ms=0.0,
+        gbr_units=gbr_units,
+        rate_units=rate_units,
     )
 
 
@@ -60,14 +64,14 @@ class TestFlowTables:
 
     def test_single_hop_macro_entry(self):
         net = make_net()
-        net.install_flow(flow("f1", [("u5", "ma-u5")]))
+        net.install_flow(flow(net, "f1", [("u5", "ma-u5")]))
         assert net.flows["f1"].path.hops == (("u5", "ma-u5"),)
         assert forwarding_entries(net) == {"u5": {"f1": ("ma-u5", "s1")}}
 
     def test_pop_to_user_chain_has_four_entries(self):
         net = make_net()
         hops = [("pop", "in-pop-mmap"), ("mmap", "mm-mmap-mmc1"), ("mmc1", "in-wap1-mmc1"), ("wap1", "wl-u1-wap1")]
-        net.install_flow(flow("f1", hops))
+        net.install_flow(flow(net, "f1", hops))
         entries = forwarding_entries(net)
         for node, lid in hops:
             assert entries[node]["f1"] == (lid, "s1")
@@ -76,15 +80,15 @@ class TestFlowTables:
     def test_install_remove_restores_snapshot(self):
         net = make_net()
         before = forwarding_entries(net)
-        net.install_flow(flow("f1", [("u1", "wl-u1-wap1"), ("wap1", "wl-u2-wap1")]))
+        net.install_flow(flow(net, "f1", [("u1", "wl-u1-wap1"), ("wap1", "wl-u2-wap1")]))
         net.remove_flow("f1")
         assert forwarding_entries(net) == before
         assert net.flows_on_link("wl-u1-wap1") == []
 
     def test_remove_keeps_other_flow(self):
         net = make_net()
-        net.install_flow(flow("a", [("u1", "wl-u1-wap1"), ("wap1", "wl-u2-wap1")]))
-        net.install_flow(flow("b", [("u2", "wl-u2-wap1"), ("wap1", "wl-u1-wap1")]))
+        net.install_flow(flow(net, "a", [("u1", "wl-u1-wap1"), ("wap1", "wl-u2-wap1")]))
+        net.install_flow(flow(net, "b", [("u2", "wl-u2-wap1"), ("wap1", "wl-u1-wap1")]))
         net.remove_flow("a")
         entries = forwarding_entries(net)
         assert "b" in entries["u2"]
@@ -92,9 +96,9 @@ class TestFlowTables:
 
     def test_duplicate_and_unknown(self):
         net = make_net()
-        net.install_flow(flow("a", [("u5", "ma-u5")]))
+        net.install_flow(flow(net, "a", [("u5", "ma-u5")]))
         with pytest.raises(DuplicateFlow):
-            net.install_flow(flow("a", [("u5", "ma-u5")]))
+            net.install_flow(flow(net, "a", [("u5", "ma-u5")]))
         with pytest.raises(UnknownFlow):
             net.remove_flow("nope")
 
@@ -102,7 +106,7 @@ class TestFlowTables:
         net = make_net()
         net.set_link_state("ma-u5", False)
         with pytest.raises(LinkDown):
-            net.install_flow(flow("a", [("u5", "ma-u5")]))
+            net.install_flow(flow(net, "a", [("u5", "ma-u5")]))
         assert net.flows == {}
 
     def test_random_trace_matches_shadow_map(self):
@@ -119,7 +123,7 @@ class TestFlowTables:
                 serial += 1
                 fid = f"f{serial}"
                 hops = [("u1", "wl-u1-wap1"), ("wap1", "wl-u2-wap1")] if rng.random() < 0.5 else [("u5", "ma-u5")]
-                net.install_flow(flow(fid, hops))
+                net.install_flow(flow(net, fid, hops))
                 shadow[fid] = hops
             assert {fid: list(f.path.hops) for fid, f in net.flows.items()} == shadow
             for lid in ("wl-u1-wap1", "wl-u2-wap1", "ma-u5"):
@@ -129,7 +133,7 @@ class TestFlowTables:
     def test_installed_flow_walk_terminates(self):
         net = make_net()
         hops = [("u1", "wl-u1-wap1"), ("wap1", "in-wap1-mmc1"), ("mmc1", "mm-mmap-mmc1")]
-        net.install_flow(flow("f1", hops))
+        net.install_flow(flow(net, "f1", hops))
         # follow the forwarding entries hop by hop from the source
         entries = forwarding_entries(net)
         node, visited = "u1", ["u1"]
@@ -181,7 +185,7 @@ class TestAllocation:
                 if demand > 0 and rng.random() < 0.25:
                     if all(net.residual_units(lid) >= net.units(demand / 2) for _, lid in hops):
                         gbr = demand / 2
-                net.install_flow(flow(f"f{serial}", hops, demand=demand, gbr=gbr))
+                net.install_flow(flow(net, f"f{serial}", hops, demand=demand, gbr=gbr))
             net.recompute()
 
             expected = maxmin_oracle(
@@ -247,7 +251,7 @@ class TestKeptFairShareIndex:
                 if demand > 0 and rng.random() < 0.25:
                     if all(net.residual_units(lid) >= net.units(demand) for _, lid in hops):
                         gbr = demand
-                new = flow(f"f{serial}", hops, demand=demand, gbr=gbr, slice_id=rng.choice(["s1", "s2"]))
+                new = flow(net, f"f{serial}", hops, demand=demand, gbr=gbr, slice_id=rng.choice(["s1", "s2"]))
                 try:
                     net.install_flow(new)
                 except LinkDown:
@@ -308,13 +312,13 @@ class TestNonDecimalRates:
         wlan_path = _ALLOC_PATHS[0]
         macro_path = _ALLOC_PATHS[2]
         steps = [
-            ("install", flow("tenth-gbr", wlan_path, demand=F(1, 10), gbr=F(1, 10), slice_id="s1")),
-            ("install", flow("tenth-be", wlan_path, demand=F(1, 10))),
-            ("install", flow("tenth-unsliced", macro_path, demand=F(1, 10), gbr=F(1, 10), slice_id=None)),
-            ("install", flow("third-gbr", macro_path, demand=F(4, 3), gbr=F(4, 3), slice_id="s2")),
-            ("install", flow("third-be", wlan_path, demand=F(4, 3))),
-            ("install", flow("third-be-2", wlan_path, demand=F(4, 3))),
-            ("install", flow("seventh-be", wlan_path, demand=F(2, 7))),
+            ("install", flow(net, "tenth-gbr", wlan_path, demand=F(1, 10), gbr=F(1, 10), slice_id="s1")),
+            ("install", flow(net, "tenth-be", wlan_path, demand=F(1, 10))),
+            ("install", flow(net, "tenth-unsliced", macro_path, demand=F(1, 10), gbr=F(1, 10), slice_id=None)),
+            ("install", flow(net, "third-gbr", macro_path, demand=F(4, 3), gbr=F(4, 3), slice_id="s2")),
+            ("install", flow(net, "third-be", wlan_path, demand=F(4, 3))),
+            ("install", flow(net, "third-be-2", wlan_path, demand=F(4, 3))),
+            ("install", flow(net, "seventh-be", wlan_path, demand=F(2, 7))),
         ]
         removals = ("tenth-be", "third-gbr", "seventh-be", "third-be", "tenth-unsliced", "third-be-2", "tenth-gbr")
         steps += [("remove", fid) for fid in removals]
@@ -361,22 +365,22 @@ class TestNonDecimalRates:
         assert any(congested) and not congested[-1]
 
     def test_rate_outside_the_unit_raises_before_any_ledger_changes(self):
-        """A flow whose demand or guarantee is not a whole number of
-        `1/net.unit` Mb/s raises ValueError and leaves the flows and ledgers
-        as they were. An installed flow keeps its guarantee and rate in
-        units, which its removal reads back."""
+        """Converting a demand or guarantee that is not a whole number of
+        `1/net.unit` Mb/s (`NetworkState.units`) raises ValueError, so no
+        flow with such a rate is built or installed, and the flows and
+        ledgers stay as they were. An installed flow keeps its guarantee
+        and rate in units, which its removal reads back."""
         net = make_net([F(1, 10)])
         assert net.unit == 10
         path = _ALLOC_PATHS[0]
-        net.install_flow(flow("tenth", path, demand=F(1, 10), gbr=F(1, 10)))
-        net.install_flow(flow("tenth-be", path, demand=F(3, 10)))
+        net.install_flow(flow(net, "tenth", path, demand=F(1, 10), gbr=F(1, 10)))
+        net.install_flow(flow(net, "tenth-be", path, demand=F(3, 10)))
         assert [(f.gbr_units, f.rate_units) for f in net.flows.values()] == [(1, 1), (0, 3)]
         before = (dict(net.flows), dict(net._offered), dict(net._be_capacity), dict(net._rising))
-        for bad in (flow("third-be", path, demand=F(1, 3)), flow("third-gbr", path, demand=F(1, 3), gbr=F(1, 3))):
-            with pytest.raises(ValueError):
-                net.install_flow(bad)
+        for fid, gbr in (("third-be", F(0)), ("third-gbr", F(1, 3))):
+            with pytest.raises(ValueError, match=r"^rate 1/3 is not a whole number of 1/10 Mb/s$"):
+                net.install_flow(flow(net, fid, path, demand=F(1, 3), gbr=gbr))
             assert (net.flows, net._offered, net._be_capacity, net._rising) == before
-            assert (bad.gbr_units, bad.rate_units) == (0, 0)
         net.remove_flow("tenth-be")
         assert net._offered == {lid: 1 for _, lid in path}
         net.remove_flow("tenth")
@@ -425,9 +429,7 @@ class TestFlowIndex:
                 serial += 1
                 fid = f"f{serial}"
                 path = FlowPath(flow_id=fid, src=hops[0][0], dst=end, hops=tuple(hops), rat_used=RouteKind.INTRA_FOG_LOCAL)
-                new = InstalledFlow(
-                    flow_id=fid, path=path, demand=F(1), gbr=F(0), slice_id="s1", app_class="t", latency_ms=0.0
-                )
+                new = InstalledFlow(fid, path, F(1), F(0), "s1", "t", 0.0, *flow_units(net, F(1), F(0)))
                 try:
                     net.install_flow(new)
                     installs += 1
@@ -473,7 +475,7 @@ class TestMeshRoute:
     def test_residual_filter_diverts(self):
         net = make_net(mesh_cross_link=True)
         # reserve most of the direct link mmap->mmc2
-        net.install_flow(flow("g", [("mmap", "mm-mmap-mmc2")], demand=F(45), gbr=F(45)))
+        net.install_flow(flow(net, "g", [("mmap", "mm-mmap-mmc2")], demand=F(45), gbr=F(45)))
         hops = constrained_route(net, "mmap", "mmc2", _mesh(net), need=net.units(F(10)))
         assert [l for _, l in hops] == ["mm-mmap-mmc1", "mm-mmc1-mmc2"]
 
@@ -619,7 +621,7 @@ HOPS = (("u1", "wl-u1"), ("wap1", "mm-1"), ("pop1", "bh-1"))
 
 def records():
     """One of each immutable record built per request, by name."""
-    spec = FlowSpec("f1", Endpoint.user("u1"), Endpoint.content("7"), "content", F(1, 2))
+    spec = FlowSpec("f1", Endpoint.user("u1"), Endpoint.content("7"), "content", F(1, 2), 1)
     path = FlowPath("f1", "u1", "gw", HOPS, RouteKind.CLOUD_BOUND)
     return {
         "Endpoint": spec.src,
@@ -651,8 +653,8 @@ class TestRecords:
         assert not hasattr(records()[name], "__dict__")
 
     def test_installed_flow_no_instance_dict(self):
-        installed = flow("f1", HOPS)
-        installed.rate_units = 2  # mutable by design: `install_flow` sets its units
+        installed = flow(make_net(), "f1", HOPS)
+        installed.rate_units = 2  # mutable by design
         assert not hasattr(installed, "__dict__")
         with pytest.raises(AttributeError):
             installed.extra = 1

@@ -35,6 +35,7 @@ from helpers import (
     CloudEnv,
     FakeCloud,
     FogEnv,
+    flow_units,
     two_cluster_doc,
     two_fog_doc,
     wired_fogs,
@@ -78,15 +79,16 @@ class TestAuthentication:
 class TestClassify:
     def test_voip_maps_to_gbr_with_configured_rate(self):
         env = FogEnv()
-        qos, gbr, slice_id = env.fog.classify_flow(env.spec("f", "u1", "u2", app_class=VOIP))
-        assert qos == QosClass.REAL_TIME_GBR
-        assert gbr == F(1, 2)
+        grant, slice_id = env.fog.classify_flow(env.spec("f", "u1", "u2", app_class=VOIP))
+        assert grant.qos == QosClass.REAL_TIME_GBR
+        assert grant.gbr == F(1, 2)
+        assert grant.units == env.net.units(F(1, 2))
         assert slice_id == "s1"
 
     def test_bulk_is_best_effort(self):
         env = FogEnv()
-        qos, gbr, _ = env.fog.classify_flow(env.spec("f", "u1", Endpoint.external(), app_class=WEB))
-        assert qos == QosClass.BEST_EFFORT and gbr == 0
+        grant, _ = env.fog.classify_flow(env.spec("f", "u1", Endpoint.external(), app_class=WEB))
+        assert grant.qos == QosClass.BEST_EFFORT and grant.gbr == 0 and grant.units == 0
 
     def test_class_outside_subscription_denied(self):
         env = FogEnv()
@@ -106,6 +108,26 @@ class TestClassify:
         env = FogEnv(max_gbr=F(1, 10))
         with pytest.raises(PolicyDenied):
             env.fog.classify_flow(env.spec("f", "u1", "u2", app_class=VOIP))
+
+    def test_cap_between_two_units(self):
+        """A subscription cap need not be a whole number of units: it is
+        kept floored in units, which refuses exactly the guarantees above
+        it. At a unit of 1/10 Mb/s, a 0.1 Mb/s guarantee is admitted under
+        caps of 0.15 and 0.1 Mb/s and refused under 0.08 and 0.05, its note
+        still rendering the guarantee in Mb/s."""
+        policy = {**DEFAULT_POLICY, VOIP: PolicyRule(app_class=VOIP, qos=QosClass.REAL_TIME_GBR, gbr_rate=F(1, 10))}
+        for cap, admitted in ((F(15, 100), True), (F(1, 10), True), (F(8, 100), False), (F(5, 100), False)):
+            env = FogEnv(policy=policy, demands=[F(1, 10)], max_gbr=cap)
+            assert env.net.unit == 10
+            decision = env.fog.handle_flow_request(env.spec("f", "u1", "u2", app_class=VOIP, demand=F(1, 10)))
+            if admitted:
+                assert decision.accepted, cap
+            else:
+                assert (decision.accepted, decision.reason, decision.note) == (
+                    False,
+                    RejectReason.POLICY_DENIED,
+                    "guaranteed rate 1/10 above subscription cap for u1",
+                ), cap
 
     def test_remote_pcrf_fails_when_isolated(self):
         env = FogEnv(profile=FogProfile(pcrf_in_fog=False), cloud=FakeCloud(connected=False))
@@ -204,6 +226,8 @@ class TestHandleFlowRequest:
                 slice_id="s1",
                 app_class=VOIP,
                 latency_ms=0.0,
+                gbr_units=env.net.units(F(97, 10)),
+                rate_units=env.net.units(F(97, 10)),
             )
         )
         decision = env.fog.handle_flow_request(env.spec("f", "u5", "u1", app_class=VOIP))
@@ -505,7 +529,8 @@ class TestRouteMemo:
                     path = FlowPath(f"g{step}", src, end, tuple(hops), RouteKind.WLAN_VIA_MIDDLE_MILE)
                     # a sliced install leaves the epoch, and so the memo, in place
                     slice_id = rng.choice([None, "s1"])
-                    net.install_flow(InstalledFlow(f"g{step}", path, gbr, gbr, slice_id, VOIP, 0.0))
+                    units = flow_units(net, gbr, gbr)
+                    net.install_flow(InstalledFlow(f"g{step}", path, gbr, gbr, slice_id, VOIP, 0.0, *units))
                     installed.append(f"g{step}")
             elif installed:
                 net.remove_flow(installed.pop(rng.randrange(len(installed))))
@@ -563,9 +588,9 @@ class TestTemplates:
         manager = fog.slice_manager
         twin = FogControl(
             fog.fog_id, fog.profile, fog.net, [manager.spec(sid) for sid in manager.slice_ids()], fog.cloud,
-            policy=fog.policy, cache=copy.deepcopy(fog.cache),
+            cache=copy.deepcopy(fog.cache),
         )  # fmt: skip
-        twin.racfs, twin._user_slice = fog.racfs, fog._user_slice
+        twin.racfs, twin._user_slice, twin.grants = fog.racfs, fog._user_slice, fog.grants
         fog.net._health_watchers.remove(twin._on_health)  # used within one step only
         return twin
 

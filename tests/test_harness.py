@@ -11,7 +11,7 @@ import fognet
 from fognet.cli import main
 from fognet.metrics import BYTES_PER_MBPS_MS
 from fognet.scenario import ParseError, ValidationError, load_scenario, parse_scenario
-from fognet.simulation import OUTPUT_FILES, Simulation, run_scenario
+from fognet.simulation import OUTPUT_FILES, ROW_CHUNK, Simulation, run_scenario, write_rows
 from fognet.topology import InvalidTopology, LinkClass, MissingPoP, loads
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -145,6 +145,16 @@ class TestRunScenario:
             a = (tmp_path / "a" / fname).read_bytes()
             b = (tmp_path / "b" / fname).read_bytes()
             assert a == b, fname
+
+    def test_rows_written_in_chunks_are_the_joined_rows(self, tmp_path):
+        """`write_rows` writes the same bytes as the whole text joined at
+        once, on each side of a chunk boundary."""
+        for count in (1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 5):
+            rows = [f"row\t{i}" for i in range(count)]
+            path = tmp_path / f"{count}.tsv"
+            with open(path, "w") as fh:
+                write_rows(fh, rows)
+            assert path.read_text() == "\n".join(rows) + "\n", count
 
     def test_different_seed_differs(self):
         r1 = run_scenario(parse_scenario(scenario_doc(seed=5)))

@@ -20,7 +20,7 @@ import pytest
 from fognet.dataplane import FlowPath, GbrOvercommit, InstalledFlow, NetworkState, RouteKind
 from fognet.slicing import SliceSpec
 from fognet.topology import ResourceClass, build_from_config
-from helpers import two_fog_doc, wired_fogs
+from helpers import flow_units, two_fog_doc, wired_fogs
 from oracles import OracleFlow, _metered_in, _slice_cap_ok, _up, maxmin_oracle
 
 F = Fraction
@@ -52,11 +52,9 @@ def _build():
     return net, wired_fogs(net, specs)
 
 
-def _flow(fid, hops, demand, gbr, slice_id):
+def _flow(net, fid, hops, demand, gbr, slice_id):
     path = FlowPath(flow_id=fid, src=hops[0][0], dst="x", hops=tuple(hops), rat_used=RouteKind.INTRA_FOG_LOCAL)
-    return InstalledFlow(
-        flow_id=fid, path=path, demand=demand, gbr=gbr, slice_id=slice_id, app_class="t", latency_ms=0.0
-    )
+    return InstalledFlow(fid, path, demand, gbr, slice_id, "t", 0.0, *flow_units(net, demand, gbr))
 
 
 def _physical_recount(net, fog_id):
@@ -117,7 +115,7 @@ def _check(net, fogs, rng, paths, seen):
     up = sorted(lid for lid in topo.links if net.effective_up(lid))
     if up:
         lid = rng.choice(up)
-        over = _flow("overcommit", [(topo.links[lid].a, lid)], F(0), F(net.residual_units(lid), net.unit) + 1, "s1")
+        over = _flow(net, "overcommit", [(topo.links[lid].a, lid)], F(0), F(net.residual_units(lid), net.unit) + 1, "s1")
         net.install_flow(over)
         with pytest.raises(GbrOvercommit) as raised:
             net.recompute()
@@ -178,12 +176,12 @@ def test_ledger_matches_recounts_and_oracles(seed):
                 kind = rng.choice(("sliced", "sliced", "unsliced", "best_effort", "best_effort"))
                 if kind == "best_effort":
                     demand = F(rng.randint(1, 40), rng.choice([1, 2, 3]))
-                    net.install_flow(_flow(f"f{serial}", hops, demand, F(0), rng.choice(["s1", "s2", None])))
+                    net.install_flow(_flow(net, f"f{serial}", hops, demand, F(0), rng.choice(["s1", "s2", None])))
                 else:
                     gbr = F(rng.randint(1, 8), 4)
                     if all(net.residual_units(lid) >= net.units(gbr) for _, lid in hops):
                         slice_id = rng.choice(["s1", "s2"]) if kind == "sliced" else None
-                        net.install_flow(_flow(f"f{serial}", hops, gbr, gbr, slice_id))
+                        net.install_flow(_flow(net, f"f{serial}", hops, gbr, gbr, slice_id))
         _check(net, fogs, rng, paths, seen)
 
     # both admission outcomes, both allocation paths and several capacity
@@ -204,7 +202,7 @@ def test_unsliced_guarantee_released_while_its_link_is_down():
     mm = ResourceClass.MIDDLE_MILE
     hops = _paths()[1]  # f1-u1 over WLAN to the PoP, through mm-f1
     full = fogs["f1"].physical_capacity()[mm]
-    net.install_flow(_flow("ctl", hops, F(1, 2), F(1, 2), None))
+    net.install_flow(_flow(net, "ctl", hops, F(1, 2), F(1, 2), None))
     assert net.fog_sliceable_units("f1", mm) == full - unit // 2
     net.set_link_state("mm-f1", False)
     assert net.fog_sliceable_units("f1", mm) == 0
@@ -227,7 +225,7 @@ def test_capacity_drop_alone_can_leave_a_slice_over_its_entitlement():
     wlan = ResourceClass.WLAN
     assert fogs["f1"].entitlements()["s1", wlan] == 30 * net.unit  # 3/5 of 2 x 25
     assert fogs["f1"].slice_gbr_ok("s1", ["wl-f1-u1"], net.units(F(20)))
-    net.install_flow(_flow("g", [("f1-u1", "wl-f1-u1")], F(20), F(20), "s1"))
+    net.install_flow(_flow(net, "g", [("f1-u1", "wl-f1-u1")], F(20), F(20), "s1"))
     net.set_link_state("wl-f1-u2", False)
     assert fogs["f1"].entitlements()["s1", wlan] == 15 * net.unit
     assert net.slice_gbr_units("f1", "s1", wlan) == 20 * net.unit
