@@ -16,12 +16,13 @@ and demand and the sliceable capacity of each resource class, plus an
 epoch for the fogs' entitlement caches (see its docstring for who
 updates what).
 
-Rates: flows (`InstalledFlow.demand`, `.gbr`) and `allocated()` are
-exact `Fraction`s in Mb/s. Every ledger is a plain `int` in units of
-`1/NetworkState.unit` Mb/s (`util.in_units`), and so is what the
-`*_units` readers return and what `constrained_route` takes as `need`;
-the one exception is a link's best-effort total while congested, a
-`Fraction` of units, since max-min levels need not be whole units. The
+Rates: a flow holds its guarantee and rate only in units of
+`1/NetworkState.unit` Mb/s (`InstalledFlow.gbr_units`, `.rate_units`).
+Every ledger is a plain `int` in the same units (`util.in_units`), and
+so is what the `*_units` readers return and what `constrained_route`
+takes as `need`; the one exception is a link's best-effort total while
+congested, a `Fraction` of units, since max-min levels need not be whole
+units. Only `allocated()` returns an exact `Fraction` in Mb/s. The
 unit is fixed when the state is built, from every rate a flow can hold
 and the slice shares, so that each slice's entitlement is whole units
 too (`util.rate_unit`); converting a rate that is not a whole number of
@@ -29,9 +30,9 @@ it (`NetworkState.units`) raises ValueError. Each configured rate is
 converted once, when the simulation and its fog controls are built: a
 policy rule's guarantee (`FogControl.grants`), a workload class's demand
 (`FlowSpec.demand_units`) and the WLAN control overhead. So a flow
-reaches `install_flow` with its guarantee and rate in units already
-(`InstalledFlow.gbr_units`, `.rate_units`), and installs, removals,
-congestion and headroom tests add and compare ints, converting nothing.
+reaches `install_flow` with its guarantee and rate in units already,
+and installs, removals, congestion and headroom tests add and compare
+ints, converting nothing.
 
 Fluid allocations: a GBR flow always carries its guarantee. While no link
 is congested every best-effort flow carries its demand, and `allocated()`
@@ -124,7 +125,6 @@ class FlowPath(NamedTuple):
     `node_ids`), as fog control does from a candidate that already holds
     them."""
 
-    flow_id: str
     src: str
     dst: str
     hops: Tuple[Tuple[str, str], ...]
@@ -147,16 +147,14 @@ class FlowPath(NamedTuple):
 class InstalledFlow:
     flow_id: str
     path: FlowPath
-    demand: Fraction
-    gbr: Fraction
     slice_id: Optional[str]
-    app_class: str
     latency_ms: float
     # guarantee and rate (guarantee, else demand) in the network state's
-    # units, which the builder converted once (`NetworkState.units`)
+    # units, which the builder converted once (`NetworkState.units`): the
+    # flow's only record of its rates
     gbr_units: int
     rate_units: int
-    spec: object = None  # originating FlowSpec, when controller-driven
+    spec: object = None  # originating FlowSpec; None for a control-overhead flow
     links: Tuple[str, ...] = ()  # the path's; hot in the allocator
 
     def __post_init__(self):
@@ -180,7 +178,8 @@ class NetworkState:
     `slice_gbr_units`, `slice_demand_units`, `sliceable_units`,
     `fog_sliceable_units`, `offered_units`, `load_units`) return the
     ledgers in units to the controllers and metrics; only `allocated()`
-    returns a `Fraction` in Mb/s, a flow's own rate or its max-min share.
+    returns a `Fraction` in Mb/s, a flow's own rate or its max-min share,
+    derived from the flow's units or the solve's level and `unit`.
 
     Each fact below is kept in one place and updated where it changes,
     never recounted:
@@ -239,8 +238,9 @@ class NetworkState:
       flow's rate, made a `Fraction` only when `allocated()` asks, and a
       flow installed since reads 0 and counts in no total. While no link
       is congested rates come from the installed flows themselves. A
-      GBR flow's rate is always its own `gbr`, and a best-effort flow
-      that does not rise carries its demand (0 when it has none).
+      GBR flow's rate is always its own guarantee, and a best-effort flow
+      that does not rise carries its demand (0 when it has none): each
+      its `rate_units`.
 
     `load_units(*link_ids)` is the one reader of allocated load, summed
     over the links it is given, so a caller that wants a class total asks
@@ -480,10 +480,8 @@ class NetworkState:
         flow = self.flows.get(flow_id)
         if flow is None:
             return ZERO
-        if flow.gbr > 0:
-            return flow.gbr
-        if not self._congested or not flow.links:
-            return max(flow.demand, ZERO)
+        if flow.gbr_units > 0 or not self._congested or not flow.links:
+            return Fraction(flow.rate_units, self.unit)
         fair = self._fair
         if fair is None or flow_id not in fair.froze:
             return ZERO  # no solve since it was installed

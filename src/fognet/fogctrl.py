@@ -13,16 +13,20 @@ and fails while the fog is isolated.
 A fog is complete once constructed: it is built with its cloud, which
 dispatches every request and re-decision (`CloudControl.decide`), and
 from its slice specs it builds its `SliceManager`, which validates them,
-and one `SliceRacf` per slice. The dispatch settles locality: a fog is
-asked only about requests whose source is one of its users, and whose
-user peer, if any, is one of its users too or has no known location.
+and one `SliceRacf` per slice. It builds its content cache, an
+`LruCache` of `cache_capacity` items, exactly when its profile places
+the cache in the fog (`FogProfile.cache_in_fog`). The dispatch settles
+locality: a fog is asked only about requests whose source is one of its
+users, and whose user peer, if any, is one of its users too or has no
+known location.
 
 Rates are converted to the network state's units once, at
-construction: each policy rule's guarantee is kept as a `Grant` in Mb/s
-and in units (`grants`), and each subscriber's cap in units, floored
+construction: each policy rule's guarantee is kept as a `Grant` in units
+(`grants`), and each subscriber's cap in units, floored
 (`SliceRacf.gbr_caps`). A request's demand arrives in units too
 (`FlowSpec.demand_units`). So classification, admission and the install
-(`conclude`) compare and hand on ints, and convert no rate.
+(`conclude`) compare and hand on ints, and convert no rate; the one
+refusal note that names a guarantee renders it from its units.
 
 Flows are not registered per slice or per user: the installed flows in
 `NetworkState` are the one record of them. A flow belongs to the slice
@@ -60,6 +64,7 @@ from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequen
 from .dataplane import (
     FlowPath,
     InstalledFlow,
+    LruCache,
     NetworkState,
     NoRoute,
     RouteKind,
@@ -147,8 +152,7 @@ class FlowSpec(NamedTuple):
     src: Endpoint
     dst: Endpoint
     app_class: str
-    demand: Fraction
-    demand_units: int  # `demand` in the network state's units, converted at build (`Simulation`)
+    demand_units: int  # the class's demand in the network state's units, converted at build (`Simulation`)
 
 
 @dataclass(frozen=True)
@@ -165,11 +169,10 @@ class PolicyRule:
 class Grant(NamedTuple):
     """A policy rule as the flow controller applies it, kept per app class
     from construction: the QoS class and the guarantee (0 for best
-    effort), in Mb/s for the flow's record and a refusal's note, and in
-    units for the subscription cap, admission and the ledger."""
+    effort) in the network state's units, for the subscription cap,
+    admission and the ledger."""
 
     qos: QosClass
-    gbr: Fraction
     units: int
 
 
@@ -415,7 +418,7 @@ class FogControl:
         slices: Sequence[SliceSpec],
         cloud,
         policy: Optional[Dict[str, PolicyRule]] = None,
-        cache=None,
+        cache_capacity: int = 100,
         dhcp=None,
     ):
         self.fog_id = fog_id
@@ -426,8 +429,8 @@ class FogControl:
         self.grants: Dict[str, Grant] = {}
         for app_class, rule in (policy or {}).items():
             gbr = rule.gbr_rate if rule.qos == QosClass.REAL_TIME_GBR else ZERO
-            self.grants[app_class] = Grant(rule.qos, gbr, net.units(gbr))
-        self.cache = cache
+            self.grants[app_class] = Grant(rule.qos, net.units(gbr))
+        self.cache = LruCache(cache_capacity) if profile.cache_in_fog else None
         self.dhcp = dhcp
         self.cloud = cloud
         self._user_slice: Dict[str, str] = {}
@@ -511,7 +514,8 @@ class FogControl:
         if grant is None or spec.app_class not in racf.user_records[user].allowed_classes:
             raise PolicyDenied(f"class {spec.app_class} not allowed for {user}", user)
         if grant.units > racf.gbr_caps[user]:
-            raise PolicyDenied(f"guaranteed rate {grant.gbr} above subscription cap for {user}", user)
+            gbr = Fraction(grant.units, self.net.unit)
+            raise PolicyDenied(f"guaranteed rate {gbr} above subscription cap for {user}", user)
         return grant, slice_id
 
     # -- locality ----------------------------------------------------------------
@@ -527,7 +531,7 @@ class FogControl:
                     return True
                 raise UnknownEndpoint(f"no location known for user {end.ident}", end.ident)
             if end.kind == EndpointKind.CONTENT:
-                return bool(self.profile.cache_in_fog and self.cache and self.cache.peek(end.ident))
+                return self.cache is not None and self.cache.peek(end.ident)
             return False
 
         return in_fog(spec.src) and in_fog(spec.dst)
@@ -758,10 +762,10 @@ class FogControl:
             targets = [(dst, RouteKind.INTRA_FOG_LOCAL, peer)]
             mobile_of[dst] = peer_ctx.mobile
         elif spec.dst.kind == EndpointKind.CONTENT:
-            if not (self.profile.cache_in_fog and self.cache) and not self.connected():
+            if self.cache is None and not self.connected():
                 return reject(RejectReason.FOG_ISOLATED)
             hit = False
-            if self.profile.cache_in_fog and self.cache:
+            if self.cache is not None:
                 hit = self.cache.lookup(dst)
                 note = "cache_hit" if hit else "cache_miss"
                 if not hit:
@@ -818,15 +822,10 @@ class FogControl:
         if links is None:
             links = tuple(map(_second, chosen.hops))
             latency = latency_sum(links, self.net.topology.links)
-        path = FlowPath(spec.flow_id, spec.src.ident, chosen.end, chosen.hops, chosen.rat, links, chosen.nodes)
+        path = FlowPath(spec.src.ident, chosen.end, chosen.hops, chosen.rat, links, chosen.nodes)
         grant, slice_id = classified
         gbr = grant.units
-        self.net.install_flow(
-            InstalledFlow(
-                spec.flow_id, path, spec.demand, grant.gbr, slice_id, spec.app_class, latency, gbr,
-                gbr or spec.demand_units, spec,
-            )
-        )
+        self.net.install_flow(InstalledFlow(spec.flow_id, path, slice_id, latency, gbr, gbr or spec.demand_units, spec))
         return FlowDecision(
             flow_id=spec.flow_id,
             accepted=True,

@@ -12,8 +12,8 @@ so a fault moves only the control flows whose segment it changed.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import yaml
 
@@ -22,7 +22,6 @@ from .dataplane import (
     AddressPool,
     FlowPath,
     InstalledFlow,
-    LruCache,
     NetworkState,
     PoolExhausted,
     RouteKind,
@@ -82,12 +81,10 @@ class Simulation:
             + [config.wlan_control_overhead],
             [share for spec in config.slices for share in spec.shares.values()],
         )
-        # each workload class's demand and the control overhead, with each
-        # in units, converted once here, so no request converts a rate
-        self._demands: Dict[str, Tuple[Fraction, int]] = {
-            name: (spec.demand, self.net.units(spec.demand)) for name, spec in config.workload.classes.items()
-        }
-        self._overhead = (config.wlan_control_overhead, self.net.units(config.wlan_control_overhead))
+        # each workload class's demand and the control overhead in units,
+        # converted once here, so no request converts a rate
+        self._demands = {name: self.net.units(spec.demand) for name, spec in config.workload.classes.items()}
+        self._overhead = self.net.units(config.wlan_control_overhead)
         self.metrics = MetricsCollector(self.net)
         self.cloud = CloudControl(self.net, self.engine, rtt_ms=config.cloud_rtt_ms)
         self.cloud.on_flow_terminated = self._on_terminated
@@ -101,7 +98,6 @@ class Simulation:
         for index, fog_id in enumerate(topo.fogs()):
             fc = config.fogs[fog_id]
             profile = fc.profile
-            cache = LruCache(fc.cache_capacity) if profile.cache_in_fog else None
             dhcp = AddressPool(fog_id, fc.address_pool, subnet_index=index) if profile.dhcp_in_fog else None
             fog = FogControl(
                 fog_id=fog_id,
@@ -110,7 +106,7 @@ class Simulation:
                 slices=config.slices,
                 cloud=self.cloud,
                 policy=config.policy,
-                cache=cache,
+                cache_capacity=fc.cache_capacity,
                 dhcp=dhcp,
             )
             self.cloud.register_fog(fog)
@@ -215,7 +211,7 @@ class Simulation:
         AP an unsliced flow `ctl-<ap>` guaranteed the overhead rate on the
         AP's segment to the PoP. A flow whose segment is unchanged stays; one
         whose AP has no route is removed; any other moves to its segment."""
-        rate, units = self._overhead
+        units = self._overhead
         if units <= 0:
             return
         net = self.net
@@ -230,9 +226,9 @@ class Simulation:
                 net.remove_flow(flow_id)
             if hops is None:
                 continue
-            path = FlowPath(flow_id, ap.id, fog.pop, hops, RouteKind.WLAN_VIA_MIDDLE_MILE)
+            path = FlowPath(ap.id, fog.pop, hops, RouteKind.WLAN_VIA_MIDDLE_MILE)
             latency = latency_sum(path.links(), net.topology.links)
-            net.install_flow(InstalledFlow(flow_id, path, rate, rate, None, "control", latency, units, units))
+            net.install_flow(InstalledFlow(flow_id, path, None, latency, units, units))
 
     # -- decision plumbing ---------------------------------------------------
 
@@ -272,15 +268,17 @@ class Simulation:
         )
 
     def _log_termination(self, time_ms: int, flow: InstalledFlow, reason: RejectReason) -> None:
+        """The row of a flow torn down by isolation or re-decision, always a
+        request's (`flow.spec`): no control-overhead flow is terminated."""
         spec = flow.spec
         self.decision_rows.append(
             "\t".join(
                 [
                     str(time_ms),
                     flow.flow_id,
-                    flow.app_class,
-                    self._endpoint_text(spec.src) if spec else flow.path.src,
-                    self._endpoint_text(spec.dst) if spec else flow.path.dst,
+                    spec.app_class,
+                    self._endpoint_text(spec.src),
+                    self._endpoint_text(spec.dst),
                     "terminated",
                     VALUE_TEXT[reason],
                     VALUE_TEXT[flow.path.rat_used],
@@ -329,10 +327,8 @@ class Simulation:
     def _on_flow_arrival(self, event: Event) -> None:
         request: FlowRequest = event.payload
         self.metrics.on_request()
-        demand, demand_units = self._demands[request.app_class]
-        spec = FlowSpec(
-            request.flow_id, Endpoint.user(request.src_user), request.dst, request.app_class, demand, demand_units
-        )
+        app_class = request.app_class
+        spec = FlowSpec(request.flow_id, Endpoint.user(request.src_user), request.dst, app_class, self._demands[app_class])
         decision = self.cloud.decide(spec)
         self._log_decision(event.time, spec, decision, reroute=False)
         if decision.accepted:
@@ -397,10 +393,8 @@ class Simulation:
         except CloudUnreachable:
             return  # mobility state out of reach while isolated; attachment unchanged
         for _, decision in results:
-            flow = self.net.flows.get(decision.flow_id)
-            spec = flow.spec if flow is not None else None
-            if spec is not None:
-                self._log_decision(event.time, spec, decision, reroute=True)
+            if decision.accepted:  # a refused one was written as its termination (`on_flow_terminated`)
+                self._log_decision(event.time, self.net.flows[decision.flow_id].spec, decision, reroute=True)
         self._after_change(event.time)
 
     def _cache_totals(self) -> Tuple[int, int]:
@@ -435,10 +429,11 @@ class Simulation:
             write_rows(fh, self.decision_rows)
         with open(os.path.join(out_dir, "events.log"), "w") as fh:
             fh.write("time_ms\tseq\tkind\tsubjects\n")
-            fh.writelines(
-                f"{time}\t{seq}\t{VALUE_TEXT[kind]}\t{';'.join(subjects) or '-'}\n"
+            rows = (
+                f"{time}\t{seq}\t{VALUE_TEXT[kind]}\t{';'.join(subjects) or '-'}"
                 for time, seq, kind, subjects, _ in self.engine.trace
             )
+            write_rows(fh, rows)
         with open(os.path.join(out_dir, "connectivity.log"), "w") as fh:
             fh.write("time_ms\tfog\tstate\n")
             fh.write("\n".join(self.cloud.connectivity_rows()) + "\n")
@@ -455,12 +450,14 @@ class Simulation:
             fh.write(f"cache_hit_rate\t{fmt6(record.cache_hit_rate)}\n")
 
 
-def write_rows(fh, rows: List[str]) -> None:
-    """Write each row and a newline, `ROW_CHUNK` rows at a time: the text
-    of the whole file at once would be another copy of every row, and one
-    write per row is slower than a join of a few hundred."""
-    for start in range(0, len(rows), ROW_CHUNK):
-        fh.write("\n".join(rows[start : start + ROW_CHUNK]))
+def write_rows(fh, rows: Iterable[str]) -> None:
+    """Write each row of `rows`, a list or a generator, and a newline,
+    `ROW_CHUNK` rows at a time: the text of the whole file at once would
+    be another copy of every row, and one write per row is slower than a
+    join of a few hundred."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, ROW_CHUNK)):
+        fh.write("\n".join(chunk))
         fh.write("\n")
 
 

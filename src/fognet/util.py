@@ -2,11 +2,12 @@
 
 Every rate is exact, so conservation checks hold with no float tolerance.
 Config files may spell rates as ints, decimals, or "p/q" strings, which
-`to_rate` parses into a `fractions.Fraction` in Mb/s; configs, flows,
-a flow's allocated rate and every output carry rates in that form.
+`to_rate` parses into a `fractions.Fraction` in Mb/s; configs, a
+flow's allocated rate (`NetworkState.allocated`) and every output carry
+rates in that form.
 
-Ledgers, the controllers' admission tests and the max-min solver hold
-rates as plain `int` multiples of one exact unit instead, `1/unit` Mb/s,
+Flows, ledgers, the controllers' admission tests and the max-min solver
+hold rates as plain `int` multiples of one exact unit instead, `1/unit` Mb/s,
 fixed when the network state is built (`rate_unit`); `in_units` raises
 ValueError for a rate that is not a whole number of it. The unit also
 makes every slice's entitlement, its share times a whole number of units

@@ -6,7 +6,7 @@ allocation tests."""
 from fractions import Fraction
 
 from fognet.cloudctrl import CloudControl
-from fognet.dataplane import FlowPath, InstalledFlow, LruCache, NetworkState, RouteKind
+from fognet.dataplane import FlowPath, InstalledFlow, NetworkState, RouteKind
 from fognet.engine import Engine
 from fognet.fogctrl import (
     Attachment,
@@ -20,6 +20,8 @@ from fognet.fogctrl import (
 )
 from fognet.slicing import SliceSpec
 from fognet.topology import Link, LinkClass, NodeKind, ResourceClass, Topology, build_from_config
+from fognet.util import ZERO
+from oracles import FlowRates
 
 VOIP = "local_voip"
 CONTENT = "content_request"
@@ -144,7 +146,11 @@ class CloudEnv:
     turn, by id, and are registered with their fog and the cloud and
     authenticated. Tests move time with `engine.run_until`, which also
     delivers the cloud's control messages. A `FakeCloud` passed as
-    `cloud` stands in for the cloud controller."""
+    `cloud` stands in for the cloud controller.
+
+    `rates` is the tests' record of each flow's rates in Mb/s, for the
+    oracles: `spec` enters each request's, and a test that installs a
+    flow by hand enters that flow's."""
 
     def __init__(
         self,
@@ -162,6 +168,7 @@ class CloudEnv:
         self.policy = policy or dict(DEFAULT_POLICY)
         slices = slices or [full_share_slice()]
         self.net = NetworkState(self.topo, configured_rates(self.policy, demands), slice_shares(slices))
+        self.rates = {}
         self.engine = Engine()
         self.cloud = cloud or CloudControl(self.net, self.engine, rtt_ms=rtt_ms)
         self.fogs = {}
@@ -175,7 +182,7 @@ class CloudEnv:
                 slices,
                 self.cloud,
                 policy=self.policy,
-                cache=LruCache(cache_capacity) if profile.cache_in_fog else None,
+                cache_capacity=cache_capacity,
             )
             self.cloud.register_fog(fog)
             self.fogs[fog_id] = fog
@@ -205,16 +212,19 @@ class CloudEnv:
 
     def spec(self, flow_id, src, dst, app_class=VOIP, demand=Fraction(1, 2)):
         """A request at `demand` Mb/s, converted to units here as
-        `Simulation` converts each workload class's demand at build."""
+        `Simulation` converts each workload class's demand at build. Its
+        rates, `demand` and its class's guarantee in the configured policy,
+        go to `rates`."""
         if isinstance(dst, str):
             dst = Endpoint.user(dst)
         demand = Fraction(demand)
+        rule = self.policy.get(app_class)
+        self.rates[flow_id] = FlowRates(demand, rule.gbr_rate if rule else ZERO)
         return FlowSpec(
             flow_id=flow_id,
             src=Endpoint.user(src),
             dst=dst,
             app_class=app_class,
-            demand=demand,
             demand_units=self.net.units(demand),
         )
 
@@ -237,8 +247,8 @@ class FogEnv(CloudEnv):
 
 
 def wired_fogs(net, slices=()):
-    """Per fog of `net`'s topology a fog control with no users, policy or
-    cache, built with one cloud on a fresh engine and registered to it."""
+    """Per fog of `net`'s topology a fog control with no users or policy,
+    built with one cloud on a fresh engine and registered to it."""
     cloud = CloudControl(net, Engine())
     fogs = {fog_id: FogControl(fog_id, FogProfile(), net, slices, cloud) for fog_id in net.topology.fogs()}
     for fog in fogs.values():
@@ -268,8 +278,8 @@ def install(net, fid, links, demand, gbr=0):
     """Install an unsliced flow over `links` (ids, in order) at `demand`
     with guarantee `gbr` (Mb/s); return it."""
     hops = tuple((net.topology.links[lid].a, lid) for lid in links)
-    path = FlowPath(fid, hops[0][0] if hops else "-", "-", hops, RouteKind.INTRA_FOG_LOCAL)
-    flow = InstalledFlow(fid, path, Fraction(demand), Fraction(gbr), None, "t", 0.0, *flow_units(net, demand, gbr))
+    path = FlowPath(hops[0][0] if hops else "-", "-", hops, RouteKind.INTRA_FOG_LOCAL)
+    flow = InstalledFlow(fid, path, None, 0.0, *flow_units(net, demand, gbr))
     net.install_flow(flow)
     return flow
 

@@ -4,7 +4,9 @@
 through `sim.engine.on`. It is registered after the simulator's own
 handlers, so it runs last for each event and sees the state that event
 left. The handler recounts from the installed flows (`net.flows`, each
-with the links of its path), the link and node health flags
+with the links of its path and the rates the scenario configures for
+it: its class's demand and policy guarantee, or for a control-overhead
+flow `ctl-<ap>` the overhead rate), the link and node health flags
 (`link_up`, `node_up`) and the topology alone, and asserts that each of
 these equals its recount:
 
@@ -34,12 +36,15 @@ these equals its recount:
   rebuilds from the configured slices and the recounted capacity and
   demands.
 
-It also asserts that every installed path lists each link once; on every
-link, that no installed flow crosses it while it or one of its end nodes
-is Down, that its guarantees fit its capacity (`residual_units >= 0`) and
-that its allocated rate does too (`load_units <= capacity_units`); and
-on the links of each resource class, that `load_units` over all of them
-at once equals the sum of its per-link values.
+It also asserts that each installed flow holds its configured guarantee
+and rate (the guarantee, else the demand) in the network state's units
+(`gbr_units`, `rate_units`), and that every installed path lists each
+link once; on every link, that no installed flow crosses it while it or
+one of its end nodes is Down, that its guarantees fit its capacity
+(`residual_units >= 0`) and that its allocated rate does too
+(`load_units <= capacity_units`); and on the links of each resource
+class, that `load_units` over all of them at once equals the sum of its
+per-link values.
 
 The slice entitlement holds after every admission: right after the
 install of each sliced flow with a guarantee, on every (fog, class) its
@@ -57,21 +62,30 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import lcm
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from fognet.dataplane import NoRoute, constrained_route
 from fognet.engine import EventKind
 from fognet.topology import LINK_TO_RESOURCE, NodeKind, ResourceClass
+from fognet.util import ZERO
 from oracles import slice_rows_oracle
 
 
 class _Layout:
-    """What the recounts read of the network and fogs and never changes in
-    a run: each link's resource class, the fogs that meter it (those of
-    its end nodes) and its (fog, class) keys, the links of each class, and
-    the capacities at a common denominator, memoized."""
+    """What the recounts read of the network, fogs and configuration and
+    never changes in a run: each link's resource class, the fogs that
+    meter it (those of its end nodes) and its (fog, class) keys, the links
+    of each class, and the capacities and configured rates at one common
+    denominator `den`, the LCM of the denominators of every capacity and
+    every rate a flow can hold.
+
+    A flow's rates are keyed by its class (`flow.spec.app_class`), or
+    None for a control-overhead flow, which has no spec: `scaled[key]` is
+    its guarantee and rate (the guarantee, else the demand) times `den`,
+    and `units[key]` the same pair in the network state's units."""
 
     def __init__(self, sim):
+        config = sim.config
         topo = sim.net.topology
         self.resource = {lid: LINK_TO_RESOURCE.get(link.link_class) for lid, link in topo.links.items()}
         self.fogs_of = {
@@ -89,22 +103,34 @@ class _Layout:
         self.class_links = [
             [lid for lid in sorted(topo.links) if self.resource[lid] == cls] for cls in ResourceClass.ALL
         ]
-        self.capacity_den = lcm(*(link.capacity.denominator for link in topo.links.values()))
+        # (demand, guarantee) in Mb/s per class, and the overhead's under None
+        overhead = config.wlan_control_overhead
+        rates: Dict[Optional[str], Tuple[Fraction, Fraction]] = {None: (overhead, overhead)}
+        for name, spec in config.workload.classes.items():
+            rule = config.policy.get(name)
+            rates[name] = (spec.demand, rule.gbr_rate if rule is not None else ZERO)
+        self.den = den = lcm(
+            *(link.capacity.denominator for link in topo.links.values()),
+            *(rate.denominator for pair in rates.values() for rate in pair),
+        )
+
+        def scaled(rate: Fraction) -> int:
+            return rate.numerator * (den // rate.denominator)
+
+        unit = sim.net.unit
+        self.scaled = {key: (scaled(gbr), scaled(gbr or demand)) for key, (demand, gbr) in rates.items()}
+        self.units = {key: (gbr * unit, (gbr or demand) * unit) for key, (demand, gbr) in rates.items()}
+        self.capacities = {lid: scaled(link.capacity) for lid, link in topo.links.items()}
         # (AP, its fog's PoP, the fog's mesh links) per WLAN AP
         self.control_routes = [
             (ap.id, topo.pop_of(ap.fog), topo.fog_domain(ap.fog).mesh) for ap in topo.nodes_of_kind(NodeKind.WLAN_AP)
         ]
-        self._links = topo.links
-        self._capacities: Dict[int, Dict[str, int]] = {}
         self._path_keys: Dict[Tuple[str, ...], FrozenSet[Tuple[str, str]]] = {}
 
-    def capacities(self, den: int) -> Dict[str, int]:
-        """Each link's capacity times `den`."""
-        if den not in self._capacities:
-            self._capacities[den] = {
-                lid: link.capacity.numerator * (den // link.capacity.denominator) for lid, link in self._links.items()
-            }
-        return self._capacities[den]
+    @staticmethod
+    def key(flow) -> Optional[str]:
+        """The key of the flow's configured rates."""
+        return flow.spec.app_class if flow.spec is not None else None
 
     def meter_keys(self, links: Tuple[str, ...]) -> FrozenSet[Tuple[str, str]]:
         """The (fog, class) keys that the links are metered under."""
@@ -119,19 +145,15 @@ def _up(net, lid: str) -> bool:
 
 
 def check_state(sim, layout: _Layout, now_ms: int = 0, slice_rows: List[str] = ()) -> None:
-    """The recounts are exact integers: every rate times a common
-    denominator `den` of this check's own (the LCM of the denominators of
-    every capacity and installed flow rate). `slice_rows` are the slice
-    report rows written at `now_ms` since the last check."""
+    """The recounts are exact integers: every rate times the common
+    denominator `layout.den` of this check's own. `slice_rows` are the
+    slice report rows written at `now_ms` since the last check."""
     net = sim.net
     links = net.topology.links
     resource = layout.resource
     fogs_of = layout.fogs_of
     flows = list(net.flows.values())
-    den = lcm(layout.capacity_den, *(rate.denominator for f in flows for rate in (f.demand, f.gbr)))
-
-    def scaled(rate: Fraction) -> int:
-        return rate.numerator * (den // rate.denominator)
+    den = layout.den
 
     def same(ledger: int, total: int) -> bool:
         """A ledger entry in `net.unit` against a recount in `den`."""
@@ -149,8 +171,9 @@ def check_state(sim, layout: _Layout, now_ms: int = 0, slice_rows: List[str] = (
     on_link: Dict[str, Set[str]] = defaultdict(set)
     for flow in flows:
         assert len(set(flow.links)) == len(flow.links), ("link_listed_twice", flow.flow_id)
-        guarantee = scaled(flow.gbr)
-        want = guarantee if guarantee > 0 else scaled(flow.demand)
+        key = layout.key(flow)
+        assert (flow.gbr_units, flow.rate_units) == layout.units[key], ("flow_rates", flow.flow_id)
+        guarantee, want = layout.scaled[key]
         for lid in flow.links:
             offered[lid] += want
             on_link[lid].add(flow.flow_id)
@@ -170,7 +193,7 @@ def check_state(sim, layout: _Layout, now_ms: int = 0, slice_rows: List[str] = (
     physical = {(fog_id, cls): 0 for fog_id in sim.fogs for cls in ResourceClass.ALL}
     at: Dict[str, Set[str]] = defaultdict(set)  # node -> flows on its incident links
     load: Dict[str, int | Fraction] = {}  # link -> load_units(link)
-    capacities = layout.capacities(den)
+    capacities = layout.capacities
     for lid, link in links.items():
         capacity = capacities[lid]
         assert same(net._offered.get(lid, 0), offered.get(lid, 0)), ("offered", lid)
@@ -215,7 +238,7 @@ def check_state(sim, layout: _Layout, now_ms: int = 0, slice_rows: List[str] = (
         except NoRoute:
             route = None
         assert (flow.path.hops if flow else None) == route, ("control_route", ap)
-        assert flow is None or flow.demand == flow.gbr == overhead, ("control_rate", ap)
+        assert flow is None or flow.gbr_units == flow.rate_units == overhead * net.unit, ("control_rate", ap)
 
     for fog_id, fog in sim.fogs.items():
         expected = {cls: units(physical[fog_id, cls]) for cls in ResourceClass.ALL}
@@ -245,23 +268,23 @@ def check_admission(sim, layout: _Layout, flow) -> None:
     """Right after `flow`, a sliced flow with a guarantee, is installed:
     on every (fog, class) its path meters, the slice's guarantees there (per
     listing) are at most its share of the fog's Up capacity of the class,
-    net of unsliced guarantees. Exact, in integers: every rate times a
-    common denominator `den`, as in `check_state`."""
+    net of unsliced guarantees. Exact, in integers: every rate times
+    `layout.den`, as in `check_state`."""
     net = sim.net
     keys = layout.meter_keys(flow.links)
-    held = [f for f in net.flows.values() if f.gbr > 0 and f.slice_id in (None, flow.slice_id)]
-    den = lcm(layout.capacity_den, *(f.gbr.denominator for f in held))
     used: Dict[Tuple[str, str], int] = defaultdict(int)
     unsliced: Dict[str, int] = defaultdict(int)
-    for other in held:
-        guarantee = other.gbr.numerator * (den // other.gbr.denominator)
+    for other in net.flows.values():
+        guarantee = layout.scaled[layout.key(other)][0]
+        if guarantee == 0 or other.slice_id not in (None, flow.slice_id):
+            continue
         for lid in other.links:
             if other.slice_id is None:
                 unsliced[lid] += guarantee
             else:
                 for key in layout.link_keys[lid] & keys:
                     used[key] += guarantee
-    capacities = layout.capacities(den)
+    capacities = layout.capacities
     for key in sorted(keys):
         fog_id, cls = key
         capacity = sum(capacities[lid] - unsliced[lid] for lid in layout.links_of[key] if _up(net, lid))
@@ -285,7 +308,7 @@ def check_after_every_event(sim) -> List[int]:
 
     def install_and_check(flow) -> None:
         install(flow)
-        if flow.gbr > 0 and flow.slice_id is not None:
+        if layout.scaled[layout.key(flow)][0] > 0 and flow.slice_id is not None:
             check_admission(sim, layout, flow)
             checked[1] += 1
 

@@ -7,16 +7,28 @@ the LRU is a plain list, the flow-controller and inter-fog oracles
 rebuild candidates by exhaustive search before applying the same rule
 order, and the slice report is rebuilt in `Fraction`s of Mb/s by the
 allocator's first design and rendered by scaling with powers of ten.
+
+An installed flow holds its rates only in the network state's units, so
+the oracles that read the installed flows take the test's own record of
+each one's rates in Mb/s (`rates`, flow id -> `FlowRates`): the rates a
+test built it with, or requested it at under the policy it configured.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from fognet.dataplane import RouteKind
 from fognet.topology import LINK_TO_RESOURCE, LinkClass, ResourceClass
 
 ZERO = Fraction(0)
+
+
+class FlowRates(NamedTuple):
+    """A flow's demand and guarantee (0 for best effort) in Mb/s."""
+
+    demand: Fraction
+    gbr: Fraction = ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +109,18 @@ def bfs_hops(adjacency: Dict[str, List[str]], start: str) -> Dict[str, int]:
 
 
 def enumerate_simple_paths(
-    net, src: str, dst: str, allow, min_residual: Fraction = ZERO, limit: int = 200000
+    net, rates: Dict[str, FlowRates], src: str, dst: str, allow, min_residual: Fraction = ZERO, limit: int = 200000
 ) -> List[List[Tuple[str, str]]]:
-    """Every simple path src->dst over permitted healthy links."""
+    """Every simple path src->dst over permitted healthy links with
+    `min_residual` left after the guarantees of the installed flows, whose
+    rates are `rates`."""
     topo = net.topology
     out: List[List[Tuple[str, str]]] = []
     seen = {src}
     hops: List[Tuple[str, str]] = []
 
     def usable(link) -> bool:
-        reserved = sum(
-            (f.gbr for f in net.flows.values() if link.id in f.path.links()), ZERO
-        )
+        reserved = _link_gbr(net, rates, link.id)
         return (
             allow(link)
             and _up(net, link.id)
@@ -256,13 +268,13 @@ def slice_rows_oracle(
 # flow-controller oracle
 
 
-def _link_gbr(net, lid: str) -> Fraction:
-    return sum((f.gbr for f in net.flows.values() if lid in f.path.links()), ZERO)
+def _link_gbr(net, rates: Dict[str, FlowRates], lid: str) -> Fraction:
+    return sum((rates[fid].gbr for fid, f in net.flows.items() if lid in f.path.links()), ZERO)
 
 
-def _link_be_demand(net, lid: str) -> Fraction:
+def _link_be_demand(net, rates: Dict[str, FlowRates], lid: str) -> Fraction:
     return sum(
-        (f.demand for f in net.flows.values() if f.gbr == 0 and lid in f.path.links()), ZERO
+        (rates[fid].demand for fid, f in net.flows.items() if rates[fid].gbr == 0 and lid in f.path.links()), ZERO
     )
 
 
@@ -280,12 +292,12 @@ def _metered_in(topo, fog_id: str, lid: str) -> Optional[str]:
     return LINK_TO_RESOURCE.get(link.link_class)
 
 
-def _slice_cap_ok(fog, slice_id: str, links: Sequence[str], gbr: Fraction) -> bool:
+def _slice_cap_ok(fog, rates: Dict[str, FlowRates], slice_id: str, links: Sequence[str], gbr: Fraction) -> bool:
     """Admission against the slice's entitlement in `fog`, in Mb/s: on the
     links of `links` with an end in the fog, per class, the slice's
     guarantees on such links (per listing) plus `gbr` per listing stay
     within its share of the fog's Up links of the class, net of unsliced
-    guarantees. Recounted from the topology, health and flows."""
+    guarantees. Recounted from the topology, health, flows and `rates`."""
     if gbr <= 0:
         return True
     net = fog.net
@@ -296,15 +308,16 @@ def _slice_cap_ok(fog, slice_id: str, links: Sequence[str], gbr: Fraction) -> bo
         if cls is not None:
             per_class[cls] = per_class.get(cls, 0) + 1
     unsliced: Dict[str, Fraction] = {}
-    for flow in net.flows.values():
+    for fid, flow in net.flows.items():
         if flow.slice_id is None:
             for lid in flow.path.links():
-                unsliced[lid] = unsliced.get(lid, ZERO) + flow.gbr
+                unsliced[lid] = unsliced.get(lid, ZERO) + rates[fid].gbr
     for cls, count in per_class.items():
         used = ZERO
-        for flow in net.flows.values():
-            if flow.slice_id == slice_id and flow.gbr > 0:
-                used += flow.gbr * sum(1 for lid in flow.path.links() if _metered_in(topo, fog.fog_id, lid) == cls)
+        for fid, flow in net.flows.items():
+            held = rates[fid].gbr
+            if flow.slice_id == slice_id and held > 0:
+                used += held * sum(1 for lid in flow.path.links() if _metered_in(topo, fog.fog_id, lid) == cls)
         capacity = ZERO
         for lid, link in topo.links.items():
             if _metered_in(topo, fog.fog_id, lid) == cls and _up(net, lid):
@@ -373,7 +386,9 @@ def _allow_factory(topo, fog_id: str, access_ids, include_backhaul: bool):
     return allow
 
 
-def _choose(net, candidates: List[OracleCandidate], local: bool, mobile: Dict[str, bool]) -> OracleDecision:
+def _choose(
+    net, rates: Dict[str, FlowRates], candidates: List[OracleCandidate], local: bool, mobile: Dict[str, bool]
+) -> OracleDecision:
     """Rules 2..4 over the admissible candidates: locality (for a local
     flow), mobility preference, bottleneck utilization, hop count,
     lexicographic order."""
@@ -400,7 +415,7 @@ def _choose(net, candidates: List[OracleCandidate], local: bool, mobile: Dict[st
         worst = ZERO
         for _, lid in c.hops:
             cap = topo.links[lid].capacity
-            util = (_link_gbr(net, lid) + _link_be_demand(net, lid)) / cap
+            util = (_link_gbr(net, rates, lid) + _link_be_demand(net, rates, lid)) / cap
             if util > worst:
                 worst = util
         return worst
@@ -432,17 +447,20 @@ def controller_oracle(env, spec) -> OracleDecision:
     Rebuilds each access-combo candidate by enumerating all simple paths,
     then applies the same rule order: admission, locality, mobility
     preference, bottleneck utilization, hop count, lexicographic order.
+    The request's guarantee is its class's in the policy `env` configured,
+    and the installed flows' rates are `env.rates`.
     """
     fog = env.fog
     net = env.net
+    rates = env.rates
     topo = net.topology
 
     try:
-        grant, slice_id = fog.classify_flow(spec)
+        _, slice_id = fog.classify_flow(spec)
     except Exception as exc:  # mapped identically by the controller
         name = type(exc).__name__
         return OracleDecision(accepted=False, reason=_REFUSED.get(name, name))
-    gbr = grant.gbr
+    gbr = env.policy[spec.app_class].gbr_rate
 
     src = spec.src.ident
     if not _options(fog, src):
@@ -476,13 +494,13 @@ def controller_oracle(env, spec) -> OracleDecision:
         for skind, slink in _options(fog, src):
             for dkind, dlink in _options(fog, dst):
                 allow = _allow_factory(topo, fog.fog_id, {slink.id, dlink.id}, include_backhaul=False)
-                feasible = enumerate_simple_paths(net, src, dst, allow, min_residual=gbr)
-                if enumerate_simple_paths(net, src, dst, allow):
+                feasible = enumerate_simple_paths(net, rates, src, dst, allow, min_residual=gbr)
+                if enumerate_simple_paths(net, rates, src, dst, allow):
                     structural = True
                 chosen = best_path(feasible, dst)
                 if chosen is None:
                     continue
-                if not _slice_cap_ok(fog, slice_id, [l for _, l in chosen], gbr):
+                if not _slice_cap_ok(fog, rates, slice_id, [l for _, l in chosen], gbr):
                     structural = True
                     continue
                 candidates.append(
@@ -498,13 +516,13 @@ def controller_oracle(env, spec) -> OracleDecision:
         for tag, target, rat, _ in targets:
             for skind, slink in _options(fog, src):
                 allow = _allow_factory(topo, fog.fog_id, {slink.id}, include_backhaul=rat == RouteKind.CLOUD_BOUND)
-                feasible = enumerate_simple_paths(net, src, target, allow, min_residual=gbr)
-                if enumerate_simple_paths(net, src, target, allow):
+                feasible = enumerate_simple_paths(net, rates, src, target, allow, min_residual=gbr)
+                if enumerate_simple_paths(net, rates, src, target, allow):
                     structural = True
                 chosen = best_path(feasible, target)
                 if chosen is None:
                     continue
-                if not _slice_cap_ok(fog, slice_id, [l for _, l in chosen], gbr):
+                if not _slice_cap_ok(fog, rates, slice_id, [l for _, l in chosen], gbr):
                     structural = True
                     continue
                 candidates.append(
@@ -523,7 +541,7 @@ def controller_oracle(env, spec) -> OracleDecision:
         )
 
     mobile = {user: fog.context_of(user).mobile for c in candidates for user in c.access_used}
-    return _choose(net, candidates, local, mobile)
+    return _choose(net, rates, candidates, local, mobile)
 
 
 def _backhauls(topo, fog_id: str) -> List[str]:
@@ -535,11 +553,11 @@ def _backhauls(topo, fog_id: str) -> List[str]:
     ]
 
 
-def _backhaul(net, fog_id: str, gbr: Fraction) -> Optional[str]:
+def _backhaul(net, rates: Dict[str, FlowRates], fog_id: str, gbr: Fraction) -> Optional[str]:
     """The fog's lowest-id Up backhaul with `gbr` of capacity left after
     the guarantees it holds, if any."""
     for lid in _backhauls(net.topology, fog_id):
-        if _up(net, lid) and net.topology.links[lid].capacity - _link_gbr(net, lid) >= gbr:
+        if _up(net, lid) and net.topology.links[lid].capacity - _link_gbr(net, rates, lid) >= gbr:
             return lid
     return None
 
@@ -554,8 +572,10 @@ def interfog_oracle(env, spec) -> OracleDecision:
     repeats no node and fits the source user's slice entitlement in both
     fogs; the request is routable without headroom when some join is,
     with no guarantee and no entitlement test. Then the rule order of
-    `controller_oracle`, without locality."""
+    `controller_oracle`, without locality, with the guarantee and rates
+    it reads."""
     net = env.net
+    rates = env.rates
     topo = net.topology
     src, dst = spec.src.ident, spec.dst.ident
     fa, fb = env.fogs[topo.fog_of(src)], env.fogs[topo.fog_of(dst)]
@@ -563,21 +583,21 @@ def interfog_oracle(env, spec) -> OracleDecision:
         if not any(_up(net, lid) for lid in _backhauls(topo, fog.fog_id)):
             return OracleDecision(accepted=False, reason="FogIsolated")
     try:
-        grant, slice_id = fa.classify_flow(spec)
+        _, slice_id = fa.classify_flow(spec)
     except Exception as exc:  # mapped identically by the controller
         name = type(exc).__name__
         return OracleDecision(accepted=False, reason=_REFUSED.get(name, name))
-    gbr = grant.gbr
+    gbr = env.policy[spec.app_class].gbr_rate
     if not _options(fa, src) or not _options(fb, dst):
         return OracleDecision(accepted=False, reason="NoCoverage")
 
     def half(fog, user, link, need):
         allow = _allow_factory(topo, fog.fog_id, {link.id}, include_backhaul=False)
-        return best_path(enumerate_simple_paths(net, user, fog.pop, allow, min_residual=need), fog.pop)
+        return best_path(enumerate_simple_paths(net, rates, user, fog.pop, allow, min_residual=need), fog.pop)
 
     def join(a, b, need):
         """The hops src -> gateway -> dst over halves `a` and `b`, or None."""
-        bh_a, bh_b = _backhaul(net, fa.fog_id, need), _backhaul(net, fb.fog_id, need)
+        bh_a, bh_b = _backhaul(net, rates, fa.fog_id, need), _backhaul(net, rates, fb.fog_id, need)
         if a is None or b is None or bh_a is None or bh_b is None:
             return None
         b_nodes = [n for n, _ in b] + [fb.pop]
@@ -596,7 +616,7 @@ def interfog_oracle(env, spec) -> OracleDecision:
             if hops is None:
                 continue
             links = [l for _, l in hops]
-            if not (_slice_cap_ok(fa, slice_id, links, gbr) and _slice_cap_ok(fb, slice_id, links, gbr)):
+            if not (_slice_cap_ok(fa, rates, slice_id, links, gbr) and _slice_cap_ok(fb, rates, slice_id, links, gbr)):
                 continue
             structural = True
             used = {src: skind, dst: dkind}
@@ -605,4 +625,4 @@ def interfog_oracle(env, spec) -> OracleDecision:
     if not candidates:
         return OracleDecision(accepted=False, reason="GbrAdmissionFail" if structural else "NoRoute")
     mobile = {src: fa.context_of(src).mobile, dst: fb.context_of(dst).mobile}
-    return _choose(net, candidates, False, mobile)
+    return _choose(net, rates, candidates, False, mobile)

@@ -397,14 +397,15 @@ def test_08_gbr_protection():
             env.net.recompute()
             for lid, link in env.topo.links.items():
                 reserved = sum(
-                    (f.gbr for f in env.net.flows.values() if lid in f.links), F(0)
+                    (env.rates[fid].gbr for fid, f in env.net.flows.items() if lid in f.links), F(0)
                 )
                 if reserved > link.capacity:
                     violations += 1
-            for fid, flow in env.net.flows.items():
-                if flow.gbr > 0:
+            for fid in env.net.flows:
+                gbr = env.rates[fid].gbr
+                if gbr > 0:
                     admitted_checked += 1
-                    if env.net.allocated(fid) != flow.gbr:
+                    if env.net.allocated(fid) != gbr:
                         violations += 1
     elapsed = time.perf_counter() - t0
     verdict(

@@ -10,7 +10,7 @@ from fognet.fogctrl import Attachment, Endpoint, FogControl, Grant, PolicyRule, 
 from fognet.slicing import SliceSpec
 from fognet.topology import NodeKind, ResourceClass
 from helpers import CONTENT, VOIP, WEB, CloudEnv, flow_units, two_fog_doc
-from oracles import interfog_oracle
+from oracles import FlowRates, interfog_oracle
 
 F = Fraction
 
@@ -105,13 +105,8 @@ class TestExternalPath:
         env.net.install_flow(
             InstalledFlow(
                 flow_id="fill",
-                path=FlowPath(
-                    flow_id="fill", src="pop-f1", dst="gw", hops=(("pop-f1", "bh-f1"),), rat_used=RouteKind.CLOUD_BOUND
-                ),
-                demand=F(498, 5),
-                gbr=F(498, 5),
+                path=FlowPath(src="pop-f1", dst="gw", hops=(("pop-f1", "bh-f1"),), rat_used=RouteKind.CLOUD_BOUND),
                 slice_id="s1",
-                app_class=VOIP,
                 latency_ms=10.0,
                 gbr_units=env.net.units(F(498, 5)),
                 rate_units=env.net.units(F(498, 5)),
@@ -121,7 +116,7 @@ class TestExternalPath:
         assert not decision.accepted and decision.reason == RejectReason.GBR_ADMISSION_FAIL
         # a guarantee that fits the remaining 0.4 still passes
         for fog in env.fogs.values():
-            fog.grants[VOIP] = Grant(env.policy[VOIP].qos, F(2, 5), env.net.units(F(2, 5)))
+            fog.grants[VOIP] = Grant(env.policy[VOIP].qos, env.net.units(F(2, 5)))
         small = env.spec("g2", "f1-u1", Endpoint.external(), app_class=VOIP, demand=F(2, 5))
         decision = env.cloud.setup_external_path(small)
         assert decision.accepted
@@ -142,9 +137,9 @@ class TestInterFogPath:
         # the filler holds another slice's guarantee, so slice s1's
         # entitlement alone would admit the request
         env = CloudEnv(demands=[F(1, 2), F(498, 5)])
-        fill = FlowPath(flow_id="fill", src="pop-f2", dst="gw", hops=(("pop-f2", "bh-f2"),), rat_used=RouteKind.CLOUD_BOUND)
+        fill = FlowPath(src="pop-f2", dst="gw", hops=(("pop-f2", "bh-f2"),), rat_used=RouteKind.CLOUD_BOUND)
         units = flow_units(env.net, F(498, 5), F(498, 5))
-        env.net.install_flow(InstalledFlow("fill", fill, F(498, 5), F(498, 5), "other", VOIP, 10.0, *units))
+        env.net.install_flow(InstalledFlow("fill", fill, "other", 10.0, *units))
         decision = env.cloud.setup_interfog_path(env.spec("x1", "f1-u1", "f2-u1", app_class=VOIP))
         assert not decision.accepted and decision.reason == RejectReason.GBR_ADMISSION_FAIL
         env.net.remove_flow("fill")
@@ -269,9 +264,9 @@ class TestInterFogOracle:
                 lid = rng.choice(["bh-f1", "bh-f2"] if rng.random() < 0.5 else core_ids)
                 link, gbr = topo.links[lid], rng.choice([F(4), F(9)])
                 if net.effective_up(link.id) and net.residual_units(link.id) >= net.units(gbr):
-                    path = FlowPath(f"fill{step}", link.a, link.b, ((link.a, link.id),), RouteKind.CLOUD_BOUND)
-                    units = flow_units(net, gbr, gbr)
-                    net.install_flow(InstalledFlow(f"fill{step}", path, gbr, gbr, "other", VOIP, 10.0, *units))
+                    path = FlowPath(link.a, link.b, ((link.a, link.id),), RouteKind.CLOUD_BOUND)
+                    net.install_flow(InstalledFlow(f"fill{step}", path, "other", 10.0, *flow_units(net, gbr, gbr)))
+                    env.rates[f"fill{step}"] = FlowRates(gbr, gbr)
             elif r < 0.9:
                 src = rng.choice(users)
                 far = [u for u in users if topo.fog_of(u) != topo.fog_of(src)]

@@ -23,7 +23,7 @@ from fognet.fogctrl import Attachment, Endpoint, FlowDecision, FlowSpec
 from fognet.topology import LINK_TO_RESOURCE, LinkClass, ResourceClass, build_from_config
 from fognet.workload import FlowRequest
 from helpers import flow_units, solved_rates, two_cluster_doc, wired_fogs
-from oracles import OracleFlow, ReferenceLru, best_path, enumerate_simple_paths, maxmin_oracle
+from oracles import FlowRates, OracleFlow, ReferenceLru, best_path, enumerate_simple_paths, maxmin_oracle
 
 F = Fraction
 
@@ -33,21 +33,26 @@ def make_net(rates=(), **kw):
     return NetworkState(build_from_config(two_cluster_doc(**kw)), rates)
 
 
-def flow(net, fid, hops, *, demand=F(1), gbr=F(0), rat=RouteKind.INTRA_FOG_LOCAL, slice_id="s1"):
-    """A flow over `hops`, its rates in `net`'s units (`flow_units`)."""
-    path = FlowPath(flow_id=fid, src=hops[0][0], dst="x", hops=tuple(hops), rat_used=rat)
+def flow(net, fid, hops, *, demand=F(1), gbr=F(0), rat=RouteKind.INTRA_FOG_LOCAL, slice_id="s1", rates=None):
+    """A flow over `hops`, its rates in `net`'s units (`flow_units`); its
+    rates in Mb/s go to `rates`, when given, for the oracles."""
+    path = FlowPath(src=hops[0][0], dst="x", hops=tuple(hops), rat_used=rat)
     gbr_units, rate_units = flow_units(net, demand, gbr)
+    if rates is not None:
+        rates[fid] = FlowRates(demand, gbr)
     return InstalledFlow(
         flow_id=fid,
         path=path,
-        demand=demand,
-        gbr=gbr,
         slice_id=slice_id,
-        app_class="t",
         latency_ms=0.0,
         gbr_units=gbr_units,
         rate_units=rate_units,
     )
+
+
+def oracle_flows(flows, rates):
+    """The installed `flows` as the max-min oracle takes them, at `rates`."""
+    return [OracleFlow(f.flow_id, f.links, *rates[f.flow_id]) for f in flows]
 
 
 def forwarding_entries(net):
@@ -173,6 +178,7 @@ class TestAllocation:
         rng = random.Random(5)
         pick = random.Random(6)  # the link sets summed, apart from the walk
         states = []
+        rates = {}
         serial = 0
         for _ in range(400):
             if net.flows and rng.random() < 0.5:
@@ -185,12 +191,10 @@ class TestAllocation:
                 if demand > 0 and rng.random() < 0.25:
                     if all(net.residual_units(lid) >= net.units(demand / 2) for _, lid in hops):
                         gbr = demand / 2
-                net.install_flow(flow(net, f"f{serial}", hops, demand=demand, gbr=gbr))
+                net.install_flow(flow(net, f"f{serial}", hops, demand=demand, gbr=gbr, rates=rates))
             net.recompute()
 
-            expected = maxmin_oracle(
-                [OracleFlow(f.flow_id, f.links, f.demand, f.gbr) for f in net.flows.values()], capacity
-            )
+            expected = maxmin_oracle(oracle_flows(net.flows.values(), rates), capacity)
             for fid in net.flows:
                 assert net.allocated(fid) == expected[fid]
             assert net.allocated("not-installed") == F(0)
@@ -204,8 +208,9 @@ class TestAllocation:
 
             offered = {}
             for f in net.flows.values():
+                demand, gbr = rates[f.flow_id]
                 for lid in f.links:
-                    offered[lid] = offered.get(lid, F(0)) + (f.gbr if f.gbr > 0 else f.demand)
+                    offered[lid] = offered.get(lid, F(0)) + (gbr if gbr > 0 else demand)
             states.append(any(load > capacity[lid] for lid, load in offered.items()))
         # the sequence enters and leaves congestion, so both paths are checked
         assert (True, False) in zip(states, states[1:])
@@ -233,6 +238,7 @@ class TestKeptFairShareIndex:
         was_congested = False
         fair = None
         per_link = {}
+        built = {}  # flow id -> the rates it was built with
         for _ in range(600):
             roll = rng.random()
             if roll < 0.08:
@@ -251,7 +257,8 @@ class TestKeptFairShareIndex:
                 if demand > 0 and rng.random() < 0.25:
                     if all(net.residual_units(lid) >= net.units(demand) for _, lid in hops):
                         gbr = demand
-                new = flow(net, f"f{serial}", hops, demand=demand, gbr=gbr, slice_id=rng.choice(["s1", "s2"]))
+                slice_id = rng.choice(["s1", "s2"])
+                new = flow(net, f"f{serial}", hops, demand=demand, gbr=gbr, slice_id=slice_id, rates=built)
                 try:
                     net.install_flow(new)
                 except LinkDown:
@@ -283,9 +290,7 @@ class TestKeptFairShareIndex:
             transitions += congested != was_congested
             was_congested, fair = congested, net._fair
 
-            oracle = maxmin_oracle(
-                [OracleFlow(f.flow_id, f.links, f.demand, f.gbr) for f in net.flows.values()], capacity
-            )
+            oracle = maxmin_oracle(oracle_flows(net.flows.values(), built), capacity)
             for fid in net.flows:
                 assert net.allocated(fid) == oracle[fid]
             for lid in capacity:
@@ -311,15 +316,21 @@ class TestNonDecimalRates:
         capacity = {lid: link.capacity for lid, link in topo.links.items()}
         wlan_path = _ALLOC_PATHS[0]
         macro_path = _ALLOC_PATHS[2]
-        steps = [
-            ("install", flow(net, "tenth-gbr", wlan_path, demand=F(1, 10), gbr=F(1, 10), slice_id="s1")),
-            ("install", flow(net, "tenth-be", wlan_path, demand=F(1, 10))),
-            ("install", flow(net, "tenth-unsliced", macro_path, demand=F(1, 10), gbr=F(1, 10), slice_id=None)),
-            ("install", flow(net, "third-gbr", macro_path, demand=F(4, 3), gbr=F(4, 3), slice_id="s2")),
-            ("install", flow(net, "third-be", wlan_path, demand=F(4, 3))),
-            ("install", flow(net, "third-be-2", wlan_path, demand=F(4, 3))),
-            ("install", flow(net, "seventh-be", wlan_path, demand=F(2, 7))),
+        rates = {}
+        built = [
+            flow(net, "tenth-gbr", wlan_path, demand=F(1, 10), gbr=F(1, 10), slice_id="s1", rates=rates),
+            flow(net, "tenth-be", wlan_path, demand=F(1, 10), rates=rates),
+            flow(net, "tenth-unsliced", macro_path, demand=F(1, 10), gbr=F(1, 10), slice_id=None, rates=rates),
+            flow(net, "third-gbr", macro_path, demand=F(4, 3), gbr=F(4, 3), slice_id="s2", rates=rates),
+            flow(net, "third-be", wlan_path, demand=F(4, 3), rates=rates),
+            flow(net, "third-be-2", wlan_path, demand=F(4, 3), rates=rates),
+            flow(net, "seventh-be", wlan_path, demand=F(2, 7), rates=rates),
         ]
+        steps = [("install", new) for new in built]
+
+        def gbr_of(f):
+            return rates[f.flow_id].gbr
+
         removals = ("tenth-be", "third-gbr", "seventh-be", "third-be", "tenth-unsliced", "third-be-2", "tenth-gbr")
         steps += [("remove", fid) for fid in removals]
         congested = []
@@ -331,11 +342,11 @@ class TestNonDecimalRates:
                 net.remove_flow(arg)
             net.recompute()
             flows = list(net.flows.values())
-            oracle = maxmin_oracle([OracleFlow(f.flow_id, f.links, f.demand, f.gbr) for f in flows], capacity)
+            oracle = maxmin_oracle(oracle_flows(flows, rates), capacity)
             for fid in net.flows:
                 assert net.allocated(fid) == oracle[fid]
             for lid, cap in capacity.items():
-                gbr = sum((f.gbr * f.links.count(lid) for f in flows if f.gbr > 0), F(0))
+                gbr = sum((gbr_of(f) * f.links.count(lid) for f in flows if gbr_of(f) > 0), F(0))
                 assert net.capacity_units(lid) - net.residual_units(lid) == gbr * net.unit
                 assert net.residual_units(lid) == (cap - gbr) * net.unit
                 assert net.load_units(lid) == sum((oracle[f.flow_id] for f in flows if lid in f.links), F(0)) * net.unit
@@ -344,9 +355,9 @@ class TestNonDecimalRates:
                 for cls in ResourceClass.ALL:
                     used = sum(
                         (
-                            f.gbr
+                            gbr_of(f)
                             for f in flows
-                            if f.gbr > 0 and f.slice_id == slice_id
+                            if gbr_of(f) > 0 and f.slice_id == slice_id
                             for lid in f.links
                             if LINK_TO_RESOURCE.get(topo.links[lid].link_class) == cls
                         ),
@@ -357,10 +368,13 @@ class TestNonDecimalRates:
             for link in topo.links.values():
                 cls = LINK_TO_RESOURCE.get(link.link_class)
                 if cls is not None:
-                    unsliced = sum((f.gbr for f in flows if f.slice_id is None and link.id in f.links), F(0))
+                    unsliced = sum((gbr_of(f) for f in flows if f.slice_id is None and link.id in f.links), F(0))
                     physical[cls] += link.capacity - unsliced
             assert fog.physical_capacity() == {cls: total * net.unit for cls, total in physical.items()}
-            offered = {lid: sum((f.gbr or f.demand for f in flows if lid in f.links), F(0)) for lid in capacity}
+            offered = {
+                lid: sum((gbr_of(f) or rates[f.flow_id].demand for f in flows if lid in f.links), F(0))
+                for lid in capacity
+            }
             congested.append(any(offered[lid] > capacity[lid] for lid in capacity))
         assert any(congested) and not congested[-1]
 
@@ -428,8 +442,8 @@ class TestFlowIndex:
                     continue
                 serial += 1
                 fid = f"f{serial}"
-                path = FlowPath(flow_id=fid, src=hops[0][0], dst=end, hops=tuple(hops), rat_used=RouteKind.INTRA_FOG_LOCAL)
-                new = InstalledFlow(fid, path, F(1), F(0), "s1", "t", 0.0, *flow_units(net, F(1), F(0)))
+                path = FlowPath(src=hops[0][0], dst=end, hops=tuple(hops), rat_used=RouteKind.INTRA_FOG_LOCAL)
+                new = InstalledFlow(fid, path, "s1", 0.0, *flow_units(net, F(1), F(0)))
                 try:
                     net.install_flow(new)
                     installs += 1
@@ -518,7 +532,7 @@ class TestMeshRoute:
             src, dst = rng.sample(clients + ["mmap", "pop"], 2)
             need = F(rng.choice([0, 10, 30]))
             expected = best_path(
-                enumerate_simple_paths(net, src, dst, _mesh_allow(net), min_residual=need), dst
+                enumerate_simple_paths(net, {}, src, dst, _mesh_allow(net), min_residual=need), dst
             )
             mesh = _mesh(net, "f")
             if expected is None:
@@ -621,8 +635,8 @@ HOPS = (("u1", "wl-u1"), ("wap1", "mm-1"), ("pop1", "bh-1"))
 
 def records():
     """One of each immutable record built per request, by name."""
-    spec = FlowSpec("f1", Endpoint.user("u1"), Endpoint.content("7"), "content", F(1, 2), 1)
-    path = FlowPath("f1", "u1", "gw", HOPS, RouteKind.CLOUD_BOUND)
+    spec = FlowSpec("f1", Endpoint.user("u1"), Endpoint.content("7"), "content", 1)
+    path = FlowPath("u1", "gw", HOPS, RouteKind.CLOUD_BOUND)
     return {
         "Endpoint": spec.src,
         "FlowSpec": spec,
@@ -660,7 +674,7 @@ class TestRecords:
             installed.extra = 1
 
     def test_links_and_nodes_same_whether_supplied_or_derived(self):
-        derived = FlowPath("f1", "u1", "gw", HOPS, RouteKind.CLOUD_BOUND)
+        derived = FlowPath("u1", "gw", HOPS, RouteKind.CLOUD_BOUND)
         links, nodes = ("wl-u1", "mm-1", "bh-1"), ("u1", "wap1", "pop1", "gw")
         supplied = derived._replace(link_ids=links, node_ids=nodes)
         assert derived.links() == supplied.links() == links

@@ -81,14 +81,14 @@ class TestClassify:
         env = FogEnv()
         grant, slice_id = env.fog.classify_flow(env.spec("f", "u1", "u2", app_class=VOIP))
         assert grant.qos == QosClass.REAL_TIME_GBR
-        assert grant.gbr == F(1, 2)
+        assert F(grant.units, env.net.unit) == F(1, 2)
         assert grant.units == env.net.units(F(1, 2))
         assert slice_id == "s1"
 
     def test_bulk_is_best_effort(self):
         env = FogEnv()
         grant, _ = env.fog.classify_flow(env.spec("f", "u1", Endpoint.external(), app_class=WEB))
-        assert grant.qos == QosClass.BEST_EFFORT and grant.gbr == 0 and grant.units == 0
+        assert grant.qos == QosClass.BEST_EFFORT and F(grant.units, env.net.unit) == 0 and grant.units == 0
 
     def test_class_outside_subscription_denied(self):
         env = FogEnv()
@@ -220,11 +220,8 @@ class TestHandleFlowRequest:
         env.net.install_flow(
             InstalledFlow(
                 flow_id="fill",
-                path=FlowPath(flow_id="fill", src="u5", dst="macro", hops=(("u5", link),), rat_used=RouteKind.MACRO),
-                demand=F(97, 10),
-                gbr=F(97, 10),
+                path=FlowPath(src="u5", dst="macro", hops=(("u5", link),), rat_used=RouteKind.MACRO),
                 slice_id="s1",
-                app_class=VOIP,
                 latency_ms=0.0,
                 gbr_units=env.net.units(F(97, 10)),
                 rate_units=env.net.units(F(97, 10)),
@@ -526,11 +523,10 @@ class TestRouteMemo:
                 end, via_backhaul = rng.choice([(fog.pop, False), (topo.gateway_id(), True)])
                 hops = self.fresh_search(net, fog, src, end, access, net.units(gbr), via_backhaul)
                 if hops:
-                    path = FlowPath(f"g{step}", src, end, tuple(hops), RouteKind.WLAN_VIA_MIDDLE_MILE)
+                    path = FlowPath(src, end, tuple(hops), RouteKind.WLAN_VIA_MIDDLE_MILE)
                     # a sliced install leaves the epoch, and so the memo, in place
                     slice_id = rng.choice([None, "s1"])
-                    units = flow_units(net, gbr, gbr)
-                    net.install_flow(InstalledFlow(f"g{step}", path, gbr, gbr, slice_id, VOIP, 0.0, *units))
+                    net.install_flow(InstalledFlow(f"g{step}", path, slice_id, 0.0, *flow_units(net, gbr, gbr)))
                     installed.append(f"g{step}")
             elif installed:
                 net.remove_flow(installed.pop(rng.randrange(len(installed))))
@@ -587,10 +583,10 @@ class TestTemplates:
         template, no segment memo and a copy of the cache."""
         manager = fog.slice_manager
         twin = FogControl(
-            fog.fog_id, fog.profile, fog.net, [manager.spec(sid) for sid in manager.slice_ids()], fog.cloud,
-            cache=copy.deepcopy(fog.cache),
+            fog.fog_id, fog.profile, fog.net, [manager.spec(sid) for sid in manager.slice_ids()], fog.cloud
         )  # fmt: skip
         twin.racfs, twin._user_slice, twin.grants = fog.racfs, fog._user_slice, fog.grants
+        twin.cache = copy.deepcopy(fog.cache)
         fog.net._health_watchers.remove(twin._on_health)  # used within one step only
         return twin
 

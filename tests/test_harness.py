@@ -148,13 +148,20 @@ class TestRunScenario:
 
     def test_rows_written_in_chunks_are_the_joined_rows(self, tmp_path):
         """`write_rows` writes the same bytes as the whole text joined at
-        once, on each side of a chunk boundary."""
+        once, on each side of a chunk boundary, from a list or a generator
+        of the rows; no rows write nothing."""
         for count in (1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 5):
             rows = [f"row\t{i}" for i in range(count)]
-            path = tmp_path / f"{count}.tsv"
+            for kind, given in (("list", rows), ("generator", (row for row in rows))):
+                path = tmp_path / f"{count}-{kind}.tsv"
+                with open(path, "w") as fh:
+                    write_rows(fh, given)
+                assert path.read_text() == "\n".join(rows) + "\n", (count, kind)
+        for kind, given in (("list", []), ("generator", iter(()))):
+            path = tmp_path / f"0-{kind}.tsv"
             with open(path, "w") as fh:
-                write_rows(fh, rows)
-            assert path.read_text() == "\n".join(rows) + "\n", count
+                write_rows(fh, given)
+            assert path.read_text() == "", kind
 
     def test_different_seed_differs(self):
         r1 = run_scenario(parse_scenario(scenario_doc(seed=5)))

@@ -21,7 +21,7 @@ from fognet.dataplane import FlowPath, GbrOvercommit, InstalledFlow, NetworkStat
 from fognet.slicing import SliceSpec
 from fognet.topology import ResourceClass, build_from_config
 from helpers import flow_units, two_fog_doc, wired_fogs
-from oracles import OracleFlow, _metered_in, _slice_cap_ok, _up, maxmin_oracle
+from oracles import FlowRates, OracleFlow, _metered_in, _slice_cap_ok, _up, maxmin_oracle
 
 F = Fraction
 SLICES = (("s1", "op1", F(3, 5)), ("s2", "op2", F(2, 5)))
@@ -52,13 +52,17 @@ def _build():
     return net, wired_fogs(net, specs)
 
 
-def _flow(net, fid, hops, demand, gbr, slice_id):
-    path = FlowPath(flow_id=fid, src=hops[0][0], dst="x", hops=tuple(hops), rat_used=RouteKind.INTRA_FOG_LOCAL)
-    return InstalledFlow(fid, path, demand, gbr, slice_id, "t", 0.0, *flow_units(net, demand, gbr))
+def _flow(net, fid, hops, demand, gbr, slice_id, rates=None):
+    """A flow over `hops`; its rates in Mb/s go to `rates`, when given."""
+    path = FlowPath(src=hops[0][0], dst="x", hops=tuple(hops), rat_used=RouteKind.INTRA_FOG_LOCAL)
+    if rates is not None:
+        rates[fid] = FlowRates(demand, gbr)
+    return InstalledFlow(fid, path, slice_id, 0.0, *flow_units(net, demand, gbr))
 
 
-def _physical_recount(net, fog_id):
-    """Each class's sliceable capacity in the network state's units."""
+def _physical_recount(net, rates, fog_id):
+    """Each class's sliceable capacity in the network state's units, the
+    installed flows' guarantees read from `rates`."""
     topo = net.topology
     out = {cls: F(0) for cls in ResourceClass.ALL}
     for lid, link in topo.links.items():
@@ -66,16 +70,19 @@ def _physical_recount(net, fog_id):
         if cls is None or not _up(net, lid):
             continue
         out[cls] += link.capacity
-        for flow in net.flows.values():
-            if flow.slice_id is None and flow.gbr > 0 and lid in flow.path.links():
-                out[cls] -= flow.gbr
+        for fid, flow in net.flows.items():
+            gbr = rates[fid].gbr
+            if flow.slice_id is None and gbr > 0 and lid in flow.path.links():
+                out[cls] -= gbr
     return {cls: total * net.unit for cls, total in out.items()}
 
 
-def _check(net, fogs, rng, paths, seen):
+def _check(net, rates, fogs, rng, paths, seen):
+    """Every ledger against its recount from the flows, whose rates in Mb/s
+    are `rates`, and admission and allocation against the oracles."""
     topo = net.topology
     for lid, link in topo.links.items():
-        gbr = sum((f.gbr * f.path.links().count(lid) for f in net.flows.values() if f.gbr > 0), F(0))
+        gbr = sum((rates[fid].gbr * f.path.links().count(lid) for fid, f in net.flows.items()), F(0))
         assert net.capacity_units(lid) - net.residual_units(lid) == gbr * net.unit
         assert net.residual_units(lid) == (link.capacity - gbr) * net.unit
         assert net.capacity_units(lid) == link.capacity * net.unit
@@ -84,19 +91,19 @@ def _check(net, fogs, rng, paths, seen):
         for slice_id, _, _ in SLICES:
             for cls in ResourceClass.ALL:
                 used = demand = F(0)
-                for f in net.flows.values():
+                for fid, f in net.flows.items():
                     if f.slice_id != slice_id:
                         continue
                     listed = sum(1 for lid in f.path.links() if _metered_in(topo, fog_id, lid) == cls)
-                    used += f.gbr * listed
+                    used += rates[fid].gbr * listed
                     if listed:
-                        demand += f.gbr or f.demand
+                        demand += rates[fid].gbr or rates[fid].demand
                 assert net.slice_gbr_units(fog_id, slice_id, cls) == used * net.unit
                 assert net.slice_demand_units(fog_id, slice_id, cls) == demand * net.unit
 
     for fog_id, fog in fogs.items():
         physical = fog.physical_capacity()
-        assert physical == _physical_recount(net, fog_id)
+        assert physical == _physical_recount(net, rates, fog_id)
         assert {cls: net.fog_sliceable_units(fog_id, cls) for cls in ResourceClass.ALL} == physical
         assert fog.entitlements() == {
             (slice_id, cls): share * physical[cls] for slice_id, _, share in SLICES for cls in ResourceClass.ALL
@@ -108,7 +115,7 @@ def _check(net, fogs, rng, paths, seen):
             slice_id = rng.choice(SLICES)[0]
             gbr = F(rng.randint(1, 160), 4)  # up to 40 Mb/s: often at an entitlement
             ok = fog.slice_gbr_ok(slice_id, links, net.units(gbr))
-            assert ok == _slice_cap_ok(fog, slice_id, links, gbr)
+            assert ok == _slice_cap_ok(fog, rates, slice_id, links, gbr)
             seen.add(("slice_gbr_ok", ok))
 
     # a forced overcommit on an Up link, if one is left, still raises from recompute()
@@ -125,9 +132,7 @@ def _check(net, fogs, rng, paths, seen):
 
     net.recompute()
     capacity = {lid: link.capacity for lid, link in topo.links.items()}
-    oracle = maxmin_oracle(
-        [OracleFlow(f.flow_id, f.links, f.demand, f.gbr) for f in net.flows.values()], capacity
-    )
+    oracle = maxmin_oracle([OracleFlow(fid, f.links, *rates[fid]) for fid, f in net.flows.items()], capacity)
     for fid in net.flows:
         assert net.allocated(fid) == oracle[fid]
     for lid in capacity:
@@ -156,6 +161,7 @@ def test_ledger_matches_recounts_and_oracles(seed):
     health_links = sorted(topo.links)
     health_nodes = sorted(n for n in topo.nodes if not n.startswith(("f1-u", "f2-u")))
     seen = set()
+    rates = {}  # flow id -> its rates in Mb/s
     serial = 0
     for _ in range(300):
         roll = rng.random()
@@ -167,7 +173,7 @@ def test_ledger_matches_recounts_and_oracles(seed):
             net.set_node_state(node, not net.node_up[node])
         elif roll < 0.5 and net.flows:
             flow = net.remove_flow(rng.choice(sorted(net.flows)))
-            if flow.slice_id is None and flow.gbr > 0:
+            if flow.slice_id is None and rates[flow.flow_id].gbr > 0:
                 seen.add(("unsliced_removed", all(net.effective_up(lid) for lid in flow.links)))
         else:
             hops = rng.choice(paths)
@@ -176,13 +182,14 @@ def test_ledger_matches_recounts_and_oracles(seed):
                 kind = rng.choice(("sliced", "sliced", "unsliced", "best_effort", "best_effort"))
                 if kind == "best_effort":
                     demand = F(rng.randint(1, 40), rng.choice([1, 2, 3]))
-                    net.install_flow(_flow(net, f"f{serial}", hops, demand, F(0), rng.choice(["s1", "s2", None])))
+                    slice_id = rng.choice(["s1", "s2", None])
+                    net.install_flow(_flow(net, f"f{serial}", hops, demand, F(0), slice_id, rates))
                 else:
                     gbr = F(rng.randint(1, 8), 4)
                     if all(net.residual_units(lid) >= net.units(gbr) for _, lid in hops):
                         slice_id = rng.choice(["s1", "s2"]) if kind == "sliced" else None
-                        net.install_flow(_flow(net, f"f{serial}", hops, gbr, gbr, slice_id))
-        _check(net, fogs, rng, paths, seen)
+                        net.install_flow(_flow(net, f"f{serial}", hops, gbr, gbr, slice_id, rates))
+        _check(net, rates, fogs, rng, paths, seen)
 
     # both admission outcomes, both allocation paths and several capacity
     # states were exercised
