@@ -26,11 +26,12 @@ solver's. Per size it prints the solves per event and the mean µs per
 solve (the median over repeats of each run's solve time over its solves,
 timed around each `recompute_fair_shares` call), and, from one more
 untimed run, the median per solve of the links with rising flows, of the
-contended links (the congested links the solve is handed) and of the
-flow-link incidences (each rising flow's links, summed). A size that
-makes no solve (its network never congests within `--seconds`) prints
-`-` in place of the µs per solve and of the per-solve medians, since
-there is nothing to measure.
+contended links (the congested links the solve is handed), of the
+flow-link incidences (each rising flow's links, summed) and of the rate
+classes the solve runs over, each read from the index the solve leaves.
+A size that makes no solve (its network never congests within
+`--seconds`) prints `-` in place of the µs per solve and of the
+per-solve medians, since there is nothing to measure.
 """
 
 from __future__ import annotations
@@ -118,18 +119,20 @@ def timed(doc: dict) -> tuple:
 
 def solve_sizes(doc: dict) -> tuple:
     """Median per solve of (links with rising flows, contended links,
-    flow-link incidences), read from the index and the contended links
-    each solve is handed; each None when the run makes no solve."""
-    links, contended_links, incidences = [], [], []
+    flow-link incidences, rate classes), read from the contended links
+    each solve is handed and from the index it leaves, whose every rising
+    flow is then in a class; each None when the run makes no solve."""
+    sizes = links, contended_links, incidences, classes = [], [], [], []
 
     def on_solve(solve, index, capacity, contended):
-        links.append(len(index.users))
+        solve(index, capacity, contended)
+        links.append(len(index.on_link))
         contended_links.append(len(contended))
-        incidences.append(sum(map(len, index.crossed.values())))
-        return solve(index, capacity, contended)
+        incidences.append(sum(sum(on.values()) for on in index.on_link.values()))
+        classes.append(len(index.classes))
 
     run_with(doc, on_solve)
-    return tuple(statistics.median(counts) if counts else None for counts in (links, contended_links, incidences))
+    return tuple(statistics.median(counts) if counts else None for counts in sizes)
 
 
 def cell(value, width: int, spec: str) -> str:
@@ -152,7 +155,7 @@ def main(argv=None) -> int:
             runs.append(timed(doc))
     print(
         f"{'clusters':>8} {'events/s':>10} {'solves/event':>12} {'us/solve':>9}"
-        f" {'rising links':>12} {'contended':>9} {'incidences':>10}"
+        f" {'rising links':>12} {'contended':>9} {'incidences':>10} {'classes/solve':>13}"
     )
     rates = []
     for clusters, doc, runs in zip(args.clusters, docs, samples):
@@ -161,10 +164,11 @@ def main(argv=None) -> int:
         solved = [us for _, _, us in runs if us is not None]
         us = statistics.median(solved) if solved else None
         rates.append(rate)
-        links, contended, incidences = solve_sizes(doc)
+        links, contended, incidences, classes = solve_sizes(doc)
         print(
             f"{clusters:>8} {rate:>10.0f} {per_event:>12.2f} {cell(us, 9, '.0f')}"
             f" {cell(links, 12, 'g')} {cell(contended, 9, 'g')} {cell(incidences, 10, 'g')}"
+            f" {cell(classes, 13, 'g')}"
         )
     for (a, ra), (b, rb) in zip(zip(args.clusters, rates), zip(args.clusters[1:], rates[1:])):
         print(f"{a} -> {b} clusters: events/s fall x{ra / rb:.2f}")

@@ -42,11 +42,12 @@ link is congested, `recompute()` is the one caller of the max-min solve
 rising flows (best-effort, demand > 0, at least one link) as a
 `FairShareIndex` kept across solves, the net-of-GBR capacities and the
 congested links, the only ones that can bind. It alone raises
-`GbrOvercommit`. `allocated()` and `load_units()` read a flow's rate
-and the best-effort total of the links they are given from the levels
-and freeze rounds that the solve left in the index. A path never lists
-a link twice (`install_flow` refuses one that does), so every ledger
-counts a flow once per link it crosses.
+`GbrOvercommit`. The index keeps the rising flows in rate classes of
+flows that share one max-min rate, so `allocated()` reads a flow's rate
+through its class, and `load_units()` sums members times level over the
+classes on the links it is given. A path never lists a link twice
+(`install_flow` refuses one that does), so every ledger counts a flow
+once per link it crosses.
 
 Routing is one minimum-hop search, `constrained_route`, over a set of
 permitted link ids. Which links a fog may route over is a fact of the
@@ -232,23 +233,31 @@ class NetworkState:
       that finds `_congested` non-empty builds it from `_rising`;
       `install_flow` and `remove_flow` add and remove rising flows while
       it exists; the uncongested fast path of `recompute()` drops
-      it. So a run that never congests never builds one. Each solve
-      leaves in it each round's level (`FairShareIndex.rounds`) and the
-      round each rising flow froze in (`froze`): that level is the
-      flow's rate, made a `Fraction` only when `allocated()` asks, and a
-      flow installed since reads 0 and counts in no total. While no link
-      is congested rates come from the installed flows themselves. A
-      GBR flow's rate is always its own guarantee, and a best-effort flow
-      that does not rise carries its demand (0 when it has none): each
-      its `rate_units`.
+      it. So a run that never congests never builds one. The index keeps
+      the rising flows in rate classes (`engine.RateClass`), keyed by
+      demand and by the flow's links that have been in `_congested` at
+      some solve since the index was built. Only those links can have
+      bound, so the members of a class always share one max-min rate,
+      and each solve freezes every class at one level: the rate of each
+      of its members, made a `Fraction` only when `allocated()` asks. The
+      key links only grow while the index lives, so a change in
+      `_congested` rebuilds no class unless a link contends for the
+      first time since then. A flow installed since the last solve is in
+      no class yet: it reads 0 and counts in no total. A flow removed
+      leaves its class's counts at once. While no link is congested
+      rates come from the installed flows themselves. A GBR flow's rate
+      is always its own guarantee, and a best-effort flow that does not
+      rise carries its demand (0 when it has none): each its
+      `rate_units`.
 
     `load_units(*link_ids)` is the one reader of allocated load, summed
     over the links it is given, so a caller that wants a class total asks
     once. While no link is congested it sums `_offered`; while congested,
     the guarantees held (`_capacity` less `_be_capacity`) plus the
-    best-effort total of the last solve, read from `_fair`. Like
-    `allocated()`, it is current once `recompute()` has run after the
-    last install or removal.
+    best-effort total of the last solve, which `_fair` sums over the
+    rate classes on the links, so a read costs O(classes), not O(flows).
+    Like `allocated()`, it is current once `recompute()` has run after
+    the last install or removal.
     """
 
     def __init__(self, topology: Topology, rates: Iterable[Fraction], shares: Iterable[Fraction] = ()):
@@ -482,10 +491,10 @@ class NetworkState:
             return ZERO
         if flow.gbr_units > 0 or not self._congested or not flow.links:
             return Fraction(flow.rate_units, self.unit)
-        fair = self._fair
-        if fair is None or flow_id not in fair.froze:
+        level = None if self._fair is None else self._fair.level(flow_id)
+        if level is None:
             return ZERO  # no solve since it was installed
-        ln, ld = fair.rounds[fair.froze[flow_id]]
+        ln, ld = level
         return Fraction(ln, ld * self.unit)
 
     def load_units(self, *link_ids: str) -> int | Fraction:
@@ -507,7 +516,7 @@ class NetworkState:
         for lid in link_ids:
             used += capacity[lid] - be_capacity[lid]
         fair = self._fair
-        return used + fair.best_effort_on(*link_ids) if fair is not None else used
+        return used if fair is None else fair.best_effort_on(link_ids, used)
 
 
 # ---------------------------------------------------------------------------

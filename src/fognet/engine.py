@@ -8,8 +8,9 @@ The max-min solve (`FairShareIndex`, `recompute_fair_shares`) has one
 caller, `dataplane.NetworkState.recompute`, which owns every fact it
 reads (the rising flows, each link's capacity net of guarantees and the
 congested links) and derives every rate and total when asked from the
-levels and freeze rounds the solve leaves. Guarantees, their overcommit
-check and the rates of flows that do not rise stay with `NetworkState`.
+level at which each rate class of rising flows froze. Guarantees, their
+overcommit check and the rates of flows that do not rise stay with
+`NetworkState`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import count
 from math import gcd
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Set, Tuple
 
 
@@ -90,92 +92,157 @@ class Engine:
 # fluid link sharing
 
 
+class RateClass:
+    """Rising flows that always share one max-min rate: one demand (in
+    units) and one set of key links crossed. `size` counts its members,
+    `links` are its key links and `level`, `(ln, ld)`, is each member's
+    rate in the last solve, `ln/ld` units: the level it froze at."""
+
+    __slots__ = ("demand", "links", "size", "level")
+
+    def __init__(self, demand: int, links: Tuple[str, ...]):
+        self.demand = demand
+        self.links = links
+        self.size = 0
+        self.level: Tuple[int, int] | None = None
+
+
 class FairShareIndex:
-    """The max-min solver's rising flows, kept across solves.
+    """The max-min solver's rising flows, kept across solves in rate
+    classes.
 
     A flow rises when it is best-effort with demand > 0 and lists at least
-    one link; `NetworkState` adds exactly those and removes them again,
-    each in O(path), so it keeps one index while some link is congested and
-    hands it to every `recompute_fair_shares` call instead of rebuilding
-    the inputs per solve. A flow is an `InstalledFlow`: `flow_id`, `links`
-    (never one twice) and `rate_units`, its demand in the owner's units
+    one link; `NetworkState` adds exactly those and removes them again
+    while some link is congested, and hands the index to every
+    `recompute_fair_shares` call instead of rebuilding the inputs per
+    solve. A flow is an `InstalledFlow`: `flow_id`, `links` (never one
+    twice) and `rate_units`, its demand in the owner's units
     (`NetworkState.unit`). `len()` counts the rising flows.
 
-    - `crossed`: each rising flow's links. `users`: the rising flows on
-      each link, for the links that have any.
-    - `buckets`: the rising flows keyed by demand in units. Flows share a
-      few demands, so a solve walks the buckets in demand order instead of
-      sorting flows.
-    - `rounds` and `froze`, left by the last solve: each round's level
-      `(ln, ld)`, `ln/ld` in units, and the round each flow it solved
-      froze in, whose level is the flow's rate; a flow added since is in
-      none. `best_effort_on` sums any set of links from them on demand,
-      so a solve does no arithmetic for rates or totals nobody reads.
+    The rising flows are kept in rate classes, keyed by `(demand in
+    units, the flow's links that lie in keys)`. `keys` is the union of the
+    contended links of every solve since the index was built. A solve lets
+    only contended links bind, so a flow's max-min rate is fixed by its
+    demand and the contended links it crosses: flows that agree on both
+    rise together and freeze in the same round (Bertsekas & Gallager,
+    *Data Networks*, 6.5). The contended links of a solve always lie in
+    `keys`, so the members of a class agree on both and share one rate,
+    and the solve runs over classes instead of flows.
+    `keys` only grows, for the life of the index: a link that stops
+    contending stays a key, so a class may split where no solve needs it
+    to, but classes are rebuilt only when a link contends for the first
+    time since the index was built, not each time the contended links
+    change, which on a congested mesh happens several times as often.
+    `NetworkState` drops the index once no link is congested.
+
+    - `classes`: key -> its `RateClass`, for the classes with members.
+    - `on_link`: for each link a member crosses, each class on it -> its
+      members on the link (the class's `size` on its key links).
+
+    A flow added since the last solve is pending: it is in no class until
+    the next solve (`classify`) and counts 0. A removed flow leaves its
+    class and every count at once. `level` reads a flow's rate through
+    its class, and `best_effort_on` sums `members x level` over the
+    classes on the links it is given, so a solve does no arithmetic for
+    rates or totals nobody reads.
     """
 
     def __init__(self, flows: Iterable = ()):
-        self.crossed: Dict[str, Tuple[str, ...]] = {}
-        self.users: Dict[str, Set[str]] = {}
-        self.buckets: Dict[int, Set[str]] = {}
-        self.rounds: List[Tuple[int, int]] = []
-        self.froze: Dict[str, int] = {}
+        self.keys: Set[str] = set()
+        self.classes: Dict[Tuple[int, Tuple[str, ...]], RateClass] = {}
+        self.on_link: Dict[str, Dict[RateClass, int]] = {}
+        self._flows: Dict[str, object] = {}  # every rising flow
+        self._class_of: Dict[str, RateClass] = {}  # flow id -> its class; none while pending
+        self._pending: Dict[str, object] = {}
         for flow in flows:
             self.add(flow)
 
     def __len__(self) -> int:
-        return len(self.crossed)
+        return len(self._flows)
 
     def add(self, flow) -> None:
-        fid = flow.flow_id
-        self.crossed[fid] = flow.links
-        for lid in flow.links:
-            self.users.setdefault(lid, set()).add(fid)
-        self.buckets.setdefault(flow.rate_units, set()).add(fid)
+        self._flows[flow.flow_id] = flow
+        self._pending[flow.flow_id] = flow
 
     def remove(self, flow) -> None:
         fid = flow.flow_id
-        del self.crossed[fid]
-        self.froze.pop(fid, None)
-        users = self.users
+        del self._flows[fid]
+        cls = self._class_of.pop(fid, None)
+        if cls is None:
+            del self._pending[fid]
+            return
+        cls.size -= 1
+        if not cls.size:
+            del self.classes[cls.demand, cls.links]
+        on_link = self.on_link
         for lid in flow.links:
-            on = users[lid]
-            on.discard(fid)
-            if not on:
-                del users[lid]
-        bucket = self.buckets[flow.rate_units]
-        bucket.discard(fid)
-        if not bucket:
-            del self.buckets[flow.rate_units]
-
-    def best_effort_on(self, *link_ids: str) -> int | Fraction:
-        """Sum over the links of the last solve's rates of the rising flows
-        on each, in units: an int, or a `Fraction` when levels are not
-        whole units; 0 when none of them crosses the links. A flow added
-        since the solve counts 0."""
-        froze = self.froze.get
-        per_round: Dict[int | None, int] = {}  # freeze round (None: added since) -> flows on the links
-        for lid in link_ids:
-            for r in map(froze, self.users.get(lid, ())):
-                per_round[r] = per_round.get(r, 0) + 1
-        per_round.pop(None, None)
-        rounds = self.rounds
-        num, den = 0, 1
-        for r, k in per_round.items():
-            ln, ld = rounds[r]
-            if ld == den:
-                num += ln * k
+            on = on_link[lid]
+            n = on[cls] - 1
+            if n:
+                on[cls] = n
+            elif len(on) > 1:
+                del on[cls]
             else:
-                num, den = num * ld + ln * k * den, den * ld
+                del on_link[lid]
+
+    def classify(self, contended: Iterable[str]) -> None:
+        """Put the pending flows in their classes, after adding
+        `contended` to `keys`; when that grows `keys`, every class is
+        rebuilt under the new keys first."""
+        keys = self.keys
+        if not keys.issuperset(contended):
+            keys.update(contended)
+            self.classes, self.on_link, self._class_of = {}, {}, {}
+            self._pending = dict(self._flows)
+        classes, on_link, class_of = self.classes, self.on_link, self._class_of
+        for fid, flow in self._pending.items():
+            links = flow.links
+            key = (flow.rate_units, tuple(filter(keys.__contains__, links)))
+            cls = classes.get(key)
+            if cls is None:
+                cls = classes[key] = RateClass(*key)
+            cls.size += 1
+            class_of[fid] = cls
+            for lid in links:
+                on = on_link.get(lid)
+                if on is None:
+                    on_link[lid] = {cls: 1}
+                else:
+                    on[cls] = on.get(cls, 0) + 1
+        self._pending = {}
+
+    def level(self, flow_id: str) -> Tuple[int, int] | None:
+        """The flow's rate `(ln, ld)`, `ln/ld` units, in the last solve;
+        None while it is pending."""
+        cls = self._class_of.get(flow_id)
+        return None if cls is None else cls.level
+
+    def best_effort_on(self, link_ids: Iterable[str], held: int) -> int | Fraction:
+        """`held` units plus the sum over the links of the last solve's
+        rates of the rising flows on each, in units: an int, or a
+        `Fraction` when levels are not whole units. A pending flow counts
+        0."""
+        on_link = self.on_link
+        num, den = held, 1
+        for lid in link_ids:
+            on = on_link.get(lid)
+            if on is not None:
+                for cls, k in on.items():
+                    ln, ld = cls.level
+                    if ld == den:
+                        num += ln * k
+                    else:
+                        num, den = num * ld + ln * k * den, den * ld
         if den == 1:
             return num
-        g = gcd(num, den)
-        return num // g if g == den else Fraction(num // g, den // g)
+        whole, part = divmod(num, den)
+        return Fraction(num, den) if part else whole
 
 
 def recompute_fair_shares(index: FairShareIndex, capacity: Mapping[str, int], contended: Iterable[str]) -> None:
     """Max-min shares of the index's rising flows, by a water-level solve
-    over residual capacities, left in the index: the level of each round
-    (`rounds`) and the round each flow froze in (`froze`), all in units.
+    over residual capacities run over the index's rate classes: each
+    class's `level` is left as the level it froze at, in units.
 
     `capacity` is each link's capacity for the rising flows, in the units
     of their demands: `NetworkState` passes its capacity net of
@@ -183,47 +250,59 @@ def recompute_fair_shares(index: FairShareIndex, capacity: Mapping[str, int], co
     exceeds it (`NetworkState` passes `_congested`), and each has at least
     one rising flow.
 
+    The solve first classifies the pending flows (`FairShareIndex.classify`).
+    A rate class holds the rising flows of one demand that cross the same
+    links of the index's `keys`, and `classify` first adds `contended` to
+    `keys`, which only grow, rebuilding the classes only when that adds a
+    link. So every class crosses each contended link with all of its
+    members or none; its members rise and freeze together at one rate, and
+    a class is a unit of the solve. Rebuilding the classes whenever the
+    contended links changed, to key them by exactly the contended links,
+    would rebuild them several times as often, for no fewer rounds.
+
     Every rising flow rises from 0 at one common level. With `avail` the
     link's capacity left after frozen flows and `n` the rising flows on it,
     a link saturates at level `avail/n`. Each round finds the lowest level
-    at which a link saturates or the lowest demand bucket that still rises
-    is met, and the links tight at it. Their rising flows and the met
-    bucket's freeze at that level; then each contended link is updated
-    once for the round (`avail -= level*k`, `n -= k` for its k newly frozen
-    flows). This is progressive filling (Bertsekas & Gallager, *Data
-    Networks*, 6.5) taken one saturation level at a time, and the rounds
-    run until every rising flow is frozen.
+    at which a link saturates or the lowest demand that still rises is
+    met, and the links tight at it. The classes on those links and the
+    classes of the met demand freeze at that level; then each contended
+    link is updated once for the round (`avail -= level*k`, `n -= k` for
+    its k newly frozen flows, the sizes of its newly frozen classes). This
+    is progressive filling (Bertsekas & Gallager, *Data Networks*, 6.5)
+    taken one saturation level at a time, and the rounds run until every
+    class is frozen.
 
     Only the contended links take part. A slack link never binds. Frozen
     flows on it hold at most their demand and each rising one wants at
     least the lowest unmet demand D, so its level `avail/n` is never below
     D; and when it equals D, every rising flow on it has demand D and
-    freezes with the met bucket at that same level. So the levels are those
-    of a solve over every link, while the rounds count frozen flows only on
-    the links that can be bottlenecks (Ros-Giralt et al., "On the
+    freezes with the met demand at that same level. So the levels are
+    those of a solve over every link, while the rounds count frozen flows
+    only on the links that can be bottlenecks (Ros-Giralt et al., "On the
     Bottleneck Structure of Congestion-Controlled Networks", SIGMETRICS
-    2020).
+    2020), and only by class.
 
     Capacities and demands are whole units, and `avail` and levels integer
     pairs, so capacity is conserved with no tolerance and a solve makes no
     `Fraction`: `NetworkState.allocated` makes one per rate it is asked.
     """
-    users = index.users
+    index.classify(contended)
+    on_link = index.on_link
     # `avail` is kept as a reduced integer pair and levels are compared as
     # integer pairs (numerator, positive denominator), all in units.
     avail = {lid: (capacity[lid], 1) for lid in contended}  # contended link -> a/b left
-    count = {lid: len(users[lid]) for lid in avail}  # contended link -> rising flows on it
+    count = {lid: sum(on_link[lid].values()) for lid in avail}  # contended link -> rising flows on it
     saturates = {lid: (a, count[lid]) for lid, (a, _) in avail.items()}  # contended link -> avail/n
-    rounds = index.rounds = []
-    froze = index.froze = {}
-    buckets = sorted(index.buckets.items())  # (demand, its rising flows)
-    next_met = 0  # every flow of a bucket before buckets[next_met] is frozen
-    rising = len(index)
+    by_demand = sorted(index.classes.values(), key=attrgetter("demand"))
+    for cls in by_demand:
+        cls.level = None
+    next_met = 0  # every class before by_demand[next_met] is frozen
+    rising = len(by_demand)  # classes not frozen yet
 
     while rising:
-        while buckets[next_met][1] <= froze.keys():
+        while by_demand[next_met].level is not None:
             next_met += 1
-        demand, bucket = buckets[next_met]
+        demand = by_demand[next_met].demand
         num, den = demand, 1
         tight: List[str] = []
         for lid, (p, q) in saturates.items():
@@ -235,18 +314,32 @@ def recompute_fair_shares(index: FairShareIndex, capacity: Mapping[str, int], co
         g = gcd(num, den)
         ln, ld = num // g, den // g
 
-        frozen = set().union(*map(users.__getitem__, tight))
+        level = (ln, ld)
+        frozen: List[RateClass] = []
+        for lid in tight:
+            for cls in on_link[lid]:
+                if cls.level is None:
+                    cls.level = level
+                    frozen.append(cls)
         if ln == demand * ld:
-            frozen |= bucket
-        frozen = frozen.difference(froze)
-        froze.update(dict.fromkeys(frozen, len(rounds)))
-        rounds.append((ln, ld))
+            for cls in by_demand[next_met:]:
+                if cls.demand != demand:
+                    break
+                if cls.level is None:
+                    cls.level = level
+                    frozen.append(cls)
+        if not frozen:
+            # a tight link or the met demand always holds a rising class, unless
+            # some contended link lies outside the keys the classes were built on
+            raise RuntimeError(f"max-min round at level {ln}/{ld} froze no rate class")
         rising -= len(frozen)
 
-        for lid in list(count):
-            k = len(frozen & users[lid])
-            if not k:
-                continue
+        newly: Dict[str, int] = {}  # contended link -> its newly frozen flows
+        for cls in frozen:
+            for lid in cls.links:
+                if lid in count:
+                    newly[lid] = newly.get(lid, 0) + cls.size
+        for lid, k in newly.items():
             n = count[lid] - k
             if n:
                 count[lid] = n

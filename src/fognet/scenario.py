@@ -438,7 +438,7 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
             raise ValidationError(f"{w}.qos", f"unknown QoS class {entry.get('qos')!r}")
         try:
             policy[str(app_class)] = PolicyRule(
-                app_class=str(app_class), qos=qos, gbr_rate=_rate(entry.get("gbr_mbps", 0), f"{w}.gbr_mbps")
+                app_class=str(app_class), qos=qos, gbr_rate=_rate(entry.get("gbr_mbps", 0), f"{w}.gbr_mbps", minimum=0)
             )
         except ValueError as exc:
             raise ValidationError(w, str(exc))

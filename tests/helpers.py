@@ -284,10 +284,19 @@ def install(net, fid, links, demand, gbr=0):
     return flow
 
 
-def solved_rates(index, unit):
-    """Each flow's rate (Mb/s) in the index's last solve, whose levels are
-    in units of `1/unit` Mb/s: the level of the round it froze in."""
-    return {fid: Fraction(*index.rounds[r]) / unit for fid, r in index.froze.items()}
+def fresh_solve(net, links):
+    """What `net` reads, while some link is congested, from a solve over a
+    solver index built fresh from its rising flows, as the first
+    `recompute()` after congestion begins builds one: the rising flows
+    the index holds (`len()`), each installed flow's `allocated()` and each
+    of `links`' `load_units()`. The kept index is put back."""
+    kept, net._fair = net._fair, None
+    try:
+        net.recompute()
+        rates = {fid: net.allocated(fid) for fid in net.flows}
+        return len(net._fair), rates, {lid: net.load_units(lid) for lid in links}
+    finally:
+        net._fair = kept
 
 
 class FakeCloud:

@@ -18,11 +18,10 @@ from fognet.dataplane import (
     UnknownFlow,
     constrained_route,
 )
-from fognet.engine import FairShareIndex, recompute_fair_shares
 from fognet.fogctrl import Attachment, Endpoint, FlowDecision, FlowSpec
 from fognet.topology import LINK_TO_RESOURCE, LinkClass, ResourceClass, build_from_config
 from fognet.workload import FlowRequest
-from helpers import flow_units, solved_rates, two_cluster_doc, wired_fogs
+from helpers import flow_units, fresh_solve, two_cluster_doc, wired_fogs
 from oracles import FlowRates, OracleFlow, ReferenceLru, best_path, enumerate_simple_paths, maxmin_oracle
 
 F = Fraction
@@ -220,13 +219,17 @@ class TestAllocation:
 class TestKeptFairShareIndex:
     def test_random_steps_match_fresh_solve_and_oracle(self):
         """The solver index that NetworkState keeps while a link is congested
-        equals one built fresh from its rising flows and gives the same
-        answer as it (every rising flow's exact rate) and as the oracle
-        after every recompute(), through installs, removals and link flaps,
-        on each link and summed over random sets of links; it exists
-        exactly while some link is congested. A rising flow installed into
-        a solved index reads 0 until the next solve and counts in no
-        total."""
+        holds its rising flows (`len()`) and gives the same answer as one
+        built fresh from them (every flow's exact rate, every link's total)
+        and as the oracle after every recompute(), through installs,
+        removals and link flaps, on each link and summed over random sets
+        of links; it exists exactly while some link is congested, and it
+        is kept while a link contends for the first time since it was
+        built and while contention on another link ends. Reads between a
+        change and the next recompute() see the last solve's rates: a
+        rising flow installed into a solved index reads 0 and counts in no
+        total, a removed flow leaves every total at once, and a link flap
+        moves no rate."""
         demands = [F(0), F(1, 2), F(1), F(2), F(3)]  # few values, so ties
         net = make_net(demands, backhaul_capacity=16, middle_mile_capacity=12, wlan_capacity=8, macro_capacity=6)
         capacity = {lid: link.capacity for lid, link in net.topology.links.items()}
@@ -236,9 +239,19 @@ class TestKeptFairShareIndex:
         kept = transitions = 0
         seen = set()
         was_congested = False
-        fair = None
-        per_link = {}
+        fair = None  # the index after the last recompute()
+        last = set()  # the links congested at the last recompute()
+        contended = set()  # every link congested since that index was built
+        per_link = {lid: F(0) for lid in capacity}
+        oracle = {}
         built = {}  # flow id -> the rates it was built with
+
+        def reads_last_solve(gone=None):
+            for lid in capacity:
+                left = per_link[lid] - (oracle[gone.flow_id] * net.unit if gone and lid in gone.links else 0)
+                assert net.load_units(lid) == left
+            assert {fid: net.allocated(fid) for fid in net.flows} == {fid: oracle[fid] for fid in net.flows}
+
         for _ in range(600):
             roll = rng.random()
             if roll < 0.08:
@@ -247,8 +260,13 @@ class TestKeptFairShareIndex:
                     net.set_link_state(rng.choice(down), True)
                 else:
                     net.set_link_state(rng.choice(sorted(capacity)), False)
+                seen.add("flap")
+                reads_last_solve()
             elif net.flows and roll < 0.5:
-                net.remove_flow(rng.choice(sorted(net.flows)))
+                gone = net.remove_flow(rng.choice(sorted(net.flows)))
+                if net._congested or not was_congested:
+                    seen.add("removed")
+                    reads_last_solve(gone)
             else:
                 serial += 1
                 hops = rng.choice(_ALLOC_PATHS)
@@ -265,9 +283,9 @@ class TestKeptFairShareIndex:
                     continue
                 seen.add("gbr" if gbr else "zero" if not demand else "be")
                 if fair is not None and not gbr and demand:
-                    # read before the solve: the new flow is in the index but in no round
+                    # read before the solve: the new flow is in the index but has no rate
                     seen.add("unsolved")
-                    assert new.flow_id in net._rising and new.flow_id not in fair.froze
+                    assert len(fair) == len(net._rising)
                     assert net.allocated(new.flow_id) == 0
                     for lid in capacity:
                         assert net.load_units(lid) == per_link[lid]
@@ -276,19 +294,23 @@ class TestKeptFairShareIndex:
             congested = bool(net._congested)
             assert (net._fair is not None) == congested
             if congested:
-                fresh = FairShareIndex(net._rising.values())
-                assert (net._fair.crossed, net._fair.users, net._fair.buckets) == (
-                    fresh.crossed,
-                    fresh.users,
-                    fresh.buckets,
+                assert len(net._fair) == len(net._rising)
+                assert fresh_solve(net, capacity) == (
+                    len(net._rising),
+                    {fid: net.allocated(fid) for fid in net.flows},
+                    {lid: net.load_units(lid) for lid in capacity},
                 )
-                recompute_fair_shares(fresh, net._be_capacity, net._congested)
-                rates = solved_rates(net._fair, net.unit)
-                assert rates.keys() == net._rising.keys()
-                assert rates == solved_rates(fresh, net.unit) == {fid: net.allocated(fid) for fid in rates}
-                kept += net._fair is fair
+                if net._fair is fair:
+                    kept += 1
+                    if not contended.issuperset(net._congested):
+                        seen.add("first-contends")
+                    if not last <= net._congested:
+                        seen.add("contention-ends")
+                    contended |= net._congested
+                else:
+                    contended = set(net._congested)
             transitions += congested != was_congested
-            was_congested, fair = congested, net._fair
+            was_congested, fair, last = congested, net._fair, set(net._congested)
 
             oracle = maxmin_oracle(oracle_flows(net.flows.values(), built), capacity)
             for fid in net.flows:
@@ -300,7 +322,7 @@ class TestKeptFairShareIndex:
             # the summed reader over a random set of links
             subset = pick.sample(sorted(capacity), pick.randint(0, len(capacity)))
             assert net.load_units(*subset) == sum((per_link[lid] for lid in subset), F(0))
-        assert seen == {"gbr", "zero", "be", "unsolved"}
+        assert seen == {"gbr", "zero", "be", "unsolved", "removed", "flap", "first-contends", "contention-ends"}
         assert transitions > 10 and kept > 100
 
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fognet.engine import Engine, Event, EventKind, FairShareIndex, SchedulingInPast, recompute_fair_shares
-from helpers import bare_net, install, solved_rates
+from fognet.engine import Engine, Event, EventKind, SchedulingInPast
+from helpers import bare_net, fresh_solve, install
 from oracles import OracleFlow, maxmin_oracle
 
 F = Fraction
@@ -166,7 +166,6 @@ class TestFairShares:
         assert net._fair is not None
 
         def ledgers():
-            fair = net._fair
             return (
                 dict(net.flows),
                 {lid: set(fids) for lid, fids in net._on_link.items()},
@@ -176,9 +175,11 @@ class TestFairShares:
                 dict(net._unsliced_gbr),
                 dict(net._rising),
                 net.epoch,
-                dict(fair.crossed),
-                {lid: set(fids) for lid, fids in fair.users.items()},
-                {demand: set(fids) for demand, fids in fair.buckets.items()},
+                net._fair,
+                len(net._fair),
+                {fid: net.allocated(fid) for fid in ("a", "b", "twice", "twice-gbr")},
+                net.load_units("l1"),
+                net.load_units("l2"),
             )
 
         before = ledgers()
@@ -355,19 +356,43 @@ class TestFairShares:
         assert first == second
 
 
+WALK_DEMANDS = [F(1, 3), F(2, 7), F(1), F(5, 2), F(4, 9), F(3)]
+
+
+@st.composite
+def index_walks(draw):
+    """A small max-min instance and a walk over it: 2-6 links of
+    non-decimal capacity (Mb/s); 1-30 flows drawing on a few shared
+    demands and paths; and steps that each install the next flow or
+    remove a live one (`(install?, which, solve after?)`)."""
+    links = [f"l{i}" for i in range(draw(st.integers(2, 6)))]
+    caps = {lid: F(draw(st.integers(1, 24)), draw(st.sampled_from([3, 7, 9]))) for lid in links}
+    demands = draw(st.lists(st.sampled_from(WALK_DEMANDS), min_size=1, max_size=3, unique=True))
+    path = st.permutations(links).flatmap(lambda order: st.integers(1, len(order)).map(lambda n: tuple(order[:n])))
+    paths = draw(st.lists(path, min_size=1, max_size=4))
+    count = draw(st.integers(1, 30))  # drawn first, so that long walks are as likely as short ones
+    flows = draw(st.lists(st.tuples(st.sampled_from(demands), st.sampled_from(paths)), min_size=count, max_size=count))
+    count = draw(st.integers(1, 45))
+    steps = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 29), st.booleans()), min_size=count, max_size=count))
+    return caps, flows, steps
+
+
 class TestFairShareIndex:
     def test_random_adds_and_removes_solve_as_a_fresh_index(self):
         """Through installs and removals on a bare network, the solver index
-        that `NetworkState` keeps holds exactly the rising flows and solves
-        as one built fresh from `_rising`: every rising flow's exact rate
-        and every link's best-effort total agree. Every rate equals the
-        oracle's. `_congested`, the links a solve lets bind, equals a
-        recount of the links whose rising flows want more than the capacity
-        net of guarantees, and `load_units()` over each link and over random
-        sets of links equals a recount of the rates. A rising flow
-        installed into a solved index reads 0 until the next solve and
-        counts in no total. Zero-demand and linkless flows are installed
-        too, and paths that list a link twice are refused."""
+        that `NetworkState` keeps holds exactly the rising flows (`len()`)
+        and solves as one built fresh from `_rising`: every flow's exact
+        rate and every link's total agree. Every rate equals the oracle's.
+        `_congested`, the links a solve lets bind, equals a recount of the
+        links whose rising flows want more than the capacity net of
+        guarantees, and `load_units()` over each link and over random sets
+        of links equals a recount of the rates. Reads between a change and
+        the next solve see the last solve's rates: a rising flow installed
+        into a solved index reads 0 and counts in no total, and a removed
+        flow leaves every total at once. The walk keeps one index while a
+        link contends for the first time since it was built, and while
+        contention on another link ends. Zero-demand and linkless flows are
+        installed too, and paths that list a link twice are refused."""
         rng = random.Random(31)
         pick = random.Random(32)  # the link sets summed, apart from the walk
         links = [f"l{i}" for i in range(5)]
@@ -377,10 +402,23 @@ class TestFairShareIndex:
         live = {}
         serial = 0
         kinds = set()
-        per_link = {}
+        per_link = {lid: F(0) for lid in links}
+        oracle = {}
+        fair = None  # the index after the last solve
+        last = set()  # the links congested at the last solve
+        contended = set()  # every link congested since that index was built
         for _ in range(300):
             if live and rng.random() < 0.45:
-                net.remove_flow(live.pop(rng.choice(sorted(live))).fid)
+                gone = live.pop(rng.choice(sorted(live)))
+                was_congested = bool(net._congested)
+                net.remove_flow(gone.fid)
+                if net._congested or not was_congested:
+                    # read before the solve: the flow left every total, the rest kept their rates
+                    kinds.add("removed")
+                    for lid in links:
+                        left = per_link[lid] - (oracle[gone.fid] * net.unit if lid in gone.links else 0)
+                        assert net.load_units(lid) == left
+                    assert {fid: net.allocated(fid) for fid in live} == {fid: oracle[fid] for fid in live}
             else:
                 serial += 1
                 path = tuple(rng.choice(links) for _ in range(rng.randint(0, 4)))
@@ -399,9 +437,9 @@ class TestFairShareIndex:
                     kinds.add("gbr" if gbr else "zero" if not demand else "linkless" if not path else "be")
                     live[new.fid] = new
                     if net._fair is not None and not gbr and demand and path:
-                        # read before the solve: the new flow is in the index but in no round
+                        # read before the solve: the new flow is in the index but has no rate
                         kinds.add("unsolved")
-                        assert new.fid in net._fair.users[path[0]] and new.fid not in net._fair.froze
+                        assert len(net._fair) == len(net._rising)
                         assert net.allocated(new.fid) == 0
                         for lid in links:
                             assert net.load_units(lid) == per_link[lid]
@@ -416,24 +454,53 @@ class TestFairShareIndex:
             assert net._congested == {l for l in links if wanted[l] > net_capacity[l]}
             if net._congested:
                 kinds.add("congested")
-                fresh = FairShareIndex(net._rising.values())
-                fair = net._fair
-                assert len(fair) == len(fresh) == len(rising)
-                assert (fair.crossed, fair.users, fair.buckets) == (fresh.crossed, fresh.users, fresh.buckets)
-                recompute_fair_shares(fresh, net._be_capacity, net._congested)
-                rates = solved_rates(fair, net.unit)
-                assert rates.keys() == net._rising.keys()
-                assert rates == solved_rates(fresh, net.unit) == {fid: net.allocated(fid) for fid in rates}
-                for lid in links:
-                    assert fair.best_effort_on(lid) == fresh.best_effort_on(lid)
+                assert len(net._fair) == len(rising)
+                assert fresh_solve(net, links) == (
+                    len(rising),
+                    {fid: net.allocated(fid) for fid in live},
+                    {lid: net.load_units(lid) for lid in links},
+                )
+                if net._fair is fair:
+                    if not contended.issuperset(net._congested):
+                        kinds.add("first-contends")
+                    if not last <= net._congested:
+                        kinds.add("contention-ends")
+                    contended |= net._congested
+                else:
+                    contended = set(net._congested)
+            fair, last = net._fair, set(net._congested)
             for lid in links:
                 per_link[lid] = sum((oracle[f.fid] for f in flows if lid in f.links), F(0)) * net.unit
                 assert net.load_units(lid) == per_link[lid]
             for _ in range(3):
                 subset = pick.sample(links, pick.randint(0, len(links)))
                 assert net.load_units(*subset) == sum((per_link[lid] for lid in subset), F(0))
-        assert kinds == {"gbr", "zero", "linkless", "refused", "be", "congested", "unsolved"} and live
+        assert live and kinds == {
+            "gbr", "zero", "linkless", "refused", "be", "congested", "unsolved", "removed",
+            "first-contends", "contention-ends",
+        }  # fmt: skip
 
+    @given(index_walks())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_walks_solve_as_the_oracle(self, walk):
+        """After every solve of a random walk of installs and removals,
+        with solves between some steps only, every live flow's
+        `allocated()` equals the max-min oracle's rate."""
+        caps, flows, steps = walk
+        net = bare_net(caps, WALK_DEMANDS)
+        live = {}
+        installed = 0
+        for serial, (grow, which, solve) in enumerate(steps):
+            if (grow or not live) and installed < len(flows):
+                demand, path = flows[installed]
+                installed += 1
+                live[f"f{serial}"] = OracleFlow(f"f{serial}", path, demand)
+                install(net, f"f{serial}", path, demand)
+            elif live:
+                net.remove_flow(live.pop(sorted(live)[which % len(live)]).fid)
+            if solve or serial == len(steps) - 1:
+                net.recompute()
+                assert {fid: net.allocated(fid) for fid in live} == maxmin_oracle(list(live.values()), caps)
 
     def test_a_flow_reinstalled_before_the_solve_reads_zero(self):
         """A flow removed and installed again under its id, as a

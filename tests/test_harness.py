@@ -338,6 +338,11 @@ class TestCli:
                 f"{RTT}\nsubscribers: {{overrides: [{{user: u1, max_gbr_mbps: -1/2}}]}}",
                 "subscribers.overrides[0].max_gbr_mbps: must be >= 0",
             ),
+            (
+                "external_web: {qos: BestEffort}",
+                "external_web: {qos: BestEffort, gbr_mbps: -1/7}",
+                "policy.external_web.gbr_mbps: must be >= 0",
+            ),
             ("  - id: s1\n    operator: op1\n", "  - operator: op1\n", "slices[0].id: required"),
             ("  - id: s1\n    operator: op1\n", "  - id: s1\n", "slices[0].operator: required"),
             (
@@ -364,6 +369,7 @@ class TestCli:
             "negative-demand",
             "negative-max-gbr",
             "negative-override-max-gbr",
+            "negative-policy-gbr",
             "slice-without-id",
             "slice-without-operator",
             "generate-seed-not-a-number",
