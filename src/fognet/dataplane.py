@@ -54,9 +54,10 @@ permitted link ids. Which links a fog may route over is a fact of the
 topology (`Topology.fog_domain`), so callers pass those sets, not
 predicates. A route depends only on link and node health and, for a
 guaranteed rate, on headroom, so fog control memoizes its mesh segments
-between two attachment points, prunes them on each health change it
-hears of through `watch_health`, and adds the access hops itself
-(`FogControl.segment`, `_fill_target` and `_candidates`). The WLAN
+between two attachment points, checks each on read against the Down
+set (`down_links`) and on the Ups it hears of through `watch_health`,
+and adds the access hops itself (`FogControl.segment`, `_fill_target`
+and `_candidates`). The WLAN
 control-overhead flows ride the same memo: each AP's flow is its fog's
 segment from the AP to the PoP (`Simulation._route_control_overhead`).
 """
@@ -311,6 +312,12 @@ class NetworkState:
     def effective_up(self, link_id: str) -> bool:
         """The link and both its end nodes are Up."""
         return link_id not in self._down
+
+    def down_links(self) -> AbstractSet[str]:
+        """The links that are Down or have a Down end node, `effective_up`'s
+        complement: the live set, kept current by every state change, so a
+        reader may hold it. Do not mutate it."""
+        return self._down
 
     def watch_health(self, callback: Callable[[str, bool], None]) -> None:
         """Call `callback(element, up)` on every link or node state change."""

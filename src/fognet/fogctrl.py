@@ -35,11 +35,27 @@ its path uses; a user's flows are `NetworkState.flows_at(user)`.
 
 A decision's candidates come from the templates (`UserTemplate`) of its
 user endpoints: each user's access options and its finished candidates
-to the PoP and the gateway, kept per (user, attachment) until the next
-link or node state change, so a request re-derives none of them. A
-fog-local decision enumerates them in `_candidates`; an inter-fog one
-(`CloudControl.setup_interfog_path`) joins each user's candidates to its
-own fog's PoP through the cloud gateway.
+to the PoP and the gateway, kept per (user, attachment), so a request
+re-derives none of them. A fog-local decision enumerates them in
+`_candidates`; an inter-fog one (`CloudControl.setup_interfog_path`)
+joins each user's candidates to its own fog's PoP through the cloud
+gateway.
+
+Routes and templates are kept across link and node faults and checked
+on read, not dropped on a change. The check rests on one static fact
+per routing graph (the fog's mesh, or its mesh and backhaul): which of
+its links lie on a cycle of it (`Topology.cyclic_links`); every other
+link is a bridge. A route is the minimum-hop, lexicographically first
+one, and a Down only removes routes, so a kept route R whose links are
+all Up was the answer and still is, unless a better route P has come
+Up since R was kept. P and R together hold a cycle, and a link of P
+not in R that was Down when R was kept has come Up since: it lies on
+a cycle, so its Up cleared R. So an Up clears a graph's routes only
+when a link it brings Up is cyclic; an Up of bridges keeps every route
+and drops only the None answers (`_on_health`). A Down bridge on a
+kept route cuts its ends apart, so the answer is None without a
+search. A change costs O(links of the element), and a Down nothing;
+while no link is Down, a read checks only counters.
 
 Path selection is deliberately ordinal and deterministic:
 
@@ -57,7 +73,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
@@ -182,7 +197,6 @@ class UserRecord:
     token: str
     operator: str
     allowed_classes: FrozenSet[str]
-    max_gbr: Fraction
 
 
 class Attachment(NamedTuple):
@@ -221,7 +235,8 @@ class SliceRacf:
     slice_id: str
     operator: str
     user_records: Dict[str, UserRecord] = field(default_factory=dict)
-    # each user's `max_gbr` in units, floored: for a guarantee of `g` units,
+    # each user's subscription cap on a guarantee in units, floored, as
+    # `register_user` is given it: for a guarantee of `g` units,
     # `g > floor(cap * unit)` exactly when `g / unit > cap`
     gbr_caps: Dict[str, int] = field(default_factory=dict)
     sessions: Set[str] = field(default_factory=set)
@@ -279,13 +294,29 @@ class AccessOption(NamedTuple):
 
 
 class UserTemplate(NamedTuple):
-    """What a user's requests share until the next link or node state
-    change, under one attachment: its access options, and per fixed
-    target, keyed (PoP or gateway, label tag), the finished candidates
-    to it, one per access option with a route."""
+    """What a user's requests share under one attachment: its access
+    options, and per fixed target, keyed (PoP or gateway, label tag), the
+    finished candidates to it, one per access option with a route.
+
+    It holds what `FogControl.user_template` checks on read to tell
+    whether it is still exact. It is while all of these hold:
+
+    - `links`, its option links and the links of every candidate in
+      `fixed`, are all Up (options and routes are kept while Up);
+    - `dormant`, the user's access links under the attachment that were
+      Down at build, are all still Down (no option has appeared);
+    - `clears`, `FogControl._clears` at build, is unchanged: no Up that
+      closes a cycle has cleared a routing graph's routes since;
+    - per routing graph (via backhaul or not) in `gaps`, where some
+      option had no candidate, no Up has touched that graph since the
+      gap was found (`FogControl._ups`): a route may have appeared."""
 
     options: Tuple[AccessOption, ...]
     fixed: Dict[Tuple[str, str], Tuple[Candidate, ...]]
+    links: Set[str]
+    dormant: FrozenSet[str]
+    clears: int
+    gaps: Dict[bool, int]
 
 
 class FlowDecision(NamedTuple):
@@ -392,11 +423,10 @@ class FogControl:
     A candidate's route is its access hop, the mesh segment from the
     user's attachment point to the PoP, the gateway or the peer user's
     attachment point, and the peer's access hop. Segments are memoized
-    per (start, end, via backhaul) (`segment`, which the simulator also
-    reads for each WLAN AP's control-overhead flow): a link or node going
-    Down drops the segments through it, and one coming Up clears the
-    memo. A GBR request keeps that route when every hop has headroom
-    (`_with_headroom`).
+    per routing graph (via backhaul or not) and (start, end) (`segment`,
+    which the simulator also reads for each WLAN AP's control-overhead
+    flow), and checked on read against the Down set. A GBR request keeps
+    that route when every hop has headroom (`_with_headroom`).
 
     What does not depend on load is kept per user in a `UserTemplate`,
     keyed (user, attachment), so a handover needs no hook: the access
@@ -404,10 +434,14 @@ class FogControl:
     (`fixed_candidates`), which also serve as the halves of the user's
     inter-fog paths. A candidate to a peer user is assembled per request
     from the two users' options and the segment memo, never kept per
-    pair. Every template is dropped on any link or node state change
-    (`_on_health`). A request then does only what depends on live load:
-    the headroom and slice tests of a GBR request, `select_candidate` and
-    the install.
+    pair. A template is rebuilt only when a read finds it stale
+    (`user_template`). A request then does only what depends on live
+    load: the headroom and slice tests of a GBR request,
+    `select_candidate` and the install.
+
+    A link or node state change reaches `_on_health`, which keeps the
+    memo exact in O(links of the element) by the static cyclic-link rule
+    of the module docstring; it scans no route and no template.
     """
 
     def __init__(
@@ -439,7 +473,15 @@ class FogControl:
         self._meters = {link.id: LINK_TO_RESOURCE[link.link_class] for link in self.domain.metered.get(None, ())}
         self._entitled: Dict[Tuple[str, str], int] = {}
         self._entitled_epoch = -1  # NetworkState.epoch of `_entitled`
-        self._segments: Dict[Tuple[str, str, bool], Optional[Tuple[Tuple[str, str], ...]]] = {}
+        self._down = net.down_links()
+        # per routing graph, indexed by via backhaul: its links, its memo
+        # (start, end) -> route or None, the keys answered None, and the
+        # Ups that touched it
+        self._allowed = (self.domain.mesh, self.domain.mesh | self.domain.backhaul_ids)
+        self._routes: List[Dict[Tuple[str, str], Optional[Tuple[Tuple[str, str], ...]]]] = [{}, {}]
+        self._unroutable: List[List[Tuple[str, str]]] = [[], []]
+        self._ups = [0, 0]
+        self._clears = 0  # Ups that cleared a graph's routes
         self._templates: Dict[Tuple[str, Attachment], UserTemplate] = {}
         net.watch_health(self._on_health)
 
@@ -451,11 +493,12 @@ class FogControl:
                 return racf
         raise ControlError(f"operator {operator} holds no slice in fog {self.fog_id}", operator)
 
-    def register_user(self, record: UserRecord, attachment: Attachment, mobile: bool = False) -> None:
+    def register_user(self, record: UserRecord, attachment: Attachment, gbr_cap: int, mobile: bool = False) -> None:
+        """Register the subscriber of `record`; `gbr_cap` is its cap on a
+        guarantee in the network state's units, floored (`SliceRacf.gbr_caps`)."""
         racf = self.racf_of_operator(record.operator)
         racf.user_records[record.user_id] = record
-        cap = record.max_gbr
-        racf.gbr_caps[record.user_id] = cap.numerator * self.net.unit // cap.denominator
+        racf.gbr_caps[record.user_id] = gbr_cap
         racf.contexts[record.user_id] = UserContext(
             user_id=record.user_id, attachment=attachment, mobile=mobile
         )
@@ -538,18 +581,18 @@ class FogControl:
 
     # -- candidate construction -----------------------------------------------
 
-    def access_options(self, user_id: str) -> List[Tuple[str, Link]]:
-        """Healthy access links usable under the user's current attachment."""
-        ctx = self.context_of(user_id)
+    def access_links(self, user_id: str, attachment: Attachment) -> List[Tuple[str, Link]]:
+        """The user's access links usable under `attachment`, by kind, Up
+        or not; its access options are those Up."""
         topo = self.net.topology
         out: List[Tuple[str, Link]] = []
-        if ctx.attachment.wlan_cluster is not None:
-            link = topo.wlan_link(user_id, ctx.attachment.wlan_cluster)
-            if link is not None and self.net.effective_up(link.id):
+        if attachment.wlan_cluster is not None:
+            link = topo.wlan_link(user_id, attachment.wlan_cluster)
+            if link is not None:
                 out.append(("wlan", link))
-        if ctx.attachment.macro:
+        if attachment.macro:
             link = topo.macro_link(user_id)
-            if link is not None and self.net.effective_up(link.id):
+            if link is not None:
                 out.append(("macro", link))
         return out
 
@@ -570,41 +613,70 @@ class FogControl:
         return hops
 
     def segment(self, start: str, end: str, via_backhaul: bool) -> Optional[Tuple[Tuple[str, str], ...]]:
-        """Memoized minimum-hop route over the mesh (and backhaul), or None.
+        """The minimum-hop route from `start` to `end` over the fog's Up
+        mesh links (and backhaul links, `via_backhaul`), as
+        `constrained_route` finds it, or None when there is none.
 
-        The memo fills on first use of each key and is kept exact across
-        link and node state changes by `_on_health`."""
-        key = (start, end, via_backhaul)
-        if key not in self._segments:
-            allowed = self.domain.mesh | self.domain.backhaul_ids if via_backhaul else self.domain.mesh
-            try:
-                self._segments[key] = tuple(constrained_route(self.net, start, end, allowed))
-            except NoRoute:
-                self._segments[key] = None
-        return self._segments[key]
+        Memoized per graph and (start, end), filled on first use, and
+        checked on read: a kept route is the answer while every link on it
+        is Up, and an empty one always is. When a link on it is Down, the
+        answer is None if that link is a bridge of the graph, and the route
+        is kept for when it comes back; else it is searched afresh. A None
+        is kept until an Up touches the graph (`_on_health`)."""
+        try:
+            hops = self._routes[via_backhaul][start, end]
+        except KeyError:
+            return self._search(start, end, via_backhaul)
+        down = self._down
+        if hops and down:
+            for _, lid in hops:
+                if lid in down:
+                    if lid in self.net.topology.cyclic_links(self.fog_id, via_backhaul):
+                        return self._search(start, end, via_backhaul)
+                    return None
+        return hops
+
+    def _search(self, start: str, end: str, via_backhaul: bool) -> Optional[Tuple[Tuple[str, str], ...]]:
+        """Fill the memo entry of `segment` with a fresh search."""
+        try:
+            hops = tuple(constrained_route(self.net, start, end, self._allowed[via_backhaul]))
+        except NoRoute:
+            hops = None
+            self._unroutable[via_backhaul].append((start, end))
+        self._routes[via_backhaul][start, end] = hops
+        return hops
 
     def _on_health(self, element: str, up: bool) -> None:
-        """Keep the templates and the segment memo exact across one link or
-        node state change.
+        """Keep the segment memo exact across one link or node state change,
+        in O(links of the element), by the rule of the module docstring.
 
-        Every template is dropped: it holds access options and routes.
-        An element coming Up can shorten any segment, so the memo is
-        cleared. One going Down only removes routes: a memoized segment
-        that does not pass through it is still usable, still minimum-hop
-        and still the lexicographically first such route, and a missing
-        route stays missing. So only the segments through it are dropped."""
-        self._templates = {}
-        if up:
-            self._segments = {}
+        A Down changes nothing kept: reads check routes against the Down
+        set. An Up touches, in each routing graph, the links of the
+        element there: the link itself, or a node's incident links. If one
+        of them lies on a cycle of the graph, its routes are cleared (and
+        `_clears` counts it, which stales every template); else every route
+        is kept and only its None answers are dropped. Either way `_ups`
+        counts the Up for the graph, which stales a template with an option
+        that had no candidate in it."""
+        if not up:
             return
-        segments = self._segments
-        through = [
-            key
-            for key, segment in segments.items()
-            if segment and (element == key[1] or element in chain.from_iterable(segment))
-        ]
-        for key in through:
-            del segments[key]
+        topo = self.net.topology
+        touched = topo.adjacency().get(element, [])
+        if element in topo.links:
+            touched = [element, *touched]
+        for via_backhaul, allowed in enumerate(self._allowed):
+            hit = [lid for lid in touched if lid in allowed]
+            if not hit:
+                continue
+            self._ups[via_backhaul] += 1
+            if topo.cyclic_links(self.fog_id, bool(via_backhaul)).isdisjoint(hit):
+                routes = self._routes[via_backhaul]
+                for key in self._unroutable[via_backhaul]:
+                    del routes[key]
+            else:
+                self._routes[via_backhaul] = {}
+                self._clears += 1
+            self._unroutable[via_backhaul] = []
 
     def slice_gbr_ok(self, slice_id: Optional[str], links: List[str], need: int) -> bool:
         """Guaranteed admissions are capped at the slice's entitlement in
@@ -632,14 +704,29 @@ class FogControl:
         return True
 
     def user_template(self, ctx: UserContext) -> UserTemplate:
-        """The template of the user of `ctx` under its current attachment,
-        its access options filled on first use."""
+        """The template of the user of `ctx` under its current attachment:
+        kept while a read finds it exact (`UserTemplate`), else built
+        afresh, its access options read on build."""
         key = (ctx.user_id, ctx.attachment)
         template = self._templates.get(key)
-        if template is None:
-            user = ctx.user_id
-            options = tuple(AccessOption(kind, link.id, link.other(user)) for kind, link in self.access_options(user))
-            template = self._templates[key] = UserTemplate(options, {})
+        if template is not None and template.clears == self._clears:
+            down = self._down
+            if (
+                (not down or down.isdisjoint(template.links))
+                and (not template.dormant or template.dormant <= down)
+                and (not template.gaps or all(self._ups[via] == n for via, n in template.gaps.items()))
+            ):
+                return template
+        user = ctx.user_id
+        options, dormant = [], []
+        for kind, link in self.access_links(user, ctx.attachment):
+            if self.net.effective_up(link.id):
+                options.append(AccessOption(kind, link.id, link.other(user)))
+            else:
+                dormant.append(link.id)
+        links = {option.link_id for option in options}
+        template = UserTemplate(tuple(options), {}, links, frozenset(dormant), self._clears, {})
+        self._templates[key] = template
         return template
 
     def _fill_target(
@@ -663,11 +750,18 @@ class FogControl:
     ) -> Tuple[Candidate, ...]:
         """The finished candidates labelled `tag(kind)` from `user`, whose
         template is `template`, to the PoP or gateway `end`, filled on first
-        use (`_fill_target`). A user's entry to its PoP serves both its
-        cache hits and the user's half of its inter-fog paths."""
+        use (`_fill_target`), which adds their links to the template's and,
+        when some option has no route, a gap in the graph. A user's entry
+        to its PoP serves both its cache hits and the user's half of its
+        inter-fog paths."""
         found = template.fixed.get((end, tag))
         if found is None:
             found = template.fixed[(end, tag)] = self._fill_target(user, template.options, end, rat, tag)
+            for c in found:
+                template.links.update(c.links)
+            if len(found) < len(template.options):
+                via_backhaul = rat == RouteKind.CLOUD_BOUND
+                template.gaps.setdefault(via_backhaul, self._ups[via_backhaul])
         return found
 
     def _candidates(

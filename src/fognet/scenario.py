@@ -37,6 +37,10 @@ CONTENT_REQUEST = "content_request"
 EXTERNAL_WEB = "external_web"
 APP_CLASSES = (LOCAL_VOIP, CONTENT_REQUEST, EXTERNAL_WEB)
 
+# the largest content catalog a scenario may name: 1,000 times the largest
+# bundled one (100); `workload.ZipfSampler` keeps a weight per rank
+MAX_CATALOG_SIZE = 100_000
+
 
 class ParseError(Exception):
     pass
@@ -90,6 +94,17 @@ def _num(entry: dict, key: str, where: str, default=None, minimum=None):
     if minimum is not None and value < minimum:
         raise ValidationError(f"{where}.{key}", f"must be >= {minimum}")
     return value
+
+
+def _int(entry: dict, key: str, where: str, default=None, minimum=None, maximum=None) -> int:
+    """A count, seed or time in ms: `_num`, refusing a fraction (2.0 is 2,
+    2.5 is refused) and, given `maximum`, a value above it."""
+    value = _num(entry, key, where, default, minimum)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"{where}.{key}", f"must be a whole number, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{where}.{key}", f"must be <= {maximum}")
+    return int(value)
 
 
 def _rate(value, where: str, minimum=None) -> Fraction:
@@ -318,15 +333,15 @@ _GEN_KEYS = {
 def parse_gen_params(doc: dict, where: str, default_seed: int) -> TopologyGenParams:
     _strict(doc, _GEN_KEYS, where)
     params = TopologyGenParams(
-        clusters=int(_num(doc, "clusters", where, minimum=1)),
-        users_min=int(_num(doc, "users_min", where, default=1, minimum=1)),
-        users_max=int(_num(doc, "users_max", where, default=doc.get("users_min", 1), minimum=1)),
+        clusters=_int(doc, "clusters", where, minimum=1),
+        users_min=_int(doc, "users_min", where, default=1, minimum=1),
+        users_max=_int(doc, "users_max", where, default=doc.get("users_min", 1), minimum=1),
         cluster_radius_m=float(_num(doc, "cluster_radius_m", where, default=300.0)),
         area_side_m=float(_num(doc, "area_side_m", where, default=7000.0)),
-        mesh_degree_bound=int(_num(doc, "mesh_degree_bound", where, default=3, minimum=1)),
+        mesh_degree_bound=_int(doc, "mesh_degree_bound", where, default=3, minimum=1),
         macro_radius_m=float(_num(doc, "macro_radius_m", where, default=10000.0)),
         wlan_radius_m=float(_num(doc, "wlan_radius_m", where, default=300.0)),
-        seed=int(_num(doc, "seed", where, default=default_seed)),
+        seed=_int(doc, "seed", where, default=default_seed),
     )
     try:
         params.check()
@@ -412,10 +427,10 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
         raise ParseError("scenario document must be a mapping")
     _strict(doc, _TOP_KEYS, "scenario")
 
-    seed = int(_num(doc, "seed", "scenario", default=0))
-    duration_ms = int(_num(doc, "duration_ms", "scenario", minimum=1))
-    tick = int(_num(doc, "metrics_tick_ms", "scenario", default=1000, minimum=1))
-    rtt = int(_num(doc, "cloud_rtt_ms", "scenario", default=20, minimum=0))
+    seed = _int(doc, "seed", "scenario", default=0)
+    duration_ms = _int(doc, "duration_ms", "scenario", minimum=1)
+    tick = _int(doc, "metrics_tick_ms", "scenario", default=1000, minimum=1)
+    rtt = _int(doc, "cloud_rtt_ms", "scenario", default=20, minimum=0)
     overhead = _rate(doc.get("wlan_control_overhead_mbps", 0), "wlan_control_overhead_mbps", minimum=0)
 
     if "topology" not in doc:
@@ -465,8 +480,8 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
         )
         fogs[fog_id] = FogConfig(
             profile=profile,
-            cache_capacity=int(_num(entry, "cache_capacity", w, default=100, minimum=1)),
-            address_pool=int(_num(entry, "address_pool", w, default=256, minimum=1)),
+            cache_capacity=_int(entry, "cache_capacity", w, default=100, minimum=1),
+            address_pool=_int(entry, "address_pool", w, default=256, minimum=1),
         )
     for fog_id in fog_ids:
         fogs.setdefault(fog_id, FogConfig())
@@ -540,7 +555,9 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
         raise ValidationError("workload.mobility.mobile_fraction", "must lie in [0, 1]")
     workload = WorkloadSpec(
         classes=classes,
-        catalog_size=int(_num(content_doc, "catalog_size", "workload.content", default=100, minimum=1)),
+        catalog_size=_int(
+            content_doc, "catalog_size", "workload.content", default=100, minimum=1, maximum=MAX_CATALOG_SIZE
+        ),
         zipf_exponent=float(_num(content_doc, "zipf_exponent", "workload.content", default=1.0)),
         mobile_fraction=mobile_fraction,
         relocation_rate_per_s=float(
@@ -559,8 +576,8 @@ def parse_scenario(doc: dict, base_dir: str = ".", name: str = "scenario") -> Sc
         fog = str(entry.get("fog", ""))
         if fog not in fog_ids:
             raise ValidationError(f"{w}.fog", f"no such fog {fog!r}")
-        down = int(_num(entry, "down_ms", w, minimum=0))
-        up = int(_num(entry, "up_ms", w, minimum=0))
+        down = _int(entry, "down_ms", w, minimum=0)
+        up = _int(entry, "up_ms", w, minimum=0)
         if up <= down:
             raise ValidationError(f"{w}.up_ms", "must be > down_ms")
         schedule.append(BackhaulOutage(fog=fog, down_ms=down, up_ms=up))

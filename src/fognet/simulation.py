@@ -179,12 +179,12 @@ class Simulation:
                 if override is not None and override.max_gbr is not None
                 else config.subscribers.max_gbr
             )
+            gbr_cap = max_gbr.numerator * self.net.unit // max_gbr.denominator  # in units, floored
             record = UserRecord(
                 user_id=user,
                 token=f"tok-{user}",
                 operator=operator,
                 allowed_classes=frozenset(allowed),
-                max_gbr=max_gbr,
             )
             fog_id = topo.fog_of(user)
             fog = self.fogs[fog_id]
@@ -194,7 +194,7 @@ class Simulation:
                 wlan_cluster=cluster if has_wlan else None,
                 macro=topo.macro_link(user) is not None,
             )
-            fog.register_user(record, attachment)
+            fog.register_user(record, attachment, gbr_cap)
             self.cloud.register_user(user, fog_id, attachment)
             try:
                 fog.authenticate_user(user, record.token)

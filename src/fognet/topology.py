@@ -178,6 +178,7 @@ class Topology:
     _adj: Dict[str, List[str]] = field(default=None, compare=False, repr=False)
     _domains: Dict[str, FogDomain] = field(default=None, compare=False, repr=False)
     _gateway: Optional[str] = field(default=None, compare=False, repr=False)
+    _cyclic: Dict[Tuple[str, bool], FrozenSet[str]] = field(default=None, compare=False, repr=False)
 
     # -- indexed lookups -------------------------------------------------
 
@@ -218,6 +219,21 @@ class Topology:
                 for f, (mesh, backhaul, metered) in parts.items()
             }
         return self._domains.get(fog, _NO_DOMAIN)
+
+    def cyclic_links(self, fog: str, via_backhaul: bool) -> FrozenSet[str]:
+        """The links of the fog's routing graph, its mesh and, `via_backhaul`,
+        its backhaul, that lie on a cycle of that graph: every link of it
+        but its bridges (cached per key on first use). Health plays no
+        part. A bridge is on every route between nodes on its two sides,
+        and so on none between nodes on one side."""
+        if self._cyclic is None:
+            self._cyclic = {}
+        key = (fog, via_backhaul)
+        if key not in self._cyclic:
+            domain = self.fog_domain(fog)
+            graph = domain.mesh | domain.backhaul_ids if via_backhaul else domain.mesh
+            self._cyclic[key] = graph - _bridges(self.links, graph)
+        return self._cyclic[key]
 
     def links_at(self, node_id: str) -> List[Link]:
         return [self.links[lid] for lid in self.adjacency().get(node_id, [])]
@@ -292,6 +308,46 @@ class Topology:
 
 
 _NO_DOMAIN = FogDomain()
+
+
+def _bridges(links: Dict[str, Link], graph: FrozenSet[str]) -> set:
+    """The ids of the bridges of the graph of the links `graph`, in linear
+    time: one depth-first search per component, iterative, in which a tree
+    link is a bridge when nothing below it reaches above it (Tarjan, "A
+    note on finding the bridges of a graph", 1974). Parallel links are
+    told apart by id, so a link doubled by another is no bridge."""
+    adj: Dict[str, List[Tuple[str, str]]] = {}
+    for lid in sorted(graph):
+        link = links[lid]
+        adj.setdefault(link.a, []).append((link.b, lid))
+        adj.setdefault(link.b, []).append((link.a, lid))
+    order: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    bridges = set()
+    for root in adj:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            node, via, edges = stack[-1]
+            for peer, lid in edges:
+                if lid == via:
+                    continue
+                if peer in order:
+                    low[node] = min(low[node], order[peer])
+                else:
+                    order[peer] = low[peer] = len(order)
+                    stack.append((peer, lid, iter(adj[peer])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                    if low[node] > order[parent]:
+                        bridges.add(via)
+    return bridges
 
 
 @dataclass(frozen=True)

@@ -195,14 +195,13 @@ class CloudEnv:
                 token=f"tok-{node.id}",
                 operator=operator,
                 allowed_classes=frozenset(self.policy),
-                max_gbr=max_gbr,
             )
             cluster = self.topo.cluster_of_user(node.id)
             attachment = Attachment(
                 wlan_cluster=cluster if cluster and self.topo.wlan_link(node.id, cluster) else None,
                 macro=self.topo.macro_link(node.id) is not None,
             )
-            fog.register_user(record, attachment)
+            fog.register_user(record, attachment, max_gbr.numerator * self.net.unit // max_gbr.denominator)
             self.cloud.register_user(node.id, node.fog, attachment)
             self.operator_of[node.id] = operator
             try:

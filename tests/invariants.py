@@ -62,6 +62,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from fognet.dataplane import NoRoute, constrained_route
@@ -139,6 +140,9 @@ class _Layout:
         return self._path_keys[links]
 
 
+_flow_id = attrgetter("flow_id")
+
+
 def _up(net, lid: str) -> bool:
     link = net.topology.links[lid]
     return net.link_up[lid] and net.node_up[link.a] and net.node_up[link.b]
@@ -152,23 +156,26 @@ def check_state(sim, layout: _Layout, now_ms: int = 0, slice_rows: List[str] = (
     links = net.topology.links
     resource = layout.resource
     fogs_of = layout.fogs_of
-    flows = list(net.flows.values())
+    # in id order, so that each link's list of flows below is built sorted:
+    # one sort per event, not one per link
+    flows = sorted(net.flows.values(), key=_flow_id)
     den = layout.den
+    unit = net.unit
 
     def same(ledger: int, total: int) -> bool:
         """A ledger entry in `net.unit` against a recount in `den`."""
-        return type(ledger) is int and ledger * den == total * net.unit
+        return type(ledger) is int and ledger * den == total * unit
 
     def units(total: int) -> Fraction:
         """A recount in `den` as a rate in `net.unit`."""
-        return Fraction(total * net.unit, den)
+        return Fraction(total * unit, den)
 
     offered: Dict[str, int] = defaultdict(int)
     gbr: Dict[str, int] = defaultdict(int)
     unsliced: Dict[str, int] = defaultdict(int)
     slice_gbr: Dict[Tuple[str, str, str], int] = defaultdict(int)  # (fog, slice, class)
     demands: Dict[Tuple[str, str, str], int] = defaultdict(int)  # (fog, slice, class)
-    on_link: Dict[str, Set[str]] = defaultdict(set)
+    on_link: Dict[str, List[str]] = defaultdict(list)
     for flow in flows:
         assert len(set(flow.links)) == len(flow.links), ("link_listed_twice", flow.flow_id)
         key = layout.key(flow)
@@ -176,7 +183,7 @@ def check_state(sim, layout: _Layout, now_ms: int = 0, slice_rows: List[str] = (
         guarantee, want = layout.scaled[key]
         for lid in flow.links:
             offered[lid] += want
-            on_link[lid].add(flow.flow_id)
+            on_link[lid].append(flow.flow_id)
             if guarantee > 0:
                 gbr[lid] += guarantee
                 if flow.slice_id is None:
@@ -194,24 +201,29 @@ def check_state(sim, layout: _Layout, now_ms: int = 0, slice_rows: List[str] = (
     at: Dict[str, Set[str]] = defaultdict(set)  # node -> flows on its incident links
     load: Dict[str, int | Fraction] = {}  # link -> load_units(link)
     capacities = layout.capacities
+    ledger_offered, be_capacity, link_up, node_up = net._offered, net._be_capacity, net.link_up, net.node_up
     for lid, link in links.items():
-        capacity = capacities[lid]
-        assert same(net._offered.get(lid, 0), offered.get(lid, 0)), ("offered", lid)
-        assert same(net.capacity_units(lid) - net._be_capacity[lid], gbr.get(lid, 0)), ("gbr", lid)
-        assert same(net._be_capacity[lid], capacity - gbr.get(lid, 0)), ("be_capacity", lid)
-        assert net.flows_on_link(lid) == sorted(on_link.get(lid, ())), ("flows_on_link", lid)
+        # `same` inlined: each ledger an int, in `unit`, against its recount in `den`
+        capacity, held, total = capacities[lid], gbr.get(lid, 0), offered.get(lid, 0)
+        ledger = ledger_offered.get(lid, 0)
+        assert type(ledger) is int and ledger * den == total * unit, ("offered", lid)
+        ledger = net.capacity_units(lid) - be_capacity[lid]
+        assert type(ledger) is int and ledger * den == held * unit, ("gbr", lid)
+        ledger = be_capacity[lid]
+        assert type(ledger) is int and ledger * den == (capacity - held) * unit, ("be_capacity", lid)
+        assert net.flows_on_link(lid) == on_link.get(lid, []), ("flows_on_link", lid)
         assert net.residual_units(lid) >= 0, ("gbr_overcommit", lid)
         load[lid] = net.load_units(lid)
         assert load[lid] <= net.capacity_units(lid), ("load_over_capacity", lid)
-        if offered.get(lid, 0) > capacity:
+        if total > capacity:
             congested.add(lid)
-        up = _up(net, lid)
+        up = link_up[lid] and node_up[link.a] and node_up[link.b]
         if not up:
             down.add(lid)
         if lid in on_link:
             assert up, ("flow_on_down_link", lid)
-            at[link.a] |= on_link[lid]
-            at[link.b] |= on_link[lid]
+            at[link.a].update(on_link[lid])
+            at[link.b].update(on_link[lid])
         if resource[lid] is not None and up:
             for fog_id in fogs_of[lid]:
                 physical[fog_id, resource[lid]] += capacity - unsliced.get(lid, 0)

@@ -22,6 +22,7 @@ from fognet.fogctrl import (
     SessionRequired,
     UnknownEndpoint,
     UnknownUser,
+    UserContext,
 )
 from fognet.scenario import parse_scenario
 from fognet.simulation import Simulation
@@ -99,7 +100,6 @@ class TestClassify:
             token=record.token,
             operator=record.operator,
             allowed_classes=frozenset({WEB}),
-            max_gbr=record.max_gbr,
         )
         with pytest.raises(PolicyDenied):
             env.fog.classify_flow(env.spec("f", "u1", "u2", app_class=VOIP))
@@ -421,11 +421,56 @@ def generated_four_cluster_doc():
     return doc
 
 
+def diamond_doc():
+    """`two_cluster_doc` and a third cluster `c3` (client `mmc3`, AP `wap3`,
+    users `u6` and `u7` with WLAN and macro access), whose client hangs off
+    both `mmc1` and `mmc2`: from `wap3` two routes of equal length reach
+    the PoP, through `mmc1` (the lexicographically first) and through
+    `mmc2`, and `mmc1` and `mmc2` are two hops apart either way round.
+    Middle-mile links carry 20 Mb/s, so a few guarantees drain one."""
+    doc = two_cluster_doc(middle_mile_capacity=20)
+    doc["nodes"] += [
+        {"id": "mmc3", "kind": "MiddleMileClient", "fog": "fog1"},
+        {"id": "wap3", "kind": "WlanAP", "fog": "fog1"},
+        {"id": "u6", "kind": "User", "fog": "fog1"},
+        {"id": "u7", "kind": "User", "fog": "fog1"},
+    ]
+
+    def link(lid, a, b, cls, capacity, latency_ms):
+        return {"id": lid, "a": a, "b": b, "class": cls, "capacity": capacity, "latency_ms": latency_ms}
+
+    doc["links"] += [
+        link("mm-mmc1-mmc3", "mmc1", "mmc3", "MiddleMile", 20, 2),
+        link("mm-mmc2-mmc3", "mmc2", "mmc3", "MiddleMile", 20, 2),
+        link("in-wap3-mmc3", "wap3", "mmc3", "Internal", 1000, 0),
+        link("wl-u6-wap3", "u6", "wap3", "WlanAccess", 25, 1),
+        link("wl-u7-wap3", "u7", "wap3", "WlanAccess", 25, 1),
+        link("ma-u6", "u6", "macro", "MacroAccess", 10, 2),
+        link("ma-u7", "u7", "macro", "MacroAccess", 10, 2),
+    ]
+    doc["clusters"].append({"id": "c3", "x": 0, "y": 1000, "wlan_aps": ["wap3"], "users": ["u6", "u7"]})
+    return doc
+
+
+def up_burst(rng, net, check):
+    """An Up-heavy step: bring every Down link and node back Up, one at a
+    time in random order, and `check()` after each. Returns how many came
+    Up."""
+    down = [("link", l) for l in sorted(net.link_up) if not net.link_up[l]]
+    down += [("node", n) for n in sorted(net.node_up) if not net.node_up[n]]
+    rng.shuffle(down)
+    for kind, ident in down:
+        (net.set_link_state if kind == "link" else net.set_node_state)(ident, True)
+        check()
+    return len(down)
+
+
 class TestRouteMemo:
     """A route as the controller builds it (access hops around a memoized
     mesh segment, `segment`, kept or searched afresh by `_with_headroom`)
     against a from-scratch `constrained_route`, under random link and node
-    flaps and guaranteed-rate installs that drain headroom."""
+    flaps, Up-heavy steps that restore everything Down one element at a
+    time, and guaranteed-rate installs that drain headroom."""
 
     @staticmethod
     def fresh_search(net, fog, src, end, access, need, via_backhaul):
@@ -485,11 +530,15 @@ class TestRouteMemo:
                                 counts["no_headroom" if expected is None else "detour"] += 1
                             if isinstance(got, list):
                                 got.clear()  # a fresh search's list must not alias the memo
-                            assert all(isinstance(seg, (tuple, type(None))) for seg in fog._segments.values())
+                            assert all(
+                                isinstance(seg, (tuple, type(None))) for routes in fog._routes for seg in routes.values()
+                            )
                             counts["checked"] += 1
 
     @pytest.mark.parametrize(
-        "doc, has_detours", [(generated_four_cluster_doc, True), (two_fog_doc, False)], ids=["generated4", "two_fog"]
+        "doc, has_detours",
+        [(generated_four_cluster_doc, True), (two_fog_doc, False), (diamond_doc, True)],
+        ids=["generated4", "two_fog", "diamond"],
     )
     def test_random_steps_match_fresh_search(self, doc, has_detours):
         rng = random.Random(66)
@@ -503,11 +552,19 @@ class TestRouteMemo:
         node_ids = sorted(topo.nodes)
         installed = []
         counts = {"checked": 0, "detour": 0, "no_headroom": 0}
+        ups = 0
         for step in range(60):
             r = rng.random()
             down = [("link", l) for l in link_ids if not net.link_up[l]]
             down += [("node", n) for n in node_ids if not net.node_up[n]]
-            if r < 0.15:
+            if step % 15 == 14:
+                ups += up_burst(rng, net, lambda: self.check_all_routes(topo, net, fogs, F(4), counts))
+            elif step % 15 >= 11:  # Downs ahead of the burst
+                if r < 0.5:
+                    net.set_node_state(rng.choice(node_ids), False)
+                else:
+                    net.set_link_state(rng.choice(link_ids), False)
+            elif r < 0.15:
                 net.set_link_state(rng.choice(link_ids), False)
             elif r < 0.25:
                 net.set_node_state(rng.choice(node_ids), False)
@@ -533,49 +590,74 @@ class TestRouteMemo:
             self.check_all_routes(topo, net, fogs, F(rng.choice([1, 4, 9])), counts)
         # GBR requests must have met routes they could not reuse
         assert counts["no_headroom"] > 0 and (counts["detour"] > 0) == has_detours, counts
+        assert ups > 5, ups
 
-    def test_down_drops_only_the_segments_through_it(self):
-        """Random link and node faults on the two-cluster topology (with a
-        redundant mesh link): a Down drops exactly the memoized segments
-        that pass through the downed link or node, an Up clears the memo,
-        and after every fault each memo answer equals a fresh search."""
+    def test_down_keeps_and_up_clears_by_the_cyclic_rule(self):
+        """Random link and node faults on the two-cluster topology with a
+        redundant mesh link, whose three middle-mile links lie on a cycle
+        and whose other links are bridges. Per routing graph (mesh, or mesh
+        and backhaul): a Down drops no memo entry, and a kept route across
+        a Down bridge answers None with no search and stays kept; an Up
+        that touches only bridges of the graph keeps every route and drops
+        only the None answers; one that touches a cyclic link clears the
+        graph's memo; and after every fault each memo answer equals a
+        fresh search."""
         rng = random.Random(8)
         topo = build_from_config(two_cluster_doc(mesh_cross_link=True))
         net = NetworkState(topo, [F(1)])
         fog = wired_fogs(net)["fog1"]
+        cycle = {"mm-mmap-mmc1", "mm-mmap-mmc2", "mm-mmc1-mmc2"}
+        assert topo.cyclic_links("fog1", False) == topo.cyclic_links("fog1", True) == cycle
+        graphs = (fog.domain.mesh, fog.domain.mesh | fog.domain.backhaul_ids)
         elements = [("link", lid) for lid in sorted(topo.links)]
         elements += [("node", n.id) for n in topo.nodes.values() if n.kind != NodeKind.USER]
         counts = {"checked": 0, "detour": 0, "no_headroom": 0}
-        kept = dropped = 0
+        seen = Counter()
         for _ in range(80):
             self.check_all_routes(topo, net, [fog], F(1), counts)
-            before = dict(fog._segments)
+            before = [dict(routes) for routes in fog._routes]
             down = [(k, e) for k, e in elements if not (net.link_up if k == "link" else net.node_up)[e]]
-            if down and rng.random() < 0.3:
+            if down and rng.random() < 0.5:
                 kind, element = rng.choice(down)
                 up = True
             else:
                 kind, element = rng.choice(elements)
                 up = False
             (net.set_link_state if kind == "link" else net.set_node_state)(element, up)
-            if up:
-                assert fog._segments == {}
-                continue
-            for key, segment in before.items():
-                through = bool(segment) and (element == key[1] or any(element in hop for hop in segment))
-                assert (key in fog._segments) == (not through), (element, key, segment)
-                kept += not through
-                dropped += through
+            touched = {element} if kind == "link" else set(topo.adjacency()[element])
+            for via, graph in enumerate(graphs):
+                routes, hit = fog._routes[via], touched & graph
+                if not up or not hit:
+                    assert routes == before[via], (element, up, via)
+                    seen["unchanged"] += bool(before[via])
+                elif hit & cycle:
+                    assert routes == {}, (element, via)
+                    seen["cleared"] += bool(before[via])
+                else:
+                    assert routes == {key: hops for key, hops in before[via].items() if hops is not None}
+                    seen["kept"] += any(before[via].values())
+                    seen["dropped_none"] += None in before[via].values()
+                if up:
+                    continue
+                for (start, end), hops in before[via].items():
+                    cut = [lid for _, lid in hops or () if not net.effective_up(lid)]
+                    if cut and not set(cut) & cycle:
+                        assert fog.segment(start, end, bool(via)) is None
+                        assert fog._routes[via][start, end] == hops  # kept, not searched
+                        seen["bridge_down"] += 1
         self.check_all_routes(topo, net, [fog], F(1), counts)
-        assert kept > 0 and dropped > 0, (kept, dropped)
+        assert min(seen[k] for k in ("unchanged", "cleared", "kept", "dropped_none", "bridge_down")) > 0, seen
 
 
 class TestTemplates:
     """Candidates built from the per-user templates (`FogControl._candidates`
     over `user_template`) against a fresh enumeration: from-scratch routes,
     read on a fog control that holds no template and no segment memo.
-    Random handovers, link and node flips, best-effort and GBR installs
-    (inter-fog ones too) and removals run between the checks."""
+    Random handovers, link and node flips, Up-heavy steps that restore
+    everything Down one element at a time, best-effort and GBR installs
+    (inter-fog ones too) and removals run between the checks. The
+    `diamond` case has routes of equal length, so a tie that a kept route
+    or template resolves wrongly shows."""
 
     @staticmethod
     def twin(fog):
@@ -591,14 +673,20 @@ class TestTemplates:
         return twin
 
     @staticmethod
+    def options(fog, user):
+        """The user's Up access links under its current attachment, by kind."""
+        links = fog.access_links(user, fog.context_of(user).attachment)
+        return [(kind, link) for kind, link in links if fog.net.effective_up(link.id)]
+
+    @staticmethod
     def fresh_candidates(fog, users, src, targets, need, slice_id):
         """(label, hops) of each admissible candidate, and whether any was
         routable without headroom, by the enumeration's definition."""
         out, structural = [], False
         for end, rat, peer in targets:
             via_backhaul = rat == RouteKind.CLOUD_BOUND
-            peers = [(k, {l.id}) for k, l in fog.access_options(peer)] if peer in users else [(peer, set())]
-            for skind, slink in fog.access_options(src):
+            peers = [(k, {l.id}) for k, l in TestTemplates.options(fog, peer)] if peer in users else [(peer, set())]
+            for skind, slink in TestTemplates.options(fog, src):
                 for dkind, peer_access in peers:
                     access = {slink.id} | peer_access
                     if TestRouteMemo.fresh_search(fog.net, fog, src, end, access, 0, via_backhaul) is None:
@@ -640,6 +728,7 @@ class TestTemplates:
         for fog in fogs.values():
             for template in fog._templates.values():
                 assert isinstance(template.options, tuple)
+                assert {option.link_id for option in template.options} <= template.links
                 for (end, _), found in template.fixed.items():
                     assert end in (fog.pop, gateway)
                     for c in found:
@@ -648,6 +737,7 @@ class TestTemplates:
                         assert c.links == tuple(lid for _, lid in c.hops)
                         assert c.nodes == tuple(n for n, _ in c.hops) + (c.end,)
                         assert c.latency_ms == sum(topo.links[lid].latency_ms for lid in c.links)
+                        assert set(c.links) <= template.links
                         with pytest.raises(AttributeError):
                             c.label = "changed"
                         counts["templated"] += 1
@@ -667,7 +757,7 @@ class TestTemplates:
             assert env.net.flows[spec.flow_id].latency_ms == got.latency_ms
         counts["accepted" if got.accepted else got.reason.value] += 1
 
-    @pytest.mark.parametrize("case", ["one_fog", "two_fog"])
+    @pytest.mark.parametrize("case", ["one_fog", "two_fog", "diamond"])
     def test_random_steps_match_fresh_enumeration(self, case):
         rng = random.Random(14)
         gbrs = (F(1), F(4), F(9))
@@ -681,6 +771,9 @@ class TestTemplates:
             ]
             env = FogEnv(doc=generated_four_cluster_doc(), slices=slices, policy=policy, demands=gbrs)
             fogs = {"fog1": env.fog}
+        elif case == "diamond":
+            env = FogEnv(doc=diamond_doc(), policy=policy, demands=gbrs)
+            fogs = {"fog1": env.fog}
         else:
             env = CloudEnv(doc=two_fog_doc(), policy=policy, demands=gbrs)
             fogs = env.fogs
@@ -693,7 +786,15 @@ class TestTemplates:
             r = rng.random()
             down = [("link", l) for l in link_ids if not net.link_up[l]]
             down += [("node", n) for n in node_ids if not net.node_up[n]]
-            if r < 0.1:
+            if step % 16 == 15:
+                need = net.units(rng.choice(gbrs))
+                counts["up"] += up_burst(rng, net, lambda: self.check_candidates(topo, fogs, need, counts))
+            elif step % 16 >= 12:  # Downs ahead of the burst
+                if r < 0.5:
+                    net.set_node_state(rng.choice(node_ids), False)
+                else:
+                    net.set_link_state(rng.choice(link_ids), False)
+            elif r < 0.1:
                 net.set_link_state(rng.choice(link_ids), False)
             elif r < 0.15:
                 net.set_node_state(rng.choice(node_ids), False)
@@ -718,6 +819,7 @@ class TestTemplates:
                 net.remove_flow(rng.choice(sorted(net.flows)))
             self.check_candidates(topo, fogs, net.units(rng.choice(gbrs)), counts)
         assert min(counts[k] for k in ("handover", "accepted", "templated", "refused", "GbrAdmissionFail")) > 0, counts
+        assert counts["up"] > 5, counts
 
 
 def cache_churn_doc(faults: bool) -> dict:
@@ -765,25 +867,40 @@ def voip_doc() -> dict:
 
 class TestTemplateReuse:
     """The templates must keep hitting, and must not grow with user pairs.
-    Between two link or node state changes, `access_options` runs at most
-    once per (user, attachment) and `_fill_target` at most once per (user,
-    attachment, target), inter-fog requests included. The live target
-    entries stay within users x targets, and each targets the PoP or the
-    gateway, never a user."""
+    Between two link or node state changes, the access options are read
+    (`access_links`) at most once per (user, attachment) and
+    `_fill_target` runs at most once per (user, attachment, target),
+    inter-fog requests included. The live target entries stay within users
+    x targets, and each targets the PoP or the gateway, never a user. A
+    template that a change does not touch is the same object after it."""
+
+    @staticmethod
+    def untouched(fog, template, element, up):
+        """Whether the state change of `element` leaves the current
+        `template` exact by the rule it is checked by (`UserTemplate`)."""
+        topo = fog.net.topology
+        touched = set(topo.adjacency().get(element, ())) | ({element} if element in topo.links else set())
+        if touched & template.links or (up and touched & template.dormant):
+            return False
+        graphs = (fog.domain.mesh, fog.domain.mesh | fog.domain.backhaul_ids)
+        for via, graph in enumerate(graphs):
+            if up and touched & graph and (via in template.gaps or touched & topo.cyclic_links(fog.fog_id, bool(via))):
+                return False
+        return True
 
     def run_counted(self, make_sim, monkeypatch):
         calls = {"options": Counter(), "fills": Counter()}
         worst = Counter()
         live = {"most": 0, "users": 0}
-        access_options, fill_target = FogControl.access_options, FogControl._fill_target
+        access_links, fill_target = FogControl.access_links, FogControl._fill_target
 
         def count(kind, key):
             calls[kind][key] += 1
             worst[kind] = max(worst[kind], calls[kind][key])
 
-        def counted_options(fog, user_id):
-            count("options", (fog.fog_id, user_id, fog.context_of(user_id).attachment))
-            return access_options(fog, user_id)
+        def counted_options(fog, user_id, attachment):
+            count("options", (fog.fog_id, user_id, attachment))
+            return access_links(fog, user_id, attachment)
 
         def counted_fill(fog, src, options, end, rat, tag):
             count("fills", (fog.fog_id, src, fog.context_of(src).attachment, end, tag))
@@ -792,27 +909,39 @@ class TestTemplateReuse:
             live["users"] = max(live["users"], len(fog._user_slice))
             return fill_target(fog, src, options, end, rat, tag)
 
-        monkeypatch.setattr(FogControl, "access_options", counted_options)
+        monkeypatch.setattr(FogControl, "access_links", counted_options)
         monkeypatch.setattr(FogControl, "_fill_target", counted_fill)
         sim = make_sim()
         health = Counter()
 
-        def on_health(element, up):  # a new interval: the templates are gone
+        def on_health(element, up):
+            """A new interval. Runs after each fog's `_on_health`. Every
+            template it leaves in a fog was exact when the change came, as
+            it read them all at the last change and a template built since
+            was exact when built."""
             health["changes"] += 1
             for counter in calls.values():
                 counter.clear()
+            for fog in sim.fogs.values():
+                for (user, attachment), template in list(fog._templates.items()):
+                    ctx = UserContext(user, attachment)
+                    if self.untouched(fog, template, element, up):
+                        assert fog.user_template(ctx) is template, (element, up, user, attachment)
+                        health["kept"] += 1
+                    else:
+                        fog.user_template(ctx)
 
         sim.net.watch_health(on_health)
         sim.run()
-        return sim, worst, live, health["changes"]
+        return sim, worst, live, health
 
     @pytest.mark.parametrize("faults", [False, True], ids=["steady", "faults"])
     def test_cache_churn_fills_once_per_interval(self, faults, monkeypatch):
         doc = cache_churn_doc(faults)
-        sim, worst, _, changes = self.run_counted(lambda: Simulation(parse_scenario(doc)), monkeypatch)
+        sim, worst, _, health = self.run_counted(lambda: Simulation(parse_scenario(doc)), monkeypatch)
         requests = sim.fogs["fog1"].cache.lookups
         assert requests > 3000 and worst["options"] == 1 and worst["fills"] == 1, (requests, worst)
-        assert (changes > 0) == faults, changes
+        assert (health["changes"] > 0) == faults and (health["kept"] > 0) == faults, health
 
     def test_voip_templates_stay_per_user(self, monkeypatch):
         sim, worst, live, _ = self.run_counted(lambda: Simulation(parse_scenario(voip_doc())), monkeypatch)
@@ -847,8 +976,8 @@ class TestTemplateReuse:
 
         monkeypatch.setattr(CloudControl, "setup_interfog_path", counted_setup)
         monkeypatch.setattr(FogControl, "fixed_candidates", counted_fixed)
-        _, worst, _, changes = self.run_counted(lambda: _two_fog_sim(tmp_path), monkeypatch)
+        _, worst, _, health = self.run_counted(lambda: _two_fog_sim(tmp_path), monkeypatch)
         assert worst["options"] == 1 and worst["fills"] == 1, worst
-        assert changes > 0 and reads["requests"] > 100, (changes, reads)
+        assert health["changes"] > 0 and health["kept"] > 0 and reads["requests"] > 100, (health, reads)
         # the halves of most requests find their entries filled
         assert reads["hit"] > reads["miss"] > 0, reads

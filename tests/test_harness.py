@@ -350,6 +350,20 @@ class TestCli:
                 'topology:\n  generate: {clusters: 2, seed: "x"}',
                 "topology.generate.seed: expected a number, got 'x'",
             ),
+            ("catalog_size: 50", "catalog_size: 2.5", "workload.content.catalog_size: must be a whole number, got 2.5"),
+            ("catalog_size: 50", "catalog_size: 100001", "workload.content.catalog_size: must be <= 100000"),
+            (
+                "catalog_size: 50",
+                "catalog_size: 1000000000000000000000000000000",
+                "workload.content.catalog_size: must be <= 100000",
+            ),
+            ("duration_ms: 60000", "duration_ms: 60000.5", "scenario.duration_ms: must be a whole number, got 60000.5"),
+            ("cache_capacity: 10", "cache_capacity: 1.5", "fogs.fog1.cache_capacity: must be a whole number, got 1.5"),
+            (
+                "topology:\n  file: two_cluster.topo.yaml",
+                "topology:\n  generate: {clusters: 2.5}",
+                "topology.generate.clusters: must be a whole number, got 2.5",
+            ),
         ],
         ids=[
             "slices-not-a-list",
@@ -373,6 +387,12 @@ class TestCli:
             "slice-without-id",
             "slice-without-operator",
             "generate-seed-not-a-number",
+            "fractional-catalog",
+            "catalog-above-bound",
+            "catalog-10e30",
+            "fractional-duration",
+            "fractional-cache-capacity",
+            "fractional-clusters",
         ],
     )
     def test_malformed_scenario_is_one_line_error(self, tmp_path, capsys, command, old, new, detail):
