@@ -33,7 +33,6 @@ class FogIsolated(Exception):
 class ContextDelta:
     """One queued control-state update from a fog."""
 
-    order: int
     time_ms: int
     fog_id: str
     user_id: str
@@ -51,10 +50,10 @@ class CloudControl:
         self.user_fog: Dict[str, str] = {}
         self._connected: Dict[str, bool] = {}
         self.transitions: List[Tuple[int, str, str]] = []
-        # per fog, the updates queued while it is isolated
+        # per fog, the updates queued while it is isolated, in time order:
+        # each is queued at `engine.now()`
         self.pending: Dict[str, List[ContextDelta]] = {}
         self.context_replica: Dict[str, Tuple[Attachment, int]] = {}
-        self._delta_order = 0
         self.on_flow_terminated: Optional[Callable[[InstalledFlow, RejectReason], None]] = None
         engine.on(EventKind.CONTROL_MESSAGE, self._handle_control_message)
 
@@ -121,8 +120,7 @@ class CloudControl:
         replica: it lands one round trip later, or queues while the fog is
         isolated."""
         now = self.engine.now()
-        delta = ContextDelta(self._delta_order, now, fog_id, user_id, attachment)
-        self._delta_order += 1
+        delta = ContextDelta(now, fog_id, user_id, attachment)
         if self.is_connected(fog_id):
             self.engine.schedule(
                 now + self.rtt_ms,
@@ -143,7 +141,7 @@ class CloudControl:
         pending = self.pending[fog_id]
         if not self.is_connected(fog_id):
             raise FogIsolated(fog_id)
-        for delta in sorted(pending, key=lambda d: (d.time_ms, d.order)):
+        for delta in pending:
             self._apply_delta(delta)
         pending.clear()
 
@@ -204,8 +202,8 @@ class CloudControl:
         need = grant.units
         setup_ms = fa.control_latency_ms() + fb.control_latency_ms()
 
-        src_ctx, dst_ctx = fa.context_of(src), fb.context_of(dst)
-        src_template, dst_template = fa.user_template(src_ctx), fb.user_template(dst_ctx)
+        src_sub, dst_sub = fa.subscriber(src), fb.subscriber(dst)
+        src_template, dst_template = fa.user_template(src_sub), fb.user_template(dst_sub)
         if not src_template.options or not dst_template.options:
             return FlowDecision.rejected(spec.flow_id, RejectReason.NO_COVERAGE, setup_ms=setup_ms)
         src_halves = fa.fixed_candidates(src, src_template, fa.pop, RouteKind.INTRA_FOG_LOCAL, "cache")
@@ -227,7 +225,7 @@ class CloudControl:
                 elif open_at_zero and not structural:
                     nodes = (*a.nodes, gateway, *b.nodes)
                     structural = len(set(nodes)) == len(nodes)
-        mobile_of = {src: src_ctx.mobile, dst: dst_ctx.mobile}
+        mobile_of = {src: src_sub.mobile, dst: dst_sub.mobile}
         return fa.conclude(
             spec, candidates, structural, (grant, slice_a), setup_ms,
             prefer_local=False, mobile_of=mobile_of,

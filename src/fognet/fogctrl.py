@@ -1,29 +1,31 @@
 """Fog-resident layered SDN control plane.
 
 One `FogControl` instance runs the control functions of a single fog
-element: per-slice control state (flow controller, mobility/load tracking,
-policy, subscriber records with a session gate in front), the
-per-technology abstraction (each resource class's sliceable capacity,
-`physical_capacity`, read from `NetworkState`'s per-fog ledger, and each
-slice's share of it, `entitlements`, kept once per epoch), and flexible
-placement via `FogProfile`. Functions absent from the profile fall back to
-the cloud: each use costs the cloud's round trip (`CloudControl.rtt_ms`)
-and fails while the fog is isolated.
+element: subscriber, policy and mobility state, one `Subscriber` record
+per user (its slice, credentials, subscription, session, attachment and
+mobility) behind a session gate, the per-technology abstraction (each
+resource class's sliceable capacity, `physical_capacity`, read from
+`NetworkState`'s per-fog ledger, and each slice's share of it,
+`entitlements`, kept once per epoch), and flexible placement via
+`FogProfile`. Functions absent from the profile fall back to the cloud:
+each use costs the cloud's round trip (`CloudControl.rtt_ms`) and fails
+while the fog is isolated.
 
 A fog is complete once constructed: it is built with its cloud, which
 dispatches every request and re-decision (`CloudControl.decide`), and
-from its slice specs it builds its `SliceManager`, which validates them,
-and one `SliceRacf` per slice. It builds its content cache, an
-`LruCache` of `cache_capacity` items, exactly when its profile places
-the cache in the fog (`FogProfile.cache_in_fog`). The dispatch settles
-locality: a fog is asked only about requests whose source is one of its
-users, and whose user peer, if any, is one of its users too or has no
-known location.
+from its slice specs it builds its `SliceManager`, which validates them
+(one slice per operator), and the map from each operator to its slice,
+which places each registered user in its operator's slice. It builds its
+content cache, an `LruCache` of `cache_capacity` items, exactly when its
+profile places the cache in the fog (`FogProfile.cache_in_fog`). The
+dispatch settles locality: a fog is asked only about requests whose
+source is one of its users, and whose user peer, if any, is one of its
+users too or has no known location.
 
 Rates are converted to the network state's units once, at
 construction: each policy rule's guarantee is kept as a `Grant` in units
 (`grants`), and each subscriber's cap in units, floored
-(`SliceRacf.gbr_caps`). A request's demand arrives in units too
+(`Subscriber.gbr_cap`). A request's demand arrives in units too
 (`FlowSpec.demand_units`). So classification, admission and the install
 (`conclude`) compare and hand on ints, and convert no rate; the one
 refusal note that names a guarantee renders it from its units.
@@ -70,11 +72,11 @@ Path selection is deliberately ordinal and deterministic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter, itemgetter
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .dataplane import (
     FlowPath,
@@ -191,14 +193,6 @@ class Grant(NamedTuple):
     units: int
 
 
-@dataclass(frozen=True)
-class UserRecord:
-    user_id: str
-    token: str
-    operator: str
-    allowed_classes: FrozenSet[str]
-
-
 class Attachment(NamedTuple):
     """Which of the user's provisioned access links are currently usable."""
 
@@ -206,14 +200,25 @@ class Attachment(NamedTuple):
     macro: bool = False
 
 
-@dataclass
-class UserContext:
-    """A user's attachment and mobility; its flows are
-    `NetworkState.flows_at(user_id)`, not kept here."""
+@dataclass(slots=True)
+class Subscriber:
+    """A user's one record in its fog: its slice, its credentials and
+    subscription, whether it holds a session, its attachment and its
+    mobility. Its flows are `NetworkState.flows_at(user_id)`, not kept
+    here.
+
+    `gbr_cap` is its cap on a guarantee in the network state's units,
+    floored: for a guarantee of `g` units, `g > floor(cap * unit)`
+    exactly when `g / unit > cap`."""
 
     user_id: str
+    slice_id: str
+    token: str
+    allowed_classes: FrozenSet[str]
+    gbr_cap: int
     attachment: Attachment
     mobile: bool = False
+    session: bool = False
 
 
 @dataclass(frozen=True)
@@ -225,22 +230,6 @@ class FogProfile:
     dhcp_in_fog: bool = True
     # Inert placeholder: configurable but without behavior.
     tcp_opt_in_fog: bool = False
-
-
-@dataclass
-class SliceRacf:
-    """Control state instantiated separately per slice. The slice's flows
-    are the installed flows with its `slice_id`, not registered here."""
-
-    slice_id: str
-    operator: str
-    user_records: Dict[str, UserRecord] = field(default_factory=dict)
-    # each user's subscription cap on a guarantee in units, floored, as
-    # `register_user` is given it: for a guarantee of `g` units,
-    # `g > floor(cap * unit)` exactly when `g / unit > cap`
-    gbr_caps: Dict[str, int] = field(default_factory=dict)
-    sessions: Set[str] = field(default_factory=set)
-    contexts: Dict[str, UserContext] = field(default_factory=dict)
 
 
 class Candidate(NamedTuple):
@@ -459,7 +448,8 @@ class FogControl:
         self.profile = profile
         self.net = net
         self.slice_manager = SliceManager(slices)
-        self.racfs: Dict[str, SliceRacf] = {spec.slice_id: SliceRacf(spec.slice_id, spec.operator) for spec in slices}
+        self._slice_of_operator = {spec.operator: spec.slice_id for spec in slices}
+        self.subscribers: Dict[str, Subscriber] = {}
         self.grants: Dict[str, Grant] = {}
         for app_class, rule in (policy or {}).items():
             gbr = rule.gbr_rate if rule.qos == QosClass.REAL_TIME_GBR else ZERO
@@ -467,7 +457,6 @@ class FogControl:
         self.cache = LruCache(cache_capacity) if profile.cache_in_fog else None
         self.dhcp = dhcp
         self.cloud = cloud
-        self._user_slice: Dict[str, str] = {}
         self.pop = net.topology.pop_of(fog_id)
         self.domain = net.topology.fog_domain(fog_id)
         self._meters = {link.id: LINK_TO_RESOURCE[link.link_class] for link in self.domain.metered.get(None, ())}
@@ -485,35 +474,36 @@ class FogControl:
         self._templates: Dict[Tuple[str, Attachment], UserTemplate] = {}
         net.watch_health(self._on_health)
 
-    # -- slice control instances ------------------------------------------
+    # -- subscribers ----------------------------------------------------------
 
-    def racf_of_operator(self, operator: str) -> SliceRacf:
-        for racf in self.racfs.values():
-            if racf.operator == operator:
-                return racf
-        raise ControlError(f"operator {operator} holds no slice in fog {self.fog_id}", operator)
-
-    def register_user(self, record: UserRecord, attachment: Attachment, gbr_cap: int, mobile: bool = False) -> None:
-        """Register the subscriber of `record`; `gbr_cap` is its cap on a
-        guarantee in the network state's units, floored (`SliceRacf.gbr_caps`)."""
-        racf = self.racf_of_operator(record.operator)
-        racf.user_records[record.user_id] = record
-        racf.gbr_caps[record.user_id] = gbr_cap
-        racf.contexts[record.user_id] = UserContext(
-            user_id=record.user_id, attachment=attachment, mobile=mobile
+    def register_user(
+        self,
+        user_id: str,
+        operator: str,
+        token: str,
+        allowed_classes: Iterable[str],
+        gbr_cap: int,
+        attachment: Attachment,
+        mobile: bool = False,
+    ) -> None:
+        """Register the user in its operator's slice; `gbr_cap` is its cap
+        on a guarantee in the network state's units, floored
+        (`Subscriber.gbr_cap`)."""
+        slice_id = self._slice_of_operator.get(operator)
+        if slice_id is None:
+            raise ControlError(f"operator {operator} holds no slice in fog {self.fog_id}", operator)
+        self.subscribers[user_id] = Subscriber(
+            user_id, slice_id, token, frozenset(allowed_classes), gbr_cap, attachment, mobile
         )
-        self._user_slice[record.user_id] = racf.slice_id
 
     def has_user(self, user_id: str) -> bool:
-        return user_id in self._user_slice
+        return user_id in self.subscribers
 
-    def slice_of_user(self, user_id: str) -> str:
-        if user_id not in self._user_slice:
-            raise UnknownUser(f"user {user_id} unknown in fog {self.fog_id}", user_id)
-        return self._user_slice[user_id]
-
-    def context_of(self, user_id: str) -> UserContext:
-        return self.racfs[self.slice_of_user(user_id)].contexts[user_id]
+    def subscriber(self, user_id: str) -> Subscriber:
+        try:
+            return self.subscribers[user_id]
+        except KeyError:
+            raise UnknownUser(f"user {user_id} unknown in fog {self.fog_id}", user_id) from None
 
     # -- connectivity and placement fallbacks --------------------------------
 
@@ -528,16 +518,14 @@ class FogControl:
     # -- security / subscriber functions --------------------------------------
 
     def authenticate_user(self, user_id: str, token: str) -> None:
-        slice_id = self._user_slice.get(user_id)
-        if slice_id is None:
+        sub = self.subscribers.get(user_id)
+        if sub is None:
             raise BadCredentials(f"unknown user {user_id}", user_id)
-        racf = self.racfs[slice_id]
         if not self.profile.udf_in_fog and not self.connected():
             raise CloudUnreachable(f"subscriber database unreachable for {user_id}", user_id)
-        record = racf.user_records.get(user_id)
-        if record is None or record.token != token:
+        if sub.token != token:
             raise BadCredentials(f"bad credentials for {user_id}", user_id)
-        racf.sessions.add(user_id)
+        sub.session = True
 
     # -- policy ----------------------------------------------------------------
 
@@ -545,21 +533,20 @@ class FogControl:
         """The grant of the request's class to its source user, a user of
         this fog (`CloudControl.decide`), and the user's slice. Raises one
         of `REFUSALS`; the guarantee is compared with the user's cap in
-        units (`SliceRacf.gbr_caps`)."""
+        units (`Subscriber.gbr_cap`)."""
         user = spec.src.ident
-        slice_id = self.slice_of_user(user)
-        racf = self.racfs[slice_id]
-        if user not in racf.sessions:
+        sub = self.subscriber(user)
+        if not sub.session:
             raise SessionRequired(f"user {user} has no session", user)
         if not (self.profile.pcrf_in_fog and self.profile.udf_in_fog) and not self.connected():
             raise CloudUnreachable("policy/subscriber functions unreachable", user)
         grant = self.grants.get(spec.app_class)
-        if grant is None or spec.app_class not in racf.user_records[user].allowed_classes:
+        if grant is None or spec.app_class not in sub.allowed_classes:
             raise PolicyDenied(f"class {spec.app_class} not allowed for {user}", user)
-        if grant.units > racf.gbr_caps[user]:
+        if grant.units > sub.gbr_cap:
             gbr = Fraction(grant.units, self.net.unit)
             raise PolicyDenied(f"guaranteed rate {gbr} above subscription cap for {user}", user)
-        return grant, slice_id
+        return grant, sub.slice_id
 
     # -- locality ----------------------------------------------------------------
 
@@ -703,11 +690,11 @@ class FogControl:
                 return False
         return True
 
-    def user_template(self, ctx: UserContext) -> UserTemplate:
-        """The template of the user of `ctx` under its current attachment:
-        kept while a read finds it exact (`UserTemplate`), else built
-        afresh, its access options read on build."""
-        key = (ctx.user_id, ctx.attachment)
+    def user_template(self, sub: Subscriber) -> UserTemplate:
+        """The template of the subscriber `sub` under its current
+        attachment: kept while a read finds it exact (`UserTemplate`), else
+        built afresh, its access options read on build."""
+        key = (sub.user_id, sub.attachment)
         template = self._templates.get(key)
         if template is not None and template.clears == self._clears:
             down = self._down
@@ -717,9 +704,9 @@ class FogControl:
                 and (not template.gaps or all(self._ups[via] == n for via, n in template.gaps.items()))
             ):
                 return template
-        user = ctx.user_id
+        user = sub.user_id
         options, dormant = [], []
-        for kind, link in self.access_links(user, ctx.attachment):
+        for kind, link in self.access_links(user, sub.attachment):
             if self.net.effective_up(link.id):
                 options.append(AccessOption(kind, link.id, link.other(user)))
             else:
@@ -841,20 +828,20 @@ class FogControl:
             return reject(RejectReason.NO_COVERAGE, str(exc))
 
         src, dst = spec.src.ident, spec.dst.ident
-        ctx = self.context_of(src)
-        template = self.user_template(ctx)
+        sub = self.subscribers[src]  # found by `classify_flow`
+        template = self.user_template(sub)
         if not template.options:
             return reject(RejectReason.NO_COVERAGE)
 
         note = ""
-        mobile_of = {src: ctx.mobile}
+        mobile_of = {src: sub.mobile}
         if spec.dst.kind == EndpointKind.USER:  # this fog's user, as `is_local_flow` found
-            peer_ctx = self.context_of(dst)
-            peer = self.user_template(peer_ctx)
+            peer_sub = self.subscribers[dst]
+            peer = self.user_template(peer_sub)
             if not peer.options:
                 return reject(RejectReason.NO_COVERAGE)
             targets = [(dst, RouteKind.INTRA_FOG_LOCAL, peer)]
-            mobile_of[dst] = peer_ctx.mobile
+            mobile_of[dst] = peer_sub.mobile
         elif spec.dst.kind == EndpointKind.CONTENT:
             if self.cache is None and not self.connected():
                 return reject(RejectReason.FOG_ISOLATED)
@@ -961,11 +948,10 @@ class FogControl:
         path afterwards are terminated with the rejection reason
         (`redecide_flow`).
         """
-        slice_id = self.slice_of_user(user_id)
+        sub = self.subscriber(user_id)
         if not self.profile.mlmf_in_fog and not self.connected():
             raise CloudUnreachable(f"mobility state unreachable for {user_id}", user_id)
-        ctx = self.racfs[slice_id].contexts[user_id]
-        ctx.attachment = new_attachment
+        sub.attachment = new_attachment
         self.cloud.push_context_update(self.fog_id, user_id, new_attachment)
         return [(fid, self.redecide_flow(self.net.flows[fid])) for fid in self.net.flows_at(user_id)]
 

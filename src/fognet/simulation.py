@@ -37,7 +37,6 @@ from .fogctrl import (
     FogControl,
     QosClass,
     RejectReason,
-    UserRecord,
     latency_sum,
 )
 from .metrics import MetricsCollector, MetricsRecord
@@ -113,14 +112,9 @@ class Simulation:
             self.fogs[fog_id] = fog
         self._slice_texts = RateTexts(self.net.unit)
 
+        self.mobile_flags = assign_mobility(config.workload, topo, config.seed)
         self._register_subscribers()
         self._route_control_overhead()
-
-        self.mobile_flags = assign_mobility(config.workload, topo, config.seed)
-        for user, mobile in self.mobile_flags.items():
-            fog = self.fogs[topo.fog_of(user)]
-            if fog.has_user(user):
-                fog.context_of(user).mobile = mobile
 
         for request in generate_workload(config.workload, topo, config.seed, config.duration_ms):
             self.engine.schedule(
@@ -180,12 +174,7 @@ class Simulation:
                 else config.subscribers.max_gbr
             )
             gbr_cap = max_gbr.numerator * self.net.unit // max_gbr.denominator  # in units, floored
-            record = UserRecord(
-                user_id=user,
-                token=f"tok-{user}",
-                operator=operator,
-                allowed_classes=frozenset(allowed),
-            )
+            token = f"tok-{user}"
             fog_id = topo.fog_of(user)
             fog = self.fogs[fog_id]
             cluster = topo.cluster_of_user(user)
@@ -194,10 +183,10 @@ class Simulation:
                 wlan_cluster=cluster if has_wlan else None,
                 macro=topo.macro_link(user) is not None,
             )
-            fog.register_user(record, attachment, gbr_cap)
+            fog.register_user(user, operator, token, allowed, gbr_cap, attachment, self.mobile_flags[user])
             self.cloud.register_user(user, fog_id, attachment)
             try:
-                fog.authenticate_user(user, record.token)
+                fog.authenticate_user(user, token)
             except CloudUnreachable:
                 continue  # isolated at start with remote subscriber DB
             if fog.dhcp is not None:
@@ -241,7 +230,11 @@ class Simulation:
             text = texts[end.ident] = str(end)
         return text
 
-    def _log_decision(self, time_ms: int, spec: FlowSpec, decision: FlowDecision, reroute: bool) -> None:
+    def _log_decision(
+        self, time_ms: int, spec: FlowSpec, decision: FlowDecision, reroute: bool, status: Optional[str] = None
+    ) -> None:
+        """The decision row; `status` defaults to what `decision` says,
+        accepted or rejected."""
         path = decision.path
         self.decision_rows.append(
             "\t".join(
@@ -251,7 +244,7 @@ class Simulation:
                     spec.app_class,
                     self._endpoint_text(spec.src),
                     self._endpoint_text(spec.dst),
-                    "accepted" if decision.accepted else "rejected",
+                    status or ("accepted" if decision.accepted else "rejected"),
                     VALUE_TEXT[decision.reason],
                     VALUE_TEXT[path.rat_used] if path else "-",
                     decision.slice_id or "-",
@@ -267,37 +260,13 @@ class Simulation:
             )
         )
 
-    def _log_termination(self, time_ms: int, flow: InstalledFlow, reason: RejectReason) -> None:
-        """The row of a flow torn down by isolation or re-decision, always a
-        request's (`flow.spec`): no control-overhead flow is terminated."""
-        spec = flow.spec
-        self.decision_rows.append(
-            "\t".join(
-                [
-                    str(time_ms),
-                    flow.flow_id,
-                    spec.app_class,
-                    self._endpoint_text(spec.src),
-                    self._endpoint_text(spec.dst),
-                    "terminated",
-                    VALUE_TEXT[reason],
-                    VALUE_TEXT[flow.path.rat_used],
-                    flow.slice_id or "-",
-                    "-",
-                    "-",
-                    "-",
-                    "0",
-                    fmt6(flow.latency_ms),
-                    "-",
-                    ">".join(flow.path.nodes()),
-                    "0",
-                ]
-            )
-        )
-
     def _on_terminated(self, flow: InstalledFlow, reason: RejectReason) -> None:
+        """Count and write a flow torn down by isolation or re-decision,
+        always a request's (`flow.spec`): no control-overhead flow is
+        terminated."""
         self.metrics.on_terminate(reason)
-        self._log_termination(self.engine.now(), flow, reason)
+        decision = FlowDecision(flow.flow_id, False, flow.path, None, flow.slice_id, reason, latency_ms=flow.latency_ms)
+        self._log_decision(self.engine.now(), flow.spec, decision, reroute=False, status="terminated")
 
     def _after_change(self, now_ms: int) -> None:
         """Re-run the allocator after any rate change."""

@@ -16,7 +16,6 @@ from fognet.fogctrl import (
     FogProfile,
     PolicyRule,
     QosClass,
-    UserRecord,
 )
 from fognet.slicing import SliceSpec
 from fognet.topology import Link, LinkClass, NodeKind, ResourceClass, Topology, build_from_config
@@ -190,22 +189,17 @@ class CloudEnv:
         for i, node in enumerate(self.topo.nodes_of_kind(NodeKind.USER)):
             fog = self.fogs[node.fog]
             operator = operators[i % len(operators)]
-            record = UserRecord(
-                user_id=node.id,
-                token=f"tok-{node.id}",
-                operator=operator,
-                allowed_classes=frozenset(self.policy),
-            )
             cluster = self.topo.cluster_of_user(node.id)
             attachment = Attachment(
                 wlan_cluster=cluster if cluster and self.topo.wlan_link(node.id, cluster) else None,
                 macro=self.topo.macro_link(node.id) is not None,
             )
-            fog.register_user(record, attachment, max_gbr.numerator * self.net.unit // max_gbr.denominator)
+            gbr_cap = max_gbr.numerator * self.net.unit // max_gbr.denominator
+            fog.register_user(node.id, operator, f"tok-{node.id}", self.policy, gbr_cap, attachment)
             self.cloud.register_user(node.id, node.fog, attachment)
             self.operator_of[node.id] = operator
             try:
-                fog.authenticate_user(node.id, record.token)
+                fog.authenticate_user(node.id, f"tok-{node.id}")
             except Exception:
                 pass  # e.g. isolated fog with a cloud-resident subscriber DB
 

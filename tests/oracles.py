@@ -357,13 +357,13 @@ _REFUSED = {
 def _options(fog, user: str):
     """(kind, link) of each healthy access link under the user's attachment."""
     topo = fog.net.topology
-    ctx = fog.context_of(user)
+    attachment = fog.subscriber(user).attachment
     found = []
-    if ctx.attachment.wlan_cluster is not None:
-        link = topo.wlan_link(user, ctx.attachment.wlan_cluster)
+    if attachment.wlan_cluster is not None:
+        link = topo.wlan_link(user, attachment.wlan_cluster)
         if link is not None and _up(fog.net, link.id):
             found.append(("wlan", link))
-    if ctx.attachment.macro:
+    if attachment.macro:
         link = topo.macro_link(user)
         if link is not None and _up(fog.net, link.id):
             found.append(("macro", link))
@@ -540,7 +540,7 @@ def controller_oracle(env, spec) -> OracleDecision:
             accepted=False, reason="GbrAdmissionFail" if structural else "NoRoute"
         )
 
-    mobile = {user: fog.context_of(user).mobile for c in candidates for user in c.access_used}
+    mobile = {user: fog.subscriber(user).mobile for c in candidates for user in c.access_used}
     return _choose(net, rates, candidates, local, mobile)
 
 
@@ -624,5 +624,5 @@ def interfog_oracle(env, spec) -> OracleDecision:
 
     if not candidates:
         return OracleDecision(accepted=False, reason="GbrAdmissionFail" if structural else "NoRoute")
-    mobile = {src: fa.context_of(src).mobile, dst: fb.context_of(dst).mobile}
+    mobile = {src: fa.subscriber(src).mobile, dst: fb.subscriber(dst).mobile}
     return _choose(net, rates, candidates, False, mobile)

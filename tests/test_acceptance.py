@@ -176,7 +176,7 @@ def test_03_controller_matches_bruteforce_oracle():
                 env.net.set_link_state("mm-mmap-mmc1", False)
             elif variant == 3:
                 for user in users:
-                    env.fog.context_of(user).mobile = rng.random() < 0.5
+                    env.fog.subscriber(user).mobile = rng.random() < 0.5
             for seq in range(5):
                 for k in range(6):
                     roll = rng.random()

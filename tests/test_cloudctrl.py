@@ -191,9 +191,9 @@ class TestInterFogPath:
         policy = {VOIP: PolicyRule(app_class=VOIP, qos=QosClass.REAL_TIME_GBR, gbr_rate=F(4))}
         env = CloudEnv(policy=policy, demands=[F(4)], slices=slices)
         net, f2, macro = env.net, env.fogs["f2"], ResourceClass.MACRO
-        assert [f2.slice_of_user(u) for u in ("f2-u1", "f2-u2")] == ["s1", "s2"]
+        assert [f2.subscriber(u).slice_id for u in ("f2-u1", "f2-u2")] == ["s1", "s2"]
         for user in ("f2-u1", "f2-u2"):
-            f2.context_of(user).attachment = Attachment(macro=True)
+            f2.subscriber(user).attachment = Attachment(macro=True)
         local = f2.handle_flow_request(env.spec("local", "f2-u1", "f2-u2", demand=4))
         assert local.accepted and local.path.nodes() == ("f2-u1", "macro-f2", "f2-u2")
         assert net.slice_gbr_units("f2", "s1", macro) == 8 * net.unit
@@ -204,7 +204,7 @@ class TestInterFogPath:
         assert "x1" not in net.flows
 
         # over WLAN in f2 the same flow fits, and both fogs count it against s1
-        f2.context_of("f2-u2").attachment = Attachment(wlan_cluster="c-f2", macro=True)
+        f2.subscriber("f2-u2").attachment = Attachment(wlan_cluster="c-f2", macro=True)
         admitted = env.cloud.setup_interfog_path(env.spec("x2", "f1-u1", "f2-u2", demand=4))
         assert admitted.accepted and "wl-f2-u2" in admitted.path.links()
         wlan = ResourceClass.WLAN
@@ -256,7 +256,7 @@ class TestInterFogOracle:
             elif r < 0.4:
                 user = rng.choice(users)
                 fog = env.fogs[topo.fog_of(user)]
-                fog.context_of(user).mobile = rng.random() < 0.4
+                fog.subscriber(user).mobile = rng.random() < 0.4
                 cluster = topo.cluster_of_user(user)
                 wlan = cluster if rng.random() < 0.7 else None
                 fog.handover(user, Attachment(wlan_cluster=wlan, macro=rng.random() < 0.7))
@@ -445,4 +445,4 @@ class TestSync:
         fog.handover("f1-u2", Attachment(wlan_cluster=None, macro=True))
         engine.run_until(100)
         for user in ("f1-u1", "f1-u2"):
-            assert env.cloud.context_replica[user][0] == fog.context_of(user).attachment
+            assert env.cloud.context_replica[user][0] == fog.subscriber(user).attachment

@@ -1,6 +1,7 @@
 import copy
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from fognet.fogctrl import (
     Attachment,
     BadCredentials,
     CloudUnreachable,
+    ControlError,
     Endpoint,
     FogControl,
     FogProfile,
@@ -22,7 +24,6 @@ from fognet.fogctrl import (
     SessionRequired,
     UnknownEndpoint,
     UnknownUser,
-    UserContext,
 )
 from fognet.scenario import parse_scenario
 from fognet.simulation import Simulation
@@ -51,15 +52,16 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 class TestAuthentication:
     def test_local_udf_works_while_cloud_down(self):
         env = FogEnv(cloud=FakeCloud(connected=False))
-        env.fog.racfs["s1"].sessions.clear()
+        env.fog.subscriber("u1").session = False
         env.fog.authenticate_user("u1", "tok-u1")
-        assert "u1" in env.fog.racfs["s1"].sessions
+        assert env.fog.subscriber("u1").session
 
     def test_remote_udf_fails_while_cloud_down(self):
         env = FogEnv(profile=FogProfile(udf_in_fog=False), cloud=FakeCloud(connected=False))
-        env.fog.racfs["s1"].sessions.clear()
+        env.fog.subscriber("u1").session = False
         with pytest.raises(CloudUnreachable):
             env.fog.authenticate_user("u1", "tok-u1")
+        assert not env.fog.subscriber("u1").session
 
     def test_bad_token_rejected_regardless_of_profile(self):
         for profile, cloud in (
@@ -72,9 +74,18 @@ class TestAuthentication:
 
     def test_session_gate_guards_subscriber_records(self):
         env = FogEnv()
-        env.fog.racfs["s1"].sessions.discard("u1")
+        env.fog.subscriber("u1").session = False
         with pytest.raises(SessionRequired):
             env.fog.classify_flow(env.spec("f", "u1", "u2"))
+
+
+class TestRegistration:
+    def test_operator_without_slice_registers_nothing(self):
+        env = FogEnv()
+        before = dict(env.fog.subscribers)
+        with pytest.raises(ControlError):
+            env.fog.register_user("u9", "op9", "tok-u9", {VOIP}, env.net.unit, Attachment(macro=True))
+        assert env.fog.subscribers == before and not env.fog.has_user("u9")
 
 
 class TestClassify:
@@ -93,14 +104,7 @@ class TestClassify:
 
     def test_class_outside_subscription_denied(self):
         env = FogEnv()
-        racf = env.fog.racfs["s1"]
-        record = racf.user_records["u1"]
-        racf.user_records["u1"] = type(record)(
-            user_id="u1",
-            token=record.token,
-            operator=record.operator,
-            allowed_classes=frozenset({WEB}),
-        )
+        env.fog.subscriber("u1").allowed_classes = frozenset({WEB})
         with pytest.raises(PolicyDenied):
             env.fog.classify_flow(env.spec("f", "u1", "u2", app_class=VOIP))
 
@@ -201,15 +205,15 @@ class TestHandleFlowRequest:
 
     def test_mobile_user_prefers_macro(self):
         env = FogEnv()
-        env.fog.context_of("u1").mobile = True
-        env.fog.context_of("u3").mobile = True
+        env.fog.subscriber("u1").mobile = True
+        env.fog.subscriber("u3").mobile = True
         decision = env.fog.handle_flow_request(env.spec("f", "u1", "u3", app_class=VOIP))
         assert decision.accepted
         assert decision.path.nodes() == ("u1", "macro", "u3")
 
     def test_no_coverage(self):
         env = FogEnv()
-        env.fog.context_of("u1").attachment = Attachment(wlan_cluster=None, macro=False)
+        env.fog.subscriber("u1").attachment = Attachment(wlan_cluster=None, macro=False)
         decision = env.fog.handle_flow_request(env.spec("f", "u1", "u2"))
         assert not decision.accepted and decision.reason == RejectReason.NO_COVERAGE
 
@@ -243,8 +247,8 @@ class TestHandleFlowRequest:
             },
         )
         env = FogEnv(slices=[tight])
-        env.fog.context_of("u1").mobile = True
-        env.fog.context_of("u2").mobile = True
+        env.fog.subscriber("u1").mobile = True
+        env.fog.subscriber("u2").mobile = True
         # entitled macro = 0.5 Mb/s; macro+macro needs 2 hops x 0.5 = 1.0
         decision = env.fog.handle_flow_request(env.spec("f", "u1", "u2", app_class=VOIP))
         assert decision.accepted
@@ -313,7 +317,7 @@ class TestControllerOracle:
         for trial in range(25):
             env = FogEnv(doc=two_cluster_doc(mesh_cross_link=trial % 2 == 0))
             for user in users:
-                env.fog.context_of(user).mobile = rng.random() < 0.4
+                env.fog.subscriber(user).mobile = rng.random() < 0.4
             for k in range(6):
                 kind = rng.random()
                 if kind < 0.5:
@@ -667,7 +671,7 @@ class TestTemplates:
         twin = FogControl(
             fog.fog_id, fog.profile, fog.net, [manager.spec(sid) for sid in manager.slice_ids()], fog.cloud
         )  # fmt: skip
-        twin.racfs, twin._user_slice, twin.grants = fog.racfs, fog._user_slice, fog.grants
+        twin.subscribers, twin.grants = fog.subscribers, fog.grants
         twin.cache = copy.deepcopy(fog.cache)
         fog.net._health_watchers.remove(twin._on_health)  # used within one step only
         return twin
@@ -675,7 +679,7 @@ class TestTemplates:
     @staticmethod
     def options(fog, user):
         """The user's Up access links under its current attachment, by kind."""
-        links = fog.access_links(user, fog.context_of(user).attachment)
+        links = fog.access_links(user, fog.subscriber(user).attachment)
         return [(kind, link) for kind, link in links if fog.net.effective_up(link.id)]
 
     @staticmethod
@@ -705,8 +709,8 @@ class TestTemplates:
             fresh = self.twin(fog)
             mine = sorted(u for u in users if fog.has_user(u))
             for src in mine:
-                ctx = fog.context_of(src)
-                slice_id = fog.slice_of_user(src)
+                sub = fog.subscriber(src)
+                slice_id = sub.slice_id
                 kinds = [[(u, RouteKind.INTRA_FOG_LOCAL, u)] for u in mine if u != src]
                 kinds.append([(fog.pop, RouteKind.INTRA_FOG_LOCAL, "cache"), (gateway, RouteKind.CLOUD_BOUND, "fetch")])
                 kinds.append([(gateway, RouteKind.CLOUD_BOUND, "egress")])
@@ -718,10 +722,10 @@ class TestTemplates:
                         else:
                             unrefused = expected[0]
                         built = [
-                            (end, rat, fog.user_template(fog.context_of(peer)) if peer in users else peer)
+                            (end, rat, fog.user_template(fog.subscriber(peer)) if peer in users else peer)
                             for end, rat, peer in targets
                         ]
-                        got, structural = fog._candidates(src, fog.user_template(ctx), built, units, slice_id)
+                        got, structural = fog._candidates(src, fog.user_template(sub), built, units, slice_id)
                         assert ([(c.label, c.hops) for c in got], structural) == expected, (src, targets, units)
                         counts["checked"] += 1
                         counts["candidates"] += len(got)
@@ -903,10 +907,10 @@ class TestTemplateReuse:
             return access_links(fog, user_id, attachment)
 
         def counted_fill(fog, src, options, end, rat, tag):
-            count("fills", (fog.fog_id, src, fog.context_of(src).attachment, end, tag))
+            count("fills", (fog.fog_id, src, fog.subscriber(src).attachment, end, tag))
             assert end in (fog.pop, fog.net.topology.gateway_id()), end
             live["most"] = max(live["most"], 1 + sum(len(t.fixed) for t in fog._templates.values()))
-            live["users"] = max(live["users"], len(fog._user_slice))
+            live["users"] = max(live["users"], len(fog.subscribers))
             return fill_target(fog, src, options, end, rat, tag)
 
         monkeypatch.setattr(FogControl, "access_links", counted_options)
@@ -924,12 +928,12 @@ class TestTemplateReuse:
                 counter.clear()
             for fog in sim.fogs.values():
                 for (user, attachment), template in list(fog._templates.items()):
-                    ctx = UserContext(user, attachment)
+                    sub = replace(fog.subscriber(user), attachment=attachment)
                     if self.untouched(fog, template, element, up):
-                        assert fog.user_template(ctx) is template, (element, up, user, attachment)
+                        assert fog.user_template(sub) is template, (element, up, user, attachment)
                         health["kept"] += 1
                     else:
-                        fog.user_template(ctx)
+                        fog.user_template(sub)
 
         sim.net.watch_health(on_health)
         sim.run()

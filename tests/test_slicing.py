@@ -63,10 +63,13 @@ class TestCreateSlice:
         assert sm.entitlements(fixed_physical(100))["a", ResourceClass.MACRO] == 60
         assert sm.entitlements(fixed_physical(100))["b", ResourceClass.MACRO] == 40
 
-    def test_racf_instances_created_per_slice(self):
+    def test_each_user_recorded_in_its_operators_slice(self):
         env = FogEnv(slices=[decimal_spec("a", "op1", 6, 10), decimal_spec("b", "op2", 4, 10)])
-        assert set(env.fog.racfs) == {"a", "b"}
-        assert env.fog.racfs["a"] is not env.fog.racfs["b"]
+        slice_of = {"op1": "a", "op2": "b"}
+        assert env.fog.subscribers.keys() == env.operator_of.keys()
+        for user, operator in env.operator_of.items():
+            assert env.fog.subscriber(user).slice_id == slice_of[operator]
+        assert {sub.slice_id for sub in env.fog.subscribers.values()} == {"a", "b"}
 
 
 class TestComputeAllocations:
@@ -128,15 +131,12 @@ class TestControlStateIsolation:
         env = FogEnv(slices=[decimal_spec("a", "op1", 5, 10), decimal_spec("b", "op2", 5, 10)])
         # u1 -> op1/slice a, u2 -> op2/slice b (round-robin registration)
         assert env.operator_of["u1"] != env.operator_of["u2"]
-        racf_a = env.fog.racfs["a"]
-        racf_b = env.fog.racfs["b"]
-        assert "u1" in racf_a.user_records and "u1" not in racf_b.user_records
-        assert "u2" in racf_b.user_records and "u2" not in racf_a.user_records
+        assert (env.fog.subscriber("u1").slice_id, env.fog.subscriber("u2").slice_id) == ("a", "b")
 
-        decision = env.fog.handle_flow_request(env.spec("f1", "u1", "u3", app_class=VOIP))
-        assert decision.accepted and decision.slice_id == "a"
-        assert env.net.flows["f1"].slice_id == "a"
-        assert "u1" not in racf_b.contexts
+        for flow_id, src, slice_id in (("f1", "u1", "a"), ("f2", "u2", "b")):
+            decision = env.fog.handle_flow_request(env.spec(flow_id, src, "u3", app_class=VOIP))
+            assert decision.accepted and decision.slice_id == slice_id
+            assert env.net.flows[flow_id].slice_id == slice_id
 
 
 # Uneven and decimal slice shares, non-decimal capacities (2.2 Mb/s is the
