@@ -29,9 +29,14 @@ untimed run, the median per solve of the links with rising flows, of the
 contended links (the congested links the solve is handed), of the
 flow-link incidences (each rising flow's links, summed) and of the rate
 classes the solve runs over, each read from the index the solve leaves.
-A size that makes no solve (its network never congests within
-`--seconds`) prints `-` in place of the µs per solve and of the
-per-solve medians, since there is nothing to measure.
+From that run it also prints, per event, the recomputes that ran no
+solve (`NetworkState.recompute` calls less solves: those while no link
+is congested, and those whose changes since the last solve reached no
+congested link) and the BFS distance maps the fog controls built for
+their route memos (`fogctrl.route_distances` calls), each counted by a
+wrapper installed here. A size that makes no solve (its network never
+congests within `--seconds`) prints `-` in place of the µs per solve
+and of the per-solve medians, since there is nothing to measure.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from fognet import dataplane  # noqa: E402
+from fognet import dataplane, fogctrl  # noqa: E402
 from fognet.engine import EventKind  # noqa: E402
 from fognet.scenario import parse_scenario  # noqa: E402
 from fognet.simulation import Simulation  # noqa: E402
@@ -121,8 +126,11 @@ def solve_sizes(doc: dict) -> tuple:
     """Median per solve of (links with rising flows, contended links,
     flow-link incidences, rate classes), read from the contended links
     each solve is handed and from the index it leaves, whose every rising
-    flow is then in a class; each None when the run makes no solve."""
+    flow is then in a class; each None when the run makes no solve. Then,
+    per event, the recomputes that ran no solve and the BFS distance maps
+    built."""
     sizes = links, contended_links, incidences, classes = [], [], [], []
+    calls = {"recompute": 0, "maps": 0}
 
     def on_solve(solve, index, capacity, contended):
         solve(index, capacity, contended)
@@ -131,8 +139,23 @@ def solve_sizes(doc: dict) -> tuple:
         incidences.append(sum(sum(on.values()) for on in index.on_link.values()))
         classes.append(len(index.classes))
 
-    run_with(doc, on_solve)
-    return tuple(statistics.median(counts) if counts else None for counts in sizes)
+    recompute, route_distances = dataplane.NetworkState.recompute, fogctrl.route_distances
+
+    def counted_recompute(net):
+        calls["recompute"] += 1
+        recompute(net)
+
+    def counted_distances(*args):
+        calls["maps"] += 1
+        return route_distances(*args)
+
+    dataplane.NetworkState.recompute, fogctrl.route_distances = counted_recompute, counted_distances
+    try:
+        events, _, _ = run_with(doc, on_solve)
+    finally:
+        dataplane.NetworkState.recompute, fogctrl.route_distances = recompute, route_distances
+    medians = tuple(statistics.median(counts) if counts else None for counts in sizes)
+    return (*medians, (calls["recompute"] - len(classes)) / events, calls["maps"] / events)
 
 
 def cell(value, width: int, spec: str) -> str:
@@ -156,6 +179,7 @@ def main(argv=None) -> int:
     print(
         f"{'clusters':>8} {'events/s':>10} {'solves/event':>12} {'us/solve':>9}"
         f" {'rising links':>12} {'contended':>9} {'incidences':>10} {'classes/solve':>13}"
+        f" {'no-solve/event':>14} {'maps/event':>10}"
     )
     rates = []
     for clusters, doc, runs in zip(args.clusters, docs, samples):
@@ -164,11 +188,11 @@ def main(argv=None) -> int:
         solved = [us for _, _, us in runs if us is not None]
         us = statistics.median(solved) if solved else None
         rates.append(rate)
-        links, contended, incidences, classes = solve_sizes(doc)
+        links, contended, incidences, classes, unsolved, maps = solve_sizes(doc)
         print(
             f"{clusters:>8} {rate:>10.0f} {per_event:>12.2f} {cell(us, 9, '.0f')}"
             f" {cell(links, 12, 'g')} {cell(contended, 9, 'g')} {cell(incidences, 10, 'g')}"
-            f" {cell(classes, 13, 'g')}"
+            f" {cell(classes, 13, 'g')} {unsolved:>14.2f} {maps:>10.3f}"
         )
     for (a, ra), (b, rb) in zip(zip(args.clusters, rates), zip(args.clusters[1:], rates[1:])):
         print(f"{a} -> {b} clusters: events/s fall x{ra / rb:.2f}")

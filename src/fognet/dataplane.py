@@ -41,16 +41,22 @@ link is congested, `recompute()` is the one caller of the max-min solve
 (`engine.recompute_fair_shares`) and hands it only facts kept here: the
 rising flows (best-effort, demand > 0, at least one link) as a
 `FairShareIndex` kept across solves, the net-of-GBR capacities and the
-congested links, the only ones that can bind. It alone raises
-`GbrOvercommit`. The index keeps the rising flows in rate classes of
-flows that share one max-min rate, so `allocated()` reads a flow's rate
-through its class, and `load_units()` sums members times level over the
-classes on the links it is given. A path never lists a link twice
+congested links, the only ones that can bind. It solves only when an
+install or removal since the last solve crossed a congested link; after
+any other change the last solve's levels stand, and a flow new since
+then rises to its demand. It alone raises `GbrOvercommit`. The index
+keeps the rising flows in rate classes of flows that share one max-min
+rate, so `allocated()` reads a flow's rate through its class, and
+`load_units()` sums members times level over the classes on the links
+it is given. A path never lists a link twice
 (`install_flow` refuses one that does), so every ledger counts a flow
 once per link it crosses.
 
 Routing is one minimum-hop search, `constrained_route`, over a set of
-permitted link ids. Which links a fog may route over is a fact of the
+permitted link ids: a BFS of distances to the destination
+(`route_distances`) and a greedy lexicographic walk down them
+(`descend`), which fog control also runs over a full BFS that it keeps
+per destination. Which links a fog may route over is a fact of the
 topology (`Topology.fog_domain`), so callers pass those sets, not
 predicates. A route depends only on link and node health and, for a
 guaranteed rate, on headroom, so fog control memoizes its mesh segments
@@ -250,6 +256,11 @@ class NetworkState:
       is always its own guarantee, and a best-effort flow that does not
       rise carries its demand (0 when it has none): each its
       `rate_units`.
+    - `_stale`: whether the last solve's levels may have moved, set by
+      `install_flow` and `remove_flow` when the flow crosses a link
+      congested after the install or before the removal, and cleared
+      by each solve. Only then does `recompute()` solve; see its
+      docstring for why its levels otherwise stand.
 
     `load_units(*link_ids)` is the one reader of allocated load, summed
     over the links it is given, so a caller that wants a class total asks
@@ -278,6 +289,7 @@ class NetworkState:
         self._unsliced_gbr: Dict[str, int] = {}
         self._rising: Dict[str, InstalledFlow] = {}
         self._fair: Optional[FairShareIndex] = None
+        self._stale = True  # a change since the last solve may move its levels
         self._on_link: Dict[str, Set[str]] = {}
         self._offered: Dict[str, int] = {}
         self._congested: Set[str] = set()
@@ -414,13 +426,14 @@ class NetworkState:
                 self._fair.add(flow)
         if flow.slice_id is not None:
             self._add_demand(flow, want)
-        capacity = self._capacity
+        capacity, congested = self._capacity, self._congested
         for lid in flow.links:
             self._on_link.setdefault(lid, set()).add(flow.flow_id)
             load = self._offered.get(lid, 0) + want
             self._offered[lid] = load
-            if load > capacity[lid]:
-                self._congested.add(lid)
+            if load > capacity[lid]:  # congested now, whether or not it was before
+                congested.add(lid)
+                self._stale = True
 
     def remove_flow(self, flow_id: str) -> InstalledFlow:
         flow = self.flows.pop(flow_id, None)
@@ -433,13 +446,15 @@ class NetworkState:
             self._fair.remove(flow)
         if flow.slice_id is not None:
             self._add_demand(flow, -want)
-        capacity = self._capacity
+        capacity, congested = self._capacity, self._congested
         for lid in flow.links:
             self._on_link[lid].discard(flow_id)
             load = self._offered[lid] - want
             self._offered[lid] = load
-            if lid in self._congested and load <= capacity[lid]:
-                self._congested.discard(lid)
+            if lid in congested:
+                self._stale = True
+                if load <= capacity[lid]:
+                    congested.discard(lid)
         return flow
 
     def _reserve(self, flow: InstalledFlow, gbr: int) -> None:
@@ -478,19 +493,40 @@ class NetworkState:
     # -- allocation ---------------------------------------------------------
 
     def recompute(self) -> None:
+        """Bring the rates up to date with the installed flows.
+
+        While no link is congested this only drops the solver index. While
+        some link is, it runs the max-min solve when the solve is stale:
+        when there is no index yet, or some install or removal since the
+        last solve crossed a link congested before or after it (`_stale`).
+        That covers every change to the congested links, to a contended
+        link's capacity net of guarantees and to the rising flows on one,
+        so otherwise the solve's input is what it was, and its levels
+        stand: only the pending flows are classified, and a class that
+        this makes gets level `(demand, 1)`. That is exact. A pending flow
+        crossed no congested link when installed, and none has changed
+        since, so it crosses no contended link; only a contended link can
+        bind, so its class rises to its demand and freezes there, as does
+        a class that a solve already froze, which it may join."""
         if not self._congested:
             # uncongested fast path: every flow carries its own rate, which
             # allocated() and load_units() read off the installed flows
             self._fair = None
+            return
+        fair = self._fair
+        if fair is not None and not self._stale:
+            for cls in fair.classify(self._congested):
+                cls.level = (cls.demand, 1)
             return
         overcommitted = [lid for lid in self._congested if self._be_capacity[lid] < 0]
         if overcommitted:
             lid = min(overcommitted)
             held = self._capacity[lid] - self._be_capacity[lid]
             raise GbrOvercommit(lid, Fraction(held, self.unit), self.topology.links[lid].capacity)
-        if self._fair is None:
-            self._fair = FairShareIndex(self._rising.values())
-        recompute_fair_shares(self._fair, self._be_capacity, self._congested)
+        if fair is None:
+            fair = self._fair = FairShareIndex(self._rising.values())
+        recompute_fair_shares(fair, self._be_capacity, self._congested)
+        self._stale = False
 
     def allocated(self, flow_id: str) -> Fraction:
         flow = self.flows.get(flow_id)
@@ -547,40 +583,62 @@ def constrained_route(
     """
     if src == dst:
         return []
+    # Distance-to-destination by BFS, then a greedy lexicographic walk. The
+    # walk only reads distances below src's, so the BFS stops at src's level.
+    dist = route_distances(net, dst, allowed, need, src)
+    if src not in dist:
+        raise NoRoute(f"no route {src} -> {dst}", src)
+    return descend(net, src, dist, allowed, need)
+
+
+def route_distances(
+    net: NetworkState, dst: str, allowed: AbstractSet[str], need: int = 0, src: Optional[str] = None
+) -> Dict[str, int]:
+    """Hop distance to `dst` of each node that reaches it over the usable
+    links of `allowed`, as `constrained_route` defines them, by BFS. With
+    `src` the search stops once src's level is complete; without, it maps
+    every node that reaches `dst`, which holds the same distance on every
+    level, so `descend` reads the same route from either."""
     adjacency = net.topology.adjacency()
     links = net.topology.links
     residual = net._be_capacity
     down = net._down
-
-    def usable(lid: str) -> bool:  # for a link in `allowed`
-        return lid not in down and (need <= 0 or residual[lid] >= need)
-
-    # Distance-to-destination by BFS, then a greedy lexicographic walk. The
-    # walk only reads distances below src's, so the BFS stops at src's level.
     dist = {dst: 0}
     frontier = [dst]
     while frontier and src not in dist:
         nxt = []
         for node in frontier:
+            level = dist[node] + 1
             for lid in adjacency.get(node, ()):
                 if lid in allowed:
                     peer = links[lid].other(node)
-                    if peer not in dist and usable(lid):
-                        dist[peer] = dist[node] + 1
+                    if peer not in dist and lid not in down and (need <= 0 or residual[lid] >= need):
+                        dist[peer] = level
                         nxt.append(peer)
         frontier = nxt
-    if src not in dist:
-        raise NoRoute(f"no route {src} -> {dst}", src)
+    return dist
 
+
+def descend(
+    net: NetworkState, src: str, dist: Dict[str, int], allowed: AbstractSet[str], need: int = 0
+) -> List[Tuple[str, str]]:
+    """The route from `src`, which `dist` (`route_distances`) maps, to the
+    node at distance 0: from each node, the usable link of `allowed` one
+    level down toward the smallest peer id (then smallest link id)."""
+    adjacency = net.topology.adjacency()
+    links = net.topology.links
+    residual = net._be_capacity
+    down = net._down
     hops: List[Tuple[str, str]] = []
     node = src
-    while node != dst:
-        remaining = dist[node]
+    remaining = dist[src]
+    while remaining:
+        remaining -= 1
         choices = []
         for lid in adjacency.get(node, ()):
             if lid in allowed:
                 peer = links[lid].other(node)
-                if dist.get(peer) == remaining - 1 and usable(lid):
+                if dist.get(peer) == remaining and lid not in down and (need <= 0 or residual[lid] >= need):
                     choices.append((peer, lid))
         peer, lid = min(choices)
         hops.append((node, lid))

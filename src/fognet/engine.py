@@ -185,22 +185,25 @@ class FairShareIndex:
             else:
                 del on_link[lid]
 
-    def classify(self, contended: Iterable[str]) -> None:
+    def classify(self, contended: Iterable[str]) -> List[RateClass]:
         """Put the pending flows in their classes, after adding
         `contended` to `keys`; when that grows `keys`, every class is
-        rebuilt under the new keys first."""
+        rebuilt under the new keys first. Returns the classes it made,
+        whose `level` is None."""
         keys = self.keys
         if not keys.issuperset(contended):
             keys.update(contended)
             self.classes, self.on_link, self._class_of = {}, {}, {}
             self._pending = dict(self._flows)
         classes, on_link, class_of = self.classes, self.on_link, self._class_of
+        made: List[RateClass] = []
         for fid, flow in self._pending.items():
             links = flow.links
             key = (flow.rate_units, tuple(filter(keys.__contains__, links)))
             cls = classes.get(key)
             if cls is None:
                 cls = classes[key] = RateClass(*key)
+                made.append(cls)
             cls.size += 1
             class_of[fid] = cls
             for lid in links:
@@ -210,6 +213,7 @@ class FairShareIndex:
                 else:
                     on[cls] = on.get(cls, 0) + 1
         self._pending = {}
+        return made
 
     def level(self, flow_id: str) -> Tuple[int, int] | None:
         """The flow's rate `(ln, ld)`, `ln/ld` units, in the last solve;

@@ -56,8 +56,17 @@ a cycle, so its Up cleared R. So an Up clears a graph's routes only
 when a link it brings Up is cyclic; an Up of bridges keeps every route
 and drops only the None answers (`_on_health`). A Down bridge on a
 kept route cuts its ends apart, so the answer is None without a
-search. A change costs O(links of the element), and a Down nothing;
-while no link is Down, a read checks only counters.
+search. A change costs O(links of the element), and a Down only drops
+the distance maps of the graphs it touches (below); while no link is
+Down, a read checks only counters.
+
+A route's first fill searches nothing of its own. Per routing graph
+and end, one full BFS of distances to the end (`route_distances`) is
+kept, and each key to that end walks it (`descend`), as
+`constrained_route` walks its own early-stopped BFS, whose distances
+the full one holds on every level the walk reads; so the route is the
+same. A map is kept until a Down or Up touches its graph, so the many
+keys to a PoP or the gateway cost one search between two faults.
 
 Path selection is deliberately ordinal and deterministic:
 
@@ -76,7 +85,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter, itemgetter
-from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .dataplane import (
     FlowPath,
@@ -86,6 +95,8 @@ from .dataplane import (
     NoRoute,
     RouteKind,
     constrained_route,
+    descend,
+    route_distances,
 )
 from .slicing import SliceManager, SliceSpec
 from .topology import LINK_TO_RESOURCE, Link, ResourceClass
@@ -291,7 +302,9 @@ class UserTemplate(NamedTuple):
     whether it is still exact. It is while all of these hold:
 
     - `links`, its option links and the links of every candidate in
-      `fixed`, are all Up (options and routes are kept while Up);
+      `fixed`, are all Up (options and routes are kept while Up). It
+      holds them as tuples, the options' and each candidate's own, not
+      as one set, since it is read only while some link is Down;
     - `dormant`, the user's access links under the attachment that were
       Down at build, are all still Down (no option has appeared);
     - `clears`, `FogControl._clears` at build, is unchanged: no Up that
@@ -302,7 +315,7 @@ class UserTemplate(NamedTuple):
 
     options: Tuple[AccessOption, ...]
     fixed: Dict[Tuple[str, str], Tuple[Candidate, ...]]
-    links: Set[str]
+    links: List[Tuple[str, ...]]
     dormant: FrozenSet[str]
     clears: int
     gaps: Dict[bool, int]
@@ -414,8 +427,10 @@ class FogControl:
     attachment point, and the peer's access hop. Segments are memoized
     per routing graph (via backhaul or not) and (start, end) (`segment`,
     which the simulator also reads for each WLAN AP's control-overhead
-    flow), and checked on read against the Down set. A GBR request keeps
-    that route when every hop has headroom (`_with_headroom`).
+    flow), first filled by a walk over the graph's kept distance map to
+    the end (`_search`), and checked on read against the Down set. A GBR
+    request keeps that route when every hop has headroom
+    (`_with_headroom`).
 
     What does not depend on load is kept per user in a `UserTemplate`,
     keyed (user, attachment), so a handover needs no hook: the access
@@ -430,7 +445,8 @@ class FogControl:
 
     A link or node state change reaches `_on_health`, which keeps the
     memo exact in O(links of the element) by the static cyclic-link rule
-    of the module docstring; it scans no route and no template.
+    of the module docstring, and drops the distance maps of each graph
+    it touches; it scans no route and no template.
     """
 
     def __init__(
@@ -464,10 +480,11 @@ class FogControl:
         self._entitled_epoch = -1  # NetworkState.epoch of `_entitled`
         self._down = net.down_links()
         # per routing graph, indexed by via backhaul: its links, its memo
-        # (start, end) -> route or None, the keys answered None, and the
-        # Ups that touched it
+        # (start, end) -> route or None, its BFS distance maps end -> (node
+        # -> hops to end), the keys answered None, and the Ups that touched it
         self._allowed = (self.domain.mesh, self.domain.mesh | self.domain.backhaul_ids)
         self._routes: List[Dict[Tuple[str, str], Optional[Tuple[Tuple[str, str], ...]]]] = [{}, {}]
+        self._dists: List[Dict[str, Dict[str, int]]] = [{}, {}]
         self._unroutable: List[List[Tuple[str, str]]] = [[], []]
         self._ups = [0, 0]
         self._clears = 0  # Ups that cleared a graph's routes
@@ -624,10 +641,19 @@ class FogControl:
         return hops
 
     def _search(self, start: str, end: str, via_backhaul: bool) -> Optional[Tuple[Tuple[str, str], ...]]:
-        """Fill the memo entry of `segment` with a fresh search."""
-        try:
-            hops = tuple(constrained_route(self.net, start, end, self._allowed[via_backhaul]))
-        except NoRoute:
+        """Fill the memo entry of `segment` from the graph's distance map
+        to `end`, one full BFS (`route_distances`) kept until a state
+        change touches the graph (`_on_health`): its greedy walk
+        (`descend`) is `constrained_route`'s, and the map holds the
+        distances of that search's early-stopped BFS on every level the
+        walk reads, so the route is the same."""
+        dists = self._dists[via_backhaul]
+        dist = dists.get(end)
+        if dist is None:
+            dist = dists[end] = route_distances(self.net, end, self._allowed[via_backhaul])
+        if start in dist:
+            hops = tuple(descend(self.net, start, dist, self._allowed[via_backhaul]))
+        else:
             hops = None
             self._unroutable[via_backhaul].append((start, end))
         self._routes[via_backhaul][start, end] = hops
@@ -637,16 +663,16 @@ class FogControl:
         """Keep the segment memo exact across one link or node state change,
         in O(links of the element), by the rule of the module docstring.
 
-        A Down changes nothing kept: reads check routes against the Down
-        set. An Up touches, in each routing graph, the links of the
-        element there: the link itself, or a node's incident links. If one
-        of them lies on a cycle of the graph, its routes are cleared (and
-        `_clears` counts it, which stales every template); else every route
-        is kept and only its None answers are dropped. Either way `_ups`
-        counts the Up for the graph, which stales a template with an option
-        that had no candidate in it."""
-        if not up:
-            return
+        The change touches, in each routing graph, the links of the element
+        there: the link itself, or a node's incident links. Any change that
+        touches a graph, Down or Up, drops its distance maps, since the
+        usable links they were searched over have changed. Beyond that a
+        Down changes nothing kept: reads check routes against the Down set.
+        If a link an Up touches lies on a cycle of the graph, its routes
+        are cleared (and `_clears` counts it, which stales every template);
+        else every route is kept and only its None answers are dropped.
+        Either way `_ups` counts the Up for the graph, which stales a
+        template with an option that had no candidate in it."""
         topo = self.net.topology
         touched = topo.adjacency().get(element, [])
         if element in topo.links:
@@ -654,6 +680,9 @@ class FogControl:
         for via_backhaul, allowed in enumerate(self._allowed):
             hit = [lid for lid in touched if lid in allowed]
             if not hit:
+                continue
+            self._dists[via_backhaul].clear()
+            if not up:
                 continue
             self._ups[via_backhaul] += 1
             if topo.cyclic_links(self.fog_id, bool(via_backhaul)).isdisjoint(hit):
@@ -699,7 +728,7 @@ class FogControl:
         if template is not None and template.clears == self._clears:
             down = self._down
             if (
-                (not down or down.isdisjoint(template.links))
+                (not down or all(map(down.isdisjoint, template.links)))
                 and (not template.dormant or template.dormant <= down)
                 and (not template.gaps or all(self._ups[via] == n for via, n in template.gaps.items()))
             ):
@@ -711,7 +740,7 @@ class FogControl:
                 options.append(AccessOption(kind, link.id, link.other(user)))
             else:
                 dormant.append(link.id)
-        links = {option.link_id for option in options}
+        links = [tuple(option.link_id for option in options)]
         template = UserTemplate(tuple(options), {}, links, frozenset(dormant), self._clears, {})
         self._templates[key] = template
         return template
@@ -744,8 +773,7 @@ class FogControl:
         found = template.fixed.get((end, tag))
         if found is None:
             found = template.fixed[(end, tag)] = self._fill_target(user, template.options, end, rat, tag)
-            for c in found:
-                template.links.update(c.links)
+            template.links.extend(c.links for c in found)
             if len(found) < len(template.options):
                 via_backhaul = rat == RouteKind.CLOUD_BOUND
                 template.gaps.setdefault(via_backhaul, self._ups[via_backhaul])

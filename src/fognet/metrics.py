@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List
 
 from .fogctrl import RejectReason
@@ -72,10 +73,19 @@ class MetricsCollector:
         self.isolation_survivors = 0
         # the backhaul rate in units of 1/`_unit` Mb/s and its integral over
         # time in those units x ms; a rate from a max-min solve may be a
-        # Fraction of a unit
+        # Fraction of a unit. The integral is kept in parts, so that an
+        # event adds ints only: the whole-unit rates' as an int, and each
+        # Fraction rate's `numerator x ms` in the int bucket of its
+        # denominator, which a read (`backhaul_bytes`) folds into the
+        # buckets read so far and empties. Those are kept as one unreduced
+        # pair (numerator, the lcm of their denominators): a fold then
+        # costs a gcd of that lcm with each bucket's small denominator,
+        # and only the read reduces the total
         self._unit = net.unit
         self._backhaul_rate: int | Fraction = 0
-        self._backhaul_volume: int | Fraction = 0
+        self._backhaul_whole = 0
+        self._backhaul_parts: Dict[int, int] = {}  # denominator -> numerator x ms
+        self._backhaul_folded = (0, 1)
         self._last_ms = 0
         self.rows: List[str] = []
         # resource class -> the ids of its links, sorted; built once, read
@@ -90,12 +100,29 @@ class MetricsCollector:
 
     @property
     def backhaul_bytes(self) -> Fraction:
-        return Fraction(self._backhaul_volume * BYTES_PER_MBPS_MS, self._unit)
+        parts = self._backhaul_parts
+        num, den = self._backhaul_folded
+        if parts:
+            for d, n in parts.items():
+                scale = d // gcd(den, d)
+                if scale > 1:
+                    num *= scale
+                    den *= scale
+                num += n * (den // d)
+            self._backhaul_folded = (num, den)
+            parts.clear()
+        return Fraction((self._backhaul_whole * den + num) * BYTES_PER_MBPS_MS, den * self._unit)
 
     def advance(self, now_ms: int) -> None:
-        """Integrate the backhaul rate up to `now_ms` (call before changes)."""
+        """Integrate the backhaul rate up to `now_ms` (call before changes),
+        adding ints only."""
         if now_ms > self._last_ms:
-            self._backhaul_volume += self._backhaul_rate * (now_ms - self._last_ms)
+            rate, dt = self._backhaul_rate, now_ms - self._last_ms
+            if rate.__class__ is int:
+                self._backhaul_whole += rate * dt
+            else:
+                parts, den = self._backhaul_parts, rate.denominator
+                parts[den] = parts.get(den, 0) + rate.numerator * dt
             self._last_ms = now_ms
 
     def set_backhaul_rate(self, net) -> None:

@@ -282,14 +282,15 @@ def fresh_solve(net, links):
     solver index built fresh from its rising flows, as the first
     `recompute()` after congestion begins builds one: the rising flows
     the index holds (`len()`), each installed flow's `allocated()` and each
-    of `links`' `load_units()`. The kept index is put back."""
-    kept, net._fair = net._fair, None
+    of `links`' `load_units()`. The kept index, and whether it is due a
+    solve (`_stale`), are put back."""
+    kept, stale, net._fair = net._fair, net._stale, None
     try:
         net.recompute()
         rates = {fid: net.allocated(fid) for fid in net.flows}
         return len(net._fair), rates, {lid: net.load_units(lid) for lid in links}
     finally:
-        net._fair = kept
+        net._fair, net._stale = kept, stale
 
 
 class FakeCloud:

@@ -44,6 +44,7 @@ from helpers import (
 )
 from oracles import controller_oracle
 from test_golden import _two_fog_sim
+from test_invariants import _mesh_cycle_topology
 
 F = Fraction
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -596,6 +597,35 @@ class TestRouteMemo:
         assert counts["no_headroom"] > 0 and (counts["detour"] > 0) == has_detours, counts
         assert ups > 5, ups
 
+    def test_distance_maps_go_stale_on_down_and_up(self):
+        """A segment's first fill walks the graph's one BFS distance map to
+        its end, so a state change of the graph must drop the map. On the
+        mesh-cycle build, fill one key to the PoP, take Down the cyclic
+        link mmc1-mmc3 that lies on the unfilled key (wap3, PoP)'s route,
+        and read that key: it must be the detour a fresh search finds,
+        where a walk over the map searched before the Down would fail.
+        Once the link is Up again, the key and the unfilled (mmc3, PoP)
+        must be their fresh routes, not walks over the map searched while
+        it was Down."""
+        topo = build_from_config(_mesh_cycle_topology())
+        net = NetworkState(topo, [F(1)])
+        fog = wired_fogs(net)["fog1"]
+        assert "mmc1-mmc3" in topo.cyclic_links("fog1", False)
+
+        def fresh(start):
+            return tuple(constrained_route(net, start, fog.pop, fog.domain.mesh))
+
+        assert fog.segment("wap1", fog.pop, False) == fresh("wap1")
+        assert list(fog._dists[False]) == [fog.pop]
+        shortest = fresh("wap3")
+        assert ("mmc3", "mmc1-mmc3") in shortest
+        net.set_link_state("mmc1-mmc3", False)
+        detour = fog.segment("wap3", fog.pop, False)
+        assert detour == fresh("wap3") and len(detour) == len(shortest) + 1
+        net.set_link_state("mmc1-mmc3", True)
+        assert fog.segment("wap3", fog.pop, False) == fresh("wap3") == shortest
+        assert fog.segment("mmc3", fog.pop, False) == fresh("mmc3") == shortest[1:]
+
     def test_down_keeps_and_up_clears_by_the_cyclic_rule(self):
         """Random link and node faults on the two-cluster topology with a
         redundant mesh link, whose three middle-mile links lie on a cycle
@@ -732,7 +762,8 @@ class TestTemplates:
         for fog in fogs.values():
             for template in fog._templates.values():
                 assert isinstance(template.options, tuple)
-                assert {option.link_id for option in template.options} <= template.links
+                links = set().union(*template.links)
+                assert {option.link_id for option in template.options} <= links
                 for (end, _), found in template.fixed.items():
                     assert end in (fog.pop, gateway)
                     for c in found:
@@ -741,7 +772,7 @@ class TestTemplates:
                         assert c.links == tuple(lid for _, lid in c.hops)
                         assert c.nodes == tuple(n for n, _ in c.hops) + (c.end,)
                         assert c.latency_ms == sum(topo.links[lid].latency_ms for lid in c.links)
-                        assert set(c.links) <= template.links
+                        assert set(c.links) <= links
                         with pytest.raises(AttributeError):
                             c.label = "changed"
                         counts["templated"] += 1
@@ -884,7 +915,7 @@ class TestTemplateReuse:
         `template` exact by the rule it is checked by (`UserTemplate`)."""
         topo = fog.net.topology
         touched = set(topo.adjacency().get(element, ())) | ({element} if element in topo.links else set())
-        if touched & template.links or (up and touched & template.dormant):
+        if touched & set().union(*template.links) or (up and touched & template.dormant):
             return False
         graphs = (fog.domain.mesh, fog.domain.mesh | fog.domain.backhaul_ids)
         for via, graph in enumerate(graphs):

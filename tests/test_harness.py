@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,10 +10,12 @@ import yaml
 
 import fognet
 from fognet.cli import main
-from fognet.metrics import BYTES_PER_MBPS_MS
+from fognet.dataplane import NetworkState
+from fognet.metrics import BYTES_PER_MBPS_MS, MetricsCollector
 from fognet.scenario import ParseError, ValidationError, load_scenario, parse_scenario
 from fognet.simulation import OUTPUT_FILES, ROW_CHUNK, Simulation, run_scenario, write_rows
-from fognet.topology import InvalidTopology, LinkClass, MissingPoP, loads
+from fognet.topology import InvalidTopology, LinkClass, MissingPoP, build_from_config, loads
+from helpers import two_cluster_doc
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -220,6 +223,43 @@ class TestRunScenario:
         assert record.rejected.get("FogIsolated", 0) > 0 or record.terminated.get("FogIsolated", 0) > 0
         rows = [r for r in sim.cloud.connectivity_rows()]
         assert any("Isolated" in r for r in rows) and any("Connected" in r for r in rows)
+
+
+class TestBackhaulMeter:
+    def test_every_reading_equals_a_fraction_integral(self):
+        """`MetricsCollector` integrates the backhaul rate with int sums
+        only: a whole-unit total, and per denominator a bucket of a
+        Fraction rate's `numerator x ms`, folded when `backhaul_bytes` is
+        read. Fed int and Fraction rates (with many distinct denominators,
+        and some whole Fractions), every reading, between steps and at the
+        end, equals the plain Fraction integral."""
+        net = NetworkState(build_from_config(two_cluster_doc()), [])
+        metrics = MetricsCollector(net)
+        rng = random.Random(28)
+        rate = 0
+        net.load_units = lambda *link_ids: rate
+        expected, now, denominators = F(0), 0, set()
+        for step in range(400):
+            dt = rng.choice([0, rng.randint(1, 5_000)])
+            expected += rate * dt
+            now += dt
+            metrics.advance(now)
+            r = rng.random()
+            if r < 0.3:
+                rate = rng.randint(0, 10**6)
+            elif r < 0.4:
+                rate = F(rng.randint(0, 10**6))
+            else:
+                rate = F(rng.randint(1, 10**9), rng.randint(1, 10**6))
+            denominators.add(F(rate).denominator)
+            metrics.set_backhaul_rate(net)
+            if rng.random() < 0.2:
+                assert metrics.backhaul_bytes == expected * BYTES_PER_MBPS_MS / net.unit, step
+        expected += rate * 777
+        metrics.advance(now + 777)
+        assert metrics.backhaul_bytes == expected * BYTES_PER_MBPS_MS / net.unit
+        assert metrics.backhaul_bytes == expected * BYTES_PER_MBPS_MS / net.unit  # a second read folds nothing
+        assert len(denominators) > 200
 
 
 class TestMobilityScenario:

@@ -1,11 +1,17 @@
-"""A cache-free twin run. Each build of `test_invariants.BUILDS`, and the
+"""A cache-free twin run. Each build of `test_invariants.BUILDS`, the
 first 120 s of the `faults_slicing` benchmark workload at seeds 300 and
-3003, runs twice: once as is, and once with the fog controls' kept
-routing state switched off, so that `FogControl.segment` searches afresh
-and `FogControl.user_template` builds afresh on every call. The six
-OUTPUT_FILES must be byte-identical (McKeeman, "Differential Testing for
-Software", 1998). This covers the state that carries across events: the
-segment memo and the templates, kept across faults and checked on read."""
+3003, and the whole `congested_scale` workload at seeds 16 and 1616,
+runs twice: once as is, and once with the kept state switched off, so
+that `FogControl.segment` searches afresh (bypassing the segment memo and
+the per-end distance maps), `FogControl.user_template` builds afresh on
+every call, and `NetworkState.recompute` runs a full max-min solve over
+a fresh solver index on every call while some link is congested, as
+`helpers.fresh_solve` does. The six OUTPUT_FILES must be byte-identical
+(McKeeman, "Differential Testing for Software", 1998). This covers the
+state that carries across events: the segment memo, the distance maps
+and the templates, kept across faults and checked on read, and the
+solver index with its levels, kept across the recomputes whose changes
+reach no contended link."""
 
 import copy
 import sys
@@ -13,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from fognet.dataplane import NoRoute, constrained_route
+from fognet.dataplane import NetworkState, NoRoute, constrained_route
 from fognet.fogctrl import FogControl
 from fognet.scenario import parse_scenario
 from fognet.simulation import OUTPUT_FILES, Simulation
@@ -23,16 +29,23 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
 
-def _faults_slicing(seed):
+def _workload(name, seed, duration_ms=None):
     def build(tmp_path):
-        doc = copy.deepcopy(workloads.build("faults_slicing", seed))
-        doc["duration_ms"] = 120_000
-        return Simulation(parse_scenario(doc, base_dir=str(workloads.DATA_DIR), name="faults_slicing"))
+        doc = copy.deepcopy(workloads.build(name, seed))
+        if duration_ms is not None:
+            doc["duration_ms"] = duration_ms
+        return Simulation(parse_scenario(doc, base_dir=str(workloads.DATA_DIR), name=name))
 
     return build
 
 
-RUNS = {**BUILDS, "faults_slicing:300": _faults_slicing(300), "faults_slicing:3003": _faults_slicing(3003)}
+RUNS = {
+    **BUILDS,
+    "faults_slicing:300": _workload("faults_slicing", 300, 120_000),
+    "faults_slicing:3003": _workload("faults_slicing", 3003, 120_000),
+    "congested_scale:16": _workload("congested_scale", 16),
+    "congested_scale:1616": _workload("congested_scale", 1616),
+}
 
 
 def fresh_segment(fog, start, end, via_backhaul):
@@ -61,9 +74,17 @@ def test_kept_state_changes_no_output_byte(name, tmp_path, monkeypatch):
         fog._templates.clear()
         return user_template(fog, ctx)
 
+    recompute = NetworkState.recompute
+
+    def fresh_recompute(net):
+        if net._congested:
+            net._fair = None
+        recompute(net)
+
     with monkeypatch.context() as patch:
         patch.setattr(FogControl, "segment", fresh_segment)
         patch.setattr(FogControl, "user_template", fresh_template)
+        patch.setattr(NetworkState, "recompute", fresh_recompute)
         fresh = _outputs(RUNS[name], tmp_path / "fresh")
     assert kept.keys() == fresh.keys()
     for fname in OUTPUT_FILES:
