@@ -185,8 +185,9 @@ class CloudControl:
     def setup_interfog_path(self, spec: FlowSpec) -> FlowDecision:
         """Flow between located users of two fogs (`decide`) hairpinning
         through the cloud gateway: one candidate per pair of halves, source
-        major, a half being a user's template candidate to its own fog's
-        PoP (`fixed_candidates`). It is routable without headroom when some
+        major, a half being a user's kept candidate from one of its Up
+        access options (`access_options`) to its own fog's PoP
+        (`fixed_candidates`). It is routable without headroom when some
         pair, as it is, repeats no node and both fogs have a backhaul Up."""
         src, dst = spec.src.ident, spec.dst.ident
         fa_id, fb_id = self.user_fog[src], self.user_fog[dst]
@@ -203,11 +204,11 @@ class CloudControl:
         setup_ms = fa.control_latency_ms() + fb.control_latency_ms()
 
         src_sub, dst_sub = fa.subscriber(src), fb.subscriber(dst)
-        src_template, dst_template = fa.user_template(src_sub), fb.user_template(dst_sub)
-        if not src_template.options or not dst_template.options:
+        src_options, dst_options = fa.access_options(src_sub), fb.access_options(dst_sub)
+        if not src_options or not dst_options:
             return FlowDecision.rejected(spec.flow_id, RejectReason.NO_COVERAGE, setup_ms=setup_ms)
-        src_halves = fa.fixed_candidates(src, src_template, fa.pop, RouteKind.INTRA_FOG_LOCAL, "cache")
-        dst_halves = fb.fixed_candidates(dst, dst_template, fb.pop, RouteKind.INTRA_FOG_LOCAL, "cache")
+        src_halves = fa.fixed_candidates(src, src_options, fa.pop, RouteKind.INTRA_FOG_LOCAL, "cache")
+        dst_halves = fb.fixed_candidates(dst, dst_options, fb.pop, RouteKind.INTRA_FOG_LOCAL, "cache")
         backhauls = (self._pick_backhaul(fa_id, need), self._pick_backhaul(fb_id, need))
         open_at_zero = all(self._pick_backhaul(fog_id, 0) for fog_id in (fa_id, fb_id))
         gateway = self.net.topology.gateway_id()

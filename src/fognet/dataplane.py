@@ -62,10 +62,10 @@ predicates. A route depends only on link and node health and, for a
 guaranteed rate, on headroom, so fog control memoizes its mesh segments
 between two attachment points, checks each on read against the Down
 set (`down_links`) and on the Ups it hears of through `watch_health`,
-and adds the access hops itself (`FogControl.segment`, `_fill_target`
-and `_candidates`). The WLAN
-control-overhead flows ride the same memo: each AP's flow is its fog's
-segment from the AP to the PoP (`Simulation._route_control_overhead`).
+and adds the access hops itself (`FogControl.segment`,
+`fixed_candidates` and `_candidates`). The WLAN control-overhead flows
+ride the same memo: each AP's flow is its fog's segment from the AP to
+the PoP (`Simulation._route_control_overhead`).
 """
 
 from __future__ import annotations
@@ -225,9 +225,6 @@ class NetworkState:
       `fog_sliceable_units`): `set_link_state`, and `set_node_state`
       through the node's incident links. An unsliced reservation on an
       Up link also moves `_sliceable`.
-    - `_rising` (installed best-effort flows with demand > 0 and at least
-      one link, the flows a solve shares capacity among): `install_flow`
-      and `remove_flow`.
     - `epoch`: bumped by `set_link_state`, `set_node_state` and the
       install or removal of an unsliced GBR flow, the inputs of each
       fog's sliceable capacity (`fog_sliceable_units`) and so of its
@@ -235,11 +232,13 @@ class NetworkState:
       epoch.
       `set_link_state` and `set_node_state` also tell each callback given
       to `watch_health`.
-    - `_fair`: the max-min solver's index of the rising flows, which
-      exists only while some link is congested. The first `recompute()`
-      that finds `_congested` non-empty builds it from `_rising`;
-      `install_flow` and `remove_flow` add and remove rising flows while
-      it exists; the uncongested fast path of `recompute()` drops
+    - `_fair`: the max-min solver's index of the rising flows (installed
+      best-effort flows with demand > 0 and at least one link, the flows
+      a solve shares capacity among), which exists only while some link
+      is congested. The first `recompute()` that finds `_congested`
+      non-empty builds it from a scan of `flows`, in install order;
+      `install_flow` and `remove_flow` add and remove rising flows only
+      while it exists; the uncongested fast path of `recompute()` drops
       it. So a run that never congests never builds one. The index keeps
       the rising flows in rate classes (`engine.RateClass`), keyed by
       demand and by the flow's links that have been in `_congested` at
@@ -287,7 +286,6 @@ class NetworkState:
         }
         self._be_capacity: Dict[str, int] = dict(self._capacity)
         self._unsliced_gbr: Dict[str, int] = {}
-        self._rising: Dict[str, InstalledFlow] = {}
         self._fair: Optional[FairShareIndex] = None
         self._stale = True  # a change since the last solve may move its levels
         self._on_link: Dict[str, Set[str]] = {}
@@ -420,10 +418,8 @@ class NetworkState:
         self.flows[flow.flow_id] = flow
         if gbr > 0:
             self._reserve(flow, gbr)
-        elif want > 0 and flow.links:
-            self._rising[flow.flow_id] = flow
-            if self._fair is not None:
-                self._fair.add(flow)
+        elif self._fair is not None and want > 0 and flow.links:
+            self._fair.add(flow)
         if flow.slice_id is not None:
             self._add_demand(flow, want)
         capacity, congested = self._capacity, self._congested
@@ -442,7 +438,7 @@ class NetworkState:
         gbr, want = flow.gbr_units, flow.rate_units
         if gbr > 0:
             self._reserve(flow, -gbr)
-        elif self._rising.pop(flow_id, None) is not None and self._fair is not None:
+        elif self._fair is not None and want > 0 and flow.links:
             self._fair.remove(flow)
         if flow.slice_id is not None:
             self._add_demand(flow, -want)
@@ -524,7 +520,8 @@ class NetworkState:
             held = self._capacity[lid] - self._be_capacity[lid]
             raise GbrOvercommit(lid, Fraction(held, self.unit), self.topology.links[lid].capacity)
         if fair is None:
-            fair = self._fair = FairShareIndex(self._rising.values())
+            rising = (f for f in self.flows.values() if f.gbr_units == 0 and f.rate_units > 0 and f.links)
+            fair = self._fair = FairShareIndex(rising)
         recompute_fair_shares(fair, self._be_capacity, self._congested)
         self._stale = False
 

@@ -35,18 +35,19 @@ Flows are not registered per slice or per user: the installed flows in
 in its `slice_id`, the source user's, in every fog whose metered links
 its path uses; a user's flows are `NetworkState.flows_at(user)`.
 
-A decision's candidates come from the templates (`UserTemplate`) of its
-user endpoints: each user's access options and its finished candidates
-to the PoP and the gateway, kept per (user, attachment), so a request
-re-derives none of them. A fog-local decision enumerates them in
-`_candidates`; an inter-fog one (`CloudControl.setup_interfog_path`)
-joins each user's candidates to its own fog's PoP through the cloud
-gateway.
+A decision's candidates come from two kept facts of its user endpoints:
+each user's access options under its attachment (`access_options`), a
+topology fact that never goes stale, and the finished candidates from
+each access link to the PoP and the gateway (`fixed_candidates`), kept
+beside the segment memo and by its rule. So a request re-derives none of
+them. A fog-local decision enumerates them in `_candidates`; an
+inter-fog one (`CloudControl.setup_interfog_path`) joins each user's
+candidates to its own fog's PoP through the cloud gateway.
 
-Routes and templates are kept across link and node faults and checked
-on read, not dropped on a change. The check rests on one static fact
-per routing graph (the fog's mesh, or its mesh and backhaul): which of
-its links lie on a cycle of it (`Topology.cyclic_links`); every other
+Routes are kept across link and node faults and checked on read, not
+dropped on a change. The check rests on one static fact per routing
+graph (the fog's mesh, or its mesh and backhaul): which of its links
+lie on a cycle of it (`Topology.cyclic_links`); every other
 link is a bridge. A route is the minimum-hop, lexicographically first
 one, and a Down only removes routes, so a kept route R whose links are
 all Up was the answer and still is, unless a better route P has come
@@ -56,9 +57,11 @@ a cycle, so its Up cleared R. So an Up clears a graph's routes only
 when a link it brings Up is cyclic; an Up of bridges keeps every route
 and drops only the None answers (`_on_health`). A Down bridge on a
 kept route cuts its ends apart, so the answer is None without a
-search. A change costs O(links of the element), and a Down only drops
-the distance maps of the graphs it touches (below); while no link is
-Down, a read checks only counters.
+search. A finished candidate is an access hop and a kept route, so the
+same rule keeps it: it stands while its links are Up, and it is cleared
+with its graph's routes. A change costs O(links of the element), and a
+Down only drops the distance maps of the graphs it touches (below);
+while no link is Down, a read checks nothing.
 
 A route's first fill searches nothing of its own. Per routing graph
 and end, one full BFS of distances to the end (`route_distances`) is
@@ -244,17 +247,18 @@ class FogProfile:
 
 
 class Candidate(NamedTuple):
-    """One way to route a request. A tuple, so that the candidates a
-    template holds can be handed to every request that reads them.
-    So are the records built per request: `Endpoint`, `FlowSpec`,
-    `FlowDecision`, `Attachment`, `FlowPath`, `Event` and `FlowRequest`,
-    immutable like frozen dataclasses but built with no `__setattr__`.
+    """One way to route a request. A tuple, so that the candidates a fog
+    keeps (`FogControl.fixed_candidates`) can be handed to every request
+    that reads them. So are the records built per request: `Endpoint`,
+    `FlowSpec`, `FlowDecision`, `Attachment`, `FlowPath`, `Event` and
+    `FlowRequest`, immutable like frozen dataclasses but built with no
+    `__setattr__`.
 
     `links`, `nodes` and `latency_ms` (the latency summed over `links`)
-    are derived from `hops`. A template's candidates hold them
-    (`finished`); one built for a single request holds None, and only
-    the chosen one's are derived (`FogControl.conclude`, and
-    `FlowPath.nodes` when read)."""
+    are derived from `hops`. A kept candidate holds them (`finished`);
+    one built for a single request holds None, and only the chosen one's
+    are derived (`FogControl.conclude`, and `FlowPath.nodes` when
+    read)."""
 
     label: str
     hops: Tuple[Tuple[str, str], ...]
@@ -285,40 +289,12 @@ def route_nodes(c: Candidate) -> Tuple[str, ...]:
 
 
 class AccessOption(NamedTuple):
-    """One usable access link of a user: its kind, its id, and the node at
-    its far end, where the user's routes join the mesh."""
+    """One provisioned access link of a user: its kind, its id, and the
+    node at its far end, where the user's routes join the mesh."""
 
     kind: str  # "wlan" | "macro"
     link_id: str
     attach: str
-
-
-class UserTemplate(NamedTuple):
-    """What a user's requests share under one attachment: its access
-    options, and per fixed target, keyed (PoP or gateway, label tag), the
-    finished candidates to it, one per access option with a route.
-
-    It holds what `FogControl.user_template` checks on read to tell
-    whether it is still exact. It is while all of these hold:
-
-    - `links`, its option links and the links of every candidate in
-      `fixed`, are all Up (options and routes are kept while Up). It
-      holds them as tuples, the options' and each candidate's own, not
-      as one set, since it is read only while some link is Down;
-    - `dormant`, the user's access links under the attachment that were
-      Down at build, are all still Down (no option has appeared);
-    - `clears`, `FogControl._clears` at build, is unchanged: no Up that
-      closes a cycle has cleared a routing graph's routes since;
-    - per routing graph (via backhaul or not) in `gaps`, where some
-      option had no candidate, no Up has touched that graph since the
-      gap was found (`FogControl._ups`): a route may have appeared."""
-
-    options: Tuple[AccessOption, ...]
-    fixed: Dict[Tuple[str, str], Tuple[Candidate, ...]]
-    links: List[Tuple[str, ...]]
-    dormant: FrozenSet[str]
-    clears: int
-    gaps: Dict[bool, int]
 
 
 class FlowDecision(NamedTuple):
@@ -432,21 +408,22 @@ class FogControl:
     request keeps that route when every hop has headroom
     (`_with_headroom`).
 
-    What does not depend on load is kept per user in a `UserTemplate`,
-    keyed (user, attachment), so a handover needs no hook: the access
-    options, and per PoP or gateway target the finished candidates
-    (`fixed_candidates`), which also serve as the halves of the user's
-    inter-fog paths. A candidate to a peer user is assembled per request
-    from the two users' options and the segment memo, never kept per
-    pair. A template is rebuilt only when a read finds it stale
-    (`user_template`). A request then does only what depends on live
-    load: the headroom and slice tests of a GBR request,
-    `select_candidate` and the install.
+    What does not depend on load is kept, so a request re-derives none
+    of it: each user's access options per (user, attachment), every
+    provisioned access link Up or not (`access_options`), so a handover
+    needs no hook; and per graph the finished candidate from each access
+    link to the PoP or gateway of each label tag (`fixed_candidates`),
+    which also serve as the halves of the user's inter-fog paths. A
+    candidate to a peer user is assembled per request from the two
+    users' options and the segment memo, never kept per pair. A request
+    then does only what depends on live load: the headroom and slice
+    tests of a GBR request, `select_candidate` and the install.
 
     A link or node state change reaches `_on_health`, which keeps the
-    memo exact in O(links of the element) by the static cyclic-link rule
-    of the module docstring, and drops the distance maps of each graph
-    it touches; it scans no route and no template.
+    memo and the kept candidates exact in O(links of the element) by the
+    static cyclic-link rule of the module docstring, and drops the
+    distance maps of each graph it touches; it scans no route and no
+    candidate.
     """
 
     def __init__(
@@ -481,14 +458,15 @@ class FogControl:
         self._down = net.down_links()
         # per routing graph, indexed by via backhaul: its links, its memo
         # (start, end) -> route or None, its BFS distance maps end -> (node
-        # -> hops to end), the keys answered None, and the Ups that touched it
+        # -> hops to end), the keys answered None, and its finished
+        # candidates (access link, label tag) -> candidate
         self._allowed = (self.domain.mesh, self.domain.mesh | self.domain.backhaul_ids)
         self._routes: List[Dict[Tuple[str, str], Optional[Tuple[Tuple[str, str], ...]]]] = [{}, {}]
         self._dists: List[Dict[str, Dict[str, int]]] = [{}, {}]
         self._unroutable: List[List[Tuple[str, str]]] = [[], []]
-        self._ups = [0, 0]
-        self._clears = 0  # Ups that cleared a graph's routes
-        self._templates: Dict[Tuple[str, Attachment], UserTemplate] = {}
+        self._cands: List[Dict[Tuple[str, str], Candidate]] = [{}, {}]
+        # (user, attachment) -> every provisioned access option, Up or not
+        self._access: Dict[Tuple[str, Attachment], Tuple[AccessOption, ...]] = {}
         net.watch_health(self._on_health)
 
     # -- subscribers ----------------------------------------------------------
@@ -585,20 +563,26 @@ class FogControl:
 
     # -- candidate construction -----------------------------------------------
 
-    def access_links(self, user_id: str, attachment: Attachment) -> List[Tuple[str, Link]]:
-        """The user's access links usable under `attachment`, by kind, Up
-        or not; its access options are those Up."""
-        topo = self.net.topology
-        out: List[Tuple[str, Link]] = []
-        if attachment.wlan_cluster is not None:
-            link = topo.wlan_link(user_id, attachment.wlan_cluster)
-            if link is not None:
-                out.append(("wlan", link))
-        if attachment.macro:
-            link = topo.macro_link(user_id)
-            if link is not None:
-                out.append(("macro", link))
-        return out
+    def access_options(self, sub: Subscriber) -> Tuple[AccessOption, ...]:
+        """The Up access options of the subscriber `sub` under its current
+        attachment, WLAN first. Every access link provisioned under an
+        attachment is kept per (user, attachment), Up or not: a topology
+        fact, which never goes stale. A read filters out the Down ones."""
+        key = (sub.user_id, sub.attachment)
+        options = self._access.get(key)
+        if options is None:
+            topo, user, attachment = self.net.topology, sub.user_id, sub.attachment
+            links = []
+            if attachment.wlan_cluster is not None:
+                links.append(("wlan", topo.wlan_link(user, attachment.wlan_cluster)))
+            if attachment.macro:
+                links.append(("macro", topo.macro_link(user)))
+            options = tuple(AccessOption(kind, link.id, link.other(user)) for kind, link in links if link is not None)
+            self._access[key] = options
+        down = self._down
+        if down:
+            return tuple(option for option in options if option.link_id not in down)
+        return options
 
     def _with_headroom(self, hops, src: str, dst: str, need: int, include_backhaul: bool):
         """The candidate route `hops` from `src` to `dst` given `need`
@@ -667,12 +651,11 @@ class FogControl:
         there: the link itself, or a node's incident links. Any change that
         touches a graph, Down or Up, drops its distance maps, since the
         usable links they were searched over have changed. Beyond that a
-        Down changes nothing kept: reads check routes against the Down set.
-        If a link an Up touches lies on a cycle of the graph, its routes
-        are cleared (and `_clears` counts it, which stales every template);
-        else every route is kept and only its None answers are dropped.
-        Either way `_ups` counts the Up for the graph, which stales a
-        template with an option that had no candidate in it."""
+        Down changes nothing kept: reads check routes and candidates
+        against the Down set. If a link an Up touches lies on a cycle of
+        the graph, its routes and its finished candidates are cleared; else
+        every route and candidate is kept and only the None answers are
+        dropped (no candidate is kept for them)."""
         topo = self.net.topology
         touched = topo.adjacency().get(element, [])
         if element in topo.links:
@@ -684,14 +667,13 @@ class FogControl:
             self._dists[via_backhaul].clear()
             if not up:
                 continue
-            self._ups[via_backhaul] += 1
             if topo.cyclic_links(self.fog_id, bool(via_backhaul)).isdisjoint(hit):
                 routes = self._routes[via_backhaul]
                 for key in self._unroutable[via_backhaul]:
                     del routes[key]
             else:
                 self._routes[via_backhaul] = {}
-                self._clears += 1
+                self._cands[via_backhaul] = {}
             self._unroutable[via_backhaul] = []
 
     def slice_gbr_ok(self, slice_id: Optional[str], links: List[str], need: int) -> bool:
@@ -719,93 +701,62 @@ class FogControl:
                 return False
         return True
 
-    def user_template(self, sub: Subscriber) -> UserTemplate:
-        """The template of the subscriber `sub` under its current
-        attachment: kept while a read finds it exact (`UserTemplate`), else
-        built afresh, its access options read on build."""
-        key = (sub.user_id, sub.attachment)
-        template = self._templates.get(key)
-        if template is not None and template.clears == self._clears:
-            down = self._down
-            if (
-                (not down or all(map(down.isdisjoint, template.links)))
-                and (not template.dormant or template.dormant <= down)
-                and (not template.gaps or all(self._ups[via] == n for via, n in template.gaps.items()))
-            ):
-                return template
-        user = sub.user_id
-        options, dormant = [], []
-        for kind, link in self.access_links(user, sub.attachment):
-            if self.net.effective_up(link.id):
-                options.append(AccessOption(kind, link.id, link.other(user)))
-            else:
-                dormant.append(link.id)
-        links = [tuple(option.link_id for option in options)]
-        template = UserTemplate(tuple(options), {}, links, frozenset(dormant), self._clears, {})
-        self._templates[key] = template
-        return template
-
-    def _fill_target(
-        self, src: str, options: Tuple[AccessOption, ...], end: str, rat: RouteKind, tag: str
-    ) -> Tuple[Candidate, ...]:
-        """The finished candidates from the user `src` with the access
-        `options` to the PoP or gateway `end`, one per option with a route,
-        labelled `tag(kind)`."""
+    def fixed_candidates(
+        self, user: str, options: Tuple[AccessOption, ...], end: str, rat: RouteKind, tag: str
+    ) -> List[Candidate]:
+        """The finished candidates labelled `tag(kind)` from `user` over its
+        Up access `options` to the PoP or gateway `end`, one per option
+        with a route. Each is kept per graph and (access link, tag), as an
+        access link has one user, and reused while none of its links is
+        Down. Else the option's segment is read (`segment`): across a Down
+        bridge it answers None, and the candidate is kept for when the
+        bridge comes back; around a Down cyclic link it searches again, and
+        the candidate is finished anew. `_on_health` clears a graph's
+        candidates with its routes. A user's candidates to its PoP serve
+        both its cache hits and the user's half of its inter-fog paths."""
         via_backhaul = rat == RouteKind.CLOUD_BOUND
-        topology_links = self.net.topology.links
+        kept = self._cands[via_backhaul]
+        down = self._down
         out = []
         for kind, link_id, attach in options:
-            segment = self.segment(attach, end, via_backhaul)
-            if segment is not None:
-                hops = ((src, link_id), *segment)
-                out.append(finished(f"{tag}({kind})", hops, end, rat, ((src, kind),), topology_links))
-        return tuple(out)
-
-    def fixed_candidates(
-        self, user: str, template: UserTemplate, end: str, rat: RouteKind, tag: str
-    ) -> Tuple[Candidate, ...]:
-        """The finished candidates labelled `tag(kind)` from `user`, whose
-        template is `template`, to the PoP or gateway `end`, filled on first
-        use (`_fill_target`), which adds their links to the template's and,
-        when some option has no route, a gap in the graph. A user's entry
-        to its PoP serves both its cache hits and the user's half of its
-        inter-fog paths."""
-        found = template.fixed.get((end, tag))
-        if found is None:
-            found = template.fixed[(end, tag)] = self._fill_target(user, template.options, end, rat, tag)
-            template.links.extend(c.links for c in found)
-            if len(found) < len(template.options):
-                via_backhaul = rat == RouteKind.CLOUD_BOUND
-                template.gaps.setdefault(via_backhaul, self._ups[via_backhaul])
-        return found
+            key = (link_id, tag)
+            c = kept.get(key)
+            if c is None or down and not down.isdisjoint(c.links):
+                segment = self.segment(attach, end, via_backhaul)
+                if segment is None:
+                    continue
+                hops = ((user, link_id), *segment)
+                c = kept[key] = finished(f"{tag}({kind})", hops, end, rat, ((user, kind),), self.net.topology.links)
+            out.append(c)
+        return out
 
     def _candidates(
         self,
         src: str,
-        template: UserTemplate,
-        targets: List[Tuple[str, RouteKind, Union[str, UserTemplate]]],
+        options: Tuple[AccessOption, ...],
+        targets: List[Tuple[str, RouteKind, Union[str, Tuple[AccessOption, ...]]]],
         need: int,
         slice_id: Optional[str],
     ) -> Tuple[List[Candidate], bool]:
-        """The admissible candidates from the user `src`, in order, and
-        whether any was routable without headroom. Each target is (end,
-        kind, peer): `peer` is the template of a user `end` (labels
-        `wlan+macro`), or a tag for the PoP or gateway (labels
-        `tag(wlan)`). There is one candidate per target, access option of
-        `src` and, for a user peer, access option of the peer, in that
-        order. Candidates to the PoP or gateway come from `src`'s
-        template (`fixed_candidates`); those to a user are assembled
-        here. Each is admitted given headroom (`_with_headroom`) and
-        entitlement (`slice_gbr_ok`)."""
+        """The admissible candidates from the user `src`, whose Up access
+        options are `options`, in order, and whether any was routable
+        without headroom. Each target is (end, kind, peer): `peer` is the
+        Up access options of a user `end` (labels `wlan+macro`), or a tag
+        for the PoP or gateway (labels `tag(wlan)`). There is one
+        candidate per target, access option of `src` and, for a user
+        peer, access option of the peer, in that order. Candidates to the
+        PoP or gateway are the kept ones (`fixed_candidates`); those to a
+        user are assembled here. Each is admitted given headroom
+        (`_with_headroom`) and entitlement (`slice_gbr_ok`)."""
         out: List[Candidate] = []
         structural = False
         for end, rat, peer in targets:
             if isinstance(peer, str):
-                found = self.fixed_candidates(src, template, end, rat, peer)
+                found = self.fixed_candidates(src, options, end, rat, peer)
             else:
                 found = []
-                for skind, slink, sattach in template.options:
-                    for dkind, dlink, dattach in peer.options:
+                for skind, slink, sattach in options:
+                    for dkind, dlink, dattach in peer:
                         if src == end:  # a flow to oneself takes no hop
                             hops, used = (), ((end, dkind),)
                         else:
@@ -857,16 +808,16 @@ class FogControl:
 
         src, dst = spec.src.ident, spec.dst.ident
         sub = self.subscribers[src]  # found by `classify_flow`
-        template = self.user_template(sub)
-        if not template.options:
+        options = self.access_options(sub)
+        if not options:
             return reject(RejectReason.NO_COVERAGE)
 
         note = ""
         mobile_of = {src: sub.mobile}
         if spec.dst.kind == EndpointKind.USER:  # this fog's user, as `is_local_flow` found
             peer_sub = self.subscribers[dst]
-            peer = self.user_template(peer_sub)
-            if not peer.options:
+            peer = self.access_options(peer_sub)
+            if not peer:
                 return reject(RejectReason.NO_COVERAGE)
             targets = [(dst, RouteKind.INTRA_FOG_LOCAL, peer)]
             mobile_of[dst] = peer_sub.mobile
@@ -892,7 +843,7 @@ class FogControl:
         else:  # pragma: no cover - enum is closed
             raise UnknownEndpoint(str(spec.dst))
 
-        candidates, structural = self._candidates(src, template, targets, grant.units, slice_id)
+        candidates, structural = self._candidates(src, options, targets, grant.units, slice_id)
         return self.conclude(
             spec, candidates, structural, (grant, slice_id), setup_ms,
             prefer_local=local, mobile_of=mobile_of, note=note,

@@ -277,6 +277,13 @@ def install(net, fid, links, demand, gbr=0):
     return flow
 
 
+def rising_ids(net):
+    """The ids of `net`'s rising flows, recounted from its installed flows
+    in install order: best effort, with demand > 0 and at least one link,
+    the flows its solver index holds while some link is congested."""
+    return [fid for fid, f in net.flows.items() if not f.gbr_units and f.rate_units > 0 and f.links]
+
+
 def fresh_solve(net, links):
     """What `net` reads, while some link is congested, from a solve over a
     solver index built fresh from its rising flows, as the first

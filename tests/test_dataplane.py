@@ -21,7 +21,7 @@ from fognet.dataplane import (
 from fognet.fogctrl import Attachment, Endpoint, FlowDecision, FlowSpec
 from fognet.topology import LINK_TO_RESOURCE, LinkClass, ResourceClass, build_from_config
 from fognet.workload import FlowRequest
-from helpers import flow_units, fresh_solve, two_cluster_doc, wired_fogs
+from helpers import flow_units, fresh_solve, rising_ids, two_cluster_doc, wired_fogs
 from oracles import FlowRates, OracleFlow, ReferenceLru, best_path, enumerate_simple_paths, maxmin_oracle
 
 F = Fraction
@@ -285,7 +285,7 @@ class TestKeptFairShareIndex:
                 if fair is not None and not gbr and demand:
                     # read before the solve: the new flow is in the index but has no rate
                     seen.add("unsolved")
-                    assert len(fair) == len(net._rising)
+                    assert len(fair) == len(rising_ids(net))
                     assert net.allocated(new.flow_id) == 0
                     for lid in capacity:
                         assert net.load_units(lid) == per_link[lid]
@@ -294,9 +294,9 @@ class TestKeptFairShareIndex:
             congested = bool(net._congested)
             assert (net._fair is not None) == congested
             if congested:
-                assert len(net._fair) == len(net._rising)
+                assert len(net._fair) == len(rising_ids(net))
                 assert fresh_solve(net, capacity) == (
-                    len(net._rising),
+                    len(rising_ids(net)),
                     {fid: net.allocated(fid) for fid in net.flows},
                     {lid: net.load_units(lid) for lid in capacity},
                 )
@@ -412,11 +412,11 @@ class TestNonDecimalRates:
         net.install_flow(flow(net, "tenth", path, demand=F(1, 10), gbr=F(1, 10)))
         net.install_flow(flow(net, "tenth-be", path, demand=F(3, 10)))
         assert [(f.gbr_units, f.rate_units) for f in net.flows.values()] == [(1, 1), (0, 3)]
-        before = (dict(net.flows), dict(net._offered), dict(net._be_capacity), dict(net._rising))
+        before = (dict(net.flows), dict(net._offered), dict(net._be_capacity), rising_ids(net))
         for fid, gbr in (("third-be", F(0)), ("third-gbr", F(1, 3))):
             with pytest.raises(ValueError, match=r"^rate 1/3 is not a whole number of 1/10 Mb/s$"):
                 net.install_flow(flow(net, fid, path, demand=F(1, 3), gbr=gbr))
-            assert (net.flows, net._offered, net._be_capacity, net._rising) == before
+            assert (net.flows, net._offered, net._be_capacity, rising_ids(net)) == before
         net.remove_flow("tenth-be")
         assert net._offered == {lid: 1 for _, lid in path}
         net.remove_flow("tenth")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fognet.engine import Engine, Event, EventKind, SchedulingInPast
-from helpers import bare_net, fresh_solve, install
+from helpers import bare_net, fresh_solve, install, rising_ids
 from oracles import OracleFlow, maxmin_oracle
 
 F = Fraction
@@ -173,7 +173,7 @@ class TestFairShares:
                 set(net._congested),
                 dict(net._be_capacity),
                 dict(net._unsliced_gbr),
-                dict(net._rising),
+                rising_ids(net),
                 net.epoch,
                 net._fair,
                 len(net._fair),
@@ -381,7 +381,7 @@ class TestFairShareIndex:
     def test_random_adds_and_removes_solve_as_a_fresh_index(self):
         """Through installs and removals on a bare network, the solver index
         that `NetworkState` keeps holds exactly the rising flows (`len()`)
-        and solves as one built fresh from `_rising`: every flow's exact
+        and solves as one built fresh from them: every flow's exact
         rate and every link's total agree. Every rate equals the oracle's.
         `_congested`, the links a solve lets bind, equals a recount of the
         links whose rising flows want more than the capacity net of
@@ -439,7 +439,7 @@ class TestFairShareIndex:
                     if net._fair is not None and not gbr and demand and path:
                         # read before the solve: the new flow is in the index but has no rate
                         kinds.add("unsolved")
-                        assert len(net._fair) == len(net._rising)
+                        assert len(net._fair) == len(rising_ids(net))
                         assert net.allocated(new.fid) == 0
                         for lid in links:
                             assert net.load_units(lid) == per_link[lid]

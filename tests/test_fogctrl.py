@@ -1,12 +1,12 @@
 import copy
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from fognet import fogctrl
 from fognet.cloudctrl import CloudControl
 from fognet.dataplane import FlowPath, InstalledFlow, NetworkState, NoRoute, RouteKind, constrained_route
 from fognet.fogctrl import (
@@ -44,7 +44,7 @@ from helpers import (
 )
 from oracles import controller_oracle
 from test_golden import _two_fog_sim
-from test_invariants import _mesh_cycle_topology
+from test_invariants import _mesh_cycle_sim, _mesh_cycle_topology
 
 F = Fraction
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -684,19 +684,20 @@ class TestRouteMemo:
 
 
 class TestTemplates:
-    """Candidates built from the per-user templates (`FogControl._candidates`
-    over `user_template`) against a fresh enumeration: from-scratch routes,
-    read on a fog control that holds no template and no segment memo.
-    Random handovers, link and node flips, Up-heavy steps that restore
-    everything Down one element at a time, best-effort and GBR installs
-    (inter-fog ones too) and removals run between the checks. The
-    `diamond` case has routes of equal length, so a tie that a kept route
-    or template resolves wrongly shows."""
+    """Candidates built from the kept access options and finished
+    candidates (`FogControl._candidates` over `access_options` and
+    `fixed_candidates`) against a fresh enumeration: from-scratch routes,
+    read on a fog control that keeps no option, no candidate and no
+    segment memo. Random handovers, link and node flips, Up-heavy steps
+    that restore everything Down one element at a time, best-effort and
+    GBR installs (inter-fog ones too) and removals run between the checks.
+    The `diamond` case has routes of equal length, so a tie that a kept
+    route or candidate resolves wrongly shows."""
 
     @staticmethod
     def twin(fog):
         """A fog control over the same network, users and slices, with no
-        template, no segment memo and a copy of the cache."""
+        kept option, candidate or segment and a copy of the cache."""
         manager = fog.slice_manager
         twin = FogControl(
             fog.fog_id, fog.profile, fog.net, [manager.spec(sid) for sid in manager.slice_ids()], fog.cloud
@@ -708,9 +709,12 @@ class TestTemplates:
 
     @staticmethod
     def options(fog, user):
-        """The user's Up access links under its current attachment, by kind."""
-        links = fog.access_links(user, fog.subscriber(user).attachment)
-        return [(kind, link) for kind, link in links if fog.net.effective_up(link.id)]
+        """The user's Up access links under its current attachment, by
+        kind, WLAN first."""
+        topo, attachment = fog.net.topology, fog.subscriber(user).attachment
+        links = [("wlan", attachment.wlan_cluster and topo.wlan_link(user, attachment.wlan_cluster))]
+        links.append(("macro", attachment.macro and topo.macro_link(user)))
+        return [(kind, link) for kind, link in links if link and fog.net.effective_up(link.id)]
 
     @staticmethod
     def fresh_candidates(fog, users, src, targets, need, slice_id):
@@ -752,30 +756,31 @@ class TestTemplates:
                         else:
                             unrefused = expected[0]
                         built = [
-                            (end, rat, fog.user_template(fog.subscriber(peer)) if peer in users else peer)
+                            (end, rat, fog.access_options(fog.subscriber(peer)) if peer in users else peer)
                             for end, rat, peer in targets
                         ]
-                        got, structural = fog._candidates(src, fog.user_template(sub), built, units, slice_id)
+                        got, structural = fog._candidates(src, fog.access_options(sub), built, units, slice_id)
                         assert ([(c.label, c.hops) for c in got], structural) == expected, (src, targets, units)
                         counts["checked"] += 1
                         counts["candidates"] += len(got)
-        for fog in fogs.values():
-            for template in fog._templates.values():
-                assert isinstance(template.options, tuple)
-                links = set().union(*template.links)
-                assert {option.link_id for option in template.options} <= links
-                for (end, _), found in template.fixed.items():
-                    assert end in (fog.pop, gateway)
-                    for c in found:
-                        assert isinstance(c, tuple) and isinstance(c.hops, tuple) and isinstance(c.access_used, tuple)
-                        assert all(isinstance(hop, tuple) for hop in c.hops)
-                        assert c.links == tuple(lid for _, lid in c.hops)
-                        assert c.nodes == tuple(n for n, _ in c.hops) + (c.end,)
-                        assert c.latency_ms == sum(topo.links[lid].latency_ms for lid in c.links)
-                        assert set(c.links) <= links
-                        with pytest.raises(AttributeError):
-                            c.label = "changed"
-                        counts["templated"] += 1
+            for via, kept in enumerate(fog._cands):
+                end = gateway if via else fog.pop
+                for (link_id, tag), c in kept.items():
+                    assert tag in (("fetch", "egress") if via else ("cache",)), tag
+                    assert isinstance(c, tuple) and isinstance(c.hops, tuple) and isinstance(c.access_used, tuple)
+                    assert all(isinstance(hop, tuple) for hop in c.hops)
+                    ((user, kind),) = c.access_used
+                    assert (c.label, c.hops[0], c.end) == (f"{tag}({kind})", (user, link_id), end)
+                    assert c.links == tuple(lid for _, lid in c.hops)
+                    assert c.nodes == tuple(n for n, _ in c.hops) + (c.end,)
+                    assert c.latency_ms == sum(topo.links[lid].latency_ms for lid in c.links)
+                    with pytest.raises(AttributeError):
+                        c.label = "changed"
+                    if all(map(fog.net.effective_up, c.links)):
+                        # standing, under any attachment: its access hop and the twin's fresh segment
+                        segment = fresh.segment(topo.links[link_id].other(user), end, bool(via))
+                        assert c.hops == ((user, link_id), *segment), (link_id, tag)
+                        counts["kept"] += 1
 
     def request(self, env, fogs, spec, counts):
         """Decide `spec` on fresh twins, take that flow out again, then
@@ -853,8 +858,63 @@ class TestTemplates:
             elif net.flows:
                 net.remove_flow(rng.choice(sorted(net.flows)))
             self.check_candidates(topo, fogs, net.units(rng.choice(gbrs)), counts)
-        assert min(counts[k] for k in ("handover", "accepted", "templated", "refused", "GbrAdmissionFail")) > 0, counts
+        assert min(counts[k] for k in ("handover", "accepted", "kept", "refused", "GbrAdmissionFail")) > 0, counts
         assert counts["up"] > 5, counts
+
+
+class TestKeptCandidates:
+    """A finished candidate is kept by the segment memo's rule
+    (`FogControl.fixed_candidates`): across a Down bridge, and until an Up
+    of a cyclic link clears its graph."""
+
+    @staticmethod
+    def to_pop(fog, user, options):
+        return fog.fixed_candidates(user, options, fog.pop, RouteKind.INTRA_FOG_LOCAL, "cache")
+
+    def test_kept_across_a_bridge_fault(self, monkeypatch):
+        """Take Down a bridge on a finished candidate's segment: reads give
+        no candidate. After the Up the same object returns, with no
+        finish."""
+        env = FogEnv()
+        fog = env.fog
+        user = next(u for u in sorted(fog.subscribers) if fog.subscriber(u).attachment.wlan_cluster)
+        wlan = fog.access_options(fog.subscriber(user))[:1]
+        (kept,) = self.to_pop(fog, user, wlan)
+        bridges = [lid for lid in kept.links[1:] if lid not in env.topo.cyclic_links("fog1", False)]
+        finishes = []
+        monkeypatch.setattr(fogctrl, "finished", lambda *args: finishes.append(args))
+        for bridge in bridges:
+            env.net.set_link_state(bridge, False)
+            assert fog.segment(wlan[0].attach, fog.pop, False) is None
+            assert self.to_pop(fog, user, wlan) == []
+            env.net.set_link_state(bridge, True)
+            assert self.to_pop(fog, user, wlan)[0] is kept
+        assert bridges and not finishes, bridges
+
+    def test_cyclic_up_clears_kept_candidates(self):
+        """On the mesh-cycle build, a Down cyclic link detours the kept
+        candidates across it, finished anew; its Up empties the graph's
+        kept candidates, and the next reads match the fresh enumeration."""
+        env = FogEnv(doc=_mesh_cycle_topology())
+        fog, net = env.fog, env.net
+        users = sorted(fog.subscribers)
+
+        def read(user):
+            return [(c.label, c.hops) for c in self.to_pop(fog, user, fog.access_options(fog.subscriber(user)))]
+
+        def fresh(user):
+            targets = [(fog.pop, RouteKind.INTRA_FOG_LOCAL, "cache")]
+            return TestTemplates.fresh_candidates(fog, set(users), user, targets, 0, None)[0]
+
+        assert [read(u) for u in users] == [fresh(u) for u in users]
+        crossing = {c for c in fog._cands[False].values() if "mmc1-mmc3" in c.links}
+        assert crossing and "mmc1-mmc3" in env.topo.cyclic_links("fog1", False)
+        net.set_link_state("mmc1-mmc3", False)
+        assert [read(u) for u in users] == [fresh(u) for u in users]
+        assert crossing.isdisjoint(fog._cands[False].values()) and fog._cands[False]
+        net.set_link_state("mmc1-mmc3", True)
+        assert fog._cands[False] == {}
+        assert [read(u) for u in users] == [fresh(u) for u in users]
 
 
 def cache_churn_doc(faults: bool) -> dict:
@@ -901,97 +961,111 @@ def voip_doc() -> dict:
 
 
 class TestTemplateReuse:
-    """The templates must keep hitting, and must not grow with user pairs.
-    Between two link or node state changes, the access options are read
-    (`access_links`) at most once per (user, attachment) and
-    `_fill_target` runs at most once per (user, attachment, target),
-    inter-fog requests included. The live target entries stay within users
-    x targets, and each targets the PoP or the gateway, never a user. A
-    template that a change does not touch is the same object after it."""
+    """The kept options and candidates must keep hitting, and must not
+    grow with user pairs. Over a whole run each user's access options are
+    built (`access_options`) at most once per (user, attachment), and each
+    (access link, tag) is finished at most once between two changes that
+    touch a cyclic link of its graph: the Ups that clear the graph's
+    routes and candidates, and the Downs that detour its routes. A
+    graph's kept candidates target the PoP or the gateway, never a user,
+    and stay within access links x 3 tags. A change keeps every candidate
+    of a graph it does not clear, as the same object."""
 
     @staticmethod
-    def untouched(fog, template, element, up):
-        """Whether the state change of `element` leaves the current
-        `template` exact by the rule it is checked by (`UserTemplate`)."""
+    def check_kept(fog):
+        """Each kept candidate's key is an access link of a user of the fog
+        and a tag of its graph; returns how many are kept, and the bound."""
         topo = fog.net.topology
-        touched = set(topo.adjacency().get(element, ())) | ({element} if element in topo.links else set())
-        if touched & set().union(*template.links) or (up and touched & template.dormant):
-            return False
-        graphs = (fog.domain.mesh, fog.domain.mesh | fog.domain.backhaul_ids)
-        for via, graph in enumerate(graphs):
-            if up and touched & graph and (via in template.gaps or touched & topo.cyclic_links(fog.fog_id, bool(via))):
-                return False
-        return True
+        access = {link.id for user in fog.subscribers for link in topo.access_links(user)}
+        for via, kept in enumerate(fog._cands):
+            for link_id, tag in kept:
+                assert link_id in access and tag in (("fetch", "egress") if via else ("cache",)), (link_id, tag)
+        return sum(map(len, fog._cands)), len(access) * 3
 
     def run_counted(self, make_sim, monkeypatch):
-        calls = {"options": Counter(), "fills": Counter()}
-        worst = Counter()
-        live = {"most": 0, "users": 0}
-        access_links, fill_target = FogControl.access_links, FogControl._fill_target
+        calls = {"options": Counter(), "finishes": Counter()}
+        worst, health, most = Counter(), Counter(), Counter()
+        access_options, finish = FogControl.access_options, fogctrl.finished
+        snapshots = []
 
         def count(kind, key):
             calls[kind][key] += 1
             worst[kind] = max(worst[kind], calls[kind][key])
 
-        def counted_options(fog, user_id, attachment):
-            count("options", (fog.fog_id, user_id, attachment))
-            return access_links(fog, user_id, attachment)
+        def counted_options(fog, sub):
+            if (sub.user_id, sub.attachment) not in fog._access:
+                count("options", (fog.fog_id, sub.user_id, sub.attachment))
+            return access_options(fog, sub)
 
-        def counted_fill(fog, src, options, end, rat, tag):
-            count("fills", (fog.fog_id, src, fog.subscriber(src).attachment, end, tag))
-            assert end in (fog.pop, fog.net.topology.gateway_id()), end
-            live["most"] = max(live["most"], 1 + sum(len(t.fixed) for t in fog._templates.values()))
-            live["users"] = max(live["users"], len(fog.subscribers))
-            return fill_target(fog, src, options, end, rat, tag)
+        def counted_finish(label, hops, end, rat, access_used, topology_links):
+            topo = sim.net.topology  # the simulation built below
+            (user, link_id), via = hops[0], rat == RouteKind.CLOUD_BOUND
+            fog = sim.fogs[topo.fog_of(user)]
+            assert end == (topo.gateway_id() if via else fog.pop), (end, rat)
+            count("finishes", (fog.fog_id, via, link_id, label.split("(")[0]))
+            return finish(label, hops, end, rat, access_used, topology_links)
 
-        monkeypatch.setattr(FogControl, "access_links", counted_options)
-        monkeypatch.setattr(FogControl, "_fill_target", counted_fill)
+        monkeypatch.setattr(FogControl, "access_options", counted_options)
+        monkeypatch.setattr(fogctrl, "finished", counted_finish)
         sim = make_sim()
-        health = Counter()
+        fogs = list(sim.fogs.values())
 
-        def on_health(element, up):
-            """A new interval. Runs after each fog's `_on_health`. Every
-            template it leaves in a fog was exact when the change came, as
-            it read them all at the last change and a template built since
-            was exact when built."""
+        def before(element, up):
+            snapshots[:] = [[dict(kept) for kept in fog._cands] for fog in fogs]
+
+        def after(element, up):
+            """A new interval for each graph whose cyclic links the change
+            touches. Runs after each fog's `_on_health`."""
             health["changes"] += 1
-            for counter in calls.values():
-                counter.clear()
-            for fog in sim.fogs.values():
-                for (user, attachment), template in list(fog._templates.items()):
-                    sub = replace(fog.subscriber(user), attachment=attachment)
-                    if self.untouched(fog, template, element, up):
-                        assert fog.user_template(sub) is template, (element, up, user, attachment)
-                        health["kept"] += 1
-                    else:
-                        fog.user_template(sub)
+            topo = sim.net.topology
+            touched = set(topo.adjacency().get(element, ())) | ({element} if element in topo.links else set())
+            for fog, snapshot in zip(fogs, snapshots):
+                for via, was in enumerate(snapshot):
+                    kept = fog._cands[via]
+                    if touched & topo.cyclic_links(fog.fog_id, bool(via)):
+                        for key in [key for key in calls["finishes"] if key[:2] == (fog.fog_id, bool(via))]:
+                            del calls["finishes"][key]
+                        if up:
+                            assert kept == {}, (element, via)
+                            health["cleared"] += bool(was)
+                            continue
+                    assert kept.keys() == was.keys() and all(kept[key] is c for key, c in was.items()), element
+                    health["kept"] += len(was)
 
-        sim.net.watch_health(on_health)
+        sim.net._health_watchers.insert(0, before)
+        sim.net.watch_health(after)
         sim.run()
-        return sim, worst, live, health
+        for fog in fogs:
+            size, bound = self.check_kept(fog)
+            most["kept"], most["bound"] = max(most["kept"], size), max(most["bound"], bound)
+            assert size <= bound, (fog.fog_id, size, bound)
+        return sim, worst, most, health
 
     @pytest.mark.parametrize("faults", [False, True], ids=["steady", "faults"])
     def test_cache_churn_fills_once_per_interval(self, faults, monkeypatch):
         doc = cache_churn_doc(faults)
         sim, worst, _, health = self.run_counted(lambda: Simulation(parse_scenario(doc)), monkeypatch)
         requests = sim.fogs["fog1"].cache.lookups
-        assert requests > 3000 and worst["options"] == 1 and worst["fills"] == 1, (requests, worst)
+        assert requests > 3000 and worst["options"] == 1 and worst["finishes"] == 1, (requests, worst)
         assert (health["changes"] > 0) == faults and (health["kept"] > 0) == faults, health
 
-    def test_voip_templates_stay_per_user(self, monkeypatch):
-        sim, worst, live, _ = self.run_counted(lambda: Simulation(parse_scenario(voip_doc())), monkeypatch)
-        targets = 3  # the PoP for a cache hit, the gateway to fetch and to egress
-        assert worst["options"] == 1 and worst["fills"] == 1, worst
-        assert 0 < live["most"] <= live["users"] * targets, live
-        fog = sim.fogs["fog1"]
-        assert len(fog._templates) <= live["users"], len(fog._templates)
-        ends = [end for t in fog._templates.values() for end, _ in t.fixed]
-        assert len(ends) <= live["users"] * targets and set(ends) <= {fog.pop, fog.net.topology.gateway_id()}
+    def test_voip_candidates_stay_per_access_link(self, monkeypatch):
+        _, worst, most, _ = self.run_counted(lambda: Simulation(parse_scenario(voip_doc())), monkeypatch)
+        assert worst["options"] == 1 and worst["finishes"] == 1, worst
+        assert 0 < most["kept"] <= most["bound"], most
+
+    def test_mesh_cycle_finishes_once_per_interval(self, monkeypatch, tmp_path):
+        """Cluster power faults on the mesh-cycle build take cyclic links
+        Down and Up: the Ups clear kept candidates, and still no candidate
+        is finished twice in one interval."""
+        _, worst, _, health = self.run_counted(lambda: _mesh_cycle_sim(tmp_path), monkeypatch)
+        assert worst["options"] == 1 and worst["finishes"] == 1, worst
+        assert health["cleared"] > 0 and health["kept"] > 0, health
 
     def test_interfog_halves_come_from_the_pop_entry(self, monkeypatch, tmp_path):
-        """An inter-fog request reads each user's half from the user's PoP
-        entry, the one its cache hits read, so it fills that entry at most
-        once between health changes too, and later requests reuse it."""
+        """An inter-fog request reads each user's half from the user's
+        candidates to its PoP, the ones its cache hits read, so it finishes
+        each at most once per interval too, and later requests reuse it."""
         reads, inside = Counter(), []
         setup, fixed = CloudControl.setup_interfog_path, FogControl.fixed_candidates
 
@@ -1003,16 +1077,17 @@ class TestTemplateReuse:
             finally:
                 inside.pop()
 
-        def counted_fixed(fog, user, template, end, rat, tag):
+        def counted_fixed(fog, user, options, end, rat, tag):
             if inside:
                 assert (end, tag) == (fog.pop, "cache"), (end, tag)
-                reads["hit" if (end, tag) in template.fixed else "miss"] += 1
-            return fixed(fog, user, template, end, rat, tag)
+                for option in options:
+                    reads["hit" if (option.link_id, tag) in fog._cands[False] else "miss"] += 1
+            return fixed(fog, user, options, end, rat, tag)
 
         monkeypatch.setattr(CloudControl, "setup_interfog_path", counted_setup)
         monkeypatch.setattr(FogControl, "fixed_candidates", counted_fixed)
         _, worst, _, health = self.run_counted(lambda: _two_fog_sim(tmp_path), monkeypatch)
-        assert worst["options"] == 1 and worst["fills"] == 1, worst
+        assert worst["options"] == 1 and worst["finishes"] == 1, worst
         assert health["changes"] > 0 and health["kept"] > 0 and reads["requests"] > 100, (health, reads)
-        # the halves of most requests find their entries filled
+        # the halves of most requests find their candidates kept
         assert reads["hit"] > reads["miss"] > 0, reads

@@ -3,15 +3,16 @@ first 120 s of the `faults_slicing` benchmark workload at seeds 300 and
 3003, and the whole `congested_scale` workload at seeds 16 and 1616,
 runs twice: once as is, and once with the kept state switched off, so
 that `FogControl.segment` searches afresh (bypassing the segment memo and
-the per-end distance maps), `FogControl.user_template` builds afresh on
-every call, and `NetworkState.recompute` runs a full max-min solve over
-a fresh solver index on every call while some link is congested, as
+the per-end distance maps), `FogControl.access_options` and
+`FogControl.fixed_candidates` find nothing kept on any call, and
+`NetworkState.recompute` runs a full max-min solve over a fresh solver
+index on every call while some link is congested, as
 `helpers.fresh_solve` does. The six OUTPUT_FILES must be byte-identical
 (McKeeman, "Differential Testing for Software", 1998). This covers the
-state that carries across events: the segment memo, the distance maps
-and the templates, kept across faults and checked on read, and the
-solver index with its levels, kept across the recomputes whose changes
-reach no contended link."""
+state that carries across events: the segment memo, the distance maps,
+the access options and the finished candidates, kept across faults and
+checked on read, and the solver index with its levels, kept across the
+recomputes whose changes reach no contended link."""
 
 import copy
 import sys
@@ -68,11 +69,16 @@ def _outputs(build, out_dir: Path) -> dict:
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_kept_state_changes_no_output_byte(name, tmp_path, monkeypatch):
     kept = _outputs(RUNS[name], tmp_path / "kept")
-    user_template = FogControl.user_template
+    access_options, fixed_candidates = FogControl.access_options, FogControl.fixed_candidates
 
-    def fresh_template(fog, ctx):
-        fog._templates.clear()
-        return user_template(fog, ctx)
+    def fresh_options(fog, sub):
+        fog._access.clear()
+        return access_options(fog, sub)
+
+    def fresh_fixed(fog, *args):
+        for kept in fog._cands:
+            kept.clear()
+        return fixed_candidates(fog, *args)
 
     recompute = NetworkState.recompute
 
@@ -83,7 +89,8 @@ def test_kept_state_changes_no_output_byte(name, tmp_path, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(FogControl, "segment", fresh_segment)
-        patch.setattr(FogControl, "user_template", fresh_template)
+        patch.setattr(FogControl, "access_options", fresh_options)
+        patch.setattr(FogControl, "fixed_candidates", fresh_fixed)
         patch.setattr(NetworkState, "recompute", fresh_recompute)
         fresh = _outputs(RUNS[name], tmp_path / "fresh")
     assert kept.keys() == fresh.keys()
