@@ -21,7 +21,9 @@ median and quartiles, the change's wins (pairs where it is better in the
 direction `BENCHMARK.json` gives, ties counting for neither), and
 whether the medians differ by more than the parent's interquartile
 range. A run that does not report `"correct": true` is kept in the file
-and counted in `failed`, and its metrics go into no statistic.
+and counted in `failed`, and its metrics go into no statistic. At the
+end it prints one line per run and end-to-end metric from those
+statistics (`summary_lines`).
 """
 
 from __future__ import annotations
@@ -126,6 +128,27 @@ def summarize(pairs: List[Dict[str, dict]], better: Dict[str, str]) -> Dict[str,
     return out
 
 
+def summary_lines(runs: Dict[str, dict], metrics: List[str]) -> List[str]:
+    """One line per run of `runs` (the report's, keyed workload:seed) and
+    metric of `metrics` that it has statistics for: the change/parent
+    ratio of medians, both medians, the change's wins of the pairs, and
+    whether the gap of the medians exceeds the parent's IQR."""
+    lines = []
+    for run, result in runs.items():
+        for metric in metrics:
+            stats = result["metrics"].get(metric)
+            if stats is None:
+                continue
+            ratio = stats["ratio_of_medians"]
+            lines.append(
+                f"{run} {metric}: change/parent x{'-' if ratio is None else f'{ratio:.3f}'}"
+                f" ({stats['base']['median']:.6g} -> {stats['change']['median']:.6g} {stats['unit']},"
+                f" {stats['better']} is better), wins {stats['wins']}/{stats['pairs']},"
+                f" gap > parent IQR: {'yes' if stats['median_gap_exceeds_base_iqr'] else 'no'}"
+            )
+    return lines
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="parent git ref (default HEAD)")
@@ -185,6 +208,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             }
             Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.out}")
+    for line in summary_lines(report["runs"], [m["name"] for m in spec["end_to_end"]]):
+        print(line)
     return 0
 
 

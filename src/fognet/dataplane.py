@@ -130,8 +130,9 @@ class FlowPath(NamedTuple):
 
     Its link ids and node ids are derived from the hops on each call of
     `links()` and `nodes()`, unless the builder hands them in (`link_ids`,
-    `node_ids`), as fog control does from a candidate that already holds
-    them."""
+    `node_ids`), as fog control does when it finishes a kept candidate
+    (`fogctrl.finished`): that candidate holds its path, and every flow
+    installed along it shares that one immutable record."""
 
     src: str
     dst: str
@@ -179,9 +180,11 @@ class NetworkState:
     of the fogs' resource classes, so that every slice's entitlement
     (`SliceManager.entitled`) is whole units as well; `units` refuses
     any other rate with a ValueError. A flow arrives at `install_flow`
-    with its rates in units (`InstalledFlow.gbr_units`, `.rate_units`),
-    and `install_flow` refuses a path that lists a link twice with a
-    ValueError before it changes a ledger.
+    with its rates in units (`InstalledFlow.gbr_units`, `.rate_units`).
+    Before it changes a ledger, `install_flow` refuses, in this order, a
+    flow id already installed (`DuplicateFlow`), a path that lists a link
+    twice (ValueError) and a path over a Down link (`LinkDown`, naming
+    the first one in path order).
     The `*_units` readers (`capacity_units`, `residual_units`,
     `slice_gbr_units`, `slice_demand_units`, `sliceable_units`,
     `fog_sliceable_units`, `offered_units`, `load_units`) return the
@@ -216,9 +219,15 @@ class NetworkState:
       holds the guarantees of the slice's flows on those links
       (`slice_gbr_units`). `_slice_demand[(fog, slice, class)]`
       holds each sliced flow's guarantee, else its demand, once per
-      distinct key of its path (`slice_demand_units`); a path's keys are
-      memoized by its link tuple in `_path_keys`. Both change in O(path)
-      with `install_flow` and `remove_flow`.
+      distinct key of its path (`slice_demand_units`). Both change in
+      O(path) with `install_flow` and `remove_flow`.
+    - `_plans`: one install plan per distinct link tuple a flow has been
+      installed on, its distinct meter keys, sorted. `install_flow` makes
+      it on the tuple's first install (`_plan`), which is also the one
+      time it checks the tuple for a repeated link; a refused tuple gets
+      no plan, so it is refused again on every attempt. `install_flow`
+      and `remove_flow` update `_slice_demand` from the plan. A plan
+      depends only on the topology, so it is never dropped.
     - `_down` (the links that are Down or have a Down end node, read by
       `effective_up`) and `_sliceable[(fog, class)]` (`sliceable_units`
       summed over the Up links of the key, read by
@@ -301,7 +310,7 @@ class NetworkState:
         self._meter_keys: Dict[str, Tuple[Tuple[str, str], ...]] = {
             lid: tuple(keys) for lid, keys in meter_keys.items()
         }
-        self._path_keys: Dict[Tuple[str, ...], Tuple[Tuple[str, str], ...]] = {}
+        self._plans: Dict[Tuple[str, ...], Tuple[Tuple[str, str], ...]] = {}  # link tuple -> install plan
         self._slice_gbr: Dict[Tuple[str, str, str], int] = {}
         self._slice_demand: Dict[Tuple[str, str, str], int] = {}
         self._down: Set[str] = {lid for lid, up in self.link_up.items() if not up}
@@ -407,26 +416,30 @@ class NetworkState:
     # -- install / remove --------------------------------------------------
 
     def install_flow(self, flow: InstalledFlow) -> None:
-        if flow.flow_id in self.flows:
-            raise DuplicateFlow(f"flow {flow.flow_id} already installed", flow.flow_id)
-        if len(set(flow.links)) != len(flow.links):
-            raise ValueError(f"flow {flow.flow_id}: path lists a link twice: {flow.links}")
-        for lid in flow.links:
-            if lid in self._down:
-                raise LinkDown(f"link {lid} is down", lid)
+        flow_id, links = flow.flow_id, flow.links
+        if flow_id in self.flows:
+            raise DuplicateFlow(f"flow {flow_id} already installed", flow_id)
+        plan = self._plans.get(links)
+        if plan is None:
+            plan = self._plan(flow)
+        down = self._down
+        if down and not down.isdisjoint(links):
+            for lid in links:
+                if lid in down:
+                    raise LinkDown(f"link {lid} is down", lid)
         gbr, want = flow.gbr_units, flow.rate_units
-        self.flows[flow.flow_id] = flow
+        self.flows[flow_id] = flow
         if gbr > 0:
             self._reserve(flow, gbr)
-        elif self._fair is not None and want > 0 and flow.links:
+        elif self._fair is not None and want > 0 and links:
             self._fair.add(flow)
         if flow.slice_id is not None:
-            self._add_demand(flow, want)
-        capacity, congested = self._capacity, self._congested
-        for lid in flow.links:
-            self._on_link.setdefault(lid, set()).add(flow.flow_id)
-            load = self._offered.get(lid, 0) + want
-            self._offered[lid] = load
+            self._add_demand(plan, flow.slice_id, want)
+        capacity, congested, offered, on_link = self._capacity, self._congested, self._offered, self._on_link
+        for lid in links:
+            on_link.setdefault(lid, set()).add(flow_id)
+            load = offered.get(lid, 0) + want
+            offered[lid] = load
             if load > capacity[lid]:  # congested now, whether or not it was before
                 congested.add(lid)
                 self._stale = True
@@ -435,23 +448,34 @@ class NetworkState:
         flow = self.flows.pop(flow_id, None)
         if flow is None:
             raise UnknownFlow(f"flow {flow_id} not installed", flow_id)
-        gbr, want = flow.gbr_units, flow.rate_units
+        gbr, want, links = flow.gbr_units, flow.rate_units, flow.links
         if gbr > 0:
             self._reserve(flow, -gbr)
-        elif self._fair is not None and want > 0 and flow.links:
+        elif self._fair is not None and want > 0 and links:
             self._fair.remove(flow)
         if flow.slice_id is not None:
-            self._add_demand(flow, -want)
-        capacity, congested = self._capacity, self._congested
-        for lid in flow.links:
-            self._on_link[lid].discard(flow_id)
-            load = self._offered[lid] - want
-            self._offered[lid] = load
+            self._add_demand(self._plans[links], flow.slice_id, -want)
+        capacity, congested, offered, on_link = self._capacity, self._congested, self._offered, self._on_link
+        for lid in links:
+            on_link[lid].discard(flow_id)
+            load = offered[lid] - want
+            offered[lid] = load
             if lid in congested:
                 self._stale = True
                 if load <= capacity[lid]:
                     congested.discard(lid)
         return flow
+
+    def _plan(self, flow: InstalledFlow) -> Tuple[Tuple[str, str], ...]:
+        """Make and keep the install plan of the flow's link tuple: its
+        distinct (fog, resource class) meter keys, sorted. Raises
+        ValueError, keeping nothing, when the tuple lists a link twice."""
+        links = flow.links
+        if len(set(links)) != len(links):
+            raise ValueError(f"flow {flow.flow_id}: path lists a link twice: {links}")
+        meter_keys = self._meter_keys
+        plan = self._plans[links] = tuple(sorted({key for lid in links for key in meter_keys.get(lid, ())}))
+        return plan
 
     def _reserve(self, flow: InstalledFlow, gbr: int) -> None:
         """Add `gbr` units (negative to release) to the GBR ledger along the flow's path."""
@@ -472,17 +496,11 @@ class NetworkState:
         if slice_id is None:
             self.epoch += 1
 
-    def _add_demand(self, flow: InstalledFlow, want: int) -> None:
+    def _add_demand(self, plan: Tuple[Tuple[str, str], ...], slice_id: str, want: int) -> None:
         """Add `want` units (negative to release) to the slice's demand in
-        each (fog, resource class) that the flow's path meters."""
-        keys = self._path_keys.get(flow.links)
-        if keys is None:
-            meter_keys = self._meter_keys
-            keys = tuple(sorted({key for lid in flow.links for key in meter_keys.get(lid, ())}))
-            self._path_keys[flow.links] = keys
+        each (fog, resource class) of a flow's install plan."""
         demand = self._slice_demand
-        slice_id = flow.slice_id
-        for fog, cls in keys:
+        for fog, cls in plan:
             key = (fog, slice_id, cls)
             demand[key] = demand.get(key, 0) + want
 

@@ -39,8 +39,8 @@ A decision's candidates come from two kept facts of its user endpoints:
 each user's access options under its attachment (`access_options`), a
 topology fact that never goes stale, and the finished candidates from
 each access link to the PoP and the gateway (`fixed_candidates`), kept
-beside the segment memo and by its rule. So a request re-derives none of
-them. A fog-local decision enumerates them in `_candidates`; an
+beside the segment memo and by its rule, each with the `FlowPath` a flow
+installed along it takes. So a request re-derives none of them. A fog-local decision enumerates them in `_candidates`; an
 inter-fog one (`CloudControl.setup_interfog_path`) joins each user's
 candidates to its own fog's PoP through the cloud gateway.
 
@@ -254,11 +254,13 @@ class Candidate(NamedTuple):
     `FlowRequest`, immutable like frozen dataclasses but built with no
     `__setattr__`.
 
-    `links`, `nodes` and `latency_ms` (the latency summed over `links`)
-    are derived from `hops`. A kept candidate holds them (`finished`);
-    one built for a single request holds None, and only the chosen one's
-    are derived (`FogControl.conclude`, and `FlowPath.nodes` when
-    read)."""
+    `links`, `nodes`, `latency_ms` (the latency summed over `links`) and
+    `path`, the `FlowPath` a flow installed along it takes, are derived
+    from `hops`. A kept candidate holds them (`finished`), so a request
+    that chooses it installs its `path` as it is. A candidate assembled
+    for one request (to a peer user, inter-fog, or re-routed for
+    headroom) holds None, and only the chosen one's are derived
+    (`FogControl.conclude`, and `FlowPath.nodes` when read)."""
 
     label: str
     hops: Tuple[Tuple[str, str], ...]
@@ -268,16 +270,20 @@ class Candidate(NamedTuple):
     links: Optional[Tuple[str, ...]] = None
     nodes: Optional[Tuple[str, ...]] = None
     latency_ms: Optional[float] = None
+    path: Optional[FlowPath] = None
 
 
 _first, _second, _latency = itemgetter(0), itemgetter(1), attrgetter("latency_ms")
+_label = attrgetter("label")
 
 
 def finished(label, hops, end, rat, access_used, topology_links: Dict[str, Link]) -> Candidate:
-    """The candidate with its links, nodes and latency derived from `hops`."""
+    """The candidate with its links, nodes, latency and path derived from
+    `hops`, which start at the access hop of the path's source user."""
     links = tuple(map(_second, hops))
     nodes = (*map(_first, hops), end)
-    return Candidate(label, hops, end, rat, access_used, links, nodes, latency_sum(links, topology_links))
+    path = FlowPath(hops[0][0], end, hops, rat, links, nodes)
+    return Candidate(label, hops, end, rat, access_used, links, nodes, latency_sum(links, topology_links), path)
 
 
 def latency_sum(links: Tuple[str, ...], topology_links: Dict[str, Link]) -> float:
@@ -348,49 +354,60 @@ def select_candidate(
     mobile_of: Dict[str, bool],
     utilization: Callable[[str], Fraction],
 ) -> Tuple[Candidate, str]:
-    """Apply selection rules 2..4 to an admission-filtered candidate list."""
-    pool = list(candidates)
+    """Apply selection rules 2..4 to an admission-filtered candidate list,
+    which it neither copies nor changes. Each rule keeps the candidates
+    that do best by it, and the discriminator names the last rule that
+    kept some but not all of them: `locality` (fog-local, when
+    `prefer_local`), `mobility` (fewest access hops of the wrong kind
+    for their user: macro for a mobile user, WLAN for any other),
+    `utilization` (lowest bottleneck utilization, each candidate's read
+    once), `hop_count`, or `lex` when the lexicographically first node
+    sequence picks one of several; `only_candidate` when no rule narrowed
+    the list, as for a single candidate."""
+    if len(candidates) == 1:
+        return candidates[0], "only_candidate"
+    pool = candidates
     discriminator = "only_candidate"
-
-    def narrow(better: List[Candidate], rule: str) -> None:
-        nonlocal pool, discriminator
-        if 0 < len(better) < len(pool):
-            pool = better
-            discriminator = rule
-
     if prefer_local:
-        narrow([c for c in pool if c.rat == RouteKind.INTRA_FOG_LOCAL], "locality")
-
-    def violations(c: Candidate) -> int:
-        count = 0
-        for user, kind in c.access_used:
-            wanted = "macro" if mobile_of.get(user, False) else "wlan"
-            if kind != wanted:
-                count += 1
-        return count
+        better = [c for c in pool if c.rat == RouteKind.INTRA_FOG_LOCAL]
+        if 0 < len(better) < len(pool):
+            pool, discriminator = better, "locality"
 
     if len(pool) > 1:
-        counts = [violations(c) for c in pool]
-        best = min(counts)
-        narrow([c for c, n in zip(pool, counts) if n == best], "mobility")
+        counts = []
+        for c in pool:
+            count = 0
+            for user, kind in c.access_used:
+                if kind != ("macro" if mobile_of.get(user, False) else "wlan"):
+                    count += 1
+            counts.append(count)
+        pool, discriminator = _narrow(pool, counts, "mobility", discriminator)
 
     if len(pool) > 1:
-
-        def bottleneck(c: Candidate) -> Fraction:
-            return max((utilization(lid) for _, lid in c.hops), default=ZERO)
-
-        best_u = min(bottleneck(c) for c in pool)
-        narrow([c for c in pool if bottleneck(c) == best_u], "utilization")
+        bottlenecks = []
+        for c in pool:
+            bottlenecks.append(max(map(utilization, map(_second, c.hops)), default=ZERO))
+        pool, discriminator = _narrow(pool, bottlenecks, "utilization", discriminator)
 
     if len(pool) > 1:
-        best_h = min(len(c.hops) for c in pool)
-        narrow([c for c in pool if len(c.hops) == best_h], "hop_count")
+        pool, discriminator = _narrow(pool, [len(c.hops) for c in pool], "hop_count", discriminator)
 
     if len(pool) > 1:
-        pool = [min(pool, key=route_nodes)]
-        discriminator = "lex"
-
+        return min(pool, key=route_nodes), "lex"
     return pool[0], discriminator
+
+
+def _narrow(pool: List[Candidate], scores: list, rule: str, discriminator: str) -> Tuple[List[Candidate], str]:
+    """The candidates of `pool` with the least score, and `rule`, when that
+    keeps some but not all of them; else `pool` and `discriminator`."""
+    best = min(scores)
+    if best == max(scores):
+        return pool, discriminator
+    better = []
+    for c, score in zip(pool, scores):
+        if score == best:
+            better.append(c)
+    return better, rule
 
 
 class FogControl:
@@ -412,8 +429,9 @@ class FogControl:
     of it: each user's access options per (user, attachment), every
     provisioned access link Up or not (`access_options`), so a handover
     needs no hook; and per graph the finished candidate from each access
-    link to the PoP or gateway of each label tag (`fixed_candidates`),
-    which also serve as the halves of the user's inter-fog paths. A
+    link to the PoP or gateway of each label tag, path included
+    (`fixed_candidates`), which also serve as the halves of the user's
+    inter-fog paths. A
     candidate to a peer user is assembled per request from the two
     users' options and the segment memo, never kept per pair. A request
     then does only what depends on live load: the headroom and slice
@@ -549,17 +567,18 @@ class FogControl:
         """Whether both ends are in this fog. `CloudControl.decide` sends a
         request between users of two fogs to the cloud, so a user end that
         this fog does not hold has no known location."""
+        return self._in_fog(spec.src) and self._in_fog(spec.dst)
 
-        def in_fog(end: Endpoint) -> bool:
-            if end.kind == EndpointKind.USER:
-                if self.has_user(end.ident):
-                    return True
-                raise UnknownEndpoint(f"no location known for user {end.ident}", end.ident)
-            if end.kind == EndpointKind.CONTENT:
-                return self.cache is not None and self.cache.peek(end.ident)
-            return False
-
-        return in_fog(spec.src) and in_fog(spec.dst)
+    def _in_fog(self, end: Endpoint) -> bool:
+        """Whether the end is in this fog: a user it holds, or content its
+        cache holds. Raises UnknownEndpoint for a user it does not hold."""
+        if end.kind == EndpointKind.USER:
+            if end.ident in self.subscribers:
+                return True
+            raise UnknownEndpoint(f"no location known for user {end.ident}", end.ident)
+        if end.kind == EndpointKind.CONTENT:
+            return self.cache is not None and self.cache.peek(end.ident)
+        return False
 
     # -- candidate construction -----------------------------------------------
 
@@ -792,25 +811,22 @@ class FogControl:
         return Fraction(self.net.offered_units(link_id), self.net.capacity_units(link_id))
 
     def handle_flow_request(self, spec: FlowSpec) -> FlowDecision:
+        flow_id = spec.flow_id
         try:
             grant, slice_id = self.classify_flow(spec)
         except REFUSALS as exc:
-            return refusal(spec.flow_id, exc)
+            return refusal(flow_id, exc)
         setup_ms = self.control_latency_ms()
-
-        def reject(reason: RejectReason, note: str = "") -> FlowDecision:
-            return FlowDecision.rejected(spec.flow_id, reason, note=note, setup_ms=setup_ms)
-
         try:
             local = self.is_local_flow(spec)
         except UnknownEndpoint as exc:
-            return reject(RejectReason.NO_COVERAGE, str(exc))
+            return FlowDecision.rejected(flow_id, RejectReason.NO_COVERAGE, str(exc), setup_ms)
 
         src, dst = spec.src.ident, spec.dst.ident
         sub = self.subscribers[src]  # found by `classify_flow`
         options = self.access_options(sub)
         if not options:
-            return reject(RejectReason.NO_COVERAGE)
+            return FlowDecision.rejected(flow_id, RejectReason.NO_COVERAGE, setup_ms=setup_ms)
 
         note = ""
         mobile_of = {src: sub.mobile}
@@ -818,12 +834,12 @@ class FogControl:
             peer_sub = self.subscribers[dst]
             peer = self.access_options(peer_sub)
             if not peer:
-                return reject(RejectReason.NO_COVERAGE)
+                return FlowDecision.rejected(flow_id, RejectReason.NO_COVERAGE, setup_ms=setup_ms)
             targets = [(dst, RouteKind.INTRA_FOG_LOCAL, peer)]
             mobile_of[dst] = peer_sub.mobile
         elif spec.dst.kind == EndpointKind.CONTENT:
             if self.cache is None and not self.connected():
-                return reject(RejectReason.FOG_ISOLATED)
+                return FlowDecision.rejected(flow_id, RejectReason.FOG_ISOLATED, setup_ms=setup_ms)
             hit = False
             if self.cache is not None:
                 hit = self.cache.lookup(dst)
@@ -835,10 +851,10 @@ class FogControl:
             if self.connected():
                 targets.append((self.net.topology.gateway_id(), RouteKind.CLOUD_BOUND, "fetch"))
             elif not hit:
-                return reject(RejectReason.FOG_ISOLATED, note)
+                return FlowDecision.rejected(flow_id, RejectReason.FOG_ISOLATED, note, setup_ms)
         elif spec.dst.kind == EndpointKind.EXTERNAL:
             if not self.connected():
-                return reject(RejectReason.FOG_ISOLATED)
+                return FlowDecision.rejected(flow_id, RejectReason.FOG_ISOLATED, setup_ms=setup_ms)
             targets = [(self.net.topology.gateway_id(), RouteKind.CLOUD_BOUND, "egress")]
         else:  # pragma: no cover - enum is closed
             raise UnknownEndpoint(str(spec.dst))
@@ -867,22 +883,24 @@ class FogControl:
         candidate was routable without headroom (`structural`), else it has
         no route. Otherwise rules 2..4 pick the candidate, and the flow is
         installed along it with the classification (grant, slice), its rates
-        already in units. The chosen candidate's links, nodes and latency
-        are reused when it holds them."""
+        already in units. A kept candidate's `path` and latency are
+        installed as they are: its source is the access hop's user, the
+        request's source. Only a candidate assembled for this request has
+        its links, latency and `FlowPath` derived here."""
         if not candidates:
             reason = RejectReason.GBR_ADMISSION_FAIL if structural else RejectReason.NO_ROUTE
-            return FlowDecision.rejected(spec.flow_id, reason, note=note, setup_ms=setup_ms)
+            return FlowDecision.rejected(spec.flow_id, reason, note, setup_ms)
         chosen, discriminator = select_candidate(
             candidates,
             prefer_local=prefer_local,
             mobile_of=mobile_of,
             utilization=self.scoring_utilization,
         )
-        links, latency = chosen.links, chosen.latency_ms
-        if links is None:
+        path, latency = chosen.path, chosen.latency_ms
+        if path is None:
             links = tuple(map(_second, chosen.hops))
             latency = latency_sum(links, self.net.topology.links)
-        path = FlowPath(spec.src.ident, chosen.end, chosen.hops, chosen.rat, links, chosen.nodes)
+            path = FlowPath(spec.src.ident, chosen.end, chosen.hops, chosen.rat, links)
         grant, slice_id = classified
         gbr = grant.units
         self.net.install_flow(InstalledFlow(spec.flow_id, path, slice_id, latency, gbr, gbr or spec.demand_units, spec))
@@ -893,7 +911,7 @@ class FogControl:
             qos=grant.qos,
             slice_id=slice_id,
             discriminator=discriminator,
-            candidates=tuple(c.label for c in candidates),
+            candidates=tuple(map(_label, candidates)),
             setup_ms=setup_ms,
             latency_ms=latency,
             note=note,

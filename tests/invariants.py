@@ -20,6 +20,10 @@ these equals its recount:
   a fog meters each link of a class with an end in it: `_slice_gbr`
   (guarantees, per listing) and `_slice_demand` (each sliced flow's
   guarantee, else its demand, once per key its path touches);
+- each install plan `NetworkState._plans` keeps, one per link tuple a
+  flow has been installed on: the tuple lists no link twice, and the
+  plan is the tuple's (fog, class) keys, sorted (each tuple recounted
+  once per run, `_Layout.plan`);
 - `_down` (the links that are Down or have a Down end node) and
   `_sliceable` (per (fog, class): the Up metered links' capacity net of
   the unsliced guarantees on them), and from them, for every fog,
@@ -127,6 +131,7 @@ class _Layout:
             (ap.id, topo.pop_of(ap.fog), topo.fog_domain(ap.fog).mesh) for ap in topo.nodes_of_kind(NodeKind.WLAN_AP)
         ]
         self._path_keys: Dict[Tuple[str, ...], FrozenSet[Tuple[str, str]]] = {}
+        self._plans: Dict[Tuple[str, ...], Tuple[Tuple[str, str], ...]] = {}
 
     @staticmethod
     def key(flow) -> Optional[str]:
@@ -138,6 +143,15 @@ class _Layout:
         if links not in self._path_keys:
             self._path_keys[links] = frozenset().union(*(self.link_keys[lid] for lid in links))
         return self._path_keys[links]
+
+    def plan(self, links: Tuple[str, ...]) -> Tuple[Tuple[str, str], ...]:
+        """The install plan of a link tuple that lists no link twice: its
+        (fog, class) keys, sorted."""
+        plan = self._plans.get(links)
+        if plan is None:
+            assert len(set(links)) == len(links), ("plan_lists_a_link_twice", links)
+            plan = self._plans[links] = tuple(sorted(self.meter_keys(links)))
+        return plan
 
 
 _flow_id = attrgetter("flow_id")
@@ -241,6 +255,9 @@ def check_state(sim, layout: _Layout, now_ms: int = 0, slice_rows: List[str] = (
         assert same(net._slice_demand.get(key, 0), demands.get(key, 0)), ("slice_demand", key)
     for key in set(physical) | set(net._sliceable):
         assert same(net._sliceable.get(key, 0), physical.get(key, 0)), ("sliceable", key)
+    plan_of = layout.plan
+    for path, plan in net._plans.items():
+        assert plan == plan_of(path), ("install_plan", path)
 
     overhead = sim.config.wlan_control_overhead
     for ap, pop, mesh in layout.control_routes:

@@ -16,9 +16,10 @@ test built it with, or requested it at under the policy it configured.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from fognet.dataplane import RouteKind
+from fognet.fogctrl import Candidate
 from fognet.topology import LINK_TO_RESOURCE, LinkClass, ResourceClass
 
 ZERO = Fraction(0)
@@ -29,6 +30,71 @@ class FlowRates(NamedTuple):
 
     demand: Fraction
     gbr: Fraction = ZERO
+
+
+# ---------------------------------------------------------------------------
+# candidate selection
+
+
+def route_nodes(c: Candidate) -> Tuple[str, ...]:
+    """The candidate's node sequence, its last node the end."""
+    return c.nodes if c.nodes is not None else (*(n for n, _ in c.hops), c.end)
+
+
+def select_oracle(
+    candidates: List[Candidate],
+    *,
+    prefer_local: bool,
+    mobile_of: Dict[str, bool],
+    utilization: Callable[[str], Fraction],
+) -> Tuple[Candidate, str]:
+    """Apply selection rules 2..4 to an admission-filtered candidate list.
+
+    The controller's rule code as it stood with one closure per rule,
+    kept verbatim so that `fogctrl.select_candidate` can be checked
+    against it, discriminator included."""
+    pool = list(candidates)
+    discriminator = "only_candidate"
+
+    def narrow(better: List[Candidate], rule: str) -> None:
+        nonlocal pool, discriminator
+        if 0 < len(better) < len(pool):
+            pool = better
+            discriminator = rule
+
+    if prefer_local:
+        narrow([c for c in pool if c.rat == RouteKind.INTRA_FOG_LOCAL], "locality")
+
+    def violations(c: Candidate) -> int:
+        count = 0
+        for user, kind in c.access_used:
+            wanted = "macro" if mobile_of.get(user, False) else "wlan"
+            if kind != wanted:
+                count += 1
+        return count
+
+    if len(pool) > 1:
+        counts = [violations(c) for c in pool]
+        best = min(counts)
+        narrow([c for c, n in zip(pool, counts) if n == best], "mobility")
+
+    if len(pool) > 1:
+
+        def bottleneck(c: Candidate) -> Fraction:
+            return max((utilization(lid) for _, lid in c.hops), default=ZERO)
+
+        best_u = min(bottleneck(c) for c in pool)
+        narrow([c for c in pool if bottleneck(c) == best_u], "utilization")
+
+    if len(pool) > 1:
+        best_h = min(len(c.hops) for c in pool)
+        narrow([c for c in pool if len(c.hops) == best_h], "hop_count")
+
+    if len(pool) > 1:
+        pool = [min(pool, key=route_nodes)]
+        discriminator = "lex"
+
+    return pool[0], discriminator
 
 
 # ---------------------------------------------------------------------------

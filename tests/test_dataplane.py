@@ -113,6 +113,26 @@ class TestFlowTables:
             net.install_flow(flow(net, "a", [("u5", "ma-u5")]))
         assert net.flows == {}
 
+    def test_first_down_link_in_path_order_is_named(self):
+        """Of a path's two Down links, `LinkDown` names the one the path
+        crosses first, whichever went Down first. The refusals keep their
+        order: a flow id already installed, then a repeated link, then a
+        Down link."""
+        net = make_net()
+        hops = [("u1", "wl-u1-wap1"), ("wap1", "in-wap1-mmc1"), ("mmc1", "mm-mmap-mmc1")]
+        net.install_flow(flow(net, "a", hops[:1]))
+        net.set_link_state("mm-mmap-mmc1", False)
+        net.set_link_state("in-wap1-mmc1", False)
+        for _ in range(2):
+            with pytest.raises(LinkDown) as refused:
+                net.install_flow(flow(net, "b", hops))
+            assert refused.value.element == "in-wap1-mmc1"
+        with pytest.raises(ValueError, match="lists a link twice"):
+            net.install_flow(flow(net, "b", hops + [("mmap", "mm-mmap-mmc1")]))
+        with pytest.raises(DuplicateFlow):
+            net.install_flow(flow(net, "a", hops + [("mmap", "mm-mmap-mmc1")]))
+        assert list(net.flows) == ["a"]
+
     def test_random_trace_matches_shadow_map(self):
         net = make_net()
         rng = random.Random(11)

@@ -158,7 +158,10 @@ class TestFairShares:
     def test_path_listing_a_link_twice_is_refused(self):
         """`install_flow` refuses a path that lists a link twice, best-effort
         or guaranteed, with a ValueError before any ledger or the kept
-        solver index changes; the flows installed before still solve."""
+        solver index changes, and keeps no install plan for it, so it is
+        refused again on every attempt: also once the same links, each
+        listed once in another order, have a plan of their own. The flows
+        installed before still solve."""
         net = bare_net({"l1": 10, "l2": 100})
         install(net, "a", ["l1"], 8)
         install(net, "b", ["l1", "l2"], 8)
@@ -173,6 +176,7 @@ class TestFairShares:
                 set(net._congested),
                 dict(net._be_capacity),
                 dict(net._unsliced_gbr),
+                dict(net._plans),
                 rising_ids(net),
                 net.epoch,
                 net._fair,
@@ -182,11 +186,19 @@ class TestFairShares:
                 net.load_units("l2"),
             )
 
-        before = ledgers()
-        for fid, gbr in (("twice", 0), ("twice-gbr", 1)):
-            with pytest.raises(ValueError, match="lists a link twice"):
-                install(net, fid, ["l1", "l2", "l1"], 1, gbr)
-            assert ledgers() == before
+        def refused_each_time():
+            before = ledgers()
+            for fid, gbr in (("twice", 0), ("twice-gbr", 1)):
+                with pytest.raises(ValueError, match="lists a link twice"):
+                    install(net, fid, ["l1", "l2", "l1"], 1, gbr)
+                assert ledgers() == before
+                assert ("l1", "l2", "l1") not in net._plans
+
+        refused_each_time()
+        install(net, "c", ["l2", "l1"], 8)
+        assert ("l2", "l1") in net._plans
+        refused_each_time()
+        net.remove_flow("c")
         net.recompute()
         assert net.allocated("a") == net.allocated("b") == 5
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fognet import fogctrl
 from fognet.cloudctrl import CloudControl
@@ -12,6 +14,7 @@ from fognet.dataplane import FlowPath, InstalledFlow, NetworkState, NoRoute, Rou
 from fognet.fogctrl import (
     Attachment,
     BadCredentials,
+    Candidate,
     CloudUnreachable,
     ControlError,
     Endpoint,
@@ -42,7 +45,7 @@ from helpers import (
     two_fog_doc,
     wired_fogs,
 )
-from oracles import controller_oracle
+from oracles import controller_oracle, select_oracle
 from test_golden import _two_fog_sim
 from test_invariants import _mesh_cycle_sim, _mesh_cycle_topology
 
@@ -345,6 +348,74 @@ class TestControllerOracle:
                     assert decision.path.rat_used.value == expected.rat
                 else:
                     assert decision.reason.value == expected.reason
+
+
+@st.composite
+def selection_cases(draw):
+    """Inputs of `select_candidate`: 1 to 6 candidates of mixed kind over
+    one or two users, some mobile, and a utilization per link. Links,
+    nodes and hop counts come from small pools, so that bottlenecks, hop
+    counts and whole node sequences tie often and each rule gets to
+    decide."""
+    links = ["l0", "l1", "l2", "l3"]
+    levels = [F(0), F(1, 2), F(1)]
+    utilization = {lid: draw(st.sampled_from(levels)) for lid in links}
+    # a user missing from `mobile_of` counts as stationary
+    mobility = {user: draw(st.sampled_from([True, False, None])) for user in ("u1", "u2")}
+    mobile_of = {user: mobile for user, mobile in mobility.items() if mobile is not None}
+    kinds = st.sampled_from(["wlan", "macro"])
+    rats = st.sampled_from([RouteKind.INTRA_FOG_LOCAL, RouteKind.CLOUD_BOUND])
+    candidates = []
+    for i in range(draw(st.integers(1, 6))):
+        hops = tuple(
+            (draw(st.sampled_from(["a", "b", "c"])), draw(st.sampled_from(links)))
+            for _ in range(draw(st.integers(0, 3)))
+        )
+        users = ["u1", "u2"][: draw(st.integers(1, 2))]
+        used = tuple((user, draw(kinds)) for user in users)
+        end = draw(st.sampled_from(["p", "g"]))
+        nodes = (*(n for n, _ in hops), end) if draw(st.booleans()) else None
+        candidates.append(Candidate(f"c{i}", hops, end, draw(rats), used, nodes=nodes))
+    return candidates, draw(st.booleans()), mobile_of, utilization
+
+
+class TestSelectCandidate:
+    RULES = {"only_candidate", "locality", "mobility", "utilization", "hop_count", "lex"}
+
+    def test_matches_the_closure_oracle(self):
+        """`select_candidate` picks the oracle's candidate with the
+        oracle's discriminator, leaves its list as it was, and reads no
+        more utilizations. The benchmark seeds decide almost nothing by
+        utilization, hop count or lex, so every rule must decide here."""
+        seen = Counter()
+
+        @given(selection_cases())
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        def check(case):
+            candidates, prefer_local, mobile_of, utilization = case
+            reads = Counter()
+
+            def counted(side):
+                def read(lid):
+                    reads[side] += 1
+                    return utilization[lid]
+
+                return read
+
+            given_list = list(candidates)
+            got = fogctrl.select_candidate(
+                candidates, prefer_local=prefer_local, mobile_of=mobile_of, utilization=counted("got")
+            )
+            expected = select_oracle(
+                candidates, prefer_local=prefer_local, mobile_of=mobile_of, utilization=counted("oracle")
+            )
+            assert got == expected
+            assert candidates == given_list
+            assert reads["got"] <= reads["oracle"], reads
+            seen[got[1]] += 1
+
+        check()
+        assert set(seen) == self.RULES, seen
 
 
 class TestPhysicalCapacity:
@@ -774,6 +845,7 @@ class TestTemplates:
                     assert c.links == tuple(lid for _, lid in c.hops)
                     assert c.nodes == tuple(n for n, _ in c.hops) + (c.end,)
                     assert c.latency_ms == sum(topo.links[lid].latency_ms for lid in c.links)
+                    assert c.path == kept_path(c) and c.path.src == user
                     with pytest.raises(AttributeError):
                         c.label = "changed"
                     if all(map(fog.net.effective_up, c.links)):
@@ -862,6 +934,12 @@ class TestTemplates:
         assert counts["up"] > 5, counts
 
 
+def kept_path(c):
+    """The `FlowPath` a kept candidate must hold: from its access hop's user
+    to its end, with its links and nodes."""
+    return FlowPath(c.hops[0][0], c.end, c.hops, c.rat, c.links, c.nodes)
+
+
 class TestKeptCandidates:
     """A finished candidate is kept by the segment memo's rule
     (`FogControl.fixed_candidates`): across a Down bridge, and until an Up
@@ -880,6 +958,7 @@ class TestKeptCandidates:
         user = next(u for u in sorted(fog.subscribers) if fog.subscriber(u).attachment.wlan_cluster)
         wlan = fog.access_options(fog.subscriber(user))[:1]
         (kept,) = self.to_pop(fog, user, wlan)
+        assert kept.path == kept_path(kept)
         bridges = [lid for lid in kept.links[1:] if lid not in env.topo.cyclic_links("fog1", False)]
         finishes = []
         monkeypatch.setattr(fogctrl, "finished", lambda *args: finishes.append(args))
@@ -907,11 +986,13 @@ class TestKeptCandidates:
             return TestTemplates.fresh_candidates(fog, set(users), user, targets, 0, None)[0]
 
         assert [read(u) for u in users] == [fresh(u) for u in users]
+        assert all(c.path == kept_path(c) for c in fog._cands[False].values())
         crossing = {c for c in fog._cands[False].values() if "mmc1-mmc3" in c.links}
         assert crossing and "mmc1-mmc3" in env.topo.cyclic_links("fog1", False)
         net.set_link_state("mmc1-mmc3", False)
         assert [read(u) for u in users] == [fresh(u) for u in users]
         assert crossing.isdisjoint(fog._cands[False].values()) and fog._cands[False]
+        assert all(c.path == kept_path(c) for c in fog._cands[False].values())
         net.set_link_state("mmc1-mmc3", True)
         assert fog._cands[False] == {}
         assert [read(u) for u in users] == [fresh(u) for u in users]
